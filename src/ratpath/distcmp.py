@@ -31,7 +31,7 @@ import numpy as np
 
 try:
     from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional: the `fast` extra
     mpz = int
 
 from .cfrac import Ordering, best_approx

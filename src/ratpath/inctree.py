@@ -75,20 +75,6 @@ class IncTree:
             raise NotAnAncestorError("the root has no proper ancestor")
         return self._anc[level][self.parent[v]]
 
-    def is_ancestor(self, ancestor: int, descendant: int) -> bool:
-        v = descendant
-        steps = self.depth[v] - self.depth[ancestor]
-        if steps < 0:
-            return False
-        for _ in range(steps):
-            v = self.parent[v]
-        return v == ancestor
-
-    def path_hops(self, ancestor: int, descendant: int) -> int:
-        if not self.is_ancestor(ancestor, descendant):
-            raise NotAnAncestorError(f"{ancestor} is not an ancestor of {descendant}")
-        return self.depth[descendant] - self.depth[ancestor]
-
     def path_weight(self, ancestor: int, descendant: int) -> BigRational:
         """Exact weight of the descending path ancestor -> descendant."""
         steps = self.depth[descendant] - self.depth[ancestor]

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 try:
     import gmpy2 as _gmpy2
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is optional: the `fast` extra
     _gmpy2 = None
 
 __all__ = [

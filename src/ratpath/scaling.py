@@ -3,20 +3,24 @@
 Each rational edge weight is streamed as a binary expansion.  Round j
 works on the integer weights 2^j * (w truncated to j fractional bits) + 1,
 reduced by twice the accumulated potential; the reduction keeps every
-surviving weight in a small integer range, so a plain integer shortest
-path routine (pluggable; Bellman-Ford here) does the heavy lifting.
-Edges whose reduced weight exceeds 4n can never lie on a shortest path or
-negative cycle at this or any later round and are pruned.
+surviving weight in a small integer range.  Edges whose reduced weight
+exceeds 4n can never lie on a shortest path or negative cycle at this or
+any later round and are pruned.
 
-Summing the per-round integer potentials p_j / 2^j yields a price
-function under which every reduced weight is at least -2^-k, verified
-exactly before returning.  Any negative cycle met along the way maps to
-the same vertex cycle in the input graph and is re-verified with exact
-rational arithmetic.
+Each round is one call of `integer_sssp_arrays` from a zero-weight
+super-source: FIFO label-correcting Bellman-Ford on exact ints, O(n*m)
+in the worst case, with a parent-graph cycle as negative-cycle witness.
+Shortest distances are unique, so the round potentials p_j do not depend
+on the relaxation order.  The price sum_j p_j / 2^j is one shift-and-add
+integer per vertex over a power of two; every reduced weight under it is
+at least -2^-k, verified exactly before returning.  Any negative cycle
+met along the way maps to the same vertex cycle in the input graph and
+is re-verified with exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,8 +36,8 @@ __all__ = [
     "scaled_weight",
 ]
 
-# Magnitudes below this keep every intermediate of the vectorized engine
-# inside int64.
+# Magnitudes below this keep every intermediate of the vectorized
+# round-weight update inside int64.
 _NUMPY_SAFE = 1 << 60
 
 
@@ -43,17 +47,18 @@ def scaled_weight(w: BigRational, j: int) -> int:
     return ((t.num << j) // t.den) + 1
 
 
-def _walk_cycle(parent: Sequence[int], start: int, n: int) -> List[int]:
-    # After n improving rounds, n parent hops from an improved vertex
-    # land inside the cycle.
-    v = start
-    for _ in range(n):
-        v = int(parent[v])
-    cycle = [v]
-    u = int(parent[v])
-    while u != v:
-        cycle.append(u)
-        u = int(parent[u])
+def _parent_cycle(parent: List[int], v: int) -> Optional[List[int]]:
+    # Follow parent links from v; a repeated vertex closes a cycle of the
+    # parent graph, listed in edge order.
+    pos: Dict[int, int] = {}
+    path: List[int] = []
+    while v != -1 and v not in pos:
+        pos[v] = len(path)
+        path.append(v)
+        v = parent[v]
+    if v == -1:
+        return None
+    cycle = path[pos[v]:]
     cycle.reverse()
     return cycle
 
@@ -65,57 +70,49 @@ def integer_sssp_arrays(
     weights: Sequence[int],
     s: int,
 ) -> Tuple[Optional[List[Optional[int]]], Optional[List[int]], Optional[List[int]]]:
-    """Integer Bellman-Ford over edge arrays with early termination.
+    """FIFO label-correcting Bellman-Ford on exact Python ints.
 
-    Returns (dist, parent, None) or (None, None, cycle).  This is the
-    pluggable engine behind `integer_sssp` and the scaling rounds; replace
-    it to substitute a faster integer solver.
+    Returns (dist, parent, None) or (None, None, cycle); O(n*m) in the
+    worst case.  Each label carries the hop count of the walk that made
+    it.  Labels only decrease strictly, so a walk of n hops repeats a
+    vertex around a negative cycle.  From then on each update walks the
+    parent graph, whose cycles are all negative and one of which forms
+    after finitely many updates; that cycle is the witness.  This is the
+    pluggable engine behind `integer_sssp` and the scaling rounds.
     """
-    max_abs = max((abs(int(w)) for w in weights), default=0)
-    if (max_abs + 1) * (n + 1) < _NUMPY_SAFE and len(weights) > 0:
-        inf = np.int64(1 << 62)
-        t_arr = np.asarray(tails, dtype=np.int64)
-        h_arr = np.asarray(heads, dtype=np.int64)
-        w_arr = np.asarray(weights, dtype=np.int64)
-        dist = np.full(n, inf, dtype=np.int64)
-        parent = np.full(n, -1, dtype=np.int64)
-        dist[s] = 0
-        changed_v = None
-        for _ in range(n + 1):
-            dt = dist[t_arr]
-            cand = np.where(dt < inf, dt + w_arr, inf)
-            new = dist.copy()
-            np.minimum.at(new, h_arr, cand)
-            changed_v = new < dist
-            if not changed_v.any():
-                out = [None if dist[v] >= inf else int(dist[v]) for v in range(n)]
-                return out, [int(p) for p in parent], None
-            upd = (dt < inf) & (cand == new[h_arr]) & changed_v[h_arr]
-            parent[h_arr[upd]] = t_arr[upd]
-            dist = new
-        start = int(np.nonzero(changed_v)[0][0])
-        return None, None, _walk_cycle(parent, start, n)
-
-    # Arbitrary-magnitude fallback.
-    dist_o: List[Optional[int]] = [None] * n
-    parent_o = [-1] * n
-    dist_o[s] = 0
-    last = -1
-    for _ in range(n + 1):
-        changed = False
-        for t, h, w in zip(tails, heads, weights):
-            dt = dist_o[t]
-            if dt is None:
+    adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    for t, h, w in zip(tails, heads, weights):
+        adj[t].append((h, w))
+    dist: List[Optional[int]] = [None] * n
+    parent = [-1] * n
+    hops = [0] * n
+    queued = [False] * n
+    dist[s] = 0
+    queued[s] = True
+    queue = deque([s])
+    cyclic = False
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        du = dist[u]
+        hu = hops[u] + 1
+        for v, w in adj[u]:
+            d = du + w
+            dv = dist[v]
+            if dv is not None and d >= dv:
                 continue
-            cand = dt + w
-            if dist_o[h] is None or cand < dist_o[h]:
-                dist_o[h] = cand
-                parent_o[h] = t
-                changed = True
-                last = h
-        if not changed:
-            return dist_o, parent_o, None
-    return None, None, _walk_cycle(parent_o, last, n)
+            dist[v] = d
+            parent[v] = u
+            hops[v] = hu
+            if cyclic or hu >= n:
+                cyclic = True
+                cycle = _parent_cycle(parent, v)
+                if cycle is not None:
+                    return None, None, cycle
+            if not queued[v]:
+                queued[v] = True
+                queue.append(v)
+    return dist, parent, None
 
 
 def integer_sssp(
@@ -137,24 +134,19 @@ def integer_sssp(
     return NegativeCycle(cyc, cycle_weight(g, cyc))
 
 
-def _halving_sum(vals: Sequence[int]) -> BigRational:
-    """Exact sum of vals[i] / 2^i via a halving recursion."""
-    if len(vals) == 1:
-        return BigRational(vals[0])
-    mid = (len(vals) + 1) // 2
-    high = _halving_sum(vals[mid:])
-    return _halving_sum(vals[:mid]) + BigRational(high.num, high.den << mid)
-
-
 def assemble_price(levels: Sequence[Sequence[int]]) -> PriceFunction:
     """Combine integer potentials: value(v) = sum_j levels[j][v] / 2^j.
 
-    The result denominator divides 2^(len(levels) - 1).
+    Each vertex gets one shift-and-add numerator over 2^(L-1), for L
+    levels, and one reduction.
     """
     if not levels:
         raise ValueError("at least one potential level required")
-    n = len(levels[0])
-    return PriceFunction([_halving_sum([int(col[v]) for col in levels]) for v in range(n)])
+    acc = [int(x) for x in levels[0]]
+    for col in levels[1:]:
+        acc = [(a << 1) + int(x) for a, x in zip(acc, col)]
+    den = 1 << (len(levels) - 1)
+    return PriceFunction([BigRational(a, den) for a in acc])
 
 
 def eps_feasible_price(
@@ -216,8 +208,23 @@ def eps_feasible_price(
     return price
 
 
+def _round(n, tails, heads, weights, g, collect):
+    """One scaling round from the super-source n: the integer distances,
+    or the negative cycle of g that the round exposes."""
+    dist, _, cyc = integer_sssp_arrays(n + 1, tails, heads, weights, n)
+    if collect is not None:
+        collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + 1
+    if cyc is not None:
+        w = cycle_weight(g, cyc)
+        if w >= ZERO:
+            raise AssertionError("round-level cycle does not map to a negative cycle")
+        return NegativeCycle(cyc, w)
+    if None in dist:
+        raise AssertionError("super-source lost reachability; pruning bug")
+    return dist
+
+
 def _rounds_vectorized(n, k, tails, heads, signs, rems, dens, reduced, g, collect):
-    src = n
     t_arr = np.asarray(tails, dtype=np.int64)
     h_arr = np.asarray(heads, dtype=np.int64)
     sign_arr = np.asarray(signs, dtype=np.int64)
@@ -228,28 +235,19 @@ def _rounds_vectorized(n, k, tails, heads, signs, rems, dens, reduced, g, collec
     cols: List[List[int]] = []
     for j in range(k + 2):
         live = np.nonzero(alive)[0]
-        dist, parent, cyc = integer_sssp_arrays(
-            n + 1, t_arr[live], h_arr[live], red_arr[live], src
-        )
-        if collect is not None:
-            collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + 1
-        if cyc is not None:
-            w = cycle_weight(g, cyc)
-            if w >= ZERO:
-                raise AssertionError("round-level cycle does not map to a negative cycle")
-            return NegativeCycle(cyc, w)
-        if any(d is None for d in dist):
-            raise AssertionError("super-source lost reachability; pruning bug")
-        cols.append([int(d) for d in dist])
+        dist = _round(n, t_arr[live].tolist(), h_arr[live].tolist(), red_arr[live].tolist(),
+                      g, collect)
+        if isinstance(dist, NegativeCycle):
+            return dist
+        cols.append(dist)
         if j == k + 1:
             break
         p = np.asarray(cols[-1], dtype=np.int64)
-        stream = den_arr > 1
-        r2 = np.where(stream, rem_arr * 2, 0)
-        bit = (r2 >= den_arr) & stream
-        rem_arr = np.where(stream, r2 - bit * den_arr, rem_arr)
-        step = np.where(sign_arr >= 0, bit.astype(np.int64) - 1, -bit.astype(np.int64) - 1)
-        nxt = 2 * (red_arr + p[t_arr] - p[h_arr]) + step
+        # Integral weights keep remainder 0 and so never emit a bit.
+        r2 = rem_arr * 2
+        bit = r2 >= den_arr
+        rem_arr = r2 - bit * den_arr
+        nxt = 2 * (red_arr + p[t_arr] - p[h_arr]) + sign_arr * bit - 1
         if (alive & (nxt < -2)).any():
             raise AssertionError(f"reduced weight below -2 at round {j + 1}")
         alive &= nxt <= 4 * n
@@ -260,41 +258,24 @@ def _rounds_vectorized(n, k, tails, heads, signs, rems, dens, reduced, g, collec
 
 
 def _rounds_object(n, k, tails, heads, signs, rems, dens, reduced, g, collect):
-    src = n
     total = len(tails)
     alive = [True] * total
     cols: List[List[int]] = []
     for j in range(k + 2):
         live = [i for i in range(total) if alive[i]]
-        dist, parent, cyc = integer_sssp_arrays(
-            n + 1,
-            [tails[i] for i in live],
-            [heads[i] for i in live],
-            [reduced[i] for i in live],
-            src,
-        )
-        if collect is not None:
-            collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + 1
-        if cyc is not None:
-            w = cycle_weight(g, cyc)
-            if w >= ZERO:
-                raise AssertionError("round-level cycle does not map to a negative cycle")
-            return NegativeCycle(cyc, w)
-        if any(d is None for d in dist):
-            raise AssertionError("super-source lost reachability; pruning bug")
-        cols.append([int(d) for d in dist])
+        dist = _round(n, [tails[i] for i in live], [heads[i] for i in live],
+                      [reduced[i] for i in live], g, collect)
+        if isinstance(dist, NegativeCycle):
+            return dist
+        cols.append(dist)
         if j == k + 1:
             break
         p = cols[-1]
         for i in live:
-            if dens[i] > 1:
-                r = rems[i] * 2
-                bit = 1 if r >= dens[i] else 0
-                rems[i] = r - bit * dens[i]
-            else:
-                bit = 0
-            step = (bit - 1) if signs[i] >= 0 else (-bit - 1)
-            nxt = 2 * (reduced[i] + p[tails[i]] - p[heads[i]]) + step
+            r = rems[i] * 2
+            bit = 1 if r >= dens[i] else 0
+            rems[i] = r - bit * dens[i]
+            nxt = 2 * (reduced[i] + p[tails[i]] - p[heads[i]]) + signs[i] * bit - 1
             if nxt < -2:
                 raise AssertionError(f"reduced weight {nxt} below -2 at round {j + 1}")
             if nxt > 4 * n:

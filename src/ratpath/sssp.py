@@ -228,53 +228,47 @@ def dijkstra_nonneg(
 # -- cut Dijkstra -----------------------------------------------------
 
 
-def _best_approx_stream(num: int, den: int, b: int) -> ApproxPair:
+def _best_approx_stream(x: BigRational, b: int) -> ApproxPair:
     """Best b-bit approximation by streaming the Euclidean quotients only
     until the convergent denominator reaches 2^b.  Same result as
     best_approx, near-linear in b rather than in the input size."""
-    x = BigRational(num, den)
     bound = 1 << b
     if x.den < bound:
         return ApproxPair(x, x, b)
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = None, None
+    p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0
     n_, d_ = x.num, x.den
     while True:
         a, r = divmod(n_, d_)
-        if p_cur is None:
-            p_nxt, q_nxt = a, 1
-        else:
-            p_nxt, q_nxt = p_cur * a + p_prev, q_cur * a + q_prev
+        q_nxt = q_cur * a + q_prev
         if q_nxt >= bound:
             break
-        if p_cur is not None:
-            p_prev, q_prev = p_cur, q_cur
-        p_cur, q_cur = p_nxt, q_nxt
+        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_cur * a + p_prev, q_nxt
         n_, d_ = d_, r
     t = (bound - 1 - q_prev) // q_cur
-    conv = BigRational(p_cur, q_cur)
-    semi = BigRational(t * p_cur + p_prev, t * q_cur + q_prev)
+    # Convergents and semiconvergents are already in lowest terms.
+    conv = BigRational._raw(p_cur, q_cur)
+    semi = BigRational._raw(t * p_cur + p_prev, t * q_cur + q_prev)
     return ApproxPair(min(conv, semi), max(conv, semi), b)
 
 
 class CutContext:
     """Preprocessing shared by all hop-bounded runs on one graph.
 
-    Holds the 2^-((2k+1)B + ceil(log2 n))-feasible price function and best
-    2B-bit approximations of every ordered pairwise price difference.
+    Holds the 2^-((2k+1)B + ceil(log2 n))-feasible price function; best
+    2B-bit approximations of pairwise price differences are computed on
+    demand.  Read-only after construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "price", "eps", "ra")
+    __slots__ = ("k", "budget", "price", "eps")
 
-    def __init__(self, k: int, budget: WordBudget, price: PriceFunction, eps: BigRational, ra):
+    def __init__(self, k: int, budget: WordBudget, price: PriceFunction, eps: BigRational):
         self.k = k
         self.budget = budget
         self.price = price
         self.eps = eps
-        self.ra = ra
 
     def ra_pair(self, u: int, v: int) -> ApproxPair:
-        return self.ra[(u, v)]
+        return _best_approx_stream(self.price[u] - self.price[v], 2 * self.budget.B)
 
 
 def cut_preprocess(
@@ -283,25 +277,14 @@ def cut_preprocess(
     budget: WordBudget = DEFAULT_BUDGET,
     collect: Optional[Dict[str, object]] = None,
 ) -> Union[CutContext, NegativeCycle]:
-    """Price function plus pairwise approximation table for cut runs."""
+    """Price function for cut runs."""
     if k < 1:
         raise ValueError("hop parameter must be positive")
     exponent = (2 * k + 1) * budget.B + max(1, math.ceil(math.log2(max(g.n, 2))))
     res = eps_feasible_price(g, exponent, budget, collect)
     if isinstance(res, NegativeCycle):
         return res
-    price = res
-    bits = 2 * budget.B
-    ra: Dict[Tuple[int, int], ApproxPair] = {}
-    for u in range(g.n):
-        pu = price[u]
-        for v in range(g.n):
-            if u == v:
-                continue
-            d = pu - price[v]
-            ra[(u, v)] = _best_approx_stream(d.num, d.den, bits)
-    eps = BigRational(1, 1 << exponent)
-    return CutContext(k, budget, price, eps, ra)
+    return CutContext(k, budget, res, BigRational(1, 1 << exponent))
 
 
 class CutResult:
@@ -364,7 +347,8 @@ def cut_dijkstra(
     Vertices are extracted by exact key d(v) - p(v); a vertex is processed
     only while its tentative distance stays k-short.  Reinsertions into
     the heap are deferred by countdowns assigned from the processing-time
-    rank of each relaxed vertex.
+    rank of each relaxed vertex; a countdown is kept as the absolute turn
+    at which it expires, in a bucket per turn.
     """
     n = g.n
     k = ctx.k
@@ -375,7 +359,10 @@ def cut_dijkstra(
     par_w: List[Optional[BigRational]] = [None] * n
     extracted = [False] * n
     processed = [False] * n
-    countdown: List[Optional[int]] = [None] * n  # None = infinity
+    expiry: List[Optional[int]] = [None] * n  # None = no countdown
+    buckets: Dict[int, List[int]] = {}
+    bucket_turns: List[int] = []  # heap of bucket keys, pruned lazily
+    clock = 0
     on_heap = [False] * n
     token = [0] * n
     heap: List[_CutKey] = []
@@ -407,27 +394,33 @@ def cut_dijkstra(
     for v in range(n):
         push(v, -price[s] if v == s else None)
 
-    def tick(delta: int) -> None:
-        for u in range(n):
-            if countdown[u] is not None:
-                countdown[u] -= delta
-                if countdown[u] <= 0:
-                    countdown[u] = None
-                    d = tentative(u)
-                    push(u, None if d is None else d - price[u])
+    def expire(turn: int) -> None:
+        # Entries left behind by a lowered countdown or an extraction are
+        # stale and skipped.
+        for u in sorted(buckets.pop(turn, ())):
+            if expiry[u] == turn:
+                expiry[u] = None
+                d = tentative(u)
+                push(u, None if d is None else d - price[u])
+
+    # Pair approximations, memoized by this run alone.
+    ra_pair = functools.lru_cache(maxsize=None)(ctx.ra_pair)
 
     for _ in range(n):
         # Countdown phase: one tick normally; when every pending vertex is
-        # in countdown, jump by the minimum so a reinsertion happens.  The
-        # turn count stays at n either way, which is what the payout bound
-        # of the countdown game depends on.
+        # in countdown, jump to the next non-empty bucket so a reinsertion
+        # happens.  The turn count stays at n either way, which is what
+        # the payout bound of the countdown game depends on.
         if live > 0:
-            tick(1)
+            clock += 1
+            expire(clock)
         while live == 0:
-            finite = [c for c in countdown if c is not None]
-            if not finite:
+            while bucket_turns and bucket_turns[0] <= clock:
+                heapq.heappop(bucket_turns)
+            if not bucket_turns:
                 raise AssertionError("no heap entries and no countdowns left")
-            tick(min(finite))
+            clock = heapq.heappop(bucket_turns)
+            expire(clock)
 
         while True:
             entry = heapq.heappop(heap)
@@ -437,7 +430,7 @@ def cut_dijkstra(
         extracted[v] = True
         on_heap[v] = False
         live -= 1
-        countdown[v] = None
+        expiry[v] = None
         order.append(v)
         dist[v] = tentative(v)
         if dist[v] is not None:
@@ -471,7 +464,7 @@ def cut_dijkstra(
             # comparison because the compared difference is 2-short.
             if a[0] == b[0]:
                 return 0
-            r = compare_via_approx(ctx.ra_pair(a[0], b[0]), a[1] - b[1])
+            r = compare_via_approx(ra_pair(a[0], b[0]), a[1] - b[1])
             if r is Ordering.EQUAL:
                 return -1 if a[0] < b[0] else 1
             # p(a) - p(b) > w(a) - w(b)  <=>  key(a) < key(b)
@@ -483,21 +476,33 @@ def cut_dijkstra(
                 on_heap[u] = False
                 token[u] += 1
                 live -= 1
-            if countdown[u] is None or rank < countdown[u]:
-                countdown[u] = rank
+            turn = clock + rank
+            if expiry[u] is None or turn < expiry[u]:
+                expiry[u] = turn
+                if turn not in buckets:
+                    buckets[turn] = []
+                    heapq.heappush(bucket_turns, turn)
+                buckets[turn].append(u)
 
     if collect is not None:
-        collect["cut_heap_inserts"] = collect.get("cut_heap_inserts", 0) + inserts
-        collect["cut_heap_inserts_max"] = max(collect.get("cut_heap_inserts_max", 0), inserts)
-        collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
-        for key, val in dc.counters().items():
-            if isinstance(val, list):
-                collect[f"cut_dc.{key}"] = [
-                    a + b for a, b in zip(collect.get(f"cut_dc.{key}", [0] * len(val)), val)
-                ]
-            else:
-                collect[f"cut_dc.{key}"] = collect.get(f"cut_dc.{key}", 0) + val
+        counts = {"cut_heap_inserts": inserts, "cut_heap_inserts_max": inserts,
+                  "cut_relaxations": relaxations}
+        counts.update((f"cut_dc.{key}", val) for key, val in dc.counters().items())
+        _merge_counts(collect, counts)
     return CutResult(s, dist, par, order, processed, inserts)
+
+
+def _merge_counts(into: Dict[str, object], part: Dict[str, object]) -> None:
+    """Accumulate one run's counters: sums, element-wise for per-level
+    lists, the maximum for cut_heap_inserts_max."""
+    for key, val in part.items():
+        old = into.get(key)
+        if old is None:
+            into[key] = val
+        elif key == "cut_heap_inserts_max":
+            into[key] = max(old, val)
+        else:
+            into[key] = [a + b for a, b in zip(old, val)] if isinstance(val, list) else old + val
 
 
 def replay_enhanced_order(
@@ -586,15 +591,22 @@ def negative_sssp(
 
         run_seeds = [int(c.generate_state(1)[0]) for c in runs_seq.spawn(len(hitset))]
 
-        def one_run(i: int) -> CutResult:
-            return cut_dijkstra(pre, g, hitset[i], seed=run_seeds[i], collect=collect,
-                                constants=constants)
+        def one_run(i: int) -> Tuple[CutResult, Optional[Dict[str, object]]]:
+            # Each run counts into its own dict; no thread writes `collect`.
+            counts = None if collect is None else {}
+            run = cut_dijkstra(pre, g, hitset[i], seed=run_seeds[i], collect=counts,
+                               constants=constants)
+            return run, counts
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                runs = list(pool.map(one_run, range(len(hitset))))
+                outs = list(pool.map(one_run, range(len(hitset))))
         else:
-            runs = [one_run(i) for i in range(len(hitset))]
+            outs = [one_run(i) for i in range(len(hitset))]
+        runs = [run for run, _ in outs]
+        if collect is not None:
+            for _, counts in outs:
+                _merge_counts(collect, counts)
 
         try:
             result = _recombine(g, s, hitset, runs)

@@ -23,6 +23,20 @@ def R(n, d=1):
     return BigRational(n, d)
 
 
+def assert_witness(g, res):
+    """The cycle runs along graph edges between consecutive vertices and
+    its exact weight, summed edge by edge here, is negative."""
+    assert isinstance(res, NegativeCycle)
+    cyc = list(res.vertices)
+    assert len(set(cyc)) == len(cyc)
+    total = ZERO
+    for i, u in enumerate(cyc):
+        e = g.edge_between(u, cyc[(i + 1) % len(cyc)])
+        assert e is not None
+        total = total + e.weight
+    assert total < ZERO and total == res.weight
+
+
 class TestIntegerSssp:
     def test_single_edge(self):
         g = WeightedDigraph(2, [(0, 1, R(-3))])
@@ -60,6 +74,43 @@ class TestIntegerSssp:
             else:
                 dist, _ = got
                 assert dist == want
+
+    def test_long_path_listed_backwards(self):
+        # Edges listed against path order: a pass-based Bellman-Ford needs
+        # one pass per hop here.
+        rng = np.random.default_rng(34)
+        n = 300
+        edges = [(v, v + 1, int(rng.integers(-3, 1))) for v in range(n - 1)]
+        edges += [(v, v - 7, 22) for v in range(7, n, 13)]
+        edges.reverse()
+        want, cyc = bf_oracle_int(n, edges, 0)
+        assert not cyc
+        g = WeightedDigraph(n, [(u, v, R(w)) for u, v, w in edges])
+        dist, parent = integer_sssp(g, 0)
+        assert dist == want
+        for v in range(1, n):
+            assert dist[v] == dist[parent[v]] + g.edge_between(parent[v], v).weight.num
+
+    def test_planted_cycle_witnesses(self):
+        rng = np.random.default_rng(35)
+        for trial in range(200):
+            n = int(rng.integers(4, 30))
+            edges = {}
+            for _ in range(3 * n):
+                u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+                if u != v:
+                    edges[(u, v)] = int(rng.integers(0, 9))
+            length = int(rng.integers(2, min(n, 7)))
+            cycle = [int(x) for x in rng.permutation(n)[:length]]
+            for i, u in enumerate(cycle):
+                edges[(u, cycle[(i + 1) % length])] = int(rng.integers(-4, 3))
+            edges[(cycle[-1], cycle[0])] = -sum(
+                edges[(u, cycle[i + 1])] for i, u in enumerate(cycle[:-1])
+            ) - int(rng.integers(1, 4))
+            if cycle[0] != 0:
+                edges.setdefault((0, cycle[0]), 0)
+            g = WeightedDigraph(n, [(u, v, R(w)) for (u, v), w in edges.items()])
+            assert_witness(g, integer_sssp(g, 0))
 
     def test_object_fallback_matches_numpy(self):
         rng = np.random.default_rng(32)
@@ -109,6 +160,17 @@ class TestAssemble:
         assert p[0] == R(7, 2)
         p = assemble_price([[0], [0], [0]])
         assert p[0] == ZERO
+
+    def test_long_columns_mixed_signs(self, rng):
+        depth = 650
+        cols = [[int(x) for x in rng.integers(-(1 << 40), 1 << 40, size=5)] for _ in range(depth)]
+        cols[0] = [0, -1, 1, 0, 7]
+        got = assemble_price(cols)
+        for v in range(5):
+            naive = ZERO
+            for j in range(depth):
+                naive = naive + R(cols[j][v], 1 << j)
+            assert got[v] == naive
 
     def test_matches_naive(self, rng):
         for _ in range(300):
@@ -186,9 +248,25 @@ class TestEpsFeasiblePrice:
             g = plant_negative_cycle(
                 gen_random(12, 34, seed, "small", "priced"), seed
             )
-            res = eps_feasible_price(g, 20)
-            assert isinstance(res, NegativeCycle)
-            assert res.weight < ZERO
+            assert_witness(g, eps_feasible_price(g, 20))
+
+    def test_wide_denominators(self):
+        # Denominators near 2^60 are past the int64 guard, so the rounds
+        # update weights on Python ints.  Forward edges lose at most 1/8
+        # and backward edges cost over 3: no negative cycle.
+        rng = np.random.default_rng(36)
+        for seed in range(4):
+            edges = []
+            for e in gen_random(14, 40, seed).edges:
+                d = int(rng.integers(2**60, 2**61 - 1))
+                if e.tail < e.head:
+                    num = int(rng.integers(-d // 8, d))
+                else:
+                    num = 3 * d + int(rng.integers(0, d // 2))
+                edges.append((e.tail, e.head, R(num, d)))
+            g = WeightedDigraph(14, edges)
+            p = eps_feasible_price(g, 30)
+            assert check_eps_feasible(g, p, R(1, 1 << 30))
 
     def test_collect_counters(self):
         g = gen_random(8, 20, 3, "small", "priced")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from ratpath.graph import (
     gen_random,
     gen_small_diff,
     plant_negative_cycle,
+    serialize_tree,
     verify_sssp,
 )
 from ratpath.rational import BigRational, WordBudget, ZERO
@@ -109,6 +111,25 @@ class TestCutDijkstra:
             if u == v:
                 continue
             assert ctx.ra_pair(u, v) == best_approx(ctx.price[u] - ctx.price[v], 2 * B16.B)
+
+    def test_ra_pair_matches_best_approx_random_prices(self):
+        from ratpath.cfrac import best_approx
+        from ratpath.graph import PriceFunction
+        from ratpath.sssp import CutContext
+
+        rng = np.random.default_rng(10)
+        for bits in (3, 8, 32):
+            budget = WordBudget(bits)
+            prices = [R(0), R(5, 3), R(-7, 2)]
+            for _ in range(12):
+                den = int(rng.integers(1, 1 << 20)) << int(rng.integers(0, 300))
+                num = int(rng.integers(-(1 << 40), 1 << 40)) * int(rng.integers(1, 1 << 30))
+                prices.append(R(num, den))
+            ctx = CutContext(1, budget, PriceFunction(prices), R(1))
+            for u in range(len(prices)):
+                for v in range(len(prices)):
+                    want = best_approx(prices[u] - prices[v], 2 * bits)
+                    assert ctx.ra_pair(u, v) == want
 
     def test_exact_on_hop_bounded(self):
         from ratpath.rational import is_k_short
@@ -222,6 +243,30 @@ class TestNegativePipeline:
         a = negative_sssp(g, 0, seed=3, budget=B16, jobs=1)
         b = negative_sssp(g, 0, seed=3, budget=B16, jobs=4)
         assert a.distances() == b.distances()
+
+    def test_jobs_counters_match_sequential(self):
+        # Pool threads count into per-run dicts that are merged in hit-set
+        # order, so the counters and the tree do not depend on `jobs`.
+        g = gen_random(24, 72, 5, "small", "priced")
+        seq, par = {}, {}
+        a = negative_sssp(g, 0, seed=3, budget=B16, jobs=1, collect=seq)
+        b = negative_sssp(g, 0, seed=3, budget=B16, jobs=2, collect=par)
+        assert seq == par
+        assert serialize_tree(a) == serialize_tree(b)
+
+    def test_fixed_instance_pinned(self):
+        # Counters and tree bytes of one fixed run, pinned so that a
+        # rewrite of the pipeline's internals keeps them identical.
+        g = gen_random(40, 120, 3, "small", "priced")
+        stats = {}
+        r = negative_sssp(g, 0, seed=1, budget=WordBudget(16), collect=stats)
+        assert stats["scaling_rounds"] == 248
+        assert stats["cut_heap_inserts"] == 3499
+        assert stats["cut_heap_inserts_max"] == 98
+        assert stats["cut_relaxations"] == 2623
+        assert stats["hitset_size"] == 40
+        digest = hashlib.sha256(serialize_tree(r).encode()).hexdigest()
+        assert digest == "7f2337fefec4fd566c936335d0c50e7ec1ea969876dc29c8101a8ac9b3e7e551"
 
     def test_single_vertex(self):
         g = WeightedDigraph(1, source=0)
