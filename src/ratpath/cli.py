@@ -67,19 +67,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 1
     seed = _resolve_seed(args.seed)
     budget = WordBudget(args.word_bits)
-    constants = {}
-    for name, key in (("C", "C"), ("lam", "lam"), ("kappa", "kappa")):
-        val = getattr(args, name, None)
-        if val is not None:
-            constants[key] = val
-    if args.gamma is not None:
-        constants["gamma"] = args.gamma
+    constants = {key: getattr(args, key) for key in ("C", "lam") if getattr(args, key) is not None}
     mode = args.mode
     if mode == "auto":
         mode = "neg" if g.has_negative_weight() else "nonneg"
     stats: Dict[str, object] = {"mode": mode, "seed": seed, "n": g.n, "m": g.m}
     try:
         if mode == "nonneg":
+            # pairwise_delta is the only non-negative strategy that samples
+            if args.gamma is not None and args.strategy == "pairwise_delta":
+                constants["gamma"] = args.gamma
             result = dijkstra_nonneg(
                 g, s, strategy=args.strategy, seed=seed, budget=budget, collect=stats,
                 constants=constants or None,
@@ -88,7 +85,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             result = negative_sssp(
                 g, s, k=args.k, gamma=args.gamma if args.gamma is not None else 2.0,
                 seed=seed, budget=budget, jobs=args.jobs, collect=stats,
-                constants={k: v for k, v in constants.items() if k != "gamma"} or None,
+                constants=constants or None,
             )
     except NegativeWeightError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -311,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--C", type=float, help="level thinning constant")
     solve.add_argument("--lam", type=float, help="cover instance multiplier")
     solve.add_argument("--gamma", type=float, help="hit-set size multiplier")
-    solve.add_argument("--kappa", type=float, help="query fan-out allowance")
     solve.add_argument("--output", "-o")
     solve.set_defaults(func=cmd_solve)
 

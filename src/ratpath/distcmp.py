@@ -20,6 +20,24 @@ query is a sign test.
 An exact-arithmetic twin of the query predicate is provided both as a
 testing oracle and as the fallback when a low-probability covering
 failure is detected.
+
+Exact shortcut.  The level-i numerator is a_i(v) = scale_i * D(v) - f_v
+with D(v) the exact root distance, scale_i = 2^(ell_i + 2) * capacity and
+0 <= f_v < depth(v) < capacity (each chain segment adds one floor).  For a
+query (u, v, beta) let X = D(u) - D(v) - beta and let Q be a common
+denominator of the three terms.  The easy test asks whether
+|scale_i * X - (f_u - f_v)| > 2 * capacity.  If X = 0 it never holds, so
+the query takes the difficult path.  If X != 0 then |X| >= 1/Q, and when
+Q < 2^ell_i, scale_i * |X| > 4 * capacity and the left side exceeds
+3 * capacity: the test is easy with the sign of X.  Likewise the cluster window check
+|scale_i * Y - (f_x - f_y)| <= 2^(ell_i - ell_chain_i + 3) * capacity, for
+Y = D(x) - D(y) - frac, holds exactly when Y = 0 once Q < 2^(ell_chain_i - 2).
+A per-node bound on the bit length of the product of the weight
+denominators on the root path bounds Q without computing it; whenever it
+fits, both tests are decided by cross-multiplying unreduced exact values,
+which gives the same answers, counters and trees as the fixed-point path.
+The fixed-point path runs only for values too wide for that, the regime
+the hierarchy exists for.
 """
 
 from __future__ import annotations
@@ -89,8 +107,6 @@ class DistCmpConfig:
         "B",
         "C",
         "lam",
-        "gamma",
-        "kappa",
         "K",
         "t",
         "n_levels",
@@ -108,8 +124,6 @@ class DistCmpConfig:
         B: int = 64,
         C: float = 2.0,
         lam: float = 4.0,
-        gamma: float = 2.0,
-        kappa: float = 64.0,
     ):
         if capacity < 1:
             raise ValueError("capacity must be positive")
@@ -121,8 +135,6 @@ class DistCmpConfig:
         self.B = B
         self.C = C
         self.lam = lam
-        self.gamma = gamma
-        self.kappa = kappa
         logn = math.log2(max(capacity, 2))
         self.K = max(2, math.ceil(C * logn))
         t = 1
@@ -291,6 +303,16 @@ class _LevelState:
         self.seed = seed
 
 
+_LEVEL_COUNTERS = (
+    "level_queries",
+    "trivial_answers",
+    "easy_answers",
+    "shortcut_answers",
+    "difficult_answers",
+    "cover_fallbacks",
+)
+
+
 class DistCmp:
     """Comparison structure over an incremental weighted out-tree.
 
@@ -305,6 +327,7 @@ class DistCmp:
 
     def __init__(self, config: DistCmpConfig, seed: int = 0):
         self.config = config
+        self._budget = WordBudget(config.B)
         self._seed = seed
         ss = np.random.SeedSequence(seed)
         level_child, state_child, grow_child = ss.spawn(3)
@@ -330,8 +353,14 @@ class DistCmp:
         self._a: List[Dict[int, "mpz"]] = [{0: mpz(0)} for _ in range(t)]
         self._d_alpha_memo: Dict[Tuple[int, int], BigRational] = {}
         self._exact_memo: Dict[int, BigRational] = {0: ZERO}
+        # den_bits[v] bounds the bit length of the product of the weight
+        # denominators on the root path of v, the denominator of _pair(v).
+        self._den_bits: List[int] = [0]
+        self._pair_memo: Dict[int, Tuple[int, int]] = {0: (0, 1)}
         self.level_queries = [0] * (t + 1)
+        self.trivial_answers = [0] * (t + 1)
         self.easy_answers = [0] * (t + 1)
+        self.shortcut_answers = [0] * (t + 1)
         self.difficult_answers = [0] * (t + 1)
         self.cover_fallbacks = [0] * (t + 1)
         self.retired: Dict[str, int] = {}
@@ -339,13 +368,14 @@ class DistCmp:
     # -- insertion ----------------------------------------------------
 
     def insert_leaf(self, parent: int, weight: BigRational) -> int:
-        if not is_k_short(weight, self.config.c, WordBudget(self.config.B)):
+        if not is_k_short(weight, self.config.c, self._budget):
             raise ValueError(f"weight {weight} is not {self.config.c}-short")
         if len(self.tree) >= self.config.capacity:
             self._grow()
         lvl = self.slot_level[len(self.tree)]
         node = self.tree.insert_leaf(parent, weight, lvl)
         self._log.append((parent, weight))
+        self._den_bits.append(self._den_bits[parent] + weight.den.bit_length())
         for i in range(min(lvl, self.config.t - 1) + 1):
             st = self._states[i]
             slot = len(st.members)
@@ -368,15 +398,13 @@ class DistCmp:
             B=cfg.B,
             C=cfg.C,
             lam=cfg.lam,
-            gamma=cfg.gamma,
-            kappa=cfg.kappa,
         )
         child = self._grow_seed.spawn(1)[0]
         fresh = DistCmp(bigger, seed=int(child.generate_state(1)[0]))
         for parent, weight in self._log:
             fresh.insert_leaf(parent, weight)
         retired = dict(self.retired)
-        for name in ("level_queries", "easy_answers", "difficult_answers", "cover_fallbacks"):
+        for name in _LEVEL_COUNTERS:
             retired[name] = retired.get(name, 0) + sum(getattr(self, name))
         self._grow_count += 1
         grow_count = self._grow_count
@@ -431,10 +459,29 @@ class DistCmp:
             memo[y] = memo[self.tree.parent[y]] + self.tree.weight[y]
         return memo[v]
 
+    def _pair(self, v: int) -> Tuple[int, int]:
+        # Unreduced (num, den) of dist(root, v): no gcd, den is the product
+        # of the weight denominators on the root path.
+        memo = self._pair_memo
+        got = memo.get(v)
+        if got is not None:
+            return got
+        chain = []
+        x = v
+        while x not in memo:
+            chain.append(x)
+            x = self.tree.parent[x]
+        num, den = memo[x]
+        for y in reversed(chain):
+            w = self.tree.weight[y]
+            num, den = num * w.den + w.num * den, den * w.den
+            memo[y] = (num, den)
+        return num, den
+
     # -- queries --------------------------------------------------------
 
     def compare(self, u: int, v: int, beta: BigRational) -> Ordering:
-        if not is_k_short(beta, self.config.c, WordBudget(self.config.B)):
+        if not is_k_short(beta, self.config.c, self._budget):
             raise ValueError(f"query value {beta} is not {self.config.c}-short")
         return self._level_compare(0, u, v, beta)
 
@@ -442,21 +489,53 @@ class DistCmp:
         diff = self.exact_distance(u) - self.exact_distance(v)
         return Ordering.of(diff._cmp(beta))
 
-    def _level_compare(self, i: int, u: int, v: int, beta: BigRational) -> Ordering:
-        self.level_queries[i] += 1
-        if i == self.config.t or u == v:
-            return Ordering.of(-beta.sign)
+    def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: int) -> Optional[int]:
+        """sign(dist(u) - dist(v) - beta) by cross-multiplying unreduced
+        values, or None when their common denominator may need more than
+        max_bits bits."""
+        if self._den_bits[u] + self._den_bits[v] + beta.den.bit_length() > max_bits:
+            return None
+        nu, du = self._pair(u)
+        nv, dv = self._pair(v)
+        x = (nu * dv - nv * du) * beta.den - beta.num * du * dv
+        return (x > 0) - (x < 0)
 
+    def _fixed_sign(self, i: int, u: int, v: int, beta: BigRational) -> int:
+        """The level-i easy test on fixed-point approximations: the sign of
+        dist(u) - dist(v) - beta when the margin decides it, else 0."""
         a_diff = self._a_scaled(i, u) - self._a_scaled(i, v)
         lhs = a_diff * beta.den
         rhs = self._scale[i] * beta.num
         margin = (2 * self.config.capacity) * beta.den
         if lhs > rhs + margin:
-            self.easy_answers[i] += 1
-            return Ordering.GREATER
+            return 1
         if lhs < rhs - margin:
+            return -1
+        return 0
+
+    def _fixed_window(self, i: int, x: int, y: int, frac: BigRational) -> bool:
+        """Whether the level-i approximations of x and y differ by frac
+        within the chained window |a_x - a_y - frac| <= 2^-(ell_chain - 1)."""
+        # Scaled by scale*q: scale / 2^(ell_chain - 1) is the integer window.
+        window = (mpz(1) << (self.config.ell[i] - self.config.ell_chain[i] + 3)) * self.config.capacity
+        a_diff = self._a_scaled(i, x) - self._a_scaled(i, y)
+        lhs = a_diff * frac.den - self._scale[i] * frac.num
+        return -window * frac.den <= lhs <= window * frac.den
+
+    def _level_compare(self, i: int, u: int, v: int, beta: BigRational) -> Ordering:
+        self.level_queries[i] += 1
+        if i == self.config.t or u == v:
+            self.trivial_answers[i] += 1
+            return Ordering.of(-beta.sign)
+
+        easy = self._exact_sign(u, v, beta, self.config.ell[i])
+        if easy is None:
+            easy = self._fixed_sign(i, u, v, beta)
+        elif easy:
+            self.shortcut_answers[i] += 1
+        if easy:
             self.easy_answers[i] += 1
-            return Ordering.LESS
+            return Ordering.of(easy)
 
         self.difficult_answers[i] += 1
         st = self._level_state(i)
@@ -470,20 +549,16 @@ class DistCmp:
         sid = st.cover.common_set(su, sv)
         if sid is None:
             self.cover_fallbacks[i] += 1
-            return self._exact_fallback(u, v, beta)
+            return self.exact_compare(u, v, beta)
         order = self._order_of(i, st, sid)
         if order.degraded:
             self.cover_fallbacks[i] += 1
-            return self._exact_fallback(u, v, beta)
+            return self.exact_compare(u, v, beta)
         rel = order.relation(u, v)
         if rel is None:
             self.cover_fallbacks[i] += 1
-            return self._exact_fallback(u, v, beta)
+            return self.exact_compare(u, v, beta)
         return Ordering.of(rel)
-
-    def _exact_fallback(self, u: int, v: int, beta: BigRational) -> Ordering:
-        diff = self.exact_distance(u) - self.exact_distance(v)
-        return Ordering.of(diff._cmp(beta))
 
     # -- level plumbing ---------------------------------------------------
 
@@ -519,12 +594,8 @@ class DistCmp:
         return order
 
     def _make_comparator(self, i: int, st: _LevelState) -> Callable[[int, int], Tuple[int, bool]]:
-        scale = self._scale[i]
-        # Exact integer window check: |a_x - a_y - p/q| <= 2^-(ell_chain - 1)
-        # scaled by scale*q, where scale / 2^(ell_chain - 1) has the exact
-        # integer value below.
-        window = (mpz(1) << (self.config.ell[i] - self.config.ell_chain[i] + 3)) * self.config.capacity
         frac_bound = 1 << self.config.bits_chain[i]
+        exact_bits = self.config.ell_chain[i] - 2
 
         def cmp3(x: int, y: int) -> Tuple[int, bool]:
             if x == y:
@@ -532,9 +603,8 @@ class DistCmp:
             frac = st.dsu.fraction(st.slot_of[x], st.slot_of[y])
             ok = frac is not None and -frac_bound < frac.num < frac_bound and frac.den < frac_bound
             if ok:
-                a_diff = self._a_scaled(i, x) - self._a_scaled(i, y)
-                lhs = a_diff * frac.den - scale * frac.num
-                ok = -window * frac.den <= lhs <= window * frac.den
+                sign = self._exact_sign(x, y, frac, exact_bits)
+                ok = self._fixed_window(i, x, y, frac) if sign is None else sign == 0
             if not ok:
                 diff = self.exact_distance(x) - self.exact_distance(y)
                 return diff.sign, False
@@ -561,16 +631,11 @@ class DistCmp:
         return int(self._scale[i])
 
     def counters(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "level_queries": list(self.level_queries),
-            "easy_answers": list(self.easy_answers),
-            "difficult_answers": list(self.difficult_answers),
-            "cover_fallbacks": list(self.cover_fallbacks),
-            "dsu_inconsistencies": sum(st.dsu.inconsistencies for st in self._states),
-            "cover_updates": sum(
-                st.cover.updates_issued for st in self._states if st.cover is not None
-            ),
-        }
+        out: Dict[str, object] = {name: list(getattr(self, name)) for name in _LEVEL_COUNTERS}
+        out["dsu_inconsistencies"] = sum(st.dsu.inconsistencies for st in self._states)
+        out["cover_updates"] = sum(
+            st.cover.updates_issued for st in self._states if st.cover is not None
+        )
         for name, value in self.retired.items():
             out[f"retired_{name}"] = value
         return out

@@ -95,6 +95,16 @@ class TestSolve:
         assert keys == sorted(keys)
         assert any(k == "relaxations" for k in keys)
 
+    @pytest.mark.parametrize("strategy", ["distcmp", "pairwise_delta"])
+    def test_gamma_reaches_only_its_readers(self, capsys, smalldiff_file, strategy):
+        # --gamma sizes the pairwise_delta sample and the negative
+        # pipeline's hit set; the distcmp structure has no such constant
+        code, out, _ = run(
+            capsys, "solve", "--input", str(smalldiff_file), "--mode", "nonneg",
+            "--strategy", strategy, "--gamma", "3", "--seed", "1",
+        )
+        assert code == 0 and out.startswith("t ")
+
 
 class TestVerifyCmd:
     def test_invalid_tree(self, tmp_path, capsys, smalldiff_file):

@@ -11,6 +11,7 @@ from ratpath.distcmp import (
     PairwiseDeltaComparator,
     similarity_fraction,
 )
+from ratpath.graph import _primes_below
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 
 
@@ -294,7 +295,7 @@ class TestCompare:
         queries = dc.counters()["level_queries"]
         logn = math.log2(n)
         for i in range(cfg.t):
-            assert queries[i + 1] <= cfg.kappa * cfg.n_levels[i] * logn**2
+            assert queries[i + 1] <= 64.0 * cfg.n_levels[i] * logn**2
 
     def test_capacity_doubling_replay(self):
         dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=2)
@@ -308,6 +309,86 @@ class TestCompare:
         for u in nodes[::3]:
             for v in nodes[::5]:
                 assert dc.compare(u, v, ZERO) is dc.exact_compare(u, v, ZERO)
+
+    def test_answer_kinds_partition_queries(self):
+        # every level query is answered trivially, easily or difficultly,
+        # also across capacity doublings (the retired sums)
+        rng = np.random.default_rng(21)
+        dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=8)
+        nodes = [0]
+        for _ in range(1500):
+            if len(nodes) < 60 and (rng.random() < 0.3 or len(nodes) < 3):
+                parent = nodes[int(rng.integers(0, len(nodes)))]
+                nodes.append(dc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, 6))]))
+            else:
+                u = nodes[int(rng.integers(0, len(nodes)))]
+                v = nodes[int(rng.integers(0, len(nodes)))]
+                diff = dc.exact_distance(u) - dc.exact_distance(v)
+                beta = diff if rng.random() < 0.5 and is_k_short(diff, 2, WordBudget(16)) else R(1, 3)
+                assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
+        c = dc.counters()
+        assert c["retired_level_queries"] > 0
+        for i, queries in enumerate(c["level_queries"]):
+            easy = c["easy_answers"][i]
+            assert queries == c["trivial_answers"][i] + easy + c["difficult_answers"][i]
+            assert c["shortcut_answers"][i] <= easy
+        assert c["retired_level_queries"] == (
+            c["retired_trivial_answers"] + c["retired_easy_answers"] + c["retired_difficult_answers"]
+        )
+        assert c["retired_shortcut_answers"] <= c["retired_easy_answers"]
+        for name in ("trivial_answers", "shortcut_answers", "difficult_answers"):
+            assert sum(c[name]) > 0
+
+
+class TestExactShortcut:
+    def test_fixed_point_tests_agree_with_exact_twins(self, rng):
+        # At ties (beta = the exact difference) and at near-ties as close
+        # as the exact gate admits, the fixed-point easy test and window
+        # check give the answers of their exact twins.
+        for seed in range(3):
+            cfg = DistCmpConfig(capacity=48, c=2, B=16)
+            dc = DistCmp(cfg, seed=seed)
+            nodes = [0]
+            for _ in range(47):
+                parent = nodes[int(rng.integers(0, len(nodes)))]
+                nodes.append(dc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, len(WEIGHT_POOL)))]))
+            for i in range(cfg.t):
+                members = [v for v in nodes if dc.tree.level[v] >= i]
+                easy_bits, window_bits = cfg.ell[i], cfg.ell_chain[i] - 2
+                for _ in range(40):
+                    u = members[int(rng.integers(0, len(members)))]
+                    v = members[int(rng.integers(0, len(members)))]
+                    diff = dc.exact_distance(u) - dc.exact_distance(v)
+                    used = dc._den_bits[u] + dc._den_bits[v] + diff.den.bit_length()
+                    window_room = window_bits - used
+                    for k in (1, int(rng.integers(1, window_room)), window_room, easy_bits - used):
+                        nudge = R(int(rng.choice([-1, 1])), diff.den << k)
+                        for beta, want in ((diff, 0), (diff + nudge, -nudge.sign)):
+                            assert dc._exact_sign(u, v, beta, easy_bits) == want
+                            assert dc._fixed_sign(i, u, v, beta) == want
+                            if k <= window_room:
+                                assert dc._exact_sign(u, v, beta, window_bits) == want
+                                assert dc._fixed_window(i, u, v, beta) is (want == 0)
+
+    def test_gate_closes_on_wide_values(self):
+        # ell_0 = 4000 bits against a chain whose weight denominators are
+        # distinct 15-bit primes: deep nodes fail the gate, so level 0
+        # answers on fixed-point values there.
+        rng = np.random.default_rng(31)
+        cfg = DistCmpConfig(capacity=512, c=1, B=16, C=0.5, lam=1.0)
+        assert cfg.ell[0] == 4000
+        dc = DistCmp(cfg, seed=3)
+        nodes = [0]
+        primes = [p for p in _primes_below(1 << 15) if p > 1 << 14]
+        for p in primes[:420]:
+            nodes.append(dc.insert_leaf(nodes[-1], R(int(rng.integers(1, 50)), p)))
+        for _ in range(3000):
+            u = nodes[int(rng.integers(0, len(nodes)))]
+            v = nodes[int(rng.integers(0, len(nodes)))]
+            beta = R(int(rng.integers(-64, 65)), int(rng.integers(1, 1 << 15)))
+            assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
+        c = dc.counters()
+        assert 0 < c["shortcut_answers"][0] < c["easy_answers"][0]
 
 
 class TestClusterOrderUnit:

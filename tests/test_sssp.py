@@ -85,6 +85,45 @@ class TestDijkstraNonneg:
             assert verify_sssp(g, res, mode="exact").valid
 
 
+    @pytest.mark.parametrize(
+        "family, pinned",
+        [
+            (
+                "ties",
+                (114, 166, [989, 129, 2], [313, 0, 0], [217, 18, 0], 840,
+                 "0cfafd07ebe7bfa3c03ebe592cb9f84cb60e5899a1e80d6aa0e668c1086f0f3b"),
+            ),
+            (
+                "gadget",
+                (119, 119, [987, 0, 0], [394, 0, 0], [0, 0, 0], 0,
+                 "2086e26e2f21f530255e61ffebfef5b3b867ec7cca63cf2cadf266be00d3e6ae"),
+            ),
+        ],
+    )
+    def test_distcmp_instance_pinned(self, family, pinned):
+        # Counters and tree bytes of two fixed runs, pinned so that a change
+        # to how distcmp decides its comparisons keeps them identical:
+        # all-1/3 weights (exact ties, the cover and level 1 run) and a
+        # padded window-3 gadget chain (every comparison easy).
+        if family == "ties":
+            skeleton = gen_random(60, 240, 3)
+            g = WeightedDigraph(60, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges], source=0)
+        else:
+            g, _ = gen_small_diff(512, padding=True, chain=20, window=3)
+        stats = {}
+        r = dijkstra_nonneg(g, 0, strategy="distcmp", seed=1, collect=stats)
+        pushes, relaxations, queries, easy, difficult, updates, digest = pinned
+        assert stats["heap_pushes"] == pushes
+        assert stats["relaxations"] == relaxations
+        assert stats["distcmp.level_queries"] == queries
+        assert stats["distcmp.easy_answers"] == easy
+        assert stats["distcmp.difficult_answers"] == difficult
+        assert stats["distcmp.cover_fallbacks"] == [0, 0, 0]
+        assert stats["distcmp.dsu_inconsistencies"] == 0
+        assert stats["distcmp.cover_updates"] == updates
+        assert hashlib.sha256(serialize_tree(r).encode()).hexdigest() == digest
+
+
 class TestCutDijkstra:
     def _context(self, g, k):
         ctx = cut_preprocess(g, k, budget=B16)
