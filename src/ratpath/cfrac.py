@@ -166,36 +166,30 @@ class ApproxPair:
 def best_approx(x: BigRational, b: int) -> ApproxPair:
     """Best b-bit rational approximation of x.
 
-    Found by binary-searching the largest convergent index with denominator
-    below 2^b and forming the extreme semiconvergent that still fits; the
-    convergent and the semiconvergent bracket x from opposite sides.
+    Streams the Euclidean quotients of x only until the convergent
+    denominator reaches 2^b, so it takes O(b) quotients however long the
+    full expansion of x is.  The last convergent below 2^b and the
+    extreme semiconvergent that still fits bracket x from opposite sides.
     """
     if b < 1:
         raise ValueError("bit budget must be positive")
     bound = 1 << b
     if x.den < bound:
         return ApproxPair(x, x, b)
-
-    qs = continued_fraction(x).quotients
-    last = len(qs) - 1
-    # Largest index l with q_l < 2^b; q_last = x.den >= bound, q_0 = 1 < bound.
-    lo_i, hi_i = 0, last - 1
-    while lo_i < hi_i:
-        mid = (lo_i + hi_i + 1) // 2
-        _, q_mid, _, _ = _prefix_product(qs, mid)
-        if q_mid < bound:
-            lo_i = mid
-        else:
-            hi_i = mid - 1
-    p_l, q_l, p_prev, q_prev = _prefix_product(qs, lo_i)
-    t = (bound - 1 - q_prev) // q_l
-    semi_p = t * p_l + p_prev
-    semi_q = t * q_l + q_prev
-    conv = BigRational(p_l, q_l)
-    semi = BigRational(semi_p, semi_q)
-    if conv <= semi:
-        return ApproxPair(conv, semi, b)
-    return ApproxPair(semi, conv, b)
+    p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0
+    n, d = x.num, x.den
+    while True:
+        a, r = divmod(n, d)
+        q_nxt = q_cur * a + q_prev
+        if q_nxt >= bound:
+            break
+        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_cur * a + p_prev, q_nxt
+        n, d = d, r
+    t = (bound - 1 - q_prev) // q_cur
+    # Convergents and semiconvergents are already in lowest terms.
+    conv = BigRational._raw(p_cur, q_cur)
+    semi = BigRational._raw(t * p_cur + p_prev, t * q_cur + q_prev)
+    return ApproxPair(min(conv, semi), max(conv, semi), b)
 
 
 def best_approx_shift(ap: ApproxPair, offset: BigRational, reduce_bits: int) -> ApproxPair:

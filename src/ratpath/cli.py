@@ -84,7 +84,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         else:
             result = negative_sssp(
                 g, s, k=args.k, gamma=args.gamma if args.gamma is not None else 2.0,
-                seed=seed, budget=budget, jobs=args.jobs, collect=stats,
+                seed=seed, budget=budget, collect=stats,
                 constants=constants or None,
             )
     except NegativeWeightError as exc:
@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--seed", type=int)
     solve.add_argument("--k", type=int)
-    solve.add_argument("--jobs", type=int, default=1)
     solve.add_argument("--stats")
     solve.add_argument("--decimal", type=int)
     solve.add_argument("--word-bits", type=int, default=64, help="word budget B")

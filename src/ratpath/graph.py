@@ -212,29 +212,49 @@ class SsspResult:
             return True
         return v in self.parent and not self.uses_aux(v)
 
+    def tree_order(self) -> Optional[List[int]]:
+        """Tree vertices other than the source, each after its parent; None
+        when the parent links do not form a tree rooted at the source.
+
+        One pass over the parent links: the chain above each unplaced
+        vertex is walked up to a placed vertex and placed top-down, so
+        every vertex is walked once.
+        """
+        parent = self.parent
+        if self.source in parent:
+            return None
+        placed = {self.source}
+        order: List[int] = []
+        for v, (u, _, _) in parent.items():
+            if v in placed:
+                continue
+            if u in placed:  # the usual case: trees built in extraction order
+                order.append(v)
+                placed.add(v)
+                continue
+            chain = [v]
+            while u not in placed:
+                entry = parent.get(u)
+                if entry is None or len(chain) > len(parent):
+                    return None
+                chain.append(u)
+                u = entry[0]
+            chain.reverse()
+            order += chain
+            placed.update(chain)
+        return order
+
     def distances(self) -> List[Optional[BigRational]]:
         """Exact tree distance per vertex; None for vertices outside the tree
         or reached only through augmentation edges."""
-        depth = {self.source: 0}
-        for v in self.parent:
-            chain = []
-            x = v
-            while x not in depth:
-                chain.append(x)
-                x = self.parent[x][0]
-                if len(chain) > self.n:
-                    raise ValueError("parent links contain a cycle")
-            d = depth[x]
-            for y in reversed(chain):
-                d += 1
-                depth[y] = d
+        order = self.tree_order()
+        if order is None:
+            raise ValueError("parent links do not form a tree rooted at the source")
         dist: List[Optional[BigRational]] = [None] * self.n
         dist[self.source] = ZERO
-        for v in sorted(self.parent, key=depth.__getitem__):
+        for v in order:
             u, w, aux = self.parent[v]
-            if dist[u] is None or aux:
-                dist[v] = None
-            else:
+            if dist[u] is not None and not aux:
                 dist[v] = dist[u] + w
         return dist
 
@@ -724,8 +744,7 @@ def verify_sssp(
     # Tree distances; also validates parent links.
     dist: List[Optional[BigRational]] = [None] * g.n
     dist[s] = ZERO
-    pending = dict(result.parent)
-    for v, (u, w, aux) in pending.items():
+    for v, (u, w, aux) in result.parent.items():
         if not 0 <= u < g.n:
             raise ValueError(f"dangling parent reference {u}")
         e = g.edge_between(u, v)
@@ -734,22 +753,13 @@ def verify_sssp(
                 raise ValueError(f"tree edge ({u},{v}) not present in the graph")
         elif e.weight != w and not aux:
             return VerifyOutcome(False, witness=e, reason="tree weight differs from graph weight")
-    progressed = True
-    order: List[int] = []
-    placed = {s}
-    while progressed and pending:
-        progressed = False
-        for v in list(pending):
-            u, w, aux = pending[v]
-            if u in placed:
-                order.append(v)
-                placed.add(v)
-                if not aux and dist[u] is not None:
-                    dist[v] = dist[u] + w
-                del pending[v]
-                progressed = True
-    if pending:
+    order = result.tree_order()
+    if order is None:
         return VerifyOutcome(False, reason="parent links do not form a tree rooted at the source")
+    for v in order:
+        u, w, aux = result.parent[v]
+        if not aux and dist[u] is not None:
+            dist[v] = dist[u] + w
 
     reachable = [dist[v] is not None for v in range(g.n)]
 

@@ -5,7 +5,9 @@ works on the integer weights 2^j * (w truncated to j fractional bits) + 1,
 reduced by twice the accumulated potential; the reduction keeps every
 surviving weight in a small integer range.  Edges whose reduced weight
 exceeds 4n can never lie on a shortest path or negative cycle at this or
-any later round and are pruned.
+any later round and are pruned.  The expansion remainders and the
+reduced weights are Python ints, so the same round loop serves weights
+of any magnitude and denominators of any width.
 
 Each round is one call of `integer_sssp_arrays` from a zero-weight
 super-source: FIFO label-correcting Bellman-Ford on exact ints, O(n*m)
@@ -23,8 +25,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .graph import NegativeCycle, PriceFunction, WeightedDigraph, check_eps_feasible, cycle_weight
 from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short, truncate_binary
 
@@ -35,10 +35,6 @@ __all__ = [
     "assemble_price",
     "scaled_weight",
 ]
-
-# Magnitudes below this keep every intermediate of the vectorized
-# round-weight update inside int64.
-_NUMPY_SAFE = 1 << 60
 
 
 def scaled_weight(w: BigRational, j: int) -> int:
@@ -188,97 +184,40 @@ def eps_feasible_price(
         dens[idx] = den
         reduced[idx] = (q0 if num >= 0 else -q0) + 1
 
-    vector_ok = (
-        max((abs(w) for w in reduced), default=0) + 2 * n
-    ) * 4 * (n + 2) < _NUMPY_SAFE and max(dens, default=1) < _NUMPY_SAFE
-
-    if vector_ok:
-        price_cols = _rounds_vectorized(
-            n, k, tails, heads, signs, rems, dens, reduced, g, collect
+    live = list(range(total))
+    cols: List[List[int]] = []
+    for j in range(k + 2):
+        dist, _, cyc = integer_sssp_arrays(
+            n + 1, [tails[i] for i in live], [heads[i] for i in live],
+            [reduced[i] for i in live], src,
         )
-    else:
-        price_cols = _rounds_object(n, k, tails, heads, signs, rems, dens, reduced, g, collect)
-    if isinstance(price_cols, NegativeCycle):
-        return price_cols
-
-    price = assemble_price([col[:n] for col in price_cols])
-    eps = BigRational(1, 1 << k)
-    if not check_eps_feasible(g, price, eps):
-        raise AssertionError("assembled price function fails exact feasibility")
-    return price
-
-
-def _round(n, tails, heads, weights, g, collect):
-    """One scaling round from the super-source n: the integer distances,
-    or the negative cycle of g that the round exposes."""
-    dist, _, cyc = integer_sssp_arrays(n + 1, tails, heads, weights, n)
-    if collect is not None:
-        collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + 1
-    if cyc is not None:
-        w = cycle_weight(g, cyc)
-        if w >= ZERO:
-            raise AssertionError("round-level cycle does not map to a negative cycle")
-        return NegativeCycle(cyc, w)
-    if None in dist:
-        raise AssertionError("super-source lost reachability; pruning bug")
-    return dist
-
-
-def _rounds_vectorized(n, k, tails, heads, signs, rems, dens, reduced, g, collect):
-    t_arr = np.asarray(tails, dtype=np.int64)
-    h_arr = np.asarray(heads, dtype=np.int64)
-    sign_arr = np.asarray(signs, dtype=np.int64)
-    rem_arr = np.asarray(rems, dtype=np.int64)
-    den_arr = np.asarray(dens, dtype=np.int64)
-    red_arr = np.asarray(reduced, dtype=np.int64)
-    alive = np.ones(len(tails), dtype=bool)
-    cols: List[List[int]] = []
-    for j in range(k + 2):
-        live = np.nonzero(alive)[0]
-        dist = _round(n, t_arr[live].tolist(), h_arr[live].tolist(), red_arr[live].tolist(),
-                      g, collect)
-        if isinstance(dist, NegativeCycle):
-            return dist
+        if collect is not None:
+            collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + 1
+        if cyc is not None:
+            w = cycle_weight(g, cyc)
+            if w >= ZERO:
+                raise AssertionError("round-level cycle does not map to a negative cycle")
+            return NegativeCycle(cyc, w)
+        if None in dist:
+            raise AssertionError("super-source lost reachability; pruning bug")
         cols.append(dist)
         if j == k + 1:
             break
-        p = np.asarray(cols[-1], dtype=np.int64)
-        # Integral weights keep remainder 0 and so never emit a bit.
-        r2 = rem_arr * 2
-        bit = r2 >= den_arr
-        rem_arr = r2 - bit * den_arr
-        nxt = 2 * (red_arr + p[t_arr] - p[h_arr]) + sign_arr * bit - 1
-        if (alive & (nxt < -2)).any():
-            raise AssertionError(f"reduced weight below -2 at round {j + 1}")
-        alive &= nxt <= 4 * n
-        # Dead edges are clamped so their values cannot overflow over
-        # later rounds; they are never read again.
-        red_arr = np.where(alive, nxt, 0)
-    return cols
-
-
-def _rounds_object(n, k, tails, heads, signs, rems, dens, reduced, g, collect):
-    total = len(tails)
-    alive = [True] * total
-    cols: List[List[int]] = []
-    for j in range(k + 2):
-        live = [i for i in range(total) if alive[i]]
-        dist = _round(n, [tails[i] for i in live], [heads[i] for i in live],
-                      [reduced[i] for i in live], g, collect)
-        if isinstance(dist, NegativeCycle):
-            return dist
-        cols.append(dist)
-        if j == k + 1:
-            break
-        p = cols[-1]
+        survivors = []
         for i in live:
             r = rems[i] * 2
             bit = 1 if r >= dens[i] else 0
             rems[i] = r - bit * dens[i]
-            nxt = 2 * (reduced[i] + p[tails[i]] - p[heads[i]]) + signs[i] * bit - 1
+            nxt = 2 * (reduced[i] + dist[tails[i]] - dist[heads[i]]) + signs[i] * bit - 1
             if nxt < -2:
                 raise AssertionError(f"reduced weight {nxt} below -2 at round {j + 1}")
-            if nxt > 4 * n:
-                alive[i] = False
+            if nxt <= 4 * n:
+                survivors.append(i)
             reduced[i] = nxt
-    return cols
+        live = survivors
+
+    price = assemble_price([col[:n] for col in cols])
+    eps = BigRational(1, 1 << k)
+    if not check_eps_feasible(g, price, eps):
+        raise AssertionError("assembled price function fails exact feasibility")
+    return price

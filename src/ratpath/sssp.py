@@ -22,12 +22,11 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .cfrac import ApproxPair, Ordering, compare_via_approx
+from .cfrac import ApproxPair, Ordering, best_approx, compare_via_approx
 from .distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
 from .graph import (
     NegativeCycle,
@@ -228,29 +227,6 @@ def dijkstra_nonneg(
 # -- cut Dijkstra -----------------------------------------------------
 
 
-def _best_approx_stream(x: BigRational, b: int) -> ApproxPair:
-    """Best b-bit approximation by streaming the Euclidean quotients only
-    until the convergent denominator reaches 2^b.  Same result as
-    best_approx, near-linear in b rather than in the input size."""
-    bound = 1 << b
-    if x.den < bound:
-        return ApproxPair(x, x, b)
-    p_prev, q_prev, p_cur, q_cur = 0, 1, 1, 0
-    n_, d_ = x.num, x.den
-    while True:
-        a, r = divmod(n_, d_)
-        q_nxt = q_cur * a + q_prev
-        if q_nxt >= bound:
-            break
-        p_prev, q_prev, p_cur, q_cur = p_cur, q_cur, p_cur * a + p_prev, q_nxt
-        n_, d_ = d_, r
-    t = (bound - 1 - q_prev) // q_cur
-    # Convergents and semiconvergents are already in lowest terms.
-    conv = BigRational._raw(p_cur, q_cur)
-    semi = BigRational._raw(t * p_cur + p_prev, t * q_cur + q_prev)
-    return ApproxPair(min(conv, semi), max(conv, semi), b)
-
-
 class CutContext:
     """Preprocessing shared by all hop-bounded runs on one graph.
 
@@ -268,7 +244,7 @@ class CutContext:
         self.eps = eps
 
     def ra_pair(self, u: int, v: int) -> ApproxPair:
-        return _best_approx_stream(self.price[u] - self.price[v], 2 * self.budget.B)
+        return best_approx(self.price[u] - self.price[v], 2 * self.budget.B)
 
 
 def cut_preprocess(
@@ -555,7 +531,6 @@ def negative_sssp(
     gamma: float = 2.0,
     seed: int = 0,
     budget: WordBudget = DEFAULT_BUDGET,
-    jobs: int = 1,
     collect: Optional[Dict[str, object]] = None,
     constants: Optional[Dict[str, float]] = None,
 ) -> Union[SsspResult, NegativeCycle]:
@@ -591,22 +566,10 @@ def negative_sssp(
 
         run_seeds = [int(c.generate_state(1)[0]) for c in runs_seq.spawn(len(hitset))]
 
-        def one_run(i: int) -> Tuple[CutResult, Optional[Dict[str, object]]]:
-            # Each run counts into its own dict; no thread writes `collect`.
-            counts = None if collect is None else {}
-            run = cut_dijkstra(pre, g, hitset[i], seed=run_seeds[i], collect=counts,
-                               constants=constants)
-            return run, counts
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outs = list(pool.map(one_run, range(len(hitset))))
-        else:
-            outs = [one_run(i) for i in range(len(hitset))]
-        runs = [run for run, _ in outs]
-        if collect is not None:
-            for _, counts in outs:
-                _merge_counts(collect, counts)
+        runs = [
+            cut_dijkstra(pre, g, v, seed=run_seed, collect=collect, constants=constants)
+            for v, run_seed in zip(hitset, run_seeds)
+        ]
 
         try:
             result = _recombine(g, s, hitset, runs)

@@ -76,6 +76,28 @@ def brute_best_approx(x: BigRational, bits: int, span: int = 70):
     return BigRational(*lo), BigRational(*hi)
 
 
+def assert_best_pair(x: BigRational, bits: int, ap) -> None:
+    """Check that ap is the best `bits`-bit pair of x without computing one.
+
+    When x.den < 2^bits the pair is (x, x).  Otherwise lo < x < hi, and lo
+    and hi are neighbours in the Farey sequence of order 2^bits - 1: both
+    denominators are in range, hi.num*lo.den - lo.num*hi.den == 1 (nothing
+    lies between them at any denominator below lo.den + hi.den) and
+    lo.den + hi.den >= 2^bits.
+    """
+    bound = 1 << bits
+    lo, hi = ap.lo, ap.hi
+    assert ap.bits == bits
+    if x.den < bound:
+        assert (lo.num, lo.den) == (hi.num, hi.den) == (x.num, x.den)
+        return
+    assert lo.num * x.den < x.num * lo.den
+    assert x.num * hi.den < hi.num * x.den
+    assert 0 < lo.den < bound and 0 < hi.den < bound
+    assert hi.num * lo.den - lo.num * hi.den == 1
+    assert lo.den + hi.den >= bound
+
+
 def random_rational(rng: np.random.Generator, max_num: int = 64, max_den: int = 64) -> BigRational:
     num = int(rng.integers(-max_num, max_num + 1))
     den = int(rng.integers(1, max_den + 1))

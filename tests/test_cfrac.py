@@ -13,7 +13,7 @@ from ratpath.cfrac import (
     convergent,
 )
 from ratpath.rational import BigRational
-from conftest import brute_best_approx, random_rational
+from conftest import assert_best_pair, brute_best_approx, random_rational
 
 
 def R(n, d=1):
@@ -97,11 +97,7 @@ class TestBestApprox:
         for _ in range(500):
             x = random_rational(rng, 10**6, 10**6)
             b = int(rng.integers(1, 20))
-            ap = best_approx(x, b)
-            assert ap.lo <= x <= ap.hi
-            assert ap.lo.den < (1 << b) and ap.hi.den < (1 << b)
-            if x.den < (1 << b):
-                assert ap.lo == ap.hi == x
+            assert_best_pair(x, b, best_approx(x, b))
 
 
 class TestShift:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,29 @@ class TestVerify:
         bad = SsspResult(2, 0, {1: (7, R(1), False)})
         with pytest.raises(ValueError):
             verify_sssp(g, bad, mode="exact")
+
+    def test_source_with_parent_rejected(self):
+        g = WeightedDigraph(3, [(0, 1, R(0)), (1, 0, R(0)), (1, 2, R(1, 3))])
+        tree = parse_tree("t 3 0\na 0 1 0/1\na 1 0 0/1\na 2 1 1/3\n")
+        for mode in ("exact", "fast"):
+            out = verify_sssp(g, tree, mode=mode)
+            assert not out.valid
+            assert out.reason == "parent links do not form a tree rooted at the source"
+        with pytest.raises(ValueError):
+            tree.distances()
+
+    def test_deep_chain_verifies_in_linear_time(self):
+        # The chain 0 -> n-1 -> ... -> 1 read back in vertex order lists
+        # every vertex before its parent.
+        n = 16000
+        third = R(1, 3)
+        edges = [(0, n - 1, third)] + [(v, v - 1, third) for v in range(n - 1, 1, -1)]
+        g = WeightedDigraph(n, edges, source=0)
+        tree = parse_tree(serialize_tree(SsspResult(n, 0, {v: (u, w, False) for u, v, w in edges})))
+        start = time.perf_counter()
+        assert verify_sssp(g, tree, mode="exact").valid
+        assert time.perf_counter() - start < 2.0
+        assert tree.distances()[1] == R(n - 1, 3)
 
     def test_valid_iff_distances_match_oracle(self):
         rng = np.random.default_rng(404)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ratpath.graph import (
     bf_exact,
     check_eps_feasible,
     gen_random,
+    plant_negative_cycle,
 )
 from ratpath.rational import BigRational, WordBudget, ZERO
 from ratpath.scaling import (
@@ -112,7 +115,7 @@ class TestIntegerSssp:
             g = WeightedDigraph(n, [(u, v, R(w)) for (u, v), w in edges.items()])
             assert_witness(g, integer_sssp(g, 0))
 
-    def test_object_fallback_matches_numpy(self):
+    def test_weights_beyond_int64_scale_exactly(self):
         rng = np.random.default_rng(32)
         for _ in range(50):
             n = int(rng.integers(2, 10))
@@ -124,7 +127,7 @@ class TestIntegerSssp:
             tails = [e[0] for e in edges]
             heads = [e[1] for e in edges]
             small = [e[2] for e in edges]
-            # same weights, pushed beyond the vectorized guard
+            # the same weights times 2^63, beyond any machine word
             shift = 1 << 63
             big = [w * shift for w in small]
             d1, _, c1 = integer_sssp_arrays(n, tails, heads, small, 0)
@@ -135,6 +138,35 @@ class TestIntegerSssp:
                     assert (a is None) == (b is None)
                     if a is not None:
                         assert b == a * shift
+
+
+def _wide_denominator_graphs():
+    rng = np.random.default_rng(36)
+    out = []
+    for seed in range(4):
+        edges = []
+        for e in gen_random(14, 40, seed).edges:
+            d = int(rng.integers(2**60, 2**61 - 1))
+            if e.tail < e.head:
+                num = int(rng.integers(-d // 8, d))
+            else:
+                num = 3 * d + int(rng.integers(0, d // 2))
+            edges.append((e.tail, e.head, R(num, d)))
+        out.append(WeightedDigraph(14, edges))
+    return out
+
+
+def _backbone_graph(n, seed):
+    # Random small-weight skeleton plus a zero-weight path
+    # 0 -> n-1 -> ... -> 1 listed last-hop first, under a random potential.
+    backbone = [(0, n - 1)] + [(v, v - 1) for v in range(n - 1, 1, -1)]
+    on_path = set(backbone)
+    edges = [(e.tail, e.head, e.weight) for e in gen_random(n, 3 * n, seed).edges
+             if (e.tail, e.head) not in on_path]
+    edges = [(u, v, ZERO) for u, v in reversed(backbone)] + edges
+    rng = np.random.default_rng([seed, 1])
+    pot = [R(int(rng.integers(-16, 17)), int(rng.integers(1, 17))) for _ in range(n)]
+    return WeightedDigraph(n, [(u, v, w - pot[u] + pot[v]) for u, v, w in edges])
 
 
 class TestScaledWeights:
@@ -242,8 +274,6 @@ class TestEpsFeasiblePrice:
             assert not isinstance(bf_exact(g, 0), NegativeCycle)
 
     def test_planted_cycles_detected(self):
-        from ratpath.graph import plant_negative_cycle
-
         for seed in range(100):
             g = plant_negative_cycle(
                 gen_random(12, 34, seed, "small", "priced"), seed
@@ -251,22 +281,35 @@ class TestEpsFeasiblePrice:
             assert_witness(g, eps_feasible_price(g, 20))
 
     def test_wide_denominators(self):
-        # Denominators near 2^60 are past the int64 guard, so the rounds
-        # update weights on Python ints.  Forward edges lose at most 1/8
-        # and backward edges cost over 3: no negative cycle.
-        rng = np.random.default_rng(36)
-        for seed in range(4):
-            edges = []
-            for e in gen_random(14, 40, seed).edges:
-                d = int(rng.integers(2**60, 2**61 - 1))
-                if e.tail < e.head:
-                    num = int(rng.integers(-d // 8, d))
-                else:
-                    num = 3 * d + int(rng.integers(0, d // 2))
-                edges.append((e.tail, e.head, R(num, d)))
-            g = WeightedDigraph(14, edges)
+        # Denominators near 2^60: the round-weight updates carry binary
+        # expansion remainders of that width.  Forward edges lose at most
+        # 1/8 and backward edges cost over 3: no negative cycle.
+        for g in _wide_denominator_graphs():
             p = eps_feasible_price(g, 30)
             assert check_eps_feasible(g, p, R(1, 1 << 30))
+
+    def test_prices_pinned(self):
+        # sha256 of prices and witnesses on a fixed set, pinned so that a
+        # rewrite of the round loop keeps them identical: small priced
+        # graphs with and without a planted cycle, graphs with a
+        # zero-weight backbone listed against the path order (one
+        # backbone hop per Bellman-Ford pass) at the accuracy the
+        # negative pipeline asks for, and the wide-denominator graphs.
+        cases = [(gen_random(n, 3 * n, seed, "small", "priced"), k)
+                 for n, seed in ((5, 1), (12, 2), (30, 3)) for k in (0, 3, 20)]
+        cases += [(plant_negative_cycle(gen_random(12, 34, seed, "small", "priced"), seed), 20)
+                  for seed in (4, 5)]
+        cases += [(_backbone_graph(16, seed), k) for seed in (6, 7) for k in (4, 580)]
+        cases += [(g, 30) for g in _wide_denominator_graphs()]
+        lines = []
+        for g, k in cases:
+            res = eps_feasible_price(g, k)
+            if isinstance(res, NegativeCycle):
+                lines.append(f"cycle {list(res.vertices)} {res.weight}")
+            else:
+                lines.append(" ".join(f"{res[v].num}/{res[v].den}" for v in range(g.n)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "638b603e5d2934c45c1c7e1121aa06f9a4ba8182bd4445d3b967171ce27fac83"
 
     def test_collect_counters(self):
         g = gen_random(8, 20, 3, "small", "priced")

@@ -26,6 +26,7 @@ from ratpath.sssp import (
     negative_sssp,
     replay_enhanced_order,
 )
+from conftest import assert_best_pair
 
 
 def R(n, d=1):
@@ -137,7 +138,6 @@ class TestCutDijkstra:
         assert run.dist[0] == ZERO
 
     def test_context_table_matches_direct_approximation(self):
-        from ratpath.cfrac import best_approx
         from ratpath.graph import check_eps_feasible
 
         g = gen_random(14, 40, 6, "small", "priced")
@@ -149,10 +149,10 @@ class TestCutDijkstra:
             u, v = int(rng.integers(0, g.n)), int(rng.integers(0, g.n))
             if u == v:
                 continue
-            assert ctx.ra_pair(u, v) == best_approx(ctx.price[u] - ctx.price[v], 2 * B16.B)
+            x = ctx.price[u] - ctx.price[v]
+            assert_best_pair(x, 2 * B16.B, ctx.ra_pair(u, v))
 
     def test_ra_pair_matches_best_approx_random_prices(self):
-        from ratpath.cfrac import best_approx
         from ratpath.graph import PriceFunction
         from ratpath.sssp import CutContext
 
@@ -167,8 +167,7 @@ class TestCutDijkstra:
             ctx = CutContext(1, budget, PriceFunction(prices), R(1))
             for u in range(len(prices)):
                 for v in range(len(prices)):
-                    want = best_approx(prices[u] - prices[v], 2 * bits)
-                    assert ctx.ra_pair(u, v) == want
+                    assert_best_pair(prices[u] - prices[v], 2 * bits, ctx.ra_pair(u, v))
 
     def test_exact_on_hop_bounded(self):
         from ratpath.rational import is_k_short
@@ -276,22 +275,6 @@ class TestNegativePipeline:
             a = negative_sssp(g, 0, seed=seed, budget=B16)
             b = dijkstra_nonneg(g, 0, seed=seed)
             assert a.distances() == b.distances()
-
-    def test_jobs_parallel_same_answer(self):
-        g = gen_random(24, 72, 5, "small", "priced")
-        a = negative_sssp(g, 0, seed=3, budget=B16, jobs=1)
-        b = negative_sssp(g, 0, seed=3, budget=B16, jobs=4)
-        assert a.distances() == b.distances()
-
-    def test_jobs_counters_match_sequential(self):
-        # Pool threads count into per-run dicts that are merged in hit-set
-        # order, so the counters and the tree do not depend on `jobs`.
-        g = gen_random(24, 72, 5, "small", "priced")
-        seq, par = {}, {}
-        a = negative_sssp(g, 0, seed=3, budget=B16, jobs=1, collect=seq)
-        b = negative_sssp(g, 0, seed=3, budget=B16, jobs=2, collect=par)
-        assert seq == par
-        assert serialize_tree(a) == serialize_tree(b)
 
     def test_fixed_instance_pinned(self):
         # Counters and tree bytes of one fixed run, pinned so that a

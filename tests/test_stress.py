@@ -60,9 +60,10 @@ def test_pairwise_strategy_on_gadgets():
         assert res.distances() == bf_exact(g, 0).dist
 
 
-def test_wide_weights_take_object_fallback():
-    # "big" priced weights blow past the int64 guard of the vectorized
-    # scaling rounds, exercising the arbitrary-magnitude path end to end
+def test_wide_weights_end_to_end():
+    # "big" priced weights: 30-bit numerators and denominators before the
+    # price offsets, so the scaling rounds, pair approximations and cut
+    # runs all work on numbers wider than a machine word
     budget = WordBudget(128)
     for seed in range(2):
         g = gen_random(10, 30, seed, "big", "priced")
