@@ -2,12 +2,34 @@
 
 Each clustering instance draws a geometric shift b_v per vertex and
 assigns every vertex to the center minimizing hop-distance minus shift.
-Equivalently, build a *shifted graph*: a fresh source s attached to each
-vertex v by a path of length b_max + 1 - b_v, and let v's center be the
-vertex whose attachment path begins the shortest s -> v route.  That view
-makes the clustering maintainable under edge insertions with a plain
-incremental BFS: whenever the first hop beta_v of some shortest s -> v
-path changes, v moves between clusters.
+Equivalently, picture a *shifted graph*: a fresh source s attached to each
+vertex v by a path of length L_v = b_max + 1 - b_v, and let v's center be
+the vertex whose attachment path begins the shortest s -> v route.  Under
+edge insertions an incremental BFS from s maintains that route: whenever
+the first hop of v's route changes (only on a strict drop of v's
+distance, so ties keep the older route), v moves between clusters.
+
+The instance never builds the attachment paths.  It runs the same BFS as
+a multi-source BFS with staggered start times over the n real vertices:
+dist[v] starts at L_v, center[v] at v, and the adjacency holds the
+inserted edges only.  Distances, centers and the ordered list of moves
+equal those of the BFS over the materialized shifted graph, because:
+
+* An interior path vertex has degree 2, and one end of its path is s at
+  distance 0.  A shortest route to a real vertex never enters another
+  vertex's path from the real end, since it could only leave again at s.
+  So dist[y] = min over centers c of L_c + hop(c, y), and the first hop
+  of the route is the entry of the path of center[y].
+* The last interior vertex of y's own path sits at distance at least
+  min(L_y - 1, dist[y] + 1) >= dist[y] - 1, because dist[y] <= L_y; it
+  never lowers dist[y].
+* So real vertices are dropped by real vertices only, and interior
+  vertices only ever drop each other along one path.  Leaving the
+  interior vertices out of the FIFO keeps the relative order in which
+  real vertices are dequeued, and with it every first hop and move.
+* A strict drop of y through x gives y the first hop of x, that is
+  center[y] = center[x]; the first hop changes exactly when the center
+  does.
 
 A sparse edge cover stacks several independent clustering instances, so
 with decent probability the endpoints of every inserted edge land
@@ -25,20 +47,31 @@ import numpy as np
 
 __all__ = [
     "sample_shift",
+    "sample_shifts",
     "estc_static",
-    "IncrementalBfs",
-    "DepthCapExceeded",
     "ClusteringInstance",
     "SparseCover",
 ]
+
+
+def _shift(r: float, alpha: float) -> int:
+    """The geometric shift of one uniform draw r in [0, 1)."""
+    return math.floor(-math.log(1.0 - r) / alpha)
 
 
 def sample_shift(alpha: float, rng: np.random.Generator) -> int:
     """Geometric shift with tail P[X >= k] = e^(-alpha * k)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    u = 1.0 - rng.random()  # uniform in (0, 1]
-    return int(math.floor(-math.log(u) / alpha))
+    return _shift(rng.random(), alpha)
+
+
+def sample_shifts(n: int, alpha: float, rng: np.random.Generator) -> List[int]:
+    """n shifts from one draw of n uniforms; the same values, and the same
+    generator state afterwards, as n successive sample_shift calls."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    return [_shift(r, alpha) for r in rng.random(n).tolist()]
 
 
 def estc_static(
@@ -57,7 +90,7 @@ def estc_static(
     if shifts is None:
         if rng is None:
             raise ValueError("either shifts or an rng must be supplied")
-        shifts = [sample_shift(alpha, rng) for _ in range(n)]
+        shifts = sample_shifts(n, alpha, rng)
     else:
         shifts = list(shifts)
         if len(shifts) != n:
@@ -85,150 +118,71 @@ def estc_static(
     return centers, shifts
 
 
-class DepthCapExceeded(RuntimeError):
-    """A BFS level went past the configured cap, so an upstream
-    high-probability assumption was violated."""
-
-
-class IncrementalBfs:
-    """BFS tree from a fixed source under edge insertions.
-
-    Tracks, for every vertex v != s, a neighbor beta_v of s lying on some
-    current shortest s -> v path.  Insertions only ever shrink distances,
-    so updates mimic BFS from the vertices whose distance dropped.
-    Tie-breaking is by insertion order: beta_v changes only when the
-    distance of v strictly drops.
-    """
-
-    __slots__ = ("n", "s", "adj", "dist", "beta", "depth_cap", "work_counter")
-
-    def __init__(self, adjacency: List[List[int]], s: int, depth_cap: int):
-        self.n = len(adjacency)
-        self.s = s
-        self.adj = [list(nb) for nb in adjacency]
-        self.depth_cap = depth_cap
-        self.dist = [-1] * self.n
-        self.beta: List[Optional[int]] = [None] * self.n
-        self.work_counter = 0
-        self.dist[s] = 0
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            for y in self.adj[x]:
-                if self.dist[y] < 0:
-                    self.dist[y] = self.dist[x] + 1
-                    self.beta[y] = y if x == s else self.beta[x]
-                    q.append(y)
-        if any(d < 0 for d in self.dist):
-            raise ValueError("initial graph must be connected")
-        if max(self.dist) > depth_cap:
-            raise DepthCapExceeded(f"initial depth {max(self.dist)} exceeds cap {depth_cap}")
-
-    def insert(self, u: int, v: int) -> List[Tuple[int, int]]:
-        """Insert the undirected edge (u, v); returns (vertex, new beta)
-        for every vertex whose beta changed."""
-        self.adj[u].append(v)
-        self.adj[v].append(u)
-        changes: List[Tuple[int, int]] = []
-        drops = deque()
-        for a, b in ((u, v), (v, u)):
-            if self.dist[a] + 1 < self.dist[b]:
-                self.dist[b] = self.dist[a] + 1
-                nb = b if a == self.s else self.beta[a]
-                if nb != self.beta[b]:
-                    self.beta[b] = nb
-                    changes.append((b, nb))
-                drops.append(b)
-        while drops:
-            x = drops.popleft()
-            self.work_counter += 1
-            if self.dist[x] > self.depth_cap:
-                raise DepthCapExceeded(f"depth {self.dist[x]} exceeds cap {self.depth_cap}")
-            for y in self.adj[x]:
-                if self.dist[x] + 1 < self.dist[y]:
-                    self.dist[y] = self.dist[x] + 1
-                    nb = y if x == self.s else self.beta[x]
-                    if nb != self.beta[y]:
-                        self.beta[y] = nb
-                        changes.append((y, nb))
-                    drops.append(y)
-        return changes
-
-
 class ClusteringInstance:
     """One incremental clustering over n real vertices.
 
-    The shifted graph materializes the attachment paths as real BFS
-    vertices; entry_of[v] is the neighbor of the source on v's own path.
+    dist[v] is the shifted-graph distance of v: its start time
+    b_max + 1 - b_v until edges arrive, afterwards the least start time
+    plus hop count over all centers.  adj holds the inserted edges only.
+    bfs_work counts dequeued vertices, all of them real.
     """
 
-    __slots__ = (
-        "n",
-        "shifts",
-        "b_max",
-        "center",
-        "clusters",
-        "entry_of",
-        "center_of_entry",
-        "_bfs",
-        "moves",
-    )
+    __slots__ = ("n", "shifts", "b_max", "dist", "center", "clusters", "adj", "moves", "bfs_work")
 
-    def __init__(self, n: int, rng: np.random.Generator, alpha: float = 1.0, slack: int = 0):
+    def __init__(self, n: int, rng: np.random.Generator, alpha: float = 1.0):
         self.n = n
-        self.shifts = [sample_shift(alpha, rng) for _ in range(n)]
+        self.shifts = sample_shifts(n, alpha, rng)
         self.b_max = max(self.shifts, default=0)
-        adjacency: List[List[int]] = [[] for _ in range(n)]
-        self.entry_of: List[int] = [0] * n
-        self.center_of_entry: Dict[int, int] = {}
-
-        def new_vertex() -> int:
-            adjacency.append([])
-            return len(adjacency) - 1
-
-        s = new_vertex()
-        for v in range(n):
-            length = self.b_max + 1 - self.shifts[v]
-            prev = s
-            entry = v
-            for step in range(length - 1):
-                c = new_vertex()
-                adjacency[prev].append(c)
-                adjacency[c].append(prev)
-                if prev == s:
-                    entry = c
-                prev = c
-            adjacency[prev].append(v)
-            adjacency[v].append(prev)
-            self.entry_of[v] = entry
-            self.center_of_entry[entry] = v
-        self._bfs = IncrementalBfs(adjacency, s, depth_cap=self.b_max + 1 + slack)
-        for v in range(n):
-            assert self._bfs.beta[v] == self.entry_of[v]
+        start = self.b_max + 1
+        self.dist = [start - b for b in self.shifts]
         self.center = list(range(n))
         self.clusters: Dict[int, Set[int]] = {v: {v} for v in range(n)}
+        self.adj: List[List[int]] = [[] for _ in range(n)]
         self.moves = 0
-
-    @property
-    def source(self) -> int:
-        return self._bfs.s
+        self.bfs_work = 0
 
     def insert_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
         """Relay an edge of the clustered graph; returns (vertex, old
-        center, new center) moves."""
+        center, new center) moves in the order they happen."""
+        adj, dist = self.adj, self.dist
+        adj[u].append(v)
+        adj[v].append(u)
+        if dist[u] + 1 < dist[v]:
+            a, b = u, v
+        elif dist[v] + 1 < dist[u]:
+            a, b = v, u
+        else:
+            return []
+        center, clusters = self.center, self.clusters
         out: List[Tuple[int, int, int]] = []
-        for x, nb in self._bfs.insert(u, v):
-            if x >= self.n:
-                continue  # interior path vertex
-            new_center = self.center_of_entry.get(nb)
-            if new_center is None or new_center == self.center[x]:
-                continue
-            old = self.center[x]
-            self.clusters[old].discard(x)
-            self.clusters.setdefault(new_center, set()).add(x)
-            self.center[x] = new_center
-            self.moves += 1
-            out.append((x, old, new_center))
+        # b drops through a; afterwards every strict drop of y through a
+        # dequeued x gives y the center of x, FIFO as in a BFS from s.
+        dist[b] = dist[a] + 1
+        drops = deque((b,))
+        c, old = center[a], center[b]
+        if c != old:
+            center[b] = c
+            clusters[old].discard(b)
+            clusters[c].add(b)
+            out.append((b, old, c))
+        work = 0
+        while drops:
+            x = drops.popleft()
+            work += 1
+            d = dist[x] + 1
+            c = center[x]
+            for y in adj[x]:
+                if d < dist[y]:
+                    dist[y] = d
+                    old = center[y]
+                    if old != c:
+                        center[y] = c
+                        clusters[old].discard(y)
+                        clusters[c].add(y)
+                        out.append((y, old, c))
+                    drops.append(y)
+        self.bfs_work += work
+        self.moves += len(out)
         return out
 
 
@@ -246,10 +200,9 @@ class SparseCover:
         if n < 1:
             raise ValueError("cover needs at least one vertex")
         count = max(1, math.ceil(lambda_ * math.log2(max(n, 2))))
-        slack = max(1, math.ceil(lambda_ * math.log2(max(n, 2))))
         self.n = n
         self.instances = [
-            ClusteringInstance(n, np.random.default_rng(rng.integers(0, 2**63)), alpha, slack)
+            ClusteringInstance(n, np.random.default_rng(rng.integers(0, 2**63)), alpha)
             for _ in range(count)
         ]
         self.updates_issued = 0
@@ -296,10 +249,13 @@ class SparseCover:
         return [self.instance_count] * self.n
 
     def counters(self) -> Dict[str, int]:
+        """Totals over all instances.  bfs_work counts dequeued vertices,
+        which are all real: the attachment paths of the shifted graph are
+        never built, so their interior vertices are never dequeued."""
         return {
             "instances": self.instance_count,
             "edges": self.edges_seen,
             "updates": self.updates_issued,
             "beta_changes": sum(inst.moves for inst in self.instances),
-            "bfs_work": sum(inst._bfs.work_counter for inst in self.instances),
+            "bfs_work": sum(inst.bfs_work for inst in self.instances),
         }

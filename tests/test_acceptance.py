@@ -270,7 +270,7 @@ def test_criterion_8_clustering_statistics():
     trials = 10_000
     hits = [0] * len(edges)
     for seed in range(trials):
-        inst = ClusteringInstance(n, np.random.default_rng(seed), slack=200)
+        inst = ClusteringInstance(n, np.random.default_rng(seed))
         for u, v in edges:
             inst.insert_edge(u, v)
         centers = inst.center

@@ -6,11 +6,10 @@ import pytest
 
 from ratpath.cover import (
     ClusteringInstance,
-    DepthCapExceeded,
-    IncrementalBfs,
     SparseCover,
     estc_static,
     sample_shift,
+    sample_shifts,
 )
 
 
@@ -25,6 +24,119 @@ def bfs_dist(adjacency, s):
                 dist[y] = dist[x] + 1
                 q.append(y)
     return dist
+
+
+class IncrementalBfs:
+    """Reference: BFS tree from a fixed source s under edge insertions.
+
+    Tracks, for every vertex v != s, a neighbor beta_v of s on some current
+    shortest s -> v path; beta_v changes only when dist(v) strictly drops.
+    """
+
+    def __init__(self, adjacency, s):
+        self.s = s
+        self.adj = [list(nb) for nb in adjacency]
+        self.dist = [-1] * len(adjacency)
+        self.beta = [None] * len(adjacency)
+        self.work_counter = 0
+        self.real_work = 0  # dequeues of vertices below s
+        self.dist[s] = 0
+        q = deque([s])
+        while q:
+            x = q.popleft()
+            for y in self.adj[x]:
+                if self.dist[y] < 0:
+                    self.dist[y] = self.dist[x] + 1
+                    self.beta[y] = y if x == s else self.beta[x]
+                    q.append(y)
+        if any(d < 0 for d in self.dist):
+            raise ValueError("initial graph must be connected")
+
+    def insert(self, u, v):
+        """Insert the undirected edge (u, v); returns (vertex, new beta)
+        for every vertex whose beta changed."""
+        self.adj[u].append(v)
+        self.adj[v].append(u)
+        changes = []
+        drops = deque()
+        for a, b in ((u, v), (v, u)):
+            if self.dist[a] + 1 < self.dist[b]:
+                self.dist[b] = self.dist[a] + 1
+                nb = b if a == self.s else self.beta[a]
+                if nb != self.beta[b]:
+                    self.beta[b] = nb
+                    changes.append((b, nb))
+                drops.append(b)
+        while drops:
+            x = drops.popleft()
+            self.work_counter += 1
+            self.real_work += x < self.s
+            for y in self.adj[x]:
+                if self.dist[x] + 1 < self.dist[y]:
+                    self.dist[y] = self.dist[x] + 1
+                    nb = y if x == self.s else self.beta[x]
+                    if nb != self.beta[y]:
+                        self.beta[y] = nb
+                        changes.append((y, nb))
+                    drops.append(y)
+        return changes
+
+
+class ReferenceInstance:
+    """Reference clustering instance over the materialized shifted graph:
+    source s = n, then the interior vertices of every attachment path;
+    entry_of[v] is the neighbor of s on v's own path.  Shifts come from
+    n successive sample_shift calls."""
+
+    def __init__(self, n, rng, alpha=1.0):
+        self.n = n
+        self.shifts = [sample_shift(alpha, rng) for _ in range(n)]
+        self.b_max = max(self.shifts, default=0)
+        adjacency = [[] for _ in range(n)]
+        self.entry_of = [0] * n
+        self.center_of_entry = {}
+
+        def new_vertex():
+            adjacency.append([])
+            return len(adjacency) - 1
+
+        s = new_vertex()
+        for v in range(n):
+            length = self.b_max + 1 - self.shifts[v]
+            prev = s
+            entry = v
+            for _ in range(length - 1):
+                c = new_vertex()
+                adjacency[prev].append(c)
+                adjacency[c].append(prev)
+                if prev == s:
+                    entry = c
+                prev = c
+            adjacency[prev].append(v)
+            adjacency[v].append(prev)
+            self.entry_of[v] = entry
+            self.center_of_entry[entry] = v
+        self.bfs = IncrementalBfs(adjacency, s)
+        assert [self.bfs.beta[v] for v in range(n)] == self.entry_of
+        self.center = list(range(n))
+        self.clusters = {v: {v} for v in range(n)}
+        self.moves = 0
+
+    def insert_edge(self, u, v):
+        out = []
+        for x, nb in self.bfs.insert(u, v):
+            if x >= self.n:
+                continue  # interior path vertex
+            new_center = self.center_of_entry.get(nb)
+            if new_center is None or new_center == self.center[x]:
+                continue
+            old = self.center[x]
+            self.clusters[old].discard(x)
+            self.clusters.setdefault(new_center, set()).add(x)
+            self.center[x] = new_center
+            self.moves += 1
+            out.append((x, old, new_center))
+        return out
 
 
 class TestSampleShift:
@@ -49,6 +161,19 @@ class TestSampleShift:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             sample_shift(0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            ClusteringInstance(3, np.random.default_rng(0), alpha=-1.0)
+
+    def test_batched_equals_successive(self):
+        for seed in range(6):
+            for alpha in (1.0, 0.5, 2.5):
+                for n in (1, 7, 300):
+                    one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+                    want = [sample_shift(alpha, one) for _ in range(n)]
+                    assert sample_shifts(n, alpha, many) == want
+                    assert many.random() == one.random()
+                    inst = ClusteringInstance(n, np.random.default_rng(seed), alpha)
+                    assert inst.shifts == want
 
 
 class TestEstcStatic:
@@ -70,15 +195,17 @@ class TestEstcStatic:
 
 
 class TestIncrementalBfs:
+    """The reference BFS that TestClusteringInstance compares against."""
+
     def test_star(self):
         adjacency = [[1, 2, 3], [0], [0], [0]]
-        bfs = IncrementalBfs(adjacency, 0, depth_cap=3)
+        bfs = IncrementalBfs(adjacency, 0)
         assert bfs.beta[1:] == [1, 2, 3]
 
     def test_shortcut_changes_beta(self):
         # path s-a-b, then insert s-b
         adjacency = [[1], [0, 2], [1]]
-        bfs = IncrementalBfs(adjacency, 0, depth_cap=3)
+        bfs = IncrementalBfs(adjacency, 0)
         assert bfs.beta[2] == 1
         changes = bfs.insert(0, 2)
         assert changes == [(2, 2)]
@@ -86,7 +213,7 @@ class TestIncrementalBfs:
 
     def test_useless_insert_empty_update(self):
         adjacency = [[1], [0, 2], [1]]
-        bfs = IncrementalBfs(adjacency, 0, depth_cap=3)
+        bfs = IncrementalBfs(adjacency, 0)
         assert bfs.insert(1, 2) == []
 
     def test_beta_certificate_random(self):
@@ -97,7 +224,7 @@ class TestIncrementalBfs:
         for v in range(1, n):
             adjacency[0].append(v)
             adjacency[v].append(0)
-        bfs = IncrementalBfs(adjacency, 0, depth_cap=n)
+        bfs = IncrementalBfs(adjacency, 0)
         current = [list(nb) for nb in adjacency]
         for _ in range(120):
             u, v = rng.integers(0, n, size=2)
@@ -118,15 +245,10 @@ class TestIncrementalBfs:
                     fresh_from[b] = bfs_dist(current, b)
                 assert fresh[w] == 1 + fresh_from[b][w]
 
-    def test_depth_cap(self):
-        adjacency = [[1], [0, 2], [1, 3], [2]]
-        with pytest.raises(DepthCapExceeded):
-            IncrementalBfs(adjacency, 0, depth_cap=2)
-
 
 class TestClusteringInstance:
     def test_initial_singletons(self):
-        inst = ClusteringInstance(6, np.random.default_rng(6), slack=8)
+        inst = ClusteringInstance(6, np.random.default_rng(6))
         assert inst.center == list(range(6))
         assert all(inst.clusters[v] == {v} for v in range(6))
 
@@ -136,7 +258,7 @@ class TestClusteringInstance:
         rng = np.random.default_rng(7)
         n = 16
         for trial in range(20):
-            inst = ClusteringInstance(n, np.random.default_rng(trial), slack=3 * n)
+            inst = ClusteringInstance(n, np.random.default_rng(trial))
             adjacency = [[] for _ in range(n)]
             for _ in range(40):
                 u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
@@ -150,7 +272,32 @@ class TestClusteringInstance:
                     entry_len = inst.b_max + 1 - inst.shifts[c]
                     hop = bfs_dist(adjacency, c)[w]
                     assert hop >= 0  # co-assignment implies connectivity
-                    assert inst._bfs.dist[w] == entry_len + hop
+                    assert inst.dist[w] == entry_len + hop
+
+    def test_matches_materialized_reference(self):
+        # same shifts, the same moves in the same order, centers, clusters
+        # and move counts as the BFS over the materialized shifted graph;
+        # bfs_work counts the reference's dequeues of real vertices
+        interior_dequeues = 0
+        for n in (2, 5, 12, 40, 100):
+            stream = np.random.default_rng(100 + n)
+            for seed in range(8):
+                alpha = 1.0 if seed % 2 else 0.5
+                inst = ClusteringInstance(n, np.random.default_rng(seed), alpha)
+                ref = ReferenceInstance(n, np.random.default_rng(seed), alpha)
+                assert inst.shifts == ref.shifts
+                for _ in range(3 * n):
+                    u, v = (int(x) for x in stream.integers(0, n, size=2))
+                    if u == v:
+                        continue
+                    assert inst.insert_edge(u, v) == ref.insert_edge(u, v)
+                    assert inst.center == ref.center
+                    assert inst.dist == ref.bfs.dist[:n]
+                assert inst.clusters == ref.clusters
+                assert inst.moves == ref.moves
+                assert inst.bfs_work == ref.bfs.real_work
+                interior_dequeues += ref.bfs.work_counter - ref.bfs.real_work
+        assert interior_dequeues > 0  # the streams do drop interior path vertices
 
 
 class TestSparseCover:
@@ -183,7 +330,7 @@ class TestSparseCover:
         trials = 3000
         hits = 0
         for seed in range(trials):
-            inst = ClusteringInstance(6, np.random.default_rng(seed), slack=40)
+            inst = ClusteringInstance(6, np.random.default_rng(seed))
             inst.insert_edge(1, 4)
             hits += inst.center[1] == inst.center[4]
         sigma = math.sqrt(p_want * (1 - p_want) / trials)
@@ -253,3 +400,29 @@ class TestSparseCover:
         counters = cover.counters()
         assert counters["edges"] == 1
         assert counters["updates"] == cover.updates_issued
+        cover = SparseCover(12, 4.0, np.random.default_rng(14))
+        for u in range(12):
+            for v in range(u + 1, 12):
+                cover.insert_edge(u, v)
+        counters = cover.counters()
+        # bfs_work counts dequeues of real vertices only; a BFS over the
+        # materialized shifted graph also dequeues interior path vertices
+        # and reads 241 here
+        assert (counters["updates"], counters["beta_changes"]) == (218, 109)
+        assert counters["bfs_work"] == 166
+
+    def test_update_lists_match_materialized_reference(self):
+        n = 30
+        cover = SparseCover(n, 4.0, np.random.default_rng(15))
+        ref = SparseCover(n, 4.0, np.random.default_rng(15))
+        seeds = np.random.default_rng(15)
+        ref.instances = [
+            ReferenceInstance(n, np.random.default_rng(seeds.integers(0, 2**63)))
+            for _ in range(cover.instance_count)
+        ]
+        stream = np.random.default_rng(16)
+        for _ in range(200):
+            u, v = (int(x) for x in stream.integers(0, n, size=2))
+            if u != v:
+                assert cover.insert_edge(u, v) == ref.insert_edge(u, v)
+        assert cover.updates_issued == ref.updates_issued > 0
