@@ -1,4 +1,4 @@
-"""Command-line interface: solve, gen, verify, bench, approx.
+"""Command-line interface: solve, gen, verify, price, approx.
 
 Exit codes: 0 success, 1 input/parse failure, 2 negative cycle detected
 (with an exactly verified witness printed).  All output is exact; the
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import Dict, Optional
 
 from . import graph as graphmod
@@ -67,14 +66,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return 1
     seed = _resolve_seed(args.seed)
     budget = WordBudget(args.word_bits)
-    constants = {key: getattr(args, key) for key in ("C", "lam") if getattr(args, key) is not None}
     mode = args.mode
     if mode == "auto":
         mode = "neg" if g.has_negative_weight() else "nonneg"
     stats: Dict[str, object] = {"mode": mode, "seed": seed, "n": g.n, "m": g.m}
     try:
         if mode == "nonneg":
-            # pairwise_delta is the only non-negative strategy that samples
+            # --C and --lam tune the distcmp structure, which only this
+            # solver builds; pairwise_delta is the only strategy that samples
+            constants = {key: getattr(args, key) for key in ("C", "lam")
+                         if getattr(args, key) is not None}
             if args.gamma is not None and args.strategy == "pairwise_delta":
                 constants["gamma"] = args.gamma
             result = dijkstra_nonneg(
@@ -85,7 +86,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             result = negative_sssp(
                 g, s, k=args.k, gamma=args.gamma if args.gamma is not None else 2.0,
                 seed=seed, budget=budget, collect=stats,
-                constants=constants or None,
             )
     except NegativeWeightError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -151,111 +151,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 2
 
 
-def _bench_rows(args: argparse.Namespace):
-    from .graph import bf_exact
-
-    seeds = list(range(args.seeds))
-    budget = WordBudget(args.word_bits)
-    rows = []
-    if args.suite == "nonneg_vs_naive":
-        for size in args.sizes:
-            window = 3
-            # a padded window-3 gadget adds 3 vertices (5 when a 3-element
-            # subset wins), so this lands close to the requested size
-            chain = max(1, (size - 1) // 3)
-            bound = _prime_bound_for(window * chain)
-            g, _ = graphmod.gen_small_diff(bound, padding=True, chain=chain, window=window)
-            for seed in seeds:
-                t0 = time.perf_counter()
-                stats: Dict[str, object] = {}
-                dijkstra_nonneg(g, 0, strategy="distcmp", seed=seed, budget=budget, collect=stats)
-                t1 = time.perf_counter()
-                dijkstra_nonneg(g, 0, strategy="exact_oracle", seed=seed, budget=budget)
-                t2 = time.perf_counter()
-                rows.append(
-                    {
-                        "suite": args.suite,
-                        "n": g.n,
-                        "seed": seed,
-                        "distcmp_s": f"{t1 - t0:.3f}",
-                        "naive_s": f"{t2 - t1:.3f}",
-                        "relaxations": stats.get("relaxations", 0),
-                    }
-                )
-    elif args.suite == "neg_vs_bf":
-        for size in args.sizes:
-            for seed in seeds:
-                g = graphmod.gen_random(size, 3 * size, seed, "small", "priced")
-                stats = {}
-                t0 = time.perf_counter()
-                negative_sssp(g, 0, seed=seed, budget=budget, collect=stats)
-                t1 = time.perf_counter()
-                bf_exact(g, 0)
-                t2 = time.perf_counter()
-                rows.append(
-                    {
-                        "suite": args.suite,
-                        "n": size,
-                        "seed": seed,
-                        "pipeline_s": f"{t1 - t0:.3f}",
-                        "bf_s": f"{t2 - t1:.3f}",
-                        "heap_inserts": stats.get("cut_heap_inserts", 0),
-                    }
-                )
-    elif args.suite == "counters":
-        for size in args.sizes:
-            for seed in seeds:
-                g = graphmod.gen_random(size, 3 * size, seed, "small", "priced")
-                stats = {}
-                res = negative_sssp(g, 0, seed=seed, budget=budget, collect=stats)
-                bound = size + 2 * size * int(size**0.5 + 1)
-                rows.append(
-                    {
-                        "suite": args.suite,
-                        "n": size,
-                        "seed": seed,
-                        "heap_inserts": stats.get("cut_heap_inserts_max", 0),
-                        "insert_bound": bound,
-                        "relaxations": stats.get("cut_relaxations", 0),
-                        "scaling_rounds": stats.get("scaling_rounds", 0),
-                        "negative_cycle": int(isinstance(res, NegativeCycle)),
-                    }
-                )
-    else:
-        raise ValueError(f"unknown suite {args.suite!r}")
-    return rows
-
-
-def _prime_bound_for(count: int) -> int:
-    # Smallest bound with at least `count` primes below it.
-    bound = 8
-    while len(graphmod._primes_below(bound)) < count:
-        bound *= 2
-    return bound
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        rows = _bench_rows(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not rows:
-        print("no rows")
-        return 0
-    cols = list(rows[0].keys())
-    widths = {c: max(len(c), max(len(str(r[c])) for r in rows)) for c in cols}
-    print("  ".join(c.ljust(widths[c]) for c in cols))
-    for r in rows:
-        print("  ".join(str(r[c]).ljust(widths[c]) for c in cols))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write("\t".join(cols) + "\n")
-            for r in rows:
-                fh.write("\t".join(str(r[c]) for c in cols) + "\n")
-    return 0
-
-
 def cmd_price(args: argparse.Namespace) -> int:
     from .scaling import eps_feasible_price
 
@@ -304,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--stats")
     solve.add_argument("--decimal", type=int)
     solve.add_argument("--word-bits", type=int, default=64, help="word budget B")
-    solve.add_argument("--C", type=float, help="level thinning constant")
-    solve.add_argument("--lam", type=float, help="cover instance multiplier")
+    solve.add_argument("--C", type=float, help="level thinning constant (non-negative mode)")
+    solve.add_argument("--lam", type=float, help="cover instance multiplier (non-negative mode)")
     solve.add_argument("--gamma", type=float, help="hit-set size multiplier")
     solve.add_argument("--output", "-o")
     solve.set_defaults(func=cmd_solve)
@@ -329,14 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mode", choices=["exact", "fast"], default="exact")
     verify.add_argument("--seed", type=int)
     verify.set_defaults(func=cmd_verify)
-
-    bench = sub.add_parser("bench", help="timing and counter tables")
-    bench.add_argument("--suite", choices=["nonneg_vs_naive", "neg_vs_bf", "counters"], required=True)
-    bench.add_argument("--sizes", type=int, nargs="+", default=[64])
-    bench.add_argument("--seeds", type=int, default=3)
-    bench.add_argument("--word-bits", type=int, default=64)
-    bench.add_argument("--output", "-o")
-    bench.set_defaults(func=cmd_bench)
 
     price = sub.add_parser("price", help="2^-k-feasible price function")
     price.add_argument("--input", required=True)

@@ -520,6 +520,14 @@ def _primes_below(bound: int) -> List[int]:
     return [i for i in range(2, bound) if sieve[i]]
 
 
+def _prime_bound_for(count: int) -> int:
+    # Smallest bound with at least `count` primes below it.
+    bound = 8
+    while len(_primes_below(bound)) < count:
+        bound *= 2
+    return bound
+
+
 @lru_cache(maxsize=64)
 def _closest_subset_sums(primes: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Tuple[int, ...], BigRational]:
     """Two distinct prime subsets whose reciprocal sums are closest."""

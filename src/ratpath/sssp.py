@@ -9,8 +9,11 @@ Negative case: an eps-feasible price function from `scaling` makes a
 "cut" Dijkstra sound for every vertex whose shortest path uses at most k
 hops; a sampled hit set of start vertices plus an exact Bellman-Ford over
 the small recombination graph stitches the hop-bounded runs into full
-distances.  The produced tree is verified before being returned, and a
-failed verification yields an exactly-checked negative-cycle witness.
+distances.  Each cut run holds its exact tentative distances anyway (they
+decide k-shortness and the heap keys), so relaxations compare them
+directly and no `distcmp` structure is built.  The produced tree is
+verified exactly before being returned, and a failed verification yields
+an exactly-checked negative-cycle witness.
 
 The cut Dijkstra delays heap reinsertions with per-vertex countdowns; the
 countdown game shows the total number of reinsertions stays O(n^1.5),
@@ -288,35 +291,11 @@ class CutResult:
         return path
 
 
-class _CutKey:
-    # Exact extended-rational heap key; None means +infinity.
-    __slots__ = ("val", "vid", "token")
-
-    def __init__(self, val: Optional[BigRational], vid: int, token: int):
-        self.val = val
-        self.vid = vid
-        self.token = token
-
-    def __lt__(self, other):
-        if self.val is None:
-            if other.val is None:
-                return self.vid < other.vid
-            return False
-        if other.val is None:
-            return True
-        c = self.val._cmp(other.val)
-        if c != 0:
-            return c < 0
-        return self.vid < other.vid
-
-
 def cut_dijkstra(
     ctx: CutContext,
     g: WeightedDigraph,
     s: int,
-    seed: int = 0,
     collect: Optional[Dict[str, object]] = None,
-    constants: Optional[Dict[str, float]] = None,
 ) -> CutResult:
     """Hop-bounded run from s under the context's price function.
 
@@ -325,6 +304,10 @@ def cut_dijkstra(
     the heap are deferred by countdowns assigned from the processing-time
     rank of each relaxed vertex; a countdown is kept as the absolute turn
     at which it expires, in a bucket per turn.
+
+    Heap entries are tuples: (0, key, vid, token) for a finite key and
+    (1, vid, token) for +infinity, so finite keys come first and ties
+    break by vertex id.
     """
     n = g.n
     k = ctx.k
@@ -341,21 +324,16 @@ def cut_dijkstra(
     clock = 0
     on_heap = [False] * n
     token = [0] * n
-    heap: List[_CutKey] = []
+    heap: List[tuple] = []
     live = 0
     inserts = 0
     relaxations = 0
     order: List[int] = []
 
-    dc = DistCmp(
-        DistCmpConfig(capacity=max(2, n), c=2, B=budget.B, **(constants or {})), seed=seed
-    )
-    node: Dict[int, int] = {}
-
     def push(v: int, key: Optional[BigRational]) -> None:
         nonlocal live, inserts
         token[v] += 1
-        heapq.heappush(heap, _CutKey(key, v, token[v]))
+        heapq.heappush(heap, (1, v, token[v]) if key is None else (0, key, v, token[v]))
         on_heap[v] = True
         live += 1
         inserts += 1
@@ -400,8 +378,8 @@ def cut_dijkstra(
 
         while True:
             entry = heapq.heappop(heap)
-            v = entry.vid
-            if not extracted[v] and on_heap[v] and token[v] == entry.token:
+            v, tok = entry[-2:]
+            if not extracted[v] and on_heap[v] and token[v] == tok:
                 break
         extracted[v] = True
         on_heap[v] = False
@@ -409,11 +387,6 @@ def cut_dijkstra(
         expiry[v] = None
         order.append(v)
         dist[v] = tentative(v)
-        if dist[v] is not None:
-            if v == s:
-                node[v] = dc.tree.root
-            else:
-                node[v] = dc.insert_leaf(node[par[v]], par_w[v])
         if dist[v] is None or not is_k_short(dist[v], k, budget):
             continue
         processed[v] = True
@@ -423,12 +396,7 @@ def cut_dijkstra(
             if extracted[u]:
                 continue
             relaxations += 1
-            if par[u] is None:
-                better = True
-            else:
-                r = dc.compare(node[v], node[par[u]], par_w[u] - e.weight)
-                better = r is Ordering.LESS
-            if better:
+            if par[u] is None or (dist[v] + e.weight)._cmp(dist[par[u]] + par_w[u]) < 0:
                 par[u] = v
                 par_w[u] = e.weight
                 touched.append((u, e.weight))
@@ -461,24 +429,11 @@ def cut_dijkstra(
                 buckets[turn].append(u)
 
     if collect is not None:
-        counts = {"cut_heap_inserts": inserts, "cut_heap_inserts_max": inserts,
-                  "cut_relaxations": relaxations}
-        counts.update((f"cut_dc.{key}", val) for key, val in dc.counters().items())
-        _merge_counts(collect, counts)
+        # Runs accumulate into one dict: sums, and the largest single run.
+        collect["cut_heap_inserts"] = collect.get("cut_heap_inserts", 0) + inserts
+        collect["cut_heap_inserts_max"] = max(collect.get("cut_heap_inserts_max", 0), inserts)
+        collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
     return CutResult(s, dist, par, order, processed, inserts)
-
-
-def _merge_counts(into: Dict[str, object], part: Dict[str, object]) -> None:
-    """Accumulate one run's counters: sums, element-wise for per-level
-    lists, the maximum for cut_heap_inserts_max."""
-    for key, val in part.items():
-        old = into.get(key)
-        if old is None:
-            into[key] = val
-        elif key == "cut_heap_inserts_max":
-            into[key] = max(old, val)
-        else:
-            into[key] = [a + b for a, b in zip(old, val)] if isinstance(val, list) else old + val
 
 
 def replay_enhanced_order(
@@ -532,7 +487,6 @@ def negative_sssp(
     seed: int = 0,
     budget: WordBudget = DEFAULT_BUDGET,
     collect: Optional[Dict[str, object]] = None,
-    constants: Optional[Dict[str, float]] = None,
 ) -> Union[SsspResult, NegativeCycle]:
     """Shortest-paths tree with negative weights, or a negative cycle.
 
@@ -557,23 +511,19 @@ def negative_sssp(
 
     root_seq = np.random.SeedSequence(seed)
     for attempt, attempt_seq in enumerate(root_seq.spawn(3)):
-        sample_seq, runs_seq, verify_seq = attempt_seq.spawn(3)
-        rng = np.random.default_rng(sample_seq)
+        # The hit set draws from the attempt's first child stream, so a
+        # fixed seed keeps its hit set.
+        rng = np.random.default_rng(attempt_seq.spawn(1)[0])
         want = min(g.n, math.ceil(gamma * g.n * math.log(max(g.n, 2)) / k))
         others = [v for v in range(g.n) if v != s]
         picks = rng.permutation(len(others))[: min(want, len(others))]
         hitset = [s] + sorted(others[i] for i in picks)
 
-        run_seeds = [int(c.generate_state(1)[0]) for c in runs_seq.spawn(len(hitset))]
-
-        runs = [
-            cut_dijkstra(pre, g, v, seed=run_seed, collect=collect, constants=constants)
-            for v, run_seed in zip(hitset, run_seeds)
-        ]
+        runs = [cut_dijkstra(pre, g, v, collect=collect) for v in hitset]
 
         try:
             result = _recombine(g, s, hitset, runs)
-            check = verify_sssp(g, result, mode="fast", seed=int(verify_seq.generate_state(1)[0]))
+            check = verify_sssp(g, result)
         except _RecombinationError:
             check = None
         if check is not None and check.valid:

@@ -304,7 +304,7 @@ def test_criterion_9_soft_performance_report():
     t0 = time.time()
     window = 3
     chain = 1365  # window-3 gadgets add 3 vertices each: n = 1 + 3*chain
-    from ratpath.cli import _prime_bound_for
+    from ratpath.graph import _prime_bound_for
 
     bound = _prime_bound_for(window * chain)
     g, _ = gen_small_diff(bound, padding=True, chain=chain, window=window)

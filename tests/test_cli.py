@@ -199,32 +199,3 @@ class TestSelfCheck:
             assert code == 0
             code, out, _ = run(capsys, "verify", str(inst), str(tree))
             assert code == 0 and out.strip() == "valid"
-
-
-class TestBench:
-    def test_counter_columns_deterministic(self, tmp_path, capsys):
-        bodies = []
-        for i in range(2):
-            out_file = tmp_path / f"b{i}.tsv"
-            code, _, _ = run(
-                capsys, "bench", "--suite", "counters", "--sizes", "10", "--seeds", "2",
-                "--word-bits", "16", "--output", str(out_file),
-            )
-            assert code == 0
-            bodies.append(out_file.read_text())
-        assert bodies[0] == bodies[1]
-
-    def test_counters_suite(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.tsv"
-        code, out, _ = run(
-            capsys, "bench", "--suite", "counters", "--sizes", "12", "--seeds", "2",
-            "--word-bits", "16", "--output", str(out_file),
-        )
-        assert code == 0
-        lines = out_file.read_text().splitlines()
-        assert lines[0].startswith("suite\t")
-        assert len(lines) == 3
-        header = lines[0].split("\t")
-        for row in lines[1:]:
-            vals = dict(zip(header, row.split("\t")))
-            assert int(vals["heap_inserts"]) <= int(vals["insert_bound"])

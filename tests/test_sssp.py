@@ -134,7 +134,7 @@ class TestCutDijkstra:
     def test_source_zero(self):
         g = gen_random(12, 30, 2, "small", "priced")
         ctx = self._context(g, 3)
-        run = cut_dijkstra(ctx, g, 0, seed=0)
+        run = cut_dijkstra(ctx, g, 0)
         assert run.dist[0] == ZERO
 
     def test_context_table_matches_direct_approximation(self):
@@ -180,7 +180,7 @@ class TestCutDijkstra:
             g = gen_random(n, m, int(rng.integers(0, 2**31)), "small", "priced")
             k = int(rng.choice([2, max(2, math.isqrt(n)), n]))
             ctx = self._context(g, k)
-            run = cut_dijkstra(ctx, g, 0, seed=trial)
+            run = cut_dijkstra(ctx, g, 0)
             full = bf_exact(g, 0).dist
             hop = bf_exact(g, 0, hop_bound=k).dist
             for v in range(n):
@@ -201,7 +201,7 @@ class TestCutDijkstra:
     def test_exact_path_of_k_edges(self):
         g = WeightedDigraph(4, [(0, 1, R(-1, 2)), (1, 2, R(-1, 2)), (2, 3, R(-1, 2))])
         ctx = self._context(g, 3)
-        run = cut_dijkstra(ctx, g, 0, seed=1)
+        run = cut_dijkstra(ctx, g, 0)
         assert run.dist[3] == R(-3, 2)
 
     def test_heap_insert_bound(self):
@@ -211,7 +211,7 @@ class TestCutDijkstra:
             g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
             k = max(2, math.isqrt(n))
             ctx = self._context(g, k)
-            run = cut_dijkstra(ctx, g, 0, seed=trial)
+            run = cut_dijkstra(ctx, g, 0)
             assert run.heap_inserts <= n + 2 * n * math.sqrt(n)
 
     def test_replay_reproduces_dist(self):
@@ -221,7 +221,7 @@ class TestCutDijkstra:
             g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
             k = int(rng.choice([2, max(2, math.isqrt(n))]))
             ctx = self._context(g, k)
-            run = cut_dijkstra(ctx, g, 0, seed=trial)
+            run = cut_dijkstra(ctx, g, 0)
             replay = replay_enhanced_order(g, 0, run.order, run.processed)
             assert replay == run.dist
 
@@ -229,9 +229,27 @@ class TestCutDijkstra:
         for seed in range(12):
             g = gen_random(18, 50, seed)
             ctx = self._context(g, 18)
-            run = cut_dijkstra(ctx, g, 0, seed=seed)
+            run = cut_dijkstra(ctx, g, 0)
             want = dijkstra_nonneg(g, 0, strategy="exact_oracle").distances()
             assert run.dist == want
+
+    def test_cut_runs_pinned(self):
+        # Distances, parents, extraction order, processed set and insert
+        # count of 160 fixed runs, pinned so that a change to how a run
+        # decides its relaxations or orders its heap keeps them identical.
+        h = hashlib.sha256()
+        for bits in (16, 64):
+            for n in (10, 20, 40, 80):
+                for seed in range(4):
+                    g = gen_random(n, 3 * n, seed, "small", "priced")
+                    ctx = cut_preprocess(g, 3, budget=WordBudget(bits))
+                    assert not isinstance(ctx, NegativeCycle)
+                    for s in range(5):
+                        run = cut_dijkstra(ctx, g, s)
+                        dist = [None if d is None else str(d) for d in run.dist]
+                        fields = (dist, run.parent, run.order, run.processed, run.heap_inserts)
+                        h.update(repr(fields).encode())
+        assert h.hexdigest() == "444322604c6f5d10a370274795cfb1c193e4dd661fb0e1c834fcc3353e674d58"
 
     def test_recombination_graph_dominance(self):
         # estimates between hit-set vertices dominate true distances
@@ -242,7 +260,7 @@ class TestCutDijkstra:
             k = max(2, math.isqrt(n))
             ctx = self._context(g, k)
             sample = sorted(int(x) for x in rng.permutation(n)[: max(2, n // 3)])
-            runs = {z: cut_dijkstra(ctx, g, z, seed=trial) for z in sample}
+            runs = {z: cut_dijkstra(ctx, g, z) for z in sample}
             for z in sample:
                 full = bf_exact(g, z).dist
                 for v in sample:
@@ -289,6 +307,22 @@ class TestNegativePipeline:
         assert stats["hitset_size"] == 40
         digest = hashlib.sha256(serialize_tree(r).encode()).hexdigest()
         assert digest == "7f2337fefec4fd566c936335d0c50e7ec1ea969876dc29c8101a8ac9b3e7e551"
+
+    def test_builds_no_distcmp(self, monkeypatch):
+        # The pipeline compares the exact values it holds: no cut run and
+        # no verification of its own builds the randomized structure.
+        import ratpath.distcmp
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("negative_sssp built a DistCmp")
+
+        monkeypatch.setattr(ratpath.distcmp.DistCmp, "__init__", refuse)
+        g = gen_random(20, 60, 4, "small", "priced")
+        res = negative_sssp(g, 0, seed=2, budget=B16)
+        assert res.distances() == bf_exact(g, 0).dist
+        bad = plant_negative_cycle(gen_random(15, 45, 3, "small", "priced"), 3)
+        cyc = negative_sssp(bad, 0, seed=3, budget=B16)
+        assert isinstance(cyc, NegativeCycle) and cyc.weight < ZERO
 
     def test_single_vertex(self):
         g = WeightedDigraph(1, source=0)
