@@ -74,6 +74,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if mode == "nonneg":
             # --C and --lam tune the distcmp structure, which only this
             # solver builds; pairwise_delta is the only strategy that samples
+            # a vertex set, so --gamma reaches it alone (DistCmpConfig has
+            # no gamma field and would reject one).
             constants = {key: getattr(args, key) for key in ("C", "lam")
                          if getattr(args, key) is not None}
             if args.gamma is not None and args.strategy == "pairwise_delta":

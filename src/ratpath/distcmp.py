@@ -1,21 +1,23 @@
 """Hierarchical comparison of root-distance differences in a growing tree.
 
-The structure maintains an incremental weighted out-tree and answers
-queries "compare dist(root, u) - dist(root, v) against a short rational"
-without ever materializing the exact distances, which can need a number
-of bits linear in the tree depth.
+The structure maintains an incremental weighted out-tree of at most n
+nodes, n fixed when it is built, and answers queries "compare
+dist(root, u) - dist(root, v) against a short rational" without ever
+materializing the exact distances, which can need a number of bits
+linear in the tree depth.
 
 Vertices are thinned geometrically into level sets L_0 (everything)
-through L_t (the root alone).  Level i keeps, per member, a fixed-point
-approximation of the root distance with denominator 2^(ell_i + 2) * n,
-accurate enough that almost every comparison resolves by comparing
-approximations.  The residual "difficult" comparisons are exactly those
-whose two sides differ by almost precisely a short rational; such pairs
-are recorded as edges of a similarity graph, covered by sparse clusters
-(see `cover`), and ordered inside each cluster by a total preorder whose
-evaluation delegates one comparison to level i+1 with a rewritten,
-shorter right-hand side.  The recursion bottoms out at L_t where every
-query is a sign test.
+through L_t (the root alone); the level of each of the n slots is drawn
+up front.  Level i keeps, per member, a fixed-point approximation of the
+root distance with denominator 2^(ell_i + 2) * n, built on the level's
+first fixed-point use, accurate enough that almost every comparison
+resolves by comparing approximations.  The residual "difficult"
+comparisons are exactly those whose two sides differ by almost precisely
+a short rational; such pairs are recorded as edges of a similarity
+graph, covered by sparse clusters (see `cover`), and ordered inside
+each cluster by a total preorder whose evaluation delegates one
+comparison to level i+1 with a rewritten, shorter right-hand side.  The
+recursion bottoms out at L_t where every query is a sign test.
 
 An exact-arithmetic twin of the query predicate is provided both as a
 testing oracle and as the fallback when a low-probability covering
@@ -283,7 +285,6 @@ class _LevelState:
         "cap",
         "members",
         "slot_of",
-        "node_of_slot",
         "cover",
         "orders",
         "dsu",
@@ -295,7 +296,6 @@ class _LevelState:
         self.cap = max(1, cap)
         self.members: List[int] = []
         self.slot_of: Dict[int, int] = {}
-        self.node_of_slot: Dict[int, int] = {}
         self.cover: Optional[SparseCover] = None
         self.orders: Dict[Tuple[int, int], ClusterOrder] = {}
         self.dsu = _PotentialDsu(self.cap)
@@ -316,10 +316,10 @@ _LEVEL_COUNTERS = (
 class DistCmp:
     """Comparison structure over an incremental weighted out-tree.
 
-    insert_leaf() grows the tree; compare(u, v, beta) orders
-    dist(root, u) - dist(root, v) against a c-short rational beta,
-    correct with high probability; exact_compare() evaluates the same
-    predicate in exact arithmetic.
+    insert_leaf() grows the tree up to config.capacity nodes, the root
+    included; compare(u, v, beta) orders dist(root, u) - dist(root, v)
+    against a c-short rational beta, correct with high probability;
+    exact_compare() evaluates the same predicate in exact arithmetic.
 
     Queries mutate internal state (similarity edges, cluster orders), so
     all access must be serialized by the owning thread.
@@ -328,9 +328,7 @@ class DistCmp:
     def __init__(self, config: DistCmpConfig, seed: int = 0):
         self.config = config
         self._budget = WordBudget(config.B)
-        self._seed = seed
-        ss = np.random.SeedSequence(seed)
-        level_child, state_child, grow_child = ss.spawn(3)
+        level_child, state_child = np.random.SeedSequence(seed).spawn(2)
         rng = np.random.default_rng(level_child)
         t = config.t
         self.slot_level = [t]
@@ -344,15 +342,12 @@ class DistCmp:
         for st in self._states:
             st.members.append(0)
             st.slot_of[0] = 0
-            st.node_of_slot[0] = 0
-        self._grow_seed = grow_child
-        self._grow_count = 0
-        self._log: List[Tuple[int, BigRational]] = []
-        self._scale = [mpz(1) << (config.ell[i] + 2) for i in range(t)]
-        self._scale = [s * config.capacity for s in self._scale]
+        # scale_i = 2^(ell_i + 2) * capacity, built on the first fixed-point
+        # use of level i: at capacity 2000 and c=2 the level-2 value has
+        # ~300M bits.
+        self._scale: List[Optional["mpz"]] = [None] * t
         self._a: List[Dict[int, "mpz"]] = [{0: mpz(0)} for _ in range(t)]
         self._d_alpha_memo: Dict[Tuple[int, int], BigRational] = {}
-        self._exact_memo: Dict[int, BigRational] = {0: ZERO}
         # den_bits[v] bounds the bit length of the product of the weight
         # denominators on the root path of v, the denominator of _pair(v).
         self._den_bits: List[int] = [0]
@@ -363,7 +358,6 @@ class DistCmp:
         self.shortcut_answers = [0] * (t + 1)
         self.difficult_answers = [0] * (t + 1)
         self.cover_fallbacks = [0] * (t + 1)
-        self.retired: Dict[str, int] = {}
 
     # -- insertion ----------------------------------------------------
 
@@ -371,17 +365,15 @@ class DistCmp:
         if not is_k_short(weight, self.config.c, self._budget):
             raise ValueError(f"weight {weight} is not {self.config.c}-short")
         if len(self.tree) >= self.config.capacity:
-            self._grow()
+            raise ValueError(f"tree is full at capacity {self.config.capacity}")
         lvl = self.slot_level[len(self.tree)]
         node = self.tree.insert_leaf(parent, weight, lvl)
-        self._log.append((parent, weight))
         self._den_bits.append(self._den_bits[parent] + weight.den.bit_length())
         for i in range(min(lvl, self.config.t - 1) + 1):
             st = self._states[i]
             slot = len(st.members)
             st.members.append(node)
             st.slot_of[node] = slot
-            st.node_of_slot[slot] = node
             if st.cover is not None:
                 for sid in st.cover.sets_of(slot):
                     order = st.orders.get(sid)
@@ -389,30 +381,13 @@ class DistCmp:
                         order.insert(node)
         return node
 
-    def _grow(self) -> None:
-        # Reinitialize at doubled capacity and replay the insertion log.
-        cfg = self.config
-        bigger = DistCmpConfig(
-            capacity=cfg.capacity * 2,
-            c=cfg.c,
-            B=cfg.B,
-            C=cfg.C,
-            lam=cfg.lam,
-        )
-        child = self._grow_seed.spawn(1)[0]
-        fresh = DistCmp(bigger, seed=int(child.generate_state(1)[0]))
-        for parent, weight in self._log:
-            fresh.insert_leaf(parent, weight)
-        retired = dict(self.retired)
-        for name in _LEVEL_COUNTERS:
-            retired[name] = retired.get(name, 0) + sum(getattr(self, name))
-        self._grow_count += 1
-        grow_count = self._grow_count
-        self.__dict__.update(fresh.__dict__)
-        self.retired = retired
-        self._grow_count = grow_count
-
     # -- lazy per-level values -----------------------------------------
+
+    def _scale_of(self, i: int):
+        scale = self._scale[i]
+        if scale is None:
+            scale = self._scale[i] = (mpz(1) << (self.config.ell[i] + 2)) * self.config.capacity
+        return scale
 
     def _a_scaled(self, i: int, v: int):
         memo = self._a[i]
@@ -424,7 +399,7 @@ class DistCmp:
         while x not in memo:
             chain.append(x)
             x = self.tree.nearest_strict_marked_ancestor(x, i)
-        scale = self._scale[i]
+        scale = self._scale_of(i)
         for y in reversed(chain):
             z = self.tree.nearest_strict_marked_ancestor(y, i)
             d = self.tree.path_weight(z, y)
@@ -447,17 +422,6 @@ class DistCmp:
         if lvl >= self.config.t:
             return 0
         return self.tree.nearest_marked_ancestor(v, lvl)
-
-    def exact_distance(self, v: int) -> BigRational:
-        memo = self._exact_memo
-        chain = []
-        x = v
-        while x not in memo:
-            chain.append(x)
-            x = self.tree.parent[x]
-        for y in reversed(chain):
-            memo[y] = memo[self.tree.parent[y]] + self.tree.weight[y]
-        return memo[v]
 
     def _pair(self, v: int) -> Tuple[int, int]:
         # Unreduced (num, den) of dist(root, v): no gcd, den is the product
@@ -486,7 +450,7 @@ class DistCmp:
         return self._level_compare(0, u, v, beta)
 
     def exact_compare(self, u: int, v: int, beta: BigRational) -> Ordering:
-        diff = self.exact_distance(u) - self.exact_distance(v)
+        diff = self.tree.distance(u) - self.tree.distance(v)
         return Ordering.of(diff._cmp(beta))
 
     def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: int) -> Optional[int]:
@@ -505,7 +469,7 @@ class DistCmp:
         dist(u) - dist(v) - beta when the margin decides it, else 0."""
         a_diff = self._a_scaled(i, u) - self._a_scaled(i, v)
         lhs = a_diff * beta.den
-        rhs = self._scale[i] * beta.num
+        rhs = self._scale_of(i) * beta.num
         margin = (2 * self.config.capacity) * beta.den
         if lhs > rhs + margin:
             return 1
@@ -519,7 +483,7 @@ class DistCmp:
         # Scaled by scale*q: scale / 2^(ell_chain - 1) is the integer window.
         window = (mpz(1) << (self.config.ell[i] - self.config.ell_chain[i] + 3)) * self.config.capacity
         a_diff = self._a_scaled(i, x) - self._a_scaled(i, y)
-        lhs = a_diff * frac.den - self._scale[i] * frac.num
+        lhs = a_diff * frac.den - self._scale_of(i) * frac.num
         return -window * frac.den <= lhs <= window * frac.den
 
     def _level_compare(self, i: int, u: int, v: int, beta: BigRational) -> Ordering:
@@ -571,12 +535,10 @@ class DistCmp:
 
     def _apply_updates(self, st: _LevelState, updates) -> None:
         for sid, op, slot in updates:
-            node = st.node_of_slot.get(slot)
-            if node is None:
-                continue
             order = st.orders.get(sid)
-            if order is None:
+            if order is None or slot >= len(st.members):
                 continue
+            node = st.members[slot]
             if op == "remove":
                 order.remove(node)
             else:
@@ -588,25 +550,24 @@ class DistCmp:
             order = ClusterOrder(self._make_comparator(i, st))
             st.orders[sid] = order
             for slot in sorted(st.cover.members(sid)):
-                node = st.node_of_slot.get(slot)
-                if node is not None:
-                    order.insert(node)
+                if slot < len(st.members):
+                    order.insert(st.members[slot])
         return order
 
     def _make_comparator(self, i: int, st: _LevelState) -> Callable[[int, int], Tuple[int, bool]]:
-        frac_bound = 1 << self.config.bits_chain[i]
+        bits = self.config.bits_chain[i]
         exact_bits = self.config.ell_chain[i] - 2
 
         def cmp3(x: int, y: int) -> Tuple[int, bool]:
             if x == y:
                 return 0, True
             frac = st.dsu.fraction(st.slot_of[x], st.slot_of[y])
-            ok = frac is not None and -frac_bound < frac.num < frac_bound and frac.den < frac_bound
+            ok = frac is not None and frac.num.bit_length() <= bits and frac.den.bit_length() <= bits
             if ok:
                 sign = self._exact_sign(x, y, frac, exact_bits)
                 ok = self._fixed_window(i, x, y, frac) if sign is None else sign == 0
             if not ok:
-                diff = self.exact_distance(x) - self.exact_distance(y)
+                diff = self.tree.distance(x) - self.tree.distance(y)
                 return diff.sign, False
             child_beta = frac + self._d_alpha(i + 1, y) - self._d_alpha(i + 1, x)
             r = self._level_compare(i + 1, self._alpha(i + 1, x), self._alpha(i + 1, y), child_beta)
@@ -628,7 +589,7 @@ class DistCmp:
         return z, self.tree.path_weight(z, v), self._d_alpha(i + 1, v), self._a_scaled(i, v)
 
     def approx_denominator(self, i: int) -> int:
-        return int(self._scale[i])
+        return int(self._scale_of(i))
 
     def counters(self) -> Dict[str, object]:
         out: Dict[str, object] = {name: list(getattr(self, name)) for name in _LEVEL_COUNTERS}
@@ -636,8 +597,6 @@ class DistCmp:
         out["cover_updates"] = sum(
             st.cover.updates_issued for st in self._states if st.cover is not None
         )
-        for name, value in self.retired.items():
-            out[f"retired_{name}"] = value
         return out
 
 
@@ -672,25 +631,13 @@ class PairwiseDeltaComparator:
         picks = rng.permutation(max(capacity - 1, 0))[: max(want - 1, 0)]
         self._marked_slots = {int(p) + 1 for p in picks}  # root is always marked
         self._ra_cache: Dict[Tuple[int, int], object] = {}
-        self._exact_memo: Dict[int, BigRational] = {0: ZERO}
         self.exact_fallbacks = 0
         self.pairs_computed = 0
 
-    def add_leaf(self, parent: int, weight: BigRational) -> int:
+    def insert_leaf(self, parent: int, weight: BigRational) -> int:
         slot = len(self.tree)
         level = 1 if slot in self._marked_slots else 0
         return self.tree.insert_leaf(parent, weight, level)
-
-    def _exact(self, v: int) -> BigRational:
-        memo = self._exact_memo
-        chain = []
-        x = v
-        while x not in memo:
-            chain.append(x)
-            x = self.tree.parent[x]
-        for y in reversed(chain):
-            memo[y] = memo[self.tree.parent[y]] + self.tree.weight[y]
-        return memo[v]
 
     def _ra(self, a: int, b: int):
         got = self._ra_cache.get((a, b))
@@ -699,7 +646,7 @@ class PairwiseDeltaComparator:
             if rev is not None:
                 got = rev.negated()
             else:
-                got = best_approx(self._exact(a) - self._exact(b), self.bits)
+                got = best_approx(self.tree.distance(a) - self.tree.distance(b), self.bits)
                 self.pairs_computed += 1
             self._ra_cache[(a, b)] = got
         return got
@@ -715,14 +662,14 @@ class PairwiseDeltaComparator:
             or self.tree.depth[v] - self.tree.depth[av] > self.h
         ):
             self.exact_fallbacks += 1
-            diff = self._exact(u) - self._exact(v)
+            diff = self.tree.distance(u) - self.tree.distance(v)
             return Ordering.of(diff._cmp(beta))
         tail_u = self.tree.path_weight(au, u)
         tail_v = self.tree.path_weight(av, v)
         shifted = beta + tail_v - tail_u
         if shifted.den >= (1 << self.bits):
             self.exact_fallbacks += 1
-            diff = self._exact(u) - self._exact(v)
+            diff = self.tree.distance(u) - self.tree.distance(v)
             return Ordering.of(diff._cmp(beta))
         return compare_via_approx(self._ra(au, av), shifted)
 

@@ -184,18 +184,6 @@ class SsspResult:
     def tree_vertices(self) -> List[int]:
         return [self.source] + sorted(self.parent)
 
-    def root_path(self, v: int) -> List[int]:
-        path = [v]
-        while path[-1] != self.source:
-            entry = self.parent.get(path[-1])
-            if entry is None:
-                raise KeyError(f"vertex {v} is not in the tree")
-            path.append(entry[0])
-            if len(path) > self.n + 1:
-                raise ValueError("parent links contain a cycle")
-        path.reverse()
-        return path
-
     def uses_aux(self, v: int) -> bool:
         """True when the root path of v crosses an augmentation edge."""
         while v != self.source:
@@ -257,21 +245,6 @@ class SsspResult:
             if dist[u] is not None and not aux:
                 dist[v] = dist[u] + w
         return dist
-
-    def distance(self, v: int) -> Optional[BigRational]:
-        """Distance on demand: sums the root path of v only."""
-        if v == self.source:
-            return ZERO
-        if v not in self.parent:
-            return None
-        path = self.root_path(v)
-        weights = []
-        for x in path[1:]:
-            u, w, aux = self.parent[x]
-            if aux:
-                return None
-            weights.append(w)
-        return sum_balanced(weights)
 
 
 # -- instance text format ------------------------------------------

@@ -5,14 +5,15 @@ integer level assigned at insertion; for every level i the tree tracks the
 nearest ancestor of level >= i (the node itself when its own level
 qualifies), answerable in constant time.  Path weights are summed with
 balanced pairing so a k-hop query costs near-linear time in the bits
-involved.
+involved.  Root distances are summed along the parent chain and memoized,
+so each node's distance is computed once.
 
 Single-writer: concurrent readers are fine between mutations.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from .rational import BigRational, ZERO, sum_balanced
 
@@ -29,7 +30,7 @@ class IncTree:
     The root is node 0 and carries the maximum level.
     """
 
-    __slots__ = ("max_level", "parent", "weight", "depth", "level", "_anc")
+    __slots__ = ("max_level", "parent", "weight", "depth", "level", "_anc", "_dist")
 
     def __init__(self, max_level: int):
         if max_level < 0:
@@ -41,6 +42,7 @@ class IncTree:
         self.level: List[int] = [max_level]
         # _anc[i][v]: nearest ancestor of v (inclusive) with level >= i.
         self._anc: List[List[int]] = [[0] for _ in range(max_level + 1)]
+        self._dist: Dict[int, BigRational] = {0: ZERO}
 
     def __len__(self):
         return len(self.parent)
@@ -89,3 +91,15 @@ class IncTree:
             raise NotAnAncestorError(f"{ancestor} is not an ancestor of {descendant}")
         weights.reverse()
         return sum_balanced(weights)
+
+    def distance(self, v: int) -> BigRational:
+        """Exact weight of the root path of v; memoizes every node walked."""
+        memo = self._dist
+        chain = []
+        x = v
+        while x not in memo:
+            chain.append(x)
+            x = self.parent[x]
+        for y in reversed(chain):
+            memo[y] = memo[self.parent[y]] + self.weight[y]
+        return memo[v]

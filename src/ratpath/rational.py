@@ -192,12 +192,6 @@ class BigRational:
     def sign(self) -> int:
         return (self.num > 0) - (self.num < 0)
 
-    def is_integer(self) -> bool:
-        return self.den == 1
-
-    def floor(self) -> int:
-        return self.num // self.den
-
     def __str__(self):
         if self.den == 1:
             return str(self.num)

@@ -97,47 +97,41 @@ class _ExactStrategy:
         return {}
 
 
-class _DistCmpStrategy:
-    name = "distcmp"
+class _TreeStrategy:
+    """Heap keys compared through a tree comparator (`DistCmp` or
+    `PairwiseDeltaComparator`) that mirrors the settled tree."""
 
-    def __init__(self, capacity, source, budget, c, seed, constants=None):
-        cfg = DistCmpConfig(capacity=max(2, capacity), c=2 * c, B=budget.B, **(constants or {}))
-        self.dc = DistCmp(cfg, seed=seed)
-        self.node = {source: self.dc.tree.root}
+    def __init__(self, name, comparator, source):
+        self.name = name
+        self.comparator = comparator
+        self.node = {source: comparator.tree.root}
 
     def add_leaf(self, v: int, parent: int, weight: BigRational) -> None:
-        self.node[v] = self.dc.insert_leaf(self.node[parent], weight)
+        self.node[v] = self.comparator.insert_leaf(self.node[parent], weight)
 
     def compare_keys(self, z1, w1, z2, w2) -> int:
-        return self.dc.compare(self.node[z1], self.node[z2], w2 - w1).value
+        return self.comparator.compare(self.node[z1], self.node[z2], w2 - w1).value
 
     def counters(self) -> Dict[str, object]:
-        return self.dc.counters()
+        return self.comparator.counters()
 
 
-class _PairwiseStrategy:
-    name = "pairwise_delta"
+def _distcmp_strategy(capacity, source, budget, c, seed, constants=None):
+    cfg = DistCmpConfig(capacity=max(2, capacity), c=2 * c, B=budget.B, **(constants or {}))
+    return _TreeStrategy("distcmp", DistCmp(cfg, seed=seed), source)
 
-    def __init__(self, capacity, source, budget, c, seed, constants=None):
-        h = max(1, math.ceil(math.sqrt(capacity)))
-        gamma = (constants or {}).get("gamma", 2.0)
-        self.pdc = PairwiseDeltaComparator(capacity, h, budget, c=2 * c, gamma=gamma, seed=seed)
-        self.node = {source: self.pdc.tree.root}
 
-    def add_leaf(self, v: int, parent: int, weight: BigRational) -> None:
-        self.node[v] = self.pdc.add_leaf(self.node[parent], weight)
-
-    def compare_keys(self, z1, w1, z2, w2) -> int:
-        return self.pdc.compare(self.node[z1], self.node[z2], w2 - w1).value
-
-    def counters(self) -> Dict[str, int]:
-        return self.pdc.counters()
+def _pairwise_strategy(capacity, source, budget, c, seed, constants=None):
+    h = max(1, math.ceil(math.sqrt(capacity)))
+    gamma = (constants or {}).get("gamma", 2.0)
+    pdc = PairwiseDeltaComparator(capacity, h, budget, c=2 * c, gamma=gamma, seed=seed)
+    return _TreeStrategy("pairwise_delta", pdc, source)
 
 
 _STRATEGIES = {
     "exact_oracle": _ExactStrategy,
-    "distcmp": _DistCmpStrategy,
-    "pairwise_delta": _PairwiseStrategy,
+    "distcmp": _distcmp_strategy,
+    "pairwise_delta": _pairwise_strategy,
 }
 
 

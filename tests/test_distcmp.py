@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,14 +146,14 @@ class TestInsertAndRecords:
         dc = DistCmp(DistCmpConfig(capacity=8, c=2, B=16), seed=0)
         a = dc.insert_leaf(0, R(1, 2))
         b = dc.insert_leaf(a, R(1, 3))
-        assert dc.exact_distance(a) == R(1, 2)
-        assert dc.exact_distance(b) == R(5, 6)
+        assert dc.tree.distance(a) == R(1, 2)
+        assert dc.tree.distance(b) == R(5, 6)
         z, d_i, d_next, approx = dc.level_record(0, b)
         assert z == a and d_i == R(1, 3)
         # scaled approximation within the stated error bound
         scale = dc.approx_denominator(0)
-        err_num = abs(int(approx) * dc.exact_distance(b).den - dc.exact_distance(b).num * scale)
-        assert err_num <= 2 * dc.exact_distance(b).den  # two chain hops
+        err_num = abs(int(approx) * dc.tree.distance(b).den - dc.tree.distance(b).num * scale)
+        assert err_num <= 2 * dc.tree.distance(b).den  # two chain hops
 
     def test_root_record(self):
         dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=0)
@@ -163,6 +164,26 @@ class TestInsertAndRecords:
         a = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=9)
         b = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=9)
         assert a.slot_level == b.slot_level
+
+    def test_full_tree_rejects_insert(self):
+        dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=0)
+        for _ in range(3):
+            dc.insert_leaf(0, R(1, 2))
+        with pytest.raises(ValueError):
+            dc.insert_leaf(0, R(1, 2))
+        assert len(dc.tree) == 4
+
+    def test_construction_builds_no_level_scale(self):
+        # scale_i = 2^(ell_i + 2) * capacity has ~425M bits (53 MB) at level
+        # 2 for capacity 4096; it is built on the level's first fixed-point use.
+        tracemalloc.start()
+        try:
+            dc = DistCmp(DistCmpConfig(capacity=4096, c=2, B=64), seed=0)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dc.config.t >= 2
+        assert retained < 4 << 20
 
     def test_rejects_long_weight(self):
         dc = DistCmp(DistCmpConfig(capacity=4, c=1, B=4), seed=0)
@@ -182,7 +203,7 @@ class TestInsertAndRecords:
                 if dc.tree.level[v] < i:
                     continue
                 _, _, _, approx = dc.level_record(i, v)
-                exact = dc.exact_distance(v)
+                exact = dc.tree.distance(v)
                 # count chain members of level >= i on the root path
                 k = 0
                 x = v
@@ -241,7 +262,7 @@ class TestCompare:
                 else:
                     u = nodes[int(rng.integers(0, len(nodes)))]
                     v = nodes[int(rng.integers(0, len(nodes)))]
-                    diff = dc.exact_distance(u) - dc.exact_distance(v)
+                    diff = dc.tree.distance(u) - dc.tree.distance(v)
                     r = rng.random()
                     if r < 0.45 and is_k_short(diff, 2, budget):
                         beta = diff
@@ -271,7 +292,7 @@ class TestCompare:
             else:
                 u = nodes[int(rng.integers(0, len(nodes)))]
                 v = nodes[int(rng.integers(0, len(nodes)))]
-                diff = dc.exact_distance(u) - dc.exact_distance(v)
+                diff = dc.tree.distance(u) - dc.tree.distance(v)
                 beta = diff if is_k_short(diff, 2, WordBudget(16)) else R(1, 3)
                 assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
         assert sum(dc.counters()["cover_fallbacks"]) >= fallbacks_before
@@ -289,7 +310,7 @@ class TestCompare:
             else:
                 u = nodes[int(rng.integers(0, len(nodes)))]
                 v = nodes[int(rng.integers(0, len(nodes)))]
-                diff = dc.exact_distance(u) - dc.exact_distance(v)
+                diff = dc.tree.distance(u) - dc.tree.distance(v)
                 beta = diff if is_k_short(diff, 2, WordBudget(64)) else R(1, 5)
                 dc.compare(u, v, beta)
         queries = dc.counters()["level_queries"]
@@ -297,24 +318,10 @@ class TestCompare:
         for i in range(cfg.t):
             assert queries[i + 1] <= 64.0 * cfg.n_levels[i] * logn**2
 
-    def test_capacity_doubling_replay(self):
-        dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=2)
-        nodes = [0]
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            parent = nodes[int(rng.integers(0, len(nodes)))]
-            nodes.append(dc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, 6))]))
-        assert len(dc.tree) == 21
-        assert dc.config.capacity >= 21
-        for u in nodes[::3]:
-            for v in nodes[::5]:
-                assert dc.compare(u, v, ZERO) is dc.exact_compare(u, v, ZERO)
-
     def test_answer_kinds_partition_queries(self):
-        # every level query is answered trivially, easily or difficultly,
-        # also across capacity doublings (the retired sums)
+        # every level query is answered trivially, easily or difficultly
         rng = np.random.default_rng(21)
-        dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=8)
+        dc = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=8)
         nodes = [0]
         for _ in range(1500):
             if len(nodes) < 60 and (rng.random() < 0.3 or len(nodes) < 3):
@@ -323,19 +330,14 @@ class TestCompare:
             else:
                 u = nodes[int(rng.integers(0, len(nodes)))]
                 v = nodes[int(rng.integers(0, len(nodes)))]
-                diff = dc.exact_distance(u) - dc.exact_distance(v)
+                diff = dc.tree.distance(u) - dc.tree.distance(v)
                 beta = diff if rng.random() < 0.5 and is_k_short(diff, 2, WordBudget(16)) else R(1, 3)
                 assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
         c = dc.counters()
-        assert c["retired_level_queries"] > 0
         for i, queries in enumerate(c["level_queries"]):
             easy = c["easy_answers"][i]
             assert queries == c["trivial_answers"][i] + easy + c["difficult_answers"][i]
             assert c["shortcut_answers"][i] <= easy
-        assert c["retired_level_queries"] == (
-            c["retired_trivial_answers"] + c["retired_easy_answers"] + c["retired_difficult_answers"]
-        )
-        assert c["retired_shortcut_answers"] <= c["retired_easy_answers"]
         for name in ("trivial_answers", "shortcut_answers", "difficult_answers"):
             assert sum(c[name]) > 0
 
@@ -358,7 +360,7 @@ class TestExactShortcut:
                 for _ in range(40):
                     u = members[int(rng.integers(0, len(members)))]
                     v = members[int(rng.integers(0, len(members)))]
-                    diff = dc.exact_distance(u) - dc.exact_distance(v)
+                    diff = dc.tree.distance(u) - dc.tree.distance(v)
                     used = dc._den_bits[u] + dc._den_bits[v] + diff.den.bit_length()
                     window_room = window_bits - used
                     for k in (1, int(rng.integers(1, window_room)), window_room, easy_bits - used):
@@ -411,7 +413,7 @@ class TestPairwiseComparator:
         nodes = [0]
         for _ in range(n - 1):
             parent = nodes[int(rng.integers(0, len(nodes)))]
-            nodes.append(pdc.add_leaf(parent, WEIGHT_POOL[int(rng.integers(0, 6))]))
+            nodes.append(pdc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, 6))]))
         return nodes
 
     def test_agrees_with_exact(self):
@@ -423,7 +425,7 @@ class TestPairwiseComparator:
             u = nodes[int(rng.integers(0, len(nodes)))]
             v = nodes[int(rng.integers(0, len(nodes)))]
             beta = R(int(rng.integers(-10, 11)), int(rng.integers(1, 12)))
-            diff = pdc._exact(u) - pdc._exact(v)
+            diff = pdc.tree.distance(u) - pdc.tree.distance(v)
             assert pdc.compare(u, v, beta) is Ordering.of(diff._cmp(beta))
 
     def test_self_pair_is_zero(self):

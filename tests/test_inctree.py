@@ -49,6 +49,13 @@ class TestPathWeight:
         assert t.path_weight(0, b) == R(5, 6)
         assert t.path_weight(b, b) == ZERO
 
+    def test_distance_is_root_path_weight(self):
+        # queried in random order, so memoized chains meet half-way
+        rng = np.random.default_rng(23)
+        t = grow_random_tree(rng, 200)
+        for v in rng.permutation(len(t)):
+            assert t.distance(int(v)) == t.path_weight(0, int(v))
+
     def test_siblings_error(self):
         t = IncTree(max_level=0)
         a = t.insert_leaf(0, R(1))

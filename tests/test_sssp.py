@@ -124,6 +124,28 @@ class TestDijkstraNonneg:
         assert stats["distcmp.cover_updates"] == updates
         assert hashlib.sha256(serialize_tree(r).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "family, pinned",
+        [
+            ("ties", (183, 0, "0cfafd07ebe7bfa3c03ebe592cb9f84cb60e5899a1e80d6aa0e668c1086f0f3b")),
+            ("gadget", (99, 0, "2086e26e2f21f530255e61ffebfef5b3b867ec7cca63cf2cadf266be00d3e6ae")),
+        ],
+    )
+    def test_pairwise_instance_pinned(self, family, pinned):
+        # The pairwise_delta path on the instances above: table entries
+        # computed, exact fallbacks and tree bytes.
+        if family == "ties":
+            skeleton = gen_random(60, 240, 3)
+            g = WeightedDigraph(60, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges], source=0)
+        else:
+            g, _ = gen_small_diff(512, padding=True, chain=20, window=3)
+        stats = {}
+        r = dijkstra_nonneg(g, 0, strategy="pairwise_delta", seed=1, collect=stats)
+        pairs, fallbacks, digest = pinned
+        assert stats["pairwise_delta.pairs_computed"] == pairs
+        assert stats["pairwise_delta.exact_fallbacks"] == fallbacks
+        assert hashlib.sha256(serialize_tree(r).encode()).hexdigest() == digest
+
 
 class TestCutDijkstra:
     def _context(self, g, k):
