@@ -636,6 +636,8 @@ class PairwiseDeltaComparator:
 
     def insert_leaf(self, parent: int, weight: BigRational) -> int:
         slot = len(self.tree)
+        if slot >= self.capacity:
+            raise ValueError(f"tree is full at capacity {self.capacity}")
         level = 1 if slot in self._marked_slots else 0
         return self.tree.insert_leaf(parent, weight, level)
 

@@ -18,6 +18,20 @@ integer per vertex over a power of two; every reduced weight under it is
 at least -2^-k, verified exactly before returning.  Any negative cycle
 met along the way maps to the same vertex cycle in the input graph and
 is re-verified with exact rational arithmetic.
+
+The round loop is a deterministic machine over a finite state: the live
+edge set, and the reduced weight and expansion remainder of each live
+edge.  A round's potentials and the state it leaves for the next are a
+function of its state alone, so once a state equals an earlier one the
+rounds between them repeat forever: every later potential column is
+known, and a repeated round can meet no negative cycle that its twin
+missed.  The loop stops there, and `assemble_price` sums the repeated
+block in closed form.  Short rational weights have periodic expansions
+and repeat early.  Pruning compacts the edge arrays to the live edges
+and clears the state table, so the table only holds states of the
+current live set.  It keys each state by its hash alone, and a matching
+hash is confirmed exactly: the earlier state is replayed from the first
+state of the live set with the stored potential columns.
 """
 
 from __future__ import annotations
@@ -130,18 +144,46 @@ def integer_sssp(
     return NegativeCycle(cyc, cycle_weight(g, cyc))
 
 
-def assemble_price(levels: Sequence[Sequence[int]]) -> PriceFunction:
-    """Combine integer potentials: value(v) = sum_j levels[j][v] / 2^j.
+def _shift_add(acc: List[int], levels: Sequence[Sequence[int]]) -> List[int]:
+    for col in levels:
+        acc = [(a << 1) + int(x) for a, x in zip(acc, col)]
+    return acc
 
-    Each vertex gets one shift-and-add numerator over 2^(L-1), for L
-    levels, and one reduction.
+
+def assemble_price(
+    levels: Sequence[Sequence[int]],
+    total: Optional[int] = None,
+    period: Optional[int] = None,
+) -> PriceFunction:
+    """Combine integer potentials: value(v) = sum_j col_j[v] / 2^j.
+
+    There are `total` columns (default len(levels)).  The first
+    len(levels) are the given levels; past them the last `period` levels
+    (default all of them) repeat in order, so column j is
+    levels[first + (j - first) % period] for first = len(levels) - period.
+    Each vertex gets one shift-and-add numerator over 2^(total-1): the
+    prefix and one block are shifted in column by column, and the r full
+    repeats of the block collapse into the geometric-series factor
+    (2^(r*period) - 1) // (2^period - 1).
     """
     if not levels:
         raise ValueError("at least one potential level required")
-    acc = [int(x) for x in levels[0]]
-    for col in levels[1:]:
-        acc = [(a << 1) + int(x) for a, x in zip(acc, col)]
-    den = 1 << (len(levels) - 1)
+    if total is None:
+        total = len(levels)
+    if period is None:
+        period = len(levels)
+    if not 1 <= period <= len(levels) or total < len(levels):
+        raise ValueError("period must lie in 1..len(levels) and total cover every level")
+    first = len(levels) - period
+    reps, tail = divmod(total - first, period)
+    zeros = [0] * len(levels[0])
+    prefix = _shift_add(zeros, levels[:first])
+    partial = _shift_add(zeros, levels[first:first + tail])
+    block = _shift_add(partial, levels[first + tail:])
+    span = reps * period
+    factor = ((1 << span) - 1) // ((1 << period) - 1)
+    acc = [(((a << span) + b * factor) << tail) + r for a, b, r in zip(prefix, block, partial)]
+    den = 1 << (total - 1)
     return PriceFunction([BigRational(a, den) for a in acc])
 
 
@@ -153,11 +195,20 @@ def eps_feasible_price(
 ) -> Union[PriceFunction, NegativeCycle]:
     """A 2^-k-feasible price function of g, or a negative-cycle witness.
 
-    Runs k+2 integer shortest-path rounds on the graph augmented with a
-    zero-weight super-source.  The returned prices have denominators
+    The price has k+2 levels, one integer shortest-path round each on
+    the graph augmented with a zero-weight super-source.  Each round
+    leaves a state for the next: the live edges with their reduced
+    weights and remainders.  The state determines every later round, so
+    at the first state equal to an earlier one the rounds stop and the
+    remaining levels repeat the period between them.  The state table is
+    cleared on each prune; its hash keys cost two tuple copies of the
+    live arrays per round, and each hash match is confirmed by an exact
+    replay before the loop stops.  The returned prices have denominators
     dividing 2^(k+1) and are verified exactly against every edge before
-    returning.  Internal contract violations raise: they indicate a bug,
-    not bad input.
+    returning.  `collect["scaling_rounds"]` counts the k+2 levels and
+    `collect["scaling_rounds_solved"]` the rounds actually run.
+    Internal contract violations raise: they indicate a bug, not bad
+    input.
     """
     if k < 0:
         raise ValueError("accuracy exponent must be non-negative")
@@ -184,15 +235,46 @@ def eps_feasible_price(
         dens[idx] = den
         reduced[idx] = (q0 if num >= 0 else -q0) + 1
 
-    live = list(range(total))
+    def advance(dist: List[int], reduced: List[int], rems: List[int], j: int) -> List[int]:
+        # The state update after round j, in place; returns the edges kept.
+        kept = []
+        for i in range(len(reduced)):
+            r = rems[i] * 2
+            bit = 1 if r >= dens[i] else 0
+            rems[i] = r - bit * dens[i]
+            nxt = 2 * (reduced[i] + dist[tails[i]] - dist[heads[i]]) + signs[i] * bit - 1
+            if nxt < -2:
+                raise AssertionError(f"reduced weight {nxt} below -2 at round {j + 1}")
+            if nxt <= 4 * n:
+                kept.append(i)
+            reduced[i] = nxt
+        return kept
+
+    levels = k + 2
+    # The edge arrays hold the live edges only.  Hash of each state of the
+    # current live set -> the round run from it, and the first of these
+    # states, from which the others are replayed.
+    seen: Dict[int, int] = {}
+    anchor = (0, reduced[:], rems[:])
+    period = None
     cols: List[List[int]] = []
-    for j in range(k + 2):
-        dist, _, cyc = integer_sssp_arrays(
-            n + 1, [tails[i] for i in live], [heads[i] for i in live],
-            [reduced[i] for i in live], src,
-        )
+    for j in range(levels):
+        key = hash((tuple(reduced), tuple(rems)))
+        earlier = seen.setdefault(key, j)
+        if earlier < j:
+            start, red, rem = anchor[0], anchor[1][:], anchor[2][:]
+            for r in range(start, earlier):
+                advance(cols[r], red, rem, r)
+            if red == reduced and rem == rems:
+                period = j - earlier
+                if collect is not None:
+                    collect["scaling_rounds"] += levels - j
+                break
+            seen[key] = j  # equal hashes of different states
+        dist, _, cyc = integer_sssp_arrays(n + 1, tails, heads, reduced, src)
         if collect is not None:
             collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + 1
+            collect["scaling_rounds_solved"] = collect.get("scaling_rounds_solved", 0) + 1
         if cyc is not None:
             w = cycle_weight(g, cyc)
             if w >= ZERO:
@@ -203,20 +285,14 @@ def eps_feasible_price(
         cols.append(dist)
         if j == k + 1:
             break
-        survivors = []
-        for i in live:
-            r = rems[i] * 2
-            bit = 1 if r >= dens[i] else 0
-            rems[i] = r - bit * dens[i]
-            nxt = 2 * (reduced[i] + dist[tails[i]] - dist[heads[i]]) + signs[i] * bit - 1
-            if nxt < -2:
-                raise AssertionError(f"reduced weight {nxt} below -2 at round {j + 1}")
-            if nxt <= 4 * n:
-                survivors.append(i)
-            reduced[i] = nxt
-        live = survivors
+        kept = advance(dist, reduced, rems, j)
+        if len(kept) < len(reduced):
+            tails, heads, signs, dens, reduced, rems = (
+                [arr[i] for i in kept] for arr in (tails, heads, signs, dens, reduced, rems))
+            seen.clear()
+            anchor = (j + 1, reduced[:], rems[:])
 
-    price = assemble_price([col[:n] for col in cols])
+    price = assemble_price([col[:n] for col in cols], levels, period)
     eps = BigRational(1, 1 << k)
     if not check_eps_feasible(g, price, eps):
         raise AssertionError("assembled price function fails exact feasibility")

@@ -299,9 +299,11 @@ def cut_dijkstra(
     rank of each relaxed vertex; a countdown is kept as the absolute turn
     at which it expires, in a bucket per turn.
 
-    Heap entries are tuples: (0, key, vid, token) for a finite key and
-    (1, vid, token) for +infinity, so finite keys come first and ties
-    break by vertex id.
+    Heap entries are tuples: (0, floor(key * 2^64), key, vid, token) for
+    a finite key and (1, vid, token) for +infinity, so finite keys come
+    first and ties break by vertex id.  The floor is monotone in the key,
+    so it keeps the exact order while tuple comparison settles most pairs
+    on plain ints before reaching the exact key.
     """
     n = g.n
     k = ctx.k
@@ -327,7 +329,10 @@ def cut_dijkstra(
     def push(v: int, key: Optional[BigRational]) -> None:
         nonlocal live, inserts
         token[v] += 1
-        heapq.heappush(heap, (1, v, token[v]) if key is None else (0, key, v, token[v]))
+        if key is None:
+            heapq.heappush(heap, (1, v, token[v]))
+        else:
+            heapq.heappush(heap, (0, (key.num << 64) // key.den, key, v, token[v]))
         on_heap[v] = True
         live += 1
         inserts += 1

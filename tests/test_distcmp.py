@@ -433,6 +433,15 @@ class TestPairwiseComparator:
         ap = pdc._ra(0, 0)
         assert ap.lo == ZERO and ap.hi == ZERO
 
+    def test_full_tree_rejects_insert(self):
+        # the root holds slot 0, so capacity 4 leaves room for three leaves
+        pdc = PairwiseDeltaComparator(4, 1, WordBudget(8), c=1, gamma=100.0, seed=0)
+        for _ in range(3):
+            pdc.insert_leaf(0, R(1, 2))
+        with pytest.raises(ValueError):
+            pdc.insert_leaf(0, R(1, 2))
+        assert len(pdc.tree) == 4
+
     def test_all_marked_short_tails(self):
         # a hop parameter of 1 with everything marked keeps every tail empty
         budget = WordBudget(8)

@@ -12,6 +12,7 @@ from ratpath.graph import (
     plant_negative_cycle,
 )
 from ratpath.rational import BigRational, WordBudget, ZERO
+from ratpath import scaling
 from ratpath.scaling import (
     assemble_price,
     eps_feasible_price,
@@ -213,6 +214,32 @@ class TestAssemble:
                 naive = naive + R(c[0], 1 << i)
             assert assemble_price(col)[0] == naive
 
+    def test_periodic_matches_expanded(self, rng):
+        # Prefix plus one block, the block repeated out to `total` columns,
+        # equals the explicitly expanded column sum.
+        shapes = [(0, 3, 10), (4, 1, 9), (2, 3, 11), (3, 5, 8), (0, 1, 1)]
+        for _ in range(200):
+            first = int(rng.integers(0, 6))
+            period = int(rng.integers(1, 7))
+            shapes.append((first, period, first + period + int(rng.integers(0, 40))))
+        for first, period, total in shapes:
+            cols = [[int(x) for x in rng.integers(-9, 10, size=3)] for _ in range(first + period)]
+            expanded = cols[:first] + [cols[first + (j - first) % period]
+                                       for j in range(first, total)]
+            got = assemble_price(cols, total, period)
+            want = assemble_price(expanded)
+            for v in range(3):
+                naive = ZERO
+                for j, col in enumerate(expanded):
+                    naive = naive + R(col[v], 1 << j)
+                assert got[v] == want[v] == naive
+
+    def test_periodic_rejects_bad_shape(self):
+        with pytest.raises(ValueError):
+            assemble_price([[1], [2]], 5, 3)
+        with pytest.raises(ValueError):
+            assemble_price([[1], [2]], 1, 1)
+
 
 class TestEpsFeasiblePrice:
     def test_single_negative_edge(self):
@@ -287,6 +314,34 @@ class TestEpsFeasiblePrice:
         for g in _wide_denominator_graphs():
             p = eps_feasible_price(g, 30)
             assert check_eps_feasible(g, p, R(1, 1 << 30))
+
+    def test_repeated_state_stops_rounds(self):
+        # The backbone graph's round state repeats early: the price still
+        # counts all k+2 levels, but only a prefix and one period are solved.
+        stats = {}
+        p = eps_feasible_price(_backbone_graph(16, 6), 580, collect=stats)
+        assert stats["scaling_rounds"] == 582
+        assert stats["scaling_rounds_solved"] < 100
+        assert check_eps_feasible(_backbone_graph(16, 6), p, R(1, 1 << 580))
+
+    def test_hash_collisions_confirmed_exactly(self, monkeypatch):
+        # With every state hashing alike, each round's match goes through
+        # the exact replay; the prices stay those of the real hash.
+        cases = [(_backbone_graph(16, 6), 40), (gen_random(12, 36, 2, "small", "priced"), 20),
+                 (_wide_denominator_graphs()[0], 30)]
+        want = [eps_feasible_price(g, k) for g, k in cases]
+        monkeypatch.setattr(scaling, "hash", lambda state: 0, raising=False)
+        for (g, k), p in zip(cases, want):
+            stats = {}
+            got = eps_feasible_price(g, k, collect=stats)
+            assert stats["scaling_rounds"] == k + 2
+            assert [got[v] for v in range(g.n)] == [p[v] for v in range(g.n)]
+
+    def test_wide_denominator_solves_every_round(self):
+        # Remainders of width 60 bits never repeat within 32 rounds.
+        stats = {}
+        eps_feasible_price(_wide_denominator_graphs()[1], 30, collect=stats)
+        assert stats["scaling_rounds"] == stats["scaling_rounds_solved"] == 32
 
     def test_prices_pinned(self):
         # sha256 of prices and witnesses on a fixed set, pinned so that a
