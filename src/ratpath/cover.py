@@ -35,6 +35,15 @@ A sparse edge cover stacks several independent clustering instances, so
 with decent probability the endpoints of every inserted edge land
 together in at least one cluster, while every vertex belongs to exactly
 one cluster per instance.
+
+All instances cluster the same graph, so the cover keeps the one
+adjacency and the instances read it.  An edge (u, v) can move a vertex
+of an instance only if it strictly drops dist[u] or dist[v], that is if
+the two distances differ by at least 2; the cover tests this inline and
+hands the edge to that instance's propagation only then.  An instance
+stores the member set of a cluster only once the cluster has gained a
+vertex.  A cluster that never has holds its center alone, or nothing
+once the center has moved away.
 """
 
 from __future__ import annotations
@@ -54,16 +63,9 @@ __all__ = [
 ]
 
 
-def _shift(r: float, alpha: float) -> int:
-    """The geometric shift of one uniform draw r in [0, 1)."""
-    return math.floor(-math.log(1.0 - r) / alpha)
-
-
 def sample_shift(alpha: float, rng: np.random.Generator) -> int:
     """Geometric shift with tail P[X >= k] = e^(-alpha * k)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    return _shift(rng.random(), alpha)
+    return sample_shifts(1, alpha, rng)[0]
 
 
 def sample_shifts(n: int, alpha: float, rng: np.random.Generator) -> List[int]:
@@ -71,7 +73,8 @@ def sample_shifts(n: int, alpha: float, rng: np.random.Generator) -> List[int]:
     generator state afterwards, as n successive sample_shift calls."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    return [_shift(r, alpha) for r in rng.random(n).tolist()]
+    floor, log = math.floor, math.log
+    return [floor(-log(1.0 - r) / alpha) for r in rng.random(n).tolist()]
 
 
 def estc_static(
@@ -123,11 +126,14 @@ class ClusteringInstance:
 
     dist[v] is the shifted-graph distance of v: its start time
     b_max + 1 - b_v until edges arrive, afterwards the least start time
-    plus hop count over all centers.  adj holds the inserted edges only.
-    bfs_work counts dequeued vertices, all of them real.
+    plus hop count over all centers.  The instance keeps no adjacency:
+    the caller keeps the inserted edges and passes that adjacency in.
+    clusters holds the member set of every cluster that has gained a
+    vertex; members() answers for the others.  bfs_work counts dequeued
+    vertices, all of them real.
     """
 
-    __slots__ = ("n", "shifts", "b_max", "dist", "center", "clusters", "adj", "moves", "bfs_work")
+    __slots__ = ("n", "shifts", "b_max", "dist", "center", "clusters", "moves", "bfs_work")
 
     def __init__(self, n: int, rng: np.random.Generator, alpha: float = 1.0):
         self.n = n
@@ -136,51 +142,63 @@ class ClusteringInstance:
         start = self.b_max + 1
         self.dist = [start - b for b in self.shifts]
         self.center = list(range(n))
-        self.clusters: Dict[int, Set[int]] = {v: {v} for v in range(n)}
-        self.adj: List[List[int]] = [[] for _ in range(n)]
+        self.clusters: Dict[int, Set[int]] = {}
         self.moves = 0
         self.bfs_work = 0
 
-    def insert_edge(self, u: int, v: int) -> List[Tuple[int, int, int]]:
-        """Relay an edge of the clustered graph; returns (vertex, old
-        center, new center) moves in the order they happen."""
-        adj, dist = self.adj, self.dist
-        adj[u].append(v)
-        adj[v].append(u)
+    def members(self, c: int) -> Set[int]:
+        """The vertices whose center is c."""
+        stored = self.clusters.get(c)
+        if stored is not None:
+            return set(stored)
+        return {c} if self.center[c] == c else set()
+
+    def insert_edge(self, adj: Sequence[Sequence[int]], u: int, v: int) -> List[Tuple[int, int, int]]:
+        """Relay the edge (u, v), which adj already holds; returns (vertex,
+        old center, new center) moves in the order they happen."""
+        dist = self.dist
         if dist[u] + 1 < dist[v]:
-            a, b = u, v
-        elif dist[v] + 1 < dist[u]:
-            a, b = v, u
-        else:
-            return []
-        center, clusters = self.center, self.clusters
+            return self.propagate(adj, u, v)
+        if dist[v] + 1 < dist[u]:
+            return self.propagate(adj, v, u)
+        return []
+
+    def propagate(self, adj: Sequence[Sequence[int]], a: int, b: int) -> List[Tuple[int, int, int]]:
+        """Drop b through its neighbor a, which requires dist[a] + 1 <
+        dist[b], and carry the drop on over adj; returns the moves."""
+        dist, center, clusters = self.dist, self.center, self.clusters
         out: List[Tuple[int, int, int]] = []
-        # b drops through a; afterwards every strict drop of y through a
-        # dequeued x gives y the center of x, FIFO as in a BFS from s.
-        dist[b] = dist[a] + 1
-        drops = deque((b,))
-        c, old = center[a], center[b]
-        if c != old:
-            center[b] = c
-            clusters[old].discard(b)
-            clusters[c].add(b)
-            out.append((b, old, c))
+        # Every strict drop of y through x gives y the center of x, FIFO
+        # as in a BFS from s; the first step scans the one edge a -> b.
+        x, ys = a, (b,)
+        drops: deque = deque()
         work = 0
-        while drops:
-            x = drops.popleft()
-            work += 1
+        while True:
             d = dist[x] + 1
             c = center[x]
-            for y in adj[x]:
+            for y in ys:
                 if d < dist[y]:
                     dist[y] = d
                     old = center[y]
                     if old != c:
                         center[y] = c
-                        clusters[old].discard(y)
-                        clusters[c].add(y)
+                        left = clusters.get(old)
+                        if left is not None:
+                            left.discard(y)
+                        # a cluster without a stored set has only ever
+                        # held its center, so here x == c is still in it
+                        joined = clusters.get(c)
+                        if joined is None:
+                            clusters[c] = {c, y}
+                        else:
+                            joined.add(y)
                         out.append((y, old, c))
                     drops.append(y)
+            if not drops:
+                break
+            x = drops.popleft()
+            ys = adj[x]
+            work += 1
         self.bfs_work += work
         self.moves += len(out)
         return out
@@ -191,20 +209,23 @@ class SparseCover:
 
     Set ids are (instance index, center vertex).  Every vertex sits in
     exactly one set per instance, so membership per vertex is bounded by
-    the instance count at all times.
+    the instance count at all times.  The cover keeps the one adjacency
+    of the inserted edges, which all instances read.
     """
 
-    __slots__ = ("n", "instances", "updates_issued", "edges_seen", "_edge_set")
+    __slots__ = ("n", "instances", "adj", "updates_issued", "edges_seen", "_edge_set")
 
     def __init__(self, n: int, lambda_: float, rng: np.random.Generator, alpha: float = 1.0):
         if n < 1:
             raise ValueError("cover needs at least one vertex")
         count = max(1, math.ceil(lambda_ * math.log2(max(n, 2))))
         self.n = n
+        # one draw of count seeds: the same values as count scalar draws
         self.instances = [
-            ClusteringInstance(n, np.random.default_rng(rng.integers(0, 2**63)), alpha)
-            for _ in range(count)
+            ClusteringInstance(n, np.random.default_rng(seed), alpha)
+            for seed in rng.integers(0, 2**63, size=count).tolist()
         ]
+        self.adj: List[List[int]] = [[] for _ in range(n)]
         self.updates_issued = 0
         self.edges_seen = 0
         self._edge_set: Set[Tuple[int, int]] = set()
@@ -223,9 +244,22 @@ class SparseCover:
             return []
         self._edge_set.add(key)
         self.edges_seen += 1
+        adj = self.adj
+        adj[u].append(v)
+        adj[v].append(u)
         updates: List[Tuple[Tuple[int, int], str, int]] = []
+        # ClusteringInstance.insert_edge's reject, inline: only an instance
+        # where dist[u] and dist[v] differ by 2 or more can move a vertex
         for idx, inst in enumerate(self.instances):
-            for x, old, new in inst.insert_edge(u, v):
+            dist = inst.dist
+            gap = dist[u] - dist[v]
+            if gap < -1:
+                moves = inst.propagate(adj, u, v)
+            elif gap > 1:
+                moves = inst.propagate(adj, v, u)
+            else:
+                continue
+            for x, old, new in moves:
                 updates.append(((idx, old), "remove", x))
                 updates.append(((idx, new), "add", x))
         self.updates_issued += len(updates)
@@ -243,7 +277,7 @@ class SparseCover:
 
     def members(self, set_id: Tuple[int, int]) -> Set[int]:
         idx, center = set_id
-        return set(self.instances[idx].clusters.get(center, ()))
+        return self.instances[idx].members(center)
 
     def membership_counts(self) -> List[int]:
         return [self.instance_count] * self.n

@@ -185,20 +185,19 @@ class SsspResult:
         return [self.source] + sorted(self.parent)
 
     def uses_aux(self, v: int) -> bool:
-        """True when the root path of v crosses an augmentation edge."""
-        while v != self.source:
-            entry = self.parent.get(v)
-            if entry is None:
-                return True
-            if entry[2]:
-                return True
-            v = entry[0]
-        return False
+        """True when v is outside the tree or its root path crosses an
+        augmentation edge; ValueError when the parent links are no tree."""
+        return not self.reachable(v)
 
     def reachable(self, v: int) -> bool:
-        if v == self.source:
-            return True
-        return v in self.parent and not self.uses_aux(v)
+        """True when v's root path has no augmentation edge; one pass in
+        tree order, ValueError when the parent links are no tree."""
+        clean = {self.source}
+        for x in self._order():
+            u, _, aux = self.parent[x]
+            if u in clean and not aux:
+                clean.add(x)
+        return v in clean
 
     def tree_order(self) -> Optional[List[int]]:
         """Tree vertices other than the source, each after its parent; None
@@ -232,15 +231,18 @@ class SsspResult:
             placed.update(chain)
         return order
 
-    def distances(self) -> List[Optional[BigRational]]:
-        """Exact tree distance per vertex; None for vertices outside the tree
-        or reached only through augmentation edges."""
+    def _order(self) -> List[int]:
         order = self.tree_order()
         if order is None:
             raise ValueError("parent links do not form a tree rooted at the source")
+        return order
+
+    def distances(self) -> List[Optional[BigRational]]:
+        """Exact tree distance per vertex; None for vertices outside the tree
+        or reached only through augmentation edges."""
         dist: List[Optional[BigRational]] = [None] * self.n
         dist[self.source] = ZERO
-        for v in order:
+        for v in self._order():
             u, w, aux = self.parent[v]
             if dist[u] is not None and not aux:
                 dist[v] = dist[u] + w

@@ -271,8 +271,11 @@ def test_criterion_8_clustering_statistics():
     hits = [0] * len(edges)
     for seed in range(trials):
         inst = ClusteringInstance(n, np.random.default_rng(seed))
+        inserted = [[] for _ in range(n)]
         for u, v in edges:
-            inst.insert_edge(u, v)
+            inserted[u].append(v)
+            inserted[v].append(u)
+            inst.insert_edge(inserted, u, v)
         centers = inst.center
         for i, (u, v) in enumerate(edges):
             hits[i] += centers[u] == centers[v]

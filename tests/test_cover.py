@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -11,6 +12,13 @@ from ratpath.cover import (
     sample_shift,
     sample_shifts,
 )
+
+
+def relay(inst, adjacency, u, v):
+    """Drive a standalone instance: the caller keeps the adjacency."""
+    adjacency[u].append(v)
+    adjacency[v].append(u)
+    return inst.insert_edge(adjacency, u, v)
 
 
 def bfs_dist(adjacency, s):
@@ -250,7 +258,20 @@ class TestClusteringInstance:
     def test_initial_singletons(self):
         inst = ClusteringInstance(6, np.random.default_rng(6))
         assert inst.center == list(range(6))
-        assert all(inst.clusters[v] == {v} for v in range(6))
+        assert all(inst.members(v) == {v} for v in range(6))
+        assert inst.clusters == {}  # no set is stored before a cluster gains a vertex
+
+    def test_members_of_a_center_that_left(self):
+        # shifts (0, 3, 0): vertex 0 starts at distance 4 and vertex 1 at
+        # 1, so the edge 0-1 moves 0 into cluster 1; cluster 0 never gained
+        # a vertex and is empty
+        inst = ClusteringInstance(3, np.random.default_rng(1))
+        assert inst.shifts == [0, 3, 0] and inst.dist == [4, 1, 4]
+        assert relay(inst, [[] for _ in range(3)], 0, 1) == [(0, 0, 1)]
+        assert inst.members(0) == set()
+        assert inst.members(1) == {0, 1}
+        assert inst.members(2) == {2}
+        assert inst.clusters == {1: {0, 1}}
 
     def test_certificate_after_insertions(self):
         # center assignment must satisfy: shifted-source distance to v equals
@@ -264,9 +285,7 @@ class TestClusteringInstance:
                 u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
                 if u == v:
                     continue
-                inst.insert_edge(u, v)
-                adjacency[u].append(v)
-                adjacency[v].append(u)
+                relay(inst, adjacency, u, v)
                 for w in range(n):
                     c = inst.center[w]
                     entry_len = inst.b_max + 1 - inst.shifts[c]
@@ -275,7 +294,7 @@ class TestClusteringInstance:
                     assert inst.dist[w] == entry_len + hop
 
     def test_matches_materialized_reference(self):
-        # same shifts, the same moves in the same order, centers, clusters
+        # same shifts, the same moves in the same order, centers, members
         # and move counts as the BFS over the materialized shifted graph;
         # bfs_work counts the reference's dequeues of real vertices
         interior_dequeues = 0
@@ -286,14 +305,16 @@ class TestClusteringInstance:
                 inst = ClusteringInstance(n, np.random.default_rng(seed), alpha)
                 ref = ReferenceInstance(n, np.random.default_rng(seed), alpha)
                 assert inst.shifts == ref.shifts
+                adjacency = [[] for _ in range(n)]
                 for _ in range(3 * n):
                     u, v = (int(x) for x in stream.integers(0, n, size=2))
                     if u == v:
                         continue
-                    assert inst.insert_edge(u, v) == ref.insert_edge(u, v)
+                    assert relay(inst, adjacency, u, v) == ref.insert_edge(u, v)
                     assert inst.center == ref.center
                     assert inst.dist == ref.bfs.dist[:n]
-                assert inst.clusters == ref.clusters
+                nonempty = {c: ms for c, ms in ref.clusters.items() if ms}
+                assert {c: inst.members(c) for c in range(n) if inst.members(c)} == nonempty
                 assert inst.moves == ref.moves
                 assert inst.bfs_work == ref.bfs.real_work
                 interior_dequeues += ref.bfs.work_counter - ref.bfs.real_work
@@ -331,7 +352,7 @@ class TestSparseCover:
         hits = 0
         for seed in range(trials):
             inst = ClusteringInstance(6, np.random.default_rng(seed))
-            inst.insert_edge(1, 4)
+            relay(inst, [[] for _ in range(6)], 1, 4)
             hits += inst.center[1] == inst.center[4]
         sigma = math.sqrt(p_want * (1 - p_want) / trials)
         assert hits / trials >= p_want - 3 * sigma
@@ -412,17 +433,51 @@ class TestSparseCover:
         assert counters["bfs_work"] == 166
 
     def test_update_lists_match_materialized_reference(self):
+        # the reference cover: one ReferenceInstance per instance, seeded by
+        # successive scalar draws, every new edge relayed to every instance
         n = 30
         cover = SparseCover(n, 4.0, np.random.default_rng(15))
-        ref = SparseCover(n, 4.0, np.random.default_rng(15))
         seeds = np.random.default_rng(15)
-        ref.instances = [
+        refs = [
             ReferenceInstance(n, np.random.default_rng(seeds.integers(0, 2**63)))
             for _ in range(cover.instance_count)
         ]
+        seen = set()
+        issued = 0
         stream = np.random.default_rng(16)
         for _ in range(200):
             u, v = (int(x) for x in stream.integers(0, n, size=2))
-            if u != v:
-                assert cover.insert_edge(u, v) == ref.insert_edge(u, v)
-        assert cover.updates_issued == ref.updates_issued > 0
+            if u == v:
+                continue
+            want = []
+            if (min(u, v), max(u, v)) not in seen:
+                seen.add((min(u, v), max(u, v)))
+                for idx, ref in enumerate(refs):
+                    for x, old, new in ref.insert_edge(u, v):
+                        want.append(((idx, old), "remove", x))
+                        want.append(((idx, new), "add", x))
+            assert cover.insert_edge(u, v) == want
+            issued += len(want)
+        assert cover.updates_issued == issued > 0
+        for idx, (inst, ref) in enumerate(zip(cover.instances, refs)):
+            assert inst.shifts == ref.shifts
+            assert inst.center == ref.center
+            assert inst.dist == ref.bfs.dist[:n]
+            assert inst.moves == ref.moves
+            assert inst.bfs_work == ref.bfs.real_work
+            for c in range(n):
+                assert cover.members((idx, c)) == ref.clusters.get(c, set())
+
+    def test_construction_keeps_no_per_vertex_sets(self):
+        # one adjacency for the whole cover and no singleton member sets:
+        # a 4096-vertex cover (48 instances) retains 11.1 MiB after
+        # construction, against 75.8 MiB with a per-instance adjacency and
+        # one {v} set per vertex per instance
+        tracemalloc.start()
+        try:
+            cover = SparseCover(4096, 4.0, np.random.default_rng(1))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cover.instance_count == 48
+        assert retained < 16 * 2**20

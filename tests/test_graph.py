@@ -65,6 +65,20 @@ class TestParseSerialize:
         back = parse_tree(text)
         assert back.parent == res.parent and back.source == 0
 
+    def test_reachable_follows_aux_edges(self):
+        res = SsspResult(4, 0, {1: (0, R(1, 2), False), 2: (1, R(-1, 3), True), 3: (2, R(1), False)})
+        assert [res.reachable(v) for v in range(4)] == [True, True, False, False]
+        assert [res.uses_aux(v) for v in range(4)] == [False, False, True, True]
+
+    def test_parent_cycle_rejected_not_walked(self):
+        # 1 and 2 are each other's parent: no tree, and reachable() must
+        # raise like distances() instead of walking the cycle forever
+        res = SsspResult(3, 0, {1: (2, R(1), False), 2: (1, R(1), False)})
+        assert res.tree_order() is None
+        for query in (res.distances, lambda: res.reachable(1), lambda: res.uses_aux(2)):
+            with pytest.raises(ValueError):
+                query()
+
 
 class TestAugment:
     def test_isolated_pair(self):

@@ -90,35 +90,44 @@ class TestDijkstraNonneg:
         [
             (
                 "ties",
-                (114, 166, [989, 129, 2], [313, 0, 0], [217, 18, 0], 840,
+                (114, 166, [989, 129, 2], [459, 111, 2], [313, 0, 0], [217, 18, 0], 840,
                  "0cfafd07ebe7bfa3c03ebe592cb9f84cb60e5899a1e80d6aa0e668c1086f0f3b"),
             ),
             (
                 "gadget",
-                (119, 119, [987, 0, 0], [394, 0, 0], [0, 0, 0], 0,
+                (119, 119, [987, 0, 0], [593, 0, 0], [394, 0, 0], [0, 0, 0], 0,
                  "2086e26e2f21f530255e61ffebfef5b3b867ec7cca63cf2cadf266be00d3e6ae"),
+            ),
+            (
+                "ties-400",
+                (792, 1203, [9097, 1642, 40, 1], [4095, 1392, 36, 1], [2324, 0, 0, 0], [2678, 250, 4, 0],
+                 18288, "36c539820d2ececd51dafdfb848c14f64dd82bd6e2b0297998a0ea7160f0682c"),
             ),
         ],
     )
     def test_distcmp_instance_pinned(self, family, pinned):
-        # Counters and tree bytes of two fixed runs, pinned so that a change
+        # Counters and tree bytes of fixed runs, pinned so that a change
         # to how distcmp decides its comparisons keeps them identical:
-        # all-1/3 weights (exact ties, the cover and level 1 run) and a
+        # all-1/3 weights (exact ties, the cover and level 1 run), at n=60
+        # and at n=400 where most cover instances reject most edges, and a
         # padded window-3 gadget chain (every comparison easy).
-        if family == "ties":
-            skeleton = gen_random(60, 240, 3)
-            g = WeightedDigraph(60, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges], source=0)
+        if family.startswith("ties"):
+            n = 400 if family == "ties-400" else 60
+            skeleton = gen_random(n, 4 * n, 3)
+            g = WeightedDigraph(n, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges], source=0)
         else:
             g, _ = gen_small_diff(512, padding=True, chain=20, window=3)
         stats = {}
         r = dijkstra_nonneg(g, 0, strategy="distcmp", seed=1, collect=stats)
-        pushes, relaxations, queries, easy, difficult, updates, digest = pinned
+        pushes, relaxations, queries, trivial, easy, difficult, updates, digest = pinned
         assert stats["heap_pushes"] == pushes
         assert stats["relaxations"] == relaxations
         assert stats["distcmp.level_queries"] == queries
+        assert stats["distcmp.trivial_answers"] == trivial
         assert stats["distcmp.easy_answers"] == easy
+        assert stats["distcmp.shortcut_answers"] == easy  # every easy answer is a shortcut
         assert stats["distcmp.difficult_answers"] == difficult
-        assert stats["distcmp.cover_fallbacks"] == [0, 0, 0]
+        assert stats["distcmp.cover_fallbacks"] == [0] * len(queries)
         assert stats["distcmp.dsu_inconsistencies"] == 0
         assert stats["distcmp.cover_updates"] == updates
         assert hashlib.sha256(serialize_tree(r).encode()).hexdigest() == digest
