@@ -138,7 +138,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             g = parse(fh.read())
         with open(args.tree) as fh:
             tree = parse_tree(fh.read())
-        outcome = graphmod.verify_sssp(g, tree, mode=args.mode, seed=_resolve_seed(args.seed))
+        outcome = graphmod.verify_sssp(g, tree)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -223,8 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="check a tree against an instance")
     verify.add_argument("instance")
     verify.add_argument("tree")
-    verify.add_argument("--mode", choices=["exact", "fast"], default="exact")
-    verify.add_argument("--seed", type=int)
     verify.set_defaults(func=cmd_verify)
 
     price = sub.add_parser("price", help="2^-k-feasible price function")

@@ -18,6 +18,10 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# 0->1 1/2, 1->2 1/3, 0->2 1/1, 2->1 1/1; its shortest-paths tree is 0->1->2
+TRIANGLE = "p 3 4\ns 0\ne 0 1 1/2\ne 1 2 1/3\ne 0 2 1/1\ne 2 1 1/1\n"
+
+
 class TestSolve:
     def test_solve_and_verify_roundtrip(self, tmp_path, capsys, smalldiff_file):
         tree = tmp_path / "out.tree"
@@ -107,6 +111,24 @@ class TestSolve:
 
 
 class TestVerifyCmd:
+    @pytest.mark.parametrize("tree, code, expected", [
+        ("t 4 0\na 1 0 1/2\na 2 1 1/3\n", 2, "invalid: vertex count mismatch\n"),
+        ("t 3 0\na 1 0 1/2\n", 2, "invalid: tree misses a reachable vertex; witness e 1 2 1/3\n"),
+        ("t 3 0\na 1 0 1/2\na 2 1 1/3\n", 0, "valid\n"),
+        ("t 3 0\na 1 0 1/3\na 2 1 1/3\n", 2,
+         "invalid: tree weight differs from graph weight; witness e 0 1 1/2\n"),
+        ("t 3 0\na 1 2 1/1\na 2 1 1/3\n", 2,
+         "invalid: parent links do not form a tree rooted at the source\n"),
+        ("t 3 0\na 1 0 1/2\na 2 0 1/1\n", 2,
+         "invalid: edge violates the triangle inequality; witness e 1 2 1/3\n"),
+    ], ids=["count", "misses-vertex", "valid", "weight", "not-a-tree", "triangle"])
+    def test_outcomes(self, tmp_path, capsys, tree, code, expected):
+        inst = tmp_path / "triangle.gr"
+        inst.write_text(TRIANGLE)
+        tree_file = tmp_path / "t.tree"
+        tree_file.write_text(tree)
+        assert run(capsys, "verify", str(inst), str(tree_file))[:2] == (code, expected)
+
     def test_invalid_tree(self, tmp_path, capsys, smalldiff_file):
         tree = tmp_path / "out.tree"
         run(capsys, "solve", "--input", str(smalldiff_file), "--output", str(tree), "--seed", "0")
@@ -121,6 +143,19 @@ class TestVerifyCmd:
         bad.write_text("nonsense\n")
         code, _, err = run(capsys, "verify", str(smalldiff_file), str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda body: body.replace("t 4 0", "t 4 9", 1),
+        lambda body: body + "a 99 0 5/1 aux\n",
+        lambda body: body + "a -2 0 5/1 aux\n",
+    ], ids=["source-9", "vertex-99", "vertex-minus-2"])
+    def test_out_of_range_ids(self, tmp_path, capsys, smalldiff_file, edit):
+        tree = tmp_path / "out.tree"
+        run(capsys, "solve", "--input", str(smalldiff_file), "--output", str(tree), "--seed", "0")
+        bad = tmp_path / "bad.tree"
+        bad.write_text(edit(tree.read_text()))
+        code, _, err = run(capsys, "verify", str(smalldiff_file), str(bad))
+        assert code == 1 and err.startswith("error:")
 
 
 class TestGen:

@@ -15,6 +15,9 @@ from ratpath.graph import (
     cycle_weight,
     gen_random,
     gen_small_diff,
+    _closest_subset_sums,
+    _prime_bound_for,
+    _primes_below,
     parse,
     parse_tree,
     plant_negative_cycle,
@@ -65,17 +68,27 @@ class TestParseSerialize:
         back = parse_tree(text)
         assert back.parent == res.parent and back.source == 0
 
+    @pytest.mark.parametrize("text", [
+        "t 2 2\n",
+        "t 2 -1\n",
+        "t 2 0\na 2 0 1/1\n",
+        "t 2 0\na 1 -1 1/1\n",
+        "a 1 0 1/1\nt 2 0\n",  # no range to check before the header
+    ], ids=["source-n", "source-minus-1", "vertex-n", "parent-minus-1", "edge-before-header"])
+    def test_parse_tree_rejects_out_of_range_ids(self, text):
+        with pytest.raises(ValueError, match="line"):
+            parse_tree(text)
+
     def test_reachable_follows_aux_edges(self):
         res = SsspResult(4, 0, {1: (0, R(1, 2), False), 2: (1, R(-1, 3), True), 3: (2, R(1), False)})
         assert [res.reachable(v) for v in range(4)] == [True, True, False, False]
-        assert [res.uses_aux(v) for v in range(4)] == [False, False, True, True]
 
     def test_parent_cycle_rejected_not_walked(self):
         # 1 and 2 are each other's parent: no tree, and reachable() must
         # raise like distances() instead of walking the cycle forever
         res = SsspResult(3, 0, {1: (2, R(1), False), 2: (1, R(1), False)})
         assert res.tree_order() is None
-        for query in (res.distances, lambda: res.reachable(1), lambda: res.uses_aux(2)):
+        for query in (res.distances, lambda: res.reachable(1), lambda: res.reachable(2)):
             with pytest.raises(ValueError):
                 query()
 
@@ -167,8 +180,6 @@ class TestGenerators:
 
     def test_small_diff_gap_bound(self):
         # pigeonhole: gap <= bound / (2^k - 1) for k primes below the bound
-        from ratpath.graph import _primes_below
-
         for bound in (6, 12, 20, 30):
             k = len(_primes_below(bound))
             _, gap = gen_small_diff(bound)
@@ -186,6 +197,18 @@ class TestGenerators:
         res = bf_exact(g, 0)
         assert res.dist[g.n - 1] is not None
         assert gap > ZERO
+        primes = _primes_below(100)
+        assert gap == sum((_closest_subset_sums(tuple(primes[i : i + 3]))[2] for i in (0, 3, 6)), ZERO)
+
+    def test_long_chain_builds_fast(self):
+        # the padded window-3 chain of 2730 gadgets; its gap sums 2730
+        # gadget gaps with ever larger denominators
+        chain = 2730
+        bound = _primes_below(_prime_bound_for(3 * chain))[3 * chain - 1] + 1
+        start = time.perf_counter()
+        g, gap = gen_small_diff(bound, padding=True, chain=chain, window=3)
+        assert time.perf_counter() - start < 3.0
+        assert g.n == 8191 and gap > ZERO
 
     def test_gen_random_empty(self):
         g = gen_random(5, 0, 1)
@@ -246,10 +269,9 @@ class TestVerify:
     def test_source_with_parent_rejected(self):
         g = WeightedDigraph(3, [(0, 1, R(0)), (1, 0, R(0)), (1, 2, R(1, 3))])
         tree = parse_tree("t 3 0\na 0 1 0/1\na 1 0 0/1\na 2 1 1/3\n")
-        for mode in ("exact", "fast"):
-            out = verify_sssp(g, tree, mode=mode)
-            assert not out.valid
-            assert out.reason == "parent links do not form a tree rooted at the source"
+        out = verify_sssp(g, tree, mode="exact")
+        assert not out.valid
+        assert out.reason == "parent links do not form a tree rooted at the source"
         with pytest.raises(ValueError):
             tree.distances()
 
@@ -292,12 +314,18 @@ class TestVerify:
                     checked_invalid += 1
         assert checked_valid == 1000 and checked_invalid > 100
 
-    def test_fast_mode_matches_exact(self):
-        for seed in range(20):
-            g = gen_random(15, 40, seed)
-            tree = bf_tree(g, 0)
-            assert verify_sssp(g, tree, mode="fast", seed=seed).valid
-            v = next(iter(tree.parent))
-            u, w, aux = tree.parent[v]
-            tree.parent[v] = (u, w + R(1, 977), aux)
-            assert not verify_sssp(g, tree, mode="fast", seed=seed).valid
+    def test_only_exact_mode(self):
+        g = gen_random(8, 20, 1)
+        with pytest.raises(ValueError):
+            verify_sssp(g, bf_tree(g, 0), mode="fast")
+
+    @pytest.mark.parametrize("tree", [
+        SsspResult(2, 5, {}),
+        SsspResult(2, -1, {}),
+        SsspResult(2, 0, {1: (0, R(1), False), 9: (0, R(5), True)}),
+        SsspResult(2, 0, {1: (0, R(1), False), -2: (0, R(5), True)}),
+    ], ids=["source-5", "source-minus-1", "vertex-9", "vertex-minus-2"])
+    def test_out_of_range_ids_raise(self, tree):
+        g = WeightedDigraph(2, [(0, 1, R(1))])
+        with pytest.raises(ValueError):
+            verify_sssp(g, tree)
