@@ -351,23 +351,30 @@ def parse_tree(text: str) -> SsspResult:
 # -- source augmentation -------------------------------------------
 
 
-def augment_source(g: WeightedDigraph, s: int) -> WeightedDigraph:
-    """Add flagged auxiliary edges s->v so every vertex is reachable.
+def aux_weight(g: WeightedDigraph) -> BigRational:
+    """Sentinel weight of an auxiliary edge s->v; it strictly exceeds any
+    original distance.  For non-negative graphs it is n*max(1, max w);
+    with negative edges present it is 2n*max(1, max |w|), which keeps the
+    same guarantee."""
+    if g.has_negative_weight():
+        big = max((abs(e.weight) for e in g.edges), default=ONE)
+        return BigRational(2 * g.n) * max(big, ONE)
+    big = max((e.weight for e in g.edges), default=ONE)
+    return BigRational(g.n) * max(big, ONE)
 
-    The sentinel weight strictly exceeds any original distance, so
-    distances to originally reachable vertices are unchanged and
-    reachability is recoverable from the aux flags.  For non-negative
-    graphs the weight is n*max(1, max w); with negative edges present it
-    is 2n*max(1, max |w|), which keeps the same guarantee.
+
+def augment_source(g: WeightedDigraph, s: int) -> WeightedDigraph:
+    """Add flagged auxiliary edges s->v of weight `aux_weight(g)` so every
+    vertex is reachable.
+
+    Distances to originally reachable vertices are unchanged and
+    reachability is recoverable from the aux flags.  `dijkstra_nonneg`
+    no longer calls this: it offers the same aux edges itself, only once
+    its heap of real entries has drained, and builds no augmented graph.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
-    if g.has_negative_weight():
-        big = max((abs(e.weight) for e in g.edges), default=ONE)
-        sentinel = BigRational(2 * g.n) * max(big, ONE)
-    else:
-        big = max((e.weight for e in g.edges), default=ONE)
-        sentinel = BigRational(g.n) * max(big, ONE)
+    sentinel = aux_weight(g)
     out = g.copy()
     out.source = s
     present = {e.head for e in g.out_edges(s)}

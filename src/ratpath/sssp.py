@@ -4,6 +4,8 @@ Non-negative case: textbook Dijkstra where every comparison between two
 tentative keys dist(z1) + w1 and dist(z2) + w2 is delegated to a pluggable
 comparison strategy; the default routes through the hierarchical
 structure of `distcmp`, so no exact distance is ever materialized.
+Vertices s cannot reach are offered sentinel-weight aux entries from s
+only after the heap of real entries drains; no augmented graph is built.
 
 Negative case: an eps-feasible price function from `scaling` makes a
 "cut" Dijkstra sound for every vertex whose shortest path uses at most k
@@ -37,10 +39,12 @@ from .graph import (
     PriceFunction,
     SsspResult,
     WeightedDigraph,
-    augment_source,
+    aux_weight,
     bf_exact,
     verify_sssp,
 )
+# Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
+from .graph import augment_source  # noqa: F401
 from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
 from .scaling import eps_feasible_price
 
@@ -164,62 +168,84 @@ def dijkstra_nonneg(
 ) -> SsspResult:
     """Shortest-paths tree of a non-negative graph from s.
 
-    The graph is augmented internally so every vertex is reachable;
-    vertices whose tree path crosses an augmentation edge are reported
-    unreachable by the result.  Heap comparisons are routed through the
-    chosen strategy; `exact_oracle` is unconditionally correct,
-    `distcmp` is correct with high probability, `pairwise_delta` is the
-    table-driven alternative.
+    Every vertex gets a tree edge: once the heap of real entries drains,
+    each vertex still unvisited is offered an aux edge s->v of weight
+    `aux_weight(g)`, the same edges `augment_source` would add, and the
+    search goes on.  No augmented copy of the graph is built.  Vertices
+    whose tree path crosses an aux edge are reported unreachable by the
+    result.  Heap comparisons are routed through the chosen strategy;
+    `exact_oracle` is unconditionally correct, `distcmp` is correct with
+    high probability, `pairwise_delta` is the table-driven alternative.
     """
     if g.has_negative_weight():
         raise NegativeWeightError("graph has negative weights; use negative_sssp")
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    ga = augment_source(g, s)
-    c = _shortness_class(ga.weights(), budget)
-    strat = _STRATEGIES[strategy](ga.n, s, budget, c, seed, constants)
+    if not 0 <= s < g.n:
+        raise ValueError(f"source {s} out of range")
+    n = g.n
+    sentinel = aux_weight(g)
+    # The class of the augmented graph's weights: it has a sentinel edge
+    # unless s already has an edge to every other vertex.
+    direct = {e.head for e in g.out_edges(s)} - {s}
+    c = _shortness_class(g.weights() + ([sentinel] if len(direct) < n - 1 else []), budget)
+    strat = _STRATEGIES[strategy](n, s, budget, c, seed, constants)
 
-    visited = [False] * ga.n
-    token = [0] * ga.n
-    cur: Dict[int, Tuple[int, BigRational]] = {}
+    visited = [False] * n
+    token = [0] * n
+    cur: Dict[int, Tuple[int, BigRational, bool]] = {}
     parent: Dict[int, Tuple[int, BigRational, bool]] = {}
     heap: List[_HeapEntry] = []
     pushes = 0
     relaxations = 0
 
+    def push(v: int, u: int, w: BigRational, aux: bool) -> None:
+        nonlocal pushes
+        cur[v] = (u, w, aux)
+        token[v] += 1
+        heapq.heappush(heap, _HeapEntry(u, w, v, token[v], strat))
+        pushes += 1
+
     def relax_from(u: int) -> None:
-        nonlocal pushes, relaxations
-        for e in ga.out_edges(u):
+        nonlocal relaxations
+        for e in g.out_edges(u):
             v = e.head
             if visited[v]:
                 continue
             relaxations += 1
             old = cur.get(v)
             if old is None or strat.compare_keys(u, e.weight, old[0], old[1]) < 0:
-                cur[v] = (u, e.weight)
-                token[v] += 1
-                heapq.heappush(heap, _HeapEntry(u, e.weight, v, token[v], strat))
-                pushes += 1
+                push(v, u, e.weight, e.aux)
+
+    def drain() -> None:
+        while heap:
+            entry = heapq.heappop(heap)
+            v = entry.vid
+            if visited[v] or token[v] != entry.token:
+                continue
+            visited[v] = True
+            parent[v] = cur[v]
+            strat.add_leaf(v, entry.z, entry.w)
+            relax_from(v)
 
     visited[s] = True
     relax_from(s)
-    while heap:
-        entry = heapq.heappop(heap)
-        v = entry.vid
-        if visited[v] or token[v] != entry.token:
-            continue
-        visited[v] = True
-        edge = ga.edge_between(entry.z, v)
-        parent[v] = (entry.z, entry.w, edge.aux)
-        strat.add_leaf(v, entry.z, entry.w)
-        relax_from(v)
+    drain()
+    # Every vertex left is unreachable and so has no candidate.  The
+    # sentinel exceeds every real tentative key, so holding these entries
+    # back until now changes no extraction; ties at the sentinel are
+    # still broken by vertex id.
+    for v in range(n):
+        if not visited[v]:
+            push(v, s, sentinel, True)
+    drain()
 
     if collect is not None:
         collect["heap_pushes"] = pushes
         collect["relaxations"] = relaxations
         for key, val in strat.counters().items():
             collect[f"{strat.name}.{key}"] = val
-    return SsspResult(g.n, s, parent)
+    return SsspResult(n, s, parent)
 
 
 # -- cut Dijkstra -----------------------------------------------------
