@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, Sequence, Tuple
 
-from .rational import BigRational
+from .rational import BigRational, _make
 
 __all__ = [
     "Ordering",
@@ -187,8 +187,8 @@ def best_approx(x: BigRational, b: int) -> ApproxPair:
         n, d = d, r
     t = (bound - 1 - q_prev) // q_cur
     # Convergents and semiconvergents are already in lowest terms.
-    conv = BigRational._raw(p_cur, q_cur)
-    semi = BigRational._raw(t * p_cur + p_prev, t * q_cur + q_prev)
+    conv = _make(p_cur, q_cur)
+    semi = _make(t * p_cur + p_prev, t * q_cur + q_prev)
     return ApproxPair(min(conv, semi), max(conv, semi), b)
 
 

@@ -20,8 +20,11 @@ comparison to level i+1 with a rewritten, shorter right-hand side.  The
 recursion bottoms out at L_t where every query is a sign test.
 
 An exact-arithmetic twin of the query predicate is provided both as a
-testing oracle and as the fallback when a low-probability covering
-failure is detected.
+testing oracle and as the fallback when a covering failure is detected.
+At small capacities such failures are not rare: with the default lam=4,
+a 6-slot cover (11 instances) leaves its first edge uncovered for about
+9 % of seeds.  The fallback answers exactly, so every answer stays
+correct; a failure costs time only, and is counted in `cover_fallbacks`.
 
 Exact shortcut.  The level-i numerator is a_i(v) = scale_i * D(v) - f_v
 with D(v) the exact root distance, scale_i = 2^(ell_i + 2) * capacity and

@@ -79,7 +79,7 @@ class WeightedDigraph:
         self.source = source
         self.edges: List[Edge] = []
         self._index: Dict[Tuple[int, int], int] = {}
-        self._adj: List[List[int]] = [[] for _ in range(n)]
+        self._adj: List[List[Edge]] = [[] for _ in range(n)]
         flags = list(aux_flags) if aux_flags is not None else None
         for i, (u, v, w) in enumerate(edges):
             self.add_edge(u, v, w, aux=bool(flags[i]) if flags else False)
@@ -95,15 +95,21 @@ class WeightedDigraph:
                 self.edges[at].aux = aux
             return
         self._index[key] = len(self.edges)
-        self.edges.append(Edge(u, v, w, aux))
-        self._adj[u].append(len(self.edges) - 1)
+        e = Edge(u, v, w, aux)
+        self.edges.append(e)
+        self._adj[u].append(e)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def out_edges(self, u: int) -> List[Edge]:
-        return [self.edges[i] for i in self._adj[u]]
+        """The stored list of u's out-edges, in insertion order.
+
+        Read-only: callers must not mutate the list.  A parallel edge
+        lowered by `add_edge` changes in place, so the list stays current.
+        """
+        return self._adj[u]
 
     def edge_between(self, u: int, v: int) -> Optional[Edge]:
         i = self._index.get((u, v))

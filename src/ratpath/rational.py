@@ -40,12 +40,14 @@ SUBQUADRATIC_GCD_BITS = 1 << 14
 _PARSE_RE = re.compile(r"\A([+-]?\d+)(?:/(\d+))?\Z")
 
 
-def _gcd(a: int, b: int) -> int:
-    if _gmpy2 is not None and (
-        a.bit_length() > SUBQUADRATIC_GCD_BITS or b.bit_length() > SUBQUADRATIC_GCD_BITS
-    ):
-        return int(_gmpy2.gcd(a, b))
-    return math.gcd(a, b)
+if _gmpy2 is None:
+    _gcd = math.gcd
+else:
+
+    def _gcd(a: int, b: int) -> int:
+        if a.bit_length() > SUBQUADRATIC_GCD_BITS or b.bit_length() > SUBQUADRATIC_GCD_BITS:
+            return int(_gmpy2.gcd(a, b))
+        return math.gcd(a, b)
 
 
 class BigRational:
@@ -53,6 +55,12 @@ class BigRational:
 
     ``BigRational(n)`` is n/1; ``BigRational(n, d)`` reduces n/d.  The
     denominator is always positive after construction.
+
+    Arithmetic on two canonical operands follows Knuth (TAOCP 4.5.1), as
+    ``fractions.Fraction`` does: ``+``/``-`` take the gcd of the two
+    denominators and reduce the sum only by what that gcd leaves, ``*``
+    and ``/`` cross-cancel before multiplying.  Every result is already
+    canonical and is built by ``_make`` without a further gcd.
     """
 
     __slots__ = ("num", "den")
@@ -69,19 +77,11 @@ class BigRational:
             if g > 1:
                 num //= g
                 den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("BigRational is immutable")
-
-    @classmethod
-    def _raw(cls, num: int, den: int) -> "BigRational":
-        # Internal fast path: caller guarantees canonical form.
-        x = object.__new__(cls)
-        object.__setattr__(x, "num", num)
-        object.__setattr__(x, "den", den)
-        return x
 
     @classmethod
     def parse(cls, text: str) -> "BigRational":
@@ -96,40 +96,47 @@ class BigRational:
     # -- arithmetic -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BigRational(self.num * other.den + other.num * self.den, self.den * other.den)
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self.num, self.den, other.num, other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BigRational(self.num * other.den - other.num * self.den, self.den * other.den)
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _add(self.num, self.den, -other.num, other.den)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return _add(other.num, other.den, -self.num, self.den)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return BigRational(self.num * other.num, self.den * other.den)
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _mul(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.num == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return BigRational(self.num * other.den, self.den * other.num)
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        # times the reciprocal, written with its sign on the numerator
+        if other.num > 0:
+            return _mul(self.num, self.den, other.den, other.num)
+        if other.num < 0:
+            return _mul(self.num, self.den, -other.den, -other.num)
+        raise ZeroDivisionError("rational division by zero")
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -138,10 +145,10 @@ class BigRational:
         return other / self
 
     def __neg__(self):
-        return BigRational._raw(-self.num, self.den)
+        return _make(-self.num, self.den)
 
     def __abs__(self):
-        return self if self.num >= 0 else BigRational._raw(-self.num, self.den)
+        return self if self.num >= 0 else _make(-self.num, self.den)
 
     # -- comparisons ------------------------------------------------
 
@@ -151,34 +158,39 @@ class BigRational:
         return (lhs > rhs) - (lhs < rhs)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) < 0
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.num * other.den < other.num * self.den
 
     def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) <= 0
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) > 0
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.num * other.den > other.num * self.den
 
     def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) >= 0
+        if other.__class__ is not BigRational:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.num * other.den >= other.num * self.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -210,15 +222,55 @@ class BigRational:
         return "-" + body if neg else body
 
 
-ZERO = BigRational._raw(0, 1)
-ONE = BigRational._raw(1, 1)
+# The slot descriptors write past the immutability guard in __setattr__.
+_set_num = BigRational.num.__set__
+_set_den = BigRational.den.__set__
+_new = object.__new__
+
+
+def _make(num: int, den: int) -> BigRational:
+    # The one raw constructor: (num, den) must already be canonical.
+    x = _new(BigRational)
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+def _add(na: int, da: int, nb: int, db: int) -> BigRational:
+    # na/da + nb/db for canonical operands (Knuth, TAOCP 4.5.1).
+    g = _gcd(da, db)
+    if g == 1:
+        return _make(na * db + nb * da, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _make(t, s * db)
+    return _make(t // g2, s * (db // g2))
+
+
+def _mul(na: int, da: int, nb: int, db: int) -> BigRational:
+    # (na/da) * (nb/db) for canonical operands, cross-cancelled.
+    g1 = _gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = _gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return _make(na * nb, da * db)
+
+
+ZERO = _make(0, 1)
+ONE = _make(1, 1)
 
 
 def _coerce(x):
     if isinstance(x, BigRational):
         return x
     if isinstance(x, int):
-        return BigRational._raw(x, 1)
+        return _make(x, 1)
     return NotImplemented
 
 

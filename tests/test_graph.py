@@ -62,6 +62,24 @@ class TestParseSerialize:
         g.add_edge(0, 1, R(5))
         assert g.m == 1 and g.edges[0].weight == R(1, 2)
 
+    def test_out_edges_track_lowered_parallel_edge(self):
+        g = WeightedDigraph(3)
+        g.add_edge(0, 1, R(3))
+        g.add_edge(0, 2, R(4))
+        g.add_edge(0, 1, R(1, 2), aux=True)
+        assert [(e.head, e.weight, e.aux) for e in g.out_edges(0)] == [
+            (1, R(1, 2), True),
+            (2, R(4), False),
+        ]
+
+    def test_copy_out_edges_independent(self):
+        g = WeightedDigraph(2)
+        g.add_edge(0, 1, R(3))
+        h = g.copy()
+        h.add_edge(0, 1, R(-1), aux=True)
+        assert [(e.weight, e.aux) for e in h.out_edges(0)] == [(R(-1), True)]
+        assert [(e.weight, e.aux) for e in g.out_edges(0)] == [(R(3), False)]
+
     def test_tree_round_trip(self):
         res = SsspResult(3, 0, {1: (0, R(1, 2), False), 2: (1, R(-1, 3), True)})
         text = serialize_tree(res)

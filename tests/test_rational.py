@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,9 +33,23 @@ class TestInvariants:
             R(1, 0)
 
     def test_immutable(self):
+        x, y = R(-1, 2), R(1, 3)
+        for v in (x, -x, abs(x), x + y):
+            with pytest.raises(AttributeError):
+                v.num = 5
+            with pytest.raises(AttributeError):
+                v.den = 7
+            with pytest.raises(AttributeError):
+                v.extra = 1
+        assert (x.num, x.den) == (-1, 2)
+
+    def test_not_a_tuple(self):
+        # A tuple subclass would compare equal to (1, 2) through the
+        # tuple's reflected __eq__ and would be iterable.
         x = R(1, 2)
-        with pytest.raises(AttributeError):
-            x.num = 5
+        assert x != (1, 2) and not (x == (1, 2))
+        with pytest.raises(TypeError):
+            iter(x)
 
 
 class TestArith:
@@ -178,3 +195,62 @@ def test_field_laws(an, ad, bn, bd):
     if b != ZERO:
         assert (a / b) * b == a
     assert (a < b) == (not (a >= b))
+
+
+def _canonical(x):
+    assert isinstance(x, BigRational)
+    assert x.den > 0
+    assert math.gcd(abs(x.num), x.den) == 1
+    if x.num == 0:
+        assert x.den == 1
+    return Fraction(x.num, x.den)
+
+
+# Denominators built from a few shared small primes, so that every branch
+# of the Knuth add runs: gcd(da, db) == 1, gcd(da, db) > 1 with the sum
+# coprime to it, a sum sharing a factor with it, and a zero sum.
+_shared_dens = st.builds(
+    lambda a, b, c, d: 2**a * 3**b * 5**c * 7**d,
+    st.integers(0, 6),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.integers(0, 1),
+)
+_nums = st.one_of(
+    st.integers(-60, 60),
+    st.integers(-(10**30), 10**30),
+    st.builds(lambda k, m: k * m, st.sampled_from([2, 3, 6, 10, 30, 64]), st.integers(-50, 50)),
+)
+
+
+@given(_nums, _shared_dens, _nums, _shared_dens, st.sampled_from(["free", "same", "neg"]),
+       st.integers(-20, 20))
+@settings(max_examples=600, deadline=None)
+def test_against_fraction(an, ad, bn, bd, tie, k):
+    a = BigRational(an, ad)
+    b = {"free": BigRational(bn, bd), "same": a, "neg": -a}[tie]
+    fa, fb = Fraction(a.num, a.den), Fraction(b.num, b.den)
+    assert _canonical(a + b) == fa + fb
+    assert _canonical(a - b) == fa - fb
+    assert _canonical(a * b) == fa * fb
+    if b:
+        assert _canonical(a / b) == fa / fb
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    assert _canonical(k + a) == k + fa
+    assert _canonical(a + k) == fa + k
+    assert _canonical(k - a) == k - fa
+    assert _canonical(a - k) == fa - k
+    assert _canonical(k * a) == k * fa
+    if a:
+        assert _canonical(k / a) == k / fa
+    assert _canonical(-a) == -fa
+    assert _canonical(abs(a)) == abs(fa)
+    for x, fx in ((b, fb), (k, k)):
+        assert (a == x) == (fa == fx)
+        assert (a != x) == (fa != fx)
+        assert (a < x) == (fa < fx)
+        assert (a <= x) == (fa <= fx)
+        assert (a > x) == (fa > fx)
+        assert (a >= x) == (fa >= fx)
