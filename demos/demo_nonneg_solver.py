@@ -33,5 +33,6 @@ print(f"queries per level:  {stats['distcmp.level_queries']}")
 print(f"trivial answers:    {stats['distcmp.trivial_answers']}")
 print(f"easy answers:       {stats['distcmp.easy_answers']}")
 print(f"  on exact values:  {stats['distcmp.shortcut_answers']}")
+print(f"proven ties:        {stats['distcmp.tie_answers']}")
 print(f"difficult answers:  {stats['distcmp.difficult_answers']}")
 print(f"cover fallbacks:    {stats['distcmp.cover_fallbacks']}")

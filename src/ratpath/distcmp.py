@@ -31,18 +31,21 @@ with D(v) the exact root distance, scale_i = 2^(ell_i + 2) * capacity and
 0 <= f_v < depth(v) < capacity (each chain segment adds one floor).  For a
 query (u, v, beta) let X = D(u) - D(v) - beta and let Q be a common
 denominator of the three terms.  The easy test asks whether
-|scale_i * X - (f_u - f_v)| > 2 * capacity.  If X = 0 it never holds, so
-the query takes the difficult path.  If X != 0 then |X| >= 1/Q, and when
-Q < 2^ell_i, scale_i * |X| > 4 * capacity and the left side exceeds
-3 * capacity: the test is easy with the sign of X.  Likewise the cluster window check
+|scale_i * X - (f_u - f_v)| > 2 * capacity.  If X != 0 then |X| >= 1/Q,
+and when Q < 2^ell_i, scale_i * |X| > 4 * capacity and the left side
+exceeds 3 * capacity: the test is easy with the sign of X.  If X = 0 the
+test never holds, but the answer is known: a proven tie is answered EQUAL
+at once and counted in `tie_answers`, neither easy nor difficult.  Likewise
+the cluster window check
 |scale_i * Y - (f_x - f_y)| <= 2^(ell_i - ell_chain_i + 3) * capacity, for
 Y = D(x) - D(y) - frac, holds exactly when Y = 0 once Q < 2^(ell_chain_i - 2).
 A per-node bound on the bit length of the product of the weight
 denominators on the root path bounds Q without computing it; whenever it
 fits, both tests are decided by cross-multiplying unreduced exact values,
-which gives the same answers, counters and trees as the fixed-point path.
-The fixed-point path runs only for values too wide for that, the regime
-the hierarchy exists for.
+with the answers of the fixed-point path.  The fixed-point test, and with
+it the difficult path (similarity edges, the cover, the cluster orders and
+level i+1), runs only when the gate is closed, for values too wide for
+that: the regime the hierarchy exists for.
 """
 
 from __future__ import annotations
@@ -311,6 +314,7 @@ _LEVEL_COUNTERS = (
     "trivial_answers",
     "easy_answers",
     "shortcut_answers",
+    "tie_answers",
     "difficult_answers",
     "cover_fallbacks",
 )
@@ -359,6 +363,7 @@ class DistCmp:
         self.trivial_answers = [0] * (t + 1)
         self.easy_answers = [0] * (t + 1)
         self.shortcut_answers = [0] * (t + 1)
+        self.tie_answers = [0] * (t + 1)
         self.difficult_answers = [0] * (t + 1)
         self.cover_fallbacks = [0] * (t + 1)
 
@@ -500,6 +505,9 @@ class DistCmp:
             easy = self._fixed_sign(i, u, v, beta)
         elif easy:
             self.shortcut_answers[i] += 1
+        else:
+            self.tie_answers[i] += 1
+            return Ordering.EQUAL
         if easy:
             self.easy_answers[i] += 1
             return Ordering.of(easy)

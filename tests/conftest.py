@@ -1,4 +1,4 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and instance builders for the test suite.
 
 Everything here is deliberately naive: brute-force enumeration, unreduced
 pair arithmetic, plain relaxation loops.  The oracles never share code
@@ -13,6 +13,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 import pytest
 
+from ratpath.graph import WeightedDigraph, _primes_below
 from ratpath.rational import BigRational
 
 
@@ -116,6 +117,29 @@ def bf_oracle_int(n: int, edges, s: int) -> Tuple[List[Optional[int]], bool]:
         if dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
             return dist, True
     return dist, False
+
+
+def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):
+    """A chain of k diamonds top -> x, y -> bottom whose four edges all
+    weigh (1 + i % 7) / p_i, the p_i distinct primes in (2^14, 2^15).
+
+    Both routes through a diamond tie exactly, and the root distance of a
+    node deep in the chain has a denominator of about 15 bits per diamond
+    above it, so it outgrows any fixed exact gate.  With rng the primes
+    are a random choice and the numerators random in 1..7.
+    """
+    primes = [p for p in _primes_below(1 << 15) if p > 1 << 14]
+    if rng is not None:
+        primes = [primes[int(j)] for j in rng.permutation(len(primes))]
+    edges = []
+    top = 0
+    for i, p in enumerate(primes[:k]):
+        num = 1 + i % 7 if rng is None else int(rng.integers(1, 8))
+        w = BigRational(num, p)
+        x, y, bottom = top + 1, top + 2, top + 3
+        edges += [(top, x, w), (top, y, w), (x, bottom, w), (y, bottom, w)]
+        top = bottom
+    return WeightedDigraph(top + 1, edges, source=0)
 
 
 @pytest.fixture

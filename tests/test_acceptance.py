@@ -27,6 +27,7 @@ from ratpath.graph import (
 )
 from ratpath.rational import BigRational, WordBudget
 from ratpath.sssp import dijkstra_nonneg, game_simulate, negative_sssp
+from conftest import diamond_chain
 
 
 def R(n, d=1):
@@ -128,6 +129,39 @@ def test_criterion_2_and_7b_nonneg_solver_equivalence():
         2,
         f"{solved} random + {gadgets} gadget instances, 0 failures, "
         f"{fanout_checked} fan-out checks, {time.time()-t0:.0f}s",
+    )
+
+
+def test_criterion_7b_gate_closed_fanout():
+    # Criterion 2's population never closes the exact gate, so since ties
+    # are answered at level 0 it queries no level >= 1.  Here the 7(b)
+    # allowance is checked where the hierarchy runs: tied diamond chains
+    # with 15-bit prime denominators at gate-closing constants.
+    t0 = time.time()
+    rng = np.random.default_rng(707)
+    budget = WordBudget(16)
+    constants = {"C": 0.5, "lam": 1.0}
+    deep = difficult = 0
+    for k in rng.integers(150, 201, size=24):
+        g = diamond_chain(int(k), rng)
+        stats = {}
+        res = dijkstra_nonneg(
+            g, 0, strategy="distcmp", seed=int(k), budget=budget, collect=stats, constants=constants,
+        )
+        assert res.distances() == bf_exact(g, 0).dist
+        queries = stats["distcmp.level_queries"]
+        cfg = DistCmpConfig(capacity=g.n, c=2, B=16, **constants)
+        assert len(queries) == cfg.t + 1
+        logn = math.log2(g.n)
+        for i in range(cfg.t):
+            assert queries[i + 1] <= 64.0 * cfg.n_levels[i] * logn**2, (g.n, i, queries)
+        deep += sum(queries[1:])
+        difficult += sum(stats["distcmp.difficult_answers"])
+    assert deep > 0 and difficult > 0
+    _report(
+        "7b",
+        f"24 gate-closed diamond chains, {difficult} difficult answers, "
+        f"{deep} queries at levels >= 1 within the allowance, {time.time()-t0:.0f}s",
     )
 
 

@@ -23,6 +23,43 @@ def R(n, d=1):
 WEIGHT_POOL = [R(1, 2), R(1, 3), R(1, 5), R(2, 3), R(1, 7), R(3, 5), R(0), R(2, 7)]
 
 
+def _gate_closed_population(rng, seed: int, queries: int = 3000, lam: float = 1.0) -> DistCmp:
+    """A DistCmp at gate-closing constants (ell_0 = 4000 bits) over a chain
+    of 255 twin leaves, each twin pair weighing k / p for a distinct
+    15-bit prime p, after `queries` checked comparisons.
+
+    Ties between twins, and between a node and its parent's twin, are
+    proven exactly near the root and go down the difficult path (the
+    cover, the cluster orders and level 1) once the denominators pass
+    the gate."""
+    dc = DistCmp(DistCmpConfig(capacity=512, c=1, B=16, C=0.5, lam=lam), seed=seed)
+    budget = WordBudget(16)
+    twin = {}
+    cur = 0
+    for p in [p for p in _primes_below(1 << 15) if p > 1 << 14][:255]:
+        w = R(int(rng.integers(1, 50)), p)
+        a, b = dc.insert_leaf(cur, w), dc.insert_leaf(cur, w)
+        twin[a], twin[b] = b, a
+        cur = a
+    n = len(dc.tree)
+    for _ in range(queries):
+        u = int(rng.integers(1, n))
+        r = rng.random()
+        if r < 0.4:
+            v = twin[u]
+        elif r < 0.7:
+            v = twin.get(dc.tree.parent[u], 0)
+        else:
+            v = int(rng.integers(0, n))
+        diff = dc.tree.distance(u) - dc.tree.distance(v)
+        if is_k_short(diff, 1, budget):
+            beta = diff
+        else:
+            beta = R(int(rng.integers(-64, 65)), int(rng.integers(1, 1 << 15)))
+        assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
+    return dc
+
+
 def nearby_fraction(diff: BigRational, b: int, ell: int):
     """Brute-force unique fraction with |p|, q < 2^b within 2^-ell of diff."""
     found = []
@@ -278,48 +315,28 @@ class TestCompare:
         assert mismatches == 0
 
     def test_fallback_path_still_correct(self):
-        # a single clustering instance per cover makes covering misses
-        # likely, forcing the exact fallback route
-        rng = np.random.default_rng(77)
-        cfg = DistCmpConfig(capacity=48, c=2, B=16, lam=0.17)
-        dc = DistCmp(cfg, seed=5)
-        nodes = [0]
-        fallbacks_before = sum(dc.counters()["cover_fallbacks"])
-        for _ in range(800):
-            if len(nodes) < 48 and (rng.random() < 0.4 or len(nodes) < 3):
-                parent = nodes[int(rng.integers(0, len(nodes)))]
-                nodes.append(dc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, 6))]))
-            else:
-                u = nodes[int(rng.integers(0, len(nodes)))]
-                v = nodes[int(rng.integers(0, len(nodes)))]
-                diff = dc.tree.distance(u) - dc.tree.distance(v)
-                beta = diff if is_k_short(diff, 2, WordBudget(16)) else R(1, 3)
-                assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
-        assert sum(dc.counters()["cover_fallbacks"]) >= fallbacks_before
+        # two clustering instances per cover make covering misses likely,
+        # forcing the exact fallback route; the population checks every
+        # answer against exact_compare
+        dc = _gate_closed_population(np.random.default_rng(77), seed=5, queries=800, lam=0.17)
+        assert sum(dc.counters()["cover_fallbacks"]) > 0
 
     def test_fanout_counter_bound(self):
-        rng = np.random.default_rng(88)
-        n = 128
-        cfg = DistCmpConfig(capacity=n, c=2, B=64)
-        dc = DistCmp(cfg, seed=6)
-        nodes = [0]
-        for _ in range(3000):
-            if len(nodes) < n and (rng.random() < 0.3 or len(nodes) < 3):
-                parent = nodes[int(rng.integers(0, len(nodes)))]
-                nodes.append(dc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, 6))]))
-            else:
-                u = nodes[int(rng.integers(0, len(nodes)))]
-                v = nodes[int(rng.integers(0, len(nodes)))]
-                diff = dc.tree.distance(u) - dc.tree.distance(v)
-                beta = diff if is_k_short(diff, 2, WordBudget(64)) else R(1, 5)
-                dc.compare(u, v, beta)
+        # at default constants every tie is answered at level 0, so the
+        # bound is checked where the gate closes and levels >= 1 run
+        dc = _gate_closed_population(np.random.default_rng(88), seed=6)
+        cfg = dc.config
         queries = dc.counters()["level_queries"]
-        logn = math.log2(n)
+        assert queries[1] > 0
+        logn = math.log2(cfg.capacity)
         for i in range(cfg.t):
             assert queries[i + 1] <= 64.0 * cfg.n_levels[i] * logn**2
 
     def test_answer_kinds_partition_queries(self):
-        # every level query is answered trivially, easily or difficultly
+        # every level query is answered trivially, easily, as a proven tie
+        # or difficultly; at default constants every tie is proven, and
+        # the gate-closed population sends the wide ones down the
+        # difficult path
         rng = np.random.default_rng(21)
         dc = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=8)
         nodes = [0]
@@ -333,16 +350,43 @@ class TestCompare:
                 diff = dc.tree.distance(u) - dc.tree.distance(v)
                 beta = diff if rng.random() < 0.5 and is_k_short(diff, 2, WordBudget(16)) else R(1, 3)
                 assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
-        c = dc.counters()
-        for i, queries in enumerate(c["level_queries"]):
-            easy = c["easy_answers"][i]
-            assert queries == c["trivial_answers"][i] + easy + c["difficult_answers"][i]
-            assert c["shortcut_answers"][i] <= easy
-        for name in ("trivial_answers", "shortcut_answers", "difficult_answers"):
-            assert sum(c[name]) > 0
+        totals = {}
+        for c in (dc.counters(), _gate_closed_population(rng, seed=8).counters()):
+            for i, queries in enumerate(c["level_queries"]):
+                easy = c["easy_answers"][i]
+                assert queries == (
+                    c["trivial_answers"][i] + easy + c["tie_answers"][i] + c["difficult_answers"][i]
+                )
+                assert c["shortcut_answers"][i] <= easy
+            for name in ("trivial_answers", "shortcut_answers", "tie_answers", "difficult_answers"):
+                totals[name] = totals.get(name, 0) + sum(c[name])
+        assert all(total > 0 for total in totals.values()), totals
 
 
 class TestExactShortcut:
+    def test_ties_answered_without_cover(self, rng):
+        # At default constants every tie is proven on exact values and
+        # answered EQUAL at level 0: no cover, no cluster order, no level 1.
+        dc = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=2)
+        nodes = [0]
+        for _ in range(63):
+            parent = nodes[int(rng.integers(0, len(nodes)))]
+            nodes.append(dc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, len(WEIGHT_POOL)))]))
+        ties = 0
+        for _ in range(600):
+            u = nodes[int(rng.integers(0, len(nodes)))]
+            v = nodes[int(rng.integers(0, len(nodes)))]
+            diff = dc.tree.distance(u) - dc.tree.distance(v)
+            if u == v or not is_k_short(diff, 2, WordBudget(16)):
+                continue
+            assert dc.compare(u, v, diff) is dc.exact_compare(u, v, diff) is Ordering.EQUAL
+            ties += 1
+        c = dc.counters()
+        assert ties > 0 and c["tie_answers"] == [ties] + [0] * dc.config.t
+        assert c["difficult_answers"] == [0] * (dc.config.t + 1)
+        assert sum(c["level_queries"][1:]) == 0
+        assert dc._states[0].cover is None
+
     def test_fixed_point_tests_agree_with_exact_twins(self, rng):
         # At ties (beta = the exact difference) and at near-ties as close
         # as the exact gate admits, the fixed-point easy test and window

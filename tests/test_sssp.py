@@ -28,6 +28,8 @@ from ratpath.sssp import (
     replay_enhanced_order,
 )
 
+from conftest import diamond_chain
+
 
 def R(n, d=1):
     return BigRational(n, d)
@@ -124,30 +126,30 @@ class TestDijkstraNonneg:
         [
             (
                 "ties",
-                (59, 110, [353, 111, 3], [34, 95, 3], [105, 0, 0], [214, 16, 0], [0, 3, 0], 842,
+                (59, 110, [353, 0, 0], [34, 0, 0], [105, 0, 0], [214, 0, 0], [0, 0, 0], [0, 0, 0], 0,
                  "0cfafd07ebe7bfa3c03ebe592cb9f84cb60e5899a1e80d6aa0e668c1086f0f3b"),
             ),
             (
                 "gadget",
-                (61, 61, [80, 0, 0], [20, 0, 0], [60, 0, 0], [0, 0, 0], [0, 0, 0], 0,
+                (61, 61, [80, 0, 0], [20, 0, 0], [60, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], 0,
                  "2086e26e2f21f530255e61ffebfef5b3b867ec7cca63cf2cadf266be00d3e6ae"),
             ),
             (
                 "ties-400",
-                (399, 805, [3586, 1793, 45, 1], [141, 1399, 39, 1], [820, 0, 0, 0], [2625, 394, 6, 0],
-                 [0, 0, 0, 0], 18606, "36c539820d2ececd51dafdfb848c14f64dd82bd6e2b0297998a0ea7160f0682c"),
+                (399, 805, [3586, 0, 0, 0], [141, 0, 0, 0], [820, 0, 0, 0], [2625, 0, 0, 0],
+                 [0, 0, 0, 0], [0, 0, 0, 0], 0,
+                 "36c539820d2ececd51dafdfb848c14f64dd82bd6e2b0297998a0ea7160f0682c"),
             ),
         ],
     )
     def test_distcmp_instance_pinned(self, family, pinned):
         # Counters and tree bytes of fixed runs, pinned so that a change
         # to how distcmp decides its comparisons keeps them identical:
-        # all-1/3 weights (exact ties, the cover and level 1 run), at n=60
-        # and at n=400 where most cover instances reject most edges, and a
-        # padded window-3 gadget chain (every comparison easy).  On the
-        # n=60 ties run the 6-slot level-1 cover leaves one edge without a
-        # shared cluster (a covering failure, which the cover allows with
-        # small probability), and its three queries take the exact fallback.
+        # all-1/3 weights at n=60 and n=400 (exact ties, each proven on
+        # exact values and answered at level 0, so no cover is built and
+        # level 1 is never queried), and a padded window-3 gadget chain
+        # (every comparison easy).  `test_distcmp_gate_closed_pinned`
+        # covers the cover and level 1.
         if family.startswith("ties"):
             n = 400 if family == "ties-400" else 60
             skeleton = gen_random(n, 4 * n, 3)
@@ -156,18 +158,47 @@ class TestDijkstraNonneg:
             g, _ = gen_small_diff(512, padding=True, chain=20, window=3)
         stats = {}
         r = dijkstra_nonneg(g, 0, strategy="distcmp", seed=1, collect=stats)
-        pushes, relaxations, queries, trivial, easy, difficult, fallbacks, updates, digest = pinned
+        pushes, relaxations, queries, trivial, easy, ties, difficult, fallbacks, updates, digest = pinned
         assert stats["heap_pushes"] == pushes
         assert stats["relaxations"] == relaxations
         assert stats["distcmp.level_queries"] == queries
         assert stats["distcmp.trivial_answers"] == trivial
         assert stats["distcmp.easy_answers"] == easy
         assert stats["distcmp.shortcut_answers"] == easy  # every easy answer is a shortcut
+        assert stats["distcmp.tie_answers"] == ties
         assert stats["distcmp.difficult_answers"] == difficult
         assert stats["distcmp.cover_fallbacks"] == fallbacks
         assert stats["distcmp.dsu_inconsistencies"] == 0
         assert stats["distcmp.cover_updates"] == updates
         assert hashlib.sha256(serialize_tree(r).encode()).hexdigest() == digest
+
+    def test_distcmp_gate_closed_pinned(self):
+        # The regime the hierarchy exists for: a chain of 170 tied diamonds
+        # whose weight denominators are distinct 15-bit primes, at
+        # constants whose level-0 gate (ell_0 = 8000 bits) the deep
+        # nodes' denominators outgrow.  Shallow ties are proven exactly;
+        # deep ones take the fixed-point test, the cover, the cluster
+        # orders and level 1.  The tree equals exact_oracle's.
+        g = diamond_chain(170)
+        stats = {}
+        r = dijkstra_nonneg(
+            g, 0, strategy="distcmp", seed=1, budget=B16, collect=stats,
+            constants={"C": 0.5, "lam": 1.0},
+        )
+        assert (g.n, stats["heap_pushes"], stats["relaxations"]) == (511, 510, 680)
+        assert stats["distcmp.level_queries"] == [510, 30, 0, 0, 0]
+        assert stats["distcmp.trivial_answers"] == [170, 19, 0, 0, 0]
+        assert stats["distcmp.easy_answers"] == [170, 0, 0, 0, 0]
+        assert stats["distcmp.shortcut_answers"] == [134, 0, 0, 0, 0]
+        assert stats["distcmp.tie_answers"] == [133, 11, 0, 0, 0]
+        assert stats["distcmp.difficult_answers"] == [37, 0, 0, 0, 0]
+        assert stats["distcmp.cover_fallbacks"] == [7, 0, 0, 0, 0]
+        assert stats["distcmp.dsu_inconsistencies"] == 0
+        assert stats["distcmp.cover_updates"] == 144
+        digest = hashlib.sha256(serialize_tree(r).encode()).hexdigest()
+        assert digest == "fe08130655d0556b0dfe3fb7db5de15ae8ee3a17b83628c3af682cfdd08a9954"
+        oracle = dijkstra_nonneg(g, 0, strategy="exact_oracle", budget=B16)
+        assert serialize_tree(oracle) == serialize_tree(r)
 
     @pytest.mark.parametrize(
         "family, pinned",

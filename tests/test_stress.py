@@ -2,14 +2,18 @@
 all-zero weights, tight word budgets, extreme hop parameters, long
 chains, and the arbitrary-magnitude fallback of the scaling rounds."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from ratpath.graph import WeightedDigraph, bf_exact, gen_random, gen_small_diff, serialize
 from ratpath.rational import BigRational, WordBudget
 from ratpath.sssp import dijkstra_nonneg, negative_sssp
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def R(n, d=1):
@@ -82,6 +86,8 @@ def test_cli_deterministic_across_processes(tmp_path):
     g = gen_random(16, 48, 9, "small", "priced")
     inst = tmp_path / "inst.gr"
     inst.write_text(serialize(g))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     outs = []
     for i in range(2):
         tree = tmp_path / f"t{i}.tree"
@@ -91,7 +97,7 @@ def test_cli_deterministic_across_processes(tmp_path):
                 "--input", str(inst), "--seed", "11", "--word-bits", "16",
                 "--output", str(tree),
             ],
-            capture_output=True,
+            env=env, capture_output=True,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(tree.read_bytes())
