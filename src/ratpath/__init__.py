@@ -55,7 +55,6 @@ from .sssp import (
     dijkstra_nonneg,
     game_simulate,
     negative_sssp,
-    replay_enhanced_order,
 )
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rational import BigRational, ZERO, ONE, sum_balanced
+from .rational import BigRational, ZERO, ONE, sum_balanced, sum_lt
 
 __all__ = [
     "Edge",
@@ -435,6 +435,15 @@ def bf_exact(
     With `hop_bound = k` the rounds are synchronous and the result is the
     exact k-hop-bounded distance function (no cycle detection).  Without
     it, a cycle reachable from s is detected and returned as a witness.
+
+    Each relaxation is decided by `sum_lt`, so only an improvement builds
+    a sum.  Without a hop bound the rounds scan the edges in list order
+    and skip an edge whose tail's distance has not changed since that
+    edge was last scanned (a version per vertex, the version last seen
+    per edge): the last scan left d(head) <= d(tail) + w, and d(head)
+    only falls, so the edge could not improve anything.  Every
+    improvement, the parents, the round count and so the cycle witness
+    are those of the full scan.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
@@ -452,28 +461,34 @@ def bf_exact(
                 du = snapshot[e.tail]
                 if du is None:
                     continue
-                cand = du + e.weight
-                if dist[e.head] is None or cand < dist[e.head]:
-                    dist[e.head] = cand
-                    parent[e.head] = e.tail
+                v = e.head
+                if dist[v] is None or sum_lt(du, e.weight, dist[v]):
+                    dist[v] = du + e.weight
+                    parent[v] = e.tail
                     changed = True
             if not changed:
                 break
         return BfResult(dist, parent)
 
+    version = [0] * g.n  # bumped on every change of dist[v]
+    version[s] = 1
+    seen = [0] * g.m  # version[tail] when the edge was last scanned
     last_improved = -1
     for rnd in range(g.n):
         changed = False
-        for e in g.edges:
-            du = dist[e.tail]
-            if du is None:
+        for i, e in enumerate(g.edges):
+            u = e.tail
+            if seen[i] == version[u]:
                 continue
-            cand = du + e.weight
-            if dist[e.head] is None or cand < dist[e.head]:
-                dist[e.head] = cand
-                parent[e.head] = e.tail
+            seen[i] = version[u]
+            du = dist[u]
+            v = e.head
+            if dist[v] is None or sum_lt(du, e.weight, dist[v]):
+                dist[v] = du + e.weight
+                parent[v] = u
+                version[v] += 1
                 changed = True
-                last_improved = e.head
+                last_improved = v
         if not changed:
             return BfResult(dist, parent)
     cycle = _extract_cycle(parent, last_improved, g.n)
@@ -481,20 +496,6 @@ def bf_exact(
     if w >= ZERO:
         raise AssertionError("extracted cycle is not negative")
     return NegativeCycle(cycle, w)
-
-
-def bf_tree(g: WeightedDigraph, s: int) -> SsspResult:
-    """Shortest-paths tree from the exact Bellman-Ford oracle."""
-    res = bf_exact(g, s)
-    if isinstance(res, NegativeCycle):
-        raise ValueError("graph has a negative cycle reachable from the source")
-    parent: Dict[int, Tuple[int, BigRational, bool]] = {}
-    for v in range(g.n):
-        if v != s and res.dist[v] is not None:
-            u = res.parent[v]
-            e = g.edge_between(u, v)
-            parent[v] = (u, e.weight, e.aux)
-    return SsspResult(g.n, s, parent)
 
 
 # -- generators -----------------------------------------------------
@@ -732,6 +733,14 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     check is the outcome.  An out-of-range source, tree vertex or parent,
     or a real tree edge missing from g, raises ValueError.
     `mode` accepts only "exact"; the benchmark harness passes it by keyword.
+
+    The triangle check skips the tree edges, the edges u->v with
+    `parent[v] == (u, w, False)`: it cannot fail on them.  The weight
+    check has already made w the weight of the one graph edge u->v (no
+    parallel edges survive ingest), and `distances()` defines d(v) as
+    d(u) + w.  An aux parent entry is no tree edge here, so a real edge
+    under it is still checked.  Every other edge is decided by `sum_lt`,
+    which builds no sum.
     """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -739,7 +748,8 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
         return VerifyOutcome(False, reason="vertex count mismatch")
     if not 0 <= result.source < g.n:
         raise ValueError(f"source {result.source} out of range")
-    for v, (u, w, aux) in result.parent.items():
+    parent = result.parent
+    for v, (u, w, aux) in parent.items():
         if not 0 <= v < g.n:
             raise ValueError(f"tree vertex {v} out of range")
         if not 0 <= u < g.n:
@@ -760,6 +770,12 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
         if dist[e.tail] is not None and dist[e.head] is None:
             return VerifyOutcome(False, witness=e, reason="tree misses a reachable vertex")
     for e in real_edges:
-        if dist[e.tail] is not None and dist[e.tail] + e.weight < dist[e.head]:
+        du = dist[e.tail]
+        if du is None:
+            continue
+        p = parent.get(e.head)
+        if p is not None and p[0] == e.tail and not p[2]:
+            continue
+        if sum_lt(du, e.weight, dist[e.head]):
             return VerifyOutcome(False, witness=e, reason="edge violates the triangle inequality")
     return VerifyOutcome(True)

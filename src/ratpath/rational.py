@@ -30,6 +30,7 @@ __all__ = [
     "arith",
     "is_k_short",
     "sum_balanced",
+    "sum_lt",
     "truncate_binary",
 ]
 
@@ -264,6 +265,20 @@ def _mul(na: int, da: int, nb: int, db: int) -> BigRational:
 
 ZERO = _make(0, 1)
 ONE = _make(1, 1)
+
+
+def sum_lt(a: BigRational, b: BigRational, c: BigRational) -> bool:
+    """Exactly whether a + b < c, building no sum and taking no gcd.
+
+    Cross-multiplies the operands as they are: with positive
+    denominators, a + b < c iff (a.num*b.den + b.num*a.den) * c.den <
+    c.num * a.den * b.den.  A relaxation that loses its comparison thus
+    costs five integer products; the caller builds a + b only when this
+    is True.
+    """
+    ad = a.den
+    bd = b.den
+    return (a.num * bd + b.num * ad) * c.den < c.num * ad * bd
 
 
 def _coerce(x):

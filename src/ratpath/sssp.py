@@ -45,7 +45,7 @@ from .graph import (
 )
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
 from .graph import augment_source  # noqa: F401
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short, sum_lt
 from .scaling import eps_feasible_price
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "cut_preprocess",
     "CutResult",
     "cut_dijkstra",
-    "replay_enhanced_order",
     "negative_sssp",
     "game_simulate",
     "BOB_STRATEGIES",
@@ -329,16 +328,20 @@ def cut_dijkstra(
     w(v->u) - w(v->u') there; those answer every such comparison exactly,
     since the weight difference is 2-short, so the order is the same.
 
-    Each vertex caches its tentative distance dist(par(u)) + w(par(u)->u)
-    and its heap key, that distance minus p(u), both written when its
-    parent changes; dist(par(u)) is final once par(u) is extracted, so
-    each relaxation builds one sum.
+    Each vertex caches its tentative distance dist(par(u)) + w(par(u)->u),
+    its heap key (that distance minus p(u)) and the key's integer floor
+    floor(key * 2^64), all written when its parent changes; dist(par(u))
+    is final once par(u) is extracted.  A relaxation is decided by
+    `sum_lt` on the unreduced operands, so only a winning relaxation
+    builds a sum, and the floor is computed once per win.
 
-    Heap entries are tuples: (0, floor(key * 2^64), key, vid, token) for
-    a finite key and (1, vid, token) for +infinity, so finite keys come
-    first and ties break by vertex id.  The floor is monotone in the key,
-    so it keeps the exact order while tuple comparison settles most pairs
-    on plain ints before reaching the exact key.
+    The cached floor leads both orders that rank vertices: heap entries
+    are tuples (0, floor, key, vid, token) for a finite key and (1, vid,
+    token) for +infinity, so finite keys come first and ties break by
+    vertex id, and `touched` is sorted by (floor, key, vid).  The floor
+    is monotone in the key, so it keeps the exact order while tuple
+    comparison settles most pairs on plain ints before reaching the
+    exact key.
     """
     n = g.n
     k = ctx.k
@@ -350,6 +353,8 @@ def cut_dijkstra(
     tent[s] = ZERO
     tent_key: List[Optional[BigRational]] = [None] * n  # tent[v] - p(v)
     tent_key[s] = -price[s]
+    tent_floor: List[Optional[int]] = [None] * n  # floor(tent_key[v] * 2^64)
+    tent_floor[s] = (tent_key[s].num << 64) // tent_key[s].den
     extracted = [False] * n
     processed = [False] * n
     expiry: List[Optional[int]] = [None] * n  # None = no countdown
@@ -364,19 +369,19 @@ def cut_dijkstra(
     relaxations = 0
     order: List[int] = []
 
-    def push(v: int, key: Optional[BigRational]) -> None:
+    def push(v: int) -> None:
         nonlocal live, inserts
         token[v] += 1
-        if key is None:
+        if tent_key[v] is None:
             heapq.heappush(heap, (1, v, token[v]))
         else:
-            heapq.heappush(heap, (0, (key.num << 64) // key.den, key, v, token[v]))
+            heapq.heappush(heap, (0, tent_floor[v], tent_key[v], v, token[v]))
         on_heap[v] = True
         live += 1
         inserts += 1
 
     for v in range(n):
-        push(v, tent_key[v])
+        push(v)
 
     def expire(turn: int) -> None:
         # Entries left behind by a lowered countdown or an extraction are
@@ -384,7 +389,7 @@ def cut_dijkstra(
         for u in sorted(buckets.pop(turn, ())):
             if expiry[u] == turn:
                 expiry[u] = None
-                push(u, tent_key[u])
+                push(u)
 
     for _ in range(n):
         # Countdown phase: one tick normally; when every pending vertex is
@@ -416,19 +421,20 @@ def cut_dijkstra(
         if dist[v] is None or not is_k_short(dist[v], k, budget):
             continue
         processed[v] = True
+        dv = dist[v]
         touched: List[int] = []
         for e in g.out_edges(v):
             u = e.head
             if extracted[u]:
                 continue
             relaxations += 1
-            cand = dist[v] + e.weight
-            if par[u] is None or cand._cmp(tent[u]) < 0:
+            if par[u] is None or sum_lt(dv, e.weight, tent[u]):
                 par[u] = v
-                tent[u] = cand
-                tent_key[u] = cand - price[u]
+                tent[u] = cand = dv + e.weight
+                tent_key[u] = key = cand - price[u]
+                tent_floor[u] = (key.num << 64) // key.den
                 touched.append(u)
-        touched.sort(key=lambda u: (tent_key[u], u))
+        touched.sort(key=lambda u: (tent_floor[u], tent_key[u], u))
         for rank, u in enumerate(touched, start=1):
             if on_heap[u]:
                 on_heap[u] = False
@@ -448,27 +454,6 @@ def cut_dijkstra(
         collect["cut_heap_inserts_max"] = max(collect.get("cut_heap_inserts_max", 0), inserts)
         collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
     return CutResult(s, dist, par, order, processed, inserts)
-
-
-def replay_enhanced_order(
-    g: WeightedDigraph, s: int, order: Sequence[int], processed: Sequence[bool]
-) -> List[Optional[BigRational]]:
-    """Re-run the generic skip-list Dijkstra with a recorded extraction
-    order and processed set, entirely in exact arithmetic."""
-    dist: List[Optional[BigRational]] = [None] * g.n
-    dist[s] = ZERO
-    remaining = [True] * g.n
-    for v in order:
-        if processed[v]:
-            for e in g.out_edges(v):
-                u = e.head
-                if not remaining[u] or u == v or dist[v] is None:
-                    continue
-                cand = dist[v] + e.weight
-                if dist[u] is None or cand < dist[u]:
-                    dist[u] = cand
-        remaining[v] = False
-    return dist
 
 
 # -- negative pipeline -------------------------------------------------
@@ -536,7 +521,7 @@ def negative_sssp(
         runs = [cut_dijkstra(pre, g, v, collect=collect) for v in hitset]
 
         try:
-            result = _recombine(g, s, hitset, runs)
+            result = _witness_tree(g, s, hitset, runs, *_recombine(g.n, hitset, runs))
             check = verify_sssp(g, result)
         except _RecombinationError:
             check = None
@@ -554,18 +539,29 @@ def negative_sssp(
 
 
 def _recombine(
-    g: WeightedDigraph, s: int, hitset: List[int], runs: List[CutResult]
-) -> SsspResult:
+    n: int, hitset: List[int], runs: List[CutResult]
+) -> Tuple[List[int], List[Optional[int]]]:
+    """Stitch the runs: (hpar, best_via), the recombination parent of each
+    hit-set index and the hit-set index each vertex is best reached
+    through."""
     size = len(hitset)
-    # Exact Bellman-Ford over the recombination graph on the hit set.
+    # Exact Bellman-Ford over the recombination graph on the hit set.  A
+    # row is scanned only when hdist[i] changed since its last scan: that
+    # scan left hdist[j] <= hdist[i] + w for every j, and hdist[j] only
+    # falls, so a rescan could improve nothing.  Every improvement, hpar
+    # and the round count are those of the full scan.
     hdist: List[Optional[BigRational]] = [None] * size
     hpar = [-1] * size
     hdist[0] = ZERO  # hitset[0] == s
+    fresh = [False] * size
+    fresh[0] = True
     for _ in range(size):
         changed = False
         for i in range(size):
-            if hdist[i] is None:
+            if not fresh[i]:
                 continue
+            fresh[i] = False
+            hi = hdist[i]
             di = runs[i].dist
             for j in range(size):
                 if i == j:
@@ -573,30 +569,43 @@ def _recombine(
                 w = di[hitset[j]]
                 if w is None:
                     continue
-                cand = hdist[i] + w
-                if hdist[j] is None or cand < hdist[j]:
-                    hdist[j] = cand
+                if hdist[j] is None or sum_lt(hi, w, hdist[j]):
+                    hdist[j] = hi + w
                     hpar[j] = i
-                    changed = True
+                    fresh[j] = changed = True
         if not changed:
             break
 
     # Best two-stage estimate per vertex and its through-vertex.
-    best_via: List[Optional[int]] = [None] * g.n
-    best: List[Optional[BigRational]] = [None] * g.n
+    best_via: List[Optional[int]] = [None] * n
+    best: List[Optional[BigRational]] = [None] * n
     for i in range(size):
-        if hdist[i] is None:
+        hi = hdist[i]
+        if hi is None:
             continue
         di = runs[i].dist
-        for v in range(g.n):
+        for v in range(n):
             w = di[v]
             if w is None:
                 continue
-            cand = hdist[i] + w
-            if best[v] is None or cand < best[v]:
-                best[v] = cand
+            if best[v] is None or sum_lt(hi, w, best[v]):
+                best[v] = hi + w
                 best_via[v] = i
+    return hpar, best_via
 
+
+def _witness_tree(
+    g: WeightedDigraph,
+    s: int,
+    hitset: List[int],
+    runs: List[CutResult],
+    hpar: List[int],
+    best_via: List[Optional[int]],
+) -> SsspResult:
+    """The tree of the stitched witness walks: each vertex's walk through
+    its hit-set relays, spliced, and the union of their edges searched
+    from s."""
+    size = len(hitset)
     # Expand witness walks, splice out zero-weight loops, and collect the
     # union of their edges.
     hpaths: Dict[int, List[int]] = {0: [0]}

@@ -7,14 +7,15 @@ with the implementation paths they check.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
-from ratpath.graph import WeightedDigraph, _primes_below
-from ratpath.rational import BigRational
+from ratpath.graph import SsspResult, WeightedDigraph, _primes_below
+from ratpath.rational import BigRational, ZERO
 
 
 class UnreducedPair:
@@ -117,6 +118,121 @@ def bf_oracle_int(n: int, edges, s: int) -> Tuple[List[Optional[int]], bool]:
         if dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
             return dist, True
     return dist, False
+
+
+def _frac(x: Optional[BigRational]) -> Optional[Fraction]:
+    return None if x is None else Fraction(x.num, x.den)
+
+
+def textbook_bf(g: WeightedDigraph, s: int):
+    """Round-robin Bellman-Ford in `fractions.Fraction` arithmetic.
+
+    n rounds, each relaxing every edge of `g.edges` in list order on a
+    strict improvement; a round with no improvement ends the search.  If
+    round n still improves, a negative cycle is reachable: walking n
+    parent links back from the last improved vertex lands on it.
+
+    Returns (dist, parent, cycle): dist as Fractions (None when
+    unreachable), parent ids (-1 for none), and the cycle's vertex list
+    in edge order, or None.
+    """
+    n = g.n
+    edges = [(e.tail, e.head, _frac(e.weight)) for e in g.edges]
+    dist: List[Optional[Fraction]] = [None] * n
+    parent = [-1] * n
+    dist[s] = Fraction(0)
+    last = -1
+    for _ in range(n):
+        changed = False
+        for u, v, w in edges:
+            if dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
+                dist[v] = dist[u] + w
+                parent[v] = u
+                changed = True
+                last = v
+        if not changed:
+            return dist, parent, None
+    v = last
+    for _ in range(n):
+        v = parent[v]
+    cycle = [v]
+    u = parent[v]
+    while u != v:
+        cycle.append(u)
+        u = parent[u]
+    cycle.reverse()
+    return dist, parent, cycle
+
+
+def bf_tree(g: WeightedDigraph, s: int) -> SsspResult:
+    """Shortest-paths tree of the textbook Bellman-Ford."""
+    dist, parent, cycle = textbook_bf(g, s)
+    if cycle is not None:
+        raise ValueError("graph has a negative cycle reachable from the source")
+    tree: Dict[int, Tuple[int, BigRational, bool]] = {}
+    for v in range(g.n):
+        if v != s and dist[v] is not None:
+            e = g.edge_between(parent[v], v)
+            tree[v] = (parent[v], e.weight, e.aux)
+    return SsspResult(g.n, s, tree)
+
+
+def replay_enhanced_order(
+    g: WeightedDigraph, s: int, order: Sequence[int], processed: Sequence[bool]
+) -> List[Optional[BigRational]]:
+    """Re-run the generic skip-list Dijkstra with a recorded extraction
+    order and processed set, entirely in exact arithmetic."""
+    dist: List[Optional[BigRational]] = [None] * g.n
+    dist[s] = ZERO
+    remaining = [True] * g.n
+    for v in order:
+        if processed[v]:
+            for e in g.out_edges(v):
+                u = e.head
+                if not remaining[u] or u == v or dist[v] is None:
+                    continue
+                cand = dist[v] + e.weight
+                if dist[u] is None or cand < dist[u]:
+                    dist[u] = cand
+        remaining[v] = False
+    return dist
+
+
+def full_scan_recombination(n: int, hitset: Sequence[int], runs):
+    """(hpar, best_via) of the recombination stage by full scans in
+    `Fraction` arithmetic: Bellman-Ford over the hit set relaxing every
+    row in every round, then the best two-stage estimate per vertex,
+    each on a strict improvement in index order."""
+    size = len(hitset)
+    hdist: List[Optional[Fraction]] = [None] * size
+    hpar = [-1] * size
+    hdist[0] = Fraction(0)
+    for _ in range(size):
+        changed = False
+        for i in range(size):
+            if hdist[i] is None:
+                continue
+            for j in range(size):
+                w = _frac(runs[i].dist[hitset[j]])
+                if i == j or w is None:
+                    continue
+                if hdist[j] is None or hdist[i] + w < hdist[j]:
+                    hdist[j] = hdist[i] + w
+                    hpar[j] = i
+                    changed = True
+        if not changed:
+            break
+    best: List[Optional[Fraction]] = [None] * n
+    best_via: List[Optional[int]] = [None] * n
+    for i in range(size):
+        if hdist[i] is None:
+            continue
+        for v in range(n):
+            w = _frac(runs[i].dist[v])
+            if w is not None and (best[v] is None or hdist[i] + w < best[v]):
+                best[v] = hdist[i] + w
+                best_via[v] = i
+    return hpar, best_via
 
 
 def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):

@@ -1,0 +1,42 @@
+"""The library still has every name the benchmark's tracer wraps.
+
+`bench/spans.py` wraps library functions where the calling module looks
+them up (`sssp.bf_exact`, `sssp.verify_sssp`, `sssp.augment_source`,
+`sssp.compare_via_approx`, `scaling.integer_sssp_arrays`, ...).  If the
+library drops one of those names, every traced benchmark run fails; this
+test fails first.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import ratpath as rp
+from ratpath.graph import gen_random
+
+_SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", _SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_exact_verify_accepts():
+    spans = _load_spans()
+    verify = rp.verify_sssp
+    g = gen_random(16, 48, 3, "small", "priced")
+    tracer = spans.Tracer(rp)
+    with tracer.installed():
+        with tracer.root("solve"):
+            tree = rp.negative_sssp(g, 0, seed=1)
+        with tracer.root("verify"):
+            out = rp.verify_sssp(g, tree, mode="exact")
+    assert isinstance(tree, rp.SsspResult)
+    assert out.valid
+    assert tracer.get("graph.verify_sssp.exact", "calls", ("verify",)) == 1
+    assert tracer.get("sssp.cut_dijkstra", "calls") >= 1
+    assert rp.verify_sssp is verify  # restored on exit

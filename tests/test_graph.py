@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from ratpath.graph import (
     WeightedDigraph,
     augment_source,
     bf_exact,
-    bf_tree,
     check_eps_feasible,
     cycle_weight,
     gen_random,
@@ -27,6 +27,8 @@ from ratpath.graph import (
     verify_sssp,
 )
 from ratpath.rational import BigRational, ZERO
+
+from conftest import bf_tree, textbook_bf
 
 
 def R(n, d=1):
@@ -182,6 +184,56 @@ class TestBfExact:
         assert bf_exact(g, 0, hop_bound=1).dist[3] == R(10)
         assert bf_exact(g, 0, hop_bound=2).dist[3] == ZERO
 
+    @staticmethod
+    def _instance(rng):
+        # Zero weights and small denominators make exact ties common; a
+        # cut keeps vertices >= split out of the source's reach; the
+        # third kind flips signs freely and so often closes a negative
+        # cycle (self-loops included).
+        n = int(rng.integers(1, 30))
+        kind = int(rng.integers(0, 3))  # 0 non-negative, 1 priced, 2 free signs
+        split = int(rng.integers(1, n + 1)) if rng.random() < 0.4 else n
+        pot = [R(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
+        choices = [R(0), R(0), R(1), R(1, 2), R(1, 3), R(2, 3), R(3, 2)]
+        edges = []
+        for _ in range(int(rng.integers(0, 4 * n + 1))):
+            u, v = int(rng.integers(0, n)), int(rng.integers(0, n))
+            if u < split <= v:
+                continue
+            w = choices[int(rng.integers(0, len(choices)))]
+            if kind == 1:
+                w = w + pot[u] - pot[v]
+            elif kind == 2 and rng.random() < 0.3:
+                w = -w
+            edges.append((u, v, w))
+        return WeightedDigraph(n, edges), int(rng.integers(0, split))
+
+    def test_matches_textbook_bellman_ford(self):
+        # The edge skip of bf_exact must leave every improvement in place:
+        # distances, parents and the cycle witness equal the full scan's.
+        rng = np.random.default_rng(1601)
+        seen = {"cycle": 0, "unreachable": 0, "zero": 0, "tie": 0}
+        for _ in range(300):
+            g, s = self._instance(rng)
+            dist, parent, cycle = textbook_bf(g, s)
+            res = bf_exact(g, s)
+            if cycle is not None:
+                assert isinstance(res, NegativeCycle)
+                assert list(res.vertices) == cycle
+                seen["cycle"] += 1
+                continue
+            assert not isinstance(res, NegativeCycle)
+            assert [None if d is None else Fraction(d.num, d.den) for d in res.dist] == dist
+            assert res.parent == parent
+            seen["unreachable"] += None in dist
+            seen["zero"] += any(e.weight == ZERO for e in g.edges)
+            seen["tie"] += any(
+                dist[e.tail] is not None and e.tail != parent[e.head] and e.head != s
+                and dist[e.tail] + Fraction(e.weight.num, e.weight.den) == dist[e.head]
+                for e in g.edges
+            )
+        assert min(seen.values()) >= 20, seen
+
 
 class TestGenerators:
     def test_small_diff_example(self):
@@ -331,6 +383,43 @@ class TestVerify:
                     assert not verify_sssp(g, tree, mode="exact").valid
                     checked_invalid += 1
         assert checked_valid == 1000 and checked_invalid > 100
+
+    def test_aux_parent_over_real_edge_is_checked(self):
+        # Only a non-aux parent entry is a tree edge whose triangle check
+        # is skipped; under an aux entry the real edge 1->2 is checked.
+        g = WeightedDigraph(3, [(0, 1, R(1)), (1, 2, R(1)), (0, 2, R(3))])
+        tree = SsspResult(3, 0, {1: (0, R(1), False), 2: (1, R(1), True)})
+        out = verify_sssp(g, tree, mode="exact")
+        assert not out.valid
+        assert (out.witness.tail, out.witness.head) == (1, 2)
+
+    def test_rejects_gadget_gap_deep_in_chain(self):
+        # Swap one twin path deep in a window-3 chain for the heavier
+        # one: the only violated edge is the lighter path's last edge,
+        # now a non-tree edge, and it is violated by one gadget gap.
+        chain = 120
+        bound = _primes_below(_prime_bound_for(3 * chain))[3 * chain - 1] + 1
+        g, _ = gen_small_diff(bound, padding=True, chain=chain, window=3)
+        tree = bf_tree(g, 0)
+        assert verify_sssp(g, tree, mode="exact").valid
+        dist = tree.distances()
+        into = {}
+        for e in g.edges:
+            into.setdefault(e.head, []).append(e)
+        joins = sorted((v for v, es in into.items() if len(es) == 2), key=lambda v: dist[v])
+        v = joins[len(joins) * 9 // 10]
+        light = next(e for e in into[v] if e.tail == tree.parent[v][0])
+        heavy = next(e for e in into[v] if e is not light)
+        tree.parent[v] = (heavy.tail, heavy.weight, False)
+        out = verify_sssp(g, tree, mode="exact")
+        assert not out.valid
+        assert out.reason == "edge violates the triangle inequality"
+        assert out.witness is light
+        swapped = tree.distances()
+        excess = swapped[v] - (swapped[light.tail] + light.weight)
+        assert excess == dist[heavy.tail] + heavy.weight - dist[v]
+        assert ZERO < excess < R(1, 1 << 16)
+        assert swapped[v].den.bit_length() > 1000
 
     def test_only_exact_mode(self):
         g = gen_random(8, 20, 1)

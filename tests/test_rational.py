@@ -13,6 +13,7 @@ from ratpath.rational import (
     arith,
     is_k_short,
     sum_balanced,
+    sum_lt,
     truncate_binary,
 )
 from conftest import UnreducedPair
@@ -254,3 +255,17 @@ def test_against_fraction(an, ad, bn, bd, tie, k):
         assert (a <= x) == (fa <= fx)
         assert (a > x) == (fa > fx)
         assert (a >= x) == (fa >= fx)
+
+
+@given(_nums, _shared_dens, _nums, _shared_dens, _nums, _shared_dens,
+       st.sampled_from(["free", "tie", "above", "below"]))
+@settings(max_examples=600, deadline=None)
+def test_sum_lt_against_fraction(an, ad, bn, bd, cn, cd, where):
+    # c either free or pinned to the exact sum and its two neighbours at
+    # distance 1/cd, so that ties and the closest losses and wins occur.
+    a, b = BigRational(an, ad), BigRational(bn, bd)
+    exact = Fraction(an, ad) + Fraction(bn, bd)
+    step = Fraction(1, cd)
+    fc = {"free": Fraction(cn, cd), "tie": exact, "above": exact + step, "below": exact - step}[where]
+    c = BigRational(fc.numerator, fc.denominator)
+    assert sum_lt(a, b, c) == (exact < fc)

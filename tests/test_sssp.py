@@ -20,15 +20,16 @@ from ratpath.sssp import (
     BOB_STRATEGIES,
     IllegalBobMove,
     NegativeWeightError,
+    _recombine,
+    _witness_tree,
     cut_dijkstra,
     cut_preprocess,
     dijkstra_nonneg,
     game_simulate,
     negative_sssp,
-    replay_enhanced_order,
 )
 
-from conftest import diamond_chain
+from conftest import diamond_chain, full_scan_recombination, replay_enhanced_order
 
 
 def R(n, d=1):
@@ -401,6 +402,48 @@ class TestCutDijkstra:
                     est = runs[z].dist[v]
                     if est is not None:
                         assert full[v] is not None and est >= full[v]
+
+
+class TestRecombination:
+    @staticmethod
+    def _deep_priced(n, rng):
+        # A backbone 0 -> n-1 -> ... -> 1 over a non-negative random graph,
+        # then a random potential: negative edges, no negative cycle, and
+        # deep paths whose distances soon stop being 1-short, so cut runs
+        # at k = 1 leave the far vertices to relays through the hit set.
+        base = gen_random(n, 2 * n, int(rng.integers(0, 2**31)), "small")
+        edges = {(e.tail, e.head): e.weight for e in base.edges}
+        for u, v in [(0, n - 1)] + [(v, v - 1) for v in range(n - 1, 1, -1)]:
+            edges[(u, v)] = R(int(rng.integers(1, 17)), int(rng.integers(1, 17)))
+        pot = [R(int(rng.integers(-16, 17)), int(rng.integers(1, 17))) for _ in range(n)]
+        return WeightedDigraph(n, [(u, v, w - pot[u] + pot[v]) for (u, v), w in edges.items()], source=0)
+
+    def test_matches_full_scan(self):
+        # The row skip and the unreduced comparisons of _recombine must
+        # give the recombination parents and through-vertices of full
+        # scans on the same hit set and runs; the tree is a function of
+        # those.  The tree alone would not show a wrong parent, since
+        # another stitching can reach the same shortest paths.
+        rng = np.random.default_rng(1603)
+        trees = relayed = 0
+        for trial in range(120):
+            n = int(rng.integers(4, 40))
+            if trial % 2:
+                g, k = self._deep_priced(n, rng), 1
+            else:
+                g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
+                k = int(rng.choice([1, 2, 3]))
+            ctx = cut_preprocess(g, k, budget=B16)
+            assert not isinstance(ctx, NegativeCycle)
+            others = [int(v) for v in rng.permutation(np.arange(1, n))[: int(rng.integers(1, n))]]
+            hitset = [0] + sorted(others)
+            runs = [cut_dijkstra(ctx, g, v) for v in hitset]
+            hpar, best_via = full_scan_recombination(g.n, hitset, runs)
+            assert _recombine(g.n, hitset, runs) == (hpar, best_via), trial
+            tree = _witness_tree(g, 0, hitset, runs, hpar, best_via)
+            trees += verify_sssp(g, tree).valid
+            relayed += any(p > 0 for p in hpar)
+        assert trees >= 100 and relayed >= 10, (trees, relayed)
 
 
 class TestNegativePipeline:
