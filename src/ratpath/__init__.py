@@ -10,7 +10,6 @@ from .rational import (
     BigRational,
     WordBudget,
     DEFAULT_BUDGET,
-    arith,
     is_k_short,
     sum_balanced,
     truncate_binary,

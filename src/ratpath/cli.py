@@ -17,7 +17,7 @@ from typing import Dict, Optional
 from . import graph as graphmod
 from .graph import NegativeCycle, parse, parse_tree, serialize, serialize_tree
 from .rational import BigRational, WordBudget
-from .sssp import NegativeWeightError, dijkstra_nonneg, negative_sssp
+from .sssp import dijkstra_nonneg, negative_sssp
 from .cfrac import best_approx
 
 
@@ -89,7 +89,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 g, s, k=args.k, gamma=args.gamma if args.gamma is not None else 2.0,
                 seed=seed, budget=budget, collect=stats,
             )
-    except NegativeWeightError as exc:
+    except ValueError as exc:  # NegativeWeightError and rejected parameters
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(result, NegativeCycle):

@@ -633,6 +633,8 @@ class PairwiseDeltaComparator:
     ):
         if hop_param < 1:
             raise ValueError("hop parameter must be positive")
+        if not 0 < gamma < math.inf:
+            raise ValueError(f"gamma must be a positive finite number, got {gamma}")
         self.capacity = capacity
         self.h = hop_param
         self.bits = (2 * hop_param + 2) * budget.B + 1

@@ -27,7 +27,6 @@ except ImportError:  # gmpy2 is optional: the `fast` extra
 __all__ = [
     "BigRational",
     "WordBudget",
-    "arith",
     "is_k_short",
     "sum_balanced",
     "sum_lt",
@@ -317,27 +316,6 @@ class WordBudget:
 
 
 DEFAULT_BUDGET = WordBudget(64)
-
-_OPS = {
-    "add": BigRational.__add__,
-    "sub": BigRational.__sub__,
-    "mul": BigRational.__mul__,
-    "div": BigRational.__truediv__,
-}
-
-
-def arith(a: BigRational, b: BigRational, op: str) -> BigRational:
-    """Apply one of {add, sub, mul, div} exactly.
-
-    The result of combining a j-short and a k-short operand is (j+k)-short
-    under the same budget.  Division by zero raises ZeroDivisionError.
-    """
-    try:
-        fn = _OPS[op]
-    except KeyError:
-        raise ValueError(f"unknown operation {op!r}") from None
-    return fn(a, b)
-
 
 def is_k_short(x: BigRational, k: int, budget: WordBudget = DEFAULT_BUDGET) -> bool:
     """True iff |numerator| and denominator both fit below 2^(k*B - 1)."""

@@ -14,9 +14,13 @@ the small recombination graph stitches the hop-bounded runs into full
 distances.  Each cut run holds its exact tentative distances anyway (they
 decide k-shortness and the heap keys), so relaxations, heap keys and
 reinsertion ranks compare exact values directly and no `distcmp`
-structure is built.  The produced tree is verified exactly before being
-returned, and a failed verification yields an exactly-checked
-negative-cycle witness.
+structure is built.  A run keeps each tentative distance as a canonical
+pair of ints and its heap key d(v) - p(v) at the price's own
+resolution: times the common price denominator, an integer part plus an
+exact remainder in [0, 1) whose denominator divides the distance's, so
+no price-wide rational is built per relaxation.  The produced tree is
+verified exactly before being returned, and a failed verification yields
+an exactly-checked negative-cycle witness.
 
 The cut Dijkstra delays heap reinsertions with per-vertex countdowns; the
 countdown game shows the total number of reinsertions stays O(n^1.5),
@@ -45,7 +49,7 @@ from .graph import (
 )
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
 from .graph import augment_source  # noqa: F401
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short, sum_lt
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _gcd, _make, is_k_short, sum_lt
 from .scaling import eps_feasible_price
 
 __all__ = [
@@ -254,17 +258,23 @@ class CutContext:
     """Preprocessing shared by all hop-bounded runs on one graph.
 
     Holds the hop bound k, the word budget, the price function and its
-    feasibility slack eps = 2^-((2k+1)B + ceil(log2 n)); it computes
-    nothing on demand.  Read-only after construction, so runs may share it.
+    feasibility slack eps = 2^-((2k+1)B + ceil(log2 n)).  It also holds
+    the prices at their own resolution: the common denominator `pden`
+    (the lcm of the price denominators, 2^(E+1) for every context that
+    `cut_preprocess` builds) and the integer numerators pnum[v] =
+    p(v) * pden, from which cut runs build their heap keys.  Read-only
+    after construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "price", "eps")
+    __slots__ = ("k", "budget", "price", "eps", "pden", "pnum")
 
     def __init__(self, k: int, budget: WordBudget, price: PriceFunction, eps: BigRational):
         self.k = k
         self.budget = budget
         self.price = price
         self.eps = eps
+        self.pden = math.lcm(*(p.den for p in price.values))
+        self.pnum = [p.num * (self.pden // p.den) for p in price.values]
 
 
 def cut_preprocess(
@@ -328,60 +338,77 @@ def cut_dijkstra(
     w(v->u) - w(v->u') there; those answer every such comparison exactly,
     since the weight difference is 2-short, so the order is the same.
 
-    Each vertex caches its tentative distance dist(par(u)) + w(par(u)->u),
-    its heap key (that distance minus p(u)) and the key's integer floor
-    floor(key * 2^64), all written when its parent changes; dist(par(u))
-    is final once par(u) is extracted.  A relaxation is decided by
-    `sum_lt` on the unreduced operands, so only a winning relaxation
-    builds a sum, and the floor is computed once per win.
+    Each vertex keeps its tentative distance dist(par(u)) + w(par(u)->u)
+    as a canonical pair of ints (num, den), written only when its parent
+    changes; dist(par(u)) is final once par(u) is extracted.  A
+    relaxation is decided by cross-multiplying ints, and only a winning
+    one reduces its sum.  The extracted distance becomes a `BigRational`
+    once, for the k-short test and the output.
 
-    The cached floor leads both orders that rank vertices: heap entries
-    are tuples (0, floor, key, vid, token) for a finite key and (1, vid,
-    token) for +infinity, so finite keys come first and ties break by
-    vertex id, and `touched` is sorted by (floor, key, vid).  The floor
-    is monotone in the key, so it keeps the exact order while tuple
-    comparison settles most pairs on plain ints before reaching the
-    exact key.
+    Keys are held at the price resolution P = ctx.pden.  With a(u) =
+    p(u) * P and divmod(num * P, den) = (q, r), the key times P is
+    (q - a(u)) + r/den: the integer part floor(key * P) and the
+    remainder r/den in [0, 1), kept reduced.  Every number has exactly
+    one such split, and x < y iff floor(x) < floor(y), or the floors are
+    equal and frac(x) < frac(y); so ordering by (int_part, rem) is
+    ordering by the key, and equal keys have equal parts.  The
+    remainder's denominator divides den; a processed distance is
+    k-short, so with 1-short weights (as `negative_sssp` checks) den
+    stays below 2^((k+1)B - 1): a remainder is as short as a distance,
+    never as wide as the price.  Heap entries are tuples (0, int_part,
+    rem, vid, token) for a finite key and (1, vid, token) for +infinity,
+    so finite keys come first and ties break by vertex id, and `touched`
+    is sorted by (int_part, rem, vid): both are the (key, vid) order.
+
+    Raises ValueError if s is not a vertex of g or the context was built
+    for another vertex count.
     """
     n = g.n
+    if len(ctx.pnum) != n:
+        raise ValueError(f"cut context has prices for {len(ctx.pnum)} vertices, graph has {n}")
+    if not 0 <= s < n:
+        raise ValueError(f"source {s} out of range")
     k = ctx.k
     budget = ctx.budget
-    price = ctx.price
+    pden = ctx.pden
+    pnum = ctx.pnum
     dist: List[Optional[BigRational]] = [None] * n
     par: List[Optional[int]] = [None] * n
-    tent: List[Optional[BigRational]] = [None] * n
-    tent[s] = ZERO
-    tent_key: List[Optional[BigRational]] = [None] * n  # tent[v] - p(v)
-    tent_key[s] = -price[s]
-    tent_floor: List[Optional[int]] = [None] * n  # floor(tent_key[v] * 2^64)
-    tent_floor[s] = (tent_key[s].num << 64) // tent_key[s].den
+    # Tentative distance tnum[v] / tden[v], canonical; None = +infinity.
+    tnum: List[Optional[int]] = [None] * n
+    tden = [1] * n
+    tnum[s] = 0
+    # Key times pden, as int_part[v] + rem[v] with 0 <= rem[v] < 1.
+    int_part: List[Optional[int]] = [None] * n
+    int_part[s] = -pnum[s]
+    rem: List[Optional[BigRational]] = [None] * n
+    rem[s] = ZERO
     extracted = [False] * n
     processed = [False] * n
     expiry: List[Optional[int]] = [None] * n  # None = no countdown
     buckets: Dict[int, List[int]] = {}
     bucket_turns: List[int] = []  # heap of bucket keys, pruned lazily
     clock = 0
-    on_heap = [False] * n
-    token = [0] * n
-    heap: List[tuple] = []
-    live = 0
-    inserts = 0
+    # Every vertex starts on the heap: s with its key, the rest at
+    # +infinity.  The list is sorted, so it is already a heap.
+    on_heap = [True] * n
+    token = [1] * n
+    heap: List[tuple] = [(0, int_part[s], rem[s], s, 1)]
+    heap += [(1, v, 1) for v in range(n) if v != s]
+    live = inserts = n
     relaxations = 0
     order: List[int] = []
 
     def push(v: int) -> None:
         nonlocal live, inserts
         token[v] += 1
-        if tent_key[v] is None:
+        if int_part[v] is None:
             heapq.heappush(heap, (1, v, token[v]))
         else:
-            heapq.heappush(heap, (0, tent_floor[v], tent_key[v], v, token[v]))
+            heapq.heappush(heap, (0, int_part[v], rem[v], v, token[v]))
         on_heap[v] = True
         live += 1
         inserts += 1
-
-    for v in range(n):
-        push(v)
 
     def expire(turn: int) -> None:
         # Entries left behind by a lowered countdown or an extraction are
@@ -417,24 +444,37 @@ def cut_dijkstra(
         live -= 1
         expiry[v] = None
         order.append(v)
-        dist[v] = tent[v]
-        if dist[v] is None or not is_k_short(dist[v], k, budget):
+        dn = tnum[v]
+        if dn is None:
+            continue
+        dd = tden[v]
+        dist[v] = dv = _make(dn, dd)
+        if not is_k_short(dv, k, budget):
             continue
         processed[v] = True
-        dv = dist[v]
         touched: List[int] = []
         for e in g.out_edges(v):
             u = e.head
             if extracted[u]:
                 continue
             relaxations += 1
-            if par[u] is None or sum_lt(dv, e.weight, tent[u]):
+            w = e.weight
+            wd = w.den
+            num = dn * wd + w.num * dd
+            den = dd * wd
+            if par[u] is None or num * tden[u] < tnum[u] * den:
+                c = _gcd(num, den)
+                if c > 1:
+                    num //= c
+                    den //= c
                 par[u] = v
-                tent[u] = cand = dv + e.weight
-                tent_key[u] = key = cand - price[u]
-                tent_floor[u] = (key.num << 64) // key.den
+                tnum[u] = num
+                tden[u] = den
+                q, r = divmod(num * pden, den)
+                int_part[u] = q - pnum[u]
+                rem[u] = BigRational(r, den)
                 touched.append(u)
-        touched.sort(key=lambda u: (tent_floor[u], tent_key[u], u))
+        touched.sort(key=lambda u: (int_part[u], rem[u], u))
         for rank, u in enumerate(touched, start=1):
             if on_heap[u]:
                 on_heap[u] = False
@@ -501,6 +541,8 @@ def negative_sssp(
             raise ValueError(f"edge weight {e.weight} is not 1-short under B={budget.B}")
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be a positive finite number, got {gamma}")
     if k is None:
         k = max(1, math.ceil(math.sqrt(g.n)))
 

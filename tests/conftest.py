@@ -2,11 +2,14 @@
 
 Everything here is deliberately naive: brute-force enumeration, unreduced
 pair arithmetic, plain relaxation loops.  The oracles never share code
-with the implementation paths they check.
+with the implementation paths they check.  The one exception is
+`reference_cut_dijkstra`, the cut run with `BigRational` heap keys that
+`ratpath.sssp.cut_dijkstra` replaced, kept to check the replacement.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -15,7 +18,8 @@ import numpy as np
 import pytest
 
 from ratpath.graph import SsspResult, WeightedDigraph, _primes_below
-from ratpath.rational import BigRational, ZERO
+from ratpath.rational import BigRational, ZERO, is_k_short, sum_lt
+from ratpath.sssp import CutResult
 
 
 class UnreducedPair:
@@ -233,6 +237,121 @@ def full_scan_recombination(n: int, hitset: Sequence[int], runs):
                 best[v] = hdist[i] + w
                 best_via[v] = i
     return hpar, best_via
+
+
+def reference_cut_dijkstra(ctx, g: WeightedDigraph, s: int, collect=None) -> CutResult:
+    """The cut run with `BigRational` heap keys, kept as a second opinion.
+
+    The same countdown loop as `ratpath.sssp.cut_dijkstra`, but each
+    vertex caches its tentative distance, its key tent - p(v) as one
+    price-wide `BigRational` and that key's floor at 2^-64; heap entries
+    are (0, floor, key, vid, token) for a finite key and (1, vid, token)
+    for +infinity, and `touched` is sorted by (floor, key, vid).
+    """
+    n = g.n
+    k = ctx.k
+    budget = ctx.budget
+    price = ctx.price
+    dist: List[Optional[BigRational]] = [None] * n
+    par: List[Optional[int]] = [None] * n
+    tent: List[Optional[BigRational]] = [None] * n
+    tent[s] = ZERO
+    tent_key: List[Optional[BigRational]] = [None] * n  # tent[v] - p(v)
+    tent_key[s] = -price[s]
+    tent_floor: List[Optional[int]] = [None] * n  # floor(tent_key[v] * 2^64)
+    tent_floor[s] = (tent_key[s].num << 64) // tent_key[s].den
+    extracted = [False] * n
+    processed = [False] * n
+    expiry: List[Optional[int]] = [None] * n  # None = no countdown
+    buckets: Dict[int, List[int]] = {}
+    bucket_turns: List[int] = []  # heap of bucket keys, pruned lazily
+    clock = 0
+    on_heap = [False] * n
+    token = [0] * n
+    heap: List[tuple] = []
+    live = 0
+    inserts = 0
+    relaxations = 0
+    order: List[int] = []
+
+    def push(v: int) -> None:
+        nonlocal live, inserts
+        token[v] += 1
+        if tent_key[v] is None:
+            heapq.heappush(heap, (1, v, token[v]))
+        else:
+            heapq.heappush(heap, (0, tent_floor[v], tent_key[v], v, token[v]))
+        on_heap[v] = True
+        live += 1
+        inserts += 1
+
+    for v in range(n):
+        push(v)
+
+    def expire(turn: int) -> None:
+        for u in sorted(buckets.pop(turn, ())):
+            if expiry[u] == turn:
+                expiry[u] = None
+                push(u)
+
+    for _ in range(n):
+        if live > 0:
+            clock += 1
+            expire(clock)
+        while live == 0:
+            while bucket_turns and bucket_turns[0] <= clock:
+                heapq.heappop(bucket_turns)
+            if not bucket_turns:
+                raise AssertionError("no heap entries and no countdowns left")
+            clock = heapq.heappop(bucket_turns)
+            expire(clock)
+
+        while True:
+            entry = heapq.heappop(heap)
+            v, tok = entry[-2:]
+            if not extracted[v] and on_heap[v] and token[v] == tok:
+                break
+        extracted[v] = True
+        on_heap[v] = False
+        live -= 1
+        expiry[v] = None
+        order.append(v)
+        dist[v] = tent[v]
+        if dist[v] is None or not is_k_short(dist[v], k, budget):
+            continue
+        processed[v] = True
+        dv = dist[v]
+        touched: List[int] = []
+        for e in g.out_edges(v):
+            u = e.head
+            if extracted[u]:
+                continue
+            relaxations += 1
+            if par[u] is None or sum_lt(dv, e.weight, tent[u]):
+                par[u] = v
+                tent[u] = cand = dv + e.weight
+                tent_key[u] = key = cand - price[u]
+                tent_floor[u] = (key.num << 64) // key.den
+                touched.append(u)
+        touched.sort(key=lambda u: (tent_floor[u], tent_key[u], u))
+        for rank, u in enumerate(touched, start=1):
+            if on_heap[u]:
+                on_heap[u] = False
+                token[u] += 1
+                live -= 1
+            turn = clock + rank
+            if expiry[u] is None or turn < expiry[u]:
+                expiry[u] = turn
+                if turn not in buckets:
+                    buckets[turn] = []
+                    heapq.heappush(bucket_turns, turn)
+                buckets[turn].append(u)
+
+    if collect is not None:
+        collect["cut_heap_inserts"] = collect.get("cut_heap_inserts", 0) + inserts
+        collect["cut_heap_inserts_max"] = max(collect.get("cut_heap_inserts_max", 0), inserts)
+        collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
+    return CutResult(s, dist, par, order, processed, inserts)
 
 
 def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):

@@ -109,6 +109,19 @@ class TestSolve:
         )
         assert code == 0 and out.startswith("t ")
 
+    @pytest.mark.parametrize("mode, strategy", [("neg", "distcmp"), ("nonneg", "pairwise_delta")])
+    @pytest.mark.parametrize("gamma", ["inf", "nan", "-1", "0"])
+    def test_bad_gamma_exit_1(self, tmp_path, capsys, mode, strategy, gamma):
+        g = gen_random(12, 36, 3, "small", "priced" if mode == "neg" else "none")
+        inst = tmp_path / "inst.gr"
+        inst.write_text(serialize(g))
+        code, out, err = run(
+            capsys, "solve", "--input", str(inst), "--mode", mode, "--strategy", strategy,
+            "--word-bits", "16", "--gamma", gamma, "--seed", "0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: gamma must be a positive finite number")
+
 
 class TestVerifyCmd:
     @pytest.mark.parametrize("tree, code, expected", [

@@ -486,6 +486,11 @@ class TestPairwiseComparator:
             pdc.insert_leaf(0, R(1, 2))
         assert len(pdc.tree) == 4
 
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, -1.0, 0.0])
+    def test_rejects_bad_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a positive finite number"):
+            PairwiseDeltaComparator(10, 3, WordBudget(8), gamma=gamma)
+
     def test_all_marked_short_tails(self):
         # a hop parameter of 1 with everything marked keeps every tail empty
         budget = WordBudget(8)

@@ -10,7 +10,6 @@ from ratpath.rational import (
     BigRational,
     WordBudget,
     ZERO,
-    arith,
     is_k_short,
     sum_balanced,
     sum_lt,
@@ -55,25 +54,21 @@ class TestInvariants:
 
 class TestArith:
     def test_add_example(self):
-        assert arith(R(1, 3), R(1, 5), "add") == R(8, 15)
+        assert R(1, 3) + R(1, 5) == R(8, 15)
         budget = WordBudget(4)
         assert is_k_short(R(1, 3), 1, budget) and is_k_short(R(1, 5), 1, budget)
         assert is_k_short(R(8, 15), 2, budget)
 
     def test_sub_cancellation(self):
         for x in (R(7, 3), R(-2, 9), ZERO):
-            assert arith(x, x, "sub") == ZERO
+            assert x - x == ZERO
 
     def test_div_identity(self):
-        assert arith(R(5, 7), R(5, 7), "div") == R(1)
+        assert R(5, 7) / R(5, 7) == R(1)
 
     def test_div_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            arith(R(1, 2), ZERO, "div")
-
-    def test_unknown_op(self):
-        with pytest.raises(ValueError):
-            arith(R(1), R(1), "mod")
+            R(1, 2) / ZERO
 
     def test_against_unreduced_oracle_256bit(self):
         rng = np.random.default_rng(7)
@@ -89,11 +84,11 @@ class TestArith:
             b_num, b_den = big(True), abs(big(False))
             a, b = BigRational(a_num, a_den), BigRational(b_num, b_den)
             ua, ub = UnreducedPair(a_num, a_den), UnreducedPair(b_num, b_den)
-            assert ua.add(ub).equals(arith(a, b, "add"))
-            assert ua.sub(ub).equals(arith(a, b, "sub"))
-            assert ua.mul(ub).equals(arith(a, b, "mul"))
+            assert ua.add(ub).equals(a + b)
+            assert ua.sub(ub).equals(a - b)
+            assert ua.mul(ub).equals(a * b)
             if b_num:
-                assert ua.div(ub).equals(arith(a, b, "div"))
+                assert ua.div(ub).equals(a / b)
 
     def test_shortness_closure(self):
         rng = np.random.default_rng(8)
@@ -105,10 +100,11 @@ class TestArith:
             bound_k = 2 ** (k * 16 - 1) - 1
             a = BigRational(int(rng.integers(-bound_j, bound_j)), int(rng.integers(1, bound_j)))
             b = BigRational(int(rng.integers(-bound_k, bound_k)), int(rng.integers(1, bound_k)))
-            for op in ("add", "sub", "mul", "div"):
-                if op == "div" and b == ZERO:
-                    continue
-                assert is_k_short(arith(a, b, op), j + k, budget)
+            results = [a + b, a - b, a * b]
+            if b != ZERO:
+                results.append(a / b)
+            for x in results:
+                assert is_k_short(x, j + k, budget)
 
 
 class TestShortness:

@@ -6,6 +6,7 @@ import pytest
 
 from ratpath.graph import (
     NegativeCycle,
+    PriceFunction,
     WeightedDigraph,
     augment_source,
     bf_exact,
@@ -18,6 +19,7 @@ from ratpath.graph import (
 from ratpath.rational import BigRational, WordBudget, ZERO
 from ratpath.sssp import (
     BOB_STRATEGIES,
+    CutContext,
     IllegalBobMove,
     NegativeWeightError,
     _recombine,
@@ -29,7 +31,12 @@ from ratpath.sssp import (
     negative_sssp,
 )
 
-from conftest import diamond_chain, full_scan_recombination, replay_enhanced_order
+from conftest import (
+    diamond_chain,
+    full_scan_recombination,
+    reference_cut_dijkstra,
+    replay_enhanced_order,
+)
 
 
 def R(n, d=1):
@@ -386,6 +393,92 @@ class TestCutDijkstra:
                         h.update(repr(fields).encode())
         assert h.hexdigest() == "444322604c6f5d10a370274795cfb1c193e4dd661fb0e1c834fcc3353e674d58"
 
+    @staticmethod
+    def _assert_matches_reference(ctx, g, s):
+        got_stats, want_stats = {}, {}
+        got = cut_dijkstra(ctx, g, s, collect=got_stats)
+        want = reference_cut_dijkstra(ctx, g, s, collect=want_stats)
+        assert got.source == want.source == s
+        # str() also pins the canonical (num, den) of every distance.
+        assert [None if d is None else str(d) for d in got.dist] == [
+            None if d is None else str(d) for d in want.dist
+        ]
+        assert got.parent == want.parent
+        assert got.order == want.order
+        assert got.processed == want.processed
+        assert got.heap_inserts == want.heap_inserts
+        assert got_stats == want_stats
+        return got
+
+    def test_matches_reference_on_priced_graphs(self):
+        # Random priced graphs under the contexts `cut_preprocess` builds,
+        # whose price denominators are 2^(E+1), from sources other than 0.
+        rng = np.random.default_rng(1701)
+        runs = 0
+        for bits, weights in ((16, "small"), (64, "small"), (128, "big")):
+            for trial in range(6):
+                n = int(rng.integers(6, 40))
+                g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), weights, "priced")
+                k = int(rng.choice([1, 2, max(2, math.isqrt(n))]))
+                ctx = cut_preprocess(g, k, budget=WordBudget(bits))
+                assert not isinstance(ctx, NegativeCycle)
+                assert ctx.pden.bit_count() == 1
+                for s in rng.choice(np.arange(1, n), 3, replace=False):
+                    self._assert_matches_reference(ctx, g, int(s))
+                    runs += 1
+        assert runs == 54
+
+    def test_matches_reference_when_the_remainder_decides(self):
+        # Hand-built contexts with prices of denominator 1, 2 or 3 put the
+        # keys of many vertices relaxed from one parent on the same
+        # integer part at the price resolution, so their order rests on
+        # the remainder alone; copied prices and weights add exact key
+        # ties, which break by vertex id.  Such pairs share their final
+        # parent, so they were ranked in the same batch.
+        rng = np.random.default_rng(1702)
+        budget = WordBudget(16)
+        same_part = ties = 0
+        for trial in range(60):
+            n = int(rng.integers(5, 18))
+            den = int(rng.choice([1, 2, 3]))
+            price = [R(int(rng.integers(-2 * den, 2 * den + 1)), den) for _ in range(n)]
+            edges = {}
+            for _ in range(3 * n):
+                u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+                edges[(u, v)] = R(int(rng.integers(-4, 9)), int(rng.integers(1, 7)))
+            for (u, v) in list(edges):
+                twin = int(rng.integers(0, n))
+                if rng.random() < 0.3 and (u, twin) in edges and twin != v:
+                    price[v] = price[twin]
+                    edges[(u, v)] = edges[(u, twin)]
+            g = WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()])
+            ctx = CutContext(int(rng.integers(1, 4)), budget, PriceFunction(price), R(0))
+            for s in range(1, n):
+                run = self._assert_matches_reference(ctx, g, s)
+                keys = {}
+                for u in range(n):
+                    if run.parent[u] is not None and run.dist[u] is not None:
+                        key = run.dist[u] - price[u]
+                        keys.setdefault(run.parent[u], []).append(key)
+                for batch in keys.values():
+                    for a in batch:
+                        for b in batch:
+                            if a is not b and (a.num * ctx.pden) // a.den == (b.num * ctx.pden) // b.den:
+                                same_part += a != b
+                                ties += a == b
+        assert same_part > 300 and ties > 300, (same_part, ties)
+
+    def test_rejects_bad_source_and_foreign_context(self):
+        g = gen_random(8, 20, 3, "small", "priced")
+        ctx = self._context(g, 2)
+        for s in (-1, 8, 100):
+            with pytest.raises(ValueError, match="out of range"):
+                cut_dijkstra(ctx, g, s)
+        for n in (7, 9):
+            other = gen_random(n, 20, 3, "small", "priced")
+            with pytest.raises(ValueError, match="vertices"):
+                cut_dijkstra(ctx, other, 0)
+
     def test_recombination_graph_dominance(self):
         # estimates between hit-set vertices dominate true distances
         rng = np.random.default_rng(69)
@@ -519,6 +612,12 @@ class TestNegativePipeline:
         bad = plant_negative_cycle(gen_random(15, 45, 3, "small", "priced"), 3)
         cyc = negative_sssp(bad, 0, seed=3, budget=B16)
         assert isinstance(cyc, NegativeCycle) and cyc.weight < ZERO
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, -1.0, 0, 0.0])
+    def test_rejects_bad_gamma(self, gamma):
+        g = gen_random(8, 20, 3, "small", "priced")
+        with pytest.raises(ValueError, match="gamma must be a positive finite number"):
+            negative_sssp(g, 0, gamma=gamma, budget=B16)
 
     def test_single_vertex(self):
         g = WeightedDigraph(1, source=0)
