@@ -12,7 +12,6 @@ from .rational import (
     DEFAULT_BUDGET,
     is_k_short,
     sum_balanced,
-    truncate_binary,
 )
 from .cfrac import (
     ApproxPair,
@@ -44,8 +43,8 @@ from .graph import (
 )
 from .inctree import IncTree
 from .cover import SparseCover, estc_static, sample_shift
-from .distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator, similarity_fraction
-from .scaling import assemble_price, eps_feasible_price, integer_sssp, scaled_weight
+from .distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
+from .scaling import assemble_price, eps_feasible_price
 from .sssp import (
     BOB_STRATEGIES,
     CutContext,

@@ -39,8 +39,8 @@ one cluster per instance.
 All instances cluster the same graph, so the cover keeps the one
 adjacency and the instances read it.  An edge (u, v) can move a vertex
 of an instance only if it strictly drops dist[u] or dist[v], that is if
-the two distances differ by at least 2; the cover tests this inline and
-hands the edge to that instance's propagation only then.  An instance
+the two distances differ by at least 2; `ClusteringInstance.insert_edge`
+tests this and starts the instance's propagation only then.  An instance
 stores the member set of a cluster only once the cluster has gained a
 vertex.  A cluster that never has holds its center alone, or nothing
 once the center has moved away.
@@ -248,18 +248,8 @@ class SparseCover:
         adj[u].append(v)
         adj[v].append(u)
         updates: List[Tuple[Tuple[int, int], str, int]] = []
-        # ClusteringInstance.insert_edge's reject, inline: only an instance
-        # where dist[u] and dist[v] differ by 2 or more can move a vertex
         for idx, inst in enumerate(self.instances):
-            dist = inst.dist
-            gap = dist[u] - dist[v]
-            if gap < -1:
-                moves = inst.propagate(adj, u, v)
-            elif gap > 1:
-                moves = inst.propagate(adj, v, u)
-            else:
-                continue
-            for x, old, new in moves:
+            for x, old, new in inst.insert_edge(adj, u, v):
                 updates.append(((idx, old), "remove", x))
                 updates.append(((idx, new), "add", x))
         self.updates_issued += len(updates)

@@ -68,52 +68,25 @@ from .rational import BigRational, WordBudget, ZERO, is_k_short
 __all__ = [
     "DistCmpConfig",
     "DistCmp",
-    "similarity_fraction",
     "ClusterOrder",
     "PairwiseDeltaComparator",
 ]
-
-
-def similarity_fraction(
-    a_u: BigRational, a_v: BigRational, b: int, ell: int
-) -> Optional[BigRational]:
-    """The unique fraction with |num|, den < 2^b within 2^-(ell-1) of
-    a_u - a_v, or None when no such fraction exists.
-
-    Requires ell >= 2b + 2 so that uniqueness holds.  The candidate is the
-    endpoint of the best b-bit approximation closer to the difference.
-    """
-    if ell < 2 * b + 2:
-        raise ValueError("window too wide for a unique fraction: need ell >= 2b + 2")
-    diff = a_u - a_v
-    ap = best_approx(diff, b)
-    lo_gap = diff - ap.lo
-    hi_gap = ap.hi - diff
-    cand = ap.lo if lo_gap <= hi_gap else ap.hi
-    gap = lo_gap if lo_gap <= hi_gap else hi_gap
-    bound = 1 << b
-    if cand.num >= bound or -cand.num >= bound:
-        return None
-    # |diff - cand| <= 2^-(ell-1)
-    if gap.num << (ell - 1) <= gap.den:
-        return cand
-    return None
 
 
 class DistCmpConfig:
     """Derived level parameters for a comparison structure.
 
     capacity: maximum vertex count including the root; c: shortness class
-    of supported weights and queries; B: word budget in bits.  The level
-    count t is the smallest with capacity / K^t <= 1 for the thinning
-    factor K = max(2, ceil(C log2 capacity)).
+    of supported weights and queries; B: word budget in bits; C and lam,
+    positive finite numbers, size the thinning factor and the cover.  The
+    level count t is the smallest with capacity / K^t <= 1 for the
+    thinning factor K = max(2, ceil(C log2 capacity)).
     """
 
     __slots__ = (
         "capacity",
         "c",
         "B",
-        "C",
         "lam",
         "K",
         "t",
@@ -138,10 +111,12 @@ class DistCmpConfig:
         if c < 1:
             raise ValueError("shortness class must be positive")
         WordBudget(B)  # validates B >= 2
+        for name, value in (("C", C), ("lam", lam)):
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be a positive finite number, got {value}")
         self.capacity = capacity
         self.c = c
         self.B = B
-        self.C = C
         self.lam = lam
         logn = math.log2(max(capacity, 2))
         self.K = max(2, math.ceil(C * logn))

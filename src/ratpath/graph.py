@@ -71,7 +71,6 @@ class WeightedDigraph:
         n: int,
         edges: Iterable[Tuple[int, int, BigRational]] = (),
         source: Optional[int] = None,
-        aux_flags: Optional[Iterable[bool]] = None,
     ):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -80,9 +79,8 @@ class WeightedDigraph:
         self.edges: List[Edge] = []
         self._index: Dict[Tuple[int, int], int] = {}
         self._adj: List[List[Edge]] = [[] for _ in range(n)]
-        flags = list(aux_flags) if aux_flags is not None else None
-        for i, (u, v, w) in enumerate(edges):
-            self.add_edge(u, v, w, aux=bool(flags[i]) if flags else False)
+        for u, v, w in edges:
+            self.add_edge(u, v, w)
 
     def add_edge(self, u: int, v: int, w: BigRational, aux: bool = False) -> None:
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -427,49 +425,23 @@ def cycle_weight(g: WeightedDigraph, cycle: Sequence[int]) -> BigRational:
     return sum_balanced(ws)
 
 
-def bf_exact(
-    g: WeightedDigraph, s: int, hop_bound: Optional[int] = None
-):
-    """Exact Bellman-Ford distances from s, or a NegativeCycle witness.
-
-    With `hop_bound = k` the rounds are synchronous and the result is the
-    exact k-hop-bounded distance function (no cycle detection).  Without
-    it, a cycle reachable from s is detected and returned as a witness.
+def bf_exact(g: WeightedDigraph, s: int):
+    """Exact Bellman-Ford distances from s, or a NegativeCycle witness
+    when a negative cycle is reachable from s.
 
     Each relaxation is decided by `sum_lt`, so only an improvement builds
-    a sum.  Without a hop bound the rounds scan the edges in list order
-    and skip an edge whose tail's distance has not changed since that
-    edge was last scanned (a version per vertex, the version last seen
-    per edge): the last scan left d(head) <= d(tail) + w, and d(head)
-    only falls, so the edge could not improve anything.  Every
-    improvement, the parents, the round count and so the cycle witness
-    are those of the full scan.
+    a sum.  The rounds scan the edges in list order and skip an edge
+    whose tail's distance has not changed since that edge was last
+    scanned (a version per vertex, the version last seen per edge): the
+    last scan left d(head) <= d(tail) + w, and d(head) only falls, so the
+    edge could not improve anything.  Every improvement, the parents, the
+    round count and so the cycle witness are those of the full scan.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
     dist: List[Optional[BigRational]] = [None] * g.n
     parent = [-1] * g.n
     dist[s] = ZERO
-
-    if hop_bound is not None:
-        if hop_bound < 0:
-            raise ValueError("hop bound must be non-negative")
-        for _ in range(hop_bound):
-            snapshot = list(dist)
-            changed = False
-            for e in g.edges:
-                du = snapshot[e.tail]
-                if du is None:
-                    continue
-                v = e.head
-                if dist[v] is None or sum_lt(du, e.weight, dist[v]):
-                    dist[v] = du + e.weight
-                    parent[v] = e.tail
-                    changed = True
-            if not changed:
-                break
-        return BfResult(dist, parent)
-
     version = [0] * g.n  # bumped on every change of dist[v]
     version[s] = 1
     seen = [0] * g.m  # version[tail] when the edge was last scanned

@@ -27,10 +27,10 @@ except ImportError:  # gmpy2 is optional: the `fast` extra
 __all__ = [
     "BigRational",
     "WordBudget",
+    "DEFAULT_BUDGET",
     "is_k_short",
     "sum_balanced",
     "sum_lt",
-    "truncate_binary",
 ]
 
 # Above this operand size (bits) gcd is delegated to GMP, whose
@@ -344,18 +344,3 @@ def sum_balanced(xs: Iterable[BigRational]) -> BigRational:
             nxt.append(layer[-1])
         layer = nxt
     return layer[0]
-
-
-def truncate_binary(q: BigRational, j: int) -> BigRational:
-    """Zero out the fractional bits of q beyond position j (toward zero).
-
-    The result r has denominator dividing 2^j and satisfies
-    q - 2^-j <= r <= q for q >= 0, and q <= r <= q + 2^-j for q < 0.
-    """
-    if j < 0:
-        raise ValueError("bit position must be non-negative")
-    neg = q.num < 0
-    n = -q.num if neg else q.num
-    scaled = (n << j) // q.den
-    r = BigRational(scaled, 1 << j)
-    return -r if neg else r

@@ -40,21 +40,13 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .graph import NegativeCycle, PriceFunction, WeightedDigraph, check_eps_feasible, cycle_weight
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short, truncate_binary
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
 
 __all__ = [
-    "integer_sssp",
     "integer_sssp_arrays",
     "eps_feasible_price",
     "assemble_price",
-    "scaled_weight",
 ]
-
-
-def scaled_weight(w: BigRational, j: int) -> int:
-    """Integer round-j weight: 2^j * (w truncated to j fractional bits) + 1."""
-    t = truncate_binary(w, j)
-    return ((t.num << j) // t.den) + 1
 
 
 def _parent_cycle(parent: List[int], v: int) -> Optional[List[int]]:
@@ -87,8 +79,7 @@ def integer_sssp_arrays(
     it.  Labels only decrease strictly, so a walk of n hops repeats a
     vertex around a negative cycle.  From then on each update walks the
     parent graph, whose cycles are all negative and one of which forms
-    after finitely many updates; that cycle is the witness.  This is the
-    pluggable engine behind `integer_sssp` and the scaling rounds.
+    after finitely many updates; that cycle is the witness.
     """
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for t, h, w in zip(tails, heads, weights):
@@ -123,25 +114,6 @@ def integer_sssp_arrays(
                 queued[v] = True
                 queue.append(v)
     return dist, parent, None
-
-
-def integer_sssp(
-    g: WeightedDigraph, s: int
-) -> Union[Tuple[List[Optional[int]], List[int]], NegativeCycle]:
-    """Exact integer single-source distances, or a negative-cycle witness."""
-    for e in g.edges:
-        if e.weight.den != 1:
-            raise ValueError("integer_sssp requires integral weights")
-    dist, parent, cyc = integer_sssp_arrays(
-        g.n,
-        [e.tail for e in g.edges],
-        [e.head for e in g.edges],
-        [e.weight.num for e in g.edges],
-        s,
-    )
-    if cyc is None:
-        return dist, parent
-    return NegativeCycle(cyc, cycle_weight(g, cyc))
 
 
 def _shift_add(acc: List[int], levels: Sequence[Sequence[int]]) -> List[int]:

@@ -128,13 +128,18 @@ def _frac(x: Optional[BigRational]) -> Optional[Fraction]:
     return None if x is None else Fraction(x.num, x.den)
 
 
-def textbook_bf(g: WeightedDigraph, s: int):
+def textbook_bf(g: WeightedDigraph, s: int, hop_bound: Optional[int] = None):
     """Round-robin Bellman-Ford in `fractions.Fraction` arithmetic.
 
     n rounds, each relaxing every edge of `g.edges` in list order on a
     strict improvement; a round with no improvement ends the search.  If
     round n still improves, a negative cycle is reachable: walking n
     parent links back from the last improved vertex lands on it.
+
+    With `hop_bound = k` there are k synchronous rounds instead, each
+    relaxing from a snapshot of the distances the round began with, so
+    the result is the exact k-hop-bounded distance function, and no
+    cycle is looked for.
 
     Returns (dist, parent, cycle): dist as Fractions (None when
     unreachable), parent ids (-1 for none), and the cycle's vertex list
@@ -146,16 +151,19 @@ def textbook_bf(g: WeightedDigraph, s: int):
     parent = [-1] * n
     dist[s] = Fraction(0)
     last = -1
-    for _ in range(n):
+    for _ in range(n if hop_bound is None else hop_bound):
+        start = dist if hop_bound is None else list(dist)
         changed = False
         for u, v, w in edges:
-            if dist[u] is not None and (dist[v] is None or dist[u] + w < dist[v]):
-                dist[v] = dist[u] + w
+            if start[u] is not None and (dist[v] is None or start[u] + w < dist[v]):
+                dist[v] = start[u] + w
                 parent[v] = u
                 changed = True
                 last = v
         if not changed:
             return dist, parent, None
+    if hop_bound is not None:
+        return dist, parent, None
     v = last
     for _ in range(n):
         v = parent[v]

@@ -40,3 +40,20 @@ def test_tracer_installs_and_exact_verify_accepts():
     assert tracer.get("graph.verify_sssp.exact", "calls", ("verify",)) == 1
     assert tracer.get("sssp.cut_dijkstra", "calls") >= 1
     assert rp.verify_sssp is verify  # restored on exit
+
+
+def test_tracer_records_nonneg_strategies():
+    # The non-negative workloads time distcmp under "solve" and
+    # pairwise_delta under "pairwise"; each wrapped name must still be
+    # the one these strategies call.
+    spans = _load_spans()
+    g = gen_random(16, 48, 3, "small")
+    tracer = spans.Tracer(rp)
+    with tracer.installed():
+        with tracer.root("solve"):
+            rp.dijkstra_nonneg(g, 0, strategy="distcmp", seed=1)
+        with tracer.root("pairwise"):
+            rp.dijkstra_nonneg(g, 0, strategy="pairwise_delta", seed=1)
+    assert tracer.get("distcmp.DistCmp.compare", "calls") >= 1
+    for name in ("cfrac.best_approx", "cfrac.compare_via_approx", "inctree.IncTree.path_weight"):
+        assert tracer.get(name, "calls", ("pairwise",)) >= 1, name

@@ -122,6 +122,16 @@ class TestSolve:
         assert code == 1 and out == ""
         assert err.startswith("error: gamma must be a positive finite number")
 
+    @pytest.mark.parametrize("flag", ["C", "lam"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_bad_distcmp_constant_exit_1(self, capsys, smalldiff_file, flag, value):
+        code, out, err = run(
+            capsys, "solve", "--input", str(smalldiff_file), "--mode", "nonneg",
+            f"--{flag}", value, "--seed", "0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag} must be a positive finite number")
+
 
 class TestVerifyCmd:
     @pytest.mark.parametrize("tree, code, expected", [

@@ -10,7 +10,6 @@ from ratpath.distcmp import (
     DistCmp,
     DistCmpConfig,
     PairwiseDeltaComparator,
-    similarity_fraction,
 )
 from ratpath.graph import _primes_below
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
@@ -73,36 +72,6 @@ def nearby_fraction(diff: BigRational, b: int, ell: int):
                 if all((p * fq != fp * q) for fp, fq in found):
                     found.append((p, q))
     return found
-
-
-class TestSimilarityFraction:
-    def test_example_near_third(self):
-        diff = R(1, 3) + R(1, 1 << 200)
-        assert similarity_fraction(diff, ZERO, 8, 100) == R(1, 3)
-
-    def test_equal_values(self):
-        assert similarity_fraction(R(5, 7), R(5, 7), 4, 20) == ZERO
-
-    def test_no_fraction(self):
-        # 5/6 is far from every fraction with denominator < 4 at window 2^-19
-        assert similarity_fraction(R(1, 2) + R(1, 3), ZERO, 2, 20) is None
-
-    def test_window_precondition(self):
-        with pytest.raises(ValueError):
-            similarity_fraction(R(1), ZERO, 8, 17)
-
-    def test_uniqueness_brute_force(self, rng):
-        # at ell >= 2b + 2 at most one fraction sits in the window
-        for _ in range(400):
-            b = int(rng.integers(1, 5))
-            ell = 2 * b + 2 + int(rng.integers(0, 4))
-            x = R(int(rng.integers(-200, 201)), int(rng.integers(1, 64)))
-            cands = nearby_fraction(x, b, ell)
-            assert len(cands) <= 1
-            got = similarity_fraction(x, ZERO, b, ell + 1)
-            if got is not None:
-                # the window used by the op is 2^-(ell), matching cands
-                assert cands and R(*cands[0]) == got
 
 
 def _similar(diff, b, ell):
@@ -176,6 +145,11 @@ class TestConfig:
             DistCmpConfig(capacity=0)
         with pytest.raises(ValueError):
             DistCmpConfig(capacity=4, c=0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="C must be a positive finite number"):
+                DistCmpConfig(capacity=4, C=bad)
+            with pytest.raises(ValueError, match="lam must be a positive finite number"):
+                DistCmpConfig(capacity=4, lam=bad)
 
 
 class TestInsertAndRecords:

@@ -172,17 +172,18 @@ class TestBfExact:
         assert cycle_weight(g, res.vertices) == res.weight
 
     def test_hop_bound(self):
+        # the hop-bounded reference that test_exact_on_hop_bounded reads
         g = WeightedDigraph(3, [(0, 1, R(1)), (1, 2, R(1))])
-        res = bf_exact(g, 0, hop_bound=1)
-        assert res.dist[1] == R(1) and res.dist[2] is None
-        assert bf_exact(g, 0, hop_bound=2).dist[2] == R(2)
+        dist = textbook_bf(g, 0, hop_bound=1)[0]
+        assert dist[1] == Fraction(1) and dist[2] is None
+        assert textbook_bf(g, 0, hop_bound=2)[0][2] == Fraction(2)
 
     def test_hop_bound_is_exact_min(self):
         # cheap long path vs expensive short path
         g = WeightedDigraph(4, [(0, 1, R(1)), (1, 3, R(1)), (0, 2, R(0)), (2, 3, R(0))])
         g.add_edge(0, 3, R(10))
-        assert bf_exact(g, 0, hop_bound=1).dist[3] == R(10)
-        assert bf_exact(g, 0, hop_bound=2).dist[3] == ZERO
+        assert textbook_bf(g, 0, hop_bound=1)[0][3] == Fraction(10)
+        assert textbook_bf(g, 0, hop_bound=2)[0][3] == Fraction(0)
 
     @staticmethod
     def _instance(rng):

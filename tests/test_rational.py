@@ -13,7 +13,6 @@ from ratpath.rational import (
     is_k_short,
     sum_balanced,
     sum_lt,
-    truncate_binary,
 )
 from conftest import UnreducedPair
 
@@ -138,26 +137,6 @@ class TestSumBalanced:
             for x in xs:
                 fold = fold + x
             assert sum_balanced(xs) == fold
-
-
-class TestTruncateBinary:
-    def test_examples(self):
-        assert truncate_binary(R(1, 3), 2) == R(1, 4)
-        assert truncate_binary(R(5, 2), 3) == R(5, 2)
-        assert truncate_binary(R(-1, 3), 2) == R(-1, 4)
-
-    def test_two_sided_bounds(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10_000):
-            q = BigRational(int(rng.integers(-500, 501)), int(rng.integers(1, 200)))
-            j = int(rng.integers(0, 12))
-            t = truncate_binary(q, j)
-            step = BigRational(1, 1 << j)
-            if q >= ZERO:
-                assert q - step <= t <= q
-            else:
-                assert q <= t <= q + step
-            assert (1 << j) % t.den == 0
 
 
 class TestTextual:

@@ -13,13 +13,7 @@ from ratpath.graph import (
 )
 from ratpath.rational import BigRational, WordBudget, ZERO
 from ratpath import scaling
-from ratpath.scaling import (
-    assemble_price,
-    eps_feasible_price,
-    integer_sssp,
-    integer_sssp_arrays,
-    scaled_weight,
-)
+from ratpath.scaling import assemble_price, eps_feasible_price, integer_sssp_arrays
 from conftest import bf_oracle_int
 
 
@@ -27,36 +21,42 @@ def R(n, d=1):
     return BigRational(n, d)
 
 
-def assert_witness(g, res):
-    """The cycle runs along graph edges between consecutive vertices and
-    its exact weight, summed edge by edge here, is negative."""
-    assert isinstance(res, NegativeCycle)
-    cyc = list(res.vertices)
+def cycle_total(g, cyc):
+    """Exact weight of the cycle, summed edge by edge along graph edges
+    between consecutive vertices; the vertices are distinct."""
     assert len(set(cyc)) == len(cyc)
     total = ZERO
     for i, u in enumerate(cyc):
         e = g.edge_between(u, cyc[(i + 1) % len(cyc)])
         assert e is not None
         total = total + e.weight
+    return total
+
+
+def assert_witness(g, res):
+    assert isinstance(res, NegativeCycle)
+    total = cycle_total(g, list(res.vertices))
     assert total < ZERO and total == res.weight
+
+
+def int_sssp(n, edges, s=0):
+    """integer_sssp_arrays on (tail, head, int weight) triples."""
+    return integer_sssp_arrays(
+        n, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges], s
+    )
 
 
 class TestIntegerSssp:
     def test_single_edge(self):
-        g = WeightedDigraph(2, [(0, 1, R(-3))])
-        dist, parent = integer_sssp(g, 0)
-        assert dist == [0, -3] and parent[1] == 0
+        dist, parent, cyc = int_sssp(2, [(0, 1, -3)])
+        assert cyc is None and dist == [0, -3] and parent[1] == 0
 
     def test_two_cycle(self):
-        g = WeightedDigraph(2, [(0, 1, R(-1)), (1, 0, R(0))])
-        res = integer_sssp(g, 0)
-        assert isinstance(res, NegativeCycle)
-        assert res.weight == R(-1)
-
-    def test_rejects_fractional(self):
-        g = WeightedDigraph(2, [(0, 1, R(1, 2))])
-        with pytest.raises(ValueError):
-            integer_sssp(g, 0)
+        edges = [(0, 1, -1), (1, 0, 0)]
+        dist, parent, cyc = int_sssp(2, edges)
+        assert dist is None and parent is None
+        g = WeightedDigraph(2, [(u, v, R(w)) for u, v, w in edges])
+        assert cycle_total(g, cyc) == R(-1)
 
     def test_against_naive_oracle(self):
         rng = np.random.default_rng(31)
@@ -70,14 +70,12 @@ class TestIntegerSssp:
                 if u != v and (u, v) not in seen:
                     seen.add((u, v))
                     edges.append((u, v, int(rng.integers(-6, 20))))
-            want, cyc = bf_oracle_int(n, edges, 0)
-            g = WeightedDigraph(n, [(u, v, R(w)) for u, v, w in edges])
-            got = integer_sssp(g, 0)
-            if cyc:
-                assert isinstance(got, NegativeCycle)
+            want, has_cycle = bf_oracle_int(n, edges, 0)
+            dist, _, cyc = int_sssp(n, edges)
+            if has_cycle:
+                assert cyc is not None
             else:
-                dist, _ = got
-                assert dist == want
+                assert cyc is None and dist == want
 
     def test_long_path_listed_backwards(self):
         # Edges listed against path order: a pass-based Bellman-Ford needs
@@ -87,13 +85,13 @@ class TestIntegerSssp:
         edges = [(v, v + 1, int(rng.integers(-3, 1))) for v in range(n - 1)]
         edges += [(v, v - 7, 22) for v in range(7, n, 13)]
         edges.reverse()
-        want, cyc = bf_oracle_int(n, edges, 0)
-        assert not cyc
-        g = WeightedDigraph(n, [(u, v, R(w)) for u, v, w in edges])
-        dist, parent = integer_sssp(g, 0)
-        assert dist == want
+        want, has_cycle = bf_oracle_int(n, edges, 0)
+        assert not has_cycle
+        dist, parent, cyc = int_sssp(n, edges)
+        assert cyc is None and dist == want
+        weight = {(u, v): w for u, v, w in edges}
         for v in range(1, n):
-            assert dist[v] == dist[parent[v]] + g.edge_between(parent[v], v).weight.num
+            assert dist[v] == dist[parent[v]] + weight[(parent[v], v)]
 
     def test_planted_cycle_witnesses(self):
         rng = np.random.default_rng(35)
@@ -113,8 +111,10 @@ class TestIntegerSssp:
             ) - int(rng.integers(1, 4))
             if cycle[0] != 0:
                 edges.setdefault((0, cycle[0]), 0)
-            g = WeightedDigraph(n, [(u, v, R(w)) for (u, v), w in edges.items()])
-            assert_witness(g, integer_sssp(g, 0))
+            triples = [(u, v, w) for (u, v), w in edges.items()]
+            dist, _, cyc = int_sssp(n, triples)
+            g = WeightedDigraph(n, [(u, v, R(w)) for u, v, w in triples])
+            assert dist is None and cycle_total(g, cyc) < ZERO
 
     def test_weights_beyond_int64_scale_exactly(self):
         rng = np.random.default_rng(32)
@@ -168,23 +168,6 @@ def _backbone_graph(n, seed):
     rng = np.random.default_rng([seed, 1])
     pot = [R(int(rng.integers(-16, 17)), int(rng.integers(1, 17))) for _ in range(n)]
     return WeightedDigraph(n, [(u, v, w - pot[u] + pot[v]) for u, v, w in edges])
-
-
-class TestScaledWeights:
-    def test_round_weight_inequalities(self, rng):
-        # 2^j w <= w_j <= 2^j w + 2, the one-step doubling bounds, and the
-        # general multi-level bound.
-        for _ in range(10_000):
-            w = R(int(rng.integers(-40, 41)), int(rng.integers(1, 30)))
-            j = int(rng.integers(0, 10))
-            l = j + int(rng.integers(1, 6))
-            wj = scaled_weight(w, j)
-            wj1 = scaled_weight(w, j + 1)
-            wl = scaled_weight(w, l)
-            assert R(wj) >= w * (1 << j)
-            assert R(wj) <= w * (1 << j) + 2
-            assert 2 * wj - 2 <= wj1 <= 2 * wj
-            assert (1 << (l - j)) * wj - (1 << (l - j + 1)) <= wl <= (1 << (l - j)) * wj
 
 
 class TestAssemble:
