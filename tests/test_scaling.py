@@ -73,7 +73,8 @@ class TestIntegerSssp:
             want, has_cycle = bf_oracle_int(n, edges, 0)
             dist, _, cyc = int_sssp(n, edges)
             if has_cycle:
-                assert cyc is not None
+                g = WeightedDigraph(n, [(u, v, R(w)) for u, v, w in edges])
+                assert dist is None and cycle_total(g, cyc) < ZERO
             else:
                 assert cyc is None and dist == want
 
