@@ -31,8 +31,9 @@ __all__ = [
 ]
 
 
-class Ordering(enum.Enum):
-    """Three-way comparison outcome."""
+class Ordering(enum.IntEnum):
+    """Three-way comparison outcome; an int, so it may be used as the sign
+    -1, 0 or 1 directly."""
 
     LESS = -1
     EQUAL = 0

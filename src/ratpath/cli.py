@@ -10,6 +10,7 @@ environment variable, then 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Dict, Optional
@@ -54,6 +55,13 @@ def _fmt(x: BigRational, decimal: Optional[int]) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    # Checked here for every mode and strategy, also where nothing reads
+    # the value, so that a bad constant never passes unnoticed.
+    for name in ("C", "lam", "gamma"):
+        value = getattr(args, name)
+        if value is not None and not 0 < value < math.inf:
+            print(f"error: {name} must be a positive finite number, got {value}", file=sys.stderr)
+            return 1
     try:
         with open(args.input) as fh:
             g = parse(fh.read())

@@ -270,19 +270,22 @@ class _LevelState:
         "orders",
         "dsu",
         "edges",
-        "seed",
     )
 
-    def __init__(self, cap: int, seed):
+    def __init__(self, cap: int):
         self.cap = max(1, cap)
+        # The level's nodes in insertion order and their slots, listed
+        # when the level's cover is built and kept up from then on.
         self.members: List[int] = []
         self.slot_of: Dict[int, int] = {}
         self.cover: Optional[SparseCover] = None
         self.orders: Dict[Tuple[int, int], ClusterOrder] = {}
         self.dsu = _PotentialDsu(self.cap)
         self.edges: set = set()
-        self.seed = seed
 
+
+# Ordering by sign: index 1 is GREATER and index -1 the last entry, LESS.
+_ORDERING_OF_SIGN = (Ordering.EQUAL, Ordering.GREATER, Ordering.LESS)
 
 _LEVEL_COUNTERS = (
     "level_queries",
@@ -300,8 +303,10 @@ class DistCmp:
 
     insert_leaf() grows the tree up to config.capacity nodes, the root
     included; compare(u, v, beta) orders dist(root, u) - dist(root, v)
-    against a c-short rational beta, correct with high probability;
-    exact_compare() evaluates the same predicate in exact arithmetic.
+    against a c-short rational beta, correct with high probability, and
+    returns an `Ordering`; exact_compare() evaluates the same predicate
+    in exact arithmetic.  The levels pass int signs (-1, 0, 1) between
+    them, and compare turns the level-0 sign into an `Ordering` once.
 
     Queries mutate internal state (similarity edges, cluster orders), so
     all access must be serialized by the owning thread.
@@ -310,20 +315,20 @@ class DistCmp:
     def __init__(self, config: DistCmpConfig, seed: int = 0):
         self.config = config
         self._budget = WordBudget(config.B)
-        level_child, state_child = np.random.SeedSequence(seed).spawn(2)
-        rng = np.random.default_rng(level_child)
+        # The children SeedSequence(seed).spawn(2) would give, built
+        # directly: (0,) draws the slot levels, (1, i) seeds the level-i
+        # cover, built only with that cover.
+        level_seq = np.random.SeedSequence(seed, spawn_key=(0,))
+        self._entropy = level_seq.entropy
+        rng = np.random.default_rng(level_seq)
         t = config.t
         self.slot_level = [t]
         if config.capacity > 1:
             draws = rng.geometric(1.0 - 1.0 / config.K, size=config.capacity - 1) - 1
             self.slot_level.extend(min(t, int(d)) for d in draws)
         self.tree = IncTree(max_level=t)
-        state_seeds = state_child.spawn(max(t, 1))
         caps = [sum(1 for lv in self.slot_level if lv >= i) for i in range(t)]
-        self._states = [_LevelState(caps[i], state_seeds[i]) for i in range(t)]
-        for st in self._states:
-            st.members.append(0)
-            st.slot_of[0] = 0
+        self._states = [_LevelState(caps[i]) for i in range(t)]
         # scale_i = 2^(ell_i + 2) * capacity, built on the first fixed-point
         # use of level i: at capacity 2000 and c=2 the level-2 value has
         # ~300M bits.
@@ -354,14 +359,15 @@ class DistCmp:
         self._den_bits.append(self._den_bits[parent] + weight.den.bit_length())
         for i in range(min(lvl, self.config.t - 1) + 1):
             st = self._states[i]
+            if st.cover is None:
+                continue  # _level_state lists the members when it builds the cover
             slot = len(st.members)
             st.members.append(node)
             st.slot_of[node] = slot
-            if st.cover is not None:
-                for sid in st.cover.sets_of(slot):
-                    order = st.orders.get(sid)
-                    if order is not None:
-                        order.insert(node)
+            for sid in st.cover.sets_of(slot):
+                order = st.orders.get(sid)
+                if order is not None:
+                    order.insert(node)
         return node
 
     # -- lazy per-level values -----------------------------------------
@@ -430,7 +436,7 @@ class DistCmp:
     def compare(self, u: int, v: int, beta: BigRational) -> Ordering:
         if not is_k_short(beta, self.config.c, self._budget):
             raise ValueError(f"query value {beta} is not {self.config.c}-short")
-        return self._level_compare(0, u, v, beta)
+        return _ORDERING_OF_SIGN[self._level_compare(0, u, v, beta)]
 
     def exact_compare(self, u: int, v: int, beta: BigRational) -> Ordering:
         diff = self.tree.distance(u) - self.tree.distance(v)
@@ -442,8 +448,9 @@ class DistCmp:
         max_bits bits."""
         if self._den_bits[u] + self._den_bits[v] + beta.den.bit_length() > max_bits:
             return None
-        nu, du = self._pair(u)
-        nv, dv = self._pair(v)
+        memo = self._pair_memo
+        nu, du = memo.get(u) or self._pair(u)
+        nv, dv = memo.get(v) or self._pair(v)
         x = (nu * dv - nv * du) * beta.den - beta.num * du * dv
         return (x > 0) - (x < 0)
 
@@ -469,11 +476,12 @@ class DistCmp:
         lhs = a_diff * frac.den - self._scale_of(i) * frac.num
         return -window * frac.den <= lhs <= window * frac.den
 
-    def _level_compare(self, i: int, u: int, v: int, beta: BigRational) -> Ordering:
+    def _level_compare(self, i: int, u: int, v: int, beta: BigRational) -> int:
+        """sign(dist(u) - dist(v) - beta) as -1, 0 or 1, answered at level i."""
         self.level_queries[i] += 1
         if i == self.config.t or u == v:
             self.trivial_answers[i] += 1
-            return Ordering.of(-beta.sign)
+            return -beta.sign
 
         easy = self._exact_sign(u, v, beta, self.config.ell[i])
         if easy is None:
@@ -482,10 +490,10 @@ class DistCmp:
             self.shortcut_answers[i] += 1
         else:
             self.tie_answers[i] += 1
-            return Ordering.EQUAL
+            return 0
         if easy:
             self.easy_answers[i] += 1
-            return Ordering.of(easy)
+            return easy
 
         self.difficult_answers[i] += 1
         st = self._level_state(i)
@@ -508,14 +516,18 @@ class DistCmp:
         if rel is None:
             self.cover_fallbacks[i] += 1
             return self.exact_compare(u, v, beta)
-        return Ordering.of(rel)
+        return rel
 
     # -- level plumbing ---------------------------------------------------
 
     def _level_state(self, i: int) -> _LevelState:
         st = self._states[i]
         if st.cover is None:
-            rng = np.random.default_rng(st.seed)
+            level = self.tree.level
+            st.members = [v for v in range(len(level)) if level[v] >= i]
+            st.slot_of = {v: slot for slot, v in enumerate(st.members)}
+            seq = np.random.SeedSequence(self._entropy, spawn_key=(1, i))
+            rng = np.random.default_rng(seq)
             st.cover = SparseCover(st.cap, self.config.lam, rng)
         return st
 
@@ -556,8 +568,8 @@ class DistCmp:
                 diff = self.tree.distance(x) - self.tree.distance(y)
                 return diff.sign, False
             child_beta = frac + self._d_alpha(i + 1, y) - self._d_alpha(i + 1, x)
-            r = self._level_compare(i + 1, self._alpha(i + 1, x), self._alpha(i + 1, y), child_beta)
-            return r.value, True
+            ax, ay = self._alpha(i + 1, x), self._alpha(i + 1, y)
+            return self._level_compare(i + 1, ax, ay, child_beta), True
 
         return cmp3
 

@@ -360,11 +360,17 @@ def aux_weight(g: WeightedDigraph) -> BigRational:
     original distance.  For non-negative graphs it is n*max(1, max w);
     with negative edges present it is 2n*max(1, max |w|), which keeps the
     same guarantee."""
-    if g.has_negative_weight():
-        big = max((abs(e.weight) for e in g.edges), default=ONE)
-        return BigRational(2 * g.n) * max(big, ONE)
-    big = max((e.weight for e in g.edges), default=ONE)
-    return BigRational(g.n) * max(big, ONE)
+    # One pass finds max(1, max |w|) by cross-multiplying the canonical
+    # (num, den) pairs, and whether any weight is negative; no BigRational
+    # is built or compared until the result.
+    num, den, factor = 1, 1, 1
+    for e in g.edges:
+        a, b = e.weight.num, e.weight.den
+        if a < 0:
+            a, factor = -a, 2
+        if a * den > num * b:
+            num, den = a, b
+    return BigRational(factor * g.n * num, den)
 
 
 def augment_source(g: WeightedDigraph, s: int) -> WeightedDigraph:

@@ -112,13 +112,17 @@ class _TreeStrategy:
     def __init__(self, name, comparator, source):
         self.name = name
         self.comparator = comparator
+        # Bound once, at solve time, so a wrapper installed on the class
+        # attribute beforehand is the one called.
+        self._compare = comparator.compare
         self.node = {source: comparator.tree.root}
 
     def add_leaf(self, v: int, parent: int, weight: BigRational) -> None:
         self.node[v] = self.comparator.insert_leaf(self.node[parent], weight)
 
     def compare_keys(self, z1, w1, z2, w2) -> int:
-        return self.comparator.compare(self.node[z1], self.node[z2], w2 - w1).value
+        node = self.node
+        return self._compare(node[z1], node[z2], w2 - w1)
 
     def counters(self) -> Dict[str, object]:
         return self.comparator.counters()

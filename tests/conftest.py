@@ -362,6 +362,21 @@ def reference_cut_dijkstra(ctx, g: WeightedDigraph, s: int, collect=None) -> Cut
     return CutResult(s, dist, par, order, processed, inserts)
 
 
+def reference_distcmp_streams(seed: int, config):
+    """Slot levels and per-level cover generators of `DistCmp` built the
+    way it first did: SeedSequence(seed).spawn(2), the first child drawing
+    the slot levels and the second spawning one cover stream per level."""
+    level_child, state_child = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(level_child)
+    t = config.t
+    slot_level = [t]
+    if config.capacity > 1:
+        draws = rng.geometric(1.0 - 1.0 / config.K, size=config.capacity - 1) - 1
+        slot_level.extend(min(t, int(d)) for d in draws)
+    covers = [np.random.default_rng(child) for child in state_child.spawn(max(t, 1))]
+    return slot_level, covers
+
+
 def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):
     """A chain of k diamonds top -> x, y -> bottom whose four edges all
     weigh (1 + i % 7) / p_i, the p_i distinct primes in (2^14, 2^15).

@@ -57,3 +57,20 @@ def test_tracer_records_nonneg_strategies():
     assert tracer.get("distcmp.DistCmp.compare", "calls") >= 1
     for name in ("cfrac.best_approx", "cfrac.compare_via_approx", "inctree.IncTree.path_weight"):
         assert tracer.get(name, "calls", ("pairwise",)) >= 1, name
+
+
+def test_traced_compare_counts_every_level_0_query():
+    # Every level-0 query of a distcmp solve enters through the traced
+    # `DistCmp.compare`, so a faster path cannot bypass the span.
+    spans = _load_spans()
+    third = rp.BigRational(1, 3)
+    for seed in range(3):
+        skeleton = gen_random(20, 80, seed)
+        g = rp.WeightedDigraph(20, [(e.tail, e.head, third) for e in skeleton.edges], source=0)
+        tracer = spans.Tracer(rp)
+        collect = {}
+        with tracer.installed():
+            with tracer.root("solve"):
+                rp.dijkstra_nonneg(g, 0, strategy="distcmp", seed=seed, collect=collect)
+        calls = tracer.get("distcmp.DistCmp.compare", "calls")
+        assert calls == collect["distcmp.level_queries"][0] > 0

@@ -130,6 +130,15 @@ class TestShift:
             best_approx_shift(ap, R(1, 8), 2)
 
 
+class TestOrdering:
+    def test_is_the_int_sign(self):
+        for c in (-(1 << 70), -5, -1, 0, 1, 2, 1 << 70):
+            sign = (c > 0) - (c < 0)
+            assert Ordering.of(c) == sign
+            assert Ordering.of(c) is Ordering(sign)
+        assert [int(o) for o in Ordering] == [-1, 0, 1]
+
+
 class TestCompareViaApprox:
     def test_examples(self):
         ap = best_approx(R(5, 7), 2)  # (2/3, 1)

@@ -109,18 +109,37 @@ class TestSolve:
         )
         assert code == 0 and out.startswith("t ")
 
-    @pytest.mark.parametrize("mode, strategy", [("neg", "distcmp"), ("nonneg", "pairwise_delta")])
+    # Every constant is checked whatever the mode or strategy, also where
+    # the chosen solver does not read it.
+    @pytest.mark.parametrize("mode, strategy", [
+        ("neg", "distcmp"), ("nonneg", "pairwise_delta"), ("nonneg", "distcmp"),
+        ("nonneg", "exact_oracle"),
+    ])
     @pytest.mark.parametrize("gamma", ["inf", "nan", "-1", "0"])
     def test_bad_gamma_exit_1(self, tmp_path, capsys, mode, strategy, gamma):
+        self._assert_rejected(tmp_path, capsys, mode, strategy, "gamma", gamma)
+
+    @pytest.mark.parametrize("mode, strategy", [
+        ("neg", "distcmp"), ("nonneg", "pairwise_delta"), ("nonneg", "exact_oracle"),
+    ])
+    @pytest.mark.parametrize("flag", ["C", "lam"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_bad_distcmp_constant_exit_1_for_every_solver(
+        self, tmp_path, capsys, mode, strategy, flag, value
+    ):
+        self._assert_rejected(tmp_path, capsys, mode, strategy, flag, value)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, mode, strategy, flag, value):
         g = gen_random(12, 36, 3, "small", "priced" if mode == "neg" else "none")
         inst = tmp_path / "inst.gr"
         inst.write_text(serialize(g))
         code, out, err = run(
             capsys, "solve", "--input", str(inst), "--mode", mode, "--strategy", strategy,
-            "--word-bits", "16", "--gamma", gamma, "--seed", "0",
+            "--word-bits", "16", f"--{flag}", value, "--seed", "0",
         )
         assert code == 1 and out == ""
-        assert err.startswith("error: gamma must be a positive finite number")
+        assert err.startswith(f"error: {flag} must be a positive finite number")
 
     @pytest.mark.parametrize("flag", ["C", "lam"])
     @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])

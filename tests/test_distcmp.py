@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ratpath import distcmp as distcmp_module
 from ratpath.cfrac import Ordering
 from ratpath.distcmp import (
     ClusterOrder,
@@ -13,6 +14,9 @@ from ratpath.distcmp import (
 )
 from ratpath.graph import _primes_below
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
+from ratpath.sssp import dijkstra_nonneg
+
+from conftest import diamond_chain, reference_distcmp_streams
 
 
 def R(n, d=1):
@@ -176,6 +180,30 @@ class TestInsertAndRecords:
         b = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=9)
         assert a.slot_level == b.slot_level
 
+    @pytest.mark.parametrize("capacity", [1, 2, 8, 64, 512, 4096])
+    def test_streams_match_spawned_children(self, monkeypatch, capacity):
+        # The slot levels and each level's cover stream come from the
+        # SeedSequence children that spawn(2), then spawn(t) on the second
+        # child, would give; covers are built in reverse level order to
+        # show that a stream depends on its level, not on build order.
+        seeded = []
+
+        class RecordingCover:
+            def __init__(self, cap, lam, rng):
+                seeded.append(rng.integers(0, 2**63, size=8).tolist())
+
+        monkeypatch.setattr(distcmp_module, "SparseCover", RecordingCover)
+        for seed in (0, 1, 9, 12345, 2**40):
+            cfg = DistCmpConfig(capacity=capacity, c=2, B=16)
+            dc = DistCmp(cfg, seed=seed)
+            slot_level, covers = reference_distcmp_streams(seed, cfg)
+            assert dc.slot_level == slot_level
+            seeded.clear()
+            for i in reversed(range(cfg.t)):
+                dc._level_state(i)
+            seeded.reverse()
+            assert seeded == [rng.integers(0, 2**63, size=8).tolist() for rng in covers]
+
     def test_full_tree_rejects_insert(self):
         dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=0)
         for _ in range(3):
@@ -247,6 +275,37 @@ class TestCompare:
         assert dc.compare(heavy, light, ZERO) is Ordering.GREATER
         assert dc.compare(heavy, light, R(1, 30)) is Ordering.EQUAL
         assert dc.exact_compare(heavy, light, ZERO) is Ordering.GREATER
+
+    def test_answers_are_ordering_members_on_every_path(self, monkeypatch):
+        # Levels pass int signs; compare turns each into an Ordering member.
+        # The gate-closed diamond chain reaches every level-0 answer path.
+        compare = DistCmp.compare
+        paths = set()
+
+        def classified(dc, u, v, beta):
+            names = ("trivial_answers", "shortcut_answers", "easy_answers", "tie_answers",
+                     "difficult_answers", "cover_fallbacks")
+            before = [getattr(dc, name)[0] for name in names]
+            got = compare(dc, u, v, beta)
+            moved = {name for name, old in zip(names, before) if getattr(dc, name)[0] != old}
+            for name, path in (("cover_fallbacks", "cover fallback"),
+                               ("difficult_answers", "cluster order"),
+                               ("shortcut_answers", "shortcut"), ("easy_answers", "fixed point"),
+                               ("tie_answers", "tie"), ("trivial_answers", "trivial")):
+                if name in moved:
+                    paths.add(path)
+                    break
+            assert any(got is member for member in Ordering)
+            assert got is dc.exact_compare(u, v, beta)
+            return got
+
+        monkeypatch.setattr(DistCmp, "compare", classified)
+        dijkstra_nonneg(
+            diamond_chain(170), 0, strategy="distcmp", seed=1, budget=WordBudget(16),
+            constants={"C": 0.5, "lam": 1.0},
+        )
+        assert paths == {"trivial", "shortcut", "tie", "fixed point", "cluster order",
+                         "cover fallback"}
 
     def test_query_shortness_guard(self):
         dc = DistCmp(DistCmpConfig(capacity=4, c=1, B=4), seed=0)

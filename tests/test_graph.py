@@ -10,6 +10,7 @@ from ratpath.graph import (
     SsspResult,
     WeightedDigraph,
     augment_source,
+    aux_weight,
     bf_exact,
     check_eps_feasible,
     cycle_weight,
@@ -123,6 +124,21 @@ class TestAugment:
         g = WeightedDigraph(3, [(0, 1, R(1)), (0, 2, R(2))])
         ga = augment_source(g, 0)
         assert ga.m == g.m
+
+    def test_aux_weight_formula(self):
+        # n * max(1, max w) on non-negative graphs, 2n * max(1, max |w|)
+        # once a weight is negative, checked in Fraction arithmetic.
+        graphs = [WeightedDigraph(3), WeightedDigraph(2, [(0, 1, R(1, 3))])]
+        for seed in range(30):
+            for weights in ("small", "medium"):
+                for mode in ("none", "priced"):
+                    graphs.append(gen_random(12, 30, seed, weights, mode))
+        for g in graphs:
+            ws = [Fraction(e.weight.num, e.weight.den) for e in g.edges]
+            factor = 2 if any(w < 0 for w in ws) else 1
+            want = factor * g.n * max([Fraction(1)] + [abs(w) for w in ws])
+            got = aux_weight(g)
+            assert (got.num, got.den) == (want.numerator, want.denominator)
 
     def test_preserves_distances_nonneg(self):
         for seed in range(25):

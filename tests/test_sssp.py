@@ -18,6 +18,7 @@ from ratpath.graph import (
     verify_sssp,
 )
 from ratpath.rational import BigRational, WordBudget, ZERO
+from ratpath import sssp as sssp_module
 from ratpath.sssp import (
     BOB_STRATEGIES,
     CutContext,
@@ -181,6 +182,40 @@ class TestDijkstraNonneg:
         assert stats["distcmp.dsu_inconsistencies"] == 0
         assert stats["distcmp.cover_updates"] == updates
         assert hashlib.sha256(serialize_tree(r).encode()).hexdigest() == digest
+
+    def test_distcmp_keys_match_exact_strategy(self, monkeypatch):
+        # Each heap-key comparison of a distcmp run, put to the exact
+        # strategy on the same keys over the same settled tree, gets the
+        # same int sign.
+        signs = []
+        distcmp_strategy = sssp_module._STRATEGIES["distcmp"]
+
+        class Twin:
+            name = "distcmp"
+
+            def __init__(self, capacity, source, budget, c, seed, constants=None):
+                self.fast = distcmp_strategy(capacity, source, budget, c, seed, constants)
+                self.exact = sssp_module._ExactStrategy(capacity, source, budget, c, seed)
+
+            def add_leaf(self, v, parent, weight):
+                self.fast.add_leaf(v, parent, weight)
+                self.exact.add_leaf(v, parent, weight)
+
+            def compare_keys(self, z1, w1, z2, w2):
+                got = self.fast.compare_keys(z1, w1, z2, w2)
+                signs.append((got, self.exact.compare_keys(z1, w1, z2, w2)))
+                return got
+
+            def counters(self):
+                return self.fast.counters()
+
+        monkeypatch.setitem(sssp_module._STRATEGIES, "distcmp", Twin)
+        for seed in range(50):
+            n = 8 + seed % 17
+            dijkstra_nonneg(gen_random(n, 3 * n, seed, "small"), seed % n, strategy="distcmp",
+                            seed=seed)
+        assert all(got in (-1, 0, 1) and got == want for got, want in signs)
+        assert {want for _, want in signs} == {-1, 0, 1}
 
     def test_distcmp_gate_closed_pinned(self):
         # The regime the hierarchy exists for: a chain of 170 tied diamonds
