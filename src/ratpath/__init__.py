@@ -25,7 +25,6 @@ from .cfrac import (
 )
 from .graph import (
     NegativeCycle,
-    PriceFunction,
     SsspResult,
     WeightedDigraph,
     augment_source,

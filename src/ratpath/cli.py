@@ -26,7 +26,10 @@ def _resolve_seed(value: Optional[int]) -> int:
     if value is not None:
         return value
     env = os.environ.get("RATPATH_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"RATPATH_SEED must be an integer, got {env!r}") from None
 
 
 def _write_stats(path: str, stats: Dict[str, object]) -> None:
@@ -63,6 +66,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print(f"error: {name} must be a positive finite number, got {value}", file=sys.stderr)
             return 1
     try:
+        seed = _resolve_seed(args.seed)
+        budget = WordBudget(args.word_bits)
         with open(args.input) as fh:
             g = parse(fh.read())
     except (OSError, ValueError) as exc:
@@ -72,8 +77,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if not 0 <= s < g.n:
         print(f"error: source {s} out of range", file=sys.stderr)
         return 1
-    seed = _resolve_seed(args.seed)
-    budget = WordBudget(args.word_bits)
     mode = args.mode
     if mode == "auto":
         mode = "neg" if g.has_negative_weight() else "nonneg"
@@ -120,8 +123,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
     try:
+        seed = _resolve_seed(args.seed)
         if args.family == "smalldiff":
             g, gap = graphmod.gen_small_diff(
                 args.prime_bound, padding=not args.no_padding, chain=args.chain, window=args.window

@@ -269,9 +269,6 @@ class SparseCover:
         idx, center = set_id
         return self.instances[idx].members(center)
 
-    def membership_counts(self) -> List[int]:
-        return [self.instance_count] * self.n
-
     def counters(self) -> Dict[str, int]:
         """Totals over all instances.  bfs_work counts dequeued vertices,
         which are all real: the attachment paths of the shifted graph are

@@ -90,12 +90,10 @@ class DistCmpConfig:
         "lam",
         "K",
         "t",
-        "n_levels",
         "bits",
         "ell",
         "bits_chain",
         "ell_chain",
-        "chain_log",
     )
 
     def __init__(
@@ -124,14 +122,13 @@ class DistCmpConfig:
         while capacity > self.K**t:
             t += 1
         self.t = t
-        self.n_levels = [math.ceil(capacity / self.K**i) for i in range(t + 1)]
-        self.chain_log = max(1, math.ceil(lam * logn))
+        chain_log = max(1, math.ceil(lam * logn))
         self.bits = [c * B * self.K ** (i + 1) for i in range(t)]
         self.ell = [10 * b * self.K for b in self.bits]
         # Chained similarity parameters: what a cluster-internal comparison
         # may accumulate along a weak-diameter path.
-        self.bits_chain = [(1 + b) * self.chain_log for b in self.bits]
-        self.ell_chain = [l - self.chain_log for l in self.ell]
+        self.bits_chain = [(1 + b) * chain_log for b in self.bits]
+        self.ell_chain = [l - chain_log for l in self.ell]
         for i in range(t):
             if self.ell_chain[i] < 4 * self.bits_chain[i] + 5:
                 raise ValueError("precision margins violated; increase B or C")
@@ -334,7 +331,7 @@ class DistCmp:
         # ~300M bits.
         self._scale: List[Optional["mpz"]] = [None] * t
         self._a: List[Dict[int, "mpz"]] = [{0: mpz(0)} for _ in range(t)]
-        self._d_alpha_memo: Dict[Tuple[int, int], BigRational] = {}
+        self._anchor_memo: Dict[Tuple[int, int], Tuple[int, BigRational]] = {}
         # den_bits[v] bounds the bit length of the product of the weight
         # denominators on the root path of v, the denominator of _pair(v).
         self._den_bits: List[int] = [0]
@@ -395,22 +392,17 @@ class DistCmp:
             memo[y] = memo[z] + (scale * d.num) // d.den
         return memo[v]
 
-    def _d_alpha(self, lvl: int, v: int) -> BigRational:
+    def _anchor(self, lvl: int, v: int) -> Tuple[int, BigRational]:
+        """(alpha, d): v's nearest level-lvl ancestor, v itself included,
+        and the exact distance from it to v; above level t-1 the anchor is
+        the root."""
         key = (lvl, v)
-        got = self._d_alpha_memo.get(key)
+        got = self._anchor_memo.get(key)
         if got is None:
-            if lvl >= self.config.t:
-                anc = 0
-            else:
-                anc = self.tree.nearest_marked_ancestor(v, lvl)
-            got = ZERO if anc == v else self.tree.path_weight(anc, v)
-            self._d_alpha_memo[key] = got
+            anc = 0 if lvl >= self.config.t else self.tree.nearest_marked_ancestor(v, lvl)
+            got = (anc, ZERO if anc == v else self.tree.path_weight(anc, v))
+            self._anchor_memo[key] = got
         return got
-
-    def _alpha(self, lvl: int, v: int) -> int:
-        if lvl >= self.config.t:
-            return 0
-        return self.tree.nearest_marked_ancestor(v, lvl)
 
     def _pair(self, v: int) -> Tuple[int, int]:
         # Unreduced (num, den) of dist(root, v): no gcd, den is the product
@@ -505,14 +497,8 @@ class DistCmp:
             updates = st.cover.insert_edge(su, sv)
             self._apply_updates(st, updates)
         sid = st.cover.common_set(su, sv)
-        if sid is None:
-            self.cover_fallbacks[i] += 1
-            return self.exact_compare(u, v, beta)
-        order = self._order_of(i, st, sid)
-        if order.degraded:
-            self.cover_fallbacks[i] += 1
-            return self.exact_compare(u, v, beta)
-        rel = order.relation(u, v)
+        order = None if sid is None else self._order_of(i, st, sid)
+        rel = None if order is None or order.degraded else order.relation(u, v)
         if rel is None:
             self.cover_fallbacks[i] += 1
             return self.exact_compare(u, v, beta)
@@ -567,9 +553,9 @@ class DistCmp:
             if not ok:
                 diff = self.tree.distance(x) - self.tree.distance(y)
                 return diff.sign, False
-            child_beta = frac + self._d_alpha(i + 1, y) - self._d_alpha(i + 1, x)
-            ax, ay = self._alpha(i + 1, x), self._alpha(i + 1, y)
-            return self._level_compare(i + 1, ax, ay, child_beta), True
+            ax, dx = self._anchor(i + 1, x)
+            ay, dy = self._anchor(i + 1, y)
+            return self._level_compare(i + 1, ax, ay, frac + dy - dx), True
 
         return cmp3
 
@@ -584,7 +570,7 @@ class DistCmp:
         if v == 0:
             return None, ZERO, ZERO, mpz(0)
         z = self.tree.nearest_strict_marked_ancestor(v, i)
-        return z, self.tree.path_weight(z, v), self._d_alpha(i + 1, v), self._a_scaled(i, v)
+        return z, self.tree.path_weight(z, v), self._anchor(i + 1, v)[1], self._a_scaled(i, v)
 
     def approx_denominator(self, i: int) -> int:
         return int(self._scale_of(i))
@@ -654,26 +640,20 @@ class PairwiseDeltaComparator:
         return got
 
     def compare(self, u: int, v: int, beta: BigRational) -> Ordering:
-        """Order dist(root, u) - dist(root, v) against beta."""
+        """Order dist(root, u) - dist(root, v) against beta: from the table
+        when both tails are within h hops and the shifted value's
+        denominator is below 2^bits, else exactly."""
         from .cfrac import compare_via_approx
 
-        au = self.tree.nearest_marked_ancestor(u, 1)
-        av = self.tree.nearest_marked_ancestor(v, 1)
-        if (
-            self.tree.depth[u] - self.tree.depth[au] > self.h
-            or self.tree.depth[v] - self.tree.depth[av] > self.h
-        ):
-            self.exact_fallbacks += 1
-            diff = self.tree.distance(u) - self.tree.distance(v)
-            return Ordering.of(diff._cmp(beta))
-        tail_u = self.tree.path_weight(au, u)
-        tail_v = self.tree.path_weight(av, v)
-        shifted = beta + tail_v - tail_u
-        if shifted.den >= (1 << self.bits):
-            self.exact_fallbacks += 1
-            diff = self.tree.distance(u) - self.tree.distance(v)
-            return Ordering.of(diff._cmp(beta))
-        return compare_via_approx(self._ra(au, av), shifted)
+        tree = self.tree
+        au = tree.nearest_marked_ancestor(u, 1)
+        av = tree.nearest_marked_ancestor(v, 1)
+        if tree.depth[u] - tree.depth[au] <= self.h and tree.depth[v] - tree.depth[av] <= self.h:
+            shifted = beta + tree.path_weight(av, v) - tree.path_weight(au, u)
+            if shifted.den < (1 << self.bits):
+                return compare_via_approx(self._ra(au, av), shifted)
+        self.exact_fallbacks += 1
+        return Ordering.of((tree.distance(u) - tree.distance(v))._cmp(beta))
 
     def counters(self) -> Dict[str, int]:
         return {

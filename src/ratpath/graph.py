@@ -20,7 +20,7 @@ shortest path.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .rational import BigRational, ZERO, ONE, sum_balanced, sum_lt
 __all__ = [
     "Edge",
     "WeightedDigraph",
-    "PriceFunction",
     "SsspResult",
     "NegativeCycle",
     "VerifyOutcome",
@@ -74,6 +73,8 @@ class WeightedDigraph:
     ):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if source is not None and not 0 <= source < n:
+            raise ValueError(f"source {source} out of range")
         self.n = n
         self.source = source
         self.edges: List[Edge] = []
@@ -126,27 +127,12 @@ class WeightedDigraph:
         return g
 
 
-class PriceFunction:
-    """Vertex potentials; total on all vertices."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: Sequence[BigRational]):
-        self.values = list(values)
-
-    def __getitem__(self, v: int) -> BigRational:
-        return self.values[v]
-
-    def __len__(self):
-        return len(self.values)
-
-
-def reduced_weight(g: WeightedDigraph, p: PriceFunction, e: Edge) -> BigRational:
-    """w(e) + p(tail) - p(head), exactly."""
+def reduced_weight(g: WeightedDigraph, p: Sequence[BigRational], e: Edge) -> BigRational:
+    """w(e) + p(tail) - p(head), exactly, for the price p listed per vertex."""
     return e.weight + p[e.tail] - p[e.head]
 
 
-def check_eps_feasible(g: WeightedDigraph, p: PriceFunction, eps: BigRational) -> bool:
+def check_eps_feasible(g: WeightedDigraph, p: Sequence[BigRational], eps: BigRational) -> bool:
     """True iff every reduced weight is at least -eps."""
     neg_eps = -eps
     return all(reduced_weight(g, p, e) >= neg_eps for e in g.edges)
@@ -251,17 +237,22 @@ class SsspResult:
 # -- instance text format ------------------------------------------
 
 
+def _records(text: str) -> Iterator[Tuple[int, List[str]]]:
+    """(line number, fields) of each line that is not blank once its '#'
+    comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
+
+
 def parse(text: str) -> WeightedDigraph:
     """Parse the instance format; malformed input raises ValueError."""
     n = None
     declared_m = None
     source = None
     edges: List[Tuple[int, int, BigRational]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         try:
             if parts[0] == "p":
                 if n is not None or len(parts) != 3:
@@ -286,14 +277,7 @@ def parse(text: str) -> WeightedDigraph:
         raise ValueError("missing 'p' header")
     if declared_m is not None and declared_m != len(edges):
         raise ValueError(f"header declares {declared_m} edges, found {len(edges)}")
-    if source is not None and not 0 <= source < n:
-        raise ValueError(f"source {source} out of range")
-    g = WeightedDigraph(n, source=source)
-    for u, v, w in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of vertex range [0,{n})")
-        g.add_edge(u, v, w)
-    return g
+    return WeightedDigraph(n, edges, source=source)
 
 
 def serialize(g: WeightedDigraph) -> str:
@@ -319,11 +303,7 @@ def parse_tree(text: str) -> SsspResult:
     n = None
     source = None
     parent: Dict[int, Tuple[int, BigRational, bool]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _records(text):
         try:
             if parts[0] == "t":
                 if n is not None or len(parts) != 3:
@@ -405,17 +385,18 @@ class BfResult:
         self.parent = parent
 
 
-def _extract_cycle(parent: List[int], start: int, n: int) -> List[int]:
-    # After n improving rounds, walking n parent links from an improved
-    # vertex is guaranteed to land on the cycle.
-    v = start
-    for _ in range(n):
+def _parent_cycle(parent: List[int], v: int) -> Optional[List[int]]:
+    # Follow parent links from v; a repeated vertex closes a cycle of the
+    # parent graph, listed in edge order.
+    pos: Dict[int, int] = {}
+    path: List[int] = []
+    while v != -1 and v not in pos:
+        pos[v] = len(path)
+        path.append(v)
         v = parent[v]
-    cycle = [v]
-    u = parent[v]
-    while u != v:
-        cycle.append(u)
-        u = parent[u]
+    if v == -1:
+        return None
+    cycle = path[pos[v]:]
     cycle.reverse()
     return cycle
 
@@ -469,7 +450,12 @@ def bf_exact(g: WeightedDigraph, s: int):
                 last_improved = v
         if not changed:
             return BfResult(dist, parent)
-    cycle = _extract_cycle(parent, last_improved, g.n)
+    # After n improving rounds, walking n parent links from an improved
+    # vertex is guaranteed to land on the cycle.
+    v = last_improved
+    for _ in range(g.n):
+        v = parent[v]
+    cycle = _parent_cycle(parent, v)
     w = cycle_weight(g, cycle)
     if w >= ZERO:
         raise AssertionError("extracted cycle is not negative")
@@ -486,14 +472,6 @@ def _primes_below(bound: int) -> List[int]:
         if sieve[i]:
             sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
     return [i for i in range(2, bound) if sieve[i]]
-
-
-def _prime_bound_for(count: int) -> int:
-    # Smallest bound with at least `count` primes below it.
-    bound = 8
-    while len(_primes_below(bound)) < count:
-        bound *= 2
-    return bound
 
 
 @lru_cache(maxsize=64)

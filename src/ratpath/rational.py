@@ -337,8 +337,7 @@ def sum_balanced(xs: Iterable[BigRational]) -> BigRational:
         return ZERO
     while len(layer) > 1:
         nxt = []
-        it = iter(range(0, len(layer) - 1, 2))
-        for i in it:
+        for i in range(0, len(layer) - 1, 2):
             nxt.append(layer[i] + layer[i + 1])
         if len(layer) % 2:
             nxt.append(layer[-1])

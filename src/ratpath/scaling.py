@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .graph import NegativeCycle, PriceFunction, WeightedDigraph, check_eps_feasible, cycle_weight
+from .graph import NegativeCycle, WeightedDigraph, _parent_cycle, check_eps_feasible, cycle_weight
 from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
 
 __all__ = [
@@ -47,22 +47,6 @@ __all__ = [
     "eps_feasible_price",
     "assemble_price",
 ]
-
-
-def _parent_cycle(parent: List[int], v: int) -> Optional[List[int]]:
-    # Follow parent links from v; a repeated vertex closes a cycle of the
-    # parent graph, listed in edge order.
-    pos: Dict[int, int] = {}
-    path: List[int] = []
-    while v != -1 and v not in pos:
-        pos[v] = len(path)
-        path.append(v)
-        v = parent[v]
-    if v == -1:
-        return None
-    cycle = path[pos[v]:]
-    cycle.reverse()
-    return cycle
 
 
 def integer_sssp_arrays(
@@ -126,8 +110,8 @@ def assemble_price(
     levels: Sequence[Sequence[int]],
     total: Optional[int] = None,
     period: Optional[int] = None,
-) -> PriceFunction:
-    """Combine integer potentials: value(v) = sum_j col_j[v] / 2^j.
+) -> List[BigRational]:
+    """Combine integer potentials: the price of v is sum_j col_j[v] / 2^j.
 
     There are `total` columns (default len(levels)).  The first
     len(levels) are the given levels; past them the last `period` levels
@@ -156,7 +140,7 @@ def assemble_price(
     factor = ((1 << span) - 1) // ((1 << period) - 1)
     acc = [(((a << span) + b * factor) << tail) + r for a, b, r in zip(prefix, block, partial)]
     den = 1 << (total - 1)
-    return PriceFunction([BigRational(a, den) for a in acc])
+    return [BigRational(a, den) for a in acc]
 
 
 def eps_feasible_price(
@@ -164,8 +148,9 @@ def eps_feasible_price(
     k: int,
     budget: WordBudget = DEFAULT_BUDGET,
     collect: Optional[Dict[str, int]] = None,
-) -> Union[PriceFunction, NegativeCycle]:
-    """A 2^-k-feasible price function of g, or a negative-cycle witness.
+) -> Union[List[BigRational], NegativeCycle]:
+    """A 2^-k-feasible price of g, one value per vertex, or a negative-cycle
+    witness.
 
     The price has k+2 levels, one integer shortest-path round each on
     the graph augmented with a zero-weight super-source.  Each round
@@ -179,8 +164,9 @@ def eps_feasible_price(
     dividing 2^(k+1) and are verified exactly against every edge before
     returning.  `collect["scaling_rounds"]` counts the k+2 levels and
     `collect["scaling_rounds_solved"]` the rounds actually run.
-    Internal contract violations raise: they indicate a bug, not bad
-    input.
+    A weight that is not 1-short under `budget` raises ValueError.
+    Internal contract violations raise AssertionError: they indicate a
+    bug, not bad input.
     """
     if k < 0:
         raise ValueError("accuracy exponent must be non-negative")

@@ -40,7 +40,6 @@ from .cfrac import compare_via_approx  # noqa: F401
 from .distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
 from .graph import (
     NegativeCycle,
-    PriceFunction,
     SsspResult,
     WeightedDigraph,
     aux_weight,
@@ -272,13 +271,13 @@ class CutContext:
 
     __slots__ = ("k", "budget", "price", "eps", "pden", "pnum")
 
-    def __init__(self, k: int, budget: WordBudget, price: PriceFunction, eps: BigRational):
+    def __init__(self, k: int, budget: WordBudget, price: List[BigRational], eps: BigRational):
         self.k = k
         self.budget = budget
         self.price = price
         self.eps = eps
-        self.pden = math.lcm(*(p.den for p in price.values))
-        self.pnum = [p.num * (self.pden // p.den) for p in price.values]
+        self.pden = math.lcm(*(p.den for p in price))
+        self.pnum = [p.num * (self.pden // p.den) for p in price]
 
 
 def cut_preprocess(
@@ -357,7 +356,7 @@ def cut_dijkstra(
     equal and frac(x) < frac(y); so ordering by (int_part, rem) is
     ordering by the key, and equal keys have equal parts.  The
     remainder's denominator divides den; a processed distance is
-    k-short, so with 1-short weights (as `negative_sssp` checks) den
+    k-short, so with 1-short weights (as `eps_feasible_price` checks) den
     stays below 2^((k+1)B - 1): a remainder is as short as a distance,
     never as wide as the price.  Heap entries are tuples (0, int_part,
     rem, vid, token) for a finite key and (1, vid, token) for +infinity,
@@ -538,11 +537,10 @@ def negative_sssp(
     verifies the assembled tree before returning it.  A failed
     verification is resolved through the exact oracle: either it yields a
     negative-cycle witness, or the failure was a low-probability sampling
-    miss and the pipeline retries with fresh randomness.
+    miss and the pipeline retries with fresh randomness.  A weight that
+    is not 1-short under `budget` raises ValueError from
+    `eps_feasible_price`.
     """
-    for e in g.edges:
-        if not is_k_short(e.weight, 1, budget):
-            raise ValueError(f"edge weight {e.weight} is not 1-short under B={budget.B}")
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
     if not 0 < gamma < math.inf:

@@ -400,6 +400,15 @@ def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):
     return WeightedDigraph(top + 1, edges, source=0)
 
 
+def prime_bound_for(count: int) -> int:
+    """Smallest power-of-two bound, from 8 up, with at least `count`
+    primes below it."""
+    bound = 8
+    while len(_primes_below(bound)) < count:
+        bound *= 2
+    return bound
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

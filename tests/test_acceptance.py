@@ -27,7 +27,7 @@ from ratpath.graph import (
 )
 from ratpath.rational import BigRational, WordBudget
 from ratpath.sssp import dijkstra_nonneg, game_simulate, negative_sssp
-from conftest import diamond_chain
+from conftest import diamond_chain, prime_bound_for
 
 
 def R(n, d=1):
@@ -112,7 +112,7 @@ def test_criterion_2_and_7b_nonneg_solver_equivalence():
         cfg = DistCmpConfig(capacity=max(2, n), c=2, B=64)
         logn = math.log2(max(n, 2))
         for i in range(cfg.t):
-            allowance = 64.0 * cfg.n_levels[i] * logn**2
+            allowance = 64.0 * math.ceil(cfg.capacity / cfg.K**i) * logn**2
             assert queries[i + 1] <= allowance, (n, i, queries)
             fanout_checked += 1
     gadgets = 0
@@ -154,7 +154,8 @@ def test_criterion_7b_gate_closed_fanout():
         assert len(queries) == cfg.t + 1
         logn = math.log2(g.n)
         for i in range(cfg.t):
-            assert queries[i + 1] <= 64.0 * cfg.n_levels[i] * logn**2, (g.n, i, queries)
+            level_size = math.ceil(cfg.capacity / cfg.K**i)
+            assert queries[i + 1] <= 64.0 * level_size * logn**2, (g.n, i, queries)
         deep += sum(queries[1:])
         difficult += sum(stats["distcmp.difficult_answers"])
     assert deep > 0 and difficult > 0
@@ -341,9 +342,7 @@ def test_criterion_9_soft_performance_report():
     t0 = time.time()
     window = 3
     chain = 1365  # window-3 gadgets add 3 vertices each: n = 1 + 3*chain
-    from ratpath.graph import _prime_bound_for
-
-    bound = _prime_bound_for(window * chain)
+    bound = prime_bound_for(window * chain)
     g, _ = gen_small_diff(bound, padding=True, chain=chain, window=window)
     budget = WordBudget(18)
     t1 = time.time()

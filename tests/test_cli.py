@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ratpath
 from ratpath.cli import main
 from ratpath.graph import gen_random, gen_small_diff, parse, plant_negative_cycle, serialize
 
@@ -152,6 +158,28 @@ class TestSolve:
         assert err.startswith(f"error: {flag} must be a positive finite number")
 
 
+class TestInputErrors:
+    # Run as a process, so that an uncaught exception would show as a
+    # traceback and an exit status other than 1.
+    @pytest.mark.parametrize("argv, seed_env", [
+        (["solve", "--word-bits", "1"], None),
+        (["solve"], "abc"),
+        (["gen", "random"], "abc"),
+        (["gen", "random", "--n", "0", "--m", "0"], None),
+    ], ids=["solve-word-bits-1", "solve-bad-env-seed", "gen-bad-env-seed", "gen-no-vertices"])
+    def test_exit_1_without_traceback(self, smalldiff_file, argv, seed_env):
+        if argv[0] == "solve":
+            argv = argv + ["--input", str(smalldiff_file)]
+        env = {k: v for k, v in os.environ.items() if k != "RATPATH_SEED"}
+        env["PYTHONPATH"] = str(Path(ratpath.__file__).parents[1])
+        if seed_env is not None:
+            env["RATPATH_SEED"] = seed_env
+        proc = subprocess.run([sys.executable, "-m", "ratpath.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 class TestVerifyCmd:
     @pytest.mark.parametrize("tree, code, expected", [
         ("t 4 0\na 1 0 1/2\na 2 1 1/3\n", 2, "invalid: vertex count mismatch\n"),
@@ -238,7 +266,7 @@ class TestApprox:
 
 class TestPrice:
     def test_price_emits_feasible_values(self, tmp_path, capsys):
-        from ratpath.graph import PriceFunction, check_eps_feasible
+        from ratpath.graph import check_eps_feasible
         from ratpath.rational import BigRational
 
         g = gen_random(10, 30, 6, "small", "priced")
@@ -251,7 +279,7 @@ class TestPrice:
             tag, v, frac = line.split()
             assert tag == "v"
             values[int(v)] = BigRational.parse(frac)
-        p = PriceFunction([values[v] for v in range(g.n)])
+        p = [values[v] for v in range(g.n)]
         assert check_eps_feasible(g, p, BigRational(1, 16))
 
     def test_price_negative_cycle_exit_2(self, tmp_path, capsys):

@@ -142,7 +142,7 @@ class TestConfig:
             for i in range(cfg.t):
                 assert cfg.ell_chain[i] >= 4 * cfg.bits_chain[i] + 5
             assert cfg.K >= 2
-            assert cfg.n_levels[cfg.t] == 1
+            assert math.ceil(cfg.capacity / cfg.K**cfg.t) == 1
 
     def test_rejects_bad(self):
         with pytest.raises(ValueError):
@@ -363,7 +363,7 @@ class TestCompare:
         assert queries[1] > 0
         logn = math.log2(cfg.capacity)
         for i in range(cfg.t):
-            assert queries[i + 1] <= 64.0 * cfg.n_levels[i] * logn**2
+            assert queries[i + 1] <= 64.0 * math.ceil(cfg.capacity / cfg.K**i) * logn**2
 
     def test_answer_kinds_partition_queries(self):
         # every level query is answered trivially, easily, as a proven tie
@@ -504,6 +504,43 @@ class TestPairwiseComparator:
             beta = R(int(rng.integers(-10, 11)), int(rng.integers(1, 12)))
             diff = pdc.tree.distance(u) - pdc.tree.distance(v)
             assert pdc.compare(u, v, beta) is Ordering.of(diff._cmp(beta))
+
+    def test_tail_beyond_hops_falls_back(self):
+        # gamma this small samples no mark but the root, so on a path every
+        # node deeper than h has a tail beyond h hops
+        rng = np.random.default_rng(15)
+        h = 2
+        pdc = PairwiseDeltaComparator(30, h, WordBudget(16), c=2, gamma=0.01, seed=3)
+        assert not pdc._marked_slots
+        nodes = [0]
+        for _ in range(29):
+            nodes.append(pdc.insert_leaf(nodes[-1], WEIGHT_POOL[int(rng.integers(0, 8))]))
+        deep = 0
+        for _ in range(400):
+            u, v = (int(x) for x in rng.choice(nodes, 2))
+            beta = R(int(rng.integers(-10, 11)), int(rng.integers(1, 12)))
+            diff = pdc.tree.distance(u) - pdc.tree.distance(v)
+            assert pdc.compare(u, v, beta) is Ordering.of(diff._cmp(beta))
+            deep += max(pdc.tree.depth[u], pdc.tree.depth[v]) > h
+        assert pdc.exact_fallbacks == deep > 0
+
+    def test_wide_shifted_denominator_falls_back(self):
+        # h=1 and B=2 give a 9-bit table; with every node marked the tails
+        # are empty, so the shifted value is beta itself and falls back
+        # exactly when its denominator reaches 2^9
+        rng = np.random.default_rng(16)
+        pdc = PairwiseDeltaComparator(12, 1, WordBudget(2), c=1, gamma=100.0, seed=5)
+        assert pdc.bits == 9
+        nodes = self._grow(pdc, rng, 12)
+        assert all(pdc.tree.nearest_marked_ancestor(u, 1) == u for u in nodes)
+        wide = 0
+        for _ in range(400):
+            u, v = (int(x) for x in rng.choice(nodes, 2))
+            beta = R(int(rng.integers(-10, 11)), int(rng.integers(1, 1100)))
+            diff = pdc.tree.distance(u) - pdc.tree.distance(v)
+            assert pdc.compare(u, v, beta) is Ordering.of(diff._cmp(beta))
+            wide += beta.den >= 1 << 9
+        assert pdc.exact_fallbacks == wide > 0
 
     def test_self_pair_is_zero(self):
         pdc = PairwiseDeltaComparator(10, 3, WordBudget(8), seed=1)

@@ -6,7 +6,6 @@ import pytest
 
 from ratpath.graph import (
     NegativeCycle,
-    PriceFunction,
     SsspResult,
     WeightedDigraph,
     augment_source,
@@ -17,7 +16,6 @@ from ratpath.graph import (
     gen_random,
     gen_small_diff,
     _closest_subset_sums,
-    _prime_bound_for,
     _primes_below,
     parse,
     parse_tree,
@@ -29,7 +27,7 @@ from ratpath.graph import (
 )
 from ratpath.rational import BigRational, ZERO
 
-from conftest import bf_tree, textbook_bf
+from conftest import bf_tree, prime_bound_for, textbook_bf
 
 
 def R(n, d=1):
@@ -47,6 +45,29 @@ class TestParseSerialize:
         canonical = serialize(parse(text))
         assert canonical == "p 3 2\ns 1\ne 0 2 -3/1\ne 2 0 2/3\n"
         assert serialize(parse(canonical)) == canonical
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_random(12, 40, 7, "small"),
+        lambda: gen_random(12, 40, 7, "big", "priced"),
+        lambda: gen_random(1, 0, 3),
+        lambda: gen_small_diff(20, chain=3, window=2)[0],
+        lambda: plant_negative_cycle(gen_random(10, 30, 2, "small", "priced"), 2),
+    ], ids=["random", "priced-big", "one-vertex", "smalldiff-chain", "planted-cycle"])
+    def test_generator_outputs_round_trip(self, make):
+        g = make()
+        text = serialize(g)
+        back = parse(text)
+        assert (back.n, back.m, back.source) == (g.n, g.m, g.source)
+        assert serialize(back) == text
+
+    def test_source_out_of_range_rejected(self):
+        # gen_random(0, 0, s) used to build a graph with source 0 and no
+        # vertices, whose text `parse` then refused
+        with pytest.raises(ValueError, match="source 0 out of range"):
+            gen_random(0, 0, 5)
+        for source in (-1, 3):
+            with pytest.raises(ValueError, match=f"source {source} out of range"):
+                WeightedDigraph(3, source=source)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -164,12 +185,12 @@ class TestAugment:
 class TestPrices:
     def test_reduced_weight(self):
         g = WeightedDigraph(2, [(0, 1, R(-1))])
-        p = PriceFunction([ZERO, R(-1)])
+        p = [ZERO, R(-1)]
         assert reduced_weight(g, p, g.edges[0]) == ZERO
 
     def test_identity_price(self):
         g = gen_random(8, 20, 3)
-        p = PriceFunction([ZERO] * 8)
+        p = [ZERO] * 8
         for e in g.edges:
             assert reduced_weight(g, p, e) == e.weight
         assert check_eps_feasible(g, p, ZERO)
@@ -291,7 +312,7 @@ class TestGenerators:
         # the padded window-3 chain of 2730 gadgets; its gap sums 2730
         # gadget gaps with ever larger denominators
         chain = 2730
-        bound = _primes_below(_prime_bound_for(3 * chain))[3 * chain - 1] + 1
+        bound = _primes_below(prime_bound_for(3 * chain))[3 * chain - 1] + 1
         start = time.perf_counter()
         g, gap = gen_small_diff(bound, padding=True, chain=chain, window=3)
         assert time.perf_counter() - start < 3.0
@@ -415,7 +436,7 @@ class TestVerify:
         # one: the only violated edge is the lighter path's last edge,
         # now a non-tree edge, and it is violated by one gadget gap.
         chain = 120
-        bound = _primes_below(_prime_bound_for(3 * chain))[3 * chain - 1] + 1
+        bound = _primes_below(prime_bound_for(3 * chain))[3 * chain - 1] + 1
         g, _ = gen_small_diff(bound, padding=True, chain=chain, window=3)
         tree = bf_tree(g, 0)
         assert verify_sssp(g, tree, mode="exact").valid

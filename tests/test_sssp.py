@@ -7,7 +7,6 @@ import pytest
 
 from ratpath.graph import (
     NegativeCycle,
-    PriceFunction,
     WeightedDigraph,
     augment_source,
     bf_exact,
@@ -308,7 +307,7 @@ class TestCutDijkstra:
                 g = gen_random(12, 36, 20 + trial, "small", "priced")
                 ctx = cut_preprocess(g, 1 + trial % 3, budget=budget)
                 assert not isinstance(ctx, NegativeCycle)
-                price = list(ctx.price.values)
+                price = list(ctx.price)
                 # Copied prices and weights make exact key ties, which
                 # break by vertex id on both sides.
                 for _ in range(3):
@@ -489,7 +488,7 @@ class TestCutDijkstra:
                     price[v] = price[twin]
                     edges[(u, v)] = edges[(u, twin)]
             g = WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()])
-            ctx = CutContext(int(rng.integers(1, 4)), budget, PriceFunction(price), R(0))
+            ctx = CutContext(int(rng.integers(1, 4)), budget, price, R(0))
             for s in range(1, n):
                 run = self._assert_matches_reference(ctx, g, s)
                 keys = {}
@@ -655,6 +654,11 @@ class TestNegativePipeline:
         g = gen_random(8, 20, 3, "small", "priced")
         with pytest.raises(ValueError, match="gamma must be a positive finite number"):
             negative_sssp(g, 0, gamma=gamma, budget=B16)
+
+    def test_rejects_weight_not_1_short(self):
+        g = WeightedDigraph(2, [(0, 1, R(-(1 << 15), 3))])
+        with pytest.raises(ValueError, match=r"edge weight -32768/3 is not 1-short under B=16"):
+            negative_sssp(g, 0, budget=B16)
 
     def test_single_vertex(self):
         g = WeightedDigraph(1, source=0)
