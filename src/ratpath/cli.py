@@ -23,13 +23,19 @@ from .cfrac import best_approx
 
 
 def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("RATPATH_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise ValueError(f"RATPATH_SEED must be an integer, got {env!r}") from None
+    where = "--seed"
+    if value is None:
+        where = "RATPATH_SEED"
+        env = os.environ.get(where)
+        try:
+            value = int(env) if env else 0
+        except ValueError:
+            raise ValueError(f"RATPATH_SEED must be an integer, got {env!r}") from None
+    # Checked for every command, mode and strategy, also where nothing
+    # draws from the seed.
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value} ({where})")
+    return value
 
 
 def _write_stats(path: str, stats: Dict[str, object]) -> None:

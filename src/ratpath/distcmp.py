@@ -90,7 +90,6 @@ class DistCmpConfig:
         "lam",
         "K",
         "t",
-        "bits",
         "ell",
         "bits_chain",
         "ell_chain",
@@ -123,11 +122,11 @@ class DistCmpConfig:
             t += 1
         self.t = t
         chain_log = max(1, math.ceil(lam * logn))
-        self.bits = [c * B * self.K ** (i + 1) for i in range(t)]
-        self.ell = [10 * b * self.K for b in self.bits]
+        bits = [c * B * self.K ** (i + 1) for i in range(t)]
+        self.ell = [10 * b * self.K for b in bits]
         # Chained similarity parameters: what a cluster-internal comparison
         # may accumulate along a weak-diameter path.
-        self.bits_chain = [(1 + b) * chain_log for b in self.bits]
+        self.bits_chain = [(1 + b) * chain_log for b in bits]
         self.ell_chain = [l - chain_log for l in self.ell]
         for i in range(t):
             if self.ell_chain[i] < 4 * self.bits_chain[i] + 5:
@@ -259,25 +258,19 @@ class _PotentialDsu:
 
 
 class _LevelState:
-    __slots__ = (
-        "cap",
-        "members",
-        "slot_of",
-        "cover",
-        "orders",
-        "dsu",
-        "edges",
-    )
+    """The difficult path's state at one level, built on its first use:
+    the level's nodes in insertion order and their slots (kept up from
+    then on), the cover and the potentials over `cap` slots, the cluster
+    orders and the similarity edges."""
 
-    def __init__(self, cap: int):
-        self.cap = max(1, cap)
-        # The level's nodes in insertion order and their slots, listed
-        # when the level's cover is built and kept up from then on.
-        self.members: List[int] = []
-        self.slot_of: Dict[int, int] = {}
-        self.cover: Optional[SparseCover] = None
+    __slots__ = ("members", "slot_of", "cover", "orders", "dsu", "edges")
+
+    def __init__(self, cap: int, members: List[int], cover: SparseCover):
+        self.members = members
+        self.slot_of = {v: slot for slot, v in enumerate(members)}
+        self.cover = cover
         self.orders: Dict[Tuple[int, int], ClusterOrder] = {}
-        self.dsu = _PotentialDsu(self.cap)
+        self.dsu = _PotentialDsu(cap)
         self.edges: set = set()
 
 
@@ -324,8 +317,7 @@ class DistCmp:
             draws = rng.geometric(1.0 - 1.0 / config.K, size=config.capacity - 1) - 1
             self.slot_level.extend(min(t, int(d)) for d in draws)
         self.tree = IncTree(max_level=t)
-        caps = [sum(1 for lv in self.slot_level if lv >= i) for i in range(t)]
-        self._states = [_LevelState(caps[i]) for i in range(t)]
+        self._states: List[Optional[_LevelState]] = [None] * t
         # scale_i = 2^(ell_i + 2) * capacity, built on the first fixed-point
         # use of level i: at capacity 2000 and c=2 the level-2 value has
         # ~300M bits.
@@ -356,8 +348,8 @@ class DistCmp:
         self._den_bits.append(self._den_bits[parent] + weight.den.bit_length())
         for i in range(min(lvl, self.config.t - 1) + 1):
             st = self._states[i]
-            if st.cover is None:
-                continue  # _level_state lists the members when it builds the cover
+            if st is None:
+                continue  # _level_state lists the members when it builds the state
             slot = len(st.members)
             st.members.append(node)
             st.slot_of[node] = slot
@@ -508,13 +500,13 @@ class DistCmp:
 
     def _level_state(self, i: int) -> _LevelState:
         st = self._states[i]
-        if st.cover is None:
+        if st is None:
+            cap = max(1, sum(1 for lv in self.slot_level if lv >= i))
             level = self.tree.level
-            st.members = [v for v in range(len(level)) if level[v] >= i]
-            st.slot_of = {v: slot for slot, v in enumerate(st.members)}
+            members = [v for v in range(len(level)) if level[v] >= i]
             seq = np.random.SeedSequence(self._entropy, spawn_key=(1, i))
-            rng = np.random.default_rng(seq)
-            st.cover = SparseCover(st.cap, self.config.lam, rng)
+            cover = SparseCover(cap, self.config.lam, np.random.default_rng(seq))
+            st = self._states[i] = _LevelState(cap, members, cover)
         return st
 
     def _apply_updates(self, st: _LevelState, updates) -> None:
@@ -577,10 +569,9 @@ class DistCmp:
 
     def counters(self) -> Dict[str, object]:
         out: Dict[str, object] = {name: list(getattr(self, name)) for name in _LEVEL_COUNTERS}
-        out["dsu_inconsistencies"] = sum(st.dsu.inconsistencies for st in self._states)
-        out["cover_updates"] = sum(
-            st.cover.updates_issued for st in self._states if st.cover is not None
-        )
+        states = [st for st in self._states if st is not None]
+        out["dsu_inconsistencies"] = sum(st.dsu.inconsistencies for st in states)
+        out["cover_updates"] = sum(st.cover.updates_issued for st in states)
         return out
 
 
@@ -600,7 +591,6 @@ class PairwiseDeltaComparator:
         capacity: int,
         hop_param: int,
         budget: WordBudget,
-        c: int = 2,
         gamma: float = 2.0,
         seed: int = 0,
     ):

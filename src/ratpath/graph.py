@@ -114,9 +114,6 @@ class WeightedDigraph:
         i = self._index.get((u, v))
         return self.edges[i] if i is not None else None
 
-    def weights(self) -> List[BigRational]:
-        return [e.weight for e in self.edges]
-
     def has_negative_weight(self) -> bool:
         return any(e.weight.num < 0 for e in self.edges)
 
@@ -359,8 +356,9 @@ def augment_source(g: WeightedDigraph, s: int) -> WeightedDigraph:
 
     Distances to originally reachable vertices are unchanged and
     reachability is recoverable from the aux flags.  `dijkstra_nonneg`
-    no longer calls this: it offers the same aux edges itself, only once
-    its heap of real entries has drained, and builds no augmented graph.
+    does not call this: unreachable vertices never enter its heap, and
+    once the heap drains it gives each the aux edge from s added here as
+    its parent, building no augmented graph.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")

@@ -4,8 +4,8 @@ Non-negative case: textbook Dijkstra where every comparison between two
 tentative keys dist(z1) + w1 and dist(z2) + w2 is delegated to a pluggable
 comparison strategy; the default routes through the hierarchical
 structure of `distcmp`, so no exact distance is ever materialized.
-Vertices s cannot reach are offered sentinel-weight aux entries from s
-only after the heap of real entries drains; no augmented graph is built.
+Vertices s cannot reach never enter the heap: once it drains, each gets
+an aux parent edge from s of sentinel weight; no augmented graph is built.
 
 Negative case: an eps-feasible price function from `scaling` makes a
 "cut" Dijkstra sound for every vertex whose shortest path uses at most k
@@ -73,12 +73,14 @@ class IllegalBobMove(ValueError):
     pass
 
 
-def _shortness_class(weights, budget: WordBudget) -> int:
-    c = 1
-    for w in weights:
-        while not is_k_short(w, c, budget):
-            c += 1
-    return c
+def _shortness_class(g: WeightedDigraph, budget: WordBudget) -> int:
+    """The least c with every weight of g c-short: |num| and den below
+    2^(c*B - 1), so c*B must exceed the widest bit length among them."""
+    acc = 0
+    for e in g.edges:
+        w = e.weight
+        acc |= w.den | abs(w.num)
+    return -(-(acc.bit_length() + 1) // budget.B)
 
 
 # -- comparison strategies -------------------------------------------
@@ -89,7 +91,7 @@ class _ExactStrategy:
 
     name = "exact_oracle"
 
-    def __init__(self, capacity, source, budget, c, seed, constants=None):
+    def __init__(self, g, source, budget, seed, constants=None):
         self.dist: Dict[int, BigRational] = {source: ZERO}
 
     def add_leaf(self, v: int, parent: int, weight: BigRational) -> None:
@@ -127,15 +129,18 @@ class _TreeStrategy:
         return self.comparator.counters()
 
 
-def _distcmp_strategy(capacity, source, budget, c, seed, constants=None):
-    cfg = DistCmpConfig(capacity=max(2, capacity), c=2 * c, B=budget.B, **(constants or {}))
+def _distcmp_strategy(g, source, budget, seed, constants=None):
+    # A heap comparison puts the difference of two weights to the
+    # structure, so its class is twice theirs.
+    c = 2 * _shortness_class(g, budget)
+    cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, **(constants or {}))
     return _TreeStrategy("distcmp", DistCmp(cfg, seed=seed), source)
 
 
-def _pairwise_strategy(capacity, source, budget, c, seed, constants=None):
-    h = max(1, math.ceil(math.sqrt(capacity)))
+def _pairwise_strategy(g, source, budget, seed, constants=None):
+    h = max(1, math.ceil(math.sqrt(g.n)))
     gamma = (constants or {}).get("gamma", 2.0)
-    pdc = PairwiseDeltaComparator(capacity, h, budget, c=2 * c, gamma=gamma, seed=seed)
+    pdc = PairwiseDeltaComparator(g.n, h, budget, gamma=gamma, seed=seed)
     return _TreeStrategy("pairwise_delta", pdc, source)
 
 
@@ -174,14 +179,15 @@ def dijkstra_nonneg(
 ) -> SsspResult:
     """Shortest-paths tree of a non-negative graph from s.
 
-    Every vertex gets a tree edge: once the heap of real entries drains,
-    each vertex still unvisited is offered an aux edge s->v of weight
-    `aux_weight(g)`, the same edges `augment_source` would add, and the
-    search goes on.  No augmented copy of the graph is built.  Vertices
-    whose tree path crosses an aux edge are reported unreachable by the
-    result.  Heap comparisons are routed through the chosen strategy;
-    `exact_oracle` is unconditionally correct, `distcmp` is correct with
-    high probability, `pairwise_delta` is the table-driven alternative.
+    Every vertex gets a tree edge.  Unreachable vertices never enter the
+    heap: once it drains, each vertex still unvisited gets the parent edge
+    s->v of weight `aux_weight(g)`, flagged aux, the tree edge it gets in
+    the graph that `augment_source` builds; no augmented copy is built.
+    Vertices whose tree path crosses an aux edge are reported unreachable
+    by the result.  Heap comparisons are routed through the chosen
+    strategy; `exact_oracle` is unconditionally correct, `distcmp` is
+    correct with high probability, `pairwise_delta` is the table-driven
+    alternative.
     """
     if g.has_negative_weight():
         raise NegativeWeightError("graph has negative weights; use negative_sssp")
@@ -190,12 +196,7 @@ def dijkstra_nonneg(
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
     n = g.n
-    sentinel = aux_weight(g)
-    # The class of the augmented graph's weights: it has a sentinel edge
-    # unless s already has an edge to every other vertex.
-    direct = {e.head for e in g.out_edges(s)} - {s}
-    c = _shortness_class(g.weights() + ([sentinel] if len(direct) < n - 1 else []), budget)
-    strat = _STRATEGIES[strategy](n, s, budget, c, seed, constants)
+    strat = _STRATEGIES[strategy](g, s, budget, seed, constants)
 
     visited = [False] * n
     token = [0] * n
@@ -205,15 +206,8 @@ def dijkstra_nonneg(
     pushes = 0
     relaxations = 0
 
-    def push(v: int, u: int, w: BigRational, aux: bool) -> None:
-        nonlocal pushes
-        cur[v] = (u, w, aux)
-        token[v] += 1
-        heapq.heappush(heap, _HeapEntry(u, w, v, token[v], strat))
-        pushes += 1
-
     def relax_from(u: int) -> None:
-        nonlocal relaxations
+        nonlocal pushes, relaxations
         for e in g.out_edges(u):
             v = e.head
             if visited[v]:
@@ -221,30 +215,31 @@ def dijkstra_nonneg(
             relaxations += 1
             old = cur.get(v)
             if old is None or strat.compare_keys(u, e.weight, old[0], old[1]) < 0:
-                push(v, u, e.weight, e.aux)
-
-    def drain() -> None:
-        while heap:
-            entry = heapq.heappop(heap)
-            v = entry.vid
-            if visited[v] or token[v] != entry.token:
-                continue
-            visited[v] = True
-            parent[v] = cur[v]
-            strat.add_leaf(v, entry.z, entry.w)
-            relax_from(v)
+                cur[v] = (u, e.weight, e.aux)
+                token[v] += 1
+                heapq.heappush(heap, _HeapEntry(u, e.weight, v, token[v], strat))
+                pushes += 1
 
     visited[s] = True
     relax_from(s)
-    drain()
-    # Every vertex left is unreachable and so has no candidate.  The
-    # sentinel exceeds every real tentative key, so holding these entries
-    # back until now changes no extraction; ties at the sentinel are
-    # still broken by vertex id.
-    for v in range(n):
-        if not visited[v]:
-            push(v, s, sentinel, True)
-    drain()
+    while heap:
+        entry = heapq.heappop(heap)
+        v = entry.vid
+        if visited[v] or token[v] != entry.token:
+            continue
+        visited[v] = True
+        parent[v] = cur[v]
+        strat.add_leaf(v, entry.z, entry.w)
+        relax_from(v)
+    # Every vertex left is unreachable from s.  Over the augmented graph
+    # each would be keyed by the sentinel, and a relaxation out of one
+    # would offer sentinel + w >= sentinel, which never wins: each would
+    # keep s as its parent, popping in vertex-id order.
+    left = [v for v in range(n) if not visited[v]]
+    if left:
+        sentinel = aux_weight(g)
+        for v in left:
+            parent[v] = (s, sentinel, True)
 
     if collect is not None:
         collect["heap_pushes"] = pushes
@@ -333,7 +328,7 @@ def cut_dijkstra(
     only while its tentative distance stays k-short.  Reinsertions into
     the heap are deferred by countdowns assigned from the processing-time
     rank of each relaxed vertex; a countdown is kept as the absolute turn
-    at which it expires, in a bucket per turn.
+    at which it expires, in one heap of (turn, vertex).
 
     The rank orders the vertices u relaxed from v by the exact key
     dist(v) + w(v->u) - p(u), which is u's heap key, ties by vertex id.
@@ -389,8 +384,8 @@ def cut_dijkstra(
     extracted = [False] * n
     processed = [False] * n
     expiry: List[Optional[int]] = [None] * n  # None = no countdown
-    buckets: Dict[int, List[int]] = {}
-    bucket_turns: List[int] = []  # heap of bucket keys, pruned lazily
+    # (turn, vertex); an entry is stale unless expiry[vertex] == turn.
+    countdowns: List[Tuple[int, int]] = []
     clock = 0
     # Every vertex starts on the heap: s with its key, the rest at
     # +infinity.  The list is sorted, so it is already a heap.
@@ -413,29 +408,30 @@ def cut_dijkstra(
         live += 1
         inserts += 1
 
-    def expire(turn: int) -> None:
-        # Entries left behind by a lowered countdown or an extraction are
-        # stale and skipped.
-        for u in sorted(buckets.pop(turn, ())):
-            if expiry[u] == turn:
+    def expire() -> None:
+        # Pops every entry of the current turn, in vertex order; entries
+        # left behind by a lowered countdown or an extraction are stale
+        # and skipped.  No entry is older than the clock: turns are set
+        # ahead of it, and it moves one turn or to the earliest entry.
+        while countdowns and countdowns[0][0] == clock:
+            u = heapq.heappop(countdowns)[1]
+            if expiry[u] == clock:
                 expiry[u] = None
                 push(u)
 
     for _ in range(n):
         # Countdown phase: one tick normally; when every pending vertex is
-        # in countdown, jump to the next non-empty bucket so a reinsertion
+        # in countdown, jump to the earliest countdown so a reinsertion
         # happens.  The turn count stays at n either way, which is what
         # the payout bound of the countdown game depends on.
         if live > 0:
             clock += 1
-            expire(clock)
+            expire()
         while live == 0:
-            while bucket_turns and bucket_turns[0] <= clock:
-                heapq.heappop(bucket_turns)
-            if not bucket_turns:
+            if not countdowns:
                 raise AssertionError("no heap entries and no countdowns left")
-            clock = heapq.heappop(bucket_turns)
-            expire(clock)
+            clock = countdowns[0][0]
+            expire()
 
         while True:
             entry = heapq.heappop(heap)
@@ -486,10 +482,7 @@ def cut_dijkstra(
             turn = clock + rank
             if expiry[u] is None or turn < expiry[u]:
                 expiry[u] = turn
-                if turn not in buckets:
-                    buckets[turn] = []
-                    heapq.heappush(bucket_turns, turn)
-                buckets[turn].append(u)
+                heapq.heappush(countdowns, (turn, u))
 
     if collect is not None:
         # Runs accumulate into one dict: sums, and the largest single run.

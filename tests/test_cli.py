@@ -166,7 +166,15 @@ class TestInputErrors:
         (["solve"], "abc"),
         (["gen", "random"], "abc"),
         (["gen", "random", "--n", "0", "--m", "0"], None),
-    ], ids=["solve-word-bits-1", "solve-bad-env-seed", "gen-bad-env-seed", "gen-no-vertices"])
+        (["solve", "--seed", "-3"], None),
+        (["solve", "--strategy", "exact_oracle", "--seed", "-3"], None),
+        (["solve", "--mode", "neg", "--seed", "-3"], None),
+        (["solve"], "-1"),
+        (["gen", "smalldiff", "--seed", "-3"], None),
+        (["gen", "random"], "-1"),
+    ], ids=["solve-word-bits-1", "solve-bad-env-seed", "gen-bad-env-seed", "gen-no-vertices",
+            "solve-negative-seed", "solve-exact-oracle-negative-seed", "solve-neg-negative-seed",
+            "solve-negative-env-seed", "gen-smalldiff-negative-seed", "gen-negative-env-seed"])
     def test_exit_1_without_traceback(self, smalldiff_file, argv, seed_env):
         if argv[0] == "solve":
             argv = argv + ["--input", str(smalldiff_file)]
@@ -178,6 +186,27 @@ class TestInputErrors:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--mode", mode, "--strategy", strategy]
+        for mode in ("nonneg", "neg") for strategy in ("exact_oracle", "distcmp", "pairwise_delta")
+    ] + [["gen", family] for family in ("smalldiff", "random", "priced")])
+    @pytest.mark.parametrize("flag", [True, False], ids=["flag", "env"])
+    def test_negative_seed_named_with_its_source(self, capsys, monkeypatch, smalldiff_file,
+                                                 argv, flag):
+        # Rejected for every command, mode, strategy and family, also
+        # where nothing draws from the seed.
+        if argv[0] == "solve":
+            argv = argv + ["--input", str(smalldiff_file)]
+        if flag:
+            monkeypatch.delenv("RATPATH_SEED", raising=False)
+            argv = argv + ["--seed", "-3"]
+        else:
+            monkeypatch.setenv("RATPATH_SEED", "-3")
+        where = "--seed" if flag else "RATPATH_SEED"
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: seed must be a non-negative integer, got -3 ({where})\n"
 
 
 class TestVerifyCmd:

@@ -418,7 +418,7 @@ class TestExactShortcut:
         assert ties > 0 and c["tie_answers"] == [ties] + [0] * dc.config.t
         assert c["difficult_answers"] == [0] * (dc.config.t + 1)
         assert sum(c["level_queries"][1:]) == 0
-        assert dc._states[0].cover is None
+        assert dc._states[0] is None
 
     def test_fixed_point_tests_agree_with_exact_twins(self, rng):
         # At ties (beta = the exact difference) and at near-ties as close
@@ -496,7 +496,7 @@ class TestPairwiseComparator:
     def test_agrees_with_exact(self):
         rng = np.random.default_rng(13)
         budget = WordBudget(16)
-        pdc = PairwiseDeltaComparator(60, 8, budget, c=2, seed=4)
+        pdc = PairwiseDeltaComparator(60, 8, budget, seed=4)
         nodes = self._grow(pdc, rng, 60)
         for _ in range(10_000):
             u = nodes[int(rng.integers(0, len(nodes)))]
@@ -510,7 +510,7 @@ class TestPairwiseComparator:
         # node deeper than h has a tail beyond h hops
         rng = np.random.default_rng(15)
         h = 2
-        pdc = PairwiseDeltaComparator(30, h, WordBudget(16), c=2, gamma=0.01, seed=3)
+        pdc = PairwiseDeltaComparator(30, h, WordBudget(16), gamma=0.01, seed=3)
         assert not pdc._marked_slots
         nodes = [0]
         for _ in range(29):
@@ -529,7 +529,7 @@ class TestPairwiseComparator:
         # are empty, so the shifted value is beta itself and falls back
         # exactly when its denominator reaches 2^9
         rng = np.random.default_rng(16)
-        pdc = PairwiseDeltaComparator(12, 1, WordBudget(2), c=1, gamma=100.0, seed=5)
+        pdc = PairwiseDeltaComparator(12, 1, WordBudget(2), gamma=100.0, seed=5)
         assert pdc.bits == 9
         nodes = self._grow(pdc, rng, 12)
         assert all(pdc.tree.nearest_marked_ancestor(u, 1) == u for u in nodes)
@@ -549,7 +549,7 @@ class TestPairwiseComparator:
 
     def test_full_tree_rejects_insert(self):
         # the root holds slot 0, so capacity 4 leaves room for three leaves
-        pdc = PairwiseDeltaComparator(4, 1, WordBudget(8), c=1, gamma=100.0, seed=0)
+        pdc = PairwiseDeltaComparator(4, 1, WordBudget(8), gamma=100.0, seed=0)
         for _ in range(3):
             pdc.insert_leaf(0, R(1, 2))
         with pytest.raises(ValueError):
@@ -564,7 +564,7 @@ class TestPairwiseComparator:
     def test_all_marked_short_tails(self):
         # a hop parameter of 1 with everything marked keeps every tail empty
         budget = WordBudget(8)
-        pdc = PairwiseDeltaComparator(6, 1, budget, c=1, gamma=100.0, seed=2)
+        pdc = PairwiseDeltaComparator(6, 1, budget, gamma=100.0, seed=2)
         rng = np.random.default_rng(14)
         nodes = self._grow(pdc, rng, 6)
         assert all(slot in pdc._marked_slots or slot == 0 for slot in range(6))

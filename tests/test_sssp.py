@@ -16,7 +16,7 @@ from ratpath.graph import (
     serialize_tree,
     verify_sssp,
 )
-from ratpath.rational import BigRational, WordBudget, ZERO
+from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath import sssp as sssp_module
 from ratpath.sssp import (
     BOB_STRATEGIES,
@@ -87,9 +87,12 @@ class TestDijkstraNonneg:
         # make ties and unreachable parts common; some graphs already carry
         # aux edges from another vertex, and some give the source an edge to
         # every vertex.
+        # Every third trial runs at B=4, where 200/3 is 3-short and the
+        # sentinel is often wider than every weight.
         rng = np.random.default_rng(12)
-        choices = [R(0), R(0), R(1, 3), R(1, 2), R(1), R(2, 3), R(5, 7)]
+        choices = [R(0), R(0), R(1, 3), R(1, 2), R(1), R(2, 3), R(5, 7), R(200, 3)]
         for trial in range(300):
+            budget = WordBudget(4) if trial % 3 == 2 else WordBudget()
             n = int(rng.integers(1, 30))
             s = int(rng.integers(0, n))
             g = WeightedDigraph(n)
@@ -101,9 +104,38 @@ class TestDijkstraNonneg:
             elif trial % 10 == 1:
                 for v in range(n):
                     g.add_edge(s, v, choices[int(rng.integers(0, len(choices)))])
-            want = dijkstra_nonneg(augment_source(g, s), s, strategy="exact_oracle").parent
-            got = dijkstra_nonneg(g, s, strategy=strategy, seed=trial).parent
+            want = dijkstra_nonneg(augment_source(g, s), s, strategy="exact_oracle",
+                                   budget=budget).parent
+            got = dijkstra_nonneg(g, s, strategy=strategy, seed=trial, budget=budget).parent
             assert got == want, (strategy, trial)
+
+    @pytest.mark.parametrize("strategy", ["exact_oracle", "distcmp", "pairwise_delta"])
+    def test_isolated_source_skips_the_heap(self, strategy):
+        # No vertex is reachable, so nothing is pushed or compared, and
+        # every other vertex gets an aux parent edge from the source.
+        g = WeightedDigraph(6, [(1, 2, R(1, 3)), (2, 3, R(0)), (4, 1, R(5, 7)), (5, 2, R(2))])
+        stats = {}
+        res = dijkstra_nonneg(g, 3, strategy=strategy, seed=1, collect=stats)
+        assert (stats["heap_pushes"], stats["relaxations"]) == (0, 0)
+        if strategy == "distcmp":
+            assert not any(stats["distcmp.level_queries"])
+        sentinel = R(6 * 2)  # n * max(1, max w)
+        assert res.parent == {v: (3, sentinel, True) for v in (0, 1, 2, 4, 5)}
+        assert not any(res.reachable(v) for v in (0, 1, 2, 4, 5))
+
+    def test_shortness_class_is_least_k_short_class(self):
+        rng = np.random.default_rng(21)
+        for trial in range(300):
+            budget = WordBudget(int(rng.integers(2, 71)))
+            g = WeightedDigraph(2)
+            for _ in range(int(rng.integers(0, 6))):
+                num = int(rng.integers(-(1 << 62), 1 << 62)) >> int(rng.integers(0, 63))
+                den = int(rng.integers(1, 1 << 62)) >> int(rng.integers(0, 62)) or 1
+                g.add_edge(0, 1, R(num * int(rng.integers(1, 1 << 40)), den))
+            c = 1
+            while not all(is_k_short(e.weight, c, budget) for e in g.edges):
+                c += 1
+            assert sssp_module._shortness_class(g, budget) == c, trial
 
     @pytest.mark.parametrize("strategy", ["exact_oracle", "distcmp", "pairwise_delta"])
     def test_source_out_of_range(self, strategy):
@@ -136,7 +168,7 @@ class TestDijkstraNonneg:
         [
             (
                 "ties",
-                (59, 110, [353, 0, 0], [34, 0, 0], [105, 0, 0], [214, 0, 0], [0, 0, 0], [0, 0, 0], 0,
+                (58, 110, [353, 0, 0], [34, 0, 0], [105, 0, 0], [214, 0, 0], [0, 0, 0], [0, 0, 0], 0,
                  "0cfafd07ebe7bfa3c03ebe592cb9f84cb60e5899a1e80d6aa0e668c1086f0f3b"),
             ),
             (
@@ -146,7 +178,7 @@ class TestDijkstraNonneg:
             ),
             (
                 "ties-400",
-                (399, 805, [3586, 0, 0, 0], [141, 0, 0, 0], [820, 0, 0, 0], [2625, 0, 0, 0],
+                (394, 805, [3577, 0, 0, 0], [132, 0, 0, 0], [820, 0, 0, 0], [2625, 0, 0, 0],
                  [0, 0, 0, 0], [0, 0, 0, 0], 0,
                  "36c539820d2ececd51dafdfb848c14f64dd82bd6e2b0297998a0ea7160f0682c"),
             ),
@@ -192,9 +224,9 @@ class TestDijkstraNonneg:
         class Twin:
             name = "distcmp"
 
-            def __init__(self, capacity, source, budget, c, seed, constants=None):
-                self.fast = distcmp_strategy(capacity, source, budget, c, seed, constants)
-                self.exact = sssp_module._ExactStrategy(capacity, source, budget, c, seed)
+            def __init__(self, g, source, budget, seed, constants=None):
+                self.fast = distcmp_strategy(g, source, budget, seed, constants)
+                self.exact = sssp_module._ExactStrategy(g, source, budget, seed)
 
             def add_leaf(self, v, parent, weight):
                 self.fast.add_leaf(v, parent, weight)
