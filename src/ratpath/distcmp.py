@@ -315,7 +315,7 @@ class DistCmp:
         self.slot_level = [t]
         if config.capacity > 1:
             draws = rng.geometric(1.0 - 1.0 / config.K, size=config.capacity - 1) - 1
-            self.slot_level.extend(min(t, int(d)) for d in draws)
+            self.slot_level.extend(np.minimum(draws, t).tolist())
         self.tree = IncTree(max_level=t)
         self._states: List[Optional[_LevelState]] = [None] * t
         # scale_i = 2^(ell_i + 2) * capacity, built on the first fixed-point

@@ -19,6 +19,7 @@ shortest path.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -130,9 +131,22 @@ def reduced_weight(g: WeightedDigraph, p: Sequence[BigRational], e: Edge) -> Big
 
 
 def check_eps_feasible(g: WeightedDigraph, p: Sequence[BigRational], eps: BigRational) -> bool:
-    """True iff every reduced weight is at least -eps."""
-    neg_eps = -eps
-    return all(reduced_weight(g, p, e) >= neg_eps for e in g.edges)
+    """True iff every reduced weight is at least -eps.
+
+    Decided on integers, with no gcd and no rational built per edge: with
+    L the lcm of the price denominators and a[v] = p[v] * L, all
+    denominators positive, w + p[t] - p[h] >= -eps iff
+    (w.num * L + (a[t] - a[h]) * w.den) * eps.den >= -eps.num * L * w.den.
+    """
+    L = math.lcm(*(x.den for x in p))
+    a = [x.num * (L // x.den) for x in p]
+    eps_den = eps.den
+    neg_eps_num = -eps.num * L
+    for e in g.edges:
+        w = e.weight
+        if (w.num * L + (a[e.tail] - a[e.head]) * w.den) * eps_den < neg_eps_num * w.den:
+            return False
+    return True
 
 
 class NegativeCycle:

@@ -204,6 +204,22 @@ class TestInsertAndRecords:
             seeded.reverse()
             assert seeded == [rng.integers(0, 2**63, size=8).tolist() for rng in covers]
 
+    @pytest.mark.parametrize("C, lam", [(2.0, 4.0), (0.5, 1.0)])
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_slot_levels_match_per_draw_formula(self, c, C, lam):
+        # The slot levels are the per-draw min(t, int(d)) of the level
+        # stream's geometric draws, as plain ints, for small and large
+        # capacities alike.
+        for capacity in (2, 3, 5, 17, 40, 199, 1000, 5000):
+            cfg = DistCmpConfig(capacity=capacity, c=c, C=C, lam=lam)
+            for seed in range(20):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+                draws = rng.geometric(1.0 - 1.0 / cfg.K, size=capacity - 1) - 1
+                want = [cfg.t] + [min(cfg.t, int(d)) for d in draws]
+                got = DistCmp(cfg, seed=seed).slot_level
+                assert got == want
+                assert all(type(lv) is int for lv in got)
+
     def test_full_tree_rejects_insert(self):
         dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=0)
         for _ in range(3):

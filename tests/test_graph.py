@@ -195,6 +195,50 @@ class TestPrices:
             assert reduced_weight(g, p, e) == e.weight
         assert check_eps_feasible(g, p, ZERO)
 
+    def test_eps_feasible_matches_reduced_weights(self):
+        # The integer check against the rational definition, on random
+        # prices (small, power-of-two and ~580-bit denominators) and eps,
+        # with eps set to exactly -min(reduced weight), or to just below
+        # it, in a third of the cases so the boundary is hit.
+        def by_definition(g, p, eps):
+            return all(reduced_weight(g, p, e) >= -eps for e in g.edges)
+
+        rng = np.random.default_rng(5)
+        seen = set()
+        for trial in range(150):
+            n = 2 + trial % 9
+            g = gen_random(n, min(3 * n, n * (n - 1)), trial, "small", "priced" if trial % 2 else "none")
+            den_bits = (4, 64, 580)[trial % 3]
+            p = []
+            for _ in range(n):
+                den = int(rng.integers(1, 1 << 30)) << int(rng.integers(0, den_bits))
+                if trial % 4 == 0:
+                    den = 1 << int(rng.integers(0, den_bits))
+                p.append(R(int(rng.integers(-(1 << 30), 1 << 30)) * (den >> 20 or 1), den))
+            if trial % 3 == 0 and g.edges:
+                eps = -min(reduced_weight(g, p, e) for e in g.edges)
+                if trial % 2:
+                    eps -= R(1, 1 << 700)  # the least reduced weight just below -eps
+            else:
+                eps = R(int(rng.integers(0, 1 << 20)), 1 << int(rng.integers(0, 40)))
+            want = by_definition(g, p, eps)
+            assert check_eps_feasible(g, p, eps) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_eps_feasible_boundary(self):
+        eps = R(1, 1 << 9)
+        w = R(-7, 3)
+        tail = R(5, 11)
+        tiny = R(1, 1 << 600)
+        for head, want in ((w + tail + eps, True), (w + tail + eps + tiny, False)):
+            g = WeightedDigraph(2, [(0, 1, w)])
+            p = [tail, head]
+            assert (reduced_weight(g, p, g.edges[0]) >= -eps) is want
+            assert check_eps_feasible(g, p, eps) is want
+        assert check_eps_feasible(WeightedDigraph(3), [R(1, 3), R(-5, 7), ZERO], eps)
+        assert check_eps_feasible(WeightedDigraph(0), [], ZERO)
+
 
 class TestBfExact:
     def test_single_negative_edge(self):

@@ -16,6 +16,7 @@ from ratpath.graph import (
     serialize_tree,
     verify_sssp,
 )
+from ratpath.distcmp import DistCmp, PairwiseDeltaComparator
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath import sssp as sssp_module
 from ratpath.sssp import (
@@ -247,6 +248,61 @@ class TestDijkstraNonneg:
                             seed=seed)
         assert all(got in (-1, 0, 1) and got == want for got, want in signs)
         assert {want for _, want in signs} == {-1, 0, 1}
+
+    @pytest.mark.parametrize("strategy", ["distcmp", "pairwise_delta"])
+    def test_equal_weights_compare_against_zero(self, monkeypatch, strategy):
+        # Equal heap-key weights put the canonical 0/1 to the comparator
+        # instead of a built w2 - w1.  Runs with weights from a small pool
+        # (equal values as distinct parsed objects, and shared objects)
+        # and the gate-closed diamond chain give the tree and counters of
+        # runs that always subtract.
+        pool = ["1/3", "2/5", "1", "0", "3/7"]
+        shared = [BigRational.parse(text) for text in pool]
+        cases = []
+        for seed in range(12):
+            n = 10 + seed
+            rng = np.random.default_rng(seed)
+            edges = []
+            for e in gen_random(n, 3 * n, seed).edges:
+                j = int(rng.integers(len(pool)))
+                w = shared[j] if rng.random() < 0.3 else BigRational.parse(pool[j])
+                edges.append((e.tail, e.head, w))
+            cases.append((WeightedDigraph(n, edges, source=0), {}))
+        cases.append((diamond_chain(170), {"budget": B16, "constants": {"C": 0.5, "lam": 1.0}}))
+
+        tree_strategy = sssp_module._TreeStrategy
+        comparator = DistCmp if strategy == "distcmp" else PairwiseDeltaComparator
+        fast_compare_keys = tree_strategy.compare_keys
+        real_compare = comparator.compare
+
+        def solve(compare_keys):
+            monkeypatch.setattr(tree_strategy, "compare_keys", compare_keys)
+            out = []
+            for g, kwargs in cases:
+                stats = {}
+                r = dijkstra_nonneg(g, 0, strategy=strategy, seed=3, collect=stats, **kwargs)
+                out.append((serialize_tree(r), stats))
+            return out
+
+        def always_subtract(self, z1, w1, z2, w2):
+            return self._compare(self.node[z1], self.node[z2], w2 - w1)
+
+        equal, betas = [], []
+
+        def spy_compare_keys(self, z1, w1, z2, w2):
+            equal.append(w1 == w2)
+            return fast_compare_keys(self, z1, w1, z2, w2)
+
+        def spy_compare(self, u, v, beta):
+            betas.append(beta)
+            return real_compare(self, u, v, beta)
+
+        want = solve(always_subtract)
+        monkeypatch.setattr(comparator, "compare", spy_compare)
+        got = solve(spy_compare_keys)
+        assert got == want
+        assert len(equal) == len(betas) and sum(equal) > 0 and not all(equal)
+        assert all(b.num == 0 and b.den == 1 and b is ZERO for eq, b in zip(equal, betas) if eq)
 
     def test_distcmp_gate_closed_pinned(self):
         # The regime the hierarchy exists for: a chain of 170 tied diamonds
