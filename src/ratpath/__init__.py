@@ -35,7 +35,6 @@ from .graph import (
     parse,
     parse_tree,
     plant_negative_cycle,
-    reduced_weight,
     serialize,
     serialize_tree,
     verify_sssp,

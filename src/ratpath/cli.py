@@ -89,17 +89,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     stats: Dict[str, object] = {"mode": mode, "seed": seed, "n": g.n, "m": g.m}
     try:
         if mode == "nonneg":
-            # --C and --lam tune the distcmp structure, which only this
-            # solver builds; pairwise_delta is the only strategy that samples
-            # a vertex set, so --gamma reaches it alone (DistCmpConfig has
-            # no gamma field and would reject one).
-            constants = {key: getattr(args, key) for key in ("C", "lam")
+            constants = {key: getattr(args, key) for key in ("C", "lam", "gamma")
                          if getattr(args, key) is not None}
-            if args.gamma is not None and args.strategy == "pairwise_delta":
-                constants["gamma"] = args.gamma
             result = dijkstra_nonneg(
                 g, s, strategy=args.strategy, seed=seed, budget=budget, collect=stats,
-                constants=constants or None,
+                constants=constants,
             )
         else:
             result = negative_sssp(

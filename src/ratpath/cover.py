@@ -215,14 +215,14 @@ class SparseCover:
 
     __slots__ = ("n", "instances", "adj", "updates_issued", "edges_seen", "_edge_set")
 
-    def __init__(self, n: int, lambda_: float, rng: np.random.Generator, alpha: float = 1.0):
+    def __init__(self, n: int, lambda_: float, rng: np.random.Generator):
         if n < 1:
             raise ValueError("cover needs at least one vertex")
         count = max(1, math.ceil(lambda_ * math.log2(max(n, 2))))
         self.n = n
         # one draw of count seeds: the same values as count scalar draws
         self.instances = [
-            ClusteringInstance(n, np.random.default_rng(seed), alpha)
+            ClusteringInstance(n, np.random.default_rng(seed))
             for seed in rng.integers(0, 2**63, size=count).tolist()
         ]
         self.adj: List[List[int]] = [[] for _ in range(n)]

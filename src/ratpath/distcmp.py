@@ -46,6 +46,12 @@ with the answers of the fixed-point path.  The fixed-point test, and with
 it the difficult path (similarity edges, the cover, the cluster orders and
 level i+1), runs only when the gate is closed, for values too wide for
 that: the regime the hierarchy exists for.
+
+Every exact path weight comes from one memo: `_rel[lvl][v]` is the
+unreduced (num, den) of the path weight from v's level-lvl anchor to v.
+Below level t the anchor is v's nearest ancestor of level >= lvl, v
+included.  At level t it is the root alone, since a non-root node can
+carry level t: `_rel[t]` holds the root distances the shortcut needs.
 """
 
 from __future__ import annotations
@@ -323,11 +329,11 @@ class DistCmp:
         # ~300M bits.
         self._scale: List[Optional["mpz"]] = [None] * t
         self._a: List[Dict[int, "mpz"]] = [{0: mpz(0)} for _ in range(t)]
-        self._anchor_memo: Dict[Tuple[int, int], Tuple[int, BigRational]] = {}
+        self._rel: List[Dict[int, Tuple[int, int]]] = [{0: (0, 1)} for _ in range(t + 1)]
+        self._root_rel = self._rel[t]
         # den_bits[v] bounds the bit length of the product of the weight
-        # denominators on the root path of v, the denominator of _pair(v).
+        # denominators on the root path of v, the denominator of _rel[t][v].
         self._den_bits: List[int] = [0]
-        self._pair_memo: Dict[int, Tuple[int, int]] = {0: (0, 1)}
         self.level_queries = [0] * (t + 1)
         self.trivial_answers = [0] * (t + 1)
         self.easy_answers = [0] * (t + 1)
@@ -380,37 +386,34 @@ class DistCmp:
         scale = self._scale_of(i)
         for y in reversed(chain):
             z = self.tree.nearest_strict_marked_ancestor(y, i)
-            d = self.tree.path_weight(z, y)
-            memo[y] = memo[z] + (scale * d.num) // d.den
+            num, den = self._rel_pair(i, self.tree.parent[y])
+            w = self.tree.weight[y]
+            memo[y] = memo[z] + (scale * (num * w.den + w.num * den)) // (den * w.den)
         return memo[v]
 
     def _anchor(self, lvl: int, v: int) -> Tuple[int, BigRational]:
-        """(alpha, d): v's nearest level-lvl ancestor, v itself included,
-        and the exact distance from it to v; above level t-1 the anchor is
-        the root."""
-        key = (lvl, v)
-        got = self._anchor_memo.get(key)
-        if got is None:
-            anc = 0 if lvl >= self.config.t else self.tree.nearest_marked_ancestor(v, lvl)
-            got = (anc, ZERO if anc == v else self.tree.path_weight(anc, v))
-            self._anchor_memo[key] = got
-        return got
+        """(alpha, d): v's level-lvl anchor and the exact distance from it
+        to v."""
+        anc = 0 if lvl == self.config.t else self.tree.nearest_marked_ancestor(v, lvl)
+        return anc, BigRational(*self._rel_pair(lvl, v))
 
-    def _pair(self, v: int) -> Tuple[int, int]:
-        # Unreduced (num, den) of dist(root, v): no gcd, den is the product
-        # of the weight denominators on the root path.
-        memo = self._pair_memo
+    def _rel_pair(self, lvl: int, v: int) -> Tuple[int, int]:
+        """_rel[lvl][v], memoized along the walk to the anchor: no gcd, den
+        is the product of the weight denominators on the path."""
+        memo = self._rel[lvl]
         got = memo.get(v)
         if got is not None:
             return got
+        level, parent, weight = self.tree.level, self.tree.parent, self.tree.weight
+        top = lvl + (lvl == self.config.t)  # at level t only the memoized root stops
         chain = []
         x = v
-        while x not in memo:
+        while x not in memo and level[x] < top:
             chain.append(x)
-            x = self.tree.parent[x]
-        num, den = memo[x]
+            x = parent[x]
+        num, den = memo.get(x, (0, 1))
         for y in reversed(chain):
-            w = self.tree.weight[y]
+            w = weight[y]
             num, den = num * w.den + w.num * den, den * w.den
             memo[y] = (num, den)
         return num, den
@@ -432,33 +435,31 @@ class DistCmp:
         max_bits bits."""
         if self._den_bits[u] + self._den_bits[v] + beta.den.bit_length() > max_bits:
             return None
-        memo = self._pair_memo
-        nu, du = memo.get(u) or self._pair(u)
-        nv, dv = memo.get(v) or self._pair(v)
+        memo = self._root_rel
+        nu, du = memo.get(u) or self._rel_pair(self.config.t, u)
+        nv, dv = memo.get(v) or self._rel_pair(self.config.t, v)
         x = (nu * dv - nv * du) * beta.den - beta.num * du * dv
         return (x > 0) - (x < 0)
+
+    def _fixed_offset(self, i: int, u: int, v: int, beta: BigRational):
+        """(a_i(u) - a_i(v)) * beta.den - scale_i * beta.num: the level-i
+        approximation of dist(u) - dist(v) - beta, times scale_i * beta.den."""
+        a_diff = self._a_scaled(i, u) - self._a_scaled(i, v)
+        return a_diff * beta.den - self._scale_of(i) * beta.num
 
     def _fixed_sign(self, i: int, u: int, v: int, beta: BigRational) -> int:
         """The level-i easy test on fixed-point approximations: the sign of
         dist(u) - dist(v) - beta when the margin decides it, else 0."""
-        a_diff = self._a_scaled(i, u) - self._a_scaled(i, v)
-        lhs = a_diff * beta.den
-        rhs = self._scale_of(i) * beta.num
+        offset = self._fixed_offset(i, u, v, beta)
         margin = (2 * self.config.capacity) * beta.den
-        if lhs > rhs + margin:
-            return 1
-        if lhs < rhs - margin:
-            return -1
-        return 0
+        return (offset > margin) - (offset < -margin)
 
     def _fixed_window(self, i: int, x: int, y: int, frac: BigRational) -> bool:
         """Whether the level-i approximations of x and y differ by frac
         within the chained window |a_x - a_y - frac| <= 2^-(ell_chain - 1)."""
         # Scaled by scale*q: scale / 2^(ell_chain - 1) is the integer window.
         window = (mpz(1) << (self.config.ell[i] - self.config.ell_chain[i] + 3)) * self.config.capacity
-        a_diff = self._a_scaled(i, x) - self._a_scaled(i, y)
-        lhs = a_diff * frac.den - self._scale_of(i) * frac.num
-        return -window * frac.den <= lhs <= window * frac.den
+        return abs(self._fixed_offset(i, x, y, frac)) <= window * frac.den
 
     def _level_compare(self, i: int, u: int, v: int, beta: BigRational) -> int:
         """sign(dist(u) - dist(v) - beta) as -1, 0 or 1, answered at level i."""
@@ -512,7 +513,7 @@ class DistCmp:
     def _apply_updates(self, st: _LevelState, updates) -> None:
         for sid, op, slot in updates:
             order = st.orders.get(sid)
-            if order is None or slot >= len(st.members):
+            if order is None:
                 continue
             node = st.members[slot]
             if op == "remove":
@@ -526,8 +527,7 @@ class DistCmp:
             order = ClusterOrder(self._make_comparator(i, st))
             st.orders[sid] = order
             for slot in sorted(st.cover.members(sid)):
-                if slot < len(st.members):
-                    order.insert(st.members[slot])
+                order.insert(st.members[slot])
         return order
 
     def _make_comparator(self, i: int, st: _LevelState) -> Callable[[int, int], Tuple[int, bool]]:
@@ -543,8 +543,7 @@ class DistCmp:
                 sign = self._exact_sign(x, y, frac, exact_bits)
                 ok = self._fixed_window(i, x, y, frac) if sign is None else sign == 0
             if not ok:
-                diff = self.tree.distance(x) - self.tree.distance(y)
-                return diff.sign, False
+                return self.exact_compare(x, y, ZERO), False
             ax, dx = self._anchor(i + 1, x)
             ay, dy = self._anchor(i + 1, y)
             return self._level_compare(i + 1, ax, ay, frac + dy - dx), True

@@ -38,7 +38,6 @@ __all__ = [
     "parse_tree",
     "serialize_tree",
     "augment_source",
-    "reduced_weight",
     "check_eps_feasible",
     "bf_exact",
     "BfResult",
@@ -123,11 +122,6 @@ class WeightedDigraph:
         for e in self.edges:
             g.add_edge(e.tail, e.head, e.weight, e.aux)
         return g
-
-
-def reduced_weight(g: WeightedDigraph, p: Sequence[BigRational], e: Edge) -> BigRational:
-    """w(e) + p(tail) - p(head), exactly, for the price p listed per vertex."""
-    return e.weight + p[e.tail] - p[e.head]
 
 
 def check_eps_feasible(g: WeightedDigraph, p: Sequence[BigRational], eps: BigRational) -> bool:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -135,17 +136,18 @@ class _TreeStrategy:
         return self.comparator.counters()
 
 
-def _distcmp_strategy(g, source, budget, seed, constants=None):
+def _distcmp_strategy(g, source, budget, seed, constants):
     # A heap comparison puts the difference of two weights to the
     # structure, so its class is twice theirs.
     c = 2 * _shortness_class(g, budget)
-    cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, **(constants or {}))
+    tuned = {key: constants[key] for key in ("C", "lam") if key in constants}
+    cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, **tuned)
     return _TreeStrategy("distcmp", DistCmp(cfg, seed=seed), source)
 
 
-def _pairwise_strategy(g, source, budget, seed, constants=None):
+def _pairwise_strategy(g, source, budget, seed, constants):
     h = max(1, math.ceil(math.sqrt(g.n)))
-    gamma = (constants or {}).get("gamma", 2.0)
+    gamma = constants.get("gamma", 2.0)
     pdc = PairwiseDeltaComparator(g.n, h, budget, gamma=gamma, seed=seed)
     return _TreeStrategy("pairwise_delta", pdc, source)
 
@@ -193,7 +195,8 @@ def dijkstra_nonneg(
     by the result.  Heap comparisons are routed through the chosen
     strategy; `exact_oracle` is unconditionally correct, `distcmp` is
     correct with high probability, `pairwise_delta` is the table-driven
-    alternative.
+    alternative.  Every strategy takes and checks `constants` C and lam
+    (read by `distcmp`) and gamma (read by `pairwise_delta`).
     """
     if g.has_negative_weight():
         raise NegativeWeightError("graph has negative weights; use negative_sssp")
@@ -201,6 +204,12 @@ def dijkstra_nonneg(
         raise ValueError(f"unknown strategy {strategy!r}")
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
+    constants = constants or {}
+    for name, value in constants.items():
+        if name not in ("C", "lam", "gamma"):
+            raise ValueError(f"unknown constant {name!r}; expected C, lam or gamma")
+        if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+            raise ValueError(f"{name} must be a positive finite number, got {value}")
     n = g.n
     strat = _STRATEGIES[strategy](g, s, budget, seed, constants)
 

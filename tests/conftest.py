@@ -189,6 +189,12 @@ def bf_tree(g: WeightedDigraph, s: int) -> SsspResult:
     return SsspResult(g.n, s, tree)
 
 
+def reduced_weight(g: WeightedDigraph, p: Sequence[BigRational], e) -> BigRational:
+    """w(e) + p(tail) - p(head), exactly, for the price p listed per vertex:
+    the definition `check_eps_feasible` decides on integers."""
+    return e.weight + p[e.tail] - p[e.head]
+
+
 def replay_enhanced_order(
     g: WeightedDigraph, s: int, order: Sequence[int], processed: Sequence[bool]
 ) -> List[Optional[BigRational]]:

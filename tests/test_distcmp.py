@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -484,6 +485,79 @@ class TestExactShortcut:
             assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
         c = dc.counters()
         assert 0 < c["shortcut_answers"][0] < c["easy_answers"][0]
+
+
+class TestAnchorPairs:
+    def test_rel_pair_sums_weights_from_the_anchor(self, rng):
+        # _rel_pair(lvl, v) is the unreduced weight of the path to v from
+        # its nearest ancestor of level >= lvl, v included, and from the
+        # root alone at level t, where non-root nodes are placed on purpose;
+        # _anchor reduces the same value.
+        cfg = DistCmpConfig(capacity=120, c=2, B=16, C=0.5, lam=1.0)
+        t = cfg.t
+        assert t >= 3
+        for seed in range(4):
+            dc = DistCmp(cfg, seed=seed)
+            dc.slot_level[1:] = [int(lv) for lv in rng.integers(0, t + 1, size=cfg.capacity - 1)]
+            dc.slot_level[int(rng.integers(1, cfg.capacity))] = t
+            for _ in range(cfg.capacity - 1):
+                parent = int(rng.integers(0, len(dc.tree)))
+                dc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, len(WEIGHT_POOL)))])
+            tree = dc.tree
+            assert t in tree.level[1:]
+            queries = [(lvl, v) for lvl in range(t + 1) for v in range(len(tree))]
+            for k in rng.permutation(len(queries)).tolist():  # memos fill in any order
+                lvl, v = queries[k]
+                total, den, x = Fraction(0), 1, v
+                while x != 0 and (lvl == t or tree.level[x] < lvl):
+                    w = tree.weight[x]
+                    total += Fraction(w.num, w.den)
+                    den *= w.den
+                    x = tree.parent[x]
+                num, got_den = dc._rel_pair(lvl, v)
+                assert got_den == den and Fraction(num, den) == total
+                assert dc._anchor(lvl, v) == (x, R(total.numerator, total.denominator))
+
+    def test_gate_closed_values_match_path_weight_formulas(self, monkeypatch):
+        # The gate-closed population reaches the level-0 fixed-point tests,
+        # the cluster windows and the level-1 anchors.  Every value they
+        # return equals its formula on reduced IncTree.path_weight sums.
+        calls = {name: [] for name in ("_a_scaled", "_anchor", "_fixed_sign", "_fixed_window")}
+        for name, log in calls.items():
+            def spy(self, *args, _original=getattr(DistCmp, name), _log=log):
+                got = _original(self, *args)
+                _log.append((args, got))
+                return got
+
+            monkeypatch.setattr(DistCmp, name, spy)
+        dc = _gate_closed_population(np.random.default_rng(99), seed=7)
+        cfg, tree = dc.config, dc.tree
+        assert all(calls.values()), {name: len(log) for name, log in calls.items()}
+        scale = [(1 << (cfg.ell[i] + 2)) * cfg.capacity for i in range(cfg.t)]
+        approx = [{0: 0} for _ in range(cfg.t)]
+
+        def a(i, v):
+            if v not in approx[i]:
+                z = tree.nearest_strict_marked_ancestor(v, i)
+                d = tree.path_weight(z, v)
+                approx[i][v] = a(i, z) + (scale[i] * d.num) // d.den
+            return approx[i][v]
+
+        for (i, v), got in calls["_a_scaled"]:
+            assert got == a(i, v)
+        for (lvl, v), got in calls["_anchor"]:
+            anc = 0 if lvl >= cfg.t else tree.nearest_marked_ancestor(v, lvl)
+            assert got == (anc, ZERO if anc == v else tree.path_weight(anc, v))
+        for (i, u, v, beta), got in calls["_fixed_sign"]:
+            lhs = (a(i, u) - a(i, v)) * beta.den
+            rhs = scale[i] * beta.num
+            margin = 2 * cfg.capacity * beta.den
+            assert type(got) is int
+            assert got == (1 if lhs > rhs + margin else -1 if lhs < rhs - margin else 0)
+        for (i, x, y, frac), got in calls["_fixed_window"]:
+            window = (1 << (cfg.ell[i] - cfg.ell_chain[i] + 3)) * cfg.capacity
+            lhs = (a(i, x) - a(i, y)) * frac.den - scale[i] * frac.num
+            assert got is (-window * frac.den <= lhs <= window * frac.den)
 
 
 class TestClusterOrderUnit:

@@ -20,14 +20,13 @@ from ratpath.graph import (
     parse,
     parse_tree,
     plant_negative_cycle,
-    reduced_weight,
     serialize,
     serialize_tree,
     verify_sssp,
 )
 from ratpath.rational import BigRational, ZERO
 
-from conftest import bf_tree, prime_bound_for, textbook_bf
+from conftest import bf_tree, prime_bound_for, reduced_weight, textbook_bf
 
 
 def R(n, d=1):

@@ -145,6 +145,24 @@ class TestDijkstraNonneg:
             with pytest.raises(ValueError, match="out of range"):
                 dijkstra_nonneg(g, s, strategy=strategy)
 
+    @pytest.mark.parametrize("strategy", ["exact_oracle", "distcmp", "pairwise_delta"])
+    def test_constants_checked_alike(self, strategy):
+        # Every strategy takes C, lam and gamma, ignores the ones it does
+        # not read, and rejects another name or a value that is not a
+        # positive finite number with the CLI's message.
+        g = gen_random(20, 60, 3, "small")
+        want = dijkstra_nonneg(g, 0, strategy=strategy, seed=4).parent
+        for constants in ({"C": 2.0, "lam": 4.0, "gamma": 2.0}, {"gamma": 3}, {"C": 2}):
+            got = dijkstra_nonneg(g, 0, strategy=strategy, seed=4, constants=constants)
+            assert got.parent == want
+        with pytest.raises(ValueError, match="'foo'"):
+            dijkstra_nonneg(g, 0, strategy=strategy, constants={"foo": 1})
+        for name, value in (("lam", -1), ("C", 0), ("gamma", math.inf), ("C", math.nan),
+                            ("lam", "4")):
+            with pytest.raises(ValueError) as err:
+                dijkstra_nonneg(g, 0, strategy=strategy, constants={name: value})
+            assert str(err.value) == f"{name} must be a positive finite number, got {value}"
+
     def test_unreachable_reported(self):
         g = WeightedDigraph(3, [(1, 2, R(1))])
         res = dijkstra_nonneg(g, 0)
