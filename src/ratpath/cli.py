@@ -10,12 +10,12 @@ environment variable, then 0.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import Dict, Optional
 
 from . import graph as graphmod
+from .distcmp import _CONSTANTS, _check_constant
 from .graph import NegativeCycle, parse, parse_tree, serialize, serialize_tree
 from .rational import BigRational, WordBudget
 from .sssp import dijkstra_nonneg, negative_sssp
@@ -57,6 +57,11 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
+def _check_decimal(digits: Optional[int]) -> None:
+    if digits is not None and digits < 0:
+        raise ValueError(f"--decimal must be non-negative, got {digits}")
+
+
 def _fmt(x: BigRational, decimal: Optional[int]) -> str:
     if decimal is None:
         return str(x)
@@ -64,14 +69,15 @@ def _fmt(x: BigRational, decimal: Optional[int]) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    # Checked here for every mode and strategy, also where nothing reads
-    # the value, so that a bad constant never passes unnoticed.
-    for name in ("C", "lam", "gamma"):
-        value = getattr(args, name)
-        if value is not None and not 0 < value < math.inf:
-            print(f"error: {name} must be a positive finite number, got {value}", file=sys.stderr)
-            return 1
+    # The constants given are checked here for every mode and strategy,
+    # also where nothing reads the value, so that a bad constant never
+    # passes unnoticed.
+    constants = {name: getattr(args, name) for name in _CONSTANTS
+                 if getattr(args, name) is not None}
     try:
+        for name, value in constants.items():
+            _check_constant(name, value)
+        _check_decimal(args.decimal)
         seed = _resolve_seed(args.seed)
         budget = WordBudget(args.word_bits)
         with open(args.input) as fh:
@@ -89,15 +95,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     stats: Dict[str, object] = {"mode": mode, "seed": seed, "n": g.n, "m": g.m}
     try:
         if mode == "nonneg":
-            constants = {key: getattr(args, key) for key in ("C", "lam", "gamma")
-                         if getattr(args, key) is not None}
             result = dijkstra_nonneg(
                 g, s, strategy=args.strategy, seed=seed, budget=budget, collect=stats,
                 constants=constants,
             )
         else:
             result = negative_sssp(
-                g, s, k=args.k, gamma=args.gamma if args.gamma is not None else 2.0,
+                g, s, k=args.k, gamma=constants.get("gamma", _CONSTANTS["gamma"]),
                 seed=seed, budget=budget, collect=stats,
             )
     except ValueError as exc:  # NegativeWeightError and rejected parameters
@@ -168,6 +172,7 @@ def cmd_price(args: argparse.Namespace) -> int:
     from .scaling import eps_feasible_price
 
     try:
+        _check_decimal(args.decimal)
         with open(args.input) as fh:
             g = parse(fh.read())
         result = eps_feasible_price(g, args.k, budget=WordBudget(args.word_bits))
@@ -212,9 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--stats")
     solve.add_argument("--decimal", type=int)
     solve.add_argument("--word-bits", type=int, default=64, help="word budget B")
-    solve.add_argument("--C", type=float, help="level thinning constant (non-negative mode)")
-    solve.add_argument("--lam", type=float, help="cover instance multiplier (non-negative mode)")
-    solve.add_argument("--gamma", type=float, help="hit-set size multiplier")
+    solve.add_argument("--C", type=float, help="level thinning constant (non-negative mode; "
+                       f"default {_CONSTANTS['C']})")
+    solve.add_argument("--lam", type=float, help="cover instance multiplier (non-negative mode; "
+                       f"default {_CONSTANTS['lam']})")
+    solve.add_argument("--gamma", type=float,
+                       help=f"hit-set size multiplier (default {_CONSTANTS['gamma']})")
     solve.add_argument("--output", "-o")
     solve.set_defaults(func=cmd_solve)
 

@@ -52,19 +52,21 @@ unreduced (num, den) of the path weight from v's level-lvl anchor to v.
 Below level t the anchor is v's nearest ancestor of level >= lvl, v
 included.  At level t it is the root alone, since a non-root node can
 carry level t: `_rel[t]` holds the root distances the shortcut needs.
+The fixed-point numerators are plain Python ints.
+
+`_CONSTANTS` holds the one default of each solver constant: C sizes the
+thinning factor K, lam the cover, gamma the sample of the pairwise
+comparator and the hit set of `sssp.negative_sssp`.  `_check_constant`
+is the one rule every entry point applies to a given value.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # gmpy2 is optional: the `fast` extra
-    mpz = int
 
 from .cfrac import Ordering, best_approx
 from .cover import SparseCover
@@ -77,6 +79,13 @@ __all__ = [
     "ClusterOrder",
     "PairwiseDeltaComparator",
 ]
+
+_CONSTANTS = {"C": 2.0, "lam": 4.0, "gamma": 2.0}
+
+
+def _check_constant(name: str, value) -> None:
+    if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ValueError(f"{name} must be a positive finite number, got {value}")
 
 
 class DistCmpConfig:
@@ -106,17 +115,16 @@ class DistCmpConfig:
         capacity: int,
         c: int = 2,
         B: int = 64,
-        C: float = 2.0,
-        lam: float = 4.0,
+        C: float = _CONSTANTS["C"],
+        lam: float = _CONSTANTS["lam"],
     ):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         if c < 1:
             raise ValueError("shortness class must be positive")
         WordBudget(B)  # validates B >= 2
-        for name, value in (("C", C), ("lam", lam)):
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be a positive finite number, got {value}")
+        _check_constant("C", C)
+        _check_constant("lam", lam)
         self.capacity = capacity
         self.c = c
         self.B = B
@@ -327,8 +335,8 @@ class DistCmp:
         # scale_i = 2^(ell_i + 2) * capacity, built on the first fixed-point
         # use of level i: at capacity 2000 and c=2 the level-2 value has
         # ~300M bits.
-        self._scale: List[Optional["mpz"]] = [None] * t
-        self._a: List[Dict[int, "mpz"]] = [{0: mpz(0)} for _ in range(t)]
+        self._scale: List[Optional[int]] = [None] * t
+        self._a: List[Dict[int, int]] = [{0: 0} for _ in range(t)]
         self._rel: List[Dict[int, Tuple[int, int]]] = [{0: (0, 1)} for _ in range(t + 1)]
         self._root_rel = self._rel[t]
         # den_bits[v] bounds the bit length of the product of the weight
@@ -370,7 +378,7 @@ class DistCmp:
     def _scale_of(self, i: int):
         scale = self._scale[i]
         if scale is None:
-            scale = self._scale[i] = (mpz(1) << (self.config.ell[i] + 2)) * self.config.capacity
+            scale = self._scale[i] = (1 << (self.config.ell[i] + 2)) * self.config.capacity
         return scale
 
     def _a_scaled(self, i: int, v: int):
@@ -458,7 +466,7 @@ class DistCmp:
         """Whether the level-i approximations of x and y differ by frac
         within the chained window |a_x - a_y - frac| <= 2^-(ell_chain - 1)."""
         # Scaled by scale*q: scale / 2^(ell_chain - 1) is the integer window.
-        window = (mpz(1) << (self.config.ell[i] - self.config.ell_chain[i] + 3)) * self.config.capacity
+        window = (1 << (self.config.ell[i] - self.config.ell_chain[i] + 3)) * self.config.capacity
         return abs(self._fixed_offset(i, x, y, frac)) <= window * frac.den
 
     def _level_compare(self, i: int, u: int, v: int, beta: BigRational) -> int:
@@ -555,16 +563,19 @@ class DistCmp:
     def level_record(self, i: int, v: int):
         """Per-level bookkeeping of v: (strict ancestor, exact distance from
         it, exact distance from the level-(i+1) ancestor, scaled
-        approximation numerator).  Exposed for auditing."""
+        approximation numerator).  Exposed for auditing; levels 0..t-1
+        have an approximation, so any other i raises ValueError."""
+        if not 0 <= i < self.config.t:
+            raise ValueError(f"level {i} out of range 0..{self.config.t - 1}")
         if self.tree.level[v] < i:
             raise ValueError(f"node {v} is below level {i}")
         if v == 0:
-            return None, ZERO, ZERO, mpz(0)
+            return None, ZERO, ZERO, 0
         z = self.tree.nearest_strict_marked_ancestor(v, i)
         return z, self.tree.path_weight(z, v), self._anchor(i + 1, v)[1], self._a_scaled(i, v)
 
     def approx_denominator(self, i: int) -> int:
-        return int(self._scale_of(i))
+        return self._scale_of(i)
 
     def counters(self) -> Dict[str, object]:
         out: Dict[str, object] = {name: list(getattr(self, name)) for name in _LEVEL_COUNTERS}
@@ -590,13 +601,12 @@ class PairwiseDeltaComparator:
         capacity: int,
         hop_param: int,
         budget: WordBudget,
-        gamma: float = 2.0,
+        gamma: float = _CONSTANTS["gamma"],
         seed: int = 0,
     ):
         if hop_param < 1:
             raise ValueError("hop parameter must be positive")
-        if not 0 < gamma < math.inf:
-            raise ValueError(f"gamma must be a positive finite number, got {gamma}")
+        _check_constant("gamma", gamma)
         self.capacity = capacity
         self.h = hop_param
         self.bits = (2 * hop_param + 2) * budget.B + 1

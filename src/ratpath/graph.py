@@ -176,19 +176,6 @@ class SsspResult:
         self.source = source
         self.parent = dict(parent)
 
-    def tree_vertices(self) -> List[int]:
-        return [self.source] + sorted(self.parent)
-
-    def reachable(self, v: int) -> bool:
-        """True when v's root path has no augmentation edge; one pass in
-        tree order, ValueError when the parent links are no tree."""
-        clean = {self.source}
-        for x in self._order():
-            u, _, aux = self.parent[x]
-            if u in clean and not aux:
-                clean.add(x)
-        return v in clean
-
     def tree_order(self) -> Optional[List[int]]:
         """Tree vertices other than the source, each after its parent; None
         when the parent links do not form a tree rooted at the source.

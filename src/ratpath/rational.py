@@ -11,18 +11,15 @@ both |numerator| and denominator fit strictly below 2^(k*B - 1).  Adding,
 subtracting, multiplying or dividing a j-short and a k-short value always
 yields a (j+k)-short value, which is what lets the solvers budget the bit
 growth of intermediate results.
+
+All integer work is plain Python `int`; reduction uses `math.gcd`.
 """
 
 from __future__ import annotations
 
-import math
 import re
+from math import gcd
 from typing import Iterable, Sequence
-
-try:
-    import gmpy2 as _gmpy2
-except ImportError:  # gmpy2 is optional: the `fast` extra
-    _gmpy2 = None
 
 __all__ = [
     "BigRational",
@@ -33,21 +30,7 @@ __all__ = [
     "sum_lt",
 ]
 
-# Above this operand size (bits) gcd is delegated to GMP, whose
-# subquadratic algorithm keeps canonical reduction near-linear.
-SUBQUADRATIC_GCD_BITS = 1 << 14
-
 _PARSE_RE = re.compile(r"\A([+-]?\d+)(?:/(\d+))?\Z")
-
-
-if _gmpy2 is None:
-    _gcd = math.gcd
-else:
-
-    def _gcd(a: int, b: int) -> int:
-        if a.bit_length() > SUBQUADRATIC_GCD_BITS or b.bit_length() > SUBQUADRATIC_GCD_BITS:
-            return int(_gmpy2.gcd(a, b))
-        return math.gcd(a, b)
 
 
 class BigRational:
@@ -73,7 +56,7 @@ class BigRational:
         if num == 0:
             den = 1
         else:
-            g = _gcd(num if num >= 0 else -num, den)
+            g = gcd(num if num >= 0 else -num, den)
             if g > 1:
                 num //= g
                 den //= g
@@ -213,7 +196,10 @@ class BigRational:
         return f"BigRational({self.num}, {self.den})"
 
     def to_decimal(self, digits: int) -> str:
-        """Exact truncated decimal expansion with `digits` fractional digits."""
+        """Exact truncated decimal expansion with `digits` fractional digits;
+        ValueError when `digits` is negative."""
+        if digits < 0:
+            raise ValueError(f"digits must be non-negative, got {digits}")
         neg = self.num < 0
         n = -self.num if neg else self.num
         whole, rem = divmod(n, self.den)
@@ -238,12 +224,12 @@ def _make(num: int, den: int) -> BigRational:
 
 def _add(na: int, da: int, nb: int, db: int) -> BigRational:
     # na/da + nb/db for canonical operands (Knuth, TAOCP 4.5.1).
-    g = _gcd(da, db)
+    g = gcd(da, db)
     if g == 1:
         return _make(na * db + nb * da, da * db)
     s = da // g
     t = na * (db // g) + nb * s
-    g2 = _gcd(t, g)
+    g2 = gcd(t, g)
     if g2 == 1:
         return _make(t, s * db)
     return _make(t // g2, s * (db // g2))
@@ -251,11 +237,11 @@ def _add(na: int, da: int, nb: int, db: int) -> BigRational:
 
 def _mul(na: int, da: int, nb: int, db: int) -> BigRational:
     # (na/da) * (nb/db) for canonical operands, cross-cancelled.
-    g1 = _gcd(na, db)
+    g1 = gcd(na, db)
     if g1 > 1:
         na //= g1
         db //= g1
-    g2 = _gcd(nb, da)
+    g2 = gcd(nb, da)
     if g2 > 1:
         nb //= g2
         da //= g2

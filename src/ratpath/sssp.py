@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
 from .cfrac import compare_via_approx  # noqa: F401
-from .distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
+from .distcmp import _CONSTANTS, DistCmp, DistCmpConfig, PairwiseDeltaComparator, _check_constant
 from .graph import (
     NegativeCycle,
     SsspResult,
@@ -49,7 +48,7 @@ from .graph import (
 )
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
 from .graph import augment_source  # noqa: F401
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _gcd, _make, is_k_short, sum_lt
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make, is_k_short, sum_lt
 from .scaling import eps_feasible_price
 
 __all__ = [
@@ -140,16 +139,21 @@ def _distcmp_strategy(g, source, budget, seed, constants):
     # A heap comparison puts the difference of two weights to the
     # structure, so its class is twice theirs.
     c = 2 * _shortness_class(g, budget)
-    tuned = {key: constants[key] for key in ("C", "lam") if key in constants}
-    cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, **tuned)
+    cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, C=constants["C"],
+                        lam=constants["lam"])
     return _TreeStrategy("distcmp", DistCmp(cfg, seed=seed), source)
 
 
 def _pairwise_strategy(g, source, budget, seed, constants):
-    h = max(1, math.ceil(math.sqrt(g.n)))
-    gamma = constants.get("gamma", 2.0)
-    pdc = PairwiseDeltaComparator(g.n, h, budget, gamma=gamma, seed=seed)
+    pdc = PairwiseDeltaComparator(g.n, _hop_default(g.n), budget, gamma=constants["gamma"],
+                                  seed=seed)
     return _TreeStrategy("pairwise_delta", pdc, source)
+
+
+def _hop_default(n: int) -> int:
+    """The hop bound k = ceil(sqrt(n)) of the cut runs and the pairwise
+    comparator's tails."""
+    return max(1, math.ceil(math.sqrt(n)))
 
 
 _STRATEGIES = {
@@ -196,7 +200,8 @@ def dijkstra_nonneg(
     strategy; `exact_oracle` is unconditionally correct, `distcmp` is
     correct with high probability, `pairwise_delta` is the table-driven
     alternative.  Every strategy takes and checks `constants` C and lam
-    (read by `distcmp`) and gamma (read by `pairwise_delta`).
+    (read by `distcmp`) and gamma (read by `pairwise_delta`); a constant
+    not given takes its default from `distcmp._CONSTANTS`.
     """
     if g.has_negative_weight():
         raise NegativeWeightError("graph has negative weights; use negative_sssp")
@@ -206,10 +211,10 @@ def dijkstra_nonneg(
         raise ValueError(f"source {s} out of range")
     constants = constants or {}
     for name, value in constants.items():
-        if name not in ("C", "lam", "gamma"):
+        if name not in _CONSTANTS:
             raise ValueError(f"unknown constant {name!r}; expected C, lam or gamma")
-        if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-            raise ValueError(f"{name} must be a positive finite number, got {value}")
+        _check_constant(name, value)
+    constants = {**_CONSTANTS, **constants}
     n = g.n
     strat = _STRATEGIES[strategy](g, s, budget, seed, constants)
 
@@ -477,7 +482,7 @@ def cut_dijkstra(
             num = dn * wd + w.num * dd
             den = dd * wd
             if par[u] is None or num * tden[u] < tnum[u] * den:
-                c = _gcd(num, den)
+                c = math.gcd(num, den)
                 if c > 1:
                     num //= c
                     den //= c
@@ -533,7 +538,7 @@ def negative_sssp(
     g: WeightedDigraph,
     s: int,
     k: Optional[int] = None,
-    gamma: float = 2.0,
+    gamma: float = _CONSTANTS["gamma"],
     seed: int = 0,
     budget: WordBudget = DEFAULT_BUDGET,
     collect: Optional[Dict[str, object]] = None,
@@ -551,10 +556,9 @@ def negative_sssp(
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be a positive finite number, got {gamma}")
+    _check_constant("gamma", gamma)
     if k is None:
-        k = max(1, math.ceil(math.sqrt(g.n)))
+        k = _hop_default(g.n)
 
     pre = cut_preprocess(g, k, budget, collect)
     if isinstance(pre, NegativeCycle):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,8 +7,11 @@ from pathlib import Path
 import pytest
 
 import ratpath
-from ratpath.cli import main
+from ratpath.cli import build_parser, main
+from ratpath.distcmp import DistCmpConfig, PairwiseDeltaComparator
 from ratpath.graph import gen_random, gen_small_diff, parse, plant_negative_cycle, serialize
+from ratpath.rational import WordBudget
+from ratpath.sssp import dijkstra_nonneg, negative_sssp
 
 
 @pytest.fixture
@@ -156,6 +160,50 @@ class TestSolve:
         )
         assert code == 1 and out == ""
         assert err.startswith(f"error: {flag} must be a positive finite number")
+
+
+def _cli_solve(mode):
+    # The value is set on the parsed arguments, where cmd_solve reads it,
+    # so that a non-number reaches the check too.  The input file does
+    # not exist: the constants are checked before it is read.
+    def call(name, value):
+        args = build_parser().parse_args(["solve", "--input", "missing.gr", "--mode", mode])
+        setattr(args, name, value)
+        return args.func(args)
+    return call
+
+
+_NONNEG = gen_random(8, 20, 3, "small")
+_PRICED = gen_random(8, 20, 3, "small", "priced")
+_ENTRY_POINTS = [
+    ("DistCmpConfig", ("C", "lam"), lambda name, v: DistCmpConfig(10, **{name: v})),
+    ("PairwiseDeltaComparator", ("gamma",),
+     lambda name, v: PairwiseDeltaComparator(10, 3, WordBudget(), **{name: v})),
+    ("negative_sssp", ("gamma",), lambda name, v: negative_sssp(_PRICED, 0, **{name: v})),
+    ("dijkstra_nonneg", ("C", "lam", "gamma"),
+     lambda name, v: dijkstra_nonneg(_NONNEG, 0, constants={name: v})),
+    ("solve-neg", ("C", "lam", "gamma"), _cli_solve("neg")),
+    ("solve-nonneg", ("C", "lam", "gamma"), _cli_solve("nonneg")),
+]
+
+
+@pytest.mark.parametrize("entry, call, name, value", [
+    pytest.param(entry, call, name, value, id=f"{entry}-{name}-{value!r}")
+    for entry, names, call in _ENTRY_POINTS
+    for name in names
+    for value in ("2", None, -1, 0, math.inf, math.nan)
+    # argparse leaves a flag that is not given at None
+    if not (entry.startswith("solve") and value is None)
+])
+def test_every_entry_point_rejects_bad_constant(capsys, entry, call, name, value):
+    want = f"{name} must be a positive finite number, got {value}"
+    if entry.startswith("solve"):
+        assert call(name, value) == 1
+        assert capsys.readouterr() == ("", f"error: {want}\n")
+    else:
+        with pytest.raises(ValueError) as err:
+            call(name, value)
+        assert str(err.value) == want
 
 
 class TestInputErrors:
@@ -317,6 +365,27 @@ class TestPrice:
         inst.write_text(serialize(g))
         code, out, _ = run(capsys, "price", "--input", str(inst), "--k", "20", "--word-bits", "16")
         assert code == 2 and "negative cycle" in out
+
+
+class TestNegativeDecimal:
+    # Rejected before any solve: no tree is written, no price printed.
+    def test_solve(self, tmp_path, capsys):
+        inst = tmp_path / "t.gr"
+        inst.write_text(TRIANGLE)
+        tree = tmp_path / "t.tree"
+        code, out, err = run(
+            capsys, "solve", "--input", str(inst), "--decimal", "-1", "-o", str(tree),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --decimal must be non-negative, got -1\n"
+        assert not tree.exists()
+
+    def test_price(self, tmp_path, capsys):
+        inst = tmp_path / "t.gr"
+        inst.write_text(TRIANGLE)
+        code, out, err = run(capsys, "price", "--input", str(inst), "--decimal", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: --decimal must be non-negative, got -1\n"
 
 
 class TestSelfCheck:

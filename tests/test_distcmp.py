@@ -176,6 +176,18 @@ class TestInsertAndRecords:
         z, d_i, d_next, approx = dc.level_record(0, 0)
         assert z is None and d_i == ZERO and d_next == ZERO and int(approx) == 0
 
+    def test_record_level_out_of_range(self):
+        # Levels 0..t-1 carry an approximation.  Level -1 must not index
+        # the per-level lists from the end, and level t has no record even
+        # for a node drawn at level t.
+        dc = DistCmp(DistCmpConfig(capacity=8, c=2, B=16), seed=0)
+        t = dc.config.t
+        dc.slot_level[1] = t
+        a = dc.insert_leaf(0, R(1, 2))
+        for i in (-1, t):
+            with pytest.raises(ValueError, match=rf"level {i} out of range 0\.\.{t - 1}"):
+                dc.level_record(i, a)
+
     def test_level_assignment_deterministic(self):
         a = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=9)
         b = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=9)

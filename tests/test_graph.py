@@ -122,16 +122,15 @@ class TestParseSerialize:
 
     def test_reachable_follows_aux_edges(self):
         res = SsspResult(4, 0, {1: (0, R(1, 2), False), 2: (1, R(-1, 3), True), 3: (2, R(1), False)})
-        assert [res.reachable(v) for v in range(4)] == [True, True, False, False]
+        assert [d is not None for d in res.distances()] == [True, True, False, False]
 
     def test_parent_cycle_rejected_not_walked(self):
-        # 1 and 2 are each other's parent: no tree, and reachable() must
-        # raise like distances() instead of walking the cycle forever
+        # 1 and 2 are each other's parent: no tree, and distances() must
+        # raise instead of walking the cycle forever
         res = SsspResult(3, 0, {1: (2, R(1), False), 2: (1, R(1), False)})
         assert res.tree_order() is None
-        for query in (res.distances, lambda: res.reachable(1), lambda: res.reachable(2)):
-            with pytest.raises(ValueError):
-                query()
+        with pytest.raises(ValueError):
+            res.distances()
 
 
 class TestAugment:

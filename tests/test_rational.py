@@ -155,6 +155,13 @@ class TestTextual:
         assert R(1, 3).to_decimal(4) == "0.3333"
         assert R(-5, 2).to_decimal(2) == "-2.50"
 
+    def test_decimal_rejects_negative_digits(self):
+        # a remainder of about 1300 bits, which no float can scale
+        wide = R((1 << 1300) - 1, 1 << 1300)
+        for x in (R(1, 2), wide):
+            with pytest.raises(ValueError, match="digits must be non-negative, got -1"):
+                x.to_decimal(-1)
+
 
 @given(
     st.integers(-(10**12), 10**12),

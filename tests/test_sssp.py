@@ -53,7 +53,7 @@ class TestDijkstraNonneg:
     def test_single_vertex(self):
         g = WeightedDigraph(1, source=0)
         res = dijkstra_nonneg(g, 0)
-        assert res.tree_vertices() == [0]
+        assert res.parent == {}
         assert res.distances() == [ZERO]
 
     def test_negative_weight_rejected(self):
@@ -122,7 +122,7 @@ class TestDijkstraNonneg:
             assert not any(stats["distcmp.level_queries"])
         sentinel = R(6 * 2)  # n * max(1, max w)
         assert res.parent == {v: (3, sentinel, True) for v in (0, 1, 2, 4, 5)}
-        assert not any(res.reachable(v) for v in (0, 1, 2, 4, 5))
+        assert res.distances() == [None, None, None, ZERO, None, None]
 
     def test_shortness_class_is_least_k_short_class(self):
         rng = np.random.default_rng(21)
@@ -166,7 +166,7 @@ class TestDijkstraNonneg:
     def test_unreachable_reported(self):
         g = WeightedDigraph(3, [(1, 2, R(1))])
         res = dijkstra_nonneg(g, 0)
-        assert not res.reachable(1) and not res.reachable(2)
+        assert res.distances()[2] is None
         assert res.distances()[1] is None
 
     def test_deterministic(self):
