@@ -63,8 +63,15 @@ def integer_sssp_arrays(
     it.  Labels only decrease strictly, so a walk of n hops repeats a
     vertex around a negative cycle.  From then on each update walks the
     parent graph, whose cycles are all negative and one of which forms
-    after finitely many updates; that cycle is the witness.
+    after finitely many updates; that cycle is the witness.  A source
+    outside [0, n) or edge arrays of unequal length raise ValueError.
     """
+    if not 0 <= s < n:
+        raise ValueError(f"source {s} out of range")
+    if not len(tails) == len(heads) == len(weights):
+        raise ValueError(
+            f"edge arrays differ in length: {len(tails)} tails, {len(heads)} heads, "
+            f"{len(weights)} weights")
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for t, h, w in zip(tails, heads, weights):
         adj[t].append((h, w))

@@ -14,13 +14,13 @@ the small recombination graph stitches the hop-bounded runs into full
 distances.  Each cut run holds its exact tentative distances anyway (they
 decide k-shortness and the heap keys), so relaxations, heap keys and
 reinsertion ranks compare exact values directly and no `distcmp`
-structure is built.  A run keeps each tentative distance as a canonical
-pair of ints and its heap key d(v) - p(v) at the price's own
-resolution: times the common price denominator, an integer part plus an
-exact remainder in [0, 1) whose denominator divides the distance's, so
-no price-wide rational is built per relaxation.  The produced tree is
-verified exactly before being returned, and a failed verification yields
-an exactly-checked negative-cycle witness.
+structure is built.  A run relaxes over the int edge arrays of its
+`CutContext`, keeps each tentative distance as an unreduced pair of ints
+and keys its heap by one exact int, the floor of d(v) - p(v) scaled far
+enough that distinct keys keep distinct floors; a winning relaxation
+builds no rational and takes no gcd.  The produced tree is verified
+exactly before being returned, and a failed verification yields an
+exactly-checked negative-cycle witness.
 
 The cut Dijkstra delays heap reinsertions with per-vertex countdowns; the
 countdown game shows the total number of reinsertions stays O(n^1.5),
@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+import numbers
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -48,7 +49,7 @@ from .graph import (
 )
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
 from .graph import augment_source  # noqa: F401
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make, is_k_short, sum_lt
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make, sum_lt
 from .scaling import eps_feasible_price
 
 __all__ = [
@@ -275,24 +276,45 @@ def dijkstra_nonneg(
 class CutContext:
     """Preprocessing shared by all hop-bounded runs on one graph.
 
-    Holds the hop bound k, the word budget, the price function and its
-    feasibility slack eps = 2^-((2k+1)B + ceil(log2 n)).  It also holds
-    the prices at their own resolution: the common denominator `pden`
-    (the lcm of the price denominators, 2^(E+1) for every context that
-    `cut_preprocess` builds) and the integer numerators pnum[v] =
-    p(v) * pden, from which cut runs build their heap keys.  Read-only
-    after construction, so runs may share it.
+    Holds the graph it was built for, the hop bound k, the word budget,
+    the price function and its feasibility slack eps = 2^-((2k+1)B +
+    ceil(log2 n)).  It also holds the prices at their own resolution: the
+    common denominator `pden` (the lcm of the price denominators, 2^(E+1)
+    for every context that `cut_preprocess` builds) and the integer
+    numerators pnum[v] = p(v) * pden, from which cut runs build their heap
+    keys.
+
+    The context is a snapshot of its graph: `adj[u]` lists u's out-edges
+    as int triples (head, num, den), read once here, and `shift` is the
+    key shift S of `cut_dijkstra`, the least with 2^S >= D^2, where D =
+    2^(kB-1) * W and W is the graph's largest weight denominator.  An
+    edge added to the graph afterwards is not seen by runs on this
+    context.  Read-only after construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "price", "eps", "pden", "pnum")
+    __slots__ = ("graph", "k", "budget", "price", "eps", "pden", "pnum", "adj", "shift")
 
-    def __init__(self, k: int, budget: WordBudget, price: List[BigRational], eps: BigRational):
+    def __init__(
+        self,
+        g: WeightedDigraph,
+        k: int,
+        budget: WordBudget,
+        price: List[BigRational],
+        eps: BigRational,
+    ):
+        if len(price) != g.n:
+            raise ValueError(f"price has {len(price)} values, graph has {g.n} vertices")
+        self.graph = g
         self.k = k
         self.budget = budget
         self.price = price
         self.eps = eps
         self.pden = math.lcm(*(p.den for p in price))
         self.pnum = [p.num * (self.pden // p.den) for p in price]
+        self.adj = [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
+        widest = max((e.weight.den for e in g.edges), default=1)
+        bound = widest << (k * budget.B - 1)
+        self.shift = (bound * bound - 1).bit_length()
 
 
 def cut_preprocess(
@@ -301,14 +323,16 @@ def cut_preprocess(
     budget: WordBudget = DEFAULT_BUDGET,
     collect: Optional[Dict[str, object]] = None,
 ) -> Union[CutContext, NegativeCycle]:
-    """Price function for cut runs."""
-    if k < 1:
-        raise ValueError("hop parameter must be positive")
+    """Price function and edge arrays for cut runs with hop bound k, a
+    positive integer (ValueError otherwise)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"hop parameter must be a positive integer, got {k!r}")
+    k = int(k)
     exponent = (2 * k + 1) * budget.B + max(1, math.ceil(math.log2(max(g.n, 2))))
     res = eps_feasible_price(g, exponent, budget, collect)
     if isinstance(res, NegativeCycle):
         return res
-    return CutContext(k, budget, res, BigRational(1, 1 << exponent))
+    return CutContext(g, k, budget, res, BigRational(1, 1 << exponent))
 
 
 class CutResult:
@@ -357,50 +381,50 @@ def cut_dijkstra(
     since the weight difference is 2-short, so the order is the same.
 
     Each vertex keeps its tentative distance dist(par(u)) + w(par(u)->u)
-    as a canonical pair of ints (num, den), written only when its parent
-    changes; dist(par(u)) is final once par(u) is extracted.  A
-    relaxation is decided by cross-multiplying ints, and only a winning
-    one reduces its sum.  The extracted distance becomes a `BigRational`
-    once, for the k-short test and the output.
+    as an unreduced pair of ints (num, den), den = dd * wd, written only
+    when its parent changes; dist(par(u)) = dn/dd is final and reduced
+    once par(u) is extracted.  A relaxation is decided by
+    cross-multiplying ints and takes no gcd.  The one gcd of a vertex is
+    taken when it is extracted: its distance is reduced there, tested for
+    k-shortness as ints and becomes the output `BigRational`.
 
-    Keys are held at the price resolution P = ctx.pden.  With a(u) =
-    p(u) * P and divmod(num * P, den) = (q, r), the key times P is
-    (q - a(u)) + r/den: the integer part floor(key * P) and the
-    remainder r/den in [0, 1), kept reduced.  Every number has exactly
-    one such split, and x < y iff floor(x) < floor(y), or the floors are
-    equal and frac(x) < frac(y); so ordering by (int_part, rem) is
-    ordering by the key, and equal keys have equal parts.  The
-    remainder's denominator divides den; a processed distance is
-    k-short, so with 1-short weights (as `eps_feasible_price` checks) den
-    stays below 2^((k+1)B - 1): a remainder is as short as a distance,
-    never as wide as the price.  Heap entries are tuples (0, int_part,
-    rem, vid, token) for a finite key and (1, vid, token) for +infinity,
-    so finite keys come first and ties break by vertex id, and `touched`
-    is sorted by (int_part, rem, vid): both are the (key, vid) order.
+    A key is one exact int.  With P = ctx.pden, a(u) = ctx.pnum[u] and S =
+    ctx.shift, K(u) = ((num * P - a(u) * den) << S) // den, the floor of
+    key * P * 2^S.  A processed distance is k-short, so dd < 2^(kB-1), and
+    wd <= W, the graph's largest weight denominator: every den is below
+    D = 2^(kB-1) * W.  Key * P has a denominator dividing den, so two
+    distinct keys times P differ by at least 1/D^2 >= 2^-S and their
+    floors differ; equal keys have equal floors.  Ordering by (K, vid) is
+    therefore exactly the (key, vid) order.  Heap entries are tuples (0,
+    K, vid, token) for a finite key and (1, 0, vid, token) for +infinity,
+    so finite keys come first and ties break by vertex id, and the
+    vertices relaxed from one parent are ranked by (K, vid).
 
     Raises ValueError if s is not a vertex of g or the context was built
-    for another vertex count.
+    for another graph.
     """
     n = g.n
-    if len(ctx.pnum) != n:
-        raise ValueError(f"cut context has prices for {len(ctx.pnum)} vertices, graph has {n}")
+    if ctx.graph is not g:
+        if len(ctx.pnum) != n:
+            raise ValueError(f"cut context has prices for {len(ctx.pnum)} vertices, graph has {n}")
+        raise ValueError("cut context was built for another graph")
     if not 0 <= s < n:
         raise ValueError(f"source {s} out of range")
-    k = ctx.k
-    budget = ctx.budget
-    pden = ctx.pden
-    pnum = ctx.pnum
+    adj = ctx.adj
+    shift = ctx.shift
+    # K(u) = (num * scale) // den - base[u]: a(u) << S is an int, so it
+    # comes out of the floor.
+    scale = ctx.pden << shift
+    base = [a << shift for a in ctx.pnum]
+    bound = 1 << (ctx.k * ctx.budget.B - 1)  # k-short: |num|, den < bound
     dist: List[Optional[BigRational]] = [None] * n
     par: List[Optional[int]] = [None] * n
-    # Tentative distance tnum[v] / tden[v], canonical; None = +infinity.
+    # Tentative distance tnum[v] / tden[v], unreduced; None = +infinity.
     tnum: List[Optional[int]] = [None] * n
     tden = [1] * n
     tnum[s] = 0
-    # Key times pden, as int_part[v] + rem[v] with 0 <= rem[v] < 1.
-    int_part: List[Optional[int]] = [None] * n
-    int_part[s] = -pnum[s]
-    rem: List[Optional[BigRational]] = [None] * n
-    rem[s] = ZERO
+    key: List[Optional[int]] = [None] * n
+    key[s] = -base[s]
     extracted = [False] * n
     processed = [False] * n
     expiry: List[Optional[int]] = [None] * n  # None = no countdown
@@ -411,8 +435,8 @@ def cut_dijkstra(
     # +infinity.  The list is sorted, so it is already a heap.
     on_heap = [True] * n
     token = [1] * n
-    heap: List[tuple] = [(0, int_part[s], rem[s], s, 1)]
-    heap += [(1, v, 1) for v in range(n) if v != s]
+    heap: List[tuple] = [(0, key[s], s, 1)]
+    heap += [(1, 0, v, 1) for v in range(n) if v != s]
     live = inserts = n
     relaxations = 0
     order: List[int] = []
@@ -420,10 +444,8 @@ def cut_dijkstra(
     def push(v: int) -> None:
         nonlocal live, inserts
         token[v] += 1
-        if int_part[v] is None:
-            heapq.heappush(heap, (1, v, token[v]))
-        else:
-            heapq.heappush(heap, (0, int_part[v], rem[v], v, token[v]))
+        kv = key[v]
+        heapq.heappush(heap, (1, 0, v, token[v]) if kv is None else (0, kv, v, token[v]))
         on_heap[v] = True
         live += 1
         inserts += 1
@@ -454,8 +476,7 @@ def cut_dijkstra(
             expire()
 
         while True:
-            entry = heapq.heappop(heap)
-            v, tok = entry[-2:]
+            _, _, v, tok = heapq.heappop(heap)
             if not extracted[v] and on_heap[v] and token[v] == tok:
                 break
         extracted[v] = True
@@ -467,34 +488,29 @@ def cut_dijkstra(
         if dn is None:
             continue
         dd = tden[v]
-        dist[v] = dv = _make(dn, dd)
-        if not is_k_short(dv, k, budget):
+        c = math.gcd(dn, dd)
+        if c > 1:
+            dn //= c
+            dd //= c
+        dist[v] = _make(dn, dd)
+        if not (-bound < dn < bound and dd < bound):
             continue
         processed[v] = True
-        touched: List[int] = []
-        for e in g.out_edges(v):
-            u = e.head
+        touched: List[Tuple[int, int]] = []
+        for u, wn, wd in adj[v]:
             if extracted[u]:
                 continue
             relaxations += 1
-            w = e.weight
-            wd = w.den
-            num = dn * wd + w.num * dd
+            num = dn * wd + wn * dd
             den = dd * wd
             if par[u] is None or num * tden[u] < tnum[u] * den:
-                c = math.gcd(num, den)
-                if c > 1:
-                    num //= c
-                    den //= c
                 par[u] = v
                 tnum[u] = num
                 tden[u] = den
-                q, r = divmod(num * pden, den)
-                int_part[u] = q - pnum[u]
-                rem[u] = BigRational(r, den)
-                touched.append(u)
-        touched.sort(key=lambda u: (int_part[u], rem[u], u))
-        for rank, u in enumerate(touched, start=1):
+                key[u] = ku = (num * scale) // den - base[u]
+                touched.append((ku, u))
+        touched.sort()
+        for rank, (_, u) in enumerate(touched, start=1):
             if on_heap[u]:
                 on_heap[u] = False
                 token[u] += 1
@@ -552,7 +568,8 @@ def negative_sssp(
     negative-cycle witness, or the failure was a low-probability sampling
     miss and the pipeline retries with fresh randomness.  A weight that
     is not 1-short under `budget` raises ValueError from
-    `eps_feasible_price`.
+    `eps_feasible_price`, and a k that is not a positive integer one
+    from `cut_preprocess`.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
@@ -564,16 +581,7 @@ def negative_sssp(
     if isinstance(pre, NegativeCycle):
         return pre
 
-    root_seq = np.random.SeedSequence(seed)
-    for attempt, attempt_seq in enumerate(root_seq.spawn(3)):
-        # The hit set draws from the attempt's first child stream, so a
-        # fixed seed keeps its hit set.
-        rng = np.random.default_rng(attempt_seq.spawn(1)[0])
-        want = min(g.n, math.ceil(gamma * g.n * math.log(max(g.n, 2)) / k))
-        others = [v for v in range(g.n) if v != s]
-        picks = rng.permutation(len(others))[: min(want, len(others))]
-        hitset = [s] + sorted(others[i] for i in picks)
-
+    for attempt, hitset in enumerate(_hitsets(g.n, s, k, gamma, seed)):
         runs = [cut_dijkstra(pre, g, v, collect=collect) for v in hitset]
 
         try:
@@ -592,6 +600,27 @@ def negative_sssp(
         # Verification failed yet the oracle sees no cycle: a sampling
         # miss; the next attempt re-draws everything from a fresh stream.
     raise RuntimeError("pipeline failed verification on repeated fresh samples")
+
+
+def _hitsets(n: int, s: int, k: int, gamma: float, seed: int) -> Iterator[List[int]]:
+    """The hit sets of the pipeline's three attempts: s first, then
+    min(n - 1, ceil(gamma * n * ln n / k)) other vertices in id order.
+
+    Attempt i draws its sample from the first child of the i-th child of
+    SeedSequence(seed), so a fixed seed keeps its hit sets.  A sample
+    that would take every other vertex draws nothing.
+    """
+    want = min(n, math.ceil(gamma * n * math.log(max(n, 2)) / k))
+    others = [v for v in range(n) if v != s]
+    if want >= len(others):
+        for _ in range(3):
+            yield [s] + others
+        return
+    root = np.random.SeedSequence(seed)
+    for _ in range(3):
+        rng = np.random.default_rng(root.spawn(1)[0].spawn(1)[0])
+        picks = rng.permutation(len(others))[:want]
+        yield [s] + sorted(others[i] for i in picks)
 
 
 def _recombine(

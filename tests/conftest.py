@@ -10,6 +10,7 @@ with the implementation paths they check.  The one exception is
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -366,6 +367,21 @@ def reference_cut_dijkstra(ctx, g: WeightedDigraph, s: int, collect=None) -> Cut
         collect["cut_heap_inserts_max"] = max(collect.get("cut_heap_inserts_max", 0), inserts)
         collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
     return CutResult(s, dist, par, order, processed, inserts)
+
+
+def reference_hitsets(n: int, s: int, k: int, gamma: float, seed: int) -> List[List[int]]:
+    """The hit sets of `negative_sssp`'s three attempts built the way it
+    first did: SeedSequence(seed).spawn(3), each attempt drawing a
+    permutation from its child's first child, also when the sample takes
+    every vertex."""
+    out = []
+    for attempt_seq in np.random.SeedSequence(seed).spawn(3):
+        rng = np.random.default_rng(attempt_seq.spawn(1)[0])
+        want = min(n, math.ceil(gamma * n * math.log(max(n, 2)) / k))
+        others = [v for v in range(n) if v != s]
+        picks = rng.permutation(len(others))[: min(want, len(others))]
+        out.append([s] + sorted(others[i] for i in picks))
+    return out
 
 
 def reference_distcmp_streams(seed: int, config):

@@ -141,6 +141,15 @@ class TestIntegerSssp:
                     if a is not None:
                         assert b == a * shift
 
+    def test_rejects_bad_source_and_ragged_arrays(self):
+        for s in (-1, 3, 10):
+            with pytest.raises(ValueError, match="out of range"):
+                integer_sssp_arrays(3, [0, 1], [1, 2], [1, 1], s)
+        # zip would silently drop the unmatched tail and head
+        for tails, heads, weights in (([0, 1], [1], [1]), ([0], [1, 2], [1]), ([0, 1], [1, 2], [1])):
+            with pytest.raises(ValueError, match="length"):
+                integer_sssp_arrays(3, tails, heads, weights, 0)
+
 
 def _wide_denominator_graphs():
     rng = np.random.default_rng(36)

@@ -8,6 +8,7 @@ import pytest
 from ratpath.graph import (
     NegativeCycle,
     WeightedDigraph,
+    _primes_below,
     augment_source,
     bf_exact,
     gen_random,
@@ -24,6 +25,7 @@ from ratpath.sssp import (
     CutContext,
     IllegalBobMove,
     NegativeWeightError,
+    _hitsets,
     _recombine,
     _witness_tree,
     cut_dijkstra,
@@ -37,6 +39,7 @@ from conftest import (
     diamond_chain,
     full_scan_recombination,
     reference_cut_dijkstra,
+    reference_hitsets,
     replay_enhanced_order,
     textbook_bf,
 )
@@ -373,6 +376,73 @@ class TestDijkstraNonneg:
         assert hashlib.sha256(serialize_tree(r).encode()).hexdigest() == digest
 
 
+def _path_edges(stops, dens, x):
+    """Edges along the vertex list `stops` of weights c_i/d_i, c_i in [1,
+    d_i), that sum to x/prod(dens) plus an integer: partial fractions, for
+    pairwise coprime dens and x coprime to their product."""
+    total = math.prod(dens)
+    nums = [x * pow(total // d, -1, d) % d for d in dens]
+    return [(a, b, R(c, d)) for a, b, c, d in zip(stops, stops[1:], nums, dens)]
+
+
+def _near_bound_primes(B, count, rng):
+    half = 1 << (B - 1)
+    pool = [p for p in _primes_below(half) if 2 * p > half]
+    return [int(p) for p in rng.choice(pool, count, replace=False)]
+
+
+def _heap_gadget(B, k, rng):
+    """Two vertices whose keys differ by exactly 1/(d1*d2) meet on the heap.
+
+    Paths of k+1 edges lead from s = 0 through 1..k to t_big = 2k+1 and
+    through k+1..2k to t_small = 2k+2.  Every weight is c/q with q a
+    distinct prime in (2^(B-2), 2^(B-1)), so the tentative distance of
+    t_big has denominator d1, the product of its path's primes, within a
+    factor 4^k of D = 2^(kB-1) * W; likewise d2 for t_small.  Integer
+    prices set the keys to x1/d1 and x2/d2 with x1*d2 - x2*d1 = 1.  The
+    inner path vertices have keys below -1, so one of them is extracted
+    on every turn until t_small is pushed next to t_big: the heap must
+    then take t_small first although its id is larger.
+    """
+    primes = _near_bound_primes(B, 2 * k + 2, rng)
+    dens_a, dens_b = primes[: k + 1], primes[k + 1:]
+    d1, d2 = math.prod(dens_a), math.prod(dens_b)
+    x1 = pow(d2, -1, d1)
+    x2 = (x1 * d2 - 1) // d1
+    t_big, t_small = 2 * k + 1, 2 * k + 2
+    edges = _path_edges([0, *range(1, k + 1), t_big], dens_a, x1)
+    edges += _path_edges([0, *range(k + 1, 2 * k + 1), t_small], dens_b, x2)
+    g = WeightedDigraph(2 * k + 3, edges)
+    dist = bf_exact(g, 0).dist
+    price = [R(0)] + [R(3 * k + 3)] * k + [R(2 * k + 2)] * k
+    price += [dist[t_big] - R(x1, d1), dist[t_small] - R(x2, d2)]
+    return g, price, t_small, t_big, R(1, d1 * d2)
+
+
+def _batch_gadget(B, k, rng):
+    """Two vertices relaxed from one parent whose keys differ by exactly
+    1/(r1*r2), the finest gap two keys of one batch can have: their
+    distances share the parent's, so the gap is that of w - p.
+
+    A path of k edges leads from s = 0 to c = k, whose distance has a
+    denominator near 2^(kB-1); c has edges to v = k+1 and u = k+2 whose
+    weights have prime denominators r1 and r2, and prices set key(u) =
+    key(v) - 1/(r1*r2).  The rank of u must come first although its id
+    is larger, so u is reinserted and extracted first.
+    """
+    primes = _near_bound_primes(B, k + 2, rng)
+    dens, (r1, r2) = primes[:k], primes[k:]
+    x = int(rng.integers(1, math.prod(dens)))
+    while math.gcd(x, math.prod(dens)) != 1:
+        x += 1
+    c, v, u = k, k + 1, k + 2
+    wv, wu = R(pow(r2, -1, r1), r1), R(-pow(r1, -1, r2) % r2, r2)
+    edges = _path_edges(list(range(k + 1)), dens, x) + [(c, v, wv), (c, u, wu)]
+    price = [R(0)] * (k + 3)
+    price[v] = wv - wu - R(1, r1 * r2)
+    return WeightedDigraph(k + 3, edges), price, u, v, R(1, r1 * r2)
+
+
 class TestCutDijkstra:
     def _context(self, g, k):
         ctx = cut_preprocess(g, k, budget=B16)
@@ -594,7 +664,7 @@ class TestCutDijkstra:
                     price[v] = price[twin]
                     edges[(u, v)] = edges[(u, twin)]
             g = WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()])
-            ctx = CutContext(int(rng.integers(1, 4)), budget, price, R(0))
+            ctx = CutContext(g, int(rng.integers(1, 4)), budget, price, R(0))
             for s in range(1, n):
                 run = self._assert_matches_reference(ctx, g, s)
                 keys = {}
@@ -610,6 +680,34 @@ class TestCutDijkstra:
                                 ties += a == b
         assert same_part > 300 and ties > 300, (same_part, ties)
 
+    def test_keys_exact_at_the_separation_bound(self):
+        # Keys one gap apart at the finest resolution each comparison can
+        # meet: on the heap, tentative denominators near D and a gap of
+        # 1/(d1*d2); in one batch, a gap of 1/(r1*r2).  In both the vertex
+        # with the smaller key has the larger id, so a key floor too
+        # coarse to separate them puts the other first.
+        rng = np.random.default_rng(1703)
+        checked = 0
+        for bits in (8, 12, 16):
+            budget = WordBudget(bits)
+            for k in (1, 2, 3):
+                for build in (_heap_gadget, _batch_gadget):
+                    for _ in range(3):
+                        g, price, first, second, gap = build(bits, k, rng)
+                        ctx = CutContext(g, k, budget, price, R(0))
+                        run = self._assert_matches_reference(ctx, g, 0)
+                        key = [d - p for d, p in zip(run.dist, price)]
+                        assert key[second] - key[first] == gap
+                        assert first > second
+                        assert run.order.index(first) < run.order.index(second)
+                        if build is _heap_gadget:
+                            bound = max(e.weight.den for e in g.edges) << (k * bits - 1)
+                            dens = [run.dist[first].den, run.dist[second].den]
+                            assert gap.den == dens[0] * dens[1]
+                            assert all(bound < d << (2 * k) for d in dens)
+                        checked += 1
+        assert checked == 54
+
     def test_rejects_bad_source_and_foreign_context(self):
         g = gen_random(8, 20, 3, "small", "priced")
         ctx = self._context(g, 2)
@@ -620,6 +718,13 @@ class TestCutDijkstra:
             other = gen_random(n, 20, 3, "small", "priced")
             with pytest.raises(ValueError, match="vertices"):
                 cut_dijkstra(ctx, other, 0)
+        # Same vertex count: the context's prices and edge arrays belong
+        # to g, so another graph, even an equal copy, is refused.
+        for other in (gen_random(8, 20, 4, "small", "priced"), g.copy()):
+            with pytest.raises(ValueError, match="another graph"):
+                cut_dijkstra(ctx, other, 0)
+        with pytest.raises(ValueError, match="price has 7 values"):
+            CutContext(g, 2, B16, ctx.price[:-1], ctx.eps)
 
     def test_recombination_graph_dominance(self):
         # estimates between hit-set vertices dominate true distances
@@ -754,6 +859,46 @@ class TestNegativePipeline:
         bad = plant_negative_cycle(gen_random(15, 45, 3, "small", "priced"), 3)
         cyc = negative_sssp(bad, 0, seed=3, budget=B16)
         assert isinstance(cyc, NegativeCycle) and cyc.weight < ZERO
+
+    def test_hit_sets_keep_their_draws(self, monkeypatch):
+        # Attempt i still draws from the i-th child of SeedSequence(seed),
+        # now spawned one at a time, so sampled hit sets are unchanged; a
+        # sample of every other vertex is taken without a draw.
+        sampled = full = 0
+        for n, k, gamma in ((1, 1, 2.0), (2, 1, 0.1), (16, 4, 2.0), (16, 4, 1.0), (40, 7, 2.0),
+                            (64, 8, 2.0), (100, 10, 2.0), (300, 18, 2.0)):
+            for s in (0, n // 2, n - 1):
+                for seed in (0, 1, 7):
+                    got = list(_hitsets(n, s, k, gamma, seed))
+                    assert got == reference_hitsets(n, s, k, gamma, seed), (n, k, gamma, s, seed)
+                    if len(got[0]) < n:
+                        sampled += 1
+                    else:
+                        full += 1
+        assert sampled >= 20 and full >= 20, (sampled, full)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew a hit set that takes every vertex")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        g = gen_random(16, 48, 8, "small", "priced")
+        stats = {}
+        res = negative_sssp(g, 0, seed=1, collect=stats)
+        assert stats["hitset_size"] == 16
+        assert res.distances() == bf_exact(g, 0).dist
+
+    @pytest.mark.parametrize("k", [2.5, "3", 3.0, True, 0, -2])
+    def test_rejects_bad_hop_parameter(self, k):
+        g = gen_random(8, 20, 3, "small", "priced")
+        with pytest.raises(ValueError, match="hop parameter must be a positive integer"):
+            negative_sssp(g, 0, k=k, budget=B16)
+        with pytest.raises(ValueError, match="hop parameter must be a positive integer"):
+            cut_preprocess(g, k, budget=B16)
+
+    def test_accepts_numpy_integer_hop_parameter(self):
+        g = gen_random(12, 36, 3, "small", "priced")
+        want = serialize_tree(negative_sssp(g, 0, k=2, seed=1, budget=B16))
+        assert serialize_tree(negative_sssp(g, 0, k=np.int64(2), seed=1, budget=B16)) == want
 
     @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, -1.0, 0, 0.0])
     def test_rejects_bad_gamma(self, gamma):
