@@ -18,7 +18,7 @@ from . import graph as graphmod
 from .distcmp import _CONSTANTS, _check_constant
 from .graph import NegativeCycle, parse, parse_tree, serialize, serialize_tree
 from .rational import BigRational, WordBudget
-from .sssp import dijkstra_nonneg, negative_sssp
+from .sssp import _check_seed, dijkstra_nonneg, negative_sssp
 from .cfrac import best_approx
 
 
@@ -31,10 +31,7 @@ def _resolve_seed(value: Optional[int]) -> int:
             value = int(env) if env else 0
         except ValueError:
             raise ValueError(f"RATPATH_SEED must be an integer, got {env!r}") from None
-    # Checked for every command, mode and strategy, also where nothing
-    # draws from the seed.
-    if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {value} ({where})")
+    _check_seed(value, where)  # for every command, mode and strategy
     return value
 
 
@@ -234,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--window", type=int)
     gen.add_argument("--n", type=int, default=16)
     gen.add_argument("--m", type=int, default=48)
-    gen.add_argument("--weight-class", default="small")
+    gen.add_argument("--weight-class", default="small", choices=sorted(graphmod._WEIGHT_CLASSES))
     gen.add_argument("--seed", type=int)
     gen.add_argument("--output", "-o")
     gen.set_defaults(func=cmd_gen)

@@ -255,9 +255,6 @@ class SparseCover:
         self.updates_issued += len(updates)
         return updates
 
-    def sets_of(self, v: int) -> List[Tuple[int, int]]:
-        return [(idx, inst.center[v]) for idx, inst in enumerate(self.instances)]
-
     def common_set(self, u: int, v: int) -> Optional[Tuple[int, int]]:
         """Scan u's sets for one also containing v; None on covering failure."""
         for idx, inst in enumerate(self.instances):

@@ -19,8 +19,8 @@ each cluster by a total preorder whose evaluation delegates one
 comparison to level i+1 with a rewritten, shorter right-hand side.  The
 recursion bottoms out at L_t where every query is a sign test.
 
-An exact-arithmetic twin of the query predicate is provided both as a
-testing oracle and as the fallback when a covering failure is detected.
+An exact-arithmetic twin of the query predicate, `exact_compare`, is
+the fallback when a covering failure is detected.
 At small capacities such failures are not rare: with the default lam=4,
 a 6-slot cover (11 instances) leaves its first edge uncovered for about
 9 % of seeds.  The fallback answers exactly, so every answer stays
@@ -51,8 +51,10 @@ Every exact path weight comes from one memo: `_rel[lvl][v]` is the
 unreduced (num, den) of the path weight from v's level-lvl anchor to v.
 Below level t the anchor is v's nearest ancestor of level >= lvl, v
 included.  At level t it is the root alone, since a non-root node can
-carry level t: `_rel[t]` holds the root distances the shortcut needs.
-The fixed-point numerators are plain Python ints.
+carry level t: `_rel[t]` holds the root distances.  The shortcut, the
+fallbacks and `exact_compare` all cross-multiply these root pairs, the
+last two with no bit gate; `IncTree.distance` is never read.  The
+fixed-point numerators are plain Python ints.
 
 `_CONSTANTS` holds the one default of each solver constant: C sizes the
 thinning factor K, lam the cover, gamma the sample of the pairwise
@@ -274,10 +276,10 @@ class _PotentialDsu:
 class _LevelState:
     """The difficult path's state at one level, built on its first use:
     the level's nodes in insertion order and their slots (kept up from
-    then on), the cover and the potentials over `cap` slots, the cluster
-    orders and the similarity edges."""
+    then on), the cover and the potentials over `cap` slots, and the
+    cluster orders.  The cover holds the similarity edges."""
 
-    __slots__ = ("members", "slot_of", "cover", "orders", "dsu", "edges")
+    __slots__ = ("members", "slot_of", "cover", "orders", "dsu")
 
     def __init__(self, cap: int, members: List[int], cover: SparseCover):
         self.members = members
@@ -285,7 +287,6 @@ class _LevelState:
         self.cover = cover
         self.orders: Dict[Tuple[int, int], ClusterOrder] = {}
         self.dsu = _PotentialDsu(cap)
-        self.edges: set = set()
 
 
 # Ordering by sign: index 1 is GREATER and index -1 the last entry, LESS.
@@ -309,8 +310,9 @@ class DistCmp:
     included; compare(u, v, beta) orders dist(root, u) - dist(root, v)
     against a c-short rational beta, correct with high probability, and
     returns an `Ordering`; exact_compare() evaluates the same predicate
-    in exact arithmetic.  The levels pass int signs (-1, 0, 1) between
-    them, and compare turns the level-0 sign into an `Ordering` once.
+    in exact arithmetic, over the root pairs the shortcut reads.  The
+    levels pass int signs (-1, 0, 1) between them, and compare turns the
+    level-0 sign into an `Ordering` once.
 
     Queries mutate internal state (similarity edges, cluster orders), so
     all access must be serialized by the owning thread.
@@ -364,13 +366,10 @@ class DistCmp:
             st = self._states[i]
             if st is None:
                 continue  # _level_state lists the members when it builds the state
-            slot = len(st.members)
+            # The new slot has no similarity edge, so it is its own
+            # center in every instance and no cluster order holds it yet.
+            st.slot_of[node] = len(st.members)
             st.members.append(node)
-            st.slot_of[node] = slot
-            for sid in st.cover.sets_of(slot):
-                order = st.orders.get(sid)
-                if order is not None:
-                    order.insert(node)
         return node
 
     # -- lazy per-level values -----------------------------------------
@@ -434,13 +433,12 @@ class DistCmp:
         return _ORDERING_OF_SIGN[self._level_compare(0, u, v, beta)]
 
     def exact_compare(self, u: int, v: int, beta: BigRational) -> Ordering:
-        diff = self.tree.distance(u) - self.tree.distance(v)
-        return Ordering.of(diff._cmp(beta))
+        return _ORDERING_OF_SIGN[self._exact_sign(u, v, beta)]
 
-    def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: int) -> Optional[int]:
-        """sign(dist(u) - dist(v) - beta) by cross-multiplying unreduced
-        values, or None when their common denominator may need more than
-        max_bits bits."""
+    def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: float = math.inf) -> Optional[int]:
+        """sign(dist(u) - dist(v) - beta) by cross-multiplying the unreduced
+        root pairs, or None when their common denominator may need more
+        than max_bits bits."""
         if self._den_bits[u] + self._den_bits[v] + beta.den.bit_length() > max_bits:
             return None
         memo = self._root_rel
@@ -491,18 +489,17 @@ class DistCmp:
         self.difficult_answers[i] += 1
         st = self._level_state(i)
         su, sv = st.slot_of[u], st.slot_of[v]
-        ekey = (min(su, sv), max(su, sv))
-        if ekey not in st.edges:
-            st.edges.add(ekey)
-            st.dsu.union(su, sv, beta)
-            updates = st.cover.insert_edge(su, sv)
-            self._apply_updates(st, updates)
+        # A repeated pair is a consistent no-op for both: the cover ignores
+        # a known edge, and its beta is the one c-short value within
+        # 2^-ell_i of dist(u) - dist(v).
+        st.dsu.union(su, sv, beta)
+        self._apply_updates(st, st.cover.insert_edge(su, sv))
         sid = st.cover.common_set(su, sv)
         order = None if sid is None else self._order_of(i, st, sid)
         rel = None if order is None or order.degraded else order.relation(u, v)
         if rel is None:
             self.cover_fallbacks[i] += 1
-            return self.exact_compare(u, v, beta)
+            return self._exact_sign(u, v, beta)
         return rel
 
     # -- level plumbing ---------------------------------------------------
@@ -543,15 +540,13 @@ class DistCmp:
         exact_bits = self.config.ell_chain[i] - 2
 
         def cmp3(x: int, y: int) -> Tuple[int, bool]:
-            if x == y:
-                return 0, True
             frac = st.dsu.fraction(st.slot_of[x], st.slot_of[y])
             ok = frac is not None and frac.num.bit_length() <= bits and frac.den.bit_length() <= bits
             if ok:
                 sign = self._exact_sign(x, y, frac, exact_bits)
                 ok = self._fixed_window(i, x, y, frac) if sign is None else sign == 0
             if not ok:
-                return self.exact_compare(x, y, ZERO), False
+                return self._exact_sign(x, y, ZERO), False
             ax, dx = self._anchor(i + 1, x)
             ay, dy = self._anchor(i + 1, y)
             return self._level_compare(i + 1, ax, ay, frac + dy - dx), True

@@ -571,10 +571,7 @@ _WEIGHT_CLASSES = {
 
 
 def _random_rational(rng: np.random.Generator, weight_class: str, non_negative: bool) -> BigRational:
-    try:
-        max_num, max_den = _WEIGHT_CLASSES[weight_class]
-    except KeyError:
-        raise ValueError(f"unknown weight class {weight_class!r}") from None
+    max_num, max_den = _WEIGHT_CLASSES[weight_class]
     num = int(rng.integers(0, max_num + 1))
     den = int(rng.integers(1, max_den + 1))
     if not non_negative and rng.integers(0, 2):
@@ -600,6 +597,8 @@ def gen_random(
         raise ValueError("too many edges for a simple digraph")
     if negative_mode not in ("none", "priced"):
         raise ValueError(f"unknown negative mode {negative_mode!r}")
+    if weight_class not in _WEIGHT_CLASSES:
+        raise ValueError(f"unknown weight class {weight_class!r}")
     rng = np.random.default_rng(seed)
     seen = set()
     pairs: List[Tuple[int, int]] = []

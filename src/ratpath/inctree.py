@@ -73,6 +73,8 @@ class IncTree:
 
     def nearest_strict_marked_ancestor(self, v: int, level: int) -> int:
         """Nearest proper ancestor of v with level >= `level`."""
+        if not 0 <= level <= self.max_level:
+            raise ValueError(f"level {level} out of range 0..{self.max_level}")
         if v == 0:
             raise NotAnAncestorError("the root has no proper ancestor")
         return self._anc[level][self.parent[v]]

@@ -66,6 +66,14 @@ __all__ = [
 ]
 
 
+def _check_seed(seed, where: Optional[str] = None) -> None:
+    """The one seed rule of the solvers and the CLI, applied whether or
+    not anything draws from the seed: a non-negative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        at = f" ({where})" if where else ""
+        raise ValueError(f"seed must be a non-negative integer, got {seed}{at}")
+
+
 class NegativeWeightError(ValueError):
     """Raised by the non-negative solver; use negative_sssp instead."""
 
@@ -210,6 +218,7 @@ def dijkstra_nonneg(
         raise ValueError(f"unknown strategy {strategy!r}")
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
+    _check_seed(seed)
     constants = constants or {}
     for name, value in constants.items():
         if name not in _CONSTANTS:
@@ -276,23 +285,23 @@ def dijkstra_nonneg(
 class CutContext:
     """Preprocessing shared by all hop-bounded runs on one graph.
 
-    Holds the graph it was built for, the hop bound k, the word budget,
-    the price function and its feasibility slack eps = 2^-((2k+1)B +
-    ceil(log2 n)).  It also holds the prices at their own resolution: the
-    common denominator `pden` (the lcm of the price denominators, 2^(E+1)
-    for every context that `cut_preprocess` builds) and the integer
-    numerators pnum[v] = p(v) * pden, from which cut runs build their heap
-    keys.
+    Holds the hop bound k, the word budget, the price function and its
+    feasibility slack eps = 2^-((2k+1)B + ceil(log2 n)).  It also holds
+    the prices at their own resolution: the common denominator `pden`
+    (the lcm of the price denominators, 2^(E+1) for every context that
+    `cut_preprocess` builds) and the integer numerators pnum[v] = p(v) *
+    pden, from which cut runs build their heap keys.
 
-    The context is a snapshot of its graph: `adj[u]` lists u's out-edges
-    as int triples (head, num, den), read once here, and `shift` is the
-    key shift S of `cut_dijkstra`, the least with 2^S >= D^2, where D =
-    2^(kB-1) * W and W is the graph's largest weight denominator.  An
-    edge added to the graph afterwards is not seen by runs on this
-    context.  Read-only after construction, so runs may share it.
+    The context is the runs' only view of its graph: `adj[u]` lists u's
+    out-edges as int triples (head, num, den), read once here, one list
+    per vertex, and `shift` is the key shift S of `cut_dijkstra`, the
+    least with 2^S >= D^2, where D = 2^(kB-1) * W and W is the graph's
+    largest weight denominator.  An edge added to the graph afterwards
+    is not seen by runs on this context.  Read-only after construction,
+    so runs may share it.
     """
 
-    __slots__ = ("graph", "k", "budget", "price", "eps", "pden", "pnum", "adj", "shift")
+    __slots__ = ("k", "budget", "price", "eps", "pden", "pnum", "adj", "shift")
 
     def __init__(
         self,
@@ -304,7 +313,6 @@ class CutContext:
     ):
         if len(price) != g.n:
             raise ValueError(f"price has {len(price)} values, graph has {g.n} vertices")
-        self.graph = g
         self.k = k
         self.budget = budget
         self.price = price
@@ -362,11 +370,11 @@ class CutResult:
 
 def cut_dijkstra(
     ctx: CutContext,
-    g: WeightedDigraph,
     s: int,
     collect: Optional[Dict[str, object]] = None,
 ) -> CutResult:
-    """Hop-bounded run from s under the context's price function.
+    """Hop-bounded run from s over the context's graph snapshot, under its
+    price function.
 
     Vertices are extracted by exact key d(v) - p(v); a vertex is processed
     only while its tentative distance stays k-short.  Reinsertions into
@@ -400,14 +408,9 @@ def cut_dijkstra(
     so finite keys come first and ties break by vertex id, and the
     vertices relaxed from one parent are ranked by (K, vid).
 
-    Raises ValueError if s is not a vertex of g or the context was built
-    for another graph.
+    Raises ValueError if s is not a vertex of the context's graph.
     """
-    n = g.n
-    if ctx.graph is not g:
-        if len(ctx.pnum) != n:
-            raise ValueError(f"cut context has prices for {len(ctx.pnum)} vertices, graph has {n}")
-        raise ValueError("cut context was built for another graph")
+    n = len(ctx.adj)
     if not 0 <= s < n:
         raise ValueError(f"source {s} out of range")
     adj = ctx.adj
@@ -566,13 +569,15 @@ def negative_sssp(
     verifies the assembled tree before returning it.  A failed
     verification is resolved through the exact oracle: either it yields a
     negative-cycle witness, or the failure was a low-probability sampling
-    miss and the pipeline retries with fresh randomness.  A weight that
-    is not 1-short under `budget` raises ValueError from
+    miss and the pipeline retries with fresh randomness.  A cycle found
+    this way sets `oracle_cycles` to 1 in `collect`.  A weight that is
+    not 1-short under `budget` raises ValueError from
     `eps_feasible_price`, and a k that is not a positive integer one
     from `cut_preprocess`.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
+    _check_seed(seed)
     _check_constant("gamma", gamma)
     if k is None:
         k = _hop_default(g.n)
@@ -582,7 +587,7 @@ def negative_sssp(
         return pre
 
     for attempt, hitset in enumerate(_hitsets(g.n, s, k, gamma, seed)):
-        runs = [cut_dijkstra(pre, g, v, collect=collect) for v in hitset]
+        runs = [cut_dijkstra(pre, v, collect=collect) for v in hitset]
 
         try:
             result = _witness_tree(g, s, hitset, runs, *_recombine(g.n, hitset, runs))
@@ -596,6 +601,9 @@ def negative_sssp(
             return result
         oracle = bf_exact(g, s)
         if isinstance(oracle, NegativeCycle):
+            if collect is not None:
+                collect["pipeline_attempts"] = attempt + 1
+                collect["oracle_cycles"] = 1
             return oracle
         # Verification failed yet the oracle sees no cycle: a sampling
         # miss; the next attempt re-draws everything from a fresh stream.

@@ -18,6 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
+from ratpath.cfrac import Ordering
 from ratpath.graph import SsspResult, WeightedDigraph, _primes_below
 from ratpath.rational import BigRational, ZERO, is_k_short, sum_lt
 from ratpath.sssp import CutResult
@@ -397,6 +398,13 @@ def reference_distcmp_streams(seed: int, config):
         slot_level.extend(min(t, int(d)) for d in draws)
     covers = [np.random.default_rng(child) for child in state_child.spawn(max(t, 1))]
     return slot_level, covers
+
+
+def exact_ordering(tree, u: int, v: int, beta: BigRational) -> Ordering:
+    """dist(u) - dist(v) against beta from `IncTree.distance`, the reduced
+    root-distance memo: an oracle for `DistCmp`, which keeps its exact
+    distances as unreduced root pairs instead and never reads this memo."""
+    return Ordering.of((tree.distance(u) - tree.distance(v))._cmp(beta))
 
 
 def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):

@@ -333,6 +333,13 @@ class TestGen:
         code, _, err = run(capsys, "gen", "random", "--n", "3", "--m", "100")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("m", ["0", "3"])
+    def test_unknown_weight_class_refused(self, capsys, m):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "random", "--n", "5", "--m", m, "--weight-class", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestApprox:
     def test_best_approx_debug(self, capsys):

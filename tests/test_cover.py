@@ -324,10 +324,10 @@ class TestClusteringInstance:
 class TestSparseCover:
     def test_fresh_cover_singletons_and_sparsity(self):
         cover = SparseCover(10, 4.0, np.random.default_rng(8))
+        assert len(cover.instances) == cover.instance_count
         for v in range(10):
-            sets = cover.sets_of(v)
-            assert len(sets) == cover.instance_count
-            assert all(sid == (i, v) for i, sid in enumerate(sets))
+            assert all(inst.center[v] == v for inst in cover.instances)
+            assert all(cover.members((i, v)) == {v} for i in range(cover.instance_count))
 
     def test_covering_and_common_set(self):
         hits = 0

@@ -2,7 +2,8 @@
 
 Each demo prints counter keys and calls public functions by name, so a
 rename that forgets a demo shows up here.  `demo_game` is left out: it
-plays long games, and `TestGame` covers `game_simulate`.
+plays long games, and `TestGame` covers `game_simulate`.  CI runs it as
+a step of its own.
 """
 
 import os

@@ -17,7 +17,7 @@ from ratpath.graph import _primes_below
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath.sssp import dijkstra_nonneg
 
-from conftest import diamond_chain, reference_distcmp_streams
+from conftest import diamond_chain, exact_ordering, reference_distcmp_streams
 
 
 def R(n, d=1):
@@ -60,7 +60,9 @@ def _gate_closed_population(rng, seed: int, queries: int = 3000, lam: float = 1.
             beta = diff
         else:
             beta = R(int(rng.integers(-64, 65)), int(rng.integers(1, 1 << 15)))
-        assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
+        want = exact_ordering(dc.tree, u, v, beta)
+        assert dc.compare(u, v, beta) is want
+        assert dc.exact_compare(u, v, beta) is want
     return dc
 
 
@@ -325,7 +327,7 @@ class TestCompare:
                     paths.add(path)
                     break
             assert any(got is member for member in Ordering)
-            assert got is dc.exact_compare(u, v, beta)
+            assert got is exact_ordering(dc.tree, u, v, beta)
             return got
 
         monkeypatch.setattr(DistCmp, "compare", classified)
@@ -371,7 +373,7 @@ class TestCompare:
                         ]
                     else:
                         beta = R(int(rng.integers(-30, 31)), int(rng.integers(1, 20)))
-                    if dc.compare(u, v, beta) is not dc.exact_compare(u, v, beta):
+                    if dc.compare(u, v, beta) is not exact_ordering(dc.tree, u, v, beta):
                         mismatches += 1
         assert total_ops >= 100_000
         assert mismatches == 0
@@ -379,9 +381,43 @@ class TestCompare:
     def test_fallback_path_still_correct(self):
         # two clustering instances per cover make covering misses likely,
         # forcing the exact fallback route; the population checks every
-        # answer against exact_compare
+        # answer against exact_ordering
         dc = _gate_closed_population(np.random.default_rng(77), seed=5, queries=800, lam=0.17)
         assert sum(dc.counters()["cover_fallbacks"]) > 0
+
+    def test_degraded_orders_fall_back(self, monkeypatch):
+        # With no similarity bits at level 0, no chained fraction passes
+        # cmp3's width check: every cluster-order comparison falls back to
+        # exact arithmetic and degrades its order.  Unforced, 146 of the
+        # 167 difficult answers come from level 1 and 21 from covering
+        # failures; forced, all 167 are fallbacks and level 1 never runs.
+        init = DistCmpConfig.__init__
+
+        def no_chain_bits(cfg, *args, **kwargs):
+            init(cfg, *args, **kwargs)
+            cfg.bits_chain[0] = 0
+
+        built = []
+        dc_init = DistCmp.__init__
+
+        def record(dc, *args, **kwargs):
+            dc_init(dc, *args, **kwargs)
+            built.append(dc)
+
+        monkeypatch.setattr(DistCmpConfig, "__init__", no_chain_bits)
+        monkeypatch.setattr(DistCmp, "__init__", record)
+        g = diamond_chain(300)
+        stats = {}
+        r = dijkstra_nonneg(
+            g, 0, strategy="distcmp", seed=1, budget=WordBudget(16), collect=stats,
+            constants={"C": 0.5, "lam": 1.0},
+        )
+        assert stats["distcmp.difficult_answers"][0] == stats["distcmp.cover_fallbacks"][0] == 167
+        assert sum(stats["distcmp.level_queries"][1:]) == 0
+        orders = list(built[0]._states[0].orders.values())
+        assert len(orders) == 146 and all(order.degraded for order in orders)
+        oracle = dijkstra_nonneg(g, 0, strategy="exact_oracle", budget=WordBudget(16))
+        assert r.distances() == oracle.distances()
 
     def test_fanout_counter_bound(self):
         # at default constants every tie is answered at level 0, so the
@@ -411,7 +447,7 @@ class TestCompare:
                 v = nodes[int(rng.integers(0, len(nodes)))]
                 diff = dc.tree.distance(u) - dc.tree.distance(v)
                 beta = diff if rng.random() < 0.5 and is_k_short(diff, 2, WordBudget(16)) else R(1, 3)
-                assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
+                assert dc.compare(u, v, beta) is exact_ordering(dc.tree, u, v, beta)
         totals = {}
         for c in (dc.counters(), _gate_closed_population(rng, seed=8).counters()):
             for i, queries in enumerate(c["level_queries"]):
@@ -494,7 +530,7 @@ class TestExactShortcut:
             u = nodes[int(rng.integers(0, len(nodes)))]
             v = nodes[int(rng.integers(0, len(nodes)))]
             beta = R(int(rng.integers(-64, 65)), int(rng.integers(1, 1 << 15)))
-            assert dc.compare(u, v, beta) is dc.exact_compare(u, v, beta)
+            assert dc.compare(u, v, beta) is exact_ordering(dc.tree, u, v, beta)
         c = dc.counters()
         assert 0 < c["shortcut_answers"][0] < c["easy_answers"][0]
 

@@ -364,6 +364,12 @@ class TestGenerators:
         g = gen_random(5, 0, 1)
         assert g.n == 5 and g.m == 0
 
+    def test_gen_random_checks_weight_class_first(self):
+        # Checked before any draw, so also when no edge would draw a weight.
+        for m in (0, 3):
+            with pytest.raises(ValueError, match="unknown weight class 'bogus'"):
+                gen_random(5, m, 1, "bogus")
+
     def test_gen_random_deterministic(self):
         a = serialize(gen_random(12, 40, 7, "small", "priced"))
         b = serialize(gen_random(12, 40, 7, "small", "priced"))

@@ -40,6 +40,14 @@ class TestInsert:
             assert t.nearest_marked_ancestor(v, i) == v
         assert t.nearest_marked_ancestor(v, 3) == 0
 
+    def test_strict_marked_ancestor_checks_level(self):
+        t = IncTree(max_level=3)
+        v = t.insert_leaf(0, R(1), level=2)
+        assert t.nearest_strict_marked_ancestor(v, 3) == 0
+        for level in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                t.nearest_strict_marked_ancestor(v, level)
+
 
 class TestPathWeight:
     def test_examples(self):

@@ -148,6 +148,16 @@ class TestDijkstraNonneg:
             with pytest.raises(ValueError, match="out of range"):
                 dijkstra_nonneg(g, s, strategy=strategy)
 
+    @pytest.mark.parametrize("n", [16, 200])
+    @pytest.mark.parametrize("strategy", ["exact_oracle", "distcmp", "pairwise_delta"])
+    def test_rejects_negative_seed(self, strategy, n):
+        # One seed rule for every strategy, also where nothing draws from
+        # the seed, with the CLI's message.
+        g = gen_random(n, 3 * n, 1)
+        with pytest.raises(ValueError) as err:
+            dijkstra_nonneg(g, 0, strategy=strategy, seed=-1)
+        assert str(err.value) == "seed must be a non-negative integer, got -1"
+
     @pytest.mark.parametrize("strategy", ["exact_oracle", "distcmp", "pairwise_delta"])
     def test_constants_checked_alike(self, strategy):
         # Every strategy takes C, lam and gamma, ignores the ones it does
@@ -452,7 +462,7 @@ class TestCutDijkstra:
     def test_source_zero(self):
         g = gen_random(12, 30, 2, "small", "priced")
         ctx = self._context(g, 3)
-        run = cut_dijkstra(ctx, g, 0)
+        run = cut_dijkstra(ctx, 0)
         assert run.dist[0] == ZERO
 
     def test_context_table_matches_direct_approximation(self):
@@ -534,7 +544,7 @@ class TestCutDijkstra:
             g = gen_random(n, m, int(rng.integers(0, 2**31)), "small", "priced")
             k = int(rng.choice([2, max(2, math.isqrt(n)), n]))
             ctx = self._context(g, k)
-            run = cut_dijkstra(ctx, g, 0)
+            run = cut_dijkstra(ctx, 0)
             full = bf_exact(g, 0).dist
             hop = textbook_bf(g, 0, hop_bound=k)[0]
             for v in range(n):
@@ -555,7 +565,7 @@ class TestCutDijkstra:
     def test_exact_path_of_k_edges(self):
         g = WeightedDigraph(4, [(0, 1, R(-1, 2)), (1, 2, R(-1, 2)), (2, 3, R(-1, 2))])
         ctx = self._context(g, 3)
-        run = cut_dijkstra(ctx, g, 0)
+        run = cut_dijkstra(ctx, 0)
         assert run.dist[3] == R(-3, 2)
 
     def test_heap_insert_bound(self):
@@ -565,7 +575,7 @@ class TestCutDijkstra:
             g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
             k = max(2, math.isqrt(n))
             ctx = self._context(g, k)
-            run = cut_dijkstra(ctx, g, 0)
+            run = cut_dijkstra(ctx, 0)
             assert run.heap_inserts <= n + 2 * n * math.sqrt(n)
 
     def test_replay_reproduces_dist(self):
@@ -575,7 +585,7 @@ class TestCutDijkstra:
             g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
             k = int(rng.choice([2, max(2, math.isqrt(n))]))
             ctx = self._context(g, k)
-            run = cut_dijkstra(ctx, g, 0)
+            run = cut_dijkstra(ctx, 0)
             replay = replay_enhanced_order(g, 0, run.order, run.processed)
             assert replay == run.dist
 
@@ -583,7 +593,7 @@ class TestCutDijkstra:
         for seed in range(12):
             g = gen_random(18, 50, seed)
             ctx = self._context(g, 18)
-            run = cut_dijkstra(ctx, g, 0)
+            run = cut_dijkstra(ctx, 0)
             want = dijkstra_nonneg(g, 0, strategy="exact_oracle").distances()
             assert run.dist == want
 
@@ -599,7 +609,7 @@ class TestCutDijkstra:
                     ctx = cut_preprocess(g, 3, budget=WordBudget(bits))
                     assert not isinstance(ctx, NegativeCycle)
                     for s in range(5):
-                        run = cut_dijkstra(ctx, g, s)
+                        run = cut_dijkstra(ctx, s)
                         dist = [None if d is None else str(d) for d in run.dist]
                         fields = (dist, run.parent, run.order, run.processed, run.heap_inserts)
                         h.update(repr(fields).encode())
@@ -608,7 +618,7 @@ class TestCutDijkstra:
     @staticmethod
     def _assert_matches_reference(ctx, g, s):
         got_stats, want_stats = {}, {}
-        got = cut_dijkstra(ctx, g, s, collect=got_stats)
+        got = cut_dijkstra(ctx, s, collect=got_stats)
         want = reference_cut_dijkstra(ctx, g, s, collect=want_stats)
         assert got.source == want.source == s
         # str() also pins the canonical (num, den) of every distance.
@@ -640,11 +650,11 @@ class TestCutDijkstra:
                     runs += 1
         assert runs == 54
 
-    def test_matches_reference_when_the_remainder_decides(self):
+    def test_matches_reference_when_keys_share_their_floor(self):
         # Hand-built contexts with prices of denominator 1, 2 or 3 put the
-        # keys of many vertices relaxed from one parent on the same
-        # integer part at the price resolution, so their order rests on
-        # the remainder alone; copied prices and weights add exact key
+        # keys of many vertices relaxed from one parent on the same floor
+        # at the price resolution, so only the bits below it order them;
+        # copied prices and weights add exact key
         # ties, which break by vertex id.  Such pairs share their final
         # parent, so they were ranked in the same batch.
         rng = np.random.default_rng(1702)
@@ -708,23 +718,24 @@ class TestCutDijkstra:
                         checked += 1
         assert checked == 54
 
-    def test_rejects_bad_source_and_foreign_context(self):
+    def test_rejects_bad_source_and_short_price(self):
         g = gen_random(8, 20, 3, "small", "priced")
         ctx = self._context(g, 2)
         for s in (-1, 8, 100):
             with pytest.raises(ValueError, match="out of range"):
-                cut_dijkstra(ctx, g, s)
-        for n in (7, 9):
-            other = gen_random(n, 20, 3, "small", "priced")
-            with pytest.raises(ValueError, match="vertices"):
-                cut_dijkstra(ctx, other, 0)
-        # Same vertex count: the context's prices and edge arrays belong
-        # to g, so another graph, even an equal copy, is refused.
-        for other in (gen_random(8, 20, 4, "small", "priced"), g.copy()):
-            with pytest.raises(ValueError, match="another graph"):
-                cut_dijkstra(ctx, other, 0)
+                cut_dijkstra(ctx, s)
         with pytest.raises(ValueError, match="price has 7 values"):
             CutContext(g, 2, B16, ctx.price[:-1], ctx.eps)
+
+    def test_runs_read_the_graph_from_the_context(self):
+        # The context is a snapshot: an edge added to the graph afterwards
+        # changes no run on it.
+        g = gen_random(8, 20, 3, "small", "priced")
+        ctx = self._context(g, 2)
+        before = [cut_dijkstra(ctx, s).dist for s in range(g.n)]
+        for u in range(1, g.n):
+            g.add_edge(0, u, R(-1000))
+        assert [cut_dijkstra(ctx, s).dist for s in range(g.n)] == before
 
     def test_recombination_graph_dominance(self):
         # estimates between hit-set vertices dominate true distances
@@ -735,7 +746,7 @@ class TestCutDijkstra:
             k = max(2, math.isqrt(n))
             ctx = self._context(g, k)
             sample = sorted(int(x) for x in rng.permutation(n)[: max(2, n // 3)])
-            runs = {z: cut_dijkstra(ctx, g, z) for z in sample}
+            runs = {z: cut_dijkstra(ctx, z) for z in sample}
             for z in sample:
                 full = bf_exact(g, z).dist
                 for v in sample:
@@ -777,7 +788,7 @@ class TestRecombination:
             assert not isinstance(ctx, NegativeCycle)
             others = [int(v) for v in rng.permutation(np.arange(1, n))[: int(rng.integers(1, n))]]
             hitset = [0] + sorted(others)
-            runs = [cut_dijkstra(ctx, g, v) for v in hitset]
+            runs = [cut_dijkstra(ctx, v) for v in hitset]
             hpar, best_via = full_scan_recombination(g.n, hitset, runs)
             assert _recombine(g.n, hitset, runs) == (hpar, best_via), trial
             tree = _witness_tree(g, 0, hitset, runs, hpar, best_via)
@@ -921,6 +932,45 @@ class TestNegativePipeline:
         res = negative_sssp(g, 0, budget=B16)
         assert res.distances()[1] == R(-1, 2)
         assert res.distances()[2] is None and res.distances()[3] is None
+
+    @pytest.mark.parametrize("n", [16, 200])
+    def test_rejects_negative_seed(self, n):
+        # At n=16 the hit set takes every vertex and draws nothing; at
+        # n=200 it samples.  The seed is refused alike.
+        g = gen_random(n, 3 * n, 1, "small", "priced")
+        with pytest.raises(ValueError) as err:
+            negative_sssp(g, 0, seed=-1, budget=B16)
+        assert str(err.value) == "seed must be a non-negative integer, got -1"
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_oracle_answers_a_cycle_the_price_misses(self, k):
+        # A zero edge 0 -> 1, then the cycle 1 -> 2 -> 3 -> 4 -> 1 with
+        # weights a_i / p_i for the four largest primes p_i below 2^60:
+        # a_i = -(P / p_i)^-1 mod p_i for the product P, with a_1 then
+        # corrected so that the cycle weighs exactly -1/P, about -2^-240.
+        # Every weight is 1-short at B=64.  At k=1 the price slack 2^-195
+        # is coarser than the cycle: scaling returns a price, the cut runs
+        # relax, verification fails and the answer is bf_exact's cycle.
+        # At k=2 the slack is 2^-323 and scaling finds the cycle itself.
+        primes = [(1 << 60) - d for d in (93, 107, 173, 179)]
+        big = math.prod(primes)
+        nums = [-pow(big // p, -1, p) % p for p in primes]
+        nums[0] -= (sum(a * (big // p) for a, p in zip(nums, primes)) + 1) // big * primes[0]
+        weights = [R(a, p) for a, p in zip(nums, primes)]
+        assert sum(weights, ZERO) == R(-1, big)
+        assert all(is_k_short(w, 1, WordBudget(64)) for w in weights)
+        cycle = [(1, 2), (2, 3), (3, 4), (4, 1)]
+        g = WeightedDigraph(5, [(0, 1, ZERO)] + [(u, v, w) for (u, v), w in zip(cycle, weights)])
+        stats = {}
+        res = negative_sssp(g, 0, k=k, collect=stats)
+        assert isinstance(res, NegativeCycle) and res.weight == R(-1, big)
+        if k == 1:
+            oracle = bf_exact(g, 0)
+            assert (res.vertices, res.weight) == (oracle.vertices, oracle.weight)
+            assert stats["scaling_rounds"] == 197 and stats["cut_relaxations"] > 0
+            assert stats["pipeline_attempts"] == stats["oracle_cycles"] == 1
+        else:
+            assert "cut_relaxations" not in stats and "oracle_cycles" not in stats
 
     def test_counters_collected(self):
         stats = {}
