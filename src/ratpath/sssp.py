@@ -289,19 +289,21 @@ class CutContext:
     feasibility slack eps = 2^-((2k+1)B + ceil(log2 n)).  It also holds
     the prices at their own resolution: the common denominator `pden`
     (the lcm of the price denominators, 2^(E+1) for every context that
-    `cut_preprocess` builds) and the integer numerators pnum[v] = p(v) *
-    pden, from which cut runs build their heap keys.
+    `cut_preprocess` builds), from which the integer numerators p(v) *
+    pden follow.
 
     The context is the runs' only view of its graph: `adj[u]` lists u's
     out-edges as int triples (head, num, den), read once here, one list
     per vertex, and `shift` is the key shift S of `cut_dijkstra`, the
     least with 2^S >= D^2, where D = 2^(kB-1) * W and W is the graph's
-    largest weight denominator.  An edge added to the graph afterwards
-    is not seen by runs on this context.  Read-only after construction,
-    so runs may share it.
+    largest weight denominator.  The key terms that depend on the
+    context alone are computed here once, not per run: `scale` = pden
+    << S and base[v] = (p(v) * pden) << S.  An edge added to the graph
+    afterwards is not seen by runs on this context.  Read-only after
+    construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "price", "eps", "pden", "pnum", "adj", "shift")
+    __slots__ = ("k", "budget", "price", "eps", "pden", "adj", "shift", "scale", "base")
 
     def __init__(
         self,
@@ -317,12 +319,13 @@ class CutContext:
         self.budget = budget
         self.price = price
         self.eps = eps
-        self.pden = math.lcm(*(p.den for p in price))
-        self.pnum = [p.num * (self.pden // p.den) for p in price]
+        self.pden = pden = math.lcm(*(p.den for p in price))
         self.adj = [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
         widest = max((e.weight.den for e in g.edges), default=1)
         bound = widest << (k * budget.B - 1)
-        self.shift = (bound * bound - 1).bit_length()
+        self.shift = shift = (bound * bound - 1).bit_length()
+        self.scale = pden << shift
+        self.base = [(p.num * (pden // p.den)) << shift for p in price]
 
 
 def cut_preprocess(
@@ -396,17 +399,20 @@ def cut_dijkstra(
     taken when it is extracted: its distance is reduced there, tested for
     k-shortness as ints and becomes the output `BigRational`.
 
-    A key is one exact int.  With P = ctx.pden, a(u) = ctx.pnum[u] and S =
+    A key is one exact int.  With P = ctx.pden, a(u) = p(u) * P and S =
     ctx.shift, K(u) = ((num * P - a(u) * den) << S) // den, the floor of
     key * P * 2^S.  A processed distance is k-short, so dd < 2^(kB-1), and
     wd <= W, the graph's largest weight denominator: every den is below
     D = 2^(kB-1) * W.  Key * P has a denominator dividing den, so two
     distinct keys times P differ by at least 1/D^2 >= 2^-S and their
     floors differ; equal keys have equal floors.  Ordering by (K, vid) is
-    therefore exactly the (key, vid) order.  Heap entries are tuples (0,
-    K, vid, token) for a finite key and (1, 0, vid, token) for +infinity,
-    so finite keys come first and ties break by vertex id, and the
-    vertices relaxed from one parent are ranked by (K, vid).
+    therefore exactly the (key, vid) order.  A run computes K(u) as
+    (num * ctx.scale) // den - ctx.base[u], the two context terms P << S
+    and a(u) << S built once per context.  Heap entries are tuples (K,
+    vid, token), so ties break by vertex id, and the vertices relaxed
+    from one parent are ranked by (K, vid).  Only a relaxed vertex has a
+    finite key and so a heap entry.  The vertices still at +infinity
+    come after every entry, least vertex id first.
 
     Raises ValueError if s is not a vertex of the context's graph.
     """
@@ -414,11 +420,10 @@ def cut_dijkstra(
     if not 0 <= s < n:
         raise ValueError(f"source {s} out of range")
     adj = ctx.adj
-    shift = ctx.shift
     # K(u) = (num * scale) // den - base[u]: a(u) << S is an int, so it
     # comes out of the floor.
-    scale = ctx.pden << shift
-    base = [a << shift for a in ctx.pnum]
+    scale = ctx.scale
+    base = ctx.base
     bound = 1 << (ctx.k * ctx.budget.B - 1)  # k-short: |num|, den < bound
     dist: List[Optional[BigRational]] = [None] * n
     par: List[Optional[int]] = [None] * n
@@ -435,34 +440,20 @@ def cut_dijkstra(
     countdowns: List[Tuple[int, int]] = []
     clock = 0
     # Every vertex starts on the heap: s with its key, the rest at
-    # +infinity.  The list is sorted, so it is already a heap.
+    # +infinity.  Only finite keys are heap entries.  A vertex at
+    # +infinity was never relaxed and leaves that state for good when it
+    # is relaxed or extracted, so the least one is found by a pointer
+    # that only moves up.
     on_heap = [True] * n
     token = [1] * n
-    heap: List[tuple] = [(0, key[s], s, 1)]
-    heap += [(1, 0, v, 1) for v in range(n) if v != s]
+    heap: List[Tuple[int, int, int]] = [(key[s], s, 1)]
+    least_inf = 0
     live = inserts = n
     relaxations = 0
     order: List[int] = []
 
-    def push(v: int) -> None:
-        nonlocal live, inserts
-        token[v] += 1
-        kv = key[v]
-        heapq.heappush(heap, (1, 0, v, token[v]) if kv is None else (0, kv, v, token[v]))
-        on_heap[v] = True
-        live += 1
-        inserts += 1
-
-    def expire() -> None:
-        # Pops every entry of the current turn, in vertex order; entries
-        # left behind by a lowered countdown or an extraction are stale
-        # and skipped.  No entry is older than the clock: turns are set
-        # ahead of it, and it moves one turn or to the earliest entry.
-        while countdowns and countdowns[0][0] == clock:
-            u = heapq.heappop(countdowns)[1]
-            if expiry[u] == clock:
-                expiry[u] = None
-                push(u)
+    heappush = heapq.heappush
+    heappop = heapq.heappop
 
     for _ in range(n):
         # Countdown phase: one tick normally; when every pending vertex is
@@ -471,17 +462,37 @@ def cut_dijkstra(
         # the payout bound of the countdown game depends on.
         if live > 0:
             clock += 1
-            expire()
-        while live == 0:
+        while True:
+            # Reinsert every entry of the current turn, in vertex order;
+            # entries left behind by a lowered countdown or an extraction
+            # are stale and skipped.  No entry is older than the clock:
+            # turns are set ahead of it, and it moves one turn or to the
+            # earliest entry.  Without a tick the clock's own entries are
+            # already gone.  A vertex in countdown was relaxed, so its key
+            # is finite.
+            while countdowns and countdowns[0][0] == clock:
+                u = heappop(countdowns)[1]
+                if expiry[u] == clock:
+                    expiry[u] = None
+                    token[u] = tok = token[u] + 1
+                    heappush(heap, (key[u], u, tok))
+                    on_heap[u] = True
+                    live += 1
+                    inserts += 1
+            if live > 0:
+                break
             if not countdowns:
                 raise AssertionError("no heap entries and no countdowns left")
             clock = countdowns[0][0]
-            expire()
 
-        while True:
-            _, _, v, tok = heapq.heappop(heap)
-            if not extracted[v] and on_heap[v] and token[v] == tok:
+        while heap:
+            _, v, tok = heappop(heap)
+            if on_heap[v] and token[v] == tok:
                 break
+        else:
+            while key[least_inf] is not None or extracted[least_inf]:
+                least_inf += 1
+            v = least_inf
         extracted[v] = True
         on_heap[v] = False
         live -= 1
@@ -521,7 +532,7 @@ def cut_dijkstra(
             turn = clock + rank
             if expiry[u] is None or turn < expiry[u]:
                 expiry[u] = turn
-                heapq.heappush(countdowns, (turn, u))
+                heappush(countdowns, (turn, u))
 
     if collect is not None:
         # Runs accumulate into one dict: sums, and the largest single run.

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: brute-force enumeration, unreduced
 pair arithmetic, plain relaxation loops.  The oracles never share code
-with the implementation paths they check.  The one exception is
+with the implementation paths they check.  The two exceptions are
+earlier implementations kept to check their replacements:
 `reference_cut_dijkstra`, the cut run with `BigRational` heap keys that
-`ratpath.sssp.cut_dijkstra` replaced, kept to check the replacement.
+`ratpath.sssp.cut_dijkstra` replaced, and `reference_eps_feasible_price`,
+the scaling round loop that rebuilt its adjacency every round.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from ratpath.cfrac import Ordering
-from ratpath.graph import SsspResult, WeightedDigraph, _primes_below
+from ratpath.graph import NegativeCycle, SsspResult, WeightedDigraph, _primes_below, gen_random
 from ratpath.rational import BigRational, ZERO, is_k_short, sum_lt
 from ratpath.sssp import CutResult
 
@@ -370,6 +372,138 @@ def reference_cut_dijkstra(ctx, g: WeightedDigraph, s: int, collect=None) -> Cut
     return CutResult(s, dist, par, order, processed, inserts)
 
 
+def reference_eps_feasible_price(g: WeightedDigraph, k: int, collect=None):
+    """The scaling round loop of `ratpath.scaling.eps_feasible_price` as it
+    was before the round adjacency was kept per live edge set.
+
+    Each round builds the adjacency from the live edge arrays and runs
+    FIFO label-correcting Bellman-Ford on it; the state update is a
+    closure that returns the kept edges of every round, and the arrays
+    are compacted to them whenever one is dropped.  The price is summed
+    column by column over 2^(k+1), the repeated block written out.
+    Returns the list of prices or a `NegativeCycle`, and counts
+    `scaling_rounds` and `scaling_rounds_solved` into `collect` round by
+    round.  Input checks and the final feasibility check are left to the
+    callers.
+    """
+    n = g.n
+    src = n
+    total = g.m + n
+    tails = [e.tail for e in g.edges] + [src] * n
+    heads = [e.head for e in g.edges] + list(range(n))
+    signs = [1] * total
+    rems = [0] * total
+    dens = [1] * total
+    reduced = [1] * total
+    for idx, e in enumerate(g.edges):
+        num, den = e.weight.num, e.weight.den
+        signs[idx] = 1 if num >= 0 else -1
+        q0, r = divmod(abs(num), den)
+        rems[idx] = r
+        dens[idx] = den
+        reduced[idx] = (q0 if num >= 0 else -q0) + 1
+
+    def solve(weights):
+        # (dist, None) or (None, parent-graph cycle), as
+        # `integer_sssp_arrays` answers.
+        size = n + 1
+        adj = [[] for _ in range(size)]
+        for t, h, w in zip(tails, heads, weights):
+            adj[t].append((h, w))
+        dist = [None] * size
+        parent = [-1] * size
+        hops = [0] * size
+        queued = [False] * size
+        dist[src] = 0
+        queued[src] = True
+        queue = [src]
+        head = 0
+        cyclic = False
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            queued[u] = False
+            du, hu = dist[u], hops[u] + 1
+            for v, w in adj[u]:
+                d = du + w
+                if dist[v] is not None and d >= dist[v]:
+                    continue
+                dist[v] = d
+                parent[v] = u
+                hops[v] = hu
+                if cyclic or hu >= size:
+                    cyclic = True
+                    path, x = [], v
+                    while x != -1 and x not in path:
+                        path.append(x)
+                        x = parent[x]
+                    if x != -1:
+                        return None, path[path.index(x):][::-1]
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
+        return dist, None
+
+    def advance(dist, reduced, rems, j):
+        kept = []
+        for i in range(len(reduced)):
+            r = rems[i] * 2
+            bit = 1 if r >= dens[i] else 0
+            rems[i] = r - bit * dens[i]
+            nxt = 2 * (reduced[i] + dist[tails[i]] - dist[heads[i]]) + signs[i] * bit - 1
+            assert nxt >= -2, f"reduced weight {nxt} below -2 at round {j + 1}"
+            if nxt <= 4 * n:
+                kept.append(i)
+            reduced[i] = nxt
+        return kept
+
+    levels = k + 2
+    seen: Dict[int, int] = {}
+    anchor = (0, reduced[:], rems[:])
+    period = None
+    cols: List[List[int]] = []
+    for j in range(levels):
+        key = hash((tuple(reduced), tuple(rems)))
+        earlier = seen.setdefault(key, j)
+        if earlier < j:
+            start, red, rem = anchor[0], anchor[1][:], anchor[2][:]
+            for r in range(start, earlier):
+                advance(cols[r], red, rem, r)
+            if red == reduced and rem == rems:
+                period = j - earlier
+                if collect is not None:
+                    collect["scaling_rounds"] += levels - j
+                break
+            seen[key] = j
+        dist, cyc = solve(reduced)
+        if collect is not None:
+            collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + 1
+            collect["scaling_rounds_solved"] = collect.get("scaling_rounds_solved", 0) + 1
+        if cyc is not None:
+            weight = ZERO
+            for i, u in enumerate(cyc):
+                weight = weight + g.edge_between(u, cyc[(i + 1) % len(cyc)]).weight
+            assert weight < ZERO
+            return NegativeCycle(cyc, weight)
+        cols.append(dist)
+        if j == k + 1:
+            break
+        kept = advance(dist, reduced, rems, j)
+        if len(kept) < len(reduced):
+            tails, heads, signs, dens, reduced, rems = (
+                [arr[i] for i in kept] for arr in (tails, heads, signs, dens, reduced, rems))
+            seen.clear()
+            anchor = (j + 1, reduced[:], rems[:])
+
+    first = len(cols) - (period or len(cols))
+    numer = [0] * n
+    for j in range(levels):
+        col = cols[j] if j < len(cols) else cols[first + (j - first) % period]
+        for v in range(n):
+            numer[v] += col[v] << (levels - 1 - j)
+    return [BigRational(a, 1 << (levels - 1)) for a in numer]
+
+
 def reference_hitsets(n: int, s: int, k: int, gamma: float, seed: int) -> List[List[int]]:
     """The hit sets of `negative_sssp`'s three attempts built the way it
     first did: SeedSequence(seed).spawn(3), each attempt drawing a
@@ -405,6 +539,20 @@ def exact_ordering(tree, u: int, v: int, beta: BigRational) -> Ordering:
     root-distance memo: an oracle for `DistCmp`, which keeps its exact
     distances as unreduced root pairs instead and never reads this memo."""
     return Ordering.of((tree.distance(u) - tree.distance(v))._cmp(beta))
+
+
+def backbone_graph(n: int, seed: int) -> WeightedDigraph:
+    """The benchmark's neg-deep shape: a random small-weight skeleton plus a
+    zero-weight path 0 -> n-1 -> ... -> 1 listed last-hop first, under a
+    random potential."""
+    backbone = [(0, n - 1)] + [(v, v - 1) for v in range(n - 1, 1, -1)]
+    on_path = set(backbone)
+    edges = [(e.tail, e.head, e.weight) for e in gen_random(n, 3 * n, seed).edges
+             if (e.tail, e.head) not in on_path]
+    edges = [(u, v, ZERO) for u, v in reversed(backbone)] + edges
+    rng = np.random.default_rng([seed, 1])
+    pot = [BigRational(int(rng.integers(-16, 17)), int(rng.integers(1, 17))) for _ in range(n)]
+    return WeightedDigraph(n, [(u, v, w - pot[u] + pot[v]) for u, v, w in edges])
 
 
 def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from ratpath.graph import (
 from ratpath.rational import BigRational, WordBudget, ZERO
 from ratpath import scaling
 from ratpath.scaling import assemble_price, eps_feasible_price, integer_sssp_arrays
-from conftest import bf_oracle_int
+from ratpath.sssp import _hop_default
+from conftest import backbone_graph, bf_oracle_int, reference_eps_feasible_price
 
 
 def R(n, d=1):
@@ -39,11 +41,18 @@ def assert_witness(g, res):
     assert total < ZERO and total == res.weight
 
 
+def adjacency(n, edges):
+    """(head, edge index) lists per tail of (tail, head, ...) tuples, in
+    edge order."""
+    adj = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        adj[e[0]].append((e[1], i))
+    return adj
+
+
 def int_sssp(n, edges, s=0):
     """integer_sssp_arrays on (tail, head, int weight) triples."""
-    return integer_sssp_arrays(
-        n, [e[0] for e in edges], [e[1] for e in edges], [e[2] for e in edges], s
-    )
+    return integer_sssp_arrays(n, adjacency(n, edges), [e[2] for e in edges], s)
 
 
 class TestIntegerSssp:
@@ -126,14 +135,13 @@ class TestIntegerSssp:
                 for v in range(n):
                     if u != v and rng.random() < 0.4:
                         edges.append((u, v, int(rng.integers(-4, 12))))
-            tails = [e[0] for e in edges]
-            heads = [e[1] for e in edges]
+            adj = adjacency(n, edges)
             small = [e[2] for e in edges]
             # the same weights times 2^63, beyond any machine word
             shift = 1 << 63
             big = [w * shift for w in small]
-            d1, _, c1 = integer_sssp_arrays(n, tails, heads, small, 0)
-            d2, _, c2 = integer_sssp_arrays(n, tails, heads, big, 0)
+            d1, _, c1 = integer_sssp_arrays(n, adj, small, 0)
+            d2, _, c2 = integer_sssp_arrays(n, adj, big, 0)
             assert (c1 is None) == (c2 is None)
             if c1 is None:
                 for a, b in zip(d1, d2):
@@ -142,13 +150,18 @@ class TestIntegerSssp:
                         assert b == a * shift
 
     def test_rejects_bad_source_and_ragged_arrays(self):
+        adj = [[(1, 0)], [(2, 1)], []]
         for s in (-1, 3, 10):
             with pytest.raises(ValueError, match="out of range"):
-                integer_sssp_arrays(3, [0, 1], [1, 2], [1, 1], s)
-        # zip would silently drop the unmatched tail and head
-        for tails, heads, weights in (([0, 1], [1], [1]), ([0], [1, 2], [1]), ([0, 1], [1, 2], [1])):
+                integer_sssp_arrays(3, adj, [1, 1], s)
+        # A weight array shorter or longer than the adjacency's edge count,
+        # and an adjacency with a list per vertex missing or extra.
+        for weights in ([1], [1, 1, 1], []):
             with pytest.raises(ValueError, match="length"):
-                integer_sssp_arrays(3, tails, heads, weights, 0)
+                integer_sssp_arrays(3, adj, weights, 0)
+        for bad in (adj[:2], adj + [[]]):
+            with pytest.raises(ValueError, match="lists"):
+                integer_sssp_arrays(3, bad, [1, 1], 0)
 
 
 def _wide_denominator_graphs():
@@ -167,17 +180,72 @@ def _wide_denominator_graphs():
     return out
 
 
-def _backbone_graph(n, seed):
-    # Random small-weight skeleton plus a zero-weight path
-    # 0 -> n-1 -> ... -> 1 listed last-hop first, under a random potential.
-    backbone = [(0, n - 1)] + [(v, v - 1) for v in range(n - 1, 1, -1)]
-    on_path = set(backbone)
-    edges = [(e.tail, e.head, e.weight) for e in gen_random(n, 3 * n, seed).edges
-             if (e.tail, e.head) not in on_path]
-    edges = [(u, v, ZERO) for u, v in reversed(backbone)] + edges
-    rng = np.random.default_rng([seed, 1])
-    pot = [R(int(rng.integers(-16, 17)), int(rng.integers(1, 17))) for _ in range(n)]
-    return WeightedDigraph(n, [(u, v, w - pot[u] + pot[v]) for u, v, w in edges])
+def _cut_exponent(n, B=64):
+    # The accuracy exponent cut_preprocess asks for at the default hop bound.
+    return (2 * _hop_default(n) + 1) * B + max(1, math.ceil(math.log2(max(n, 2))))
+
+
+class TestMatchesReferenceLoop:
+    """The round loop against `reference_eps_feasible_price`, the loop that
+    rebuilt its adjacency every round and compacted through a kept list:
+    equal prices or witnesses, and equal round counters."""
+
+    @staticmethod
+    def check(g, k):
+        got_stats, want_stats = {}, {}
+        got = eps_feasible_price(g, k, collect=got_stats)
+        want = reference_eps_feasible_price(g, k, collect=want_stats)
+        if isinstance(want, NegativeCycle):
+            assert isinstance(got, NegativeCycle)
+            assert (list(got.vertices), got.weight) == (list(want.vertices), want.weight)
+        else:
+            assert got == want
+        assert got_stats == want_stats
+        return got_stats
+
+    def test_backbone_graphs_whose_state_repeats(self):
+        # neg-deep's shape at the exponent of its cut runs.
+        k = _cut_exponent(16)
+        for seed in range(8):
+            stats = self.check(backbone_graph(16, seed), k)
+            assert stats["scaling_rounds"] == k + 2 > stats["scaling_rounds_solved"]
+
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_never_repeating_medium_graphs(self, n):
+        # No state of these medium-weight graphs repeats within the k+2
+        # rounds, so every round is solved: the path no bench workload
+        # reaches.
+        k = _cut_exponent(n)
+        for seed in range(2):
+            g = gen_random(n, 3 * n, seed, "medium", "priced")
+            stats = self.check(g, k)
+            assert stats["scaling_rounds"] == stats["scaling_rounds_solved"] == k + 2
+
+    def test_pruning_heavy_graphs(self, monkeypatch):
+        # Complete digraphs: most edges leave the live range, and each
+        # prune rebuilds the round adjacency.
+        builds = []
+        build = scaling._round_adjacency
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(scaling, "_round_adjacency", counted)
+        for n in range(6, 14):
+            for weight_class in ("small", "medium"):
+                g = gen_random(n, n * (n - 1), n, weight_class, "priced")
+                before = len(builds)
+                self.check(g, 60)
+                assert len(builds) - before >= 4
+        assert len(builds) >= 120
+
+    def test_planted_cycles(self):
+        for seed in range(20):
+            g = plant_negative_cycle(gen_random(12, 34, seed, "small", "priced"), seed)
+            k = 20 if seed % 2 else _cut_exponent(12)
+            stats = self.check(g, k)
+            assert stats["scaling_rounds"] == stats["scaling_rounds_solved"] < k + 2
 
 
 class TestAssemble:
@@ -232,6 +300,24 @@ class TestAssemble:
             assemble_price([[1], [2]], 5, 3)
         with pytest.raises(ValueError):
             assemble_price([[1], [2]], 1, 1)
+
+    def test_rejects_ragged_levels(self):
+        # zip would silently truncate every price to the shortest level.
+        for levels in ([[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], []]):
+            with pytest.raises(ValueError, match="differ in length"):
+                assemble_price(levels)
+            with pytest.raises(ValueError, match="differ in length"):
+                assemble_price(levels, len(levels) + 4, 1)
+
+    def test_rejects_numpy_levels(self):
+        # Summed without conversion, int64 entries would wrap past 2^63.
+        cols = [np.array([3, 1], dtype=np.int64)] * 70
+        with pytest.raises(ValueError, match="Python ints, got int64"):
+            assemble_price(cols)
+        with pytest.raises(ValueError, match="Python ints, got int64"):
+            assemble_price([list(c) for c in cols])
+        want = assemble_price([c.tolist() for c in cols])
+        assert want[0] == sum((R(3, 1 << j) for j in range(70)), ZERO)
 
 
 class TestEpsFeasiblePrice:
@@ -312,15 +398,15 @@ class TestEpsFeasiblePrice:
         # The backbone graph's round state repeats early: the price still
         # counts all k+2 levels, but only a prefix and one period are solved.
         stats = {}
-        p = eps_feasible_price(_backbone_graph(16, 6), 580, collect=stats)
+        p = eps_feasible_price(backbone_graph(16, 6), 580, collect=stats)
         assert stats["scaling_rounds"] == 582
         assert stats["scaling_rounds_solved"] < 100
-        assert check_eps_feasible(_backbone_graph(16, 6), p, R(1, 1 << 580))
+        assert check_eps_feasible(backbone_graph(16, 6), p, R(1, 1 << 580))
 
     def test_hash_collisions_confirmed_exactly(self, monkeypatch):
         # With every state hashing alike, each round's match goes through
         # the exact replay; the prices stay those of the real hash.
-        cases = [(_backbone_graph(16, 6), 40), (gen_random(12, 36, 2, "small", "priced"), 20),
+        cases = [(backbone_graph(16, 6), 40), (gen_random(12, 36, 2, "small", "priced"), 20),
                  (_wide_denominator_graphs()[0], 30)]
         want = [eps_feasible_price(g, k) for g, k in cases]
         monkeypatch.setattr(scaling, "hash", lambda state: 0, raising=False)
@@ -347,7 +433,7 @@ class TestEpsFeasiblePrice:
                  for n, seed in ((5, 1), (12, 2), (30, 3)) for k in (0, 3, 20)]
         cases += [(plant_negative_cycle(gen_random(12, 34, seed, "small", "priced"), seed), 20)
                   for seed in (4, 5)]
-        cases += [(_backbone_graph(16, seed), k) for seed in (6, 7) for k in (4, 580)]
+        cases += [(backbone_graph(16, seed), k) for seed in (6, 7) for k in (4, 580)]
         cases += [(g, 30) for g in _wide_denominator_graphs()]
         lines = []
         for g, k in cases:
@@ -364,6 +450,16 @@ class TestEpsFeasiblePrice:
         stats = {}
         eps_feasible_price(g, 3, collect=stats)
         assert stats["scaling_rounds"] == 5
+
+    @pytest.mark.parametrize("k", [2.5, "3", 3.0, True, -1])
+    def test_rejects_bad_accuracy_exponent(self, k):
+        g = gen_random(8, 20, 3, "small", "priced")
+        with pytest.raises(ValueError, match="accuracy exponent must be a non-negative integer"):
+            eps_feasible_price(g, k)
+
+    def test_accepts_numpy_integer_accuracy_exponent(self):
+        g = gen_random(8, 20, 3, "small", "priced")
+        assert eps_feasible_price(g, np.int64(5)) == eps_feasible_price(g, 5)
 
     def test_rejects_long_weights(self):
         g = WeightedDigraph(2, [(0, 1, R(10**30, 7))])

@@ -36,6 +36,7 @@ from ratpath.sssp import (
 )
 
 from conftest import (
+    backbone_graph,
     diamond_chain,
     full_scan_recombination,
     reference_cut_dijkstra,
@@ -870,6 +871,25 @@ class TestNegativePipeline:
         bad = plant_negative_cycle(gen_random(15, 45, 3, "small", "priced"), 3)
         cyc = negative_sssp(bad, 0, seed=3, budget=B16)
         assert isinstance(cyc, NegativeCycle) and cyc.weight < ZERO
+
+    def test_full_hit_set_verifies_on_first_attempt(self):
+        # Below n = 65 the default sample takes every vertex.  Each edge is
+        # then a segment between hit-set vertices, so the recombination
+        # sees every shortest path and no sampling miss can occur: a
+        # cycle-free instance verifies on its first attempt, without the
+        # oracle.
+        rng = np.random.default_rng(2718)
+        cases = [(backbone_graph(16, seed), WordBudget(64)) for seed in range(12)]
+        for _ in range(24):
+            n = int(rng.integers(2, 41))
+            g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
+            cases.append((g, B16))
+        for trial, (g, budget) in enumerate(cases):
+            stats = {}
+            res = negative_sssp(g, 0, seed=trial, budget=budget, collect=stats)
+            assert stats["pipeline_attempts"] == 1 and stats["hitset_size"] == g.n, trial
+            assert "oracle_cycles" not in stats, trial
+            assert res.distances() == bf_exact(g, 0).dist, trial
 
     def test_hit_sets_keep_their_draws(self, monkeypatch):
         # Attempt i still draws from the i-th child of SeedSequence(seed),
