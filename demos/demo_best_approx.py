@@ -8,11 +8,10 @@ them.  Comparing the value against any small fraction then costs two
 cheap comparisons, no matter how many bits the value itself has.
 """
 
-from ratpath import BigRational, best_approx, best_approx_shift, compare_via_approx, continued_fraction
+from ratpath import BigRational, best_approx, best_approx_shift, compare_via_approx
 
 x = BigRational(17, 14)
 print(f"x = {x}")
-print(f"continued fraction quotients: {list(continued_fraction(x))}")
 
 for bits in (2, 3, 5):
     ap = best_approx(x, bits)

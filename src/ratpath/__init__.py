@@ -15,13 +15,10 @@ from .rational import (
 )
 from .cfrac import (
     ApproxPair,
-    ContinuedFraction,
     Ordering,
     best_approx,
     best_approx_shift,
     compare_via_approx,
-    continued_fraction,
-    convergent,
 )
 from .graph import (
     NegativeCycle,

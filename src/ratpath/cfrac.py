@@ -1,4 +1,4 @@
-"""Continued fractions and best b-bit rational approximations.
+"""Best b-bit rational approximations.
 
 The best b-bit rational approximation of a value x is the pair (lo, hi) of
 fractions with denominators below 2^b that bracket x as tightly as
@@ -15,16 +15,12 @@ deterministic.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Sequence, Tuple
 
 from .rational import BigRational, _make
 
 __all__ = [
     "Ordering",
-    "ContinuedFraction",
     "ApproxPair",
-    "continued_fraction",
-    "convergent",
     "best_approx",
     "best_approx_shift",
     "compare_via_approx",
@@ -42,88 +38,6 @@ class Ordering(enum.IntEnum):
     @staticmethod
     def of(c: int) -> "Ordering":
         return Ordering.LESS if c < 0 else (Ordering.GREATER if c > 0 else Ordering.EQUAL)
-
-
-class ContinuedFraction:
-    """Canonical quotient sequence [a0; a1, ..., aN] of a rational.
-
-    a0 may be any integer, the remaining quotients are positive, and the
-    last quotient is at least 2 unless the sequence has length one.
-    """
-
-    __slots__ = ("quotients",)
-
-    def __init__(self, quotients: Sequence[int]):
-        qs = tuple(int(a) for a in quotients)
-        if not qs:
-            raise ValueError("empty quotient sequence")
-        if any(a < 1 for a in qs[1:]):
-            raise ValueError("interior quotients must be positive")
-        if len(qs) > 1 and qs[-1] < 2:
-            raise ValueError("canonical form requires a final quotient >= 2")
-        object.__setattr__(self, "quotients", qs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContinuedFraction is immutable")
-
-    def __len__(self):
-        return len(self.quotients)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.quotients)
-
-    def __eq__(self, other):
-        return isinstance(other, ContinuedFraction) and other.quotients == self.quotients
-
-    def __hash__(self):
-        return hash(self.quotients)
-
-    def __repr__(self):
-        return f"ContinuedFraction({list(self.quotients)!r})"
-
-    def evaluate(self) -> BigRational:
-        """Evaluate back to the source rational (exact)."""
-        p, q = _prefix_product(self.quotients, len(self.quotients) - 1)[:2]
-        return BigRational(p, q)
-
-
-def continued_fraction(x: BigRational) -> ContinuedFraction:
-    """Quotient sequence produced by the Euclidean algorithm on num/den."""
-    n, d = x.num, x.den
-    qs = []
-    while d:
-        a, r = divmod(n, d)
-        qs.append(a)
-        n, d = d, r
-    return ContinuedFraction(qs)
-
-
-def _prefix_product(qs: Sequence[int], i: int) -> Tuple[int, int, int, int]:
-    """(p_i, q_i, p_{i-1}, q_{i-1}) via a balanced 2x2 matrix product.
-
-    Pairing adjacent partial products keeps the cost near-linear in the
-    total quotient bit length instead of quadratic.
-    """
-    mats = [(a, 1, 1, 0) for a in qs[: i + 1]]
-    while len(mats) > 1:
-        nxt = []
-        for j in range(0, len(mats) - 1, 2):
-            a, b, c, d = mats[j]
-            e, f, g, h = mats[j + 1]
-            nxt.append((a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
-        if len(mats) % 2:
-            nxt.append(mats[-1])
-        mats = nxt
-    p_i, p_prev, q_i, q_prev = mats[0]
-    return p_i, q_i, p_prev, q_prev
-
-
-def convergent(cf: ContinuedFraction, i: int) -> Tuple[int, int]:
-    """The i-th convergent (p_i, q_i), already in reduced form."""
-    if not 0 <= i < len(cf.quotients):
-        raise IndexError(f"convergent index {i} out of range")
-    p, q, _, _ = _prefix_product(cf.quotients, i)
-    return p, q
 
 
 class ApproxPair:

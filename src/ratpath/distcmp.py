@@ -428,11 +428,15 @@ class DistCmp:
     # -- queries --------------------------------------------------------
 
     def compare(self, u: int, v: int, beta: BigRational) -> Ordering:
+        """Order dist(u) - dist(v) against beta.  u and v come from
+        `insert_leaf` unchecked: this runs on every heap comparison."""
         if not is_k_short(beta, self.config.c, self._budget):
             raise ValueError(f"query value {beta} is not {self.config.c}-short")
         return _ORDERING_OF_SIGN[self._level_compare(0, u, v, beta)]
 
     def exact_compare(self, u: int, v: int, beta: BigRational) -> Ordering:
+        self.tree._check_node(u)
+        self.tree._check_node(v)
         return _ORDERING_OF_SIGN[self._exact_sign(u, v, beta)]
 
     def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: float = math.inf) -> Optional[int]:
@@ -562,6 +566,7 @@ class DistCmp:
         have an approximation, so any other i raises ValueError."""
         if not 0 <= i < self.config.t:
             raise ValueError(f"level {i} out of range 0..{self.config.t - 1}")
+        self.tree._check_node(v)
         if self.tree.level[v] < i:
             raise ValueError(f"node {v} is below level {i}")
         if v == 0:

@@ -15,6 +15,9 @@ All ids are 0-based, all weights exact rationals; no floating point
 appears anywhere in the formats.  Parallel edges collapse to the minimum
 weight on ingest, since the non-minimum ones can never appear on a
 shortest path.
+
+`_bellman_ford` is the one exact Bellman-Ford, run by `bf_exact` and by
+the recombination of `sssp.negative_sssp`.
 """
 
 from __future__ import annotations
@@ -405,9 +408,10 @@ def cycle_weight(g: WeightedDigraph, cycle: Sequence[int]) -> BigRational:
     return sum_balanced(ws)
 
 
-def bf_exact(g: WeightedDigraph, s: int):
-    """Exact Bellman-Ford distances from s, or a NegativeCycle witness
-    when a negative cycle is reachable from s.
+def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, BigRational]]):
+    """The one exact Bellman-Ford: distances from s over (tail, head,
+    weight) triples, as (dist, parent, None), or (None, None, cycle) when
+    a negative cycle is reachable from s, its vertices in edge order.
 
     Each relaxation is decided by `sum_lt`, so only an improvement builds
     a sum.  The rounds scan the edges in list order and skip an edge
@@ -415,40 +419,46 @@ def bf_exact(g: WeightedDigraph, s: int):
     scanned (a version per vertex, the version last seen per edge): the
     last scan left d(head) <= d(tail) + w, and d(head) only falls, so the
     edge could not improve anything.  Every improvement, the parents, the
-    round count and so the cycle witness are those of the full scan.
+    round count and so the cycle are those of the full scan.
     """
-    if not 0 <= s < g.n:
-        raise ValueError(f"source {s} out of range")
-    dist: List[Optional[BigRational]] = [None] * g.n
-    parent = [-1] * g.n
+    dist: List[Optional[BigRational]] = [None] * n
+    parent = [-1] * n
     dist[s] = ZERO
-    version = [0] * g.n  # bumped on every change of dist[v]
+    version = [0] * n  # bumped on every change of dist[v]
     version[s] = 1
-    seen = [0] * g.m  # version[tail] when the edge was last scanned
+    seen = [0] * len(edges)  # version[tail] when the edge was last scanned
     last_improved = -1
-    for rnd in range(g.n):
+    for _ in range(n):
         changed = False
-        for i, e in enumerate(g.edges):
-            u = e.tail
+        for i, (u, v, w) in enumerate(edges):
             if seen[i] == version[u]:
                 continue
             seen[i] = version[u]
             du = dist[u]
-            v = e.head
-            if dist[v] is None or sum_lt(du, e.weight, dist[v]):
-                dist[v] = du + e.weight
+            if dist[v] is None or sum_lt(du, w, dist[v]):
+                dist[v] = du + w
                 parent[v] = u
                 version[v] += 1
                 changed = True
                 last_improved = v
         if not changed:
-            return BfResult(dist, parent)
+            return dist, parent, None
     # After n improving rounds, walking n parent links from an improved
     # vertex is guaranteed to land on the cycle.
     v = last_improved
-    for _ in range(g.n):
+    for _ in range(n):
         v = parent[v]
-    cycle = _parent_cycle(parent, v)
+    return None, None, _parent_cycle(parent, v)
+
+
+def bf_exact(g: WeightedDigraph, s: int):
+    """Distances from s by `_bellman_ford` over the edge list, or a
+    NegativeCycle witness when a negative cycle is reachable from s."""
+    if not 0 <= s < g.n:
+        raise ValueError(f"source {s} out of range")
+    dist, parent, cycle = _bellman_ford(g.n, s, [(e.tail, e.head, e.weight) for e in g.edges])
+    if cycle is None:
+        return BfResult(dist, parent)
     w = cycle_weight(g, cycle)
     if w >= ZERO:
         raise AssertionError("extracted cycle is not negative")

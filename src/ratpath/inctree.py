@@ -65,16 +65,23 @@ class IncTree:
             self._anc[i].append(v if level >= i else self._anc[i][parent])
         return v
 
+    def _check_node(self, v: int) -> None:
+        """ValueError unless v is a node id; -1 is not the last node."""
+        if not 0 <= v < len(self.parent):
+            raise ValueError(f"node {v} out of range 0..{len(self.parent) - 1}")
+
     def nearest_marked_ancestor(self, v: int, level: int) -> int:
         """Nearest ancestor of v (v itself included) with level >= `level`."""
         if not 0 <= level <= self.max_level:
             raise ValueError(f"level {level} out of range 0..{self.max_level}")
+        self._check_node(v)
         return self._anc[level][v]
 
     def nearest_strict_marked_ancestor(self, v: int, level: int) -> int:
         """Nearest proper ancestor of v with level >= `level`."""
         if not 0 <= level <= self.max_level:
             raise ValueError(f"level {level} out of range 0..{self.max_level}")
+        self._check_node(v)
         if v == 0:
             raise NotAnAncestorError("the root has no proper ancestor")
         return self._anc[level][self.parent[v]]

@@ -7,20 +7,20 @@ structure of `distcmp`, so no exact distance is ever materialized.
 Vertices s cannot reach never enter the heap: once it drains, each gets
 an aux parent edge from s of sentinel weight; no augmented graph is built.
 
-Negative case: an eps-feasible price function from `scaling` makes a
-"cut" Dijkstra sound for every vertex whose shortest path uses at most k
-hops; a sampled hit set of start vertices plus an exact Bellman-Ford over
-the small recombination graph stitches the hop-bounded runs into full
-distances.  Each cut run holds its exact tentative distances anyway (they
-decide k-shortness and the heap keys), so relaxations, heap keys and
-reinsertion ranks compare exact values directly and no `distcmp`
-structure is built.  A run relaxes over the int edge arrays of its
-`CutContext`, keeps each tentative distance as an unreduced pair of ints
-and keys its heap by one exact int, the floor of d(v) - p(v) scaled far
-enough that distinct keys keep distinct floors; a winning relaxation
-builds no rational and takes no gcd.  The produced tree is verified
-exactly before being returned, and a failed verification yields an
-exactly-checked negative-cycle witness.
+Negative case: an eps-feasible price function from `scaling` makes a "cut"
+Dijkstra sound for every vertex whose shortest path uses at most k hops; a
+sampled hit set of start vertices plus `graph._bellman_ford`, the one
+exact Bellman-Ford, over the small recombination graph stitches the
+hop-bounded runs into full distances.  Each cut run holds its exact
+tentative distances anyway (they decide k-shortness and the heap keys), so
+relaxations, heap keys and reinsertion ranks compare exact values directly
+and no `distcmp` structure is built.  A run relaxes over the int edge
+arrays of its `CutContext`, keeps each tentative distance as an unreduced
+pair of ints and keys its heap by one exact int, the floor of d(v) - p(v)
+scaled far enough that distinct keys keep distinct floors; a winning
+relaxation builds no rational and takes no gcd.  The produced tree is
+verified exactly before being returned, and a failed verification yields
+an exactly-checked negative-cycle witness.
 
 The cut Dijkstra delays heap reinsertions with per-vertex countdowns; the
 countdown game shows the total number of reinsertions stays O(n^1.5),
@@ -43,6 +43,7 @@ from .graph import (
     NegativeCycle,
     SsspResult,
     WeightedDigraph,
+    _bellman_ford,
     aux_weight,
     bf_exact,
     verify_sssp,
@@ -408,11 +409,13 @@ def cut_dijkstra(
     floors differ; equal keys have equal floors.  Ordering by (K, vid) is
     therefore exactly the (key, vid) order.  A run computes K(u) as
     (num * ctx.scale) // den - ctx.base[u], the two context terms P << S
-    and a(u) << S built once per context.  Heap entries are tuples (K,
-    vid, token), so ties break by vertex id, and the vertices relaxed
-    from one parent are ranked by (K, vid).  Only a relaxed vertex has a
-    finite key and so a heap entry.  The vertices still at +infinity
-    come after every entry, least vertex id first.
+    and a(u) << S built once per context.  Heap entries are pairs (K,
+    vid), so ties break by vertex id, and the vertices relaxed from one
+    parent are ranked by (K, vid).  Only a relaxed vertex has a finite
+    key and so a heap entry.  The vertices still at +infinity come after
+    every entry, least vertex id first.  An entry is current iff K ==
+    key[vid] and vid is neither in countdown nor extracted: a relaxation
+    strictly lowers the key, so each push of a vertex has a smaller K.
 
     Raises ValueError if s is not a vertex of the context's graph.
     """
@@ -444,9 +447,7 @@ def cut_dijkstra(
     # +infinity was never relaxed and leaves that state for good when it
     # is relaxed or extracted, so the least one is found by a pointer
     # that only moves up.
-    on_heap = [True] * n
-    token = [1] * n
-    heap: List[Tuple[int, int, int]] = [(key[s], s, 1)]
+    heap: List[Tuple[int, int]] = [(key[s], s)]
     least_inf = 0
     live = inserts = n
     relaxations = 0
@@ -474,9 +475,7 @@ def cut_dijkstra(
                 u = heappop(countdowns)[1]
                 if expiry[u] == clock:
                     expiry[u] = None
-                    token[u] = tok = token[u] + 1
-                    heappush(heap, (key[u], u, tok))
-                    on_heap[u] = True
+                    heappush(heap, (key[u], u))
                     live += 1
                     inserts += 1
             if live > 0:
@@ -486,17 +485,15 @@ def cut_dijkstra(
             clock = countdowns[0][0]
 
         while heap:
-            _, v, tok = heappop(heap)
-            if on_heap[v] and token[v] == tok:
+            kv, v = heappop(heap)
+            if kv == key[v] and expiry[v] is None and not extracted[v]:
                 break
         else:
             while key[least_inf] is not None or extracted[least_inf]:
                 least_inf += 1
             v = least_inf
         extracted[v] = True
-        on_heap[v] = False
         live -= 1
-        expiry[v] = None
         order.append(v)
         dn = tnum[v]
         if dn is None:
@@ -525,14 +522,13 @@ def cut_dijkstra(
                 touched.append((ku, u))
         touched.sort()
         for rank, (_, u) in enumerate(touched, start=1):
-            if on_heap[u]:
-                on_heap[u] = False
-                token[u] += 1
-                live -= 1
             turn = clock + rank
-            if expiry[u] is None or turn < expiry[u]:
-                expiry[u] = turn
-                heappush(countdowns, (turn, u))
+            if expiry[u] is None:
+                live -= 1  # u leaves the heap for a countdown
+            elif turn >= expiry[u]:
+                continue
+            expiry[u] = turn
+            heappush(countdowns, (turn, u))
 
     if collect is not None:
         # Runs accumulate into one dict: sums, and the largest single run.
@@ -649,36 +645,17 @@ def _recombine(
     hit-set index and the hit-set index each vertex is best reached
     through."""
     size = len(hitset)
-    # Exact Bellman-Ford over the recombination graph on the hit set.  A
-    # row is scanned only when hdist[i] changed since its last scan: that
-    # scan left hdist[j] <= hdist[i] + w for every j, and hdist[j] only
-    # falls, so a rescan could improve nothing.  Every improvement, hpar
-    # and the round count are those of the full scan.
-    hdist: List[Optional[BigRational]] = [None] * size
-    hpar = [-1] * size
-    hdist[0] = ZERO  # hitset[0] == s
-    fresh = [False] * size
-    fresh[0] = True
-    for _ in range(size):
-        changed = False
-        for i in range(size):
-            if not fresh[i]:
-                continue
-            fresh[i] = False
-            hi = hdist[i]
-            di = runs[i].dist
-            for j in range(size):
-                if i == j:
-                    continue
-                w = di[hitset[j]]
-                if w is None:
-                    continue
-                if hdist[j] is None or sum_lt(hi, w, hdist[j]):
-                    hdist[j] = hi + w
-                    hpar[j] = i
-                    fresh[j] = changed = True
-        if not changed:
-            break
+    # Exact Bellman-Ford over the recombination graph on the hit set, its
+    # edges i -> j weighted by run i's estimate of hitset[j], in row order.
+    edges = []
+    for i, run in enumerate(runs):
+        for j, v in enumerate(hitset):
+            w = run.dist[v]
+            if w is not None and i != j:
+                edges.append((i, j, w))
+    hdist, hpar, cycle = _bellman_ford(size, 0, edges)  # hitset[0] == s
+    if cycle is not None:
+        raise _RecombinationError("the hit-set estimates form a negative cycle")
 
     # Best two-stage estimate per vertex and its through-vertex.
     best_via: List[Optional[int]] = [None] * n

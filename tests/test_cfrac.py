@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from ratpath.cfrac import (
-    ContinuedFraction,
     Ordering,
     best_approx,
     best_approx_shift,
     compare_via_approx,
-    continued_fraction,
-    convergent,
 )
 from ratpath.rational import BigRational
 from conftest import assert_best_pair, brute_best_approx, random_rational
@@ -18,57 +15,6 @@ from conftest import assert_best_pair, brute_best_approx, random_rational
 
 def R(n, d=1):
     return BigRational(n, d)
-
-
-class TestContinuedFraction:
-    def test_examples(self):
-        assert list(continued_fraction(R(17, 14))) == [1, 4, 1, 2]
-        assert list(continued_fraction(R(5))) == [5]
-        assert list(continued_fraction(R(5, 7))) == [0, 1, 2, 2]
-
-    def test_canonical_last_quotient(self):
-        rng = np.random.default_rng(11)
-        for _ in range(500):
-            x = random_rational(rng, 300, 300)
-            qs = list(continued_fraction(x))
-            assert all(a >= 1 for a in qs[1:])
-            if len(qs) > 1:
-                assert qs[-1] >= 2
-
-    def test_eval_round_trip(self):
-        rng = np.random.default_rng(12)
-        for _ in range(500):
-            x = random_rational(rng, 10**6, 10**6)
-            assert continued_fraction(x).evaluate() == x
-
-    def test_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            ContinuedFraction([])
-        with pytest.raises(ValueError):
-            ContinuedFraction([1, 0, 2])
-        with pytest.raises(ValueError):
-            ContinuedFraction([1, 2, 1])
-
-
-class TestConvergent:
-    def test_examples(self):
-        assert convergent(continued_fraction(R(17, 14)), 1) == (5, 4)
-        assert convergent(continued_fraction(R(5)), 0) == (5, 1)
-        assert convergent(continued_fraction(R(5, 7)), 3) == (5, 7)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            convergent(continued_fraction(R(5, 7)), 4)
-
-    def test_recurrence(self):
-        cf = continued_fraction(R(123456, 98765))
-        qs = cf.quotients
-        p2, p1 = qs[0], qs[0] * qs[1] + 1
-        q2, q1 = 1, qs[1]
-        for i in range(2, len(qs)):
-            p2, p1 = p1, qs[i] * p1 + p2
-            q2, q1 = q1, qs[i] * q1 + q2
-            assert convergent(cf, i) == (p1, q1)
 
 
 class TestBestApprox:

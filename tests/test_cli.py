@@ -316,6 +316,15 @@ class TestGen:
         g = parse(out_file.read_text())
         assert g.n == 4
 
+    def test_smalldiff_no_padding(self, tmp_path, capsys):
+        out_file = tmp_path / "g.gr"
+        code, _, err = run(
+            capsys, "gen", "smalldiff", "--prime-bound", "4", "--no-padding",
+            "--output", str(out_file),
+        )
+        assert code == 0 and "gap 1/6" in err
+        assert out_file.read_text() == serialize(gen_small_diff(4, padding=False)[0])
+
     def test_random_and_priced(self, tmp_path, capsys):
         for family in ("random", "priced"):
             out_file = tmp_path / f"{family}.gr"

@@ -190,6 +190,17 @@ class TestInsertAndRecords:
             with pytest.raises(ValueError, match=rf"level {i} out of range 0\.\.{t - 1}"):
                 dc.level_record(i, a)
 
+    @pytest.mark.parametrize("v", [-1, -3, 3])
+    def test_node_out_of_range(self, v):
+        # On a 3-node tree, -1 used to be answered for node 2 and 3 raised
+        # IndexError.
+        dc = DistCmp(DistCmpConfig(capacity=8, c=2, B=16), seed=0)
+        dc.insert_leaf(dc.insert_leaf(0, R(1, 2)), R(1, 3))
+        for call in (lambda: dc.level_record(0, v), lambda: dc.exact_compare(v, 0, ZERO),
+                     lambda: dc.exact_compare(0, v, ZERO)):
+            with pytest.raises(ValueError, match=rf"node {v} out of range 0\.\.2"):
+                call()
+
     def test_level_assignment_deterministic(self):
         a = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=9)
         b = DistCmp(DistCmpConfig(capacity=64, c=2, B=16), seed=9)

@@ -25,6 +25,7 @@ from ratpath.graph import (
     verify_sssp,
 )
 from ratpath.rational import BigRational, ZERO
+from ratpath.sssp import dijkstra_nonneg
 
 from conftest import bf_tree, prime_bound_for, reduced_weight, textbook_bf
 
@@ -327,6 +328,16 @@ class TestGenerators:
     def test_small_diff_tiny(self):
         g, gap = gen_small_diff(3)
         assert gap == R(1, 2)
+
+    def test_small_diff_unpadded(self):
+        # Primes 2 and 3: one hop of 1/3 and one of 1/2, and the zero
+        # edge 1 -> 2 that keeps the two single-hop paths from collapsing
+        # into parallel edges.
+        g, gap = gen_small_diff(4, padding=False)
+        assert serialize(g) == "p 3 3\ns 0\ne 0 1 1/3\ne 0 2 1/2\ne 1 2 0/1\n"
+        assert gap == R(1, 6)
+        for strategy in ("exact_oracle", "distcmp", "pairwise_delta"):
+            assert dijkstra_nonneg(g, 0, strategy=strategy).distances()[2] == R(1, 3), strategy
 
     def test_small_diff_gap_bound(self):
         # pigeonhole: gap <= bound / (2^k - 1) for k primes below the bound

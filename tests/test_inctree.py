@@ -137,3 +137,13 @@ class TestNearestMarked:
         t = IncTree(max_level=1)
         with pytest.raises(ValueError):
             t.nearest_marked_ancestor(0, 2)
+
+    @pytest.mark.parametrize("v", [-1, -3, 3])
+    def test_node_out_of_range(self, v):
+        # A negative id must not name a node counted from the end, and an
+        # id past the end is a ValueError, not an IndexError.
+        t = IncTree(max_level=1)
+        t.insert_leaf(t.insert_leaf(0, R(1), level=1), R(1), level=0)
+        for query in (t.nearest_marked_ancestor, t.nearest_strict_marked_ancestor):
+            with pytest.raises(ValueError, match=rf"node {v} out of range 0\.\.2"):
+                query(v, 0)

@@ -23,9 +23,11 @@ from ratpath import sssp as sssp_module
 from ratpath.sssp import (
     BOB_STRATEGIES,
     CutContext,
+    CutResult,
     IllegalBobMove,
     NegativeWeightError,
     _hitsets,
+    _RecombinationError,
     _recombine,
     _witness_tree,
     cut_dijkstra,
@@ -771,7 +773,8 @@ class TestRecombination:
         return WeightedDigraph(n, [(u, v, w - pot[u] + pot[v]) for (u, v), w in edges.items()], source=0)
 
     def test_matches_full_scan(self):
-        # The row skip and the unreduced comparisons of _recombine must
+        # The edge skip of graph._bellman_ford, which _recombine shares
+        # with bf_exact, and the unreduced comparisons of _recombine must
         # give the recombination parents and through-vertices of full
         # scans on the same hit set and runs; the tree is a function of
         # those.  The tree alone would not show a wrong parent, since
@@ -796,6 +799,28 @@ class TestRecombination:
             trees += verify_sssp(g, tree).valid
             relayed += any(p > 0 for p in hpar)
         assert trees >= 100 and relayed >= 10, (trees, relayed)
+
+    @staticmethod
+    def _runs(hitset, rows):
+        # Hand-built runs: only dist is read by _recombine.
+        return [CutResult(v, [None if w is None else R(*w) for w in row], None, [], [], 0)
+                for v, row in zip(hitset, rows)]
+
+    @pytest.mark.parametrize("rows", [
+        # 0 -> 1 -> 0 weighs 1 - 2: the cycle runs through s.
+        [[(0,), (1,), None], [(-2,), (0,), None], [None, None, (0,)]],
+        # 1 -> 2 -> 1 weighs 1/2 - 2/3, reached from s over 0 -> 1.
+        [[(0,), (1,), None], [None, (0,), (1, 2)], [None, (-2, 3), (0,)]],
+    ])
+    def test_negative_cycle_raises(self, rows):
+        with pytest.raises(_RecombinationError):
+            _recombine(3, [0, 1, 2], self._runs([0, 1, 2], rows))
+
+    def test_zero_cycle_recombines(self):
+        # The same shape at cycle weight 0 is no cycle: 1 is reached
+        # directly, and 2 through 1.
+        rows = [[(0,), (1,), None], [None, (0,), (1, 2)], [None, (-1, 2), (0,)]]
+        assert _recombine(3, [0, 1, 2], self._runs([0, 1, 2], rows)) == ([-1, 0, 1], [0, 0, 1])
 
 
 class TestNegativePipeline:
