@@ -47,19 +47,17 @@ it the difficult path (similarity edges, the cover, the cluster orders and
 level i+1), runs only when the gate is closed, for values too wide for
 that: the regime the hierarchy exists for.
 
-Every exact path weight comes from one memo: `_rel[lvl][v]` is the
-unreduced (num, den) of the path weight from v's level-lvl anchor to v.
-Below level t the anchor is v's nearest ancestor of level >= lvl, v
-included.  At level t it is the root alone, since a non-root node can
-carry level t: `_rel[t]` holds the root distances.  The shortcut, the
-fallbacks and `exact_compare` all cross-multiply these root pairs, the
-last two with no bit gate; `IncTree.distance` is never read.  The
-fixed-point numerators are plain Python ints.
+Every exact path weight comes from the tree's one memo, `IncTree.pair`,
+which `PairwiseDeltaComparator` reads too.  The shortcut, the fallbacks
+and `exact_compare` all compare root pairs through `IncTree.exact_sign`;
+only the shortcut gates it, on `IncTree.den_bits`.  The fixed-point
+numerators are plain Python ints.
 
 `_CONSTANTS` holds the one default of each solver constant: C sizes the
 thinning factor K, lam the cover, gamma the sample of the pairwise
 comparator and the hit set of `sssp.negative_sssp`.  `_check_constant`
-is the one rule every entry point applies to a given value.
+is the one rule every entry point applies to a given value, and
+`_check_hop` the one rule for a hop parameter.
 """
 
 from __future__ import annotations
@@ -88,6 +86,13 @@ _CONSTANTS = {"C": 2.0, "lam": 4.0, "gamma": 2.0}
 def _check_constant(name: str, value) -> None:
     if not (isinstance(value, numbers.Real) and 0 < value < math.inf):
         raise ValueError(f"{name} must be a positive finite number, got {value}")
+
+
+def _check_hop(k) -> int:
+    """k as an int if it is a positive integer, bool excluded; else ValueError."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"hop parameter must be a positive integer, got {k!r}")
+    return int(k)
 
 
 class DistCmpConfig:
@@ -275,18 +280,18 @@ class _PotentialDsu:
 
 class _LevelState:
     """The difficult path's state at one level, built on its first use:
-    the level's nodes in insertion order and their slots (kept up from
-    then on), the cover and the potentials over `cap` slots, and the
-    cluster orders.  The cover holds the similarity edges."""
+    the level's nodes in slot order and their slots, the cover and the
+    potentials over those slots, and the cluster orders.  The cover holds
+    the similarity edges."""
 
     __slots__ = ("members", "slot_of", "cover", "orders", "dsu")
 
-    def __init__(self, cap: int, members: List[int], cover: SparseCover):
+    def __init__(self, members: List[int], cover: SparseCover):
         self.members = members
         self.slot_of = {v: slot for slot, v in enumerate(members)}
         self.cover = cover
         self.orders: Dict[Tuple[int, int], ClusterOrder] = {}
-        self.dsu = _PotentialDsu(cap)
+        self.dsu = _PotentialDsu(len(members))
 
 
 # Ordering by sign: index 1 is GREATER and index -1 the last entry, LESS.
@@ -339,11 +344,6 @@ class DistCmp:
         # ~300M bits.
         self._scale: List[Optional[int]] = [None] * t
         self._a: List[Dict[int, int]] = [{0: 0} for _ in range(t)]
-        self._rel: List[Dict[int, Tuple[int, int]]] = [{0: (0, 1)} for _ in range(t + 1)]
-        self._root_rel = self._rel[t]
-        # den_bits[v] bounds the bit length of the product of the weight
-        # denominators on the root path of v, the denominator of _rel[t][v].
-        self._den_bits: List[int] = [0]
         self.level_queries = [0] * (t + 1)
         self.trivial_answers = [0] * (t + 1)
         self.easy_answers = [0] * (t + 1)
@@ -359,18 +359,7 @@ class DistCmp:
             raise ValueError(f"weight {weight} is not {self.config.c}-short")
         if len(self.tree) >= self.config.capacity:
             raise ValueError(f"tree is full at capacity {self.config.capacity}")
-        lvl = self.slot_level[len(self.tree)]
-        node = self.tree.insert_leaf(parent, weight, lvl)
-        self._den_bits.append(self._den_bits[parent] + weight.den.bit_length())
-        for i in range(min(lvl, self.config.t - 1) + 1):
-            st = self._states[i]
-            if st is None:
-                continue  # _level_state lists the members when it builds the state
-            # The new slot has no similarity edge, so it is its own
-            # center in every instance and no cluster order holds it yet.
-            st.slot_of[node] = len(st.members)
-            st.members.append(node)
-        return node
+        return self.tree.insert_leaf(parent, weight, self.slot_level[len(self.tree)])
 
     # -- lazy per-level values -----------------------------------------
 
@@ -393,7 +382,7 @@ class DistCmp:
         scale = self._scale_of(i)
         for y in reversed(chain):
             z = self.tree.nearest_strict_marked_ancestor(y, i)
-            num, den = self._rel_pair(i, self.tree.parent[y])
+            num, den = self.tree.pair(i, self.tree.parent[y])
             w = self.tree.weight[y]
             memo[y] = memo[z] + (scale * (num * w.den + w.num * den)) // (den * w.den)
         return memo[v]
@@ -402,28 +391,7 @@ class DistCmp:
         """(alpha, d): v's level-lvl anchor and the exact distance from it
         to v."""
         anc = 0 if lvl == self.config.t else self.tree.nearest_marked_ancestor(v, lvl)
-        return anc, BigRational(*self._rel_pair(lvl, v))
-
-    def _rel_pair(self, lvl: int, v: int) -> Tuple[int, int]:
-        """_rel[lvl][v], memoized along the walk to the anchor: no gcd, den
-        is the product of the weight denominators on the path."""
-        memo = self._rel[lvl]
-        got = memo.get(v)
-        if got is not None:
-            return got
-        level, parent, weight = self.tree.level, self.tree.parent, self.tree.weight
-        top = lvl + (lvl == self.config.t)  # at level t only the memoized root stops
-        chain = []
-        x = v
-        while x not in memo and level[x] < top:
-            chain.append(x)
-            x = parent[x]
-        num, den = memo.get(x, (0, 1))
-        for y in reversed(chain):
-            w = weight[y]
-            num, den = num * w.den + w.num * den, den * w.den
-            memo[y] = (num, den)
-        return num, den
+        return anc, BigRational(*self.tree.pair(lvl, v))
 
     # -- queries --------------------------------------------------------
 
@@ -437,19 +405,14 @@ class DistCmp:
     def exact_compare(self, u: int, v: int, beta: BigRational) -> Ordering:
         self.tree._check_node(u)
         self.tree._check_node(v)
-        return _ORDERING_OF_SIGN[self._exact_sign(u, v, beta)]
+        return _ORDERING_OF_SIGN[self.tree.exact_sign(u, v, beta)]
 
-    def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: float = math.inf) -> Optional[int]:
-        """sign(dist(u) - dist(v) - beta) by cross-multiplying the unreduced
-        root pairs, or None when their common denominator may need more
-        than max_bits bits."""
-        if self._den_bits[u] + self._den_bits[v] + beta.den.bit_length() > max_bits:
+    def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: int) -> Optional[int]:
+        """`IncTree.exact_sign`, or None when the common denominator of the
+        root pairs and beta may need more than max_bits bits."""
+        if self.tree.den_bits[u] + self.tree.den_bits[v] + beta.den.bit_length() > max_bits:
             return None
-        memo = self._root_rel
-        nu, du = memo.get(u) or self._rel_pair(self.config.t, u)
-        nv, dv = memo.get(v) or self._rel_pair(self.config.t, v)
-        x = (nu * dv - nv * du) * beta.den - beta.num * du * dv
-        return (x > 0) - (x < 0)
+        return self.tree.exact_sign(u, v, beta)
 
     def _fixed_offset(self, i: int, u: int, v: int, beta: BigRational):
         """(a_i(u) - a_i(v)) * beta.den - scale_i * beta.num: the level-i
@@ -503,7 +466,7 @@ class DistCmp:
         rel = None if order is None or order.degraded else order.relation(u, v)
         if rel is None:
             self.cover_fallbacks[i] += 1
-            return self._exact_sign(u, v, beta)
+            return self.tree.exact_sign(u, v, beta)
         return rel
 
     # -- level plumbing ---------------------------------------------------
@@ -511,12 +474,13 @@ class DistCmp:
     def _level_state(self, i: int) -> _LevelState:
         st = self._states[i]
         if st is None:
-            cap = max(1, sum(1 for lv in self.slot_level if lv >= i))
-            level = self.tree.level
-            members = [v for v in range(len(level)) if level[v] >= i]
+            # Node id = slot index.  A slot not yet inserted has no similarity
+            # edge, so it moves in no cover instance, centers no stored
+            # cluster and enters no cluster order.
+            members = [v for v, lv in enumerate(self.slot_level) if lv >= i]
             seq = np.random.SeedSequence(self._entropy, spawn_key=(1, i))
-            cover = SparseCover(cap, self.config.lam, np.random.default_rng(seq))
-            st = self._states[i] = _LevelState(cap, members, cover)
+            cover = SparseCover(len(members), self.config.lam, np.random.default_rng(seq))
+            st = self._states[i] = _LevelState(members, cover)
         return st
 
     def _apply_updates(self, st: _LevelState, updates) -> None:
@@ -550,7 +514,7 @@ class DistCmp:
                 sign = self._exact_sign(x, y, frac, exact_bits)
                 ok = self._fixed_window(i, x, y, frac) if sign is None else sign == 0
             if not ok:
-                return self._exact_sign(x, y, ZERO), False
+                return self.tree.exact_sign(x, y, ZERO), False
             ax, dx = self._anchor(i + 1, x)
             ay, dy = self._anchor(i + 1, y)
             return self._level_compare(i + 1, ax, ay, frac + dy - dx), True
@@ -604,8 +568,7 @@ class PairwiseDeltaComparator:
         gamma: float = _CONSTANTS["gamma"],
         seed: int = 0,
     ):
-        if hop_param < 1:
-            raise ValueError("hop parameter must be positive")
+        hop_param = _check_hop(hop_param)
         _check_constant("gamma", gamma)
         self.capacity = capacity
         self.h = hop_param
@@ -633,7 +596,11 @@ class PairwiseDeltaComparator:
             if rev is not None:
                 got = rev.negated()
             else:
-                got = best_approx(self.tree.distance(a) - self.tree.distance(b), self.bits)
+                na, da = self.tree.pair(1, a)
+                nb, db = self.tree.pair(1, b)
+                g = math.gcd(da, db)  # the shared root-path product, cancelled first
+                diff = BigRational(na * (db // g) - nb * (da // g), da // g * db)
+                got = best_approx(diff, self.bits)
                 self.pairs_computed += 1
             self._ra_cache[(a, b)] = got
         return got
@@ -652,7 +619,7 @@ class PairwiseDeltaComparator:
             if shifted.den < (1 << self.bits):
                 return compare_via_approx(self._ra(au, av), shifted)
         self.exact_fallbacks += 1
-        return Ordering.of((tree.distance(u) - tree.distance(v))._cmp(beta))
+        return _ORDERING_OF_SIGN[tree.exact_sign(u, v, beta)]
 
     def counters(self) -> Dict[str, int]:
         return {

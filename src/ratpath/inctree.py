@@ -5,15 +5,19 @@ integer level assigned at insertion; for every level i the tree tracks the
 nearest ancestor of level >= i (the node itself when its own level
 qualifies), answerable in constant time.  Path weights are summed with
 balanced pairing so a k-hop query costs near-linear time in the bits
-involved.  Root distances are summed along the parent chain and memoized,
-so each node's distance is computed once.
+involved.
+
+The tree holds the one exact memo of the comparators built on it:
+unreduced path pairs per level (`pair`, the root distances at
+max_level), the bound `den_bits` on their denominators, and `exact_sign`.
 
 Single-writer: concurrent readers are fine between mutations.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from math import gcd
+from typing import Dict, List, Tuple
 
 from .rational import BigRational, ZERO, sum_balanced
 
@@ -30,7 +34,7 @@ class IncTree:
     The root is node 0 and carries the maximum level.
     """
 
-    __slots__ = ("max_level", "parent", "weight", "depth", "level", "_anc", "_dist")
+    __slots__ = ("max_level", "parent", "weight", "depth", "level", "den_bits", "_anc", "_pairs")
 
     def __init__(self, max_level: int):
         if max_level < 0:
@@ -40,9 +44,12 @@ class IncTree:
         self.weight: List[BigRational] = [ZERO]
         self.depth: List[int] = [0]
         self.level: List[int] = [max_level]
+        # den_bits[v]: the bit lengths of the weight denominators on the root
+        # path of v, summed; their product, v's root pair den, is <= 2^den_bits[v].
+        self.den_bits: List[int] = [0]
         # _anc[i][v]: nearest ancestor of v (inclusive) with level >= i.
         self._anc: List[List[int]] = [[0] for _ in range(max_level + 1)]
-        self._dist: Dict[int, BigRational] = {0: ZERO}
+        self._pairs: List[Dict[int, Tuple[int, int]]] = [{0: (0, 1)} for _ in range(max_level + 1)]
 
     def __len__(self):
         return len(self.parent)
@@ -61,6 +68,7 @@ class IncTree:
         self.weight.append(weight)
         self.depth.append(self.depth[parent] + 1)
         self.level.append(level)
+        self.den_bits.append(self.den_bits[parent] + weight.den.bit_length())
         for i in range(self.max_level + 1):
             self._anc[i].append(v if level >= i else self._anc[i][parent])
         return v
@@ -88,6 +96,8 @@ class IncTree:
 
     def path_weight(self, ancestor: int, descendant: int) -> BigRational:
         """Exact weight of the descending path ancestor -> descendant."""
+        self._check_node(ancestor)
+        self._check_node(descendant)
         steps = self.depth[descendant] - self.depth[ancestor]
         if steps < 0:
             raise NotAnAncestorError(f"{ancestor} is not an ancestor of {descendant}")
@@ -101,14 +111,35 @@ class IncTree:
         weights.reverse()
         return sum_balanced(weights)
 
-    def distance(self, v: int) -> BigRational:
-        """Exact weight of the root path of v; memoizes every node walked."""
-        memo = self._dist
+    def pair(self, lvl: int, v: int) -> Tuple[int, int]:
+        """Unreduced (num, den) of the path weight to v from its nearest
+        ancestor of level >= lvl, v included, or from the root alone at
+        max_level, which non-root nodes can carry.  Memoized along the walk;
+        den is the product of the weight denominators.  Unchecked: v comes
+        from `insert_leaf`, and this runs on every heap comparison."""
+        memo = self._pairs[lvl]
+        level, parent, weight = self.level, self.parent, self.weight
+        top = lvl + (lvl == self.max_level)  # at max_level only the memoized root stops
         chain = []
         x = v
-        while x not in memo:
+        while x not in memo and level[x] < top:
             chain.append(x)
-            x = self.parent[x]
+            x = parent[x]
+        num, den = memo.get(x, (0, 1))
         for y in reversed(chain):
-            memo[y] = memo[self.parent[y]] + self.weight[y]
-        return memo[v]
+            w = weight[y]
+            num, den = num * w.den + w.num * den, den * w.den
+            memo[y] = (num, den)
+        return num, den
+
+    def exact_sign(self, u: int, v: int, beta: BigRational) -> int:
+        """sign(dist(u) - dist(v) - beta) from the root pairs of u and v,
+        their common factor cancelled first: on a deep tree the shared
+        root-path product is most of both.  Unchecked, like `pair`."""
+        top = self.max_level
+        memo = self._pairs[top]
+        nu, du = memo.get(u) or self.pair(top, u)
+        nv, dv = memo.get(v) or self.pair(top, v)
+        g = gcd(du, dv)
+        x = (nu * (dv // g) - nv * (du // g)) * beta.den - beta.num * (du // g) * dv
+        return (x > 0) - (x < 0)

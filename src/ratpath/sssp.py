@@ -38,7 +38,8 @@ import numpy as np
 
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
 from .cfrac import compare_via_approx  # noqa: F401
-from .distcmp import _CONSTANTS, DistCmp, DistCmpConfig, PairwiseDeltaComparator, _check_constant
+from .distcmp import (_CONSTANTS, DistCmp, DistCmpConfig, PairwiseDeltaComparator, _check_constant,
+                      _check_hop)
 from .graph import (
     NegativeCycle,
     SsspResult,
@@ -286,12 +287,12 @@ def dijkstra_nonneg(
 class CutContext:
     """Preprocessing shared by all hop-bounded runs on one graph.
 
-    Holds the hop bound k, the word budget, the price function and its
-    feasibility slack eps = 2^-((2k+1)B + ceil(log2 n)).  It also holds
-    the prices at their own resolution: the common denominator `pden`
-    (the lcm of the price denominators, 2^(E+1) for every context that
-    `cut_preprocess` builds), from which the integer numerators p(v) *
-    pden follow.
+    Holds the hop bound k, the word budget and the price function, which
+    `cut_preprocess` makes eps-feasible for eps = 2^-((2k+1)B + ceil(log2
+    n)).  It also holds the prices at their own resolution: the common
+    denominator `pden` (the lcm of the price denominators, 2^(E+1) for
+    every context that `cut_preprocess` builds), from which the integer
+    numerators p(v) * pden follow.
 
     The context is the runs' only view of its graph: `adj[u]` lists u's
     out-edges as int triples (head, num, den), read once here, one list
@@ -304,7 +305,7 @@ class CutContext:
     construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "price", "eps", "pden", "adj", "shift", "scale", "base")
+    __slots__ = ("k", "budget", "price", "pden", "adj", "shift", "scale", "base")
 
     def __init__(
         self,
@@ -312,14 +313,12 @@ class CutContext:
         k: int,
         budget: WordBudget,
         price: List[BigRational],
-        eps: BigRational,
     ):
         if len(price) != g.n:
             raise ValueError(f"price has {len(price)} values, graph has {g.n} vertices")
         self.k = k
         self.budget = budget
         self.price = price
-        self.eps = eps
         self.pden = pden = math.lcm(*(p.den for p in price))
         self.adj = [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
         widest = max((e.weight.den for e in g.edges), default=1)
@@ -337,14 +336,12 @@ def cut_preprocess(
 ) -> Union[CutContext, NegativeCycle]:
     """Price function and edge arrays for cut runs with hop bound k, a
     positive integer (ValueError otherwise)."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"hop parameter must be a positive integer, got {k!r}")
-    k = int(k)
+    k = _check_hop(k)
     exponent = (2 * k + 1) * budget.B + max(1, math.ceil(math.log2(max(g.n, 2))))
     res = eps_feasible_price(g, exponent, budget, collect)
     if isinstance(res, NegativeCycle):
         return res
-    return CutContext(g, k, budget, res, BigRational(1, 1 << exponent))
+    return CutContext(g, k, budget, res)
 
 
 class CutResult:

@@ -534,11 +534,30 @@ def reference_distcmp_streams(seed: int, config):
     return slot_level, covers
 
 
+# id(tree) -> (tree, reduced root distances of its first nodes).  Holding
+# the tree keeps its id from being reused while the entry lives.
+_ROOT_DISTANCES: Dict[int, Tuple[object, List[BigRational]]] = {}
+
+
+def root_distance(tree, v: int) -> BigRational:
+    """Exact root distance of node v of an `IncTree`, reduced.  It sums
+    `tree.parent` and `tree.weight` in node order, memoized per tree for
+    the last few trees: an oracle for the tree comparators, which keep
+    their exact distances as unreduced pairs from `IncTree.pair`."""
+    entry = _ROOT_DISTANCES.get(id(tree))
+    if entry is None:
+        if len(_ROOT_DISTANCES) >= 8:
+            _ROOT_DISTANCES.clear()
+        entry = _ROOT_DISTANCES[id(tree)] = (tree, [ZERO])
+    dist = entry[1]
+    for x in range(len(dist), v + 1):
+        dist.append(dist[tree.parent[x]] + tree.weight[x])
+    return dist[v]
+
+
 def exact_ordering(tree, u: int, v: int, beta: BigRational) -> Ordering:
-    """dist(u) - dist(v) against beta from `IncTree.distance`, the reduced
-    root-distance memo: an oracle for `DistCmp`, which keeps its exact
-    distances as unreduced root pairs instead and never reads this memo."""
-    return Ordering.of((tree.distance(u) - tree.distance(v))._cmp(beta))
+    """dist(u) - dist(v) against beta from `root_distance`."""
+    return Ordering.of((root_distance(tree, u) - root_distance(tree, v))._cmp(beta))
 
 
 def backbone_graph(n: int, seed: int) -> WeightedDigraph:

@@ -17,7 +17,7 @@ from ratpath.graph import _primes_below
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath.sssp import dijkstra_nonneg
 
-from conftest import diamond_chain, exact_ordering, reference_distcmp_streams
+from conftest import diamond_chain, exact_ordering, reference_distcmp_streams, root_distance
 
 
 def R(n, d=1):
@@ -55,7 +55,7 @@ def _gate_closed_population(rng, seed: int, queries: int = 3000, lam: float = 1.
             v = twin.get(dc.tree.parent[u], 0)
         else:
             v = int(rng.integers(0, n))
-        diff = dc.tree.distance(u) - dc.tree.distance(v)
+        diff = root_distance(dc.tree, u) - root_distance(dc.tree, v)
         if is_k_short(diff, 1, budget):
             beta = diff
         else:
@@ -164,14 +164,15 @@ class TestInsertAndRecords:
         dc = DistCmp(DistCmpConfig(capacity=8, c=2, B=16), seed=0)
         a = dc.insert_leaf(0, R(1, 2))
         b = dc.insert_leaf(a, R(1, 3))
-        assert dc.tree.distance(a) == R(1, 2)
-        assert dc.tree.distance(b) == R(5, 6)
+        assert root_distance(dc.tree, a) == R(1, 2)
+        assert root_distance(dc.tree, b) == R(5, 6)
         z, d_i, d_next, approx = dc.level_record(0, b)
         assert z == a and d_i == R(1, 3)
         # scaled approximation within the stated error bound
         scale = dc.approx_denominator(0)
-        err_num = abs(int(approx) * dc.tree.distance(b).den - dc.tree.distance(b).num * scale)
-        assert err_num <= 2 * dc.tree.distance(b).den  # two chain hops
+        exact = root_distance(dc.tree, b)
+        err_num = abs(int(approx) * exact.den - exact.num * scale)
+        assert err_num <= 2 * exact.den  # two chain hops
 
     def test_root_record(self):
         dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=0)
@@ -284,7 +285,7 @@ class TestInsertAndRecords:
                 if dc.tree.level[v] < i:
                     continue
                 _, _, _, approx = dc.level_record(i, v)
-                exact = dc.tree.distance(v)
+                exact = root_distance(dc.tree, v)
                 # count chain members of level >= i on the root path
                 k = 0
                 x = v
@@ -374,7 +375,7 @@ class TestCompare:
                 else:
                     u = nodes[int(rng.integers(0, len(nodes)))]
                     v = nodes[int(rng.integers(0, len(nodes)))]
-                    diff = dc.tree.distance(u) - dc.tree.distance(v)
+                    diff = root_distance(dc.tree, u) - root_distance(dc.tree, v)
                     r = rng.random()
                     if r < 0.45 and is_k_short(diff, 2, budget):
                         beta = diff
@@ -456,7 +457,7 @@ class TestCompare:
             else:
                 u = nodes[int(rng.integers(0, len(nodes)))]
                 v = nodes[int(rng.integers(0, len(nodes)))]
-                diff = dc.tree.distance(u) - dc.tree.distance(v)
+                diff = root_distance(dc.tree, u) - root_distance(dc.tree, v)
                 beta = diff if rng.random() < 0.5 and is_k_short(diff, 2, WordBudget(16)) else R(1, 3)
                 assert dc.compare(u, v, beta) is exact_ordering(dc.tree, u, v, beta)
         totals = {}
@@ -485,7 +486,7 @@ class TestExactShortcut:
         for _ in range(600):
             u = nodes[int(rng.integers(0, len(nodes)))]
             v = nodes[int(rng.integers(0, len(nodes)))]
-            diff = dc.tree.distance(u) - dc.tree.distance(v)
+            diff = root_distance(dc.tree, u) - root_distance(dc.tree, v)
             if u == v or not is_k_short(diff, 2, WordBudget(16)):
                 continue
             assert dc.compare(u, v, diff) is dc.exact_compare(u, v, diff) is Ordering.EQUAL
@@ -513,8 +514,8 @@ class TestExactShortcut:
                 for _ in range(40):
                     u = members[int(rng.integers(0, len(members)))]
                     v = members[int(rng.integers(0, len(members)))]
-                    diff = dc.tree.distance(u) - dc.tree.distance(v)
-                    used = dc._den_bits[u] + dc._den_bits[v] + diff.den.bit_length()
+                    diff = root_distance(dc.tree, u) - root_distance(dc.tree, v)
+                    used = dc.tree.den_bits[u] + dc.tree.den_bits[v] + diff.den.bit_length()
                     window_room = window_bits - used
                     for k in (1, int(rng.integers(1, window_room)), window_room, easy_bits - used):
                         nudge = R(int(rng.choice([-1, 1])), diff.den << k)
@@ -547,8 +548,8 @@ class TestExactShortcut:
 
 
 class TestAnchorPairs:
-    def test_rel_pair_sums_weights_from_the_anchor(self, rng):
-        # _rel_pair(lvl, v) is the unreduced weight of the path to v from
+    def test_pair_sums_weights_from_the_anchor(self, rng):
+        # IncTree.pair(lvl, v) is the unreduced weight of the path to v from
         # its nearest ancestor of level >= lvl, v included, and from the
         # root alone at level t, where non-root nodes are placed on purpose;
         # _anchor reduces the same value.
@@ -573,7 +574,7 @@ class TestAnchorPairs:
                     total += Fraction(w.num, w.den)
                     den *= w.den
                     x = tree.parent[x]
-                num, got_den = dc._rel_pair(lvl, v)
+                num, got_den = tree.pair(lvl, v)
                 assert got_den == den and Fraction(num, den) == total
                 assert dc._anchor(lvl, v) == (x, R(total.numerator, total.denominator))
 
@@ -651,7 +652,7 @@ class TestPairwiseComparator:
             u = nodes[int(rng.integers(0, len(nodes)))]
             v = nodes[int(rng.integers(0, len(nodes)))]
             beta = R(int(rng.integers(-10, 11)), int(rng.integers(1, 12)))
-            diff = pdc.tree.distance(u) - pdc.tree.distance(v)
+            diff = root_distance(pdc.tree, u) - root_distance(pdc.tree, v)
             assert pdc.compare(u, v, beta) is Ordering.of(diff._cmp(beta))
 
     def test_tail_beyond_hops_falls_back(self):
@@ -668,7 +669,7 @@ class TestPairwiseComparator:
         for _ in range(400):
             u, v = (int(x) for x in rng.choice(nodes, 2))
             beta = R(int(rng.integers(-10, 11)), int(rng.integers(1, 12)))
-            diff = pdc.tree.distance(u) - pdc.tree.distance(v)
+            diff = root_distance(pdc.tree, u) - root_distance(pdc.tree, v)
             assert pdc.compare(u, v, beta) is Ordering.of(diff._cmp(beta))
             deep += max(pdc.tree.depth[u], pdc.tree.depth[v]) > h
         assert pdc.exact_fallbacks == deep > 0
@@ -686,7 +687,7 @@ class TestPairwiseComparator:
         for _ in range(400):
             u, v = (int(x) for x in rng.choice(nodes, 2))
             beta = R(int(rng.integers(-10, 11)), int(rng.integers(1, 1100)))
-            diff = pdc.tree.distance(u) - pdc.tree.distance(v)
+            diff = root_distance(pdc.tree, u) - root_distance(pdc.tree, v)
             assert pdc.compare(u, v, beta) is Ordering.of(diff._cmp(beta))
             wide += beta.den >= 1 << 9
         assert pdc.exact_fallbacks == wide > 0
@@ -709,6 +710,17 @@ class TestPairwiseComparator:
     def test_rejects_bad_gamma(self, gamma):
         with pytest.raises(ValueError, match="gamma must be a positive finite number"):
             PairwiseDeltaComparator(10, 3, WordBudget(8), gamma=gamma)
+
+    @pytest.mark.parametrize("hop", [2.5, "3", 3.0, True, 0])
+    def test_rejects_bad_hop_parameter(self, hop):
+        # The rule of cut_preprocess: at construction, not at the first
+        # compare, and True is no integer here.
+        with pytest.raises(ValueError, match="hop parameter must be a positive integer"):
+            PairwiseDeltaComparator(10, hop, WordBudget(16))
+
+    def test_accepts_numpy_integer_hop_parameter(self):
+        pdc = PairwiseDeltaComparator(10, np.int64(3), WordBudget(16))
+        assert type(pdc.h) is int and pdc.bits == PairwiseDeltaComparator(10, 3, WordBudget(16)).bits
 
     def test_all_marked_short_tails(self):
         # a hop parameter of 1 with everything marked keeps every tail empty

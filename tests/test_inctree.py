@@ -57,13 +57,6 @@ class TestPathWeight:
         assert t.path_weight(0, b) == R(5, 6)
         assert t.path_weight(b, b) == ZERO
 
-    def test_distance_is_root_path_weight(self):
-        # queried in random order, so memoized chains meet half-way
-        rng = np.random.default_rng(23)
-        t = grow_random_tree(rng, 200)
-        for v in rng.permutation(len(t)):
-            assert t.distance(int(v)) == t.path_weight(0, int(v))
-
     def test_siblings_error(self):
         t = IncTree(max_level=0)
         a = t.insert_leaf(0, R(1))
@@ -91,6 +84,16 @@ class TestPathWeight:
             assert t.path_weight(a, c) == t.path_weight(a, b) + t.path_weight(b, c)
             hits += 1
 
+    @pytest.mark.parametrize("v", [-1, -3, 3])
+    def test_node_out_of_range(self, v):
+        # -1 must not name the last node, and an id past the end is a
+        # ValueError, not an IndexError; on either side of the path.
+        t = IncTree(max_level=0)
+        t.insert_leaf(t.insert_leaf(0, R(1, 2)), R(1, 3))
+        for args in ((0, v), (v, 2)):
+            with pytest.raises(ValueError, match=rf"node {v} out of range 0\.\.2"):
+                t.path_weight(*args)
+
     def test_against_naive_sum(self):
         rng = np.random.default_rng(22)
         t = grow_random_tree(rng, 150)
@@ -101,6 +104,44 @@ class TestPathWeight:
                 acc = t.weight[x] + acc
                 x = t.parent[x]
             assert t.path_weight(0, v) == acc
+
+
+class TestPathPairs:
+    def test_pair_is_path_weight_from_the_anchor(self):
+        # Every level, queried in random order, so memoized chains meet
+        # half-way.  Below max_level the anchor is the nearest ancestor of
+        # level >= lvl, v included; at max_level, which non-root nodes
+        # carry here too, it is the root.
+        rng = np.random.default_rng(23)
+        t = grow_random_tree(rng, 200)
+        top = t.max_level
+        assert top in t.level[1:]
+        queries = [(lvl, v) for lvl in range(top + 1) for v in range(len(t))]
+        for k in rng.permutation(len(queries)).tolist():
+            lvl, v = queries[k]
+            anchor = 0 if lvl == top else t.nearest_marked_ancestor(v, lvl)
+            num, den = t.pair(lvl, v)
+            assert R(num, den) == t.path_weight(anchor, v)
+
+    def test_den_bits_sum_the_root_path(self):
+        rng = np.random.default_rng(24)
+        t = grow_random_tree(rng, 200)
+        for v in rng.permutation(len(t)).tolist():
+            bits, x = 0, v
+            while x != 0:
+                bits += t.weight[x].den.bit_length()
+                x = t.parent[x]
+            assert t.den_bits[v] == bits
+            assert t.path_weight(0, v).den <= t.pair(t.max_level, v)[1] <= 1 << bits
+
+    def test_exact_sign_matches_path_weights(self):
+        rng = np.random.default_rng(25)
+        t = grow_random_tree(rng, 150)
+        for _ in range(2000):
+            u, v = (int(x) for x in rng.integers(0, len(t), size=2))
+            diff = t.path_weight(0, u) - t.path_weight(0, v)
+            for beta in (diff, diff + R(1, 1 << 40), diff - R(1, 7), random_rational(rng, 30, 12)):
+                assert t.exact_sign(u, v, beta) == diff._cmp(beta)
 
 
 class TestNearestMarked:

@@ -473,7 +473,8 @@ class TestCutDijkstra:
 
         g = gen_random(14, 40, 6, "small", "priced")
         ctx = self._context(g, 3)
-        assert check_eps_feasible(g, ctx.price, ctx.eps)
+        eps = R(1, 1 << ((2 * 3 + 1) * B16.B + math.ceil(math.log2(g.n))))
+        assert check_eps_feasible(g, ctx.price, eps)
 
     def test_rank_by_exact_key_matches_pair_approximations(self):
         # The paper ranks the vertices relaxed from one vertex by
@@ -677,7 +678,7 @@ class TestCutDijkstra:
                     price[v] = price[twin]
                     edges[(u, v)] = edges[(u, twin)]
             g = WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()])
-            ctx = CutContext(g, int(rng.integers(1, 4)), budget, price, R(0))
+            ctx = CutContext(g, int(rng.integers(1, 4)), budget, price)
             for s in range(1, n):
                 run = self._assert_matches_reference(ctx, g, s)
                 keys = {}
@@ -707,7 +708,7 @@ class TestCutDijkstra:
                 for build in (_heap_gadget, _batch_gadget):
                     for _ in range(3):
                         g, price, first, second, gap = build(bits, k, rng)
-                        ctx = CutContext(g, k, budget, price, R(0))
+                        ctx = CutContext(g, k, budget, price)
                         run = self._assert_matches_reference(ctx, g, 0)
                         key = [d - p for d, p in zip(run.dist, price)]
                         assert key[second] - key[first] == gap
@@ -728,7 +729,7 @@ class TestCutDijkstra:
             with pytest.raises(ValueError, match="out of range"):
                 cut_dijkstra(ctx, s)
         with pytest.raises(ValueError, match="price has 7 values"):
-            CutContext(g, 2, B16, ctx.price[:-1], ctx.eps)
+            CutContext(g, 2, B16, ctx.price[:-1])
 
     def test_runs_read_the_graph_from_the_context(self):
         # The context is a snapshot: an edge added to the graph afterwards
