@@ -4,10 +4,13 @@ Negative weights: scaling, hop-bounded runs, recombination
 
 A priced random graph has negative edges but no negative cycle.  The
 pipeline first buys an almost-feasible price function by scaling, runs
-the hop-bounded cut Dijkstra from a sampled hit set, stitches the runs
-together with an exact Bellman-Ford over the samples, and verifies the
-assembled tree.  Planting a negative cycle flips the outcome into an
-exactly verified witness.
+the hop-bounded cut Dijkstra from a hit set, stitches the runs together
+with an exact Bellman-Ford over the hit set, and verifies the assembled
+tree.  The hit set is the source plus the sparsest class of depth mod k
+in one approximate shortest-path tree, so it meets every path of that
+tree at least once every k hops; random samples serve only a retry.
+Planting a negative cycle flips the outcome into an exactly verified
+witness.
 """
 
 from ratpath import NegativeCycle, WordBudget, bf_exact, gen_random, negative_sssp

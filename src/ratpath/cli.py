@@ -219,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lam", type=float, help="cover instance multiplier (non-negative mode; "
                        f"default {_CONSTANTS['lam']})")
     solve.add_argument("--gamma", type=float,
-                       help=f"hit-set size multiplier (default {_CONSTANTS['gamma']})")
+                       help="size multiplier of the pairwise_delta sample and of the negative "
+                       f"pipeline's retry hit sets (default {_CONSTANTS['gamma']})")
     solve.add_argument("--output", "-o")
     solve.set_defaults(func=cmd_solve)
 

@@ -207,6 +207,14 @@ def _count_rounds(collect: Dict[str, int], rounds: int, solved: int) -> None:
     collect["scaling_rounds_solved"] = collect.get("scaling_rounds_solved", 0) + solved
 
 
+def _check_1_short(g: WeightedDigraph, budget: WordBudget) -> None:
+    """Raise ValueError at the first edge of g, in list order, whose
+    weight is not 1-short under `budget`."""
+    for e in g.edges:
+        if not is_k_short(e.weight, 1, budget):
+            raise ValueError(f"edge weight {e.weight} is not 1-short under B={budget.B}")
+
+
 def eps_feasible_price(
     g: WeightedDigraph,
     k: int,
@@ -237,9 +245,7 @@ def eps_feasible_price(
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"accuracy exponent must be a non-negative integer, got {k!r}")
     k = int(k)
-    for e in g.edges:
-        if not is_k_short(e.weight, 1, budget):
-            raise ValueError(f"edge weight {e.weight} is not 1-short under B={budget.B}")
+    _check_1_short(g, budget)
     n = g.n
     src = n  # super-source
     m = g.m

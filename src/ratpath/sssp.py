@@ -9,16 +9,20 @@ an aux parent edge from s of sentinel weight; no augmented graph is built.
 
 Negative case: an eps-feasible price function from `scaling` makes a "cut"
 Dijkstra sound for every vertex whose shortest path uses at most k hops; a
-sampled hit set of start vertices plus `graph._bellman_ford`, the one
-exact Bellman-Ford, over the small recombination graph stitches the
-hop-bounded runs into full distances.  Each cut run holds its exact
-tentative distances anyway (they decide k-shortness and the heap keys), so
-relaxations, heap keys and reinsertion ranks compare exact values directly
-and no `distcmp` structure is built.  A run relaxes over the int edge
-arrays of its `CutContext`, keeps each tentative distance as an unreduced
-pair of ints and keys its heap by one exact int, the floor of d(v) - p(v)
-scaled far enough that distinct keys keep distinct floors; a winning
-relaxation builds no rational and takes no gcd.  The produced tree is
+hit set of start vertices plus `graph._bellman_ford`, the one exact
+Bellman-Ford, over the small recombination graph stitches the
+hop-bounded runs into full distances.  The first hit set is s plus the
+sparsest class of depth mod k in one Dijkstra tree of the floored
+reduced weights, so it cuts every path of that tree into segments of at
+most k hops; the sampled sets of `_hitsets` serve the retries.  Each cut
+run holds its exact tentative distances anyway (they decide k-shortness
+and the heap keys), so relaxations, heap keys and reinsertion ranks
+compare exact values directly and no `distcmp` structure is built.  A
+run relaxes over the int edge arrays of its `CutContext`, keeps each
+tentative distance as an unreduced pair of ints and keys its heap by one
+exact int, the floor of d(v) - p(v) scaled far enough that distinct keys
+keep distinct floors; a winning relaxation builds no rational and takes
+no gcd.  The produced tree is
 verified exactly before being returned, and a failed verification yields
 an exactly-checked negative-cycle witness.
 
@@ -30,6 +34,7 @@ and `game_simulate` plays that game directly.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import numbers
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
@@ -52,7 +57,7 @@ from .graph import (
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
 from .graph import augment_source  # noqa: F401
 from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make, sum_lt
-from .scaling import eps_feasible_price
+from .scaling import _check_1_short, eps_feasible_price
 
 __all__ = [
     "NegativeWeightError",
@@ -566,18 +571,35 @@ def negative_sssp(
     budget: WordBudget = DEFAULT_BUDGET,
     collect: Optional[Dict[str, object]] = None,
 ) -> Union[SsspResult, NegativeCycle]:
-    """Shortest-paths tree with negative weights, or a negative cycle.
+    """Shortest-paths tree with negative weights, or a negative cycle
+    that s reaches.
 
-    Runs cut Dijkstra from a sampled hit set, recombines the hop-bounded
-    estimates through an exact Bellman-Ford on the sampled vertices, and
-    verifies the assembled tree before returning it.  A failed
-    verification is resolved through the exact oracle: either it yields a
-    negative-cycle witness, or the failure was a low-probability sampling
-    miss and the pipeline retries with fresh randomness.  A cycle found
-    this way sets `oracle_cycles` to 1 in `collect`.  A weight that is
-    not 1-short under `budget` raises ValueError from
-    `eps_feasible_price`, and a k that is not a positive integer one
-    from `cut_preprocess`.
+    Runs cut Dijkstra from a hit set, recombines the hop-bounded
+    estimates through an exact Bellman-Ford on the hit set, and verifies
+    the assembled tree before returning it.  The pipeline runs on the
+    edges out of the vertices s reaches, so, as with `bf_exact`, a cycle
+    that s cannot reach is no answer whatever k is; every weight of g is
+    still checked.
+
+    The first attempt's hit set is `_tree_hitset`'s: s plus the sparsest
+    residue class of depth mod k in one Dijkstra tree of the reduced
+    weights floored at the price's resolution.  In a tree rooted at s
+    the path to a vertex of depth d passes one vertex of every depth
+    below d, so any residue class cuts every tree path into segments of
+    at most k hops, and by pigeonhole the sparsest holds at most
+    (n - 1) / k vertices: the deterministic form of the sampling
+    argument of Ullman and Yannakakis (SIAM J. Comput. 1991) and King
+    (FOCS 1999).  The tree is the exact one up to near-ties, and it only
+    chooses the hit set; every distance and tree edge still comes from
+    the cut runs and the exact verification.
+
+    A failed verification is resolved through the exact oracle: either
+    it yields a negative-cycle witness, or the hit set missed a path and
+    the pipeline retries on the sampled hit sets of `_hitsets`, drawn
+    only then.  A cycle found this way sets `oracle_cycles` to 1 in
+    `collect`, and `pipeline_attempts` counts the attempts made.  A
+    weight that is not 1-short under `budget` raises ValueError, and a k
+    that is not a positive integer one from `cut_preprocess`.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
@@ -585,12 +607,14 @@ def negative_sssp(
     _check_constant("gamma", gamma)
     if k is None:
         k = _hop_default(g.n)
+    g = _reachable_part(g, s, budget)
 
     pre = cut_preprocess(g, k, budget, collect)
     if isinstance(pre, NegativeCycle):
         return pre
 
-    for attempt, hitset in enumerate(_hitsets(g.n, s, k, gamma, seed)):
+    hitsets = itertools.chain([_tree_hitset(pre, s)], itertools.islice(_hitsets(g.n, s, k, gamma, seed), 2))
+    for attempt, hitset in enumerate(hitsets):
         runs = [cut_dijkstra(pre, v, collect=collect) for v in hitset]
 
         try:
@@ -609,18 +633,91 @@ def negative_sssp(
                 collect["pipeline_attempts"] = attempt + 1
                 collect["oracle_cycles"] = 1
             return oracle
-        # Verification failed yet the oracle sees no cycle: a sampling
-        # miss; the next attempt re-draws everything from a fresh stream.
-    raise RuntimeError("pipeline failed verification on repeated fresh samples")
+        # Verification failed yet the oracle sees no cycle: the hit set
+        # missed a path; the next attempt takes a fresh sample.
+    raise RuntimeError("pipeline failed verification on its tree hit set and two samples")
+
+
+def _reachable_part(g: WeightedDigraph, s: int, budget: WordBudget) -> WeightedDigraph:
+    """g when s reaches every vertex; otherwise the graph of g's edges out
+    of the vertices s reaches, on the same vertex ids and with the same
+    weights, after every weight of g is checked to be 1-short."""
+    seen = [False] * g.n
+    seen[s] = True
+    stack = [s]
+    while stack:
+        for e in g.out_edges(stack.pop()):
+            if not seen[e.head]:
+                seen[e.head] = True
+                stack.append(e.head)
+    if all(seen):
+        return g
+    _check_1_short(g, budget)
+    part = WeightedDigraph(g.n, source=g.source)
+    for e in g.edges:
+        if seen[e.tail]:
+            part.add_edge(e.tail, e.head, e.weight, e.aux)
+    return part
+
+
+def _tree_hitset(ctx: CutContext, s: int) -> List[int]:
+    """s plus the sparsest class of depth mod k, least residue on ties, in
+    one Dijkstra tree from s of the context's graph; vertices s cannot
+    reach are left out.
+
+    An edge u -> v weighs max(0, floor(w * P) + a(u) - a(v)), with P =
+    ctx.pden and a(u) = p(u) * P = ctx.base[u] >> ctx.shift: the reduced
+    weight under the context's price, floored at the price's own
+    resolution, all ints.  Heap ties break by vertex id, and a vertex
+    keeps the first parent that reaches its least distance.  Every tree
+    path meets the set at least once every k hops, and the set holds at
+    most 1 + (r - 1) // k vertices for the r vertices s reaches; a tree
+    of depth below k gives [s].  See `negative_sssp`.
+    """
+    adj = ctx.adj
+    k = ctx.k
+    pden = ctx.pden
+    shift = ctx.shift
+    a = [b >> shift for b in ctx.base]
+    n = len(adj)
+    dist: List[Optional[int]] = [None] * n
+    dist[s] = 0
+    depth = [0] * n
+    done = [False] * n
+    heap = [(0, s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        au = a[u]
+        du = depth[u] + 1
+        for v, wn, wd in adj[u]:
+            if done[v]:
+                continue
+            w = (wn * pden) // wd + au - a[v]
+            dv = d + w if w > 0 else d
+            if dist[v] is None or dv < dist[v]:
+                dist[v] = dv
+                depth[v] = du
+                heapq.heappush(heap, (dv, v))
+    reached = [v for v in range(n) if done[v] and v != s]
+    counts = [0] * k
+    for v in reached:
+        counts[depth[v] % k] += 1
+    r = counts.index(min(counts))
+    return [s] + [v for v in reached if depth[v] % k == r]
 
 
 def _hitsets(n: int, s: int, k: int, gamma: float, seed: int) -> Iterator[List[int]]:
-    """The hit sets of the pipeline's three attempts: s first, then
-    min(n - 1, ceil(gamma * n * ln n / k)) other vertices in id order.
+    """Three sampled hit sets, of which the pipeline's attempts 2 and 3
+    take the first two: s first, then min(n - 1, ceil(gamma * n * ln n /
+    k)) other vertices in id order.
 
-    Attempt i draws its sample from the first child of the i-th child of
+    Set i draws its sample from the first child of the i-th child of
     SeedSequence(seed), so a fixed seed keeps its hit sets.  A sample
-    that would take every other vertex draws nothing.
+    that would take every other vertex draws nothing, and nothing is
+    drawn before the first set is asked for.
     """
     want = min(n, math.ceil(gamma * n * math.log(max(n, 2)) / k))
     others = [v for v in range(n) if v != s]

@@ -29,6 +29,7 @@ from ratpath.sssp import (
     _hitsets,
     _RecombinationError,
     _recombine,
+    _tree_hitset,
     _witness_tree,
     cut_dijkstra,
     cut_preprocess,
@@ -856,10 +857,10 @@ class TestNegativePipeline:
         stats = {}
         r = negative_sssp(g, 0, seed=1, budget=WordBudget(16), collect=stats)
         assert stats["scaling_rounds"] == 248
-        assert stats["cut_heap_inserts"] == 3499
-        assert stats["cut_heap_inserts_max"] == 98
-        assert stats["cut_relaxations"] == 2623
-        assert stats["hitset_size"] == 40
+        assert stats["cut_heap_inserts"] == 188
+        assert stats["cut_heap_inserts_max"] == 94
+        assert stats["cut_relaxations"] == 150
+        assert stats["hitset_size"] == 2
         digest = hashlib.sha256(serialize_tree(r).encode()).hexdigest()
         assert digest == "7f2337fefec4fd566c936335d0c50e7ec1ea969876dc29c8101a8ac9b3e7e551"
 
@@ -899,11 +900,10 @@ class TestNegativePipeline:
         assert isinstance(cyc, NegativeCycle) and cyc.weight < ZERO
 
     def test_full_hit_set_verifies_on_first_attempt(self):
-        # Below n = 65 the default sample takes every vertex.  Each edge is
-        # then a segment between hit-set vertices, so the recombination
-        # sees every shortest path and no sampling miss can occur: a
-        # cycle-free instance verifies on its first attempt, without the
-        # oracle.
+        # The first attempt's hit set cuts every path of the approximate
+        # tree into segments of at most k hops, and holds at most
+        # 1 + (n - 1) // k vertices: a cycle-free instance verifies on its
+        # first attempt, without the oracle.
         rng = np.random.default_rng(2718)
         cases = [(backbone_graph(16, seed), WordBudget(64)) for seed in range(12)]
         for _ in range(24):
@@ -913,14 +913,17 @@ class TestNegativePipeline:
         for trial, (g, budget) in enumerate(cases):
             stats = {}
             res = negative_sssp(g, 0, seed=trial, budget=budget, collect=stats)
-            assert stats["pipeline_attempts"] == 1 and stats["hitset_size"] == g.n, trial
+            k = math.ceil(math.sqrt(g.n))
+            assert stats["pipeline_attempts"] == 1, trial
+            assert stats["hitset_size"] <= 1 + (g.n - 1) // k, trial
             assert "oracle_cycles" not in stats, trial
             assert res.distances() == bf_exact(g, 0).dist, trial
 
     def test_hit_sets_keep_their_draws(self, monkeypatch):
-        # Attempt i still draws from the i-th child of SeedSequence(seed),
-        # now spawned one at a time, so sampled hit sets are unchanged; a
-        # sample of every other vertex is taken without a draw.
+        # Set i still draws from the i-th child of SeedSequence(seed), now
+        # spawned one at a time, so sampled hit sets are unchanged; a
+        # sample of every other vertex is taken without a draw, and a
+        # first attempt that verifies draws nothing.
         sampled = full = 0
         for n, k, gamma in ((1, 1, 2.0), (2, 1, 0.1), (16, 4, 2.0), (16, 4, 1.0), (40, 7, 2.0),
                             (64, 8, 2.0), (100, 10, 2.0), (300, 18, 2.0)):
@@ -938,11 +941,38 @@ class TestNegativePipeline:
             raise AssertionError("drew a hit set that takes every vertex")
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        g = gen_random(16, 48, 8, "small", "priced")
+        g = gen_random(200, 600, 8, "small", "priced")
         stats = {}
-        res = negative_sssp(g, 0, seed=1, collect=stats)
-        assert stats["hitset_size"] == 16
+        res = negative_sssp(g, 0, seed=1, budget=B16, collect=stats)
+        assert stats["pipeline_attempts"] == 1
         assert res.distances() == bf_exact(g, 0).dist
+        # A forced miss at k = 1 moves on to the sample, which takes all
+        # 16 vertices.
+        monkeypatch.setattr(sssp_module, "_tree_hitset", lambda ctx, s: [s])
+        g = _prime_chain(16, 3)
+        stats = {}
+        res = negative_sssp(g, 0, k=1, seed=1, budget=B16, collect=stats)
+        assert stats["pipeline_attempts"] == 2 and stats["hitset_size"] == 16
+        assert res.distances() == bf_exact(g, 0).dist
+
+    def test_first_attempt_miss_retries_on_samples(self, monkeypatch):
+        # With the tree hit set forced down to [s], the run from s stops
+        # where distances stop being k-short: verification fails, the
+        # oracle finds no cycle, and the second attempt finishes the
+        # solve.  At k = 1 it takes every vertex; at k = 8 it draws a
+        # sample.
+        monkeypatch.setattr(sssp_module, "_tree_hitset", lambda ctx, s: [s])
+        calls = []
+        monkeypatch.setattr(sssp_module, "bf_exact", lambda g, s: calls.append(s) or bf_exact(g, s))
+        for seed in range(6):
+            g = _prime_chain(40, seed)
+            for k, size in ((1, 40), (8, 38)):
+                stats = {}
+                res = negative_sssp(g, 0, k=k, seed=seed, budget=B16, collect=stats)
+                assert stats["pipeline_attempts"] == 2, (seed, k)
+                assert stats["hitset_size"] == size and "oracle_cycles" not in stats, (seed, k)
+                assert res.distances() == bf_exact(g, 0).dist, (seed, k)
+        assert len(calls) == 12
 
     @pytest.mark.parametrize("k", [2.5, "3", 3.0, True, 0, -2])
     def test_rejects_bad_hop_parameter(self, k):
@@ -972,6 +1002,34 @@ class TestNegativePipeline:
         g = WeightedDigraph(1, source=0)
         res = negative_sssp(g, 0, budget=B16)
         assert res.distances() == [ZERO]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_cycle_that_s_cannot_reach_is_no_answer(self, k):
+        # As with bf_exact, a negative cycle off s's reach leaves the tree
+        # of the part s reaches, whatever k is: the unreachable 4-cycle of
+        # test_oracle_answers_a_cycle_the_price_misses behind the single
+        # edge 0 -> 5, and a plain one at B=16.
+        primes = [(1 << 60) - d for d in (93, 107, 173, 179)]
+        big = math.prod(primes)
+        nums = [-pow(big // p, -1, p) % p for p in primes]
+        nums[0] -= (sum(a * (big // p) for a, p in zip(nums, primes)) + 1) // big * primes[0]
+        cycle = [(u, v, R(a, p)) for (u, v), a, p in zip([(1, 2), (2, 3), (3, 4), (4, 1)], nums, primes)]
+        cases = [
+            (WeightedDigraph(6, [(0, 5, ZERO)] + cycle), WordBudget(64)),
+            (WeightedDigraph(4, [(0, 1, R(1)), (2, 3, R(-1)), (3, 2, ZERO)]), B16),
+        ]
+        for g, budget in cases:
+            oracle = bf_exact(g, 0)
+            assert not isinstance(oracle, NegativeCycle)
+            res = negative_sssp(g, 0, k=k, budget=budget)
+            assert not isinstance(res, NegativeCycle)
+            assert res.distances() == oracle.dist
+            assert verify_sssp(g, res).valid
+
+    def test_unreachable_weight_still_checked(self):
+        g = WeightedDigraph(3, [(0, 1, R(1)), (2, 1, R(1 << 15))])
+        with pytest.raises(ValueError, match=r"edge weight 32768 is not 1-short under B=16"):
+            negative_sssp(g, 0, budget=B16)
 
     def test_unreachable_stay_out(self):
         g = WeightedDigraph(4, [(0, 1, R(-1, 2)), (2, 3, R(1))], source=0)
@@ -1025,6 +1083,103 @@ class TestNegativePipeline:
         assert stats["cut_heap_inserts"] > 0
         assert stats["scaling_rounds"] > 0
         assert stats["hitset_size"] >= 1
+
+
+def _prime_chain(n, seed):
+    """A path 0 -> 1 -> ... -> n-1, edge i weighing 1/p_i for distinct
+    primes p_i in (2^7, 2^9), under a random potential.  At B=16 a
+    distance is 2-short only within about three hops of its run's source,
+    so a cut run from s alone leaves the far end of the path unreached."""
+    primes = [p for p in _primes_below(1 << 9) if p > 1 << 7][: n - 1]
+    rng = np.random.default_rng(seed)
+    pot = [R(int(rng.integers(-16, 17)), int(rng.integers(1, 5))) for _ in range(n)]
+    edges = [(i, i + 1, R(1, p) - pot[i] + pot[i + 1]) for i, p in enumerate(primes)]
+    return WeightedDigraph(n, edges, source=0)
+
+
+def _approx_tree(ctx, s):
+    """(parent, depth) of the textbook O(n^2) Dijkstra from s on the
+    rational reduced weights floored at the price's resolution, clipped
+    at 0: least (distance, id) first, a vertex keeping the first parent
+    that strictly improves it.  None for a vertex s cannot reach."""
+    n = len(ctx.adj)
+    P = ctx.pden
+    dist = [None] * n
+    parent = [None] * n
+    depth = [None] * n
+    dist[s], depth[s] = 0, 0
+    done = [False] * n
+    while True:
+        live = [v for v in range(n) if not done[v] and dist[v] is not None]
+        if not live:
+            return parent, depth
+        u = min(live, key=lambda v: (dist[v], v))
+        done[u] = True
+        for v, wn, wd in ctx.adj[u]:
+            w = max(0, math.floor((Fraction(wn, wd) + Fraction(ctx.price[u].num, ctx.price[u].den)
+                                   - Fraction(ctx.price[v].num, ctx.price[v].den)) * P))
+            if not done[v] and (dist[v] is None or dist[u] + w < dist[v]):
+                dist[v], parent[v], depth[v] = dist[u] + w, u, depth[u] + 1
+
+
+class TestTreeHitset:
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(3141)
+        for trial in range(30):
+            n = int(rng.integers(2, 50))
+            g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
+            yield g, int(rng.choice([1, 2, 3, 5])), B16
+        for seed in range(8):
+            yield backbone_graph(16 + 4 * seed, seed), int(rng.choice([2, 3, 4])), WordBudget(64)
+        for trial in range(12):
+            # A priced part that s reaches and one it does not, with edges
+            # from the second into the first.
+            a, b = int(rng.integers(2, 20)), int(rng.integers(1, 12))
+            ga = gen_random(a, min(3 * a, a * (a - 1)), int(rng.integers(0, 2**31)), "small", "priced")
+            gb = gen_random(b, min(2 * b, b * (b - 1)), int(rng.integers(0, 2**31)), "small", "priced")
+            edges = [(e.tail, e.head, e.weight) for e in ga.edges]
+            edges += [(a + e.tail, a + e.head, e.weight) for e in gb.edges]
+            edges += [(a + int(rng.integers(0, b)), int(rng.integers(0, a)), R(1)) for _ in range(3)]
+            yield WeightedDigraph(a + b, edges), int(rng.choice([1, 2, 3])), B16
+
+    def test_hits_every_k_hops_of_its_tree(self):
+        deep = shallow = unreachable = 0
+        for trial, (g, k, budget) in enumerate(self._cases()):
+            ctx = cut_preprocess(g, k, budget=budget)
+            assert not isinstance(ctx, NegativeCycle)
+            hitset = _tree_hitset(ctx, 0)
+            parent, depth = _approx_tree(ctx, 0)
+            reached = [v for v in range(g.n) if depth[v] is not None]
+            unreachable += len(reached) < g.n
+            assert hitset[0] == 0 and len(set(hitset)) == len(hitset), trial
+            assert len(hitset) <= 1 + (len(reached) - 1) // k, trial
+            assert all(depth[v] is not None for v in hitset), trial
+            hit = set(hitset)
+            for v in reached:
+                gap, x = 0, v
+                while x not in hit:
+                    x, gap = parent[x], gap + 1
+                    assert gap <= k, (trial, v)
+            if max(depth[v] for v in reached) < k:
+                assert hitset == [0], trial
+                shallow += 1
+            else:
+                deep += 1
+            assert _tree_hitset(cut_preprocess(g, k, budget=budget), 0) == hitset, trial
+        assert deep >= 10 and shallow >= 10 and unreachable >= 10, (deep, shallow, unreachable)
+
+    def test_sparsest_class_least_residue(self):
+        # A zero path 0 -> 1 -> ... -> 6 at k = 3: depths 1..6 fill each
+        # residue class twice, so the least residue, 0, is taken.
+        g = WeightedDigraph(7, [(v, v + 1, ZERO) for v in range(6)])
+        ctx = cut_preprocess(g, 3, budget=B16)
+        assert _tree_hitset(ctx, 0) == [0, 3, 6]
+        # One more vertex at depth 3 ties residues 1 and 2 as the
+        # sparsest, and the least is taken.
+        g = WeightedDigraph(8, [(v, v + 1, ZERO) for v in range(6)] + [(2, 7, ZERO)])
+        ctx = cut_preprocess(g, 3, budget=B16)
+        assert _tree_hitset(ctx, 0) == [0, 1, 4]
 
 
 class TestGame:
