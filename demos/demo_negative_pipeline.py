@@ -8,7 +8,8 @@ the hop-bounded cut Dijkstra from a hit set, stitches the runs together
 with an exact Bellman-Ford over the hit set, and verifies the assembled
 tree.  The hit set is the source plus the sparsest class of depth mod k
 in one approximate shortest-path tree, so it meets every path of that
-tree at least once every k hops; random samples serve only a retry.
+tree at least once every k hops; if it still misses a path, the exact
+oracle's own tree is the answer, and nothing is drawn at random.
 Planting a negative cycle flips the outcome into an exactly verified
 witness.
 """

@@ -97,10 +97,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 constants=constants,
             )
         else:
-            result = negative_sssp(
-                g, s, k=args.k, gamma=constants.get("gamma", _CONSTANTS["gamma"]),
-                seed=seed, budget=budget, collect=stats,
-            )
+            result = negative_sssp(g, s, k=args.k, seed=seed, budget=budget, collect=stats)
     except ValueError as exc:  # NegativeWeightError and rejected parameters
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -219,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--lam", type=float, help="cover instance multiplier (non-negative mode; "
                        f"default {_CONSTANTS['lam']})")
     solve.add_argument("--gamma", type=float,
-                       help="size multiplier of the pairwise_delta sample and of the negative "
-                       f"pipeline's retry hit sets (default {_CONSTANTS['gamma']})")
+                       help="size multiplier of the pairwise_delta sample; nothing else "
+                       f"reads it (default {_CONSTANTS['gamma']})")
     solve.add_argument("--output", "-o")
     solve.set_defaults(func=cmd_solve)
 

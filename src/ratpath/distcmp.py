@@ -55,9 +55,9 @@ numerators are plain Python ints.
 
 `_CONSTANTS` holds the one default of each solver constant: C sizes the
 thinning factor K, lam the cover, gamma the sample of the pairwise
-comparator and the hit set of `sssp.negative_sssp`.  `_check_constant`
-is the one rule every entry point applies to a given value, and
-`_check_hop` the one rule for a hop parameter.
+comparator.  `_check_constant` is the one rule every entry point
+applies to a given value, and `_check_hop` the one rule for a hop
+parameter.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ Negative case: an eps-feasible price function from `scaling` makes a "cut"
 Dijkstra sound for every vertex whose shortest path uses at most k hops; a
 hit set of start vertices plus `graph._bellman_ford`, the one exact
 Bellman-Ford, over the small recombination graph stitches the
-hop-bounded runs into full distances.  The first hit set is s plus the
+hop-bounded runs into full distances.  The hit set is s plus the
 sparsest class of depth mod k in one Dijkstra tree of the floored
 reduced weights, so it cuts every path of that tree into segments of at
-most k hops; the sampled sets of `_hitsets` serve the retries.  Each cut
+most k hops; nothing is drawn at random.  Each cut
 run holds its exact tentative distances anyway (they decide k-shortness
 and the heap keys), so relaxations, heap keys and reinsertion ranks
 compare exact values directly and no `distcmp` structure is built.  A
@@ -23,8 +23,9 @@ tentative distance as an unreduced pair of ints and keys its heap by one
 exact int, the floor of d(v) - p(v) scaled far enough that distinct keys
 keep distinct floors; a winning relaxation builds no rational and takes
 no gcd.  The produced tree is
-verified exactly before being returned, and a failed verification yields
-an exactly-checked negative-cycle witness.
+verified exactly before being returned; a failed verification is
+answered by the exact oracle `bf_exact`, with its negative-cycle witness
+or, when the hit set missed a path, its own tree.
 
 The cut Dijkstra delays heap reinsertions with per-vertex countdowns; the
 countdown game shows the total number of reinsertions stays O(n^1.5),
@@ -34,10 +35,9 @@ and `game_simulate` plays that game directly.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import numbers
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -545,7 +545,7 @@ def cut_dijkstra(
 
 class _RecombinationError(RuntimeError):
     """Inconsistent recombination state; implies a negative cycle or a
-    sampling miss, both resolved by the caller through the exact oracle."""
+    hit-set miss, both resolved by the caller through the exact oracle."""
 
 
 def _splice_walk(walk: List[int]) -> List[int]:
@@ -566,7 +566,6 @@ def negative_sssp(
     g: WeightedDigraph,
     s: int,
     k: Optional[int] = None,
-    gamma: float = _CONSTANTS["gamma"],
     seed: int = 0,
     budget: WordBudget = DEFAULT_BUDGET,
     collect: Optional[Dict[str, object]] = None,
@@ -581,30 +580,30 @@ def negative_sssp(
     that s cannot reach is no answer whatever k is; every weight of g is
     still checked.
 
-    The first attempt's hit set is `_tree_hitset`'s: s plus the sparsest
-    residue class of depth mod k in one Dijkstra tree of the reduced
-    weights floored at the price's resolution.  In a tree rooted at s
-    the path to a vertex of depth d passes one vertex of every depth
-    below d, so any residue class cuts every tree path into segments of
-    at most k hops, and by pigeonhole the sparsest holds at most
-    (n - 1) / k vertices: the deterministic form of the sampling
-    argument of Ullman and Yannakakis (SIAM J. Comput. 1991) and King
-    (FOCS 1999).  The tree is the exact one up to near-ties, and it only
-    chooses the hit set; every distance and tree edge still comes from
-    the cut runs and the exact verification.
+    The hit set is `_tree_hitset`'s: s plus the sparsest residue class
+    of depth mod k in one Dijkstra tree of the reduced weights floored
+    at the price's resolution.  In a tree rooted at s the path to a
+    vertex of depth d passes one vertex of every depth below d, so any
+    residue class cuts every tree path into segments of at most k hops,
+    and by pigeonhole the sparsest holds at most (n - 1) / k vertices:
+    the deterministic form of the sampling argument of Ullman and
+    Yannakakis (SIAM J. Comput. 1991) and King (FOCS 1999).  The tree is
+    the exact one up to near-ties, and it only chooses the hit set;
+    every distance and tree edge still comes from the cut runs and the
+    exact verification.
 
-    A failed verification is resolved through the exact oracle: either
-    it yields a negative-cycle witness, or the hit set missed a path and
-    the pipeline retries on the sampled hit sets of `_hitsets`, drawn
-    only then.  A cycle found this way sets `oracle_cycles` to 1 in
-    `collect`, and `pipeline_attempts` counts the attempts made.  A
-    weight that is not 1-short under `budget` raises ValueError, and a k
-    that is not a positive integer one from `cut_preprocess`.
+    A failed verification is resolved by one call of the exact oracle:
+    it yields either a negative-cycle witness, which sets
+    `oracle_cycles` to 1 in `collect`, or, when the hit set missed a
+    path, its own shortest-paths tree, the answer, which sets
+    `pipeline_attempts` to 2 (1 otherwise).  Nothing is drawn: `seed`
+    is checked and otherwise unused.  A weight that is not 1-short under
+    `budget` raises ValueError, and a k that is not a positive integer
+    one from `cut_preprocess`.
     """
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
     _check_seed(seed)
-    _check_constant("gamma", gamma)
     if k is None:
         k = _hop_default(g.n)
     g = _reachable_part(g, s, budget)
@@ -613,29 +612,33 @@ def negative_sssp(
     if isinstance(pre, NegativeCycle):
         return pre
 
-    hitsets = itertools.chain([_tree_hitset(pre, s)], itertools.islice(_hitsets(g.n, s, k, gamma, seed), 2))
-    for attempt, hitset in enumerate(hitsets):
-        runs = [cut_dijkstra(pre, v, collect=collect) for v in hitset]
-
-        try:
-            result = _witness_tree(g, s, hitset, runs, *_recombine(g.n, hitset, runs))
-            check = verify_sssp(g, result)
-        except _RecombinationError:
-            check = None
-        if check is not None and check.valid:
-            if collect is not None:
-                collect["pipeline_attempts"] = attempt + 1
-                collect["hitset_size"] = len(hitset)
-            return result
+    hitset = _tree_hitset(pre, s)
+    runs = [cut_dijkstra(pre, v, collect=collect) for v in hitset]
+    try:
+        result = _witness_tree(g, s, hitset, runs, *_recombine(g.n, hitset, runs))
+        valid = verify_sssp(g, result).valid
+    except _RecombinationError:
+        valid = False
+    attempts = 1
+    if not valid:
         oracle = bf_exact(g, s)
         if isinstance(oracle, NegativeCycle):
             if collect is not None:
-                collect["pipeline_attempts"] = attempt + 1
-                collect["oracle_cycles"] = 1
+                collect["pipeline_attempts"] = collect["oracle_cycles"] = 1
             return oracle
-        # Verification failed yet the oracle sees no cycle: the hit set
-        # missed a path; the next attempt takes a fresh sample.
-    raise RuntimeError("pipeline failed verification on its tree hit set and two samples")
+        # No cycle: the hit set missed a path, and the oracle's tree is
+        # the answer.
+        parent = {}
+        for v, u in enumerate(oracle.parent):
+            if u >= 0:
+                e = g.edge_between(u, v)
+                parent[v] = (u, e.weight, e.aux)
+        result = SsspResult(g.n, s, parent)
+        attempts = 2
+    if collect is not None:
+        collect["pipeline_attempts"] = attempts
+        collect["hitset_size"] = len(hitset)
+    return result
 
 
 def _reachable_part(g: WeightedDigraph, s: int, budget: WordBudget) -> WeightedDigraph:
@@ -707,29 +710,6 @@ def _tree_hitset(ctx: CutContext, s: int) -> List[int]:
         counts[depth[v] % k] += 1
     r = counts.index(min(counts))
     return [s] + [v for v in reached if depth[v] % k == r]
-
-
-def _hitsets(n: int, s: int, k: int, gamma: float, seed: int) -> Iterator[List[int]]:
-    """Three sampled hit sets, of which the pipeline's attempts 2 and 3
-    take the first two: s first, then min(n - 1, ceil(gamma * n * ln n /
-    k)) other vertices in id order.
-
-    Set i draws its sample from the first child of the i-th child of
-    SeedSequence(seed), so a fixed seed keeps its hit sets.  A sample
-    that would take every other vertex draws nothing, and nothing is
-    drawn before the first set is asked for.
-    """
-    want = min(n, math.ceil(gamma * n * math.log(max(n, 2)) / k))
-    others = [v for v in range(n) if v != s]
-    if want >= len(others):
-        for _ in range(3):
-            yield [s] + others
-        return
-    root = np.random.SeedSequence(seed)
-    for _ in range(3):
-        rng = np.random.default_rng(root.spawn(1)[0].spawn(1)[0])
-        picks = rng.permutation(len(others))[:want]
-        yield [s] + sorted(others[i] for i in picks)
 
 
 def _recombine(

@@ -504,21 +504,6 @@ def reference_eps_feasible_price(g: WeightedDigraph, k: int, collect=None):
     return [BigRational(a, 1 << (levels - 1)) for a in numer]
 
 
-def reference_hitsets(n: int, s: int, k: int, gamma: float, seed: int) -> List[List[int]]:
-    """The hit sets of `negative_sssp`'s three attempts built the way it
-    first did: SeedSequence(seed).spawn(3), each attempt drawing a
-    permutation from its child's first child, also when the sample takes
-    every vertex."""
-    out = []
-    for attempt_seq in np.random.SeedSequence(seed).spawn(3):
-        rng = np.random.default_rng(attempt_seq.spawn(1)[0])
-        want = min(n, math.ceil(gamma * n * math.log(max(n, 2)) / k))
-        others = [v for v in range(n) if v != s]
-        picks = rng.permutation(len(others))[: min(want, len(others))]
-        out.append([s] + sorted(others[i] for i in picks))
-    return out
-
-
 def reference_distcmp_streams(seed: int, config):
     """Slot levels and per-level cover generators of `DistCmp` built the
     way it first did: SeedSequence(seed).spawn(2), the first child drawing

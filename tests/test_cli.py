@@ -11,7 +11,7 @@ from ratpath.cli import build_parser, main
 from ratpath.distcmp import DistCmpConfig, PairwiseDeltaComparator
 from ratpath.graph import gen_random, gen_small_diff, parse, plant_negative_cycle, serialize
 from ratpath.rational import WordBudget
-from ratpath.sssp import dijkstra_nonneg, negative_sssp
+from ratpath.sssp import dijkstra_nonneg
 
 
 @pytest.fixture
@@ -111,8 +111,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("strategy", ["distcmp", "pairwise_delta"])
     def test_gamma_reaches_only_its_readers(self, capsys, smalldiff_file, strategy):
-        # --gamma sizes the pairwise_delta sample and the negative
-        # pipeline's hit set; the distcmp structure has no such constant
+        # --gamma sizes the pairwise_delta sample only; the distcmp
+        # structure and the negative pipeline have no such constant
         code, out, _ = run(
             capsys, "solve", "--input", str(smalldiff_file), "--mode", "nonneg",
             "--strategy", strategy, "--gamma", "3", "--seed", "1",
@@ -174,12 +174,10 @@ def _cli_solve(mode):
 
 
 _NONNEG = gen_random(8, 20, 3, "small")
-_PRICED = gen_random(8, 20, 3, "small", "priced")
 _ENTRY_POINTS = [
     ("DistCmpConfig", ("C", "lam"), lambda name, v: DistCmpConfig(10, **{name: v})),
     ("PairwiseDeltaComparator", ("gamma",),
      lambda name, v: PairwiseDeltaComparator(10, 3, WordBudget(), **{name: v})),
-    ("negative_sssp", ("gamma",), lambda name, v: negative_sssp(_PRICED, 0, **{name: v})),
     ("dijkstra_nonneg", ("C", "lam", "gamma"),
      lambda name, v: dijkstra_nonneg(_NONNEG, 0, constants={name: v})),
     ("solve-neg", ("C", "lam", "gamma"), _cli_solve("neg")),

@@ -26,7 +26,6 @@ from ratpath.sssp import (
     CutResult,
     IllegalBobMove,
     NegativeWeightError,
-    _hitsets,
     _RecombinationError,
     _recombine,
     _tree_hitset,
@@ -43,7 +42,6 @@ from conftest import (
     diamond_chain,
     full_scan_recombination,
     reference_cut_dijkstra,
-    reference_hitsets,
     replay_enhanced_order,
     textbook_bf,
 )
@@ -920,25 +918,10 @@ class TestNegativePipeline:
             assert res.distances() == bf_exact(g, 0).dist, trial
 
     def test_hit_sets_keep_their_draws(self, monkeypatch):
-        # Set i still draws from the i-th child of SeedSequence(seed), now
-        # spawned one at a time, so sampled hit sets are unchanged; a
-        # sample of every other vertex is taken without a draw, and a
-        # first attempt that verifies draws nothing.
-        sampled = full = 0
-        for n, k, gamma in ((1, 1, 2.0), (2, 1, 0.1), (16, 4, 2.0), (16, 4, 1.0), (40, 7, 2.0),
-                            (64, 8, 2.0), (100, 10, 2.0), (300, 18, 2.0)):
-            for s in (0, n // 2, n - 1):
-                for seed in (0, 1, 7):
-                    got = list(_hitsets(n, s, k, gamma, seed))
-                    assert got == reference_hitsets(n, s, k, gamma, seed), (n, k, gamma, s, seed)
-                    if len(got[0]) < n:
-                        sampled += 1
-                    else:
-                        full += 1
-        assert sampled >= 20 and full >= 20, (sampled, full)
-
+        # A first attempt that verifies draws nothing; a miss draws
+        # nothing either (test_miss_returns_the_oracle_tree).
         def refuse(*args, **kwargs):
-            raise AssertionError("drew a hit set that takes every vertex")
+            raise AssertionError("drew a hit set")
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         g = gen_random(200, 600, 8, "small", "priced")
@@ -946,33 +929,63 @@ class TestNegativePipeline:
         res = negative_sssp(g, 0, seed=1, budget=B16, collect=stats)
         assert stats["pipeline_attempts"] == 1
         assert res.distances() == bf_exact(g, 0).dist
-        # A forced miss at k = 1 moves on to the sample, which takes all
-        # 16 vertices.
-        monkeypatch.setattr(sssp_module, "_tree_hitset", lambda ctx, s: [s])
-        g = _prime_chain(16, 3)
-        stats = {}
-        res = negative_sssp(g, 0, k=1, seed=1, budget=B16, collect=stats)
-        assert stats["pipeline_attempts"] == 2 and stats["hitset_size"] == 16
-        assert res.distances() == bf_exact(g, 0).dist
 
-    def test_first_attempt_miss_retries_on_samples(self, monkeypatch):
-        # With the tree hit set forced down to [s], the run from s stops
-        # where distances stop being k-short: verification fails, the
-        # oracle finds no cycle, and the second attempt finishes the
-        # solve.  At k = 1 it takes every vertex; at k = 8 it draws a
-        # sample.
+    @staticmethod
+    def _force_miss(monkeypatch):
+        """Force the hit set down to [s], make every random draw fail, and
+        record each oracle call and each cut run's source."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the negative pipeline drew a random number")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
         monkeypatch.setattr(sssp_module, "_tree_hitset", lambda ctx, s: [s])
-        calls = []
-        monkeypatch.setattr(sssp_module, "bf_exact", lambda g, s: calls.append(s) or bf_exact(g, s))
-        for seed in range(6):
-            g = _prime_chain(40, seed)
-            for k, size in ((1, 40), (8, 38)):
-                stats = {}
-                res = negative_sssp(g, 0, k=k, seed=seed, budget=B16, collect=stats)
-                assert stats["pipeline_attempts"] == 2, (seed, k)
-                assert stats["hitset_size"] == size and "oracle_cycles" not in stats, (seed, k)
-                assert res.distances() == bf_exact(g, 0).dist, (seed, k)
-        assert len(calls) == 12
+        oracle_calls, run_sources = [], []
+        monkeypatch.setattr(sssp_module, "bf_exact", lambda g, s: oracle_calls.append(s) or bf_exact(g, s))
+        monkeypatch.setattr(sssp_module, "cut_dijkstra",
+                            lambda ctx, v, collect=None: run_sources.append(v)
+                            or cut_dijkstra(ctx, v, collect=collect))
+        return oracle_calls, run_sources
+
+    def test_miss_returns_the_oracle_tree(self, monkeypatch):
+        # With the hit set forced down to [s], the run from s stops where
+        # distances stop being k-short: verification fails, the one
+        # oracle call finds no cycle, and its own tree is the answer,
+        # whatever the seed.
+        graphs = [_prime_chain(40, seed) for seed in range(6)]
+        oracle_calls, run_sources = self._force_miss(monkeypatch)
+        for seed, g in enumerate(graphs):
+            want = bf_exact(g, 0).dist
+            for k in (1, 8):
+                trees = set()
+                for solve_seed in range(4):
+                    oracle_calls.clear()
+                    run_sources.clear()
+                    stats = {}
+                    res = negative_sssp(g, 0, k=k, seed=solve_seed, budget=B16, collect=stats)
+                    assert stats["pipeline_attempts"] == 2 and "oracle_cycles" not in stats, (seed, k)
+                    assert oracle_calls == [0] and run_sources == [0] and stats["hitset_size"] == 1
+                    assert verify_sssp(g, res).valid, (seed, k)
+                    assert res.distances() == want, (seed, k)
+                    trees.add(serialize_tree(res))
+                assert len(trees) == 1, (seed, k)
+
+    def test_miss_tree_covers_the_reached_part(self, monkeypatch):
+        # The chain plus vertices s cannot reach: a negative 2-cycle and
+        # edges into the chain.  The oracle's tree holds the chain only,
+        # and verifies against the whole graph.
+        g = _prime_chain(40, 1)
+        full = WeightedDigraph(44, [(e.tail, e.head, e.weight) for e in g.edges], source=0)
+        for u, v, w in ((40, 41, R(-1)), (41, 40, ZERO), (42, 5, R(-3)), (43, 42, R(1, 3))):
+            full.add_edge(u, v, w)
+        oracle_calls, _ = self._force_miss(monkeypatch)
+        stats = {}
+        res = negative_sssp(full, 0, k=8, budget=B16, collect=stats)
+        assert stats["pipeline_attempts"] == 2 and oracle_calls == [0]
+        assert sorted(res.parent) == list(range(1, 40))
+        assert res.distances() == bf_exact(full, 0).dist
+        assert res.distances()[40:] == [None] * 4
+        assert verify_sssp(full, res).valid
 
     @pytest.mark.parametrize("k", [2.5, "3", 3.0, True, 0, -2])
     def test_rejects_bad_hop_parameter(self, k):
@@ -986,12 +999,6 @@ class TestNegativePipeline:
         g = gen_random(12, 36, 3, "small", "priced")
         want = serialize_tree(negative_sssp(g, 0, k=2, seed=1, budget=B16))
         assert serialize_tree(negative_sssp(g, 0, k=np.int64(2), seed=1, budget=B16)) == want
-
-    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, -1.0, 0, 0.0])
-    def test_rejects_bad_gamma(self, gamma):
-        g = gen_random(8, 20, 3, "small", "priced")
-        with pytest.raises(ValueError, match="gamma must be a positive finite number"):
-            negative_sssp(g, 0, gamma=gamma, budget=B16)
 
     def test_rejects_weight_not_1_short(self):
         g = WeightedDigraph(2, [(0, 1, R(-(1 << 15), 3))])
@@ -1039,8 +1046,8 @@ class TestNegativePipeline:
 
     @pytest.mark.parametrize("n", [16, 200])
     def test_rejects_negative_seed(self, n):
-        # At n=16 the hit set takes every vertex and draws nothing; at
-        # n=200 it samples.  The seed is refused alike.
+        # No negative solve draws from the seed, at n=16 or at n=200,
+        # yet the seed is refused up front alike.
         g = gen_random(n, 3 * n, 1, "small", "priced")
         with pytest.raises(ValueError) as err:
             negative_sssp(g, 0, seed=-1, budget=B16)
