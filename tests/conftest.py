@@ -6,7 +6,8 @@ with the implementation paths they check.  The two exceptions are
 earlier implementations kept to check their replacements:
 `reference_cut_dijkstra`, the cut run with `BigRational` heap keys that
 `ratpath.sssp.cut_dijkstra` replaced, and `reference_eps_feasible_price`,
-the scaling round loop that rebuilt its adjacency every round.
+the k+2-round scaling loop that `ratpath.scaling.eps_feasible_price`
+replaced with its closed form.
 """
 
 from __future__ import annotations
@@ -373,10 +374,17 @@ def reference_cut_dijkstra(ctx, g: WeightedDigraph, s: int, collect=None) -> Cut
 
 
 def reference_eps_feasible_price(g: WeightedDigraph, k: int, collect=None):
-    """The scaling round loop of `ratpath.scaling.eps_feasible_price` as it
-    was before the round adjacency was kept per live edge set.
+    """Goldberg's bit scaling with +1 rounding, round by round: the loop
+    whose k+2 rounds `ratpath.scaling.eps_feasible_price` telescopes
+    into one Bellman-Ford at scale 2^(k+1).
 
-    Each round builds the adjacency from the live edge arrays and runs
+    Round j solves the weights sgn(w) * floor(2^j * |w|) + 1 reduced by
+    twice the potential of the rounds before it, and prunes the edges
+    whose reduced weight leaves [-2, 4n].  A state of the loop (the live
+    edges with their reduced weights and expansion remainders) fixes
+    every later round, so at the first repeated state the loop stops
+    and the remaining levels repeat the period between them.  Each round
+    builds the adjacency from the live edge arrays and runs
     FIFO label-correcting Bellman-Ford on it; the state update is a
     closure that returns the kept edges of every round, and the arrays
     are compacted to them whenever one is dropped.  The price is summed

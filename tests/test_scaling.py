@@ -13,7 +13,6 @@ from ratpath.graph import (
     plant_negative_cycle,
 )
 from ratpath.rational import BigRational, WordBudget, ZERO
-from ratpath import scaling
 from ratpath.scaling import assemble_price, eps_feasible_price, integer_sssp_arrays
 from ratpath.sssp import _hop_default
 from conftest import backbone_graph, bf_oracle_int, reference_eps_feasible_price
@@ -163,6 +162,17 @@ class TestIntegerSssp:
             with pytest.raises(ValueError, match="lists"):
                 integer_sssp_arrays(3, bad, [1, 1], 0)
 
+    def test_rejects_out_of_range_heads_and_edge_indices(self):
+        # An edge index past the weights would raise IndexError, and a
+        # head of -1 would wrap onto the last vertex.
+        with pytest.raises(ValueError, match="edge index 5"):
+            integer_sssp_arrays(3, [[(1, 5)], [(2, 1)], []], [1, 1], 0)
+        with pytest.raises(ValueError, match="edge index -1"):
+            integer_sssp_arrays(3, [[(1, -1)], [(2, 1)], []], [1, 1], 0)
+        for head in (3, -1):
+            with pytest.raises(ValueError, match=f"head {head} out of range"):
+                integer_sssp_arrays(3, [[(1, 0)], [(head, 1)], []], [1, 1], 0)
+
 
 def _wide_denominator_graphs():
     rng = np.random.default_rng(36)
@@ -186,25 +196,28 @@ def _cut_exponent(n, B=64):
 
 
 class TestMatchesReferenceLoop:
-    """The round loop against `reference_eps_feasible_price`, the loop that
-    rebuilt its adjacency every round and compacted through a kept list:
-    equal prices or witnesses, and equal round counters."""
+    """The closed-form price against `reference_eps_feasible_price`, the
+    k+2-round scaling loop it telescopes: bit-for-bit equal prices, the
+    same outcome on cycles with an exactly negative witness, and k+2
+    levels counted on both outcomes."""
 
     @staticmethod
     def check(g, k):
         got_stats, want_stats = {}, {}
         got = eps_feasible_price(g, k, collect=got_stats)
         want = reference_eps_feasible_price(g, k, collect=want_stats)
+        assert got_stats == {"scaling_rounds": k + 2}
         if isinstance(want, NegativeCycle):
-            assert isinstance(got, NegativeCycle)
-            assert (list(got.vertices), got.weight) == (list(want.vertices), want.weight)
+            # The witness may be another negative cycle than the loop's.
+            assert_witness(g, got)
         else:
-            assert got == want
-        assert got_stats == want_stats
-        return got_stats
+            assert isinstance(got, list)
+            assert [(p.num, p.den) for p in got] == [(p.num, p.den) for p in want]
+        return want_stats
 
     def test_backbone_graphs_whose_state_repeats(self):
-        # neg-deep's shape at the exponent of its cut runs.
+        # neg-deep's shape at the exponent of its cut runs; the loop stops
+        # at a repeated state and sums the repeated block in closed form.
         k = _cut_exponent(16)
         for seed in range(8):
             stats = self.check(backbone_graph(16, seed), k)
@@ -213,32 +226,43 @@ class TestMatchesReferenceLoop:
     @pytest.mark.parametrize("n", [16, 40])
     def test_never_repeating_medium_graphs(self, n):
         # No state of these medium-weight graphs repeats within the k+2
-        # rounds, so every round is solved: the path no bench workload
-        # reaches.
+        # rounds, so the loop solves every round.
         k = _cut_exponent(n)
         for seed in range(2):
             g = gen_random(n, 3 * n, seed, "medium", "priced")
             stats = self.check(g, k)
             assert stats["scaling_rounds"] == stats["scaling_rounds_solved"] == k + 2
 
-    def test_pruning_heavy_graphs(self, monkeypatch):
-        # Complete digraphs: most edges leave the live range, and each
-        # prune rebuilds the round adjacency.
-        builds = []
-        build = scaling._round_adjacency
-
-        def counted(*args):
-            builds.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(scaling, "_round_adjacency", counted)
+    def test_pruning_heavy_graphs(self):
+        # Complete digraphs: most edges leave the loop's live range, while
+        # the closed form keeps every edge.
         for n in range(6, 14):
             for weight_class in ("small", "medium"):
-                g = gen_random(n, n * (n - 1), n, weight_class, "priced")
-                before = len(builds)
-                self.check(g, 60)
-                assert len(builds) - before >= 4
-        assert len(builds) >= 120
+                self.check(gen_random(n, n * (n - 1), n, weight_class, "priced"), 60)
+
+    def test_wide_denominators(self):
+        # Denominators near 2^60, and T_31 numerators of about 91 bits.
+        # On the second graph the loop's remainders never repeat within
+        # the 32 rounds.
+        solved = [self.check(g, 30)["scaling_rounds_solved"] for g in _wide_denominator_graphs()]
+        assert solved[1] == 32
+
+    def test_deep_exponent(self):
+        # 582 levels on a backbone graph: the loop solves a prefix and one
+        # period, the closed form one Bellman-Ford at scale 2^581.
+        stats = self.check(backbone_graph(16, 6), 580)
+        assert stats["scaling_rounds_solved"] < 100
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_low_exponents(self, k):
+        # One to three levels, where T_0's integer part alone can decide.
+        cases = [backbone_graph(16, 6), _wide_denominator_graphs()[0]]
+        cases += [gen_random(n, 3 * n, seed, "small", "priced") for n in (5, 12, 30) for seed in range(4)]
+        cases += [gen_random(12, 36, seed, "medium", "priced") for seed in range(4)]
+        cases += [plant_negative_cycle(gen_random(12, 34, seed, "small", "priced"), seed)
+                  for seed in range(10)]
+        for g in cases:
+            self.check(g, k)
 
     def test_planted_cycles(self):
         for seed in range(20):
@@ -394,34 +418,6 @@ class TestEpsFeasiblePrice:
             p = eps_feasible_price(g, 30)
             assert check_eps_feasible(g, p, R(1, 1 << 30))
 
-    def test_repeated_state_stops_rounds(self):
-        # The backbone graph's round state repeats early: the price still
-        # counts all k+2 levels, but only a prefix and one period are solved.
-        stats = {}
-        p = eps_feasible_price(backbone_graph(16, 6), 580, collect=stats)
-        assert stats["scaling_rounds"] == 582
-        assert stats["scaling_rounds_solved"] < 100
-        assert check_eps_feasible(backbone_graph(16, 6), p, R(1, 1 << 580))
-
-    def test_hash_collisions_confirmed_exactly(self, monkeypatch):
-        # With every state hashing alike, each round's match goes through
-        # the exact replay; the prices stay those of the real hash.
-        cases = [(backbone_graph(16, 6), 40), (gen_random(12, 36, 2, "small", "priced"), 20),
-                 (_wide_denominator_graphs()[0], 30)]
-        want = [eps_feasible_price(g, k) for g, k in cases]
-        monkeypatch.setattr(scaling, "hash", lambda state: 0, raising=False)
-        for (g, k), p in zip(cases, want):
-            stats = {}
-            got = eps_feasible_price(g, k, collect=stats)
-            assert stats["scaling_rounds"] == k + 2
-            assert [got[v] for v in range(g.n)] == [p[v] for v in range(g.n)]
-
-    def test_wide_denominator_solves_every_round(self):
-        # Remainders of width 60 bits never repeat within 32 rounds.
-        stats = {}
-        eps_feasible_price(_wide_denominator_graphs()[1], 30, collect=stats)
-        assert stats["scaling_rounds"] == stats["scaling_rounds_solved"] == 32
-
     def test_prices_pinned(self):
         # sha256 of prices and witnesses on a fixed set, pinned so that a
         # rewrite of the round loop keeps them identical: small priced
@@ -450,6 +446,14 @@ class TestEpsFeasiblePrice:
         stats = {}
         eps_feasible_price(g, 3, collect=stats)
         assert stats["scaling_rounds"] == 5
+
+    def test_collect_counters_on_cycle(self):
+        # A witness counts all k+2 levels too: one Bellman-Ford answers
+        # for every level.
+        g = plant_negative_cycle(gen_random(12, 34, 4, "small", "priced"), 4)
+        stats = {}
+        assert_witness(g, eps_feasible_price(g, 20, collect=stats))
+        assert stats == {"scaling_rounds": 22}
 
     @pytest.mark.parametrize("k", [2.5, "3", 3.0, True, -1])
     def test_rejects_bad_accuracy_exponent(self, k):

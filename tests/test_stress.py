@@ -1,6 +1,6 @@
 """Adversarial shapes the random populations rarely hit: maximal ties,
 all-zero weights, tight word budgets, extreme hop parameters, long
-chains, and the arbitrary-magnitude fallback of the scaling rounds."""
+chains, and the arbitrary-magnitude integers of the scaled price."""
 
 import os
 import subprocess
@@ -66,7 +66,7 @@ def test_pairwise_strategy_on_gadgets():
 
 def test_wide_weights_end_to_end():
     # "big" priced weights: 30-bit numerators and denominators before the
-    # price offsets, so the scaling rounds, pair approximations and cut
+    # price offsets, so the scaled price, pair approximations and cut
     # runs all work on numbers wider than a machine word
     budget = WordBudget(128)
     for seed in range(2):
