@@ -679,6 +679,70 @@ class VerifyOutcome:
         return f"VerifyOutcome(invalid, {self.reason}, witness={self.witness})"
 
 
+# Bits of the reduced denominator of a path weight from an anchor past
+# which `_anchored_paths` starts a new anchor.
+_ANCHOR_BITS = 256
+
+
+def _anchored_paths(n: int, source: int, order: Sequence[int], tree_edge: Sequence[Optional[Edge]]):
+    """The tree pass of `verify_sssp`: each reachable vertex's path weight
+    from its anchor, an ancestor at most a few hundred bits of
+    denominator above it.
+
+    Returns (anchor, num, den, up).  `anchor[v]` is -1 for an unreachable
+    v, and num[v] / den[v] is P(anchor[v] -> v), reduced.  `up` maps each
+    anchor to (parent anchor a, num, den), its own path weight from a,
+    reduced; the source maps to (-1, 0, 1).  `order` lists the tree
+    vertices each after its parent, and `tree_edge[v]` is v's real tree
+    edge, or None for an aux parent entry.
+
+    Each step adds one edge weight as `rational._add` does: the gcd of
+    the running denominator with the weight's only, which keeps the pair
+    reduced without a gcd of the full numerator.  A vertex whose reduced
+    denominator passes `_ANCHOR_BITS` starts a new anchor, so no pair
+    outgrows the budget by more than one weight.
+    """
+    anchor = [-1] * n
+    num = [0] * n
+    den = [1] * n
+    up: Dict[int, Tuple[int, int, int]] = {source: (-1, 0, 1)}
+    anchor[source] = source
+    for v in order:
+        e = tree_edge[v]
+        if e is None:
+            continue
+        u = e.tail
+        a = anchor[u]
+        if a < 0:
+            continue
+        wn = e.weight.num
+        wd = e.weight.den
+        pn = num[u]
+        pd = den[u]
+        if wd == 1:
+            pn += wn * pd
+        else:
+            g = math.gcd(pd, wd)
+            if g == 1:
+                pn = pn * wd + wn * pd
+                pd *= wd
+            else:
+                pd //= g
+                pn = pn * (wd // g) + wn * pd
+                g2 = math.gcd(pn, g)
+                if g2 > 1:
+                    pn //= g2
+                pd *= wd // g2
+        if pd.bit_length() > _ANCHOR_BITS:
+            up[v] = (a, pn, pd)
+            anchor[v] = v
+        else:
+            anchor[v] = a
+            num[v] = pn
+            den[v] = pd
+    return anchor, num, den, up
+
+
 def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> VerifyOutcome:
     """Check exactly that `result` is a shortest-paths tree of g from its source.
 
@@ -686,54 +750,112 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     not aux has the graph's weight; the parent links form a tree rooted at
     the source; no real edge leaves a reachable vertex for an unreachable
     one; and every real edge u->v out of a reachable vertex satisfies
-    d(u) + w >= d(v), where d is `result.distances()` (vertices outside the
-    tree or reached only via aux edges are unreachable).  The first failed
-    check is the outcome.  An out-of-range source, tree vertex or parent,
-    or a real tree edge missing from g, raises ValueError.
-    `mode` accepts only "exact"; the benchmark harness passes it by keyword.
+    d(u) + w >= d(v), for d the exact tree distances of
+    `result.distances()` (vertices outside the tree or reached only via
+    aux edges are unreachable).  The first failed check is the outcome.
+    An out-of-range source, tree vertex or parent, or a real tree edge
+    missing from g, raises ValueError.  `mode` accepts only "exact"; the
+    benchmark harness passes it by keyword.
 
     The triangle check skips the tree edges, the edges u->v with
     `parent[v] == (u, w, False)`: it cannot fail on them.  The weight
     check has already made w the weight of the one graph edge u->v (no
-    parallel edges survive ingest), and `distances()` defines d(v) as
-    d(u) + w.  An aux parent entry is no tree edge here, so a real edge
-    under it is still checked.  Every other edge is decided by `sum_lt`,
-    which builds no sum.
+    parallel edges survive ingest), and d(v) is d(u) + w.  An aux parent
+    entry is no tree edge here, so a real edge under it is still checked.
+
+    Every other edge is decided without building d, whose denominators
+    grow to Theta(n) bits down a deep tree.  `_anchored_paths` splits each
+    root path at anchors and keeps P(a -> v), the path weight from v's
+    anchor a, with a denominator of at most a few hundred bits; each
+    anchor b keeps P(c -> b) from its parent anchor c.  Since d(v) = d(a) + P(a -> v):
+    - when u and v share anchor a, d(a) cancels, and d(u) + w < d(v)
+      iff P(a -> u) + w < P(a -> v);
+    - when one anchor is the other's parent anchor c, or both anchors
+      share the parent anchor c, then d(x) = d(c) + P(c -> b) + P(b -> x)
+      for an endpoint x under an anchor b other than c.  Adding the
+      stored P(c -> b) on that side first, d(c) cancels as above;
+    - every other edge compares full distances d(u) and d(v) by
+      `sum_lt`, each built once per vertex from anchor distances
+      memoized up the anchor chain: at most the big-int work of the
+      comparison over `result.distances()`.
+    Each comparison is exact, so the outcome is that of comparing d.
     """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if result.n != g.n:
+    n = g.n
+    if result.n != n:
         return VerifyOutcome(False, reason="vertex count mismatch")
-    if not 0 <= result.source < g.n:
-        raise ValueError(f"source {result.source} out of range")
-    parent = result.parent
-    for v, (u, w, aux) in parent.items():
-        if not 0 <= v < g.n:
+    source = result.source
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range")
+    index = g._index
+    edges = g.edges
+    tree_edge: List[Optional[Edge]] = [None] * n
+    for v, (u, w, aux) in result.parent.items():
+        if not 0 <= v < n:
             raise ValueError(f"tree vertex {v} out of range")
-        if not 0 <= u < g.n:
+        if not 0 <= u < n:
             raise ValueError(f"dangling parent reference {u}")
-        e = g.edge_between(u, v)
-        if e is None:
-            if not aux:
-                raise ValueError(f"tree edge ({u},{v}) not present in the graph")
-        elif e.weight != w and not aux:
+        if aux:
+            continue
+        i = index.get((u, v))
+        if i is None:
+            raise ValueError(f"tree edge ({u},{v}) not present in the graph")
+        e = edges[i]
+        if w is not e.weight and e.weight != w:
             return VerifyOutcome(False, witness=e, reason="tree weight differs from graph weight")
-    try:
-        dist = result.distances()
-    except ValueError:
+        tree_edge[v] = e
+    order = result.tree_order()
+    if order is None:
         return VerifyOutcome(False, reason="parent links do not form a tree rooted at the source")
+    anchor, num, den, up = _anchored_paths(n, source, order, tree_edge)
 
-    real_edges = [e for e in g.edges if not e.aux]
+    real_edges = [e for e in edges if not e.aux]
+    if -1 in anchor:  # some vertex is unreachable
+        for e in real_edges:
+            if anchor[e.tail] >= 0 and anchor[e.head] < 0:
+                return VerifyOutcome(False, witness=e, reason="tree misses a reachable vertex")
+    full: Dict[int, BigRational] = {}  # d(v), built on demand
+    anchor_dist = {source: ZERO}  # d(a) per anchor, built on demand
     for e in real_edges:
-        if dist[e.tail] is not None and dist[e.head] is None:
-            return VerifyOutcome(False, witness=e, reason="tree misses a reachable vertex")
-    for e in real_edges:
-        du = dist[e.tail]
-        if du is None:
+        u = e.tail
+        a = anchor[u]
+        if a < 0:
             continue
-        p = parent.get(e.head)
-        if p is not None and p[0] == e.tail and not p[2]:
+        v = e.head
+        if tree_edge[v] is e:
             continue
-        if sum_lt(du, e.weight, dist[e.head]):
+        w = e.weight
+        wd = w.den
+        un, ud, vn, vd = num[u], den[u], num[v], den[v]
+        b = anchor[v]
+        # The cross-anchor cases are written out here: on dense graphs a
+        # call per edge costs more than the comparison.
+        if a != b:
+            ua = up[a]
+            ub = up[b]
+            if ub[0] == a or ub[0] == ua[0]:
+                vn = ub[1] * vd + vn * ub[2]
+                vd *= ub[2]
+            elif ua[0] != b:
+                for x in (u, v):
+                    if x in full:
+                        continue
+                    chain = []
+                    c = anchor[x]
+                    while c not in anchor_dist:
+                        chain.append(c)
+                        c = up[c][0]
+                    for c in reversed(chain):
+                        p, cn, cd = up[c]
+                        anchor_dist[c] = anchor_dist[p] + BigRational(cn, cd)
+                    full[x] = anchor_dist[anchor[x]] + BigRational(num[x], den[x])
+                if sum_lt(full[u], w, full[v]):
+                    return VerifyOutcome(False, witness=e, reason="edge violates the triangle inequality")
+                continue
+            if ua[0] == b or ua[0] == ub[0]:
+                un = ua[1] * ud + un * ua[2]
+                ud *= ua[2]
+        if (un * wd + w.num * ud) * vd < vn * ud * wd:
             return VerifyOutcome(False, witness=e, reason="edge violates the triangle inequality")
     return VerifyOutcome(True)

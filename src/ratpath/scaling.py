@@ -12,8 +12,8 @@ solves T_j shifted by 2*Phi_j, for Phi_0 = 0 and Phi_{j+1} = 2*Phi_j +
 d_j, with d_j its own distances.  A potential shift does not change
 shortest paths, so d_j = D_j - 2*Phi_j and Phi_{j+1} = D_j: the price
 sum_j d_j / 2^j of the k+2 rounds is exactly D_{k+1} / 2^(k+1).  Every
-reduced weight under it is at least -2^-k, verified exactly before
-returning.
+reduced weight under it is at least -2^-k, verified exactly on the
+integer distances before returning.
 
 So the price is one call of `integer_sssp_arrays` on T_{k+1} over all
 edges and the n super-source edges: FIFO label-correcting Bellman-Ford
@@ -38,7 +38,7 @@ import numbers
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .graph import NegativeCycle, WeightedDigraph, _parent_cycle, check_eps_feasible, cycle_weight
+from .graph import NegativeCycle, WeightedDigraph, _parent_cycle, cycle_weight
 from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
 
 __all__ = [
@@ -218,8 +218,28 @@ def eps_feasible_price(
         if w >= ZERO:
             raise AssertionError("scaled cycle does not map to a negative cycle")
         return NegativeCycle(cyc, w)
-    den = 1 << shift
-    price = [BigRational(d, den) for d in dist[:n]]
-    if not check_eps_feasible(g, price, BigRational(1, 1 << k)):
+    if not _price_certified(g, dist, weights, shift):
         raise AssertionError("scaled price function fails exact feasibility")
-    return price
+    den = 1 << shift
+    return [BigRational(d, den) for d in dist[:n]]
+
+
+def _price_certified(g: WeightedDigraph, dist: Sequence[int], scaled: Sequence[int], shift: int) -> bool:
+    """Whether the price D / 2^shift is 2^-(shift-1)-feasible, decided on
+    the ints D = `dist` and the scaled weights `scaled[i]` = T_shift of
+    edge i of g: the `check_eps_feasible` test with no rational built.
+
+    An edge u->v of weight w has reduced weight w + (D(u) - D(v)) / 2^shift
+    >= -2^-(shift-1) iff D(v) - D(u) - 2 <= 2^shift * w, iff D(v) - D(u) - 2
+    <= floor(2^shift * w) since the left side is an integer.  That floor
+    is T_shift(e) - 1, less one more when w < 0 and 2^shift * w is not an
+    integer, where sgn(w) * floor(2^shift * |w|) rounds up.
+    """
+    for e, t in zip(g.edges, scaled):
+        w = e.weight
+        floor = t - 1
+        if w.num < 0 and (w.num << shift) % w.den:
+            floor -= 1
+        if dist[e.head] - dist[e.tail] - 2 > floor:
+            return False
+    return True

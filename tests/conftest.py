@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: brute-force enumeration, unreduced
 pair arithmetic, plain relaxation loops.  The oracles never share code
-with the implementation paths they check.  The two exceptions are
+with the implementation paths they check.  The three exceptions are
 earlier implementations kept to check their replacements:
 `reference_cut_dijkstra`, the cut run with `BigRational` heap keys that
-`ratpath.sssp.cut_dijkstra` replaced, and `reference_eps_feasible_price`,
+`ratpath.sssp.cut_dijkstra` replaced; `reference_eps_feasible_price`,
 the k+2-round scaling loop that `ratpath.scaling.eps_feasible_price`
-replaced with its closed form.
+replaced with its closed form; and `reference_verify`, the verifier over
+full root distances that the anchor-relative `ratpath.graph.verify_sssp`
+replaced.
 """
 
 from __future__ import annotations
@@ -22,7 +24,14 @@ import numpy as np
 import pytest
 
 from ratpath.cfrac import Ordering
-from ratpath.graph import NegativeCycle, SsspResult, WeightedDigraph, _primes_below, gen_random
+from ratpath.graph import (
+    NegativeCycle,
+    SsspResult,
+    VerifyOutcome,
+    WeightedDigraph,
+    _primes_below,
+    gen_random,
+)
 from ratpath.rational import BigRational, ZERO, is_k_short, sum_lt
 from ratpath.sssp import CutResult
 
@@ -371,6 +380,49 @@ def reference_cut_dijkstra(ctx, g: WeightedDigraph, s: int, collect=None) -> Cut
         collect["cut_heap_inserts_max"] = max(collect.get("cut_heap_inserts_max", 0), inserts)
         collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
     return CutResult(s, dist, par, order, processed, inserts)
+
+
+def reference_verify(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> VerifyOutcome:
+    """The verifier that `ratpath.graph.verify_sssp` replaced: the same
+    checks in the same order, with the triangle check on the full tree
+    distances of `result.distances()`."""
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}")
+    if result.n != g.n:
+        return VerifyOutcome(False, reason="vertex count mismatch")
+    if not 0 <= result.source < g.n:
+        raise ValueError(f"source {result.source} out of range")
+    parent = result.parent
+    for v, (u, w, aux) in parent.items():
+        if not 0 <= v < g.n:
+            raise ValueError(f"tree vertex {v} out of range")
+        if not 0 <= u < g.n:
+            raise ValueError(f"dangling parent reference {u}")
+        e = g.edge_between(u, v)
+        if e is None:
+            if not aux:
+                raise ValueError(f"tree edge ({u},{v}) not present in the graph")
+        elif e.weight != w and not aux:
+            return VerifyOutcome(False, witness=e, reason="tree weight differs from graph weight")
+    try:
+        dist = result.distances()
+    except ValueError:
+        return VerifyOutcome(False, reason="parent links do not form a tree rooted at the source")
+
+    real_edges = [e for e in g.edges if not e.aux]
+    for e in real_edges:
+        if dist[e.tail] is not None and dist[e.head] is None:
+            return VerifyOutcome(False, witness=e, reason="tree misses a reachable vertex")
+    for e in real_edges:
+        du = dist[e.tail]
+        if du is None:
+            continue
+        p = parent.get(e.head)
+        if p is not None and p[0] == e.tail and not p[2]:
+            continue
+        if sum_lt(du, e.weight, dist[e.head]):
+            return VerifyOutcome(False, witness=e, reason="edge violates the triangle inequality")
+    return VerifyOutcome(True)
 
 
 def reference_eps_feasible_price(g: WeightedDigraph, k: int, collect=None):

@@ -15,6 +15,7 @@ from ratpath.graph import (
     cycle_weight,
     gen_random,
     gen_small_diff,
+    _anchored_paths,
     _closest_subset_sums,
     _primes_below,
     parse,
@@ -25,9 +26,16 @@ from ratpath.graph import (
     verify_sssp,
 )
 from ratpath.rational import BigRational, ZERO
-from ratpath.sssp import dijkstra_nonneg
+from ratpath.sssp import dijkstra_nonneg, negative_sssp
 
-from conftest import bf_tree, prime_bound_for, reduced_weight, textbook_bf
+from conftest import (
+    backbone_graph,
+    bf_tree,
+    prime_bound_for,
+    reduced_weight,
+    reference_verify,
+    textbook_bf,
+)
 
 
 def R(n, d=1):
@@ -481,6 +489,16 @@ class TestVerify:
                     checked_invalid += 1
         assert checked_valid == 1000 and checked_invalid > 100
 
+    def test_int_tree_weight_equal_to_graph_weight(self):
+        # A parent entry's weight is compared by value, so a Python int
+        # equal to the graph's BigRational weight is the same tree edge.
+        g = WeightedDigraph(3, [(0, 1, R(1)), (1, 2, R(2)), (0, 2, R(3))])
+        tree = SsspResult(3, 0, {1: (0, 1, False), 2: (1, 2, False)})
+        assert verify_sssp(g, tree, mode="exact").valid
+        tree.parent[2] = (1, 3, False)
+        out = verify_sssp(g, tree, mode="exact")
+        assert out.reason == "tree weight differs from graph weight"
+
     def test_aux_parent_over_real_edge_is_checked(self):
         # Only a non-aux parent entry is a tree edge whose triangle check
         # is skipped; under an aux entry the real edge 1->2 is checked.
@@ -533,3 +551,182 @@ class TestVerify:
         g = WeightedDigraph(2, [(0, 1, R(1))])
         with pytest.raises(ValueError):
             verify_sssp(g, tree)
+
+
+def _anchor_branch(g, tree, e):
+    """The comparison `verify_sssp` makes for the non-tree edge e of a
+    tree that passed its earlier checks: "same" anchor, "parent" (one
+    anchor is the other's parent anchor), "sibling" (the two share a
+    parent anchor) or "distant" (full distances)."""
+    tree_edge = [None] * g.n
+    for v, (u, _, aux) in tree.parent.items():
+        if not aux:
+            tree_edge[v] = g.edge_between(u, v)
+    anchor, _, _, up = _anchored_paths(g.n, tree.source, tree.tree_order(), tree_edge)
+    a, b = anchor[e.tail], anchor[e.head]
+    pa, pb = up[a][0], up[b][0]
+    if a == b:
+        return "same"
+    if pa == b or pb == a:
+        return "parent"
+    return "sibling" if pa == pb else "distant"
+
+
+def _same_outcome(g, tree):
+    """Assert that `verify_sssp` and `reference_verify` agree on (valid,
+    reason, witness identity); return the branch of a triangle witness."""
+    want = reference_verify(g, tree)
+    got = verify_sssp(g, tree, mode="exact")
+    assert (got.valid, got.reason) == (want.valid, want.reason)
+    assert got.witness is want.witness
+    if got.reason == "edge violates the triangle inequality":
+        return _anchor_branch(g, tree, got.witness)
+    return None
+
+
+def _mutants(g, tree, rng, count):
+    """`count` random one-change mutants of (g, tree): a vertex's parent
+    moved to another of its in-edges, or a tree edge's weight moved by
+    +-1/10^6 in both the graph and the tree."""
+    in_edges = {}
+    for e in g.edges:
+        if e.head != tree.source:
+            in_edges.setdefault(e.head, []).append(e)
+    movable = sorted(v for v, es in in_edges.items() if len(es) > 1)
+    real = sorted(v for v, (_, _, aux) in tree.parent.items() if not aux)
+    if not (movable or real):
+        return
+    for i in range(count):
+        h = g.copy()
+        t = SsspResult(g.n, tree.source, tree.parent)
+        if movable and (i % 2 or not real):
+            v = movable[int(rng.integers(len(movable)))]
+            e = in_edges[v][int(rng.integers(len(in_edges[v])))]
+            t.parent[v] = (e.tail, e.weight, False)
+        else:
+            v = real[int(rng.integers(len(real)))]
+            u, w, _ = t.parent[v]
+            w = w + R(int(rng.choice([-1, 1])), 10**6)
+            h.edge_between(u, v).weight = w
+            t.parent[v] = (u, w, False)
+        yield h, t
+
+
+def _two_branches_with_cross_edges(h):
+    """Two chains of h vertices from the root, edge i of each weighing
+    1/p for its own 15-bit prime p, and exactly tight cross edges placed
+    so that each comparison branch of `verify_sssp` decides one: each
+    chain starts a new anchor every 19 edges.  Returns (graph, tree of
+    the two chains, cross edges)."""
+    primes = [p for p in _primes_below(1 << 15) if p > 1 << 14][: 2 * h]
+    a = list(range(0, h + 1))  # a[0] is the root
+    b = [0] + list(range(h + 1, 2 * h + 1))
+    edges, parent = [], {}
+    da, db = [ZERO], [ZERO]
+    for i in range(1, h + 1):
+        for chain, dist, p in ((a, da, primes[2 * i - 2]), (b, db, primes[2 * i - 1])):
+            edges.append((chain[i - 1], chain[i], R(1, p)))
+            parent[chain[i]] = (chain[i - 1], R(1, p), False)
+            dist.append(dist[-1] + R(1, p))
+    cross = [(a[3], a[10], da[10] - da[3])]
+    cross += [(a[i], b[j], db[j] - da[i]) for i, j in ((3, 20), (20, 25), (40, 60))]
+    cross += [(b[j], a[i], da[i] - db[j]) for i, j in ((20, 4), (60, 40))]
+    g = WeightedDigraph(2 * h + 1, edges + cross, source=0)
+    return g, SsspResult(g.n, 0, parent), [g.edge_between(u, v) for u, v, _ in cross]
+
+
+class TestAnchoredVerify:
+    """`verify_sssp` against `reference_verify`, the same checks over full
+    root distances, on trees whose anchors fall in every branch."""
+
+    def test_gadget_chains(self):
+        rng = np.random.default_rng(34)
+        branches = set()
+        for chain in (120, 160):
+            bound = _primes_below(prime_bound_for(3 * chain))[3 * chain - 1] + 1
+            g, _ = gen_small_diff(bound, padding=True, chain=chain, window=3)
+            tree = dijkstra_nonneg(g, 0)
+            assert _same_outcome(g, tree) is None
+            assert verify_sssp(g, tree).valid
+            for h, t in _mutants(g, tree, rng, 60):
+                branches.add(_same_outcome(h, t))
+        # Cross-anchor gadget edges join sibling anchors: the two twin
+        # paths of a gadget each start one.
+        assert {"same", "sibling"} <= branches
+
+    def test_third_weight_chain(self):
+        # Every weight 1/3 plus shortcuts i -> j of weight (j - i)/3: the
+        # denominators repeat, so the chain keeps one anchor.
+        n = 400
+        third = R(1, 3)
+        edges = [(v, v + 1, third) for v in range(n - 1)]
+        edges += [(i, i + d, R(d, 3)) for i in range(0, n - 40, 13) for d in (2, 7, 39)]
+        g = WeightedDigraph(n, edges, source=0)
+        tree = SsspResult(n, 0, {v + 1: (v, third, False) for v in range(n - 1)})
+        assert _same_outcome(g, tree) is None
+        assert verify_sssp(g, tree).valid
+        rng = np.random.default_rng(3)
+        branches = {_same_outcome(h, t) for h, t in _mutants(g, tree, rng, 60)}
+        assert "same" in branches and not branches & {"parent", "sibling", "distant"}
+
+    def test_priced_backbone_graphs(self):
+        rng = np.random.default_rng(5)
+        for seed in range(4):
+            g = backbone_graph(24, seed)
+            tree = negative_sssp(g, 0, seed=seed)
+            assert _same_outcome(g, tree) is None
+            for h, t in _mutants(g, tree, rng, 30):
+                _same_outcome(h, t)
+
+    def test_aux_entries_and_unreachable_parts(self):
+        rng = np.random.default_rng(8)
+        seen = set()
+        for seed in range(40):
+            g = gen_random(14, 16, seed)
+            tree = dijkstra_nonneg(g, 0)
+            assert any(aux for _, _, aux in tree.parent.values())
+            assert _same_outcome(g, tree) is None
+            for h, t in _mutants(g, tree, rng, 6):
+                _same_outcome(h, t)
+            # A real edge from the root into each unreachable vertex.
+            for v, (_, _, aux) in tree.parent.items():
+                if aux and g.edge_between(0, v) is None:
+                    h = g.copy()
+                    h.add_edge(0, v, R(1))
+                    seen.add(verify_sssp(h, tree).reason)
+                    _same_outcome(h, tree)
+        assert seen == {"tree misses a reachable vertex"}
+
+    def test_every_branch_on_two_branches(self):
+        g, tree, cross = _two_branches_with_cross_edges(80)
+        assert _same_outcome(g, tree) is None
+        assert verify_sssp(g, tree).valid
+        kinds = [_anchor_branch(g, tree, e) for e in cross]
+        assert kinds == ["same", "parent", "sibling", "distant", "parent", "distant"]
+        p = R(1, 1 << 300)
+        for e, kind in zip(cross, kinds):
+            # The cross edge lowered by 2^-300, below any tree bit.
+            h = g.copy()
+            h.edge_between(e.tail, e.head).weight = e.weight - p
+            assert _same_outcome(h, tree) == kind
+            # Its head's parent moved onto the tight cross edge: still a
+            # shortest-paths tree, now with anchors across the chains.
+            t = SsspResult(g.n, 0, tree.parent)
+            t.parent[e.head] = (e.tail, e.weight, False)
+            assert _same_outcome(g, t) is None
+            # The tree edge into the head made heavier by 2^-300, which
+            # may start an anchor there: the cross edge is the witness.
+            v = e.head
+            u, w, _ = tree.parent[v]
+            h = g.copy()
+            h.edge_between(u, v).weight = w + p
+            t = SsspResult(g.n, 0, tree.parent)
+            t.parent[v] = (u, w + p, False)
+            assert _same_outcome(h, t) is not None
+            assert verify_sssp(h, t).witness is h.edge_between(e.tail, e.head)
+
+    def test_two_branch_mutants_reach_every_branch(self):
+        rng = np.random.default_rng(1)
+        g, tree, _ = _two_branches_with_cross_edges(80)
+        branches = {_same_outcome(h, t) for h, t in _mutants(g, tree, rng, 120)}
+        assert {"same", "parent", "sibling", "distant"} <= branches

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ratpath.graph import (
     plant_negative_cycle,
 )
 from ratpath.rational import BigRational, WordBudget, ZERO
-from ratpath.scaling import assemble_price, eps_feasible_price, integer_sssp_arrays
+from ratpath.scaling import _price_certified, assemble_price, eps_feasible_price, integer_sssp_arrays
 from ratpath.sssp import _hop_default
 from conftest import backbone_graph, bf_oracle_int, reference_eps_feasible_price
 
@@ -469,3 +470,76 @@ class TestEpsFeasiblePrice:
         g = WeightedDigraph(2, [(0, 1, R(10**30, 7))])
         with pytest.raises(ValueError):
             eps_feasible_price(g, 1, budget=WordBudget(8))
+
+
+def _scaled(w, shift):
+    """T_shift(w) = sgn(w) * floor(2^shift * |w|) + 1, from Fractions."""
+    mag = math.floor(Fraction(abs(w.num) << shift, w.den))
+    return (mag if w.num >= 0 else -mag) + 1
+
+
+class TestPriceCertificate:
+    """`_price_certified`, the int test that ends `eps_feasible_price`,
+    against `check_eps_feasible` on the same price D / 2^(k+1)."""
+
+    @staticmethod
+    def agree(g, dist, k):
+        shift = k + 1
+        scaled = [_scaled(e.weight, shift) for e in g.edges]
+        got = _price_certified(g, dist, scaled, shift)
+        price = [R(d, 1 << shift) for d in dist]
+        assert got is check_eps_feasible(g, price, R(1, 1 << k))
+        return got
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_single_edge_boundary(self, k):
+        # One edge 0->1: D = (0, d) is feasible iff d - 2 <= floor(2^(k+1) w).
+        # The weights cover -2^-k itself (feasible exactly at D = 0), negative
+        # multiples of 2^-(k+1) and negatives that are not.
+        eps = R(1, 1 << k)
+        for w in (-eps, R(-3, 1 << (k + 1)), R(-1, 3), R(-5, 7), R(-7, 1), ZERO, R(1, 3), R(2)):
+            g = WeightedDigraph(2, [(0, 1, w)])
+            floor = math.floor(Fraction(w.num << (k + 1), w.den))
+            if w == -eps:
+                assert self.agree(g, [0, 0], k)
+                assert not self.agree(g, [0, 1], k)
+            for d in range(floor - 1, floor + 6):
+                assert self.agree(g, [0, d], k) is (d - 2 <= floor)
+
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_priced_graphs_perturbed_around_each_edge(self, k):
+        # Move one endpoint of each edge to within +-2 of that edge's
+        # bound, on prices from eps_feasible_price itself.
+        shift = k + 1
+        tight = {"nonneg": 0, "neg_multiple": 0, "neg_other": 0}
+        graphs = [gen_random(12, 36, seed, "small", "priced") for seed in range(6)]
+        graphs += [backbone_graph(10, seed) for seed in range(3)]
+        for g in graphs:
+            price = eps_feasible_price(g, k)
+            dist = [p.num * ((1 << shift) // p.den) for p in price]
+            assert self.agree(g, dist, k)
+            for e in g.edges:
+                w = e.weight
+                floor = math.floor(Fraction(w.num << shift, w.den))
+                for delta in (-2, -1, 0, 1, 2):
+                    # e's head raised, or its tail lowered, to slack -delta
+                    by_head = list(dist)
+                    by_head[e.head] = dist[e.tail] + 2 + floor + delta
+                    by_tail = list(dist)
+                    by_tail[e.tail] = dist[e.head] - 2 - floor - delta
+                    for moved in (by_head, by_tail):
+                        ok = self.agree(g, moved, k)
+                        assert not ok or delta <= 0
+                    if delta == 0 and ok:
+                        kind = "nonneg" if w.num >= 0 else (
+                            "neg_multiple" if (w.num << shift) % w.den == 0 else "neg_other")
+                        tight[kind] += 1
+        assert all(tight.values()), tight
+
+    def test_eps_feasible_price_raises_on_a_failed_certificate(self, monkeypatch):
+        import ratpath.scaling as scaling
+
+        monkeypatch.setattr(scaling, "_price_certified", lambda *args: False)
+        with pytest.raises(AssertionError, match="fails exact feasibility"):
+            eps_feasible_price(WeightedDigraph(2, [(0, 1, R(-1))]), 1)
+
