@@ -70,7 +70,7 @@ import numpy as np
 
 from .cfrac import Ordering, best_approx
 from .cover import SparseCover
-from .inctree import IncTree
+from .inctree import GCD_BITS, IncTree
 from .rational import BigRational, WordBudget, ZERO, is_k_short
 
 __all__ = [
@@ -596,10 +596,14 @@ class PairwiseDeltaComparator:
             if rev is not None:
                 got = rev.negated()
             else:
-                na, da = self.tree.pair(1, a)
-                nb, db = self.tree.pair(1, b)
-                g = math.gcd(da, db)  # the shared root-path product, cancelled first
-                diff = BigRational(na * (db // g) - nb * (da // g), da // g * db)
+                tree = self.tree
+                na, da = tree.pair(1, a)
+                nb, db = tree.pair(1, b)
+                if tree.den_bits[a] + tree.den_bits[b] > GCD_BITS:
+                    g = math.gcd(da, db)  # the shared root-path product, cancelled first
+                    diff = BigRational(na * (db // g) - nb * (da // g), da // g * db)
+                else:
+                    diff = BigRational(na * db - nb * da, da * db)
                 got = best_approx(diff, self.bits)
                 self.pairs_computed += 1
             self._ra_cache[(a, b)] = got

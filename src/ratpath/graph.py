@@ -14,7 +14,10 @@ Tree output format:
 All ids are 0-based, all weights exact rationals; no floating point
 appears anywhere in the formats.  Parallel edges collapse to the minimum
 weight on ingest, since the non-minimum ones can never appear on a
-shortest path.
+shortest path.  Within one `parse` or `parse_tree` call, equal weight
+tokens parse to one shared (immutable) `BigRational`.  Every parse error
+names its line, apart from a missing header and an edge count that
+differs from the header's.
 
 `_bellman_ford` is the one exact Bellman-Ford, run by `bf_exact` and by
 the recombination of `sssp.negative_sssp`.
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,23 +84,25 @@ class WeightedDigraph:
         self.n = n
         self.source = source
         self.edges: List[Edge] = []
-        self._index: Dict[Tuple[int, int], int] = {}
+        # The edge u->v under the key u*n + v: an int key, unlike a (u, v)
+        # tuple, is no object for the cyclic garbage collector to track.
+        self._index: Dict[int, Edge] = {}
         self._adj: List[List[Edge]] = [[] for _ in range(n)]
         for u, v, w in edges:
             self.add_edge(u, v, w)
 
     def add_edge(self, u: int, v: int, w: BigRational, aux: bool = False) -> None:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) out of vertex range [0,{self.n})")
-        key = (u, v)
-        at = self._index.get(key)
-        if at is not None:
-            if w < self.edges[at].weight:
-                self.edges[at].weight = w
-                self.edges[at].aux = aux
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of vertex range [0,{n})")
+        key = u * n + v
+        e = self._index.get(key)
+        if e is not None:
+            if w < e.weight:
+                e.weight = w
+                e.aux = aux
             return
-        self._index[key] = len(self.edges)
-        e = Edge(u, v, w, aux)
+        e = self._index[key] = Edge(u, v, w, aux)
         self.edges.append(e)
         self._adj[u].append(e)
 
@@ -114,8 +119,11 @@ class WeightedDigraph:
         return self._adj[u]
 
     def edge_between(self, u: int, v: int) -> Optional[Edge]:
-        i = self._index.get((u, v))
-        return self.edges[i] if i is not None else None
+        # A key built from an out-of-range u matches no edge; one from an
+        # out-of-range v could.
+        if not 0 <= v < self.n:
+            return None
+        return self._index.get(u * self.n + v)
 
     def has_negative_weight(self) -> bool:
         return any(e.weight.num < 0 for e in self.edges)
@@ -232,47 +240,86 @@ class SsspResult:
 # -- instance text format ------------------------------------------
 
 
-def _records(text: str) -> Iterator[Tuple[int, List[str]]]:
-    """(line number, fields) of each line that is not blank once its '#'
-    comment is cut."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split("#", 1)[0].split()
-        if parts:
-            yield lineno, parts
+class _Weights(dict):
+    """Weight of each token, parsed on first lookup; one per `parse` or
+    `parse_tree` call, so equal tokens of one text share one BigRational."""
+
+    def __missing__(self, token: str) -> BigRational:
+        w = self[token] = BigRational.parse(token)
+        return w
+
+
+def _read(text: str, records: Dict[str, Callable[[List[str], int], None]]) -> None:
+    """Hand the fields of each line that is not blank once its '#' comment
+    is cut to the handler its first field names, with the line number.
+    Errors, an unknown record among them, are raised naming the line."""
+    lineno = 0
+    try:
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "#" in line:
+                line = line[: line.index("#")]
+            fields = line.split()
+            if fields:
+                handler = records.get(fields[0])
+                if handler is None:
+                    raise ValueError(f"unknown record {fields[0]!r}")
+                handler(fields, lineno)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def parse(text: str) -> WeightedDigraph:
-    """Parse the instance format; malformed input raises ValueError."""
-    n = None
-    declared_m = None
-    source = None
-    edges: List[Tuple[int, int, BigRational]] = []
-    for lineno, parts in _records(text):
-        try:
-            if parts[0] == "p":
-                if n is not None or len(parts) != 3:
-                    raise ValueError("bad header")
-                n = int(parts[1])
-                declared_m = int(parts[2])
-            elif parts[0] == "s":
-                if len(parts) != 2:
-                    raise ValueError("bad source line")
-                source = int(parts[1])
-            elif parts[0] == "e":
-                if len(parts) != 4:
-                    raise ValueError("bad edge line")
-                u, v = int(parts[1]), int(parts[2])
-                w = BigRational.parse(parts[3])
-                edges.append((u, v, w))
-            else:
-                raise ValueError(f"unknown record {parts[0]!r}")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    """Parse the instance format; malformed input raises ValueError,
+    naming its line unless the header is missing or its edge count wrong.
+    Each distinct weight token is parsed once per call, so equal tokens
+    share one BigRational."""
+    n = declared_m = source = None
+    n_line = s_line = 0
+    tails: List[int] = []
+    heads: List[int] = []
+    weights: List[BigRational] = []
+    lines: List[int] = []
+    value = _Weights()
+
+    def header(fields: List[str], lineno: int) -> None:
+        nonlocal n, declared_m, n_line
+        if n is not None or len(fields) != 3:
+            raise ValueError("bad header")
+        n, declared_m, n_line = int(fields[1]), int(fields[2]), lineno
+
+    def source_line(fields: List[str], lineno: int) -> None:
+        nonlocal source, s_line
+        if len(fields) != 2:
+            raise ValueError("bad source line")
+        source, s_line = int(fields[1]), lineno
+
+    def edge(fields: List[str], lineno: int) -> None:
+        if len(fields) != 4:
+            raise ValueError("bad edge line")
+        u, v, w = int(fields[1]), int(fields[2]), value[fields[3]]
+        tails.append(u)
+        heads.append(v)
+        weights.append(w)
+        lines.append(lineno)
+
+    _read(text, {"p": header, "s": source_line, "e": edge})
     if n is None:
         raise ValueError("missing 'p' header")
-    if declared_m is not None and declared_m != len(edges):
-        raise ValueError(f"header declares {declared_m} edges, found {len(edges)}")
-    return WeightedDigraph(n, edges, source=source)
+    if declared_m != len(weights):
+        raise ValueError(f"header declares {declared_m} edges, found {len(weights)}")
+    # The range checks are the constructor's and `add_edge`'s, run after
+    # the checks above and in the constructor's order: count, source, edges.
+    try:
+        g = WeightedDigraph(n, source=source)
+    except ValueError as exc:
+        raise ValueError(f"line {n_line if n < 0 else s_line}: {exc}") from None
+    lineno = 0
+    try:
+        for u, v, w, lineno in zip(tails, heads, weights, lines):
+            g.add_edge(u, v, w)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    return g
 
 
 def serialize(g: WeightedDigraph) -> str:
@@ -295,33 +342,34 @@ def serialize_tree(result: SsspResult) -> str:
 
 
 def parse_tree(text: str) -> SsspResult:
-    n = None
-    source = None
+    """Parse the tree format; malformed input raises ValueError naming its
+    line.  Equal weight tokens share one BigRational, as in `parse`."""
+    n = source = None
     parent: Dict[int, Tuple[int, BigRational, bool]] = {}
-    for lineno, parts in _records(text):
-        try:
-            if parts[0] == "t":
-                if n is not None or len(parts) != 3:
-                    raise ValueError("bad tree header")
-                n, source = int(parts[1]), int(parts[2])
-                if not 0 <= source < n:
-                    raise ValueError(f"source {source} out of vertex range [0,{n})")
-            elif parts[0] == "a":
-                if len(parts) not in (4, 5) or (len(parts) == 5 and parts[4] != "aux"):
-                    raise ValueError("bad tree edge line")
-                v, u = int(parts[1]), int(parts[2])
-                if n is None:
-                    raise ValueError("tree edge before the 't' header")
-                if not (0 <= v < n and 0 <= u < n):
-                    raise ValueError(f"tree edge ({u},{v}) out of vertex range [0,{n})")
-                w = BigRational.parse(parts[3])
-                if v in parent:
-                    raise ValueError(f"duplicate parent for {v}")
-                parent[v] = (u, w, len(parts) == 5)
-            else:
-                raise ValueError(f"unknown record {parts[0]!r}")
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    value = _Weights()
+
+    def header(fields: List[str], lineno: int) -> None:
+        nonlocal n, source
+        if n is not None or len(fields) != 3:
+            raise ValueError("bad tree header")
+        n, source = int(fields[1]), int(fields[2])
+        if not 0 <= source < n:
+            raise ValueError(f"source {source} out of vertex range [0,{n})")
+
+    def tree_edge(fields: List[str], lineno: int) -> None:
+        if len(fields) not in (4, 5) or (len(fields) == 5 and fields[4] != "aux"):
+            raise ValueError("bad tree edge line")
+        v, u = int(fields[1]), int(fields[2])
+        if n is None:
+            raise ValueError("tree edge before the 't' header")
+        if not (0 <= v < n and 0 <= u < n):
+            raise ValueError(f"tree edge ({u},{v}) out of vertex range [0,{n})")
+        w = value[fields[3]]
+        if v in parent:
+            raise ValueError(f"duplicate parent for {v}")
+        parent[v] = (u, w, len(fields) == 5)
+
+    _read(text, {"t": header, "a": tree_edge})
     if n is None or source is None:
         raise ValueError("missing 't' header")
     return SsspResult(n, source, parent)
@@ -798,10 +846,9 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
             raise ValueError(f"dangling parent reference {u}")
         if aux:
             continue
-        i = index.get((u, v))
-        if i is None:
+        e = index.get(u * n + v)
+        if e is None:
             raise ValueError(f"tree edge ({u},{v}) not present in the graph")
-        e = edges[i]
         if w is not e.weight and e.weight != w:
             return VerifyOutcome(False, witness=e, reason="tree weight differs from graph weight")
         tree_edge[v] = e

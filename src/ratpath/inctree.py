@@ -23,6 +23,10 @@ from .rational import BigRational, ZERO, sum_balanced
 
 __all__ = ["IncTree", "NotAnAncestorError"]
 
+# Two root-pair denominators of at most this many bits together are
+# cross-multiplied as they are: a gcd costs more than it saves on them.
+GCD_BITS = 256
+
 
 class NotAnAncestorError(ValueError):
     pass
@@ -133,13 +137,17 @@ class IncTree:
         return num, den
 
     def exact_sign(self, u: int, v: int, beta: BigRational) -> int:
-        """sign(dist(u) - dist(v) - beta) from the root pairs of u and v,
-        their common factor cancelled first: on a deep tree the shared
-        root-path product is most of both.  Unchecked, like `pair`."""
+        """sign(dist(u) - dist(v) - beta) from the root pairs of u and v.
+        Their common factor is cancelled first only when `den_bits` puts
+        their denominators above `GCD_BITS` together: on a deep tree the
+        shared root-path product is most of both.  Unchecked, like `pair`."""
         top = self.max_level
         memo = self._pairs[top]
         nu, du = memo.get(u) or self.pair(top, u)
         nv, dv = memo.get(v) or self.pair(top, v)
-        g = gcd(du, dv)
-        x = (nu * (dv // g) - nv * (du // g)) * beta.den - beta.num * (du // g) * dv
+        if self.den_bits[u] + self.den_bits[v] > GCD_BITS:
+            g = gcd(du, dv)
+            x = (nu * (dv // g) - nv * (du // g)) * beta.den - beta.num * (du // g) * dv
+        else:
+            x = (nu * dv - nv * du) * beta.den - beta.num * du * dv
         return (x > 0) - (x < 0)

@@ -17,7 +17,6 @@ All integer work is plain Python `int`; reduction uses `math.gcd`.
 
 from __future__ import annotations
 
-import re
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -29,8 +28,6 @@ __all__ = [
     "sum_balanced",
     "sum_lt",
 ]
-
-_PARSE_RE = re.compile(r"\A([+-]?\d+)(?:/(\d+))?\Z")
 
 
 class BigRational:
@@ -68,13 +65,25 @@ class BigRational:
 
     @classmethod
     def parse(cls, text: str) -> "BigRational":
-        """Parse "num/den" or "num"; unreduced input is canonicalized."""
-        m = _PARSE_RE.match(text.strip())
-        if not m:
+        """Parse "num/den" or "num"; unreduced input is canonicalized.
+
+        Surrounding whitespace is ignored.  The numerator is an optional
+        sign and decimal digits, the denominator digits alone; digits are
+        those of `str.isdecimal`, so any Unicode decimal digit counts.
+        """
+        top, slash, bottom = text.strip().partition("/")
+        well_formed = top.isdecimal() or (top[1:].isdecimal() and top[0] in "+-")
+        if not well_formed or (slash and not bottom.isdecimal()):
             raise ValueError(f"malformed rational: {text!r}")
-        num = int(m.group(1))
-        den = int(m.group(2)) if m.group(2) is not None else 1
-        return cls(num, den)
+        num = int(top)
+        den = int(bottom) if slash else 1
+        if den == 0:
+            raise ZeroDivisionError("rational with zero denominator")
+        g = gcd(num, den)
+        if g > 1:
+            num //= g
+            den //= g
+        return _make(num, den)
 
     # -- arithmetic -------------------------------------------------
 

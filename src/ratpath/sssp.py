@@ -141,8 +141,9 @@ class _TreeStrategy:
         node = self.node
         # Equal weights differ by the canonical ZERO, the value w2 - w1
         # would build: reduced, with den 1, so the gate of
-        # `DistCmp._exact_sign` reads the same beta.den either way.  Parsed
-        # weights are distinct objects, so the test is by value.
+        # `DistCmp._exact_sign` reads the same beta.den either way.  Equal
+        # weights share one object only when they come from equal tokens
+        # of one `parse` call, so the test is by value.
         if w1.num == w2.num and w1.den == w2.den:
             return self._compare(node[z1], node[z2], ZERO)
         return self._compare(node[z1], node[z2], w2 - w1)

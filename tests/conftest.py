@@ -2,23 +2,27 @@
 
 Everything here is deliberately naive: brute-force enumeration, unreduced
 pair arithmetic, plain relaxation loops.  The oracles never share code
-with the implementation paths they check.  The three exceptions are
-earlier implementations kept to check their replacements:
+with the implementation paths they check.  The exceptions are earlier
+implementations kept to check their replacements:
 `reference_cut_dijkstra`, the cut run with `BigRational` heap keys that
 `ratpath.sssp.cut_dijkstra` replaced; `reference_eps_feasible_price`,
 the k+2-round scaling loop that `ratpath.scaling.eps_feasible_price`
-replaced with its closed form; and `reference_verify`, the verifier over
+replaced with its closed form; `reference_verify`, the verifier over
 full root distances that the anchor-relative `ratpath.graph.verify_sssp`
-replaced.
+replaced; and `reference_parse_rational`, `reference_parse` and
+`reference_parse_tree`, the regex token parser and the instance and tree
+readers built on it that `BigRational.parse`, `ratpath.graph.parse` and
+`ratpath.graph.parse_tree` replaced.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -423,6 +427,95 @@ def reference_verify(g: WeightedDigraph, result: SsspResult, mode: str = "exact"
         if sum_lt(du, e.weight, dist[e.head]):
             return VerifyOutcome(False, witness=e, reason="edge violates the triangle inequality")
     return VerifyOutcome(True)
+
+
+_PARSE_RE = re.compile(r"\A([+-]?\d+)(?:/(\d+))?\Z")
+
+
+def reference_parse_rational(text: str) -> BigRational:
+    """`BigRational.parse` as it was, on the regex it no longer uses."""
+    m = _PARSE_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"malformed rational: {text!r}")
+    num = int(m.group(1))
+    den = int(m.group(2)) if m.group(2) is not None else 1
+    return BigRational(num, den)
+
+
+def _records(text: str) -> Iterator[Tuple[int, List[str]]]:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
+
+
+def reference_parse(text: str) -> WeightedDigraph:
+    """`ratpath.graph.parse` as it was: no line number on the errors the
+    constructor raises, a separate weight per edge."""
+    n = None
+    declared_m = None
+    source = None
+    edges: List[Tuple[int, int, BigRational]] = []
+    for lineno, parts in _records(text):
+        try:
+            if parts[0] == "p":
+                if n is not None or len(parts) != 3:
+                    raise ValueError("bad header")
+                n = int(parts[1])
+                declared_m = int(parts[2])
+            elif parts[0] == "s":
+                if len(parts) != 2:
+                    raise ValueError("bad source line")
+                source = int(parts[1])
+            elif parts[0] == "e":
+                if len(parts) != 4:
+                    raise ValueError("bad edge line")
+                u, v = int(parts[1]), int(parts[2])
+                w = reference_parse_rational(parts[3])
+                edges.append((u, v, w))
+            else:
+                raise ValueError(f"unknown record {parts[0]!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if n is None:
+        raise ValueError("missing 'p' header")
+    if declared_m is not None and declared_m != len(edges):
+        raise ValueError(f"header declares {declared_m} edges, found {len(edges)}")
+    return WeightedDigraph(n, edges, source=source)
+
+
+def reference_parse_tree(text: str) -> SsspResult:
+    """`ratpath.graph.parse_tree` as it was: a separate weight per line."""
+    n = None
+    source = None
+    parent: Dict[int, Tuple[int, BigRational, bool]] = {}
+    for lineno, parts in _records(text):
+        try:
+            if parts[0] == "t":
+                if n is not None or len(parts) != 3:
+                    raise ValueError("bad tree header")
+                n, source = int(parts[1]), int(parts[2])
+                if not 0 <= source < n:
+                    raise ValueError(f"source {source} out of vertex range [0,{n})")
+            elif parts[0] == "a":
+                if len(parts) not in (4, 5) or (len(parts) == 5 and parts[4] != "aux"):
+                    raise ValueError("bad tree edge line")
+                v, u = int(parts[1]), int(parts[2])
+                if n is None:
+                    raise ValueError("tree edge before the 't' header")
+                if not (0 <= v < n and 0 <= u < n):
+                    raise ValueError(f"tree edge ({u},{v}) out of vertex range [0,{n})")
+                w = reference_parse_rational(parts[3])
+                if v in parent:
+                    raise ValueError(f"duplicate parent for {v}")
+                parent[v] = (u, w, len(parts) == 5)
+            else:
+                raise ValueError(f"unknown record {parts[0]!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    if n is None or source is None:
+        raise ValueError("missing 't' header")
+    return SsspResult(n, source, parent)
 
 
 def reference_eps_feasible_price(g: WeightedDigraph, k: int, collect=None):

@@ -1,8 +1,11 @@
+import re
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratpath.graph import (
     NegativeCycle,
@@ -33,6 +36,8 @@ from conftest import (
     bf_tree,
     prime_bound_for,
     reduced_weight,
+    reference_parse,
+    reference_parse_tree,
     reference_verify,
     textbook_bf,
 )
@@ -87,6 +92,20 @@ class TestParseSerialize:
         with pytest.raises(ValueError):
             parse("p 2 2\ne 0 1 1/2")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p 3 1\ne 0 5 1/2", r"line 2: edge \(0,5\) out of vertex range \[0,3\)"),
+        ("e 4 0 1/2\np 3 1", r"line 1: edge \(4,0\) out of vertex range \[0,3\)"),
+        ("p 3 2\ne 0 1 1/2\n# note\ne -1 2 1\n", r"line 4: edge \(-1,2\) out of"),
+        ("p 3 0\ns 3", r"line 2: source 3 out of range"),
+        ("s -1\np 3 0", r"line 1: source -1 out of range"),
+        ("p -1 0", r"line 1: vertex count must be non-negative"),
+        ("\np -2 1\ne 0 0 1", r"line 2: vertex count must be non-negative"),
+    ], ids=["edge-after-header", "edge-before-header", "edge-after-comment", "source-n",
+            "source-before-header", "negative-count", "negative-count-with-edge"])
+    def test_range_errors_name_their_line(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse(text)
+
     def test_parallel_edges_keep_minimum(self):
         g = WeightedDigraph(2)
         g.add_edge(0, 1, R(3))
@@ -140,6 +159,175 @@ class TestParseSerialize:
         assert res.tree_order() is None
         with pytest.raises(ValueError):
             res.distances()
+
+
+def _parse_outcome(parse_text, text):
+    """The message of the ValueError `parse_text` raises, or the graph as
+    (n, source, edges in insertion order)."""
+    try:
+        g = parse_text(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, g.source, [(e.tail, e.head, e.weight.num, e.weight.den, e.aux) for e in g.edges]
+
+
+def _tree_outcome(parse_text, text):
+    try:
+        t = parse_text(text)
+    except ValueError as exc:
+        return str(exc)
+    return t.n, t.source, sorted((v, u, w.num, w.den, aux) for v, (u, w, aux) in t.parent.items())
+
+
+_WEIGHT = st.sampled_from(["1/2", "2/4", "1/3", "-1/3", "0", "-0", "7"])
+# Mostly in range of a count drawn from _COUNT; -1 and 4 are out of it.
+_ID = st.sampled_from([0, 0, 1, 1, 2, 2, 3, -1, 4])
+_COUNT = st.sampled_from([4, 4, 3, 2, 0, -1])
+_NOISE = st.sampled_from([
+    "", "# note", "e 0 1", "e 0 1 1/0", "e 0 x 1", "e 0 1 1/-2", "p 2", "s", "q 1", "p 2 1 1",
+    "e 0 1 1/2 # note", "a 1 0 1/2", "t 2 0 0", "a 1 0 1/2 aux x",
+])
+
+
+def _insert(draw, lines, line):
+    lines.insert(draw(st.integers(0, len(lines))), line)
+
+
+def _add_noise(draw, lines):
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        _insert(draw, lines, draw(_NOISE))
+
+
+@st.composite
+def _instance_text(draw):
+    """Instance text that is often well formed: a header declaring the edge
+    count or one more, ids that may fall out of range, an optional source
+    line, and a few noise lines, all in any order."""
+    edges = draw(st.lists(st.tuples(_ID, _ID, _WEIGHT), max_size=6))
+    lines = [f"e {u} {v} {w}" for u, v, w in edges]
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, 1]))
+    _insert(draw, lines, f"p {draw(_COUNT)} {m}")
+    if draw(st.booleans()):
+        _insert(draw, lines, f"s {draw(_ID)}")
+    _add_noise(draw, lines)
+    return "\n".join(lines)
+
+
+@st.composite
+def _tree_text(draw):
+    """Tree text that is often well formed, the header mostly first."""
+    entries = draw(st.lists(st.tuples(_ID, _ID, _WEIGHT, st.booleans()), max_size=5))
+    lines = [f"a {v} {u} {w}{' aux' if aux else ''}" for v, u, w, aux in entries]
+    header = f"t {draw(_COUNT)} {draw(_ID)}"
+    if draw(st.sampled_from([True, True, True, False])):
+        lines.insert(0, header)
+    else:
+        _insert(draw, lines, header)
+    _add_noise(draw, lines)
+    return "\n".join(lines)
+
+
+class TestParseAgainstReference:
+    """`parse` and `parse_tree` accept the texts the earlier readers
+    accepted, with the same graphs and trees, and reject the others with
+    the same message; `parse` adds the line to the range errors that the
+    graph constructor raises."""
+
+    @staticmethod
+    def _check_instance(text):
+        got, want = _parse_outcome(parse, text), _parse_outcome(reference_parse, text)
+        if isinstance(want, str) and not want.startswith("line "):
+            assert got == want or re.fullmatch(r"line \d+: " + re.escape(want), got), (got, want)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("text", [
+        "p 3 3\ns 1\ne 0 1 1/3\ne 1 2 1/3\ne 0 1 2/6\n",
+        "e 0 1 1/2\ns 0\np 2 1",
+        "p 2 1\ne 0 1 1/2\np 2 1",
+        "p 2 2\ne 0 5 1/2\nq",
+        "p 2 2\ne 0 5 1/2",
+        "p -1 1\ne 0 5 1/2\ns 9",
+        "p 2 1\ns 9\ne 0 5 1/2",
+        "p 2 1\ne 0 1 1/0",
+        "p 2 1\ne 0 1 ١/٣",
+        "",
+    ])
+    def test_instance_corpus(self, text):
+        self._check_instance(text)
+
+    @given(_instance_text())
+    @settings(max_examples=400, deadline=None)
+    def test_random_instance_text(self, text):
+        self._check_instance(text)
+
+    @given(_tree_text())
+    @settings(max_examples=300, deadline=None)
+    def test_random_tree_text(self, text):
+        assert _tree_outcome(parse_tree, text) == _tree_outcome(reference_parse_tree, text)
+
+
+def _distinct_weights(g: WeightedDigraph) -> WeightedDigraph:
+    """g with a fresh BigRational per edge."""
+    return WeightedDigraph(g.n, [(e.tail, e.head, R(e.weight.num, e.weight.den)) for e in g.edges],
+                           source=g.source)
+
+
+def _ties_graph(seed: int) -> WeightedDigraph:
+    third = R(1, 3)
+    return WeightedDigraph(24, [(e.tail, e.head, third) for e in gen_random(24, 96, seed).edges])
+
+
+class TestWeightSharing:
+    """Equal weight tokens in one text parse to one shared BigRational."""
+
+    def test_equal_tokens_share_one_value(self):
+        g = parse("p 4 4\ne 0 1 1/3\ne 1 2 1/3\ne 2 3 2/6\ne 0 3 -0\n")
+        w = [e.weight for e in g.edges]
+        assert w[0] is w[1] and w[2] == w[0]
+        t = parse_tree("t 3 0\na 1 0 1/3\na 2 1 1/3 aux\n")
+        assert t.parent[1][1] is t.parent[2][1]
+
+    def test_separate_calls_share_nothing(self):
+        text = serialize(_ties_graph(1))
+        a, b = parse(text), parse(text)
+        assert len({id(e.weight) for e in a.edges}) == 1
+        assert not {id(e.weight) for e in a.edges} & {id(e.weight) for e in b.edges}
+        tree = serialize_tree(dijkstra_nonneg(a, 0, strategy="exact_oracle"))
+        ta, tb = parse_tree(tree), parse_tree(tree)
+        assert not {id(w) for _, w, _ in ta.parent.values()} & {id(w) for _, w, _ in tb.parent.values()}
+
+    def test_parallel_edge_minimum(self):
+        # lowering one edge leaves the edges that share its old weight alone
+        g = parse("p 3 4\ne 0 1 1/2\ne 1 2 1/2\ne 0 1 1/3\ne 0 1 1/2\n")
+        assert [(e.tail, e.head, e.weight) for e in g.edges] == [(0, 1, R(1, 3)), (1, 2, R(1, 2))]
+
+    def test_copy(self):
+        g = parse("p 3 2\ne 0 1 1/2\ne 1 2 1/2\n")
+        h = g.copy()
+        h.add_edge(0, 1, R(-1), aux=True)
+        assert [(e.weight, e.aux) for e in g.edges] == [(R(1, 2), False), (R(1, 2), False)]
+        assert [(e.weight, e.aux) for e in h.edges] == [(R(-1), True), (R(1, 2), False)]
+        assert h.edges[1].weight is g.edges[1].weight
+
+    @pytest.mark.parametrize("make, strategies", [
+        (lambda: _ties_graph(3), ("distcmp", "exact_oracle", "pairwise_delta", "negative_sssp")),
+        (lambda: gen_small_diff(prime_bound_for(30), chain=10, window=3)[0],
+         ("distcmp", "exact_oracle", "pairwise_delta", "negative_sssp")),
+        (lambda: backbone_graph(16, 2), ("negative_sssp",)),
+    ], ids=["ties", "gadget", "priced"])
+    def test_trees_do_not_depend_on_sharing(self, make, strategies):
+        g = parse(serialize(make()))
+        assert len({id(e.weight) for e in g.edges}) < g.m  # some weight is shared
+        h = _distinct_weights(g)
+        assert len({id(e.weight) for e in h.edges}) == h.m
+        for strategy in strategies:
+            if strategy == "negative_sssp":
+                a, b = negative_sssp(g, 0, seed=4), negative_sssp(h, 0, seed=4)
+            else:
+                a = dijkstra_nonneg(g, 0, strategy=strategy, seed=4)
+                b = dijkstra_nonneg(h, 0, strategy=strategy, seed=4)
+            assert serialize_tree(a) == serialize_tree(b), strategy
 
 
 class TestAugment:

@@ -14,7 +14,7 @@ from ratpath.rational import (
     sum_balanced,
     sum_lt,
 )
-from conftest import UnreducedPair
+from conftest import UnreducedPair, reference_parse_rational
 
 
 def R(n, d=1):
@@ -139,6 +139,16 @@ class TestSumBalanced:
             assert sum_balanced(xs) == fold
 
 
+def _parse_outcome(parse, text):
+    """(type, num, den) of what `parse` returns, or (type, message) of what
+    it raises."""
+    try:
+        x = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(x), x.num, x.den
+
+
 class TestTextual:
     def test_parse_unreduced(self):
         assert BigRational.parse("6/4") == R(3, 2)
@@ -150,6 +160,18 @@ class TestTextual:
         for bad in ("", "1/0", "a/b", "1.5", "1/-2"):
             with pytest.raises((ValueError, ZeroDivisionError)):
                 BigRational.parse(bad)
+
+    @pytest.mark.parametrize("text", [
+        "١٢/٣", "+0/5", "-0", " 7/4 ", "1_0/3", "1/+3", "1/-3", "", "/", "1/", "/3", "²",
+        "1.5", "1/0",
+    ])
+    def test_parse_matches_regex(self, text):
+        assert _parse_outcome(BigRational.parse, text) == _parse_outcome(reference_parse_rational, text)
+
+    @given(st.text(alphabet="0123456789+-/ _١²", max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_parse_matches_regex_on_random_text(self, text):
+        assert _parse_outcome(BigRational.parse, text) == _parse_outcome(reference_parse_rational, text)
 
     def test_decimal(self):
         assert R(1, 3).to_decimal(4) == "0.3333"
