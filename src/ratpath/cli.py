@@ -17,7 +17,7 @@ from typing import Dict, Optional
 from . import graph as graphmod
 from .distcmp import _CONSTANTS, _check_constant
 from .graph import NegativeCycle, parse, parse_tree, serialize, serialize_tree
-from .rational import BigRational, WordBudget
+from .rational import BigRational, WordBudget, _fraction_text
 from .sssp import _check_seed, dijkstra_nonneg, negative_sssp
 from .cfrac import best_approx
 
@@ -127,7 +127,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
             g, gap = graphmod.gen_small_diff(
                 args.prime_bound, padding=not args.no_padding, chain=args.chain, window=args.window
             )
-            print(f"gap {gap.num}/{gap.den}", file=sys.stderr)
+            print(f"gap {_fraction_text(gap)}", file=sys.stderr)
         elif args.family == "random":
             g = graphmod.gen_random(args.n, args.m, seed, args.weight_class, "none")
         elif args.family == "priced":
@@ -156,7 +156,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 0
     if outcome.witness is not None:
         w = outcome.witness
-        print(f"invalid: {outcome.reason}; witness e {w.tail} {w.head} {w.weight.num}/{w.weight.den}")
+        print(f"invalid: {outcome.reason}; witness e {w.tail} {w.head} {_fraction_text(w.weight)}")
     else:
         print(f"invalid: {outcome.reason}")
     return 2
@@ -178,7 +178,7 @@ def cmd_price(args: argparse.Namespace) -> int:
         print(f"negative cycle: {cyc}")
         print(f"cycle weight: {_fmt(result.weight, args.decimal)}")
         return 2
-    lines = [f"v {v} {result[v].num}/{result[v].den}" for v in range(g.n)]
+    lines = [f"v {v} {_fraction_text(result[v])}" for v in range(g.n)]
     _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -190,8 +190,8 @@ def cmd_approx(args: argparse.Namespace) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"lo {ap.lo.num}/{ap.lo.den}")
-    print(f"hi {ap.hi.num}/{ap.hi.den}")
+    print(f"lo {_fraction_text(ap.lo)}")
+    print(f"hi {_fraction_text(ap.hi)}")
     return 0
 
 

@@ -48,9 +48,11 @@ level i+1), runs only when the gate is closed, for values too wide for
 that: the regime the hierarchy exists for.
 
 Every exact path weight comes from the tree's one memo, `IncTree.pair`,
-which `PairwiseDeltaComparator` reads too.  The shortcut, the fallbacks
-and `exact_compare` all compare root pairs through `IncTree.exact_sign`;
-only the shortcut gates it, on `IncTree.den_bits`.  The fixed-point
+which `PairwiseDeltaComparator` reads too.  The shortcut, the window
+check, the fallbacks and `exact_compare` all compare root pairs through
+`IncTree.exact_sign`.  The first two gate it on `IncTree.den_bits`:
+`_level_compare` tests the shortcut's gate inline, and the cluster
+comparator tests the window's through `_exact_sign`.  The fixed-point
 numerators are plain Python ints.
 
 `_CONSTANTS` holds the one default of each solver constant: C sizes the
@@ -71,7 +73,7 @@ import numpy as np
 from .cfrac import Ordering, best_approx
 from .cover import SparseCover
 from .inctree import GCD_BITS, IncTree
-from .rational import BigRational, WordBudget, ZERO, is_k_short
+from .rational import BigRational, WordBudget, ZERO
 
 __all__ = [
     "DistCmpConfig",
@@ -325,7 +327,8 @@ class DistCmp:
 
     def __init__(self, config: DistCmpConfig, seed: int = 0):
         self.config = config
-        self._budget = WordBudget(config.B)
+        # |num| and den of a c-short value are below this (`is_k_short`).
+        self._short = 1 << (config.c * config.B - 1)
         # The children SeedSequence(seed).spawn(2) would give, built
         # directly: (0,) draws the slot levels, (1, i) seeds the level-i
         # cover, built only with that cover.
@@ -355,11 +358,13 @@ class DistCmp:
     # -- insertion ----------------------------------------------------
 
     def insert_leaf(self, parent: int, weight: BigRational) -> int:
-        if not is_k_short(weight, self.config.c, self._budget):
+        short = self._short
+        if not (-short < weight.num < short and weight.den < short):
             raise ValueError(f"weight {weight} is not {self.config.c}-short")
-        if len(self.tree) >= self.config.capacity:
+        slot = len(self.tree)
+        if slot >= self.config.capacity:
             raise ValueError(f"tree is full at capacity {self.config.capacity}")
-        return self.tree.insert_leaf(parent, weight, self.slot_level[len(self.tree)])
+        return self.tree.insert_leaf(parent, weight, self.slot_level[slot])
 
     # -- lazy per-level values -----------------------------------------
 
@@ -398,7 +403,8 @@ class DistCmp:
     def compare(self, u: int, v: int, beta: BigRational) -> Ordering:
         """Order dist(u) - dist(v) against beta.  u and v come from
         `insert_leaf` unchecked: this runs on every heap comparison."""
-        if not is_k_short(beta, self.config.c, self._budget):
+        short = self._short
+        if not (-short < beta.num < short and beta.den < short):
             raise ValueError(f"query value {beta} is not {self.config.c}-short")
         return _ORDERING_OF_SIGN[self._level_compare(0, u, v, beta)]
 
@@ -409,7 +415,9 @@ class DistCmp:
 
     def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: int) -> Optional[int]:
         """`IncTree.exact_sign`, or None when the common denominator of the
-        root pairs and beta may need more than max_bits bits."""
+        root pairs and beta may need more than max_bits bits: the cluster
+        comparator's window check.  `_level_compare` tests the same gate
+        inline."""
         if self.tree.den_bits[u] + self.tree.den_bits[v] + beta.den.bit_length() > max_bits:
             return None
         return self.tree.exact_sign(u, v, beta)
@@ -441,14 +449,19 @@ class DistCmp:
             self.trivial_answers[i] += 1
             return -beta.sign
 
-        easy = self._exact_sign(u, v, beta, self.config.ell[i])
-        if easy is None:
-            easy = self._fixed_sign(i, u, v, beta)
-        elif easy:
+        # The exact shortcut's gate, tested here rather than through
+        # `_exact_sign`: this runs on every level-0 query.
+        tree = self.tree
+        den_bits = tree.den_bits
+        if den_bits[u] + den_bits[v] + beta.den.bit_length() <= self.config.ell[i]:
+            easy = tree.exact_sign(u, v, beta)
+            if not easy:
+                self.tie_answers[i] += 1
+                return 0
             self.shortcut_answers[i] += 1
-        else:
-            self.tie_answers[i] += 1
-            return 0
+            self.easy_answers[i] += 1
+            return easy
+        easy = self._fixed_sign(i, u, v, beta)
         if easy:
             self.easy_answers[i] += 1
             return easy
@@ -466,7 +479,7 @@ class DistCmp:
         rel = None if order is None or order.degraded else order.relation(u, v)
         if rel is None:
             self.cover_fallbacks[i] += 1
-            return self.tree.exact_sign(u, v, beta)
+            return tree.exact_sign(u, v, beta)
         return rel
 
     # -- level plumbing ---------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .rational import BigRational, ZERO, ONE, sum_balanced, sum_lt
+from .rational import BigRational, ZERO, ONE, _fraction_text, sum_balanced, sum_lt
 
 __all__ = [
     "Edge",
@@ -328,7 +328,7 @@ def serialize(g: WeightedDigraph) -> str:
     if g.source is not None:
         lines.append(f"s {g.source}")
     for e in sorted(g.edges, key=lambda e: (e.tail, e.head)):
-        lines.append(f"e {e.tail} {e.head} {e.weight.num}/{e.weight.den}")
+        lines.append(f"e {e.tail} {e.head} {_fraction_text(e.weight)}")
     return "\n".join(lines) + "\n"
 
 
@@ -337,7 +337,7 @@ def serialize_tree(result: SsspResult) -> str:
     for v in sorted(result.parent):
         u, w, aux = result.parent[v]
         suffix = " aux" if aux else ""
-        lines.append(f"a {v} {u} {w.num}/{w.den}{suffix}")
+        lines.append(f"a {v} {u} {_fraction_text(w)}{suffix}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,17 +1,19 @@
 """Incremental rooted out-tree with exact descending-path-weight queries.
 
 Nodes are appended as leaves and never move.  Each node carries an
-integer level assigned at insertion; for every level i the tree tracks the
-nearest ancestor of level >= i (the node itself when its own level
-qualifies), answerable in constant time.  Path weights are summed with
-balanced pairing so a k-hop query costs near-linear time in the bits
-involved.
+integer level assigned at insertion; for every level i the tree answers
+the nearest ancestor of level >= i (the node itself when its own level
+qualifies) in amortized constant time, from a per-level array that the
+first query at that level after an insertion extends over the new nodes.
+Path weights are summed with balanced pairing so a k-hop query costs
+near-linear time in the bits involved.
 
 The tree holds the one exact memo of the comparators built on it:
 unreduced path pairs per level (`pair`, the root distances at
 max_level), the bound `den_bits` on their denominators, and `exact_sign`.
 
-Single-writer: concurrent readers are fine between mutations.
+Reads fill memos (the root pairs of `pair`, the ancestor arrays), so all
+access, reads included, must be serialized by the owner.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ class IncTree:
         # den_bits[v]: the bit lengths of the weight denominators on the root
         # path of v, summed; their product, v's root pair den, is <= 2^den_bits[v].
         self.den_bits: List[int] = [0]
-        # _anc[i][v]: nearest ancestor of v (inclusive) with level >= i.
+        # _anc[i][v]: nearest ancestor of v (inclusive) with level >= i, for
+        # v below len(_anc[i]); `_anc_at` extends it over later nodes.
         self._anc: List[List[int]] = [[0] for _ in range(max_level + 1)]
         self._pairs: List[Dict[int, Tuple[int, int]]] = [{0: (0, 1)} for _ in range(max_level + 1)]
 
@@ -63,18 +66,16 @@ class IncTree:
         return 0
 
     def insert_leaf(self, parent: int, weight: BigRational, level: int = 0) -> int:
-        if not 0 <= parent < len(self.parent):
+        v = len(self.parent)
+        if not 0 <= parent < v:
             raise KeyError(f"unknown parent node {parent}")
         if not 0 <= level <= self.max_level:
             raise ValueError(f"level {level} out of range 0..{self.max_level}")
-        v = len(self.parent)
         self.parent.append(parent)
         self.weight.append(weight)
         self.depth.append(self.depth[parent] + 1)
         self.level.append(level)
         self.den_bits.append(self.den_bits[parent] + weight.den.bit_length())
-        for i in range(self.max_level + 1):
-            self._anc[i].append(v if level >= i else self._anc[i][parent])
         return v
 
     def _check_node(self, v: int) -> None:
@@ -82,21 +83,32 @@ class IncTree:
         if not 0 <= v < len(self.parent):
             raise ValueError(f"node {v} out of range 0..{len(self.parent) - 1}")
 
-    def nearest_marked_ancestor(self, v: int, level: int) -> int:
-        """Nearest ancestor of v (v itself included) with level >= `level`."""
+    def _anc_at(self, level: int) -> List[int]:
+        """The level's ancestor array, first extended over every node
+        inserted since it was last read: a parent precedes its child."""
         if not 0 <= level <= self.max_level:
             raise ValueError(f"level {level} out of range 0..{self.max_level}")
+        anc = self._anc[level]
+        parent = self.parent
+        if len(anc) < len(parent):
+            node_level = self.level
+            for v in range(len(anc), len(parent)):
+                anc.append(v if node_level[v] >= level else anc[parent[v]])
+        return anc
+
+    def nearest_marked_ancestor(self, v: int, level: int) -> int:
+        """Nearest ancestor of v (v itself included) with level >= `level`."""
+        anc = self._anc_at(level)
         self._check_node(v)
-        return self._anc[level][v]
+        return anc[v]
 
     def nearest_strict_marked_ancestor(self, v: int, level: int) -> int:
         """Nearest proper ancestor of v with level >= `level`."""
-        if not 0 <= level <= self.max_level:
-            raise ValueError(f"level {level} out of range 0..{self.max_level}")
+        anc = self._anc_at(level)
         self._check_node(v)
         if v == 0:
             raise NotAnAncestorError("the root has no proper ancestor")
-        return self._anc[level][self.parent[v]]
+        return anc[self.parent[v]]
 
     def path_weight(self, ancestor: int, descendant: int) -> BigRational:
         """Exact weight of the descending path ancestor -> descendant."""

@@ -13,6 +13,10 @@ yields a (j+k)-short value, which is what lets the solvers budget the bit
 growth of intermediate results.
 
 All integer work is plain Python `int`; reduction uses `math.gcd`.
+Decimal text converts at any size: CPython (3.11, and 3.10.7 on) refuses
+an int-to-text or text-to-int conversion past `sys.get_int_max_str_digits()`
+digits, 4300 by default and never below 640, so wider values convert in
+pieces under that floor, with no process-wide setting changed.
 """
 
 from __future__ import annotations
@@ -75,8 +79,12 @@ class BigRational:
         well_formed = top.isdecimal() or (top[1:].isdecimal() and top[0] in "+-")
         if not well_formed or (slash and not bottom.isdecimal()):
             raise ValueError(f"malformed rational: {text!r}")
-        num = int(top)
-        den = int(bottom) if slash else 1
+        try:
+            num = int(top)
+            den = int(bottom) if slash else 1
+        except ValueError:  # past CPython's digit limit: convert in pieces
+            num = _int_of(top)
+            den = _int_of(bottom) if slash else 1
         if den == 0:
             raise ZeroDivisionError("rational with zero denominator")
         g = gcd(num, den)
@@ -198,11 +206,11 @@ class BigRational:
 
     def __str__(self):
         if self.den == 1:
-            return str(self.num)
-        return f"{self.num}/{self.den}"
+            return _int_text(self.num)
+        return _fraction_text(self)
 
     def __repr__(self):
-        return f"BigRational({self.num}, {self.den})"
+        return f"BigRational({_int_text(self.num)}, {_int_text(self.den)})"
 
     def to_decimal(self, digits: int) -> str:
         """Exact truncated decimal expansion with `digits` fractional digits;
@@ -212,9 +220,44 @@ class BigRational:
         neg = self.num < 0
         n = -self.num if neg else self.num
         whole, rem = divmod(n, self.den)
-        frac = (rem * 10**digits) // self.den
-        body = f"{whole}.{frac:0{digits}d}" if digits > 0 else str(whole)
+        body = _int_text(whole)
+        if digits > 0:
+            body += "." + _int_text((rem * 10**digits) // self.den).zfill(digits)
         return "-" + body if neg else body
+
+
+# Decimal digits per piece of a conversion: below 640, the least value
+# `sys.set_int_max_str_digits` accepts, so no piece meets the limit.
+_PIECE = 600
+_PIECE_BOUND = 10**_PIECE
+
+
+def _int_text(n: int) -> str:
+    """Decimal text of n at any size, split at a power of ten into
+    halves until each fits in `_PIECE` digits."""
+    if n < 0:
+        return "-" + _int_text(-n)
+    if n < _PIECE_BOUND:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _int_text(hi) + _int_text(lo).zfill(k)
+
+
+def _int_of(text: str) -> int:
+    """int(text) at any length, for an optional sign and decimal digits."""
+    if len(text) <= _PIECE:
+        return int(text)
+    if text[0] in "+-":
+        n = _int_of(text[1:])
+        return -n if text[0] == "-" else n
+    k = len(text) // 2
+    return _int_of(text[:-k]) * 10**k + _int_of(text[-k:])
+
+
+def _fraction_text(x: BigRational) -> str:
+    """num/den in decimal at any size, den written even when it is 1."""
+    return f"{_int_text(x.num)}/{_int_text(x.den)}"
 
 
 # The slot descriptors write past the immutability guard in __setattr__.

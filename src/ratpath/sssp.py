@@ -56,7 +56,7 @@ from .graph import (
 )
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
 from .graph import augment_source  # noqa: F401
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make, sum_lt
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _add, _make, sum_lt
 from .scaling import _check_1_short, eps_feasible_price
 
 __all__ = [
@@ -140,13 +140,14 @@ class _TreeStrategy:
     def compare_keys(self, z1, w1, z2, w2) -> int:
         node = self.node
         # Equal weights differ by the canonical ZERO, the value w2 - w1
-        # would build: reduced, with den 1, so the gate of
-        # `DistCmp._exact_sign` reads the same beta.den either way.  Equal
-        # weights share one object only when they come from equal tokens
-        # of one `parse` call, so the test is by value.
-        if w1.num == w2.num and w1.den == w2.den:
+        # would build: reduced, with den 1, so the shortcut's gate in
+        # `DistCmp._level_compare` reads the same beta.den either way.
+        # Equal tokens of one `parse` call share one object, which the
+        # identity test catches first; other equal weights need the value
+        # test.  An unequal beta is built as `__sub__` builds it.
+        if w1 is w2 or (w1.num == w2.num and w1.den == w2.den):
             return self._compare(node[z1], node[z2], ZERO)
-        return self._compare(node[z1], node[z2], w2 - w1)
+        return self._compare(node[z1], node[z2], _add(w2.num, w2.den, -w1.num, w1.den))
 
     def counters(self) -> Dict[str, object]:
         return self.comparator.counters()
@@ -181,17 +182,18 @@ _STRATEGIES = {
 
 
 class _HeapEntry:
-    __slots__ = ("z", "w", "vid", "token", "strat")
+    # compare_keys: the strategy's bound method, bound once per solve.
+    __slots__ = ("z", "w", "vid", "token", "compare_keys")
 
-    def __init__(self, z, w, vid, token, strat):
+    def __init__(self, z, w, vid, token, compare_keys):
         self.z = z
         self.w = w
         self.vid = vid
         self.token = token
-        self.strat = strat
+        self.compare_keys = compare_keys
 
     def __lt__(self, other):
-        c = self.strat.compare_keys(self.z, self.w, other.z, other.w)
+        c = self.compare_keys(self.z, self.w, other.z, other.w)
         if c != 0:
             return c < 0
         return self.vid < other.vid
@@ -235,6 +237,7 @@ def dijkstra_nonneg(
     constants = {**_CONSTANTS, **constants}
     n = g.n
     strat = _STRATEGIES[strategy](g, s, budget, seed, constants)
+    compare_keys = strat.compare_keys
 
     visited = [False] * n
     token = [0] * n
@@ -244,31 +247,34 @@ def dijkstra_nonneg(
     pushes = 0
     relaxations = 0
 
-    def relax_from(u: int) -> None:
-        nonlocal pushes, relaxations
-        for e in g.out_edges(u):
+    # Relax out of u, then settle the next live heap entry as u; u is
+    # None once the heap drains.
+    out_edges = g.out_edges
+    heappush, heappop = heapq.heappush, heapq.heappop
+    visited[s] = True
+    u = s
+    while u is not None:
+        for e in out_edges(u):
             v = e.head
             if visited[v]:
                 continue
             relaxations += 1
             old = cur.get(v)
-            if old is None or strat.compare_keys(u, e.weight, old[0], old[1]) < 0:
+            if old is None or compare_keys(u, e.weight, old[0], old[1]) < 0:
                 cur[v] = (u, e.weight, e.aux)
                 token[v] += 1
-                heapq.heappush(heap, _HeapEntry(u, e.weight, v, token[v], strat))
+                heappush(heap, _HeapEntry(u, e.weight, v, token[v], compare_keys))
                 pushes += 1
-
-    visited[s] = True
-    relax_from(s)
-    while heap:
-        entry = heapq.heappop(heap)
-        v = entry.vid
-        if visited[v] or token[v] != entry.token:
-            continue
-        visited[v] = True
-        parent[v] = cur[v]
-        strat.add_leaf(v, entry.z, entry.w)
-        relax_from(v)
+        u = None
+        while heap:
+            entry = heappop(heap)
+            v = entry.vid
+            if not visited[v] and token[v] == entry.token:
+                visited[v] = True
+                parent[v] = cur[v]
+                strat.add_leaf(v, entry.z, entry.w)
+                u = v
+                break
     # Every vertex left is unreachable from s.  Over the augmented graph
     # each would be keyed by the sentinel, and a relaxation out of one
     # would offer sentinel + w >= sentinel, which never wins: each would

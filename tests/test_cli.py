@@ -7,10 +7,10 @@ from pathlib import Path
 import pytest
 
 import ratpath
-from ratpath.cli import build_parser, main
+from ratpath.cli import _fmt, build_parser, main
 from ratpath.distcmp import DistCmpConfig, PairwiseDeltaComparator
 from ratpath.graph import gen_random, gen_small_diff, parse, plant_negative_cycle, serialize
-from ratpath.rational import WordBudget
+from ratpath.rational import BigRational, WordBudget
 from ratpath.sssp import dijkstra_nonneg
 
 
@@ -379,6 +379,34 @@ class TestPrice:
         inst.write_text(serialize(g))
         code, out, _ = run(capsys, "price", "--input", str(inst), "--k", "20", "--word-bits", "16")
         assert code == 2 and "negative cycle" in out
+
+
+class TestWideValues:
+    # Values of more than 4300 digits, past CPython's default limit on
+    # int <-> decimal text, go through every textual path exactly.
+    DIGITS = 5000
+
+    def test_fmt(self):
+        x = BigRational(1, 10**self.DIGITS)
+        zeros = "0" * self.DIGITS
+        assert _fmt(x, None) == f"1/1{zeros}"
+        assert _fmt(x, 3) == f"1/1{zeros} (0.000)"
+        assert _fmt(x, self.DIGITS) == f"1/1{zeros} (0.{zeros[1:]}1)"
+        assert _fmt(BigRational(-1, 3), self.DIGITS) == f"-1/3 (-0.{'3' * self.DIGITS})"
+
+    def test_solve_decimal_and_verify(self, tmp_path, capsys):
+        # Weights whose denominators have 5001 digits: the parse, the
+        # tree, the distance lines and the verify all carry them.
+        den = "1" + "0" * (self.DIGITS - 1) + "1"  # 10^DIGITS + 1
+        inst = tmp_path / "wide.gr"
+        inst.write_text(f"p 3 3\ns 0\ne 0 1 1/{den}\ne 1 2 2/{den}\ne 0 2 1/1\n")
+        tree = tmp_path / "wide.tree"
+        code, out, _ = run(capsys, "solve", "--input", str(inst), "--mode", "nonneg",
+                           "--decimal", "3", "-o", str(tree))
+        assert code == 0
+        assert out.splitlines() == ["d 0 0 (0.000)", f"d 1 1/{den} (0.000)", f"d 2 3/{den} (0.000)"]
+        assert tree.read_text().splitlines()[1:] == [f"a 1 0 1/{den}", f"a 2 1 2/{den}"]
+        assert run(capsys, "verify", str(inst), str(tree))[:2] == (0, "valid\n")
 
 
 class TestNegativeDecimal:

@@ -731,3 +731,52 @@ class TestPairwiseComparator:
         assert all(slot in pdc._marked_slots or slot == 0 for slot in range(6))
         for u in nodes:
             assert pdc.tree.nearest_marked_ancestor(u, 1) == u
+
+
+class TestShortnessBound:
+    # `compare` and `insert_leaf` test c-shortness inline against the bound
+    # 2^(cB-1) that `is_k_short` uses, with its messages.
+    C_CLASS, B_BITS = 2, 8
+    BOUND = 1 << (C_CLASS * B_BITS - 1)
+
+    def _dc(self):
+        return DistCmp(DistCmpConfig(capacity=80, c=self.C_CLASS, B=self.B_BITS), seed=0)
+
+    def _edge_values(self):
+        b = self.BOUND
+        nums = (0, 1, b - 1, b, b + 1, -1, -(b - 1), -b, -(b + 1))
+        return [R(n, d) for n in nums for d in (1, 2, b - 2, b - 1, b, b + 1)]
+
+    def test_accepts_values_just_below_the_bound(self):
+        b = self.BOUND
+        dc = self._dc()
+        v = dc.insert_leaf(0, R(1, 2))
+        for x in (R(b - 1), R(-(b - 1)), R(b - 1, b - 2), R(-(b - 1), b - 2), R(1, b - 1)):
+            assert dc.compare(v, 0, x) in Ordering
+            assert dc.tree.weight[dc.insert_leaf(v, x)] is x
+
+    @pytest.mark.parametrize("x", [R(1 << 15), R(-(1 << 15)), R(1, 1 << 15)])
+    def test_rejects_values_at_the_bound(self, x):
+        dc = self._dc()
+        v = dc.insert_leaf(0, R(1, 2))
+        with pytest.raises(ValueError, match=f"^query value {x} is not 2-short$"):
+            dc.compare(v, 0, x)
+        with pytest.raises(ValueError, match=f"^weight {x} is not 2-short$"):
+            dc.insert_leaf(v, x)
+        assert len(dc.tree) == 2 and dc.level_queries[0] == 0
+
+    def test_decisions_agree_with_is_k_short(self):
+        budget = WordBudget(self.B_BITS)
+        dc = self._dc()
+        values = self._edge_values()
+        assert len({is_k_short(x, self.C_CLASS, budget) for x in values}) == 2
+        for x in values:
+            want = is_k_short(x, self.C_CLASS, budget)
+            for call in (lambda: dc.compare(0, 0, x), lambda: dc.insert_leaf(0, x)):
+                try:
+                    call()
+                    got = True
+                except ValueError as exc:
+                    assert str(exc).endswith(f"{x} is not 2-short")
+                    got = False
+                assert got == want, x

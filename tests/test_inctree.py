@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
+from ratpath import sssp as sssp_module
+from ratpath.cfrac import Ordering
+from ratpath.distcmp import PairwiseDeltaComparator
+from ratpath.graph import WeightedDigraph, gen_random, gen_small_diff
 from ratpath.inctree import IncTree, NotAnAncestorError
-from ratpath.rational import BigRational, ZERO
-from conftest import random_rational
+from ratpath.rational import BigRational, WordBudget, ZERO
+from ratpath.sssp import dijkstra_nonneg
+from conftest import diamond_chain, random_rational, root_distance
 
 
 def R(n, d=1):
@@ -188,3 +193,100 @@ class TestNearestMarked:
         for query in (t.nearest_marked_ancestor, t.nearest_strict_marked_ancestor):
             with pytest.raises(ValueError, match=rf"node {v} out of range 0\.\.2"):
                 query(v, 0)
+
+
+def walked_ancestor(t, v, level):
+    """Nearest ancestor of v (inclusive) with level >= `level`, by walking
+    the parent links."""
+    while t.level[v] < level:
+        v = t.parent[v]
+    return v
+
+
+class TestLazyAncestorArrays:
+    # Each level's ancestor array is extended over new nodes on its first
+    # read after an insertion; insertion itself builds none.
+
+    def test_insert_builds_no_array(self):
+        t = IncTree(max_level=3)
+        for level in (0, 3, 1, 2):
+            t.insert_leaf(len(t) - 1, R(1), level)
+        assert [len(a) for a in t._anc] == [1, 1, 1, 1]
+        assert t.nearest_marked_ancestor(4, 3) == 2
+        assert [len(a) for a in t._anc] == [1, 1, 1, 5]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interleaved_reads_match_walks(self, seed):
+        rng = np.random.default_rng([seed, 41])
+        t = IncTree(max_level=3)
+        for _ in range(150):
+            for _ in range(int(rng.integers(0, 4))):
+                parent = int(rng.integers(0, len(t)))
+                t.insert_leaf(parent, R(1), int(rng.integers(0, 4)))
+            level = int(rng.integers(0, 4))
+            v = int(rng.integers(0, len(t)))
+            assert t.nearest_marked_ancestor(v, level) == walked_ancestor(t, v, level)
+            if v:
+                want = walked_ancestor(t, t.parent[v], level)
+                assert t.nearest_strict_marked_ancestor(v, level) == want
+        for level in range(4):
+            for v in range(len(t)):
+                assert t.nearest_marked_ancestor(v, level) == walked_ancestor(t, v, level)
+
+    def test_pairwise_level_1_reads_after_later_inserts(self):
+        rng = np.random.default_rng(7)
+        pool = [R(1, 2), R(1, 3), R(2, 5), R(0), R(3, 7)]
+        pdc = PairwiseDeltaComparator(120, 4, WordBudget(16), seed=2)
+        tree = pdc.tree
+        nodes = [0]
+        for _ in range(40):
+            for _ in range(int(rng.integers(1, 4))):
+                if len(tree) == 120:
+                    break
+                parent = nodes[int(rng.integers(0, len(nodes)))]
+                nodes.append(pdc.insert_leaf(parent, pool[int(rng.integers(0, len(pool)))]))
+            for _ in range(3):
+                u, v = (nodes[int(j)] for j in rng.integers(0, len(nodes), size=2))
+                beta = R(int(rng.integers(-4, 5)), int(rng.integers(1, 6)))
+                diff = root_distance(tree, u) - root_distance(tree, v)
+                assert pdc.compare(u, v, beta) is Ordering.of(diff._cmp(beta))
+            v = nodes[-1]
+            assert tree.nearest_marked_ancestor(v, 1) == walked_ancestor(tree, v, 1)
+        assert len(tree._anc[1]) == len(tree)
+        assert pdc.counters()["pairs_computed"] > 0
+
+    def _solve_capturing(self, monkeypatch, g, **kwargs):
+        made = []
+        real = sssp_module._STRATEGIES["distcmp"]
+
+        def capture(*args):
+            strat = real(*args)
+            made.append(strat.comparator)
+            return strat
+
+        monkeypatch.setitem(sssp_module._STRATEGIES, "distcmp", capture)
+        dijkstra_nonneg(g, 0, strategy="distcmp", seed=1, **kwargs)
+        return made[0]
+
+    def test_gate_open_solve_builds_no_array(self, monkeypatch):
+        third = R(1, 3)
+        ties = WeightedDigraph(40, [(e.tail, e.head, third) for e in gen_random(40, 160, 3).edges],
+                               source=0)
+        gadget, _ = gen_small_diff(400, chain=20, window=3)
+        for g in (ties, gadget, gen_random(60, 240, 5)):
+            dc = self._solve_capturing(monkeypatch, g)
+            counters = dc.counters()
+            queries = counters["level_queries"][0]
+            assert queries > 0 and counters["difficult_answers"] == [0] * (dc.config.t + 1)
+            answered = sum(counters[k][0] for k in ("trivial_answers", "shortcut_answers",
+                                                    "tie_answers"))
+            assert answered == queries  # every query took the shortcut or was trivial
+            assert len(dc.tree) > g.n // 2
+            assert [len(a) for a in dc.tree._anc] == [1] * (dc.config.t + 1)
+
+    def test_gate_closed_solve_builds_arrays(self, monkeypatch):
+        # The contrast: where the gate closes, the fixed point reads them.
+        dc = self._solve_capturing(monkeypatch, diamond_chain(170), budget=WordBudget(16),
+                                   constants={"C": 0.5, "lam": 1.0})
+        assert dc.counters()["difficult_answers"][0] > 0
+        assert len(dc.tree._anc[0]) > len(dc.tree) // 2

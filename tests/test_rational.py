@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +184,63 @@ class TestTextual:
         for x in (R(1, 2), wide):
             with pytest.raises(ValueError, match="digits must be non-negative, got -1"):
                 x.to_decimal(-1)
+
+
+def _old_to_decimal(x, digits):
+    """`BigRational.to_decimal` as it was, through CPython's own conversion."""
+    neg = x.num < 0
+    whole, rem = divmod(-x.num if neg else x.num, x.den)
+    body = f"{whole}.{(rem * 10**digits) // x.den:0{digits}d}"
+    return "-" + body if neg else body
+
+
+class TestWideText:
+    # CPython refuses int <-> decimal text past `sys.get_int_max_str_digits()`
+    # digits (4300 by default, 640 at least); ratpath's text does not.
+    DIGITS = 5000
+
+    def test_str_and_repr(self):
+        x = R(1, 10**self.DIGITS)
+        assert str(x) == "1/1" + "0" * self.DIGITS
+        assert repr(x) == f"BigRational(1, 1{'0' * self.DIGITS})"
+        assert str(R(-(10**self.DIGITS))) == "-1" + "0" * self.DIGITS
+
+    def test_to_decimal(self):
+        assert R(1, 3).to_decimal(self.DIGITS) == "0." + "3" * self.DIGITS
+        assert R(-2, 3).to_decimal(self.DIGITS) == "-0." + "6" * (self.DIGITS - 1) + "6"
+        # a whole part of 5000 digits, and fraction digits with leading zeros
+        x = R(10**self.DIGITS * 7 + 1, 10**self.DIGITS)
+        assert x.to_decimal(self.DIGITS) == "7." + "0" * (self.DIGITS - 1) + "1"
+        assert R(10**self.DIGITS + 1, 2).to_decimal(0) == "5" + "0" * (self.DIGITS - 1)
+
+    def test_parse_of_a_wide_token_works(self):
+        # The pinned choice: a token past the limit parses exactly.
+        ones = "1" * self.DIGITS  # (10^DIGITS - 1) / 9
+        assert BigRational.parse("-" + "7" * self.DIGITS + "/" + ones + "0") == R(-7, 10)
+        assert BigRational.parse("+" + ones) == R((10**self.DIGITS - 1) // 9)
+
+    @pytest.mark.parametrize("limit", [None, 640])
+    def test_matches_unlimited_conversion(self, limit):
+        # Against CPython's own conversion with the limit lifted, under the
+        # default limit and under the least one CPython allows.
+        if not hasattr(sys, "set_int_max_str_digits"):  # no limit before 3.10.7
+            pytest.skip("this Python converts ints of any size")
+        rng = np.random.default_rng(5)
+        values = [R((-1) ** k * int(rng.integers(1, 1 << 62)) ** k, 3**j + 1)
+                  for k in (1, 30, 200, 300) for j in (1, 4000, 12000)]
+        values.append(R(10**599, 10**600 - 1))
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            want = [(f"{x.num}" if x.den == 1 else f"{x.num}/{x.den}", _old_to_decimal(x, 50))
+                    for x in values]
+            sys.set_int_max_str_digits(old if limit is None else limit)
+            for x, (text, decimal) in zip(values, want):
+                assert str(x) == text
+                assert BigRational.parse(text) == x
+                assert x.to_decimal(50) == decimal
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 @given(
