@@ -50,9 +50,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "sample_shift",
@@ -218,6 +219,8 @@ class SparseCover:
     def __init__(self, n: int, lambda_: float, rng: np.random.Generator):
         if n < 1:
             raise ValueError("cover needs at least one vertex")
+        import numpy as np
+
         count = max(1, math.ceil(lambda_ * math.log2(max(n, 2))))
         self.n = n
         # one draw of count seeds: the same values as count scalar draws

@@ -68,8 +68,6 @@ import math
 import numbers
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .cfrac import Ordering, best_approx
 from .cover import SparseCover
 from .inctree import GCD_BITS, IncTree
@@ -326,6 +324,8 @@ class DistCmp:
     """
 
     def __init__(self, config: DistCmpConfig, seed: int = 0):
+        import numpy as np
+
         self.config = config
         # |num| and den of a c-short value are below this (`is_k_short`).
         self._short = 1 << (config.c * config.B - 1)
@@ -385,11 +385,14 @@ class DistCmp:
             chain.append(x)
             x = self.tree.nearest_strict_marked_ancestor(x, i)
         scale = self._scale_of(i)
+        # Each chain node's strict level-i ancestor is the node before it
+        # in this loop: first x, the memoized node that ended the walk.
+        z = x
         for y in reversed(chain):
-            z = self.tree.nearest_strict_marked_ancestor(y, i)
             num, den = self.tree.pair(i, self.tree.parent[y])
             w = self.tree.weight[y]
             memo[y] = memo[z] + (scale * (num * w.den + w.num * den)) // (den * w.den)
+            z = y
         return memo[v]
 
     def _anchor(self, lvl: int, v: int) -> Tuple[int, BigRational]:
@@ -487,6 +490,8 @@ class DistCmp:
     def _level_state(self, i: int) -> _LevelState:
         st = self._states[i]
         if st is None:
+            import numpy as np
+
             # Node id = slot index.  A slot not yet inserted has no similarity
             # edge, so it moves in no cover instance, centers no stored
             # cluster and enters no cluster order.
@@ -587,6 +592,8 @@ class PairwiseDeltaComparator:
         self.h = hop_param
         self.bits = (2 * hop_param + 2) * budget.B + 1
         self.tree = IncTree(max_level=1)
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         want = min(capacity, math.ceil(gamma * (capacity / hop_param) * math.log2(max(capacity, 2))))
         picks = rng.permutation(max(capacity - 1, 0))[: max(want - 1, 0)]

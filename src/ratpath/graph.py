@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rational import BigRational, ZERO, ONE, _fraction_text, sum_balanced, sum_lt
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Edge",
@@ -657,6 +658,8 @@ def gen_random(
         raise ValueError(f"unknown negative mode {negative_mode!r}")
     if weight_class not in _WEIGHT_CLASSES:
         raise ValueError(f"unknown weight class {weight_class!r}")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     seen = set()
     pairs: List[Tuple[int, int]] = []
@@ -687,6 +690,8 @@ def plant_negative_cycle(
     """
     if g.n < length + 1:
         raise ValueError("graph too small for the requested cycle")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     s = g.source if g.source is not None else 0
     others = [v for v in range(g.n) if v != s]

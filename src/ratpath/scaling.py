@@ -39,7 +39,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .graph import NegativeCycle, WeightedDigraph, _parent_cycle, cycle_weight
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make, is_k_short
 
 __all__ = [
     "integer_sssp_arrays",
@@ -167,10 +167,19 @@ def assemble_price(
 
 def _check_1_short(g: WeightedDigraph, budget: WordBudget) -> None:
     """Raise ValueError at the first edge of g, in list order, whose
-    weight is not 1-short under `budget`."""
+    weight is not 1-short under `budget`.
+
+    One pass ORs every |num| and den: the OR is below 2^(B-1) iff each
+    of them is, so only a wider OR scans for the failing edge.
+    """
+    acc = 0
     for e in g.edges:
-        if not is_k_short(e.weight, 1, budget):
-            raise ValueError(f"edge weight {e.weight} is not 1-short under B={budget.B}")
+        w = e.weight
+        acc |= w.den | abs(w.num)
+    if acc >> (budget.B - 1):
+        for e in g.edges:
+            if not is_k_short(e.weight, 1, budget):
+                raise ValueError(f"edge weight {e.weight} is not 1-short under B={budget.B}")
 
 
 def eps_feasible_price(
@@ -220,8 +229,16 @@ def eps_feasible_price(
         return NegativeCycle(cyc, w)
     if not _price_certified(g, dist, weights, shift):
         raise AssertionError("scaled price function fails exact feasibility")
-    den = 1 << shift
-    return [BigRational(d, den) for d in dist[:n]]
+    # D / 2^shift in lowest terms: the gcd is the power of two dividing
+    # D, its lowest set bit, capped at 2^shift.
+    price = []
+    for d in dist[:n]:
+        if d:
+            t = min((d & -d).bit_length() - 1, shift)
+            price.append(_make(d >> t, 1 << (shift - t)))
+        else:
+            price.append(ZERO)
+    return price
 
 
 def _price_certified(g: WeightedDigraph, dist: Sequence[int], scaled: Sequence[int], shift: int) -> bool:

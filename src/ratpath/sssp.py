@@ -37,9 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
 from .cfrac import compare_via_approx  # noqa: F401
@@ -56,8 +54,11 @@ from .graph import (
 )
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
 from .graph import augment_source  # noqa: F401
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _add, _make, sum_lt
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _add, _make
 from .scaling import _check_1_short, eps_feasible_price
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NegativeWeightError",
@@ -557,8 +558,8 @@ class _RecombinationError(RuntimeError):
 
 def _splice_walk(walk: List[int]) -> List[int]:
     """Drop the loops between vertex repetitions (one pass over the walk
-    via a last-occurrence map); on a consistent input the removed loops
-    all have zero weight."""
+    via a last-occurrence map): the walk's chronological loop erasure.
+    On a consistent input the removed loops all have zero weight."""
     last = {v: i for i, v in enumerate(walk)}
     out = []
     i = 0
@@ -738,20 +739,26 @@ def _recombine(
     if cycle is not None:
         raise _RecombinationError("the hit-set estimates form a negative cycle")
 
-    # Best two-stage estimate per vertex and its through-vertex.
+    # Best two-stage estimate hdist[i] + run i's d(v) per vertex, kept as
+    # an unreduced pair of ints and compared by cross-multiplication; the
+    # strict test keeps the lowest index on ties.
     best_via: List[Optional[int]] = [None] * n
-    best: List[Optional[BigRational]] = [None] * n
+    bnum = [0] * n
+    bden = [1] * n
     for i in range(size):
         hi = hdist[i]
         if hi is None:
             continue
-        di = runs[i].dist
-        for v in range(n):
-            w = di[v]
+        hn, hd = hi.num, hi.den
+        for v, w in enumerate(runs[i].dist):
             if w is None:
                 continue
-            if best[v] is None or sum_lt(hi, w, best[v]):
-                best[v] = hi + w
+            wd = w.den
+            num = hn * wd + w.num * hd
+            den = hd * wd
+            if best_via[v] is None or num * bden[v] < bnum[v] * den:
+                bnum[v] = num
+                bden[v] = den
                 best_via[v] = i
     return hpar, best_via
 
@@ -765,11 +772,30 @@ def _witness_tree(
     best_via: List[Optional[int]],
 ) -> SsspResult:
     """The tree of the stitched witness walks: each vertex's walk through
-    its hit-set relays, spliced, and the union of their edges searched
-    from s."""
+    its hit-set relays, erased, and the union of their edges searched
+    from s.
+
+    With i = best_via[v], v's walk is the prefix P_i, stitched along the
+    recombination path of i (each run's witness path to the next relay,
+    less its last vertex), followed by run i's tree path from hitset[i]
+    to v.  `_splice_walk` is chronological loop erasure: LE(W + [x]) is
+    LE(W) cut back to x when x lies on it, and LE(W) + [x] otherwise.
+    So the walks of one hit index share L = LE(P_i), built once.  Going
+    down run i's tree from hitset[i], whose parent keeps all of L, a
+    vertex x falls back into L when its position there is no later than
+    keep(parent), the last position of L that its parent's path keeps;
+    then keep(x) is that position.  Otherwise x is appended and keep(x)
+    = keep(parent): a tree path repeats no vertex, so x cannot fall back
+    onto an appended vertex.  v's erased path is therefore the edges of
+    L[:keep(v)+1], the run-tree edges (parent, x) from v up to the
+    nearest vertex that fell back, and (L[-1], hitset[i]) when no vertex
+    of the path fell back, hitset[i] included.  keep is memoized over
+    the tree and the edge walk stops at a vertex already walked, so a
+    hit index costs O(n + |P_i|), and the union is that of the erased
+    walks.
+    """
+    n = g.n
     size = len(hitset)
-    # Expand witness walks, splice out zero-weight loops, and collect the
-    # union of their edges.
     hpaths: Dict[int, List[int]] = {0: [0]}
 
     def hpath(i: int) -> List[int]:
@@ -787,19 +813,57 @@ def _witness_tree(
             got = hpaths[i]
         return got
 
+    members: Dict[int, List[int]] = {}
+    for v, i in enumerate(best_via):
+        if i is not None:
+            members.setdefault(i, []).append(v)
+
     union: Set[Tuple[int, int]] = set()
-    for v in range(g.n):
-        i = best_via[v]
-        if i is None:
-            continue
-        walk: List[int] = []
+    # keep and fell (whether the vertex fell back into L) hold for the
+    # hit index in known; walked holds the hit index whose edge walk
+    # passed the vertex.
+    keep = [0] * n
+    fell = [False] * n
+    known = [-1] * n
+    walked = [-1] * n
+    for i, vs in members.items():
         stops = hpath(i)
+        prefix: List[int] = []
         for a, b in zip(stops, stops[1:]):
-            seg = runs[a].witness_path(hitset[b])
-            walk.extend(seg[:-1])
-        walk.extend(runs[i].witness_path(v))
-        path = _splice_walk(walk)
-        union.update(zip(path, path[1:]))
+            prefix.extend(runs[a].witness_path(hitset[b])[:-1])
+        erased = _splice_walk(prefix)  # L
+        pos = {x: j for j, x in enumerate(erased)}
+        par = runs[i].parent
+        reach = -1  # the furthest position of L that a path keeps
+        junction = False
+        for v in vs:
+            chain = []
+            x = v
+            while x is not None and known[x] != i:
+                chain.append(x)
+                x = par[x]
+            kept = len(erased) - 1 if x is None else keep[x]
+            for y in reversed(chain):
+                j = pos.get(y)
+                fell[y] = j is not None and j <= kept
+                if fell[y]:
+                    kept = j
+                keep[y] = kept
+                known[y] = i
+            if kept > reach:
+                reach = kept
+            x = v
+            while walked[x] != i and not fell[x]:
+                walked[x] = i
+                u = par[x]
+                if u is None:
+                    junction = True
+                    break
+                union.add((u, x))
+                x = u
+        union.update(zip(erased, erased[1:reach + 1]))
+        if junction and erased:
+            union.add((erased[-1], hitset[i]))
 
     adj: Dict[int, List[int]] = {}
     for u, v in union:
@@ -827,6 +891,8 @@ def _witness_tree(
 
 
 def bob_random(turn: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    import numpy as np
+
     c = int(rng.integers(1, n + 1))
     out = np.zeros(n, dtype=np.int64)
     out[rng.permutation(n)[:c]] = np.arange(1, c + 1)
@@ -871,6 +937,8 @@ def game_simulate(
             bob_strategy = BOB_STRATEGIES[bob_strategy]
         except KeyError:
             raise ValueError(f"unknown strategy {bob_strategy!r}") from None
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     # The sentinel must dominate every rank even after n decrements.
     inf = np.int64(4 * n + 2)

@@ -12,7 +12,9 @@ full root distances that the anchor-relative `ratpath.graph.verify_sssp`
 replaced; and `reference_parse_rational`, `reference_parse` and
 `reference_parse_tree`, the regex token parser and the instance and tree
 readers built on it that `BigRational.parse`, `ratpath.graph.parse` and
-`ratpath.graph.parse_tree` replaced.
+`ratpath.graph.parse_tree` replaced; and `reference_witness_tree`, the
+per-vertex walk splicing that `ratpath.sssp._witness_tree` replaced
+with one pass per hit index.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from ratpath.graph import (
     gen_random,
 )
 from ratpath.rational import BigRational, ZERO, is_k_short, sum_lt
-from ratpath.sssp import CutResult
+from ratpath.sssp import CutResult, _RecombinationError, _splice_walk
 
 
 class UnreducedPair:
@@ -269,6 +271,75 @@ def full_scan_recombination(n: int, hitset: Sequence[int], runs):
                 best[v] = hdist[i] + w
                 best_via[v] = i
     return hpar, best_via
+
+
+def reference_witness_tree(
+    g: WeightedDigraph,
+    s: int,
+    hitset: List[int],
+    runs: List[CutResult],
+    hpar: List[int],
+    best_via: List[Optional[int]],
+    stats: Optional[Dict[str, int]] = None,
+) -> SsspResult:
+    """The witness tree built walk by walk: every vertex's full stitched
+    walk through its hit-set relays, spliced by `_splice_walk`, and the
+    union of their edges searched from s.  `stats`, when given, counts
+    the walks that the splice shortened under "spliced"."""
+    size = len(hitset)
+    hpaths: Dict[int, List[int]] = {0: [0]}
+
+    def hpath(i: int) -> List[int]:
+        got = hpaths.get(i)
+        if got is None:
+            chain = []
+            x = i
+            while x not in hpaths:
+                chain.append(x)
+                x = hpar[x]
+                if x < 0 or len(chain) > size:
+                    raise _RecombinationError("recombination parents form a cycle")
+            for y in reversed(chain):
+                hpaths[y] = hpaths[hpar[y]] + [y]
+            got = hpaths[i]
+        return got
+
+    union: Set[Tuple[int, int]] = set()
+    for v in range(g.n):
+        i = best_via[v]
+        if i is None:
+            continue
+        walk: List[int] = []
+        stops = hpath(i)
+        for a, b in zip(stops, stops[1:]):
+            seg = runs[a].witness_path(hitset[b])
+            walk.extend(seg[:-1])
+        walk.extend(runs[i].witness_path(v))
+        path = _splice_walk(walk)
+        if stats is not None and len(path) < len(walk):
+            stats["spliced"] = stats.get("spliced", 0) + 1
+        union.update(zip(path, path[1:]))
+
+    adj: Dict[int, List[int]] = {}
+    for u, v in union:
+        adj.setdefault(u, []).append(v)
+    for vs in adj.values():
+        vs.sort()
+    parent: Dict[int, Tuple[int, BigRational, bool]] = {}
+    seen = {s}
+    queue = [s]
+    while queue:
+        u = queue.pop()
+        for v in adj.get(u, ()):
+            if v in seen:
+                continue
+            seen.add(v)
+            e = g.edge_between(u, v)
+            if e is None:
+                raise _RecombinationError(f"witness edge ({u},{v}) missing from the graph")
+            parent[v] = (u, e.weight, e.aux)
+            queue.append(v)
+    return SsspResult(g.n, s, parent)
 
 
 def reference_cut_dijkstra(ctx, g: WeightedDigraph, s: int, collect=None) -> CutResult:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -444,3 +445,42 @@ class TestSelfCheck:
             assert code == 0
             code, out, _ = run(capsys, "verify", str(inst), str(tree))
             assert code == 0 and out.strip() == "valid"
+
+
+class TestNumpyFreeCommands:
+    # Commands that draw nothing leave numpy unimported.  This process
+    # has imported it, so the commands run in a fresh one, which reports
+    # after each command whether numpy is loaded.
+    SCRIPT = (
+        "import json, sys\n"
+        "from ratpath.cli import main\n"
+        "out = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = main(argv)\n"
+        "    out.append([argv[0], code, 'numpy' in sys.modules])\n"
+        "print(json.dumps(out))\n"
+    )
+
+    def test_commands_leave_numpy_unloaded(self, tmp_path):
+        priced = tmp_path / "priced.gr"
+        priced.write_text(serialize(gen_random(40, 120, 3, "small", "priced")))
+        plain = tmp_path / "plain.gr"
+        plain.write_text(serialize(gen_random(40, 120, 3, "small")))
+        neg, exact = tmp_path / "neg.tree", tmp_path / "exact.tree"
+        commands = [
+            ["solve", "--input", str(priced), "--mode", "neg", "-o", str(neg)],
+            ["verify", str(priced), str(neg)],
+            ["solve", "--input", str(plain), "--mode", "nonneg", "--strategy", "exact_oracle",
+             "-o", str(exact)],
+            ["verify", str(plain), str(exact)],
+            ["price", "--input", str(priced), "--k", "8", "-o", str(tmp_path / "price.txt")],
+            ["approx", "17/14", "--bits", "3"],
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(ratpath.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, json.dumps(commands)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *printed, report = proc.stdout.splitlines()
+        assert json.loads(report) == [[argv[0], 0, False] for argv in commands]
+        assert printed == ["valid", "valid", "lo 6/5", "hi 5/4"]

@@ -14,7 +14,14 @@ from ratpath.graph import (
     plant_negative_cycle,
 )
 from ratpath.rational import BigRational, WordBudget, ZERO
-from ratpath.scaling import _price_certified, assemble_price, eps_feasible_price, integer_sssp_arrays
+from ratpath import scaling
+from ratpath.scaling import (
+    _check_1_short,
+    _price_certified,
+    assemble_price,
+    eps_feasible_price,
+    integer_sssp_arrays,
+)
 from ratpath.sssp import _hop_default
 from conftest import backbone_graph, bf_oracle_int, reference_eps_feasible_price
 
@@ -470,6 +477,77 @@ class TestEpsFeasiblePrice:
         g = WeightedDigraph(2, [(0, 1, R(10**30, 7))])
         with pytest.raises(ValueError):
             eps_feasible_price(g, 1, budget=WordBudget(8))
+
+
+class TestPriceReduction:
+    """The price D / 2^(k+1) is reduced by the power of two dividing D;
+    each value must be the canonical `BigRational(D, 2^(k+1))`."""
+
+    @staticmethod
+    def _prices(monkeypatch, ds, k):
+        # An edgeless graph certifies any distances, so the Bellman-Ford
+        # can be replaced by the D values under test.
+        def fixed(n, adj, weights, s):
+            return list(ds) + [0], [-1] * n, None
+
+        monkeypatch.setattr(scaling, "integer_sssp_arrays", fixed)
+        return eps_feasible_price(WeightedDigraph(len(ds)), k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 40])
+    def test_values_are_canonical(self, monkeypatch, k):
+        top = 1 << (k + 1)
+        ds = [0, 1, -1, 3, -7, 2, -6, 12, top, -top, 3 * top, -5 * top, top // 2, 4 * top,
+              (1 << 200) + 1, (1 << 200) * 9, -(3 << 150), 10**40]
+        for d, p in zip(ds, self._prices(monkeypatch, ds, k)):
+            want = R(d, top)
+            assert (p.num, p.den) == (want.num, want.den), (d, k)
+
+    def test_matches_gcd_reduction_on_priced_graphs(self, monkeypatch):
+        # The real distances, captured from the Bellman-Ford the price is
+        # built from, reduce to the same values a gcd gives.
+        seen = []
+
+        def capture(*args):
+            out = integer_sssp_arrays(*args)
+            seen.append(out[0])
+            return out
+
+        monkeypatch.setattr(scaling, "integer_sssp_arrays", capture)
+        for n, seed, k in ((5, 1, 0), (12, 2, 3), (30, 3, 20), (16, 4, 580)):
+            g = gen_random(n, 3 * n, seed, "small", "priced")
+            p = eps_feasible_price(g, k)
+            want = [R(d, 1 << (k + 1)) for d in seen[-1][:n]]
+            assert [(x.num, x.den) for x in p] == [(x.num, x.den) for x in want]
+
+
+class TestCheck1Short:
+    @pytest.mark.parametrize("B", [2, 8, 16, 64])
+    def test_accepts_the_widest_1_short_values(self, B):
+        top = (1 << (B - 1)) - 1
+        g = WeightedDigraph(3, [(0, 1, R(top)), (1, 2, R(-top)), (2, 0, R(1, top)), (0, 2, R(-1, top))])
+        _check_1_short(g, WordBudget(B))
+
+    @pytest.mark.parametrize("B", [2, 8, 16, 64])
+    def test_names_the_first_failing_edge(self, B):
+        wide = 1 << (B - 1)
+        bad = [R(wide), R(-wide), R(1, wide), R(-1, wide + 1)]
+        for first in range(len(bad)):
+            # A good edge first, then every bad weight from `first` on, in
+            # a rotated order: the message names the first of them.
+            order = bad[first:] + bad[:first]
+            g = WeightedDigraph(6, [(0, 5, R(0))] + [(0, i + 1, w) for i, w in enumerate(order)])
+            assert [e.weight for e in g.edges][1:] == order
+            with pytest.raises(ValueError) as info:
+                _check_1_short(g, WordBudget(B))
+            assert str(info.value) == f"edge weight {order[0]} is not 1-short under B={B}"
+        for w in bad:
+            # Alone among short weights, each is found.
+            g = WeightedDigraph(3, [(0, 1, R(1)), (1, 2, w), (2, 0, R(-1))])
+            with pytest.raises(ValueError, match=f"edge weight {w} is not 1-short"):
+                _check_1_short(g, WordBudget(B))
+
+    def test_empty_graph_passes(self):
+        _check_1_short(WeightedDigraph(4), WordBudget(2))
 
 
 def _scaled(w, shift):

@@ -8,6 +8,7 @@ import pytest
 from ratpath.graph import (
     NegativeCycle,
     WeightedDigraph,
+    _bellman_ford,
     _primes_below,
     augment_source,
     bf_exact,
@@ -42,6 +43,7 @@ from conftest import (
     diamond_chain,
     full_scan_recombination,
     reference_cut_dijkstra,
+    reference_witness_tree,
     replay_enhanced_order,
     textbook_bf,
 )
@@ -821,6 +823,166 @@ class TestRecombination:
         # directly, and 2 through 1.
         rows = [[(0,), (1,), None], [None, (0,), (1, 2)], [None, (-1, 2), (0,)]]
         assert _recombine(3, [0, 1, 2], self._runs([0, 1, 2], rows)) == ([-1, 0, 1], [0, 0, 1])
+
+    def test_matches_bigrational_sums(self):
+        # The unreduced int pairs of _recombine against the two-stage
+        # estimates summed as `BigRational`s, first strict improvement in
+        # index order.  Row values come from a handful of fractions, some
+        # written over several denominators, so equal estimates through
+        # different indices are common.
+        rng = np.random.default_rng(3701)
+        values = [(0, 1), (1, 2), (2, 4), (1, 3), (2, 6), (1, 1), (3, 3), (5, 6), (-1, 2), (-2, 4)]
+        ties = 0
+        for trial in range(300):
+            size = int(rng.integers(1, 7))
+            n = size + int(rng.integers(0, 8))
+            rows = []
+            for i in range(size):
+                row = [None if rng.random() < 0.25 else values[int(rng.integers(0, len(values)))]
+                       for _ in range(n)]
+                row[i] = (0, 1)
+                rows.append(row)
+            hitset = list(range(size))
+            runs = self._runs(hitset, rows)
+            edges = [(i, j, run.dist[j]) for i, run in enumerate(runs) for j in range(size)
+                     if run.dist[j] is not None and i != j]
+            hdist, hpar, cycle = _bellman_ford(size, 0, edges)
+            if cycle is not None:
+                with pytest.raises(_RecombinationError):
+                    _recombine(n, hitset, runs)
+                continue
+            best = [None] * n
+            best_via = [None] * n
+            for i in range(size):
+                if hdist[i] is None:
+                    continue
+                for v in range(n):
+                    w = runs[i].dist[v]
+                    if w is None:
+                        continue
+                    if best[v] is not None and hdist[i] + w == best[v]:
+                        ties += 1
+                    if best[v] is None or hdist[i] + w < best[v]:
+                        best[v] = hdist[i] + w
+                        best_via[v] = i
+            assert _recombine(n, hitset, runs) == (hpar, best_via), trial
+        assert ties >= 100, ties
+
+
+class TestWitnessTree:
+    """`_witness_tree` builds one loop-erased prefix per hit index; the
+    trees must be the bytes of the walk-by-walk construction."""
+
+    _PRIMES = _primes_below(62)
+
+    @classmethod
+    def _chain(cls, n, rng):
+        # A chain 0 -> 1 -> ... -> n-1 of weights 1/p or 0, zero-weight
+        # back edges and zero-weight 2-cycles (so shortest walks can
+        # revisit a vertex), a few shortcuts, and an integer potential of
+        # -1..1: every weight stays 1-short at B = 8.
+        edges = {}
+
+        def add(u, v, w):
+            if u != v and (u, v) not in edges:
+                edges[(u, v)] = w
+
+        for v in range(1, n):
+            add(v - 1, v, ZERO if rng.random() < 1 / 3 else R(1, int(rng.choice(cls._PRIMES))))
+            if rng.random() < 0.5:
+                add(v, v - 1, ZERO)
+        for _ in range(n // 3):
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            add(u, v, ZERO)
+            add(v, u, ZERO)
+        for _ in range(n // 6):
+            u, v = (int(x) for x in rng.integers(0, n, 2))
+            add(u, v, R(int(rng.integers(0, 3)), int(rng.choice(cls._PRIMES))))
+        c = [int(x) for x in rng.integers(-1, 2, n)]
+        return WeightedDigraph(n, [(u, v, w + c[v] - c[u]) for (u, v), w in edges.items()], source=0)
+
+    @staticmethod
+    def _compare(g, ctx, hitset, stats):
+        runs = [cut_dijkstra(ctx, v) for v in hitset]
+        try:
+            hpar, best_via = _recombine(g.n, hitset, runs)
+        except _RecombinationError:
+            return None
+        want = serialize_tree(reference_witness_tree(g, 0, hitset, runs, hpar, best_via, stats))
+        assert serialize_tree(_witness_tree(g, 0, hitset, runs, hpar, best_via)) == want
+        return hpar
+
+    def test_matches_reference_on_chains(self):
+        rng = np.random.default_rng(3702)
+        stats = {}
+        trees = relayed = spliced = 0
+        for trial in range(600):
+            g = self._chain(int(rng.integers(6, 40)), rng)
+            ctx = cut_preprocess(g, int(rng.integers(1, 4)), budget=WordBudget(int(rng.integers(8, 13))))
+            assert not isinstance(ctx, NegativeCycle)
+            others = rng.permutation(np.arange(1, g.n))[: int(rng.integers(0, g.n))]
+            before = stats.get("spliced", 0)
+            hpar = self._compare(g, ctx, [0] + sorted(int(v) for v in others), stats)
+            if hpar is not None:
+                trees += 1
+                relayed += any(p > 0 for p in hpar)
+                spliced += stats.get("spliced", 0) > before
+        # Relays stitch several runs, and some walks revisit a vertex.
+        assert trees == 600 and relayed >= 60 and spliced >= 20, (trees, relayed, spliced)
+
+    def test_matches_reference_on_priced_graphs(self):
+        rng = np.random.default_rng(3703)
+        for trial in range(150):
+            n = int(rng.integers(4, 40))
+            if trial % 2:
+                g, k = TestRecombination._deep_priced(n, rng), 1
+            else:
+                g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
+                k = int(rng.integers(1, 4))
+            ctx = cut_preprocess(g, k, budget=B16)
+            assert not isinstance(ctx, NegativeCycle)
+            others = rng.permutation(np.arange(1, n))[: int(rng.integers(0, n))]
+            self._compare(g, ctx, [0] + sorted(int(v) for v in others), {})
+
+    def test_matches_reference_on_random_trees(self):
+        # The construction is combinatorial: it reads the runs' parent
+        # links and the recombination parents, not their distances.  So
+        # random run trees over a few vertices of a complete zero-weight
+        # digraph, random relay trees and random through-indices make
+        # walks that revisit vertices far more often than real runs do.
+        rng = np.random.default_rng(3704)
+        stats = {}
+        for trial in range(2000):
+            n = int(rng.integers(2, 10))
+            g = WeightedDigraph(n, [(u, v, ZERO) for u in range(n) for v in range(n) if u != v], source=0)
+            size = int(rng.integers(1, min(n, 5) + 1))
+            hitset = [0] + sorted(int(v) for v in rng.permutation(np.arange(1, n))[: size - 1])
+            runs = []
+            for h in hitset:
+                order = [h] + [int(v) for v in rng.permutation([v for v in range(n) if v != h])]
+                parent = [None] * n
+                for j in range(1, n):
+                    parent[order[j]] = order[int(rng.integers(0, j))]
+                runs.append(CutResult(h, [None] * n, parent, order, [], 0))
+            rank = [0] + [int(j) for j in rng.permutation(np.arange(1, size))]
+            hpar = [-1] * size
+            for j in range(1, size):
+                hpar[rank[j]] = rank[int(rng.integers(0, j))]
+            best_via = [None if rng.random() < 0.1 else int(rng.integers(0, size)) for _ in range(n)]
+            want = serialize_tree(reference_witness_tree(g, 0, hitset, runs, hpar, best_via, stats))
+            assert serialize_tree(_witness_tree(g, 0, hitset, runs, hpar, best_via)) == want, trial
+        assert stats["spliced"] >= 1000, stats
+
+    def test_recombination_cycle_raises(self):
+        # Recombination parents that form a cycle are refused, as the
+        # walk-by-walk construction refuses them.
+        g = WeightedDigraph(3, [(0, 1, ZERO), (1, 2, ZERO), (2, 1, ZERO)], source=0)
+        ctx = cut_preprocess(g, 1, budget=B16)
+        hitset = [0, 1, 2]
+        runs = [cut_dijkstra(ctx, v) for v in hitset]
+        for build in (_witness_tree, reference_witness_tree):
+            with pytest.raises(_RecombinationError, match="form a cycle"):
+                build(g, 0, hitset, runs, [-1, 2, 1], [0, 1, 2])
 
 
 class TestNegativePipeline:
