@@ -47,13 +47,21 @@ it the difficult path (similarity edges, the cover, the cluster orders and
 level i+1), runs only when the gate is closed, for values too wide for
 that: the regime the hierarchy exists for.
 
-Every exact path weight comes from the tree's one memo, `IncTree.pair`,
-which `PairwiseDeltaComparator` reads too.  The shortcut, the window
-check, the fallbacks and `exact_compare` all compare root pairs through
-`IncTree.exact_sign`.  The first two gate it on `IncTree.den_bits`:
-`_level_compare` tests the shortcut's gate inline, and the cluster
-comparator tests the window's through `_exact_sign`.  The fixed-point
-numerators are plain Python ints.
+Heap queries decide on key pairs.  A heap key dist(u) + w1 (`key`)
+carries the unreduced exact pair of its value while its bound den_bits(u)
++ bitlen(w1.den) is at most ell_0.  As bitlen(beta.den) <= bitlen(w1.den)
++ bitlen(w2.den) for beta = w2 - w1, two keys whose bounds sum to at most
+ell_0 pass the shortcut's gate: `compare` answers them by one
+cross-multiplication of their pairs, counted as the shortcut counts.
+
+Root pairs come from the tree's one memo, `IncTree.pair`, which
+`PairwiseDeltaComparator` reads too.  Node queries (key queries past the
+pair gate, and `compare` given beta) read them: the shortcut, the window
+check, the fallbacks and `exact_compare` compare them through
+`IncTree.exact_sign`, gated on `IncTree.den_bits` (inline in
+`_level_compare`, through `_exact_sign` for the window).  The fixed-point
+values and anchors read the per-level pairs; their numerators are plain
+Python ints.
 
 `_CONSTANTS` holds the one default of each solver constant: C sizes the
 thinning factor K, lam the cover, gamma the sample of the pairwise
@@ -70,8 +78,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .cfrac import Ordering, best_approx
 from .cover import SparseCover
-from .inctree import GCD_BITS, IncTree
-from .rational import BigRational, WordBudget, ZERO
+from .inctree import IncTree, cancel
+from .rational import BigRational, WordBudget, ZERO, _add
 
 __all__ = [
     "DistCmpConfig",
@@ -294,6 +302,15 @@ class _LevelState:
         self.dsu = _PotentialDsu(len(members))
 
 
+def _gap(w1: BigRational, w2: BigRational) -> BigRational:
+    """w2 - w1 as `__sub__` builds it, or the canonical ZERO for equal
+    weights.  Equal tokens of one `parse` call share one object, which the
+    identity test catches first."""
+    if w1 is w2 or (w1.num == w2.num and w1.den == w2.den):
+        return ZERO
+    return _add(w2.num, w2.den, -w1.num, w1.den)
+
+
 # Ordering by sign: index 1 is GREATER and index -1 the last entry, LESS.
 _ORDERING_OF_SIGN = (Ordering.EQUAL, Ordering.GREATER, Ordering.LESS)
 
@@ -314,10 +331,11 @@ class DistCmp:
     insert_leaf() grows the tree up to config.capacity nodes, the root
     included; compare(u, v, beta) orders dist(root, u) - dist(root, v)
     against a c-short rational beta, correct with high probability, and
-    returns an `Ordering`; exact_compare() evaluates the same predicate
-    in exact arithmetic, over the root pairs the shortcut reads.  The
-    levels pass int signs (-1, 0, 1) between them, and compare turns the
-    level-0 sign into an `Ordering` once.
+    returns an `Ordering`; compare(a, b) orders two heap keys from key()
+    the same way; exact_compare() evaluates the node predicate in exact
+    arithmetic, over the root pairs the shortcut reads.  The levels pass
+    int signs (-1, 0, 1) between them, and compare turns the level-0 sign
+    into an `Ordering` once.
 
     Queries mutate internal state (similarity edges, cluster orders), so
     all access must be serialized by the owning thread.
@@ -329,6 +347,7 @@ class DistCmp:
         self.config = config
         # |num| and den of a c-short value are below this (`is_k_short`).
         self._short = 1 << (config.c * config.B - 1)
+        self._ell0 = config.ell[0]
         # The children SeedSequence(seed).spawn(2) would give, built
         # directly: (0,) draws the slot levels, (1, i) seeds the level-i
         # cover, built only with that cover.
@@ -361,7 +380,7 @@ class DistCmp:
         short = self._short
         if not (-short < weight.num < short and weight.den < short):
             raise ValueError(f"weight {weight} is not {self.config.c}-short")
-        slot = len(self.tree)
+        slot = len(self.tree.parent)
         if slot >= self.config.capacity:
             raise ValueError(f"tree is full at capacity {self.config.capacity}")
         return self.tree.insert_leaf(parent, weight, self.slot_level[slot])
@@ -403,13 +422,51 @@ class DistCmp:
 
     # -- queries --------------------------------------------------------
 
-    def compare(self, u: int, v: int, beta: BigRational) -> Ordering:
-        """Order dist(u) - dist(v) against beta.  u and v come from
-        `insert_leaf` unchecked: this runs on every heap comparison."""
+    def key(self, at: Tuple[int, Optional[int], Optional[int]], w: BigRational) -> tuple:
+        """The heap key dist(node) + w for at = (node, num, den), a node
+        and its root pair (None, None once `den_bits` passes ell_0): (node,
+        w, bits, num, den) with bits = den_bits(node) + bitlen(w.den) and
+        (num, den) its unreduced pair while bits <= ell_0, else (None,
+        None).  w is checked c-short here, once per key."""
+        node, num, den = at
+        short = self._short
+        if not (-short < w.num < short and w.den < short):
+            raise ValueError(f"weight {w} is not {self.config.c}-short")
+        wd = w.den
+        bits = self.tree.den_bits[node] + wd.bit_length()
+        if bits > self._ell0:
+            return node, w, bits, None, None
+        return node, w, bits, num * wd + w.num * den, den * wd
+
+    def compare(self, a, b, beta: Optional[BigRational] = None) -> Ordering:
+        """Order the keys a = dist(u) + w1 and b = dist(v) + w2, whose
+        weights differ by a c-short value: on their pairs when their
+        bounds sum to at most ell_0 (see "Heap queries" above), else as
+        the node query (u, v, w2 - w1).  Given beta, order dist(a) -
+        dist(b) against it for nodes a and b and a c-short beta (checked).
+        Nodes come from `insert_leaf` unchecked: this runs on every heap
+        comparison."""
+        if beta is None:
+            u, w1, bits1, n1, d1 = a
+            v, w2, bits2, n2, d2 = b
+            bits = bits1 + bits2
+            if bits <= self._ell0:
+                self.level_queries[0] += 1
+                c1, c2 = cancel(d1, d2, bits)
+                x = n1 * c2 - n2 * c1
+                if u == v:
+                    self.trivial_answers[0] += 1
+                elif x:
+                    self.shortcut_answers[0] += 1
+                    self.easy_answers[0] += 1
+                else:
+                    self.tie_answers[0] += 1
+                return _ORDERING_OF_SIGN[(x > 0) - (x < 0)]
+            return _ORDERING_OF_SIGN[self._level_compare(0, u, v, _gap(w1, w2))]
         short = self._short
         if not (-short < beta.num < short and beta.den < short):
             raise ValueError(f"query value {beta} is not {self.config.c}-short")
-        return _ORDERING_OF_SIGN[self._level_compare(0, u, v, beta)]
+        return _ORDERING_OF_SIGN[self._level_compare(0, a, b, beta)]
 
     def exact_compare(self, u: int, v: int, beta: BigRational) -> Ordering:
         self.tree._check_node(u)
@@ -619,12 +676,8 @@ class PairwiseDeltaComparator:
                 tree = self.tree
                 na, da = tree.pair(1, a)
                 nb, db = tree.pair(1, b)
-                if tree.den_bits[a] + tree.den_bits[b] > GCD_BITS:
-                    g = math.gcd(da, db)  # the shared root-path product, cancelled first
-                    diff = BigRational(na * (db // g) - nb * (da // g), da // g * db)
-                else:
-                    diff = BigRational(na * db - nb * da, da * db)
-                got = best_approx(diff, self.bits)
+                ca, cb = cancel(da, db, tree.den_bits[a] + tree.den_bits[b])
+                got = best_approx(BigRational(na * cb - nb * ca, ca * db), self.bits)
                 self.pairs_computed += 1
             self._ra_cache[(a, b)] = got
         return got

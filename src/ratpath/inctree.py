@@ -11,6 +11,8 @@ near-linear time in the bits involved.
 The tree holds the one exact memo of the comparators built on it:
 unreduced path pairs per level (`pair`, the root distances at
 max_level), the bound `den_bits` on their denominators, and `exact_sign`.
+`cancel` is the one rule for when two such denominators are divided by
+their gcd before they are cross-multiplied.
 
 Reads fill memos (the root pairs of `pair`, the ancestor arrays), so all
 access, reads included, must be serialized by the owner.
@@ -28,6 +30,16 @@ __all__ = ["IncTree", "NotAnAncestorError"]
 # Two root-pair denominators of at most this many bits together are
 # cross-multiplied as they are: a gcd costs more than it saves on them.
 GCD_BITS = 256
+
+
+def cancel(d1: int, d2: int, bits: int) -> Tuple[int, int]:
+    """d1 and d2 divided by their gcd when `bits`, a bound on their bit
+    lengths summed, is above `GCD_BITS`, else as they are.  On a deep
+    tree the shared root-path product is most of both denominators."""
+    if bits > GCD_BITS:
+        g = gcd(d1, d2)
+        return d1 // g, d2 // g
+    return d1, d2
 
 
 class NotAnAncestorError(ValueError):
@@ -149,17 +161,13 @@ class IncTree:
         return num, den
 
     def exact_sign(self, u: int, v: int, beta: BigRational) -> int:
-        """sign(dist(u) - dist(v) - beta) from the root pairs of u and v.
-        Their common factor is cancelled first only when `den_bits` puts
-        their denominators above `GCD_BITS` together: on a deep tree the
-        shared root-path product is most of both.  Unchecked, like `pair`."""
+        """sign(dist(u) - dist(v) - beta) from the root pairs of u and v,
+        their denominators first put through `cancel` on the `den_bits`
+        bound.  Unchecked, like `pair`."""
         top = self.max_level
         memo = self._pairs[top]
         nu, du = memo.get(u) or self.pair(top, u)
         nv, dv = memo.get(v) or self.pair(top, v)
-        if self.den_bits[u] + self.den_bits[v] > GCD_BITS:
-            g = gcd(du, dv)
-            x = (nu * (dv // g) - nv * (du // g)) * beta.den - beta.num * (du // g) * dv
-        else:
-            x = (nu * dv - nv * du) * beta.den - beta.num * du * dv
+        cu, cv = cancel(du, dv, self.den_bits[u] + self.den_bits[v])
+        x = (nu * cv - nv * cu) * beta.den - beta.num * cu * dv
         return (x > 0) - (x < 0)

@@ -211,10 +211,14 @@ def eps_feasible_price(
     shift = k + 1
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     weights = []
+    # floors[i] = floor(2^shift * w) of edge i: T_shift - 1, less one for
+    # a negative w whose scaled value is not an integer.
+    floors = []
     for i, e in enumerate(g.edges):
         num = e.weight.num
-        scaled = ((num if num >= 0 else -num) << shift) // e.weight.den
-        weights.append((scaled if num >= 0 else -scaled) + 1)
+        floor, rem = divmod(num << shift, e.weight.den)
+        floors.append(floor)
+        weights.append(floor + 2 if num < 0 and rem else floor + 1)
         adj[e.tail].append((e.head, i))
     # The super-source n, its edge to v weighing 1.
     adj.append([(v, m + v) for v in range(n)])
@@ -227,7 +231,7 @@ def eps_feasible_price(
         if w >= ZERO:
             raise AssertionError("scaled cycle does not map to a negative cycle")
         return NegativeCycle(cyc, w)
-    if not _price_certified(g, dist, weights, shift):
+    if not _price_certified(g, dist, floors):
         raise AssertionError("scaled price function fails exact feasibility")
     # D / 2^shift in lowest terms: the gcd is the power of two dividing
     # D, its lowest set bit, capped at 2^shift.
@@ -241,22 +245,20 @@ def eps_feasible_price(
     return price
 
 
-def _price_certified(g: WeightedDigraph, dist: Sequence[int], scaled: Sequence[int], shift: int) -> bool:
+def _price_certified(g: WeightedDigraph, dist: Sequence[int], floors: Sequence[int]) -> bool:
     """Whether the price D / 2^shift is 2^-(shift-1)-feasible, decided on
-    the ints D = `dist` and the scaled weights `scaled[i]` = T_shift of
-    edge i of g: the `check_eps_feasible` test with no rational built.
+    the ints D = `dist` and `floors[i]` = floor(2^shift * w) for the
+    weight w of edge i of g: the `check_eps_feasible` test with no
+    rational built.
 
     An edge u->v of weight w has reduced weight w + (D(u) - D(v)) / 2^shift
     >= -2^-(shift-1) iff D(v) - D(u) - 2 <= 2^shift * w, iff D(v) - D(u) - 2
-    <= floor(2^shift * w) since the left side is an integer.  That floor
-    is T_shift(e) - 1, less one more when w < 0 and 2^shift * w is not an
-    integer, where sgn(w) * floor(2^shift * |w|) rounds up.
+    <= floor(2^shift * w) since the left side is an integer.
+    `eps_feasible_price` hands over that floor from its weight loop, where
+    T_shift(e) = sgn(w) * floor(2^shift * |w|) + 1 is the floor plus one,
+    plus one more when w < 0 and 2^shift * w is not an integer.
     """
-    for e, t in zip(g.edges, scaled):
-        w = e.weight
-        floor = t - 1
-        if w.num < 0 and (w.num << shift) % w.den:
-            floor -= 1
+    for e, floor in zip(g.edges, floors):
         if dist[e.head] - dist[e.tail] - 2 > floor:
             return False
     return True

@@ -3,9 +3,13 @@
 Non-negative case: textbook Dijkstra where every comparison between two
 tentative keys dist(z1) + w1 and dist(z2) + w2 is delegated to a pluggable
 comparison strategy; the default routes through the hierarchical
-structure of `distcmp`, so no exact distance is ever materialized.
-Vertices s cannot reach never enter the heap: once it drains, each gets
-an aux parent edge from s of sentinel weight; no augmented graph is built.
+structure of `distcmp`, so no reduced exact distance is ever
+materialized.  A distcmp key carries the unreduced exact pair of dist(z)
++ w, built from the settled parent's while its bit bound fits the level-0
+gate, so a gate-open comparison is one cross-multiplication and no root
+pair is memoized.  Vertices s cannot reach never enter the heap: once it
+drains, each gets an aux parent edge from s of sentinel weight; no
+augmented graph is built.
 
 Negative case: an eps-feasible price function from `scaling` makes a "cut"
 Dijkstra sound for every vertex whose shortest path uses at most k hops; a
@@ -42,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set,
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
 from .cfrac import compare_via_approx  # noqa: F401
 from .distcmp import (_CONSTANTS, DistCmp, DistCmpConfig, PairwiseDeltaComparator, _check_constant,
-                      _check_hop)
+                      _check_hop, _gap)
 from .graph import (
     NegativeCycle,
     SsspResult,
@@ -54,7 +58,7 @@ from .graph import (
 )
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
 from .graph import augment_source  # noqa: F401
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _add, _make
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make
 from .scaling import _check_1_short, eps_feasible_price
 
 if TYPE_CHECKING:
@@ -101,72 +105,89 @@ def _shortness_class(g: WeightedDigraph, budget: WordBudget) -> int:
 
 
 # -- comparison strategies -------------------------------------------
+# A strategy has a `name`, `root` (the settled state of the source), and:
+# key(here, w), the key dist(u) + w from the settled state of u;
+# compare(a, b), the sign of key a against key b; settle(k), the settled
+# state of the vertex that key k reaches; and counters().
 
 
 class _ExactStrategy:
-    """Naive baseline: explicit exact distances, exact comparisons."""
+    """Naive baseline: explicit exact distances, exact comparisons.  A
+    settled vertex is its distance, a key the pair (distance, weight)."""
 
     name = "exact_oracle"
+    root = ZERO
 
     def __init__(self, g, source, budget, seed, constants=None):
-        self.dist: Dict[int, BigRational] = {source: ZERO}
+        pass
 
-    def add_leaf(self, v: int, parent: int, weight: BigRational) -> None:
-        self.dist[v] = self.dist[parent] + weight
+    @staticmethod
+    def key(d, w):
+        return d, w
 
-    def compare_keys(self, z1, w1, z2, w2) -> int:
-        lhs = self.dist[z1] + w1
-        rhs = self.dist[z2] + w2
+    @staticmethod
+    def compare(a, b) -> int:
+        lhs = a[0] + a[1]
+        rhs = b[0] + b[1]
         return lhs._cmp(rhs)
+
+    @staticmethod
+    def settle(k) -> BigRational:
+        return k[0] + k[1]
 
     def counters(self) -> Dict[str, int]:
         return {}
 
 
-class _TreeStrategy:
-    """Heap keys compared through a tree comparator (`DistCmp` or
-    `PairwiseDeltaComparator`) that mirrors the settled tree."""
+class _DistCmpStrategy:
+    """Keys of `DistCmp.key`, compared by `DistCmp.compare`.  A settled
+    vertex is its node and its key's exact pair, the node's root pair."""
 
-    def __init__(self, name, comparator, source):
-        self.name = name
-        self.comparator = comparator
+    name = "distcmp"
+
+    def __init__(self, g, source, budget, seed, constants):
+        # A heap comparison puts the difference of two weights to the
+        # structure, so its class is twice theirs.
+        c = 2 * _shortness_class(g, budget)
+        cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, C=constants["C"],
+                            lam=constants["lam"])
+        self.comparator = dc = DistCmp(cfg, seed=seed)
+        self.root = (dc.tree.root, 0, 1)
+        self.key = dc.key
         # Bound once, at solve time, so a wrapper installed on the class
         # attribute beforehand is the one called.
-        self._compare = comparator.compare
-        self.node = {source: comparator.tree.root}
+        self.compare = dc.compare
 
-    def add_leaf(self, v: int, parent: int, weight: BigRational) -> None:
-        self.node[v] = self.comparator.insert_leaf(self.node[parent], weight)
-
-    def compare_keys(self, z1, w1, z2, w2) -> int:
-        node = self.node
-        # Equal weights differ by the canonical ZERO, the value w2 - w1
-        # would build: reduced, with den 1, so the shortcut's gate in
-        # `DistCmp._level_compare` reads the same beta.den either way.
-        # Equal tokens of one `parse` call share one object, which the
-        # identity test catches first; other equal weights need the value
-        # test.  An unequal beta is built as `__sub__` builds it.
-        if w1 is w2 or (w1.num == w2.num and w1.den == w2.den):
-            return self._compare(node[z1], node[z2], ZERO)
-        return self._compare(node[z1], node[z2], _add(w2.num, w2.den, -w1.num, w1.den))
+    def settle(self, k):
+        return self.comparator.insert_leaf(k[0], k[1]), k[3], k[4]
 
     def counters(self) -> Dict[str, object]:
         return self.comparator.counters()
 
 
-def _distcmp_strategy(g, source, budget, seed, constants):
-    # A heap comparison puts the difference of two weights to the
-    # structure, so its class is twice theirs.
-    c = 2 * _shortness_class(g, budget)
-    cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, C=constants["C"],
-                        lam=constants["lam"])
-    return _TreeStrategy("distcmp", DistCmp(cfg, seed=seed), source)
+class _PairwiseStrategy:
+    """Heap keys (node, weight) compared through the node query of
+    `PairwiseDeltaComparator`, which mirrors the settled tree."""
 
+    name = "pairwise_delta"
 
-def _pairwise_strategy(g, source, budget, seed, constants):
-    pdc = PairwiseDeltaComparator(g.n, _hop_default(g.n), budget, gamma=constants["gamma"],
-                                  seed=seed)
-    return _TreeStrategy("pairwise_delta", pdc, source)
+    def __init__(self, g, source, budget, seed, constants):
+        self.comparator = PairwiseDeltaComparator(g.n, _hop_default(g.n), budget,
+                                                  gamma=constants["gamma"], seed=seed)
+        self.root = self.comparator.tree.root
+
+    @staticmethod
+    def key(node, w):
+        return node, w
+
+    def compare(self, a, b):
+        return self.comparator.compare(a[0], b[0], _gap(a[1], b[1]))
+
+    def settle(self, k):
+        return self.comparator.insert_leaf(k[0], k[1])
+
+    def counters(self) -> Dict[str, object]:
+        return self.comparator.counters()
 
 
 def _hop_default(n: int) -> int:
@@ -177,24 +198,23 @@ def _hop_default(n: int) -> int:
 
 _STRATEGIES = {
     "exact_oracle": _ExactStrategy,
-    "distcmp": _distcmp_strategy,
-    "pairwise_delta": _pairwise_strategy,
+    "distcmp": _DistCmpStrategy,
+    "pairwise_delta": _PairwiseStrategy,
 }
 
 
 class _HeapEntry:
-    # compare_keys: the strategy's bound method, bound once per solve.
-    __slots__ = ("z", "w", "vid", "token", "compare_keys")
+    # compare: the strategy's key comparison, bound once per solve.
+    __slots__ = ("key", "vid", "token", "compare")
 
-    def __init__(self, z, w, vid, token, compare_keys):
-        self.z = z
-        self.w = w
+    def __init__(self, key, vid, token, compare):
+        self.key = key
         self.vid = vid
         self.token = token
-        self.compare_keys = compare_keys
+        self.compare = compare
 
     def __lt__(self, other):
-        c = self.compare_keys(self.z, self.w, other.z, other.w)
+        c = self.compare(self.key, other.key)
         if c != 0:
             return c < 0
         return self.vid < other.vid
@@ -216,12 +236,14 @@ def dijkstra_nonneg(
     s->v of weight `aux_weight(g)`, flagged aux, the tree edge it gets in
     the graph that `augment_source` builds; no augmented copy is built.
     Vertices whose tree path crosses an aux edge are reported unreachable
-    by the result.  Heap comparisons are routed through the chosen
-    strategy; `exact_oracle` is unconditionally correct, `distcmp` is
-    correct with high probability, `pairwise_delta` is the table-driven
-    alternative.  Every strategy takes and checks `constants` C and lam
-    (read by `distcmp`) and gamma (read by `pairwise_delta`); a constant
-    not given takes its default from `distcmp._CONSTANTS`.
+    by the result.  Heap comparisons and relaxation tests compare keys
+    of the chosen strategy, each built once per relaxation from the
+    settled state of u (`here`); the winning key is the one pushed.
+    `exact_oracle` is unconditionally correct, `distcmp` is correct with
+    high probability, `pairwise_delta` is the table-driven alternative.
+    Every strategy takes and checks `constants` C and lam (read by
+    `distcmp`) and gamma (read by `pairwise_delta`); a constant not given
+    takes its default from `distcmp._CONSTANTS`.
     """
     if g.has_negative_weight():
         raise NegativeWeightError("graph has negative weights; use negative_sssp")
@@ -238,33 +260,37 @@ def dijkstra_nonneg(
     constants = {**_CONSTANTS, **constants}
     n = g.n
     strat = _STRATEGIES[strategy](g, s, budget, seed, constants)
-    compare_keys = strat.compare_keys
+    key_of, compare, settle = strat.key, strat.compare, strat.settle
 
     visited = [False] * n
     token = [0] * n
     cur: Dict[int, Tuple[int, BigRational, bool]] = {}
+    cur_key: List[object] = [None] * n
     parent: Dict[int, Tuple[int, BigRational, bool]] = {}
     heap: List[_HeapEntry] = []
     pushes = 0
     relaxations = 0
 
-    # Relax out of u, then settle the next live heap entry as u; u is
-    # None once the heap drains.
+    # Relax out of u, settled as `here`, then settle the next live heap
+    # entry as u; u is None once the heap drains.
     out_edges = g.out_edges
     heappush, heappop = heapq.heappush, heapq.heappop
     visited[s] = True
     u = s
+    here = strat.root
     while u is not None:
         for e in out_edges(u):
             v = e.head
             if visited[v]:
                 continue
             relaxations += 1
-            old = cur.get(v)
-            if old is None or compare_keys(u, e.weight, old[0], old[1]) < 0:
+            k = key_of(here, e.weight)
+            old = cur_key[v]
+            if old is None or compare(k, old) < 0:
                 cur[v] = (u, e.weight, e.aux)
+                cur_key[v] = k
                 token[v] += 1
-                heappush(heap, _HeapEntry(u, e.weight, v, token[v], compare_keys))
+                heappush(heap, _HeapEntry(k, v, token[v], compare))
                 pushes += 1
         u = None
         while heap:
@@ -273,7 +299,8 @@ def dijkstra_nonneg(
             if not visited[v] and token[v] == entry.token:
                 visited[v] = True
                 parent[v] = cur[v]
-                strat.add_leaf(v, entry.z, entry.w)
+                cur_key[v] = None  # v is never relaxed again
+                here = settle(entry.key)
                 u = v
                 break
     # Every vertex left is unreachable from s.  Over the augmented graph

@@ -12,9 +12,11 @@ full root distances that the anchor-relative `ratpath.graph.verify_sssp`
 replaced; and `reference_parse_rational`, `reference_parse` and
 `reference_parse_tree`, the regex token parser and the instance and tree
 readers built on it that `BigRational.parse`, `ratpath.graph.parse` and
-`ratpath.graph.parse_tree` replaced; and `reference_witness_tree`, the
+`ratpath.graph.parse_tree` replaced; `reference_witness_tree`, the
 per-vertex walk splicing that `ratpath.sssp._witness_tree` replaced
-with one pass per hit index.
+with one pass per hit index; and `NodePathDistCmp`, the distcmp
+strategy whose every comparison was a node query, before heap keys
+carried their exact pairs.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ratpath.graph import (
     gen_random,
 )
 from ratpath.rational import BigRational, ZERO, is_k_short, sum_lt
-from ratpath.sssp import CutResult, _RecombinationError, _splice_walk
+from ratpath.sssp import CutResult, _DistCmpStrategy, _RecombinationError, _splice_walk
 
 
 class UnreducedPair:
@@ -728,6 +730,34 @@ def reference_eps_feasible_price(g: WeightedDigraph, k: int, collect=None):
     return [BigRational(a, 1 << (levels - 1)) for a in numer]
 
 
+class NodePathDistCmp:
+    """The distcmp strategy of `ratpath.sssp.dijkstra_nonneg` before heap
+    keys carried their exact pairs: a key is (node, weight), and every
+    comparison, relaxation tests included, is the node query
+    `DistCmp.compare(u, v, beta)` with beta = w2 - w1, the canonical ZERO
+    for equal weights.  The structure is the one the solver builds."""
+
+    name = "distcmp"
+
+    def __init__(self, g, source, budget, seed, constants):
+        self.comparator = _DistCmpStrategy(g, source, budget, seed, constants).comparator
+        self.root = self.comparator.tree.root
+
+    @staticmethod
+    def key(node, w):
+        return node, w
+
+    def compare(self, a, b):
+        w1, w2 = a[1], b[1]
+        return self.comparator.compare(a[0], b[0], ZERO if w1 == w2 else w2 - w1)
+
+    def settle(self, k):
+        return self.comparator.insert_leaf(k[0], k[1])
+
+    def counters(self):
+        return self.comparator.counters()
+
+
 def reference_distcmp_streams(seed: int, config):
     """Slot levels and per-level cover generators of `DistCmp` built the
     way it first did: SeedSequence(seed).spawn(2), the first child drawing
@@ -804,6 +834,17 @@ def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):
         edges += [(top, x, w), (top, y, w), (x, bottom, w), (y, bottom, w)]
         top = bottom
     return WeightedDigraph(top + 1, edges, source=0)
+
+
+def crossed_diamond_chain(k: int):
+    """`diamond_chain(k)` with the routes of each diamond crossed: top -> x
+    and y -> bottom weigh w, top -> y and x -> bottom weigh 2w.  Both
+    routes still tie at 3w, but the keys that meet at the bottom carry
+    unequal weights."""
+    g = diamond_chain(k)
+    edges = [(e.tail, e.head, e.weight * 2 if i % 4 in (1, 2) else e.weight)
+             for i, e in enumerate(g.edges)]
+    return WeightedDigraph(g.n, edges, source=0)
 
 
 def prime_bound_for(count: int) -> int:

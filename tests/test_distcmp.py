@@ -14,6 +14,7 @@ from ratpath.distcmp import (
     PairwiseDeltaComparator,
 )
 from ratpath.graph import _primes_below
+from ratpath.inctree import IncTree
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath.sssp import dijkstra_nonneg
 
@@ -320,16 +321,19 @@ class TestCompare:
         assert dc.exact_compare(heavy, light, ZERO) is Ordering.GREATER
 
     def test_answers_are_ordering_members_on_every_path(self, monkeypatch):
-        # Levels pass int signs; compare turns each into an Ordering member.
-        # The gate-closed diamond chain reaches every level-0 answer path.
+        # Levels pass int signs; compare turns each into an Ordering member,
+        # on key pairs and on the node path alike.  The gate-closed diamond
+        # chain reaches every level-0 answer path.
         compare = DistCmp.compare
         paths = set()
 
-        def classified(dc, u, v, beta):
+        def classified(dc, a, b):
             names = ("trivial_answers", "shortcut_answers", "easy_answers", "tie_answers",
                      "difficult_answers", "cover_fallbacks")
             before = [getattr(dc, name)[0] for name in names]
-            got = compare(dc, u, v, beta)
+            got = compare(dc, a, b)
+            (u, w1, *_), (v, w2, *_) = a, b
+            beta = w2 - w1
             moved = {name for name, old in zip(names, before) if getattr(dc, name)[0] != old}
             for name, path in (("cover_fallbacks", "cover fallback"),
                                ("difficult_answers", "cluster order"),
@@ -547,6 +551,71 @@ class TestExactShortcut:
         assert 0 < c["shortcut_answers"][0] < c["easy_answers"][0]
 
 
+class TestKeys:
+    # Heap keys dist(node) + w from `DistCmp.key`, compared by
+    # `DistCmp.compare(a, b)`, against the node query compare(u, v, w2 - w1)
+    # on a twin structure.  ell_0 = 8000 bits; the chain's weight
+    # denominators are distinct 15-bit primes, and the key weights' dens
+    # have every bit length from 1 to 15, so the bounds of two keys sum
+    # to every value around ell_0.
+    POOL = [R(1, 1), R(1, 3), R(2, 5), R(3, 11), R(1, 17), R(5, 37), R(1, 67), R(7, 131),
+            R(1, 257), R(3, 521), R(1, 1031), R(1, 2053), R(9, 4099), R(1, 8209), R(1, 16411)]
+
+    def _twins(self, depth):
+        cfg = DistCmpConfig(capacity=512, c=2, B=16, C=0.5, lam=1.0)
+        assert cfg.ell[0] == 8000
+        dcs = [DistCmp(cfg, seed=5) for _ in range(2)]
+        primes = [p for p in _primes_below(1 << 15) if p > 1 << 14]
+        at = [(0, 0, 1)]
+        for i, p in enumerate(primes[:depth]):
+            w = R(1 + i % 5, p)
+            node = [dc.insert_leaf(at[-1][0], w) for dc in dcs][0]
+            num, den = at[-1][1:]
+            at.append((node, num * w.den + w.num * den, den * w.den))
+        # A node past ell_0 is handed to `key` without its pair.
+        at = [(v, n, d) if dcs[0].tree.den_bits[v] <= 8000 else (v, None, None) for v, n, d in at]
+        return dcs, at
+
+    def test_key_queries_match_node_queries_at_the_gate(self, monkeypatch):
+        (keyed, plain), at = self._twins(300)
+        reads = []
+        exact_sign = IncTree.exact_sign
+
+        def spy(tree, u, v, beta):
+            reads.append(tree is keyed.tree)
+            return exact_sign(tree, u, v, beta)
+
+        monkeypatch.setattr(IncTree, "exact_sign", spy)
+        rng = np.random.default_rng(38)
+        sums = set()
+        for _ in range(4000):
+            du = int(rng.integers(255, 280))
+            dv = min(300, max(0, 533 - du + int(rng.integers(-2, 3))))
+            if rng.random() < 0.1:
+                dv = du
+            w1, w2 = (self.POOL[int(j)] for j in rng.integers(0, len(self.POOL), size=2))
+            if rng.random() < 0.2:
+                w2 = R(w1.num, w1.den)  # equal, a distinct object
+            elif rng.random() < 0.2:
+                dv = du - 1  # a tie: v's key takes the edge to u on top of w1
+                w2 = keyed.tree.weight[at[du][0]] + w1
+            a, b = keyed.key(at[du], w1), keyed.key(at[dv], w2)
+            assert a[2] == keyed.tree.den_bits[at[du][0]] + w1.den.bit_length()
+            assert (a[3] is None) is (a[2] > 8000)
+            del reads[:]
+            got = keyed.compare(a, b)
+            want = plain.compare(at[du][0], at[dv][0], ZERO if w1 == w2 else w2 - w1)
+            assert got is want
+            assert keyed.counters() == plain.counters()
+            if a[2] + b[2] <= 8000:  # decided on the pairs: no root pair read
+                assert not any(reads)
+                sums.add(a[2] + b[2])
+        assert 8000 in sums
+        c = keyed.counters()
+        assert min(c["trivial_answers"][0], c["tie_answers"][0], c["shortcut_answers"][0]) > 0
+        assert c["easy_answers"][0] > c["shortcut_answers"][0]  # the fixed point answered too
+
+
 class TestAnchorPairs:
     def test_pair_sums_weights_from_the_anchor(self, rng):
         # IncTree.pair(lvl, v) is the unreduced weight of the path to v from
@@ -734,8 +803,8 @@ class TestPairwiseComparator:
 
 
 class TestShortnessBound:
-    # `compare` and `insert_leaf` test c-shortness inline against the bound
-    # 2^(cB-1) that `is_k_short` uses, with its messages.
+    # `compare`, `insert_leaf` and `key` test c-shortness inline against
+    # the bound 2^(cB-1) that `is_k_short` uses, with its messages.
     C_CLASS, B_BITS = 2, 8
     BOUND = 1 << (C_CLASS * B_BITS - 1)
 
@@ -763,6 +832,8 @@ class TestShortnessBound:
             dc.compare(v, 0, x)
         with pytest.raises(ValueError, match=f"^weight {x} is not 2-short$"):
             dc.insert_leaf(v, x)
+        with pytest.raises(ValueError, match=f"^weight {x} is not 2-short$"):
+            dc.key((v, 2, 1), x)
         assert len(dc.tree) == 2 and dc.level_queries[0] == 0
 
     def test_decisions_agree_with_is_k_short(self):
@@ -772,7 +843,8 @@ class TestShortnessBound:
         assert len({is_k_short(x, self.C_CLASS, budget) for x in values}) == 2
         for x in values:
             want = is_k_short(x, self.C_CLASS, budget)
-            for call in (lambda: dc.compare(0, 0, x), lambda: dc.insert_leaf(0, x)):
+            for call in (lambda: dc.compare(0, 0, x), lambda: dc.insert_leaf(0, x),
+                         lambda: dc.key((0, 0, 1), x)):
                 try:
                     call()
                     got = True

@@ -5,7 +5,7 @@ from ratpath import sssp as sssp_module
 from ratpath.cfrac import Ordering
 from ratpath.distcmp import PairwiseDeltaComparator
 from ratpath.graph import WeightedDigraph, gen_random, gen_small_diff
-from ratpath.inctree import IncTree, NotAnAncestorError
+from ratpath.inctree import GCD_BITS, IncTree, NotAnAncestorError
 from ratpath.rational import BigRational, WordBudget, ZERO
 from ratpath.sssp import dijkstra_nonneg
 from conftest import diamond_chain, random_rational, root_distance
@@ -283,6 +283,22 @@ class TestLazyAncestorArrays:
             assert answered == queries  # every query took the shortcut or was trivial
             assert len(dc.tree) > g.n // 2
             assert [len(a) for a in dc.tree._anc] == [1] * (dc.config.t + 1)
+
+    def test_gate_open_solve_memoizes_only_the_root(self, monkeypatch):
+        # Gate-open heap keys and relaxation tests decide on the keys' own
+        # pairs, built from the settled parent's: no query reads a root
+        # pair from the tree, and no key is written into its memo.
+        third = R(1, 3)
+        ties = WeightedDigraph(40, [(e.tail, e.head, third) for e in gen_random(40, 160, 3).edges],
+                               source=0)
+        gadget, _ = gen_small_diff(400, chain=20, window=3)
+        deep, _ = gen_small_diff(4096, chain=150, window=3)  # pairs past GCD_BITS
+        for g in (ties, gadget, deep, gen_random(60, 240, 5)):
+            dc = self._solve_capturing(monkeypatch, g)
+            assert dc.counters()["shortcut_answers"][0] > 0
+            assert dc.tree._pairs == [{0: (0, 1)}] * (dc.config.t + 1)
+            if g is deep:
+                assert max(dc.tree.den_bits) > GCD_BITS
 
     def test_gate_closed_solve_builds_arrays(self, monkeypatch):
         # The contrast: where the gate closes, the fixed point reads them.

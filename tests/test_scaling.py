@@ -563,8 +563,8 @@ class TestPriceCertificate:
     @staticmethod
     def agree(g, dist, k):
         shift = k + 1
-        scaled = [_scaled(e.weight, shift) for e in g.edges]
-        got = _price_certified(g, dist, scaled, shift)
+        floors = [math.floor(Fraction(e.weight.num << shift, e.weight.den)) for e in g.edges]
+        got = _price_certified(g, dist, floors)
         price = [R(d, 1 << shift) for d in dist]
         assert got is check_eps_feasible(g, price, R(1, 1 << k))
         return got
@@ -613,6 +613,35 @@ class TestPriceCertificate:
                             "neg_multiple" if (w.num << shift) % w.den == 0 else "neg_other")
                         tight[kind] += 1
         assert all(tight.values()), tight
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_weight_loop_hands_over_floors(self, monkeypatch, k):
+        # One divmod per edge gives both the Bellman-Ford weight T_{k+1}
+        # and the floor the certificate reads, against Fractions, on
+        # non-negative weights, negative multiples of 2^-(k+1) and other
+        # negatives.
+        import ratpath.scaling as scaling
+
+        seen = {}
+        real_sssp, real_cert = scaling.integer_sssp_arrays, scaling._price_certified
+
+        def sssp(n, adj, weights, s):
+            seen["weights"] = list(weights)
+            return real_sssp(n, adj, weights, s)
+
+        def cert(g, dist, floors):
+            seen["floors"] = list(floors)
+            return real_cert(g, dist, floors)
+
+        monkeypatch.setattr(scaling, "integer_sssp_arrays", sssp)
+        monkeypatch.setattr(scaling, "_price_certified", cert)
+        shift = k + 1
+        ws = [R(0), R(1, 3), R(2), R(-1, 1 << shift), R(-3, 1 << (shift + 1)), R(-1, 3), R(-5, 7),
+              R(-7), R(5, 1 << shift)]
+        g = WeightedDigraph(len(ws) + 1, [(i, i + 1, w) for i, w in enumerate(ws)])
+        assert not isinstance(eps_feasible_price(g, k), NegativeCycle)
+        assert seen["weights"][:len(ws)] == [_scaled(w, shift) for w in ws]
+        assert seen["floors"] == [math.floor(Fraction(w.num << shift, w.den)) for w in ws]
 
     def test_eps_feasible_price_raises_on_a_failed_certificate(self, monkeypatch):
         import ratpath.scaling as scaling

@@ -39,7 +39,9 @@ from ratpath.sssp import (
 )
 
 from conftest import (
+    NodePathDistCmp,
     backbone_graph,
+    crossed_diamond_chain,
     diamond_chain,
     full_scan_recombination,
     reference_cut_dijkstra,
@@ -253,7 +255,8 @@ class TestDijkstraNonneg:
     def test_distcmp_keys_match_exact_strategy(self, monkeypatch):
         # Each heap-key comparison of a distcmp run, put to the exact
         # strategy on the same keys over the same settled tree, gets the
-        # same int sign.
+        # same sign.  The twin settles, keys and compares both strategies
+        # side by side through the solver's one loop.
         signs = []
         distcmp_strategy = sssp_module._STRATEGIES["distcmp"]
 
@@ -263,15 +266,18 @@ class TestDijkstraNonneg:
             def __init__(self, g, source, budget, seed, constants=None):
                 self.fast = distcmp_strategy(g, source, budget, seed, constants)
                 self.exact = sssp_module._ExactStrategy(g, source, budget, seed)
+                self.root = (self.fast.root, self.exact.root)
 
-            def add_leaf(self, v, parent, weight):
-                self.fast.add_leaf(v, parent, weight)
-                self.exact.add_leaf(v, parent, weight)
+            def key(self, here, w):
+                return self.fast.key(here[0], w), self.exact.key(here[1], w)
 
-            def compare_keys(self, z1, w1, z2, w2):
-                got = self.fast.compare_keys(z1, w1, z2, w2)
-                signs.append((got, self.exact.compare_keys(z1, w1, z2, w2)))
+            def compare(self, a, b):
+                got = self.fast.compare(a[0], b[0])
+                signs.append((got, self.exact.compare(a[1], b[1])))
                 return got
+
+            def settle(self, k):
+                return self.fast.settle(k[0]), self.exact.settle(k[1])
 
             def counters(self):
                 return self.fast.counters()
@@ -286,11 +292,15 @@ class TestDijkstraNonneg:
 
     @pytest.mark.parametrize("strategy", ["distcmp", "pairwise_delta"])
     def test_equal_weights_compare_against_zero(self, monkeypatch, strategy):
-        # Equal heap-key weights put the canonical 0/1 to the comparator
-        # instead of a built w2 - w1.  Runs with weights from a small pool
-        # (equal values as distinct parsed objects, and shared objects)
-        # and the gate-closed diamond chain give the tree and counters of
-        # runs that always subtract.
+        # Heap keys with equal weights put the canonical 0/1 to the node
+        # path, `DistCmp._level_compare` at level 0 or
+        # `PairwiseDeltaComparator.compare`, instead of a built w2 - w1.
+        # Runs with weights from a small pool (equal values as distinct
+        # parsed objects, and shared objects) and the gate-closed diamond
+        # chains give the tree and counters of runs that always subtract.
+        # distcmp decides gate-open keys on their pairs, so only the
+        # diamond chains reach its node path; the crossed chain's bottom
+        # vertex compares unequal weights there.
         pool = ["1/3", "2/5", "1", "0", "3/7"]
         shared = [BigRational.parse(text) for text in pool]
         cases = []
@@ -303,15 +313,17 @@ class TestDijkstraNonneg:
                 w = shared[j] if rng.random() < 0.3 else BigRational.parse(pool[j])
                 edges.append((e.tail, e.head, w))
             cases.append((WeightedDigraph(n, edges, source=0), {}))
-        cases.append((diamond_chain(170), {"budget": B16, "constants": {"C": 0.5, "lam": 1.0}}))
+        closed = {"budget": B16, "constants": {"C": 0.5, "lam": 1.0}}
+        cases.append((diamond_chain(170), closed))
+        cases.append((crossed_diamond_chain(170), closed))
 
-        tree_strategy = sssp_module._TreeStrategy
-        comparator = DistCmp if strategy == "distcmp" else PairwiseDeltaComparator
-        fast_compare_keys = tree_strategy.compare_keys
-        real_compare = comparator.compare
+        if strategy == "distcmp":
+            owner, name = DistCmp, "compare"
+        else:
+            owner, name = sssp_module._PairwiseStrategy, "compare"
+        real = getattr(owner, name)
 
-        def solve(compare_keys):
-            monkeypatch.setattr(tree_strategy, "compare_keys", compare_keys)
+        def solve():
             out = []
             for g, kwargs in cases:
                 stats = {}
@@ -319,25 +331,85 @@ class TestDijkstraNonneg:
                 out.append((serialize_tree(r), stats))
             return out
 
-        def always_subtract(self, z1, w1, z2, w2):
-            return self._compare(self.node[z1], self.node[z2], w2 - w1)
+        def always_subtract(self, a, b, *rest):
+            if strategy == "distcmp":
+                return real(self, a[0], b[0], b[1] - a[1])
+            return self.comparator.compare(a[0], b[0], b[1] - a[1])
+
+        monkeypatch.setattr(owner, name, always_subtract)
+        want = solve()
 
         equal, betas = [], []
+        node_path = DistCmp._level_compare if strategy == "distcmp" else PairwiseDeltaComparator.compare
 
-        def spy_compare_keys(self, z1, w1, z2, w2):
-            equal.append(w1 == w2)
-            return fast_compare_keys(self, z1, w1, z2, w2)
+        def spy_node_path(self, *args):
+            if strategy == "pairwise_delta" or args[0] == 0:
+                betas.append(args[-1])
+            return node_path(self, *args)
 
-        def spy_compare(self, u, v, beta):
-            betas.append(beta)
-            return real_compare(self, u, v, beta)
+        def spy_compare(self, a, b, *rest):
+            before = len(betas)
+            got = real(self, a, b, *rest)
+            if len(betas) > before:  # this key query reached the node path
+                equal.append(a[1] == b[1])
+            return got
 
-        want = solve(always_subtract)
-        monkeypatch.setattr(comparator, "compare", spy_compare)
-        got = solve(spy_compare_keys)
+        monkeypatch.setattr(owner, name, spy_compare)
+        if strategy == "distcmp":
+            monkeypatch.setattr(DistCmp, "_level_compare", spy_node_path)
+        else:
+            monkeypatch.setattr(PairwiseDeltaComparator, "compare", spy_node_path)
+        got = solve()
         assert got == want
         assert len(equal) == len(betas) and sum(equal) > 0 and not all(equal)
         assert all(b.num == 0 and b.den == 1 and b is ZERO for eq, b in zip(equal, betas) if eq)
+
+    def test_key_pairs_match_the_node_path(self, monkeypatch):
+        # Heap keys decided on their exact pairs give the tree bytes and
+        # the collect dict of `NodePathDistCmp`, whose every comparison is
+        # a node query.  Random graphs with zero weights, parallel edges,
+        # unreachable vertices and equal weights as distinct objects keep
+        # the gate open; the diamond chains at gate-closing constants
+        # close it mid-tree, so one solve takes both routes.
+        pool = [(1, 3), (2, 5), (1, 1), (0, 1), (3, 7), (1, 2)]
+        cases = []
+        for seed in range(300):
+            rng = np.random.default_rng([seed, 38])
+            n = 3 + seed % 23
+            edges = []
+            for _ in range(int(rng.integers(n, 3 * n + 1))):
+                u, v = (int(x) for x in rng.integers(0, n, size=2))
+                if u != v:
+                    num, den = pool[int(rng.integers(len(pool)))]
+                    edges.append((u, v, BigRational(num, den)))
+                    if rng.random() < 0.15:  # a parallel edge: the graph keeps the lighter
+                        num, den = pool[int(rng.integers(len(pool)))]
+                        edges.append((u, v, BigRational(num, den)))
+            cases.append((WeightedDigraph(n, edges, source=0), int(rng.integers(0, n)), {}))
+        closed = {"budget": B16, "constants": {"C": 0.5, "lam": 1.0}}
+        cases.append((diamond_chain(170), 0, closed))
+        cases.append((crossed_diamond_chain(170), 0, closed))
+
+        def solve_all():
+            out = []
+            for g, s, kwargs in cases:
+                stats = {}
+                r = dijkstra_nonneg(g, s, strategy="distcmp", seed=s, collect=stats, **kwargs)
+                out.append((serialize_tree(r), stats))
+            return out
+
+        got = solve_all()
+        monkeypatch.setitem(sssp_module._STRATEGIES, "distcmp", NodePathDistCmp)
+        want = solve_all()
+        assert got == want
+        # The random graphs exercise what they are meant to: sibling keys
+        # (trivial answers), exact ties and vertices s cannot reach.
+        stats = [st for _, st in got[:300]]
+        assert sum(st["distcmp.trivial_answers"][0] > 0 for st in stats) > 100
+        assert sum(st["distcmp.tie_answers"][0] > 0 for st in stats) > 60
+        assert sum(" aux\n" in text for text, _ in got[:300]) > 50
+        for _, st in got[300:]:
+            assert st["distcmp.shortcut_answers"][0] > 0 and st["distcmp.difficult_answers"][0] > 0
 
     def test_distcmp_gate_closed_pinned(self):
         # The regime the hierarchy exists for: a chain of 170 tied diamonds
