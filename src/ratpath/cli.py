@@ -15,10 +15,10 @@ import sys
 from typing import Dict, Optional
 
 from . import graph as graphmod
-from .distcmp import _CONSTANTS, _check_constant
+from .distcmp import _CONSTANTS, _check_constant, _check_seed
 from .graph import NegativeCycle, parse, parse_tree, serialize, serialize_tree
 from .rational import BigRational, WordBudget, _fraction_text
-from .sssp import _check_seed, dijkstra_nonneg, negative_sssp
+from .sssp import dijkstra_nonneg, negative_sssp
 from .cfrac import best_approx
 
 

@@ -7,17 +7,20 @@ materializing the exact distances, which can need a number of bits
 linear in the tree depth.
 
 Vertices are thinned geometrically into level sets L_0 (everything)
-through L_t (the root alone); the level of each of the n slots is drawn
-up front.  Level i keeps, per member, a fixed-point approximation of the
-root distance with denominator 2^(ell_i + 2) * n, built on the level's
-first fixed-point use, accurate enough that almost every comparison
-resolves by comparing approximations.  The residual "difficult"
-comparisons are exactly those whose two sides differ by almost precisely
-a short rational; such pairs are recorded as edges of a similarity
-graph, covered by sparse clusters (see `cover`), and ordered inside
-each cluster by a total preorder whose evaluation delegates one
-comparison to level i+1 with a rewritten, shorter right-hand side.  The
-recursion bottoms out at L_t where every query is a sign test.
+through L_t (the root alone); the levels of all n slots are drawn at
+once, on the first gate-closed query (`DistCmp.slot_level`), so a
+structure whose queries all pass the exact gate below draws nothing and
+imports no numpy.  Level i keeps, per member, a fixed-point
+approximation of the root distance with denominator 2^(ell_i + 2) * n,
+built on the level's first fixed-point use, accurate enough that almost
+every comparison resolves by comparing approximations.  The residual
+"difficult" comparisons are exactly those whose two sides differ by
+almost precisely a short rational; such pairs are recorded as edges of
+a similarity graph, covered by sparse clusters (see `cover`), and
+ordered inside each cluster by a total preorder whose evaluation
+delegates one comparison to level i+1 with a rewritten, shorter
+right-hand side.  The recursion bottoms out at L_t where every query is
+a sign test.
 
 An exact-arithmetic twin of the query predicate, `exact_compare`, is
 the fallback when a covering failure is detected.
@@ -66,8 +69,8 @@ Python ints.
 `_CONSTANTS` holds the one default of each solver constant: C sizes the
 thinning factor K, lam the cover, gamma the sample of the pairwise
 comparator.  `_check_constant` is the one rule every entry point
-applies to a given value, and `_check_hop` the one rule for a hop
-parameter.
+applies to a given value, `_check_hop` the one rule for a hop
+parameter, and `_check_seed` the one rule for a seed.
 """
 
 from __future__ import annotations
@@ -101,6 +104,15 @@ def _check_hop(k) -> int:
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"hop parameter must be a positive integer, got {k!r}")
     return int(k)
+
+
+def _check_seed(seed, where: Optional[str] = None) -> None:
+    """The one seed rule of the structures, the solvers and the CLI,
+    applied whether or not anything draws from the seed: a non-negative
+    integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        at = f" ({where})" if where else ""
+        raise ValueError(f"seed must be a non-negative integer, got {seed}{at}")
 
 
 class DistCmpConfig:
@@ -342,23 +354,18 @@ class DistCmp:
     """
 
     def __init__(self, config: DistCmpConfig, seed: int = 0):
-        import numpy as np
-
+        _check_seed(seed)
         self.config = config
         # |num| and den of a c-short value are below this (`is_k_short`).
         self._short = 1 << (config.c * config.B - 1)
         self._ell0 = config.ell[0]
-        # The children SeedSequence(seed).spawn(2) would give, built
-        # directly: (0,) draws the slot levels, (1, i) seeds the level-i
-        # cover, built only with that cover.
-        level_seq = np.random.SeedSequence(seed, spawn_key=(0,))
-        self._entropy = level_seq.entropy
-        rng = np.random.default_rng(level_seq)
+        # SeedSequence(seed).entropy for an int seed.  The children that
+        # SeedSequence(seed).spawn(2) would give are built from it directly:
+        # (0,) draws the slot levels (`slot_level`), (1, i) seeds the
+        # level-i cover, built only with that cover.
+        self._entropy = seed
+        self._slot_level: Optional[List[int]] = None
         t = config.t
-        self.slot_level = [t]
-        if config.capacity > 1:
-            draws = rng.geometric(1.0 - 1.0 / config.K, size=config.capacity - 1) - 1
-            self.slot_level.extend(np.minimum(draws, t).tolist())
         self.tree = IncTree(max_level=t)
         self._states: List[Optional[_LevelState]] = [None] * t
         # scale_i = 2^(ell_i + 2) * capacity, built on the first fixed-point
@@ -383,7 +390,38 @@ class DistCmp:
         slot = len(self.tree.parent)
         if slot >= self.config.capacity:
             raise ValueError(f"tree is full at capacity {self.config.capacity}")
-        return self.tree.insert_leaf(parent, weight, self.slot_level[slot])
+        levels = self._slot_level
+        # Before the draw a node takes level 0, which `slot_level` replaces.
+        return self.tree.insert_leaf(parent, weight, 0 if levels is None else levels[slot])
+
+    @property
+    def slot_level(self) -> List[int]:
+        """The level of each of the capacity slots, t for the root's and
+        min(t, g - 1) for each other, g a geometric draw of success
+        probability 1 - 1/K.  The first read draws them all, from the
+        level stream, and sets them on the nodes already in the tree.
+        Level 0 holds every node, so the exact gate and the level-0
+        ancestors need no draw.  The gate-closed branch of
+        `_level_compare`, `_level_state` and `level_record` read this
+        first.  What they call, `_a_scaled`, `_fixed_sign`,
+        `_fixed_window`, `_anchor` and the tree's ancestors and pairs,
+        does not: at a level above 0 it would build its arrays from the
+        placeholder levels and keep them, so a caller of one of those
+        at i >= 1 reads this first."""
+        levels = self._slot_level
+        if levels is None:
+            import numpy as np
+
+            config = self.config
+            rng = np.random.default_rng(np.random.SeedSequence(self._entropy, spawn_key=(0,)))
+            levels = [config.t]
+            if config.capacity > 1:
+                draws = rng.geometric(1.0 - 1.0 / config.K, size=config.capacity - 1) - 1
+                levels.extend(np.minimum(draws, config.t).tolist())
+            self._slot_level = levels
+            node_level = self.tree.level
+            node_level[1:] = levels[1:len(node_level)]
+        return levels
 
     # -- lazy per-level values -----------------------------------------
 
@@ -521,6 +559,8 @@ class DistCmp:
             self.shortcut_answers[i] += 1
             self.easy_answers[i] += 1
             return easy
+        if self._slot_level is None:
+            self.slot_level  # the draw, before the fixed point and level i + 1
         easy = self._fixed_sign(i, u, v, beta)
         if easy:
             self.easy_answers[i] += 1
@@ -606,7 +646,7 @@ class DistCmp:
         if not 0 <= i < self.config.t:
             raise ValueError(f"level {i} out of range 0..{self.config.t - 1}")
         self.tree._check_node(v)
-        if self.tree.level[v] < i:
+        if self.slot_level[v] < i:
             raise ValueError(f"node {v} is below level {i}")
         if v == 0:
             return None, ZERO, ZERO, 0

@@ -40,13 +40,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
 from .cfrac import compare_via_approx  # noqa: F401
 from .distcmp import (_CONSTANTS, DistCmp, DistCmpConfig, PairwiseDeltaComparator, _check_constant,
-                      _check_hop, _gap)
+                      _check_hop, _check_seed, _gap)
 from .graph import (
     NegativeCycle,
     SsspResult,
@@ -76,14 +75,6 @@ __all__ = [
     "game_simulate",
     "BOB_STRATEGIES",
 ]
-
-
-def _check_seed(seed, where: Optional[str] = None) -> None:
-    """The one seed rule of the solvers and the CLI, applied whether or
-    not anything draws from the seed: a non-negative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        at = f" ({where})" if where else ""
-        raise ValueError(f"seed must be a non-negative integer, got {seed}{at}")
 
 
 class NegativeWeightError(ValueError):

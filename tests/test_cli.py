@@ -466,13 +466,16 @@ class TestNumpyFreeCommands:
         priced.write_text(serialize(gen_random(40, 120, 3, "small", "priced")))
         plain = tmp_path / "plain.gr"
         plain.write_text(serialize(gen_random(40, 120, 3, "small")))
-        neg, exact = tmp_path / "neg.tree", tmp_path / "exact.tree"
+        neg, exact, dflt = tmp_path / "neg.tree", tmp_path / "exact.tree", tmp_path / "dflt.tree"
         commands = [
             ["solve", "--input", str(priced), "--mode", "neg", "-o", str(neg)],
             ["verify", str(priced), str(neg)],
             ["solve", "--input", str(plain), "--mode", "nonneg", "--strategy", "exact_oracle",
              "-o", str(exact)],
             ["verify", str(plain), str(exact)],
+            # distcmp, whose queries here all pass the exact gate: no level draw.
+            ["solve", "--input", str(plain), "-o", str(dflt)],
+            ["verify", str(plain), str(dflt)],
             ["price", "--input", str(priced), "--k", "8", "-o", str(tmp_path / "price.txt")],
             ["approx", "17/14", "--bits", "3"],
         ]
@@ -483,4 +486,4 @@ class TestNumpyFreeCommands:
         assert proc.returncode == 0, proc.stderr
         *printed, report = proc.stdout.splitlines()
         assert json.loads(report) == [[argv[0], 0, False] for argv in commands]
-        assert printed == ["valid", "valid", "lo 6/5", "hi 5/4"]
+        assert printed == ["valid", "valid", "valid", "lo 6/5", "hi 5/4"]

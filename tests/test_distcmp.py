@@ -248,6 +248,64 @@ class TestInsertAndRecords:
                 assert got == want
                 assert all(type(lv) is int for lv in got)
 
+    @pytest.mark.parametrize("capacity", [4, 17, 64, 512])
+    def test_deferred_draw_matches_eager_twin(self, capacity):
+        # The slot levels are drawn on the first gate-closed query, whether
+        # it comes before any insertion, after some or on a full tree; until
+        # then nodes hold level 0.  After it the node levels, the answers
+        # and the counters are those of a twin that drew before inserting.
+        # The tree is a chain of twin leaves of weight k / p, p a 15-bit
+        # prime; a beta whose denominator is wider than ell_0 closes the
+        # gate at any depth, and `near` lands inside the fixed-point margin.
+        cfg = DistCmpConfig(capacity=capacity, c=1, B=16, C=0.5, lam=1.0)
+        t = cfg.t
+        primes = [p for p in _primes_below(1 << 15) if p > 1 << 14]
+        near = R(1, 1 << (cfg.ell[0] + 4))
+        budget = WordBudget(16)
+
+        def grow(dcs, stop):
+            while len(dcs[0].tree) < stop:
+                j = (len(dcs[0].tree) - 1) // 2
+                w = R(1 + j % 7, primes[j])
+                for dc in dcs:
+                    dc.insert_leaf(2 * j - 1 if j else 0, w)
+
+        for seed in (0, 7, 12345):
+            want, _ = reference_distcmp_streams(seed, cfg)
+            for before in sorted({0, 1, capacity // 3, capacity - 1}):
+                lazy, eager = DistCmp(cfg, seed=seed), DistCmp(cfg, seed=seed)
+                assert eager.slot_level == want
+                grow([lazy, eager], before + 1)
+                assert lazy._slot_level is None
+                assert lazy.tree.level == [t] + [0] * before
+                if before:  # the root alone can take no gate-closed query
+                    got = [dc._level_compare(0, 0, before, near) for dc in (lazy, eager)]
+                    assert got[0] == got[1]
+                    assert lazy.tree.level == want[:before + 1]
+                assert lazy.slot_level == want
+                grow([lazy, eager], capacity)
+                assert lazy.tree.level == eager.tree.level == want
+
+                rng = np.random.default_rng(seed)
+                for _ in range(60):
+                    u, v = (int(x) for x in rng.integers(0, capacity, size=2))
+                    if rng.random() < 0.5 and u:
+                        v = min(u + 1 if u % 2 else u - 1, capacity - 1)  # u's twin, if any
+                    diff = root_distance(lazy.tree, u) - root_distance(lazy.tree, v)
+                    for beta in (diff + near, diff - near):
+                        got = [dc._level_compare(0, u, v, beta) for dc in (lazy, eager)]
+                        assert got[0] == got[1]
+                    if is_k_short(diff, 1, budget):
+                        assert lazy.compare(u, v, diff) is eager.compare(u, v, diff)
+                assert lazy.counters() == eager.counters()
+                assert sum(lazy.counters()["difficult_answers"]) > 0
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected_at_construction(self, seed):
+        cfg = DistCmpConfig(capacity=8, c=2, B=16)
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            DistCmp(cfg, seed=seed)
+
     def test_full_tree_rejects_insert(self):
         dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=0)
         for _ in range(3):
@@ -513,7 +571,8 @@ class TestExactShortcut:
                 parent = nodes[int(rng.integers(0, len(nodes)))]
                 nodes.append(dc.insert_leaf(parent, WEIGHT_POOL[int(rng.integers(0, len(WEIGHT_POOL)))]))
             for i in range(cfg.t):
-                members = [v for v in nodes if dc.tree.level[v] >= i]
+                members = [v for v in nodes if dc.slot_level[v] >= i]  # draws the levels
+                assert len(members) > 1  # level i has pairs of distinct nodes
                 easy_bits, window_bits = cfg.ell[i], cfg.ell_chain[i] - 2
                 for _ in range(40):
                     u = members[int(rng.integers(0, len(members)))]

@@ -8,7 +8,7 @@ from ratpath.graph import WeightedDigraph, gen_random, gen_small_diff
 from ratpath.inctree import GCD_BITS, IncTree, NotAnAncestorError
 from ratpath.rational import BigRational, WordBudget, ZERO
 from ratpath.sssp import dijkstra_nonneg
-from conftest import diamond_chain, random_rational, root_distance
+from conftest import diamond_chain, random_rational, reference_distcmp_streams, root_distance
 
 
 def R(n, d=1):
@@ -283,6 +283,9 @@ class TestLazyAncestorArrays:
             assert answered == queries  # every query took the shortcut or was trivial
             assert len(dc.tree) > g.n // 2
             assert [len(a) for a in dc.tree._anc] == [1] * (dc.config.t + 1)
+            # Nor are the slot levels drawn: every node keeps level 0.
+            assert dc._slot_level is None
+            assert dc.tree.level == [dc.config.t] + [0] * (len(dc.tree) - 1)
 
     def test_gate_open_solve_memoizes_only_the_root(self, monkeypatch):
         # Gate-open heap keys and relaxation tests decide on the keys' own
@@ -306,3 +309,5 @@ class TestLazyAncestorArrays:
                                    constants={"C": 0.5, "lam": 1.0})
         assert dc.counters()["difficult_answers"][0] > 0
         assert len(dc.tree._anc[0]) > len(dc.tree) // 2
+        # The levels were drawn mid-solve, from the seed's level stream.
+        assert dc.tree.level == reference_distcmp_streams(1, dc.config)[0][:len(dc.tree)]
