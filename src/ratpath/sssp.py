@@ -103,8 +103,10 @@ def _shortness_class(g: WeightedDigraph, budget: WordBudget) -> int:
 
 
 class _ExactStrategy:
-    """Naive baseline: explicit exact distances, exact comparisons.  A
-    settled vertex is its distance, a key the pair (distance, weight)."""
+    """Naive baseline: textbook Dijkstra on explicit exact distances.  A
+    key is the reduced sum dist(u) + w, built once per relaxation; a heap
+    comparison cross-multiplies two keys, and a settled vertex is its
+    key."""
 
     name = "exact_oracle"
     root = ZERO
@@ -113,18 +115,14 @@ class _ExactStrategy:
         pass
 
     @staticmethod
-    def key(d, w):
-        return d, w
+    def key(d, w) -> BigRational:
+        return d + w
 
-    @staticmethod
-    def compare(a, b) -> int:
-        lhs = a[0] + a[1]
-        rhs = b[0] + b[1]
-        return lhs._cmp(rhs)
+    compare = staticmethod(BigRational._cmp)
 
     @staticmethod
     def settle(k) -> BigRational:
-        return k[0] + k[1]
+        return k
 
     def counters(self) -> Dict[str, int]:
         return {}

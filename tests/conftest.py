@@ -14,9 +14,11 @@ replaced; and `reference_parse_rational`, `reference_parse` and
 readers built on it that `BigRational.parse`, `ratpath.graph.parse` and
 `ratpath.graph.parse_tree` replaced; `reference_witness_tree`, the
 per-vertex walk splicing that `ratpath.sssp._witness_tree` replaced
-with one pass per hit index; and `NodePathDistCmp`, the distcmp
+with one pass per hit index; `NodePathDistCmp`, the distcmp
 strategy whose every comparison was a node query, before heap keys
-carried their exact pairs.
+carried their exact pairs; and `PairKeyedExactStrategy`, the exact_oracle
+strategy whose heap keys were (distance, weight) pairs, summed on every
+comparison, before each key became its reduced sum.
 """
 
 from __future__ import annotations
@@ -196,6 +198,37 @@ def textbook_bf(g: WeightedDigraph, s: int, hop_bound: Optional[int] = None):
         u = parent[u]
     cycle.reverse()
     return dist, parent, cycle
+
+
+def textbook_dijkstra(g: WeightedDigraph, s: int) -> Dict[int, Tuple[int, bool]]:
+    """Plain Dijkstra on `Fraction` distances with a heapq of (distance,
+    vertex, token) tuples, so equal distances pop in vertex-id order and a
+    relaxation wins only by a strict decrease.  Returns each vertex's
+    (parent, aux) but s's; a vertex s cannot reach gets (s, True)."""
+    dist: Dict[int, Fraction] = {s: Fraction(0)}
+    parent: Dict[int, Tuple[int, bool]] = {}
+    token = [0] * g.n
+    done = set()
+    heap = [(Fraction(0), s, 0)]
+    while heap:
+        d, u, tok = heapq.heappop(heap)
+        if u in done or tok != token[u]:
+            continue
+        done.add(u)
+        for e in g.out_edges(u):
+            v = e.head
+            if v in done:
+                continue
+            nd = d + Fraction(e.weight.num, e.weight.den)
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                parent[v] = (u, e.aux)
+                token[v] += 1
+                heapq.heappush(heap, (nd, v, token[v]))
+    for v in range(g.n):
+        if v != s and v not in done:
+            parent[v] = (s, True)
+    return parent
 
 
 def bf_tree(g: WeightedDigraph, s: int) -> SsspResult:
@@ -756,6 +789,35 @@ class NodePathDistCmp:
 
     def counters(self):
         return self.comparator.counters()
+
+
+class PairKeyedExactStrategy:
+    """The exact_oracle strategy of `ratpath.sssp.dijkstra_nonneg` before
+    each key became its reduced sum: a key is the pair (distance, weight),
+    and every comparison and every settle builds the sums it needs."""
+
+    name = "exact_oracle"
+    root = ZERO
+
+    def __init__(self, g, source, budget, seed, constants=None):
+        pass
+
+    @staticmethod
+    def key(d, w):
+        return d, w
+
+    @staticmethod
+    def compare(a, b) -> int:
+        lhs = a[0] + a[1]
+        rhs = b[0] + b[1]
+        return lhs._cmp(rhs)
+
+    @staticmethod
+    def settle(k) -> BigRational:
+        return k[0] + k[1]
+
+    def counters(self) -> Dict[str, int]:
+        return {}
 
 
 def reference_distcmp_streams(seed: int, config):

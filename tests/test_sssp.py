@@ -14,12 +14,15 @@ from ratpath.graph import (
     bf_exact,
     gen_random,
     gen_small_diff,
+    parse,
     plant_negative_cycle,
+    serialize,
     serialize_tree,
     verify_sssp,
 )
 from ratpath.distcmp import DistCmp, PairwiseDeltaComparator
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
+from ratpath import rational as rational_module
 from ratpath import sssp as sssp_module
 from ratpath.sssp import (
     BOB_STRATEGIES,
@@ -40,14 +43,17 @@ from ratpath.sssp import (
 
 from conftest import (
     NodePathDistCmp,
+    PairKeyedExactStrategy,
     backbone_graph,
     crossed_diamond_chain,
     diamond_chain,
     full_scan_recombination,
     reference_cut_dijkstra,
     reference_witness_tree,
+    prime_bound_for,
     replay_enhanced_order,
     textbook_bf,
+    textbook_dijkstra,
 )
 
 
@@ -289,6 +295,93 @@ class TestDijkstraNonneg:
                             seed=seed)
         assert all(got in (-1, 0, 1) and got == want for got, want in signs)
         assert {want for _, want in signs} == {-1, 0, 1}
+
+    @staticmethod
+    def _exact_cases():
+        # (graph, source, budget) triples for the exact_oracle checks:
+        # all-1/3 ties, zero weights, parts s cannot reach, equal weights
+        # as shared and as distinct parsed objects, and window-3 gadget
+        # chains at WordBudget(18).
+        cases = []
+        for seed in range(40):
+            n = 6 + seed % 35
+            skeleton = gen_random(n, 3 * n, seed)
+            ties = WeightedDigraph(n, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges])
+            cases.append((ties, seed % n, WordBudget()))
+        pool = [R(0), R(0), R(1, 3), R(1, 2), R(2, 3), R(1)]
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 40])
+            n = 4 + seed % 25
+            edges = []
+            for _ in range(int(rng.integers(0, 2 * n + 1))):  # sparse: parts s cannot reach
+                u, v = (int(x) for x in rng.integers(0, n, size=2))
+                if u != v:
+                    edges.append((u, v, pool[int(rng.integers(len(pool)))]))
+            cases.append((WeightedDigraph(n, edges), int(rng.integers(0, n)), WordBudget()))
+        for seed in range(10):
+            g = gen_random(30, 90, seed)
+            text = serialize(WeightedDigraph(g.n, [(e.tail, e.head, R(1, 3 + (e.head % 2)))
+                                                   for e in g.edges]))
+            shared = parse(text)
+            distinct = WeightedDigraph(g.n, [
+                (int(u), int(v), BigRational.parse(w))
+                for _, u, v, w in (line.split() for line in text.splitlines() if line[0] == "e")
+            ])
+            assert len({id(e.weight) for e in shared.edges}) == 2
+            assert len({id(e.weight) for e in distinct.edges}) == len(distinct.edges)
+            cases += [(shared, 0, WordBudget()), (distinct, 0, WordBudget())]
+        for chain in (10, 40, 100):
+            g, _ = gen_small_diff(prime_bound_for(3 * chain), padding=True, chain=chain, window=3)
+            cases.append((g, 0, WordBudget(18)))
+        return cases
+
+    def test_exact_keys_match_pair_keyed_reference(self, monkeypatch):
+        # Keys summed once per relaxation give the tree bytes and the
+        # collect dict of the strategy that kept (distance, weight) pairs
+        # and summed them on every comparison.
+        cases = self._exact_cases()
+
+        def solve_all():
+            out = []
+            for g, s, budget in cases:
+                stats = {}
+                r = dijkstra_nonneg(g, s, strategy="exact_oracle", budget=budget, collect=stats)
+                out.append((serialize_tree(r), stats))
+            return out
+
+        got = solve_all()
+        monkeypatch.setitem(sssp_module._STRATEGIES, "exact_oracle", PairKeyedExactStrategy)
+        want = solve_all()
+        assert got == want
+        # The shared and the distinct copies of each graph give one tree.
+        shared_and_distinct = [text for text, _ in got[80:100]]
+        assert shared_and_distinct[0::2] == shared_and_distinct[1::2]
+        assert sum(" aux\n" in text for text, _ in got[40:80]) > 10
+
+    def test_exact_oracle_matches_textbook_dijkstra(self):
+        # Parents and aux flags from a Fraction heapq Dijkstra whose ties
+        # pop in vertex-id order.
+        for g, s, budget in self._exact_cases():
+            res = dijkstra_nonneg(g, s, strategy="exact_oracle", budget=budget)
+            assert {v: (u, aux) for v, (u, _, aux) in res.parent.items()} == textbook_dijkstra(g, s)
+
+    def test_exact_oracle_sums_once_per_relaxation(self, monkeypatch):
+        # Each relaxation builds its key, the one BigRational sum of the
+        # solve; heap comparisons and settles build none.
+        calls = []
+        add = rational_module._add
+
+        def counting_add(*args):
+            calls.append(args)
+            return add(*args)
+
+        skeleton = gen_random(60, 240, 3)
+        g = WeightedDigraph(60, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges])
+        monkeypatch.setattr(rational_module, "_add", counting_add)
+        stats = {}
+        dijkstra_nonneg(g, 0, strategy="exact_oracle", collect=stats)
+        assert stats["relaxations"] > stats["heap_pushes"] > 0
+        assert len(calls) == stats["relaxations"]
 
     @pytest.mark.parametrize("strategy", ["distcmp", "pairwise_delta"])
     def test_equal_weights_compare_against_zero(self, monkeypatch, strategy):
