@@ -479,8 +479,9 @@ class DistCmp:
     def compare(self, a, b, beta: Optional[BigRational] = None) -> Ordering:
         """Order the keys a = dist(u) + w1 and b = dist(v) + w2, whose
         weights differ by a c-short value: on their pairs when their
-        bounds sum to at most ell_0 (see "Heap queries" above), else as
-        the node query (u, v, w2 - w1).  Given beta, order dist(a) -
+        bounds sum to at most ell_0 (see "Heap queries" above), by w1
+        against w2 alone when also u == v, else as the node query (u, v,
+        w2 - w1).  Given beta, order dist(a) -
         dist(b) against it for nodes a and b and a c-short beta (checked).
         Nodes come from `insert_leaf` unchecked: this runs on every heap
         comparison."""
@@ -490,11 +491,12 @@ class DistCmp:
             bits = bits1 + bits2
             if bits <= self._ell0:
                 self.level_queries[0] += 1
+                if u == v:  # keys from one node: dist(u) cancels
+                    self.trivial_answers[0] += 1
+                    return _ORDERING_OF_SIGN[w1._cmp(w2)]
                 c1, c2 = cancel(d1, d2, bits)
                 x = n1 * c2 - n2 * c1
-                if u == v:
-                    self.trivial_answers[0] += 1
-                elif x:
+                if x:
                     self.shortcut_answers[0] += 1
                     self.easy_answers[0] += 1
                 else:

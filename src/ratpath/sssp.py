@@ -11,6 +11,21 @@ pair is memoized.  Vertices s cannot reach never enter the heap: once it
 drains, each gets an aux parent edge from s of sentinel weight; no
 augmented graph is built.
 
+Top words.  When every key carries its exact pair (num, den), the heap
+orders plain tuples led by the key's top word floor(key * 2^S) =
+(num << S) // den, computed once per relaxation (from the pair's leading
+bits when the denominator is wide, `_wide_top_word`), and heapq compares
+them in C.  A key's denominator is below 2^(n * maxb), maxb the widest weight
+denominator's bit length, so two distinct keys differ by more than
+2^-(2 * n * maxb).  While that exponent is at most `_TOP_CAP`, S is it,
+and a top-word tie is an exact tie: the heap orders (top word, vertex
+id) and never calls the strategy's `compare`.  Past it S is
+`_TOP_BITS`, and `compare` (then the vertex id) breaks the heap's
+top-word ties only.  A relaxation test decides on top words and puts a
+top-word tie to `compare` in both regimes, so distcmp's counters still
+see each tie a relaxation meets.  A smaller top word is a smaller key
+either way, so the order is (key, vertex id) as without top words.
+
 Negative case: an eps-feasible price function from `scaling` makes a "cut"
 Dijkstra sound for every vertex whose shortest path uses at most k hops; a
 hit set of start vertices plus `graph._bellman_ford`, the one exact
@@ -40,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import attrgetter, itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
@@ -85,33 +101,77 @@ class IllegalBobMove(ValueError):
     pass
 
 
-def _shortness_class(g: WeightedDigraph, budget: WordBudget) -> int:
-    """The least c with every weight of g c-short: |num| and den below
-    2^(c*B - 1), so c*B must exceed the widest bit length among them."""
-    acc = 0
+def _scan_weights(g: WeightedDigraph) -> Tuple[bool, int, int]:
+    """One pass over g's edges: whether some weight is negative, the
+    widest bit length among every |num| and den, and the widest among
+    the dens alone (maxb)."""
+    negative = False
+    nums = dens = 0
     for e in g.edges:
         w = e.weight
-        acc |= w.den | abs(w.num)
-    return -(-(acc.bit_length() + 1) // budget.B)
+        num = w.num
+        if num < 0:
+            negative = True
+            num = -num
+        nums |= num
+        dens |= w.den
+    return negative, (nums | dens).bit_length(), dens.bit_length()
+
+
+def _shortness_class(widest: int, budget: WordBudget) -> int:
+    """The least c with every weight c-short: |num| and den below
+    2^(c*B - 1), so c*B must exceed `widest`, the widest bit length
+    among them (`_scan_weights`)."""
+    return -(-(widest + 1) // budget.B)
+
+
+# A heap key's top word is floor(key * 2^S).  S = 2 * n * maxb, which
+# makes a top-word tie an exact tie, while it is at most _TOP_CAP bits;
+# _TOP_BITS past that, where exact keys break the heap's top-word ties.
+_TOP_CAP = 512
+_TOP_BITS = 64
+# Past _TOP_WIDE denominator bits, `_wide_top_word` reads the leading
+# _TOP_LEAD bits of a key's pair instead of dividing in full.
+_TOP_WIDE = 2048
+_TOP_LEAD = 128
+
+
+def _wide_top_word(num: int, den: int, shift: int) -> int:
+    """floor(num / den * 2^shift) for den > 0 of more than _TOP_LEAD bits.
+    With n, d the pair cut to d's leading _TOP_LEAD bits, num / den lies
+    strictly between n / (d + 1) and (n + 1) / d, so their top words
+    bound it; where they agree that is the answer, and only where they
+    differ does the full-width division run."""
+    cut = den.bit_length() - _TOP_LEAD
+    n, d = num >> cut, den >> cut
+    low = (n << shift) // (d + 1)
+    if low == ((n + 1) << shift) // d:
+        return low
+    return (num << shift) // den
 
 
 # -- comparison strategies -------------------------------------------
-# A strategy has a `name`, `root` (the settled state of the source), and:
-# key(here, w), the key dist(u) + w from the settled state of u;
-# compare(a, b), the sign of key a against key b; settle(k), the settled
-# state of the vertex that key k reaches; and counters().
+# A strategy is built from (g, source, budget, seed, constants, widest,
+# maxb), the last two from `_scan_weights`.  It has a `name`, `root` (the
+# settled state of the source), and: key(here, w), the key dist(u) + w
+# from the settled state of u; compare(a, b), the sign of key a against
+# key b; settle(k), the settled state of the vertex that key k reaches;
+# pair, None or a function giving every key's exact (num, den), from
+# which the solver takes top words; and counters().
 
 
 class _ExactStrategy:
     """Naive baseline: textbook Dijkstra on explicit exact distances.  A
-    key is the reduced sum dist(u) + w, built once per relaxation; a heap
-    comparison cross-multiplies two keys, and a settled vertex is its
-    key."""
+    key is the reduced sum dist(u) + w, built once per relaxation; its
+    top word orders the heap, a top-word tie (a relaxation test's, or
+    the heap's past `_TOP_CAP`) cross-multiplies two keys, and a settled
+    vertex is its key."""
 
     name = "exact_oracle"
     root = ZERO
+    pair = attrgetter("num", "den")
 
-    def __init__(self, g, source, budget, seed, constants=None):
+    def __init__(self, g, source, budget, seed, constants, widest, maxb):
         pass
 
     @staticmethod
@@ -130,14 +190,16 @@ class _ExactStrategy:
 
 class _DistCmpStrategy:
     """Keys of `DistCmp.key`, compared by `DistCmp.compare`.  A settled
-    vertex is its node and its key's exact pair, the node's root pair."""
+    vertex is its node and its key's exact pair, the node's root pair.
+    Every key carries its pair, and so has a top word, when n * maxb is
+    at most ell_0: a key's bit bound is at most (n - 1) * maxb."""
 
     name = "distcmp"
 
-    def __init__(self, g, source, budget, seed, constants):
+    def __init__(self, g, source, budget, seed, constants, widest, maxb):
         # A heap comparison puts the difference of two weights to the
         # structure, so its class is twice theirs.
-        c = 2 * _shortness_class(g, budget)
+        c = 2 * _shortness_class(widest, budget)
         cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, C=constants["C"],
                             lam=constants["lam"])
         self.comparator = dc = DistCmp(cfg, seed=seed)
@@ -146,6 +208,7 @@ class _DistCmpStrategy:
         # Bound once, at solve time, so a wrapper installed on the class
         # attribute beforehand is the one called.
         self.compare = dc.compare
+        self.pair = itemgetter(3, 4) if g.n * maxb <= cfg.ell[0] else None
 
     def settle(self, k):
         return self.comparator.insert_leaf(k[0], k[1]), k[3], k[4]
@@ -159,8 +222,9 @@ class _PairwiseStrategy:
     `PairwiseDeltaComparator`, which mirrors the settled tree."""
 
     name = "pairwise_delta"
+    pair = None
 
-    def __init__(self, g, source, budget, seed, constants):
+    def __init__(self, g, source, budget, seed, constants, widest, maxb):
         self.comparator = PairwiseDeltaComparator(g.n, _hop_default(g.n), budget,
                                                   gamma=constants["gamma"], seed=seed)
         self.root = self.comparator.tree.root
@@ -193,7 +257,10 @@ _STRATEGIES = {
 
 
 class _HeapEntry:
-    # compare: the strategy's key comparison, bound once per solve.
+    """A heap entry ordered by (key, vid) through the strategy's key
+    comparison, bound once per solve: the whole entry of a solve without
+    top words, the tie-break behind a top word past `_TOP_CAP`."""
+
     __slots__ = ("key", "vid", "token", "compare")
 
     def __init__(self, key, vid, token, compare):
@@ -228,13 +295,29 @@ def dijkstra_nonneg(
     by the result.  Heap comparisons and relaxation tests compare keys
     of the chosen strategy, each built once per relaxation from the
     settled state of u (`here`); the winning key is the one pushed.
+
+    The order is (key, vertex id).  When the strategy gives each key's
+    exact pair, the heap holds tuples led by the key's top word
+    floor(key * 2^S), and a relaxation test decides on top words first,
+    putting only a top-word tie to the strategy's `compare` (see "Top
+    words" in the module docstring): with S = 2 * n * maxb up to
+    `_TOP_CAP` bits a top-word tie is an exact tie and the heap is
+    ordered in C alone; past it S = `_TOP_BITS` and `compare` breaks the
+    heap's top-word ties.  `exact_oracle` always takes top words,
+    `distcmp` when n * maxb fits its level-0 gate, `pairwise_delta`
+    never; without them every heap comparison is a `_HeapEntry`
+    comparison.  collect gets `top_shift` (S, or 0 without top words)
+    and `top_ties` (relaxation tests that a top-word tie sent to
+    `compare`).
+
     `exact_oracle` is unconditionally correct, `distcmp` is correct with
     high probability, `pairwise_delta` is the table-driven alternative.
     Every strategy takes and checks `constants` C and lam (read by
     `distcmp`) and gamma (read by `pairwise_delta`); a constant not given
     takes its default from `distcmp._CONSTANTS`.
     """
-    if g.has_negative_weight():
+    negative, widest, maxb = _scan_weights(g)
+    if negative:
         raise NegativeWeightError("graph has negative weights; use negative_sssp")
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -248,17 +331,28 @@ def dijkstra_nonneg(
         _check_constant(name, value)
     constants = {**_CONSTANTS, **constants}
     n = g.n
-    strat = _STRATEGIES[strategy](g, s, budget, seed, constants)
-    key_of, compare, settle = strat.key, strat.compare, strat.settle
+    strat = _STRATEGIES[strategy](g, s, budget, seed, constants, widest, maxb)
+    key_of, compare, settle, pair = strat.key, strat.compare, strat.settle, strat.pair
+    shift = 0
+    if pair is not None:
+        shift = 2 * n * maxb
+        exact_ties = shift <= _TOP_CAP
+        if not exact_ties:
+            shift = _TOP_BITS
 
     visited = [False] * n
     token = [0] * n
     cur: Dict[int, Tuple[int, BigRational, bool]] = {}
     cur_key: List[object] = [None] * n
+    cur_top: List[Optional[int]] = [None] * n
     parent: Dict[int, Tuple[int, BigRational, bool]] = {}
-    heap: List[_HeapEntry] = []
+    # Entries: _HeapEntry without top words; with them (top word, tie-break,
+    # vid, token, key), the tie-break the vid when top-word ties are exact
+    # (no two entries share both) and a _HeapEntry otherwise.
+    heap: List[object] = []
     pushes = 0
     relaxations = 0
+    top_ties = 0
 
     # Relax out of u, settled as `here`, then settle the next live heap
     # entry as u; u is None once the heap drains.
@@ -274,22 +368,44 @@ def dijkstra_nonneg(
                 continue
             relaxations += 1
             k = key_of(here, e.weight)
-            old = cur_key[v]
-            if old is None or compare(k, old) < 0:
-                cur[v] = (u, e.weight, e.aux)
-                cur_key[v] = k
-                token[v] += 1
-                heappush(heap, _HeapEntry(k, v, token[v], compare))
-                pushes += 1
+            if pair is None:
+                old = cur_key[v]
+                if old is not None and compare(k, old) >= 0:
+                    continue
+                t = token[v] = token[v] + 1
+                entry = _HeapEntry(k, v, t, compare)
+            else:
+                num, den = pair(k)
+                if den.bit_length() > _TOP_WIDE:
+                    top = _wide_top_word(num, den, shift)
+                else:
+                    top = (num << shift) // den
+                old = cur_top[v]
+                if old is not None and top >= old:
+                    if top > old:
+                        continue
+                    top_ties += 1
+                    if compare(k, cur_key[v]) >= 0:
+                        continue
+                cur_top[v] = top
+                t = token[v] = token[v] + 1
+                entry = (top, v if exact_ties else _HeapEntry(k, v, t, compare), v, t, k)
+            cur[v] = (u, e.weight, e.aux)
+            cur_key[v] = k
+            heappush(heap, entry)
+            pushes += 1
         u = None
         while heap:
             entry = heappop(heap)
-            v = entry.vid
-            if not visited[v] and token[v] == entry.token:
+            if pair is None:
+                v, t, k = entry.vid, entry.token, entry.key
+            else:
+                _, _, v, t, k = entry
+            if not visited[v] and token[v] == t:
                 visited[v] = True
                 parent[v] = cur[v]
                 cur_key[v] = None  # v is never relaxed again
-                here = settle(entry.key)
+                here = settle(k)
                 u = v
                 break
     # Every vertex left is unreachable from s.  Over the augmented graph
@@ -305,6 +421,8 @@ def dijkstra_nonneg(
     if collect is not None:
         collect["heap_pushes"] = pushes
         collect["relaxations"] = relaxations
+        collect["top_shift"] = shift
+        collect["top_ties"] = top_ties
         for key, val in strat.counters().items():
             collect[f"{strat.name}.{key}"] = val
     return SsspResult(n, s, parent)

@@ -18,7 +18,10 @@ with one pass per hit index; `NodePathDistCmp`, the distcmp
 strategy whose every comparison was a node query, before heap keys
 carried their exact pairs; and `PairKeyedExactStrategy`, the exact_oracle
 strategy whose heap keys were (distance, weight) pairs, summed on every
-comparison, before each key became its reduced sum.
+comparison, before each key became its reduced sum; and
+`entry_ordered_dijkstra`, the loop of `ratpath.sssp.dijkstra_nonneg`
+before its heap ordered top words, where every heap comparison and
+relaxation test goes through the strategy's `compare`.
 """
 
 from __future__ import annotations
@@ -40,10 +43,12 @@ from ratpath.graph import (
     VerifyOutcome,
     WeightedDigraph,
     _primes_below,
+    aux_weight,
     gen_random,
 )
-from ratpath.rational import BigRational, ZERO, is_k_short, sum_lt
-from ratpath.sssp import CutResult, _DistCmpStrategy, _RecombinationError, _splice_walk
+from ratpath.rational import DEFAULT_BUDGET, BigRational, ZERO, is_k_short, sum_lt
+from ratpath.sssp import (_CONSTANTS, _STRATEGIES, CutResult, _DistCmpStrategy, _RecombinationError,
+                          _scan_weights, _splice_walk)
 
 
 class UnreducedPair:
@@ -768,12 +773,15 @@ class NodePathDistCmp:
     keys carried their exact pairs: a key is (node, weight), and every
     comparison, relaxation tests included, is the node query
     `DistCmp.compare(u, v, beta)` with beta = w2 - w1, the canonical ZERO
-    for equal weights.  The structure is the one the solver builds."""
+    for equal weights.  The structure is the one the solver builds.  It
+    gives no key pairs, so the solver takes no top words with it."""
 
     name = "distcmp"
+    pair = None
 
-    def __init__(self, g, source, budget, seed, constants):
-        self.comparator = _DistCmpStrategy(g, source, budget, seed, constants).comparator
+    def __init__(self, g, source, budget, seed, constants, widest, maxb):
+        self.comparator = _DistCmpStrategy(g, source, budget, seed, constants, widest,
+                                           maxb).comparator
         self.root = self.comparator.tree.root
 
     @staticmethod
@@ -794,12 +802,14 @@ class NodePathDistCmp:
 class PairKeyedExactStrategy:
     """The exact_oracle strategy of `ratpath.sssp.dijkstra_nonneg` before
     each key became its reduced sum: a key is the pair (distance, weight),
-    and every comparison and every settle builds the sums it needs."""
+    and every comparison and every settle builds the sums it needs.  It
+    gives no key pairs, so the solver takes no top words with it."""
 
     name = "exact_oracle"
     root = ZERO
+    pair = None
 
-    def __init__(self, g, source, budget, seed, constants=None):
+    def __init__(self, g, source, budget, seed, constants, widest, maxb):
         pass
 
     @staticmethod
@@ -818,6 +828,96 @@ class PairKeyedExactStrategy:
 
     def counters(self) -> Dict[str, int]:
         return {}
+
+
+class _HeapEntry:
+    # compare: the strategy's key comparison, bound once per solve.
+    __slots__ = ("key", "vid", "token", "compare")
+
+    def __init__(self, key, vid, token, compare):
+        self.key = key
+        self.vid = vid
+        self.token = token
+        self.compare = compare
+
+    def __lt__(self, other):
+        c = self.compare(self.key, other.key)
+        if c != 0:
+            return c < 0
+        return self.vid < other.vid
+
+
+def entry_ordered_dijkstra(g: WeightedDigraph, s: int, strategy: str = "distcmp", seed: int = 0,
+                           budget=DEFAULT_BUDGET, collect: Optional[Dict[str, object]] = None,
+                           constants: Optional[Dict[str, float]] = None) -> SsspResult:
+    """`ratpath.sssp.dijkstra_nonneg` before top words, on the solver's
+    own strategy (`ratpath.sssp._STRATEGIES`, so a test's substitute is
+    honoured): a heap of `_HeapEntry`s ordered by (key, vid) through the
+    strategy's `compare`, which also decides every relaxation test.  The
+    loop is the old one verbatim; the argument checks are left out."""
+    _, widest, maxb = _scan_weights(g)
+    constants = {**_CONSTANTS, **(constants or {})}
+    n = g.n
+    strat = _STRATEGIES[strategy](g, s, budget, seed, constants, widest, maxb)
+    key_of, compare, settle = strat.key, strat.compare, strat.settle
+
+    visited = [False] * n
+    token = [0] * n
+    cur: Dict[int, Tuple[int, BigRational, bool]] = {}
+    cur_key: List[object] = [None] * n
+    parent: Dict[int, Tuple[int, BigRational, bool]] = {}
+    heap: List[_HeapEntry] = []
+    pushes = 0
+    relaxations = 0
+
+    # Relax out of u, settled as `here`, then settle the next live heap
+    # entry as u; u is None once the heap drains.
+    out_edges = g.out_edges
+    heappush, heappop = heapq.heappush, heapq.heappop
+    visited[s] = True
+    u = s
+    here = strat.root
+    while u is not None:
+        for e in out_edges(u):
+            v = e.head
+            if visited[v]:
+                continue
+            relaxations += 1
+            k = key_of(here, e.weight)
+            old = cur_key[v]
+            if old is None or compare(k, old) < 0:
+                cur[v] = (u, e.weight, e.aux)
+                cur_key[v] = k
+                token[v] += 1
+                heappush(heap, _HeapEntry(k, v, token[v], compare))
+                pushes += 1
+        u = None
+        while heap:
+            entry = heappop(heap)
+            v = entry.vid
+            if not visited[v] and token[v] == entry.token:
+                visited[v] = True
+                parent[v] = cur[v]
+                cur_key[v] = None  # v is never relaxed again
+                here = settle(entry.key)
+                u = v
+                break
+    # Every vertex left is unreachable from s.  Over the augmented graph
+    # each would be keyed by the sentinel, and a relaxation out of one
+    # would offer sentinel + w >= sentinel, which never wins: each would
+    # keep s as its parent, popping in vertex-id order.
+    left = [v for v in range(n) if not visited[v]]
+    if left:
+        sentinel = aux_weight(g)
+        for v in left:
+            parent[v] = (s, sentinel, True)
+
+    if collect is not None:
+        collect["heap_pushes"] = pushes
+        collect["relaxations"] = relaxations
+        for key, val in strat.counters().items():
+            collect[f"{strat.name}.{key}"] = val
+    return SsspResult(n, s, parent)
 
 
 def reference_distcmp_streams(seed: int, config):

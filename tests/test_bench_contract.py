@@ -42,6 +42,14 @@ def test_tracer_installs_and_exact_verify_accepts():
     assert rp.verify_sssp is verify  # restored on exit
 
 
+def _ties(seed: int):
+    # Every weight 1/3: the exact ties that relaxation tests meet are put
+    # to `DistCmp.compare`, which top words spare every other comparison.
+    third = rp.BigRational(1, 3)
+    skeleton = gen_random(20, 80, seed)
+    return rp.WeightedDigraph(20, [(e.tail, e.head, third) for e in skeleton.edges], source=0)
+
+
 def test_tracer_records_nonneg_strategies():
     # The non-negative workloads time distcmp under "solve" and
     # pairwise_delta under "pairwise"; each wrapped name must still be
@@ -51,7 +59,7 @@ def test_tracer_records_nonneg_strategies():
     tracer = spans.Tracer(rp)
     with tracer.installed():
         with tracer.root("solve"):
-            rp.dijkstra_nonneg(g, 0, strategy="distcmp", seed=1)
+            rp.dijkstra_nonneg(_ties(3), 0, strategy="distcmp", seed=1)
         with tracer.root("pairwise"):
             rp.dijkstra_nonneg(g, 0, strategy="pairwise_delta", seed=1)
     assert tracer.get("distcmp.DistCmp.compare", "calls") >= 1
@@ -63,10 +71,8 @@ def test_traced_compare_counts_every_level_0_query():
     # Every level-0 query of a distcmp solve enters through the traced
     # `DistCmp.compare`, so a faster path cannot bypass the span.
     spans = _load_spans()
-    third = rp.BigRational(1, 3)
     for seed in range(3):
-        skeleton = gen_random(20, 80, seed)
-        g = rp.WeightedDigraph(20, [(e.tail, e.head, third) for e in skeleton.edges], source=0)
+        g = _ties(seed)
         tracer = spans.Tracer(rp)
         collect = {}
         with tracer.installed():

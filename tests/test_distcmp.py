@@ -18,7 +18,8 @@ from ratpath.inctree import IncTree
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath.sssp import dijkstra_nonneg
 
-from conftest import diamond_chain, exact_ordering, reference_distcmp_streams, root_distance
+from conftest import (diamond_chain, entry_ordered_dijkstra, exact_ordering, reference_distcmp_streams,
+                      root_distance)
 
 
 def R(n, d=1):
@@ -381,7 +382,10 @@ class TestCompare:
     def test_answers_are_ordering_members_on_every_path(self, monkeypatch):
         # Levels pass int signs; compare turns each into an Ordering member,
         # on key pairs and on the node path alike.  The gate-closed diamond
-        # chain reaches every level-0 answer path.
+        # chain reaches every level-0 answer path when every heap
+        # comparison and relaxation test is put to `compare`, as
+        # `entry_ordered_dijkstra` does; the solver's top words would
+        # leave it the top-word ties alone.
         compare = DistCmp.compare
         paths = set()
 
@@ -405,7 +409,7 @@ class TestCompare:
             return got
 
         monkeypatch.setattr(DistCmp, "compare", classified)
-        dijkstra_nonneg(
+        entry_ordered_dijkstra(
             diamond_chain(170), 0, strategy="distcmp", seed=1, budget=WordBudget(16),
             constants={"C": 0.5, "lam": 1.0},
         )

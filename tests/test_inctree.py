@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from ratpath.graph import WeightedDigraph, gen_random, gen_small_diff
 from ratpath.inctree import GCD_BITS, IncTree, NotAnAncestorError
 from ratpath.rational import BigRational, WordBudget, ZERO
 from ratpath.sssp import dijkstra_nonneg
-from conftest import diamond_chain, random_rational, reference_distcmp_streams, root_distance
+from conftest import (diamond_chain, entry_ordered_dijkstra, random_rational, reference_distcmp_streams,
+                      root_distance)
 
 
 def R(n, d=1):
@@ -255,7 +258,7 @@ class TestLazyAncestorArrays:
         assert len(tree._anc[1]) == len(tree)
         assert pdc.counters()["pairs_computed"] > 0
 
-    def _solve_capturing(self, monkeypatch, g, **kwargs):
+    def _solve_capturing(self, monkeypatch, g, solver=dijkstra_nonneg, **kwargs):
         made = []
         real = sssp_module._STRATEGIES["distcmp"]
 
@@ -265,19 +268,26 @@ class TestLazyAncestorArrays:
             return strat
 
         monkeypatch.setitem(sssp_module._STRATEGIES, "distcmp", capture)
-        dijkstra_nonneg(g, 0, strategy="distcmp", seed=1, **kwargs)
+        solver(g, 0, strategy="distcmp", seed=1, **kwargs)
         return made[0]
+
+    # The gate-open solves run twice: through the solver, whose top words
+    # leave `DistCmp.compare` few or no queries, and through
+    # `entry_ordered_dijkstra`, which puts every heap comparison and
+    # relaxation test to it.
+    _SOLVERS = (dijkstra_nonneg, entry_ordered_dijkstra)
 
     def test_gate_open_solve_builds_no_array(self, monkeypatch):
         third = R(1, 3)
         ties = WeightedDigraph(40, [(e.tail, e.head, third) for e in gen_random(40, 160, 3).edges],
                                source=0)
         gadget, _ = gen_small_diff(400, chain=20, window=3)
-        for g in (ties, gadget, gen_random(60, 240, 5)):
-            dc = self._solve_capturing(monkeypatch, g)
+        for g, solver in itertools.product((ties, gadget, gen_random(60, 240, 5)), self._SOLVERS):
+            dc = self._solve_capturing(monkeypatch, g, solver)
             counters = dc.counters()
             queries = counters["level_queries"][0]
-            assert queries > 0 and counters["difficult_answers"] == [0] * (dc.config.t + 1)
+            assert queries > 0 or solver is dijkstra_nonneg
+            assert counters["difficult_answers"] == [0] * (dc.config.t + 1)
             answered = sum(counters[k][0] for k in ("trivial_answers", "shortcut_answers",
                                                     "tie_answers"))
             assert answered == queries  # every query took the shortcut or was trivial
@@ -296,9 +306,10 @@ class TestLazyAncestorArrays:
                                source=0)
         gadget, _ = gen_small_diff(400, chain=20, window=3)
         deep, _ = gen_small_diff(4096, chain=150, window=3)  # pairs past GCD_BITS
-        for g in (ties, gadget, deep, gen_random(60, 240, 5)):
-            dc = self._solve_capturing(monkeypatch, g)
-            assert dc.counters()["shortcut_answers"][0] > 0
+        for g, solver in itertools.product((ties, gadget, deep, gen_random(60, 240, 5)),
+                                           self._SOLVERS):
+            dc = self._solve_capturing(monkeypatch, g, solver)
+            assert dc.counters()["shortcut_answers"][0] > 0 or solver is dijkstra_nonneg
             assert dc.tree._pairs == [{0: (0, 1)}] * (dc.config.t + 1)
             if g is deep:
                 assert max(dc.tree.den_bits) > GCD_BITS

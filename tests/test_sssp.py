@@ -20,6 +20,7 @@ from ratpath.graph import (
     serialize_tree,
     verify_sssp,
 )
+from ratpath.cfrac import Ordering
 from ratpath.distcmp import DistCmp, PairwiseDeltaComparator
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath import rational as rational_module
@@ -47,6 +48,7 @@ from conftest import (
     backbone_graph,
     crossed_diamond_chain,
     diamond_chain,
+    entry_ordered_dijkstra,
     full_scan_recombination,
     reference_cut_dijkstra,
     reference_witness_tree,
@@ -151,7 +153,10 @@ class TestDijkstraNonneg:
             c = 1
             while not all(is_k_short(e.weight, c, budget) for e in g.edges):
                 c += 1
-            assert sssp_module._shortness_class(g, budget) == c, trial
+            negative, widest, maxb = sssp_module._scan_weights(g)
+            assert sssp_module._shortness_class(widest, budget) == c, trial
+            assert negative == g.has_negative_weight(), trial
+            assert maxb == max((e.weight.den.bit_length() for e in g.edges), default=0), trial
 
     @pytest.mark.parametrize("strategy", ["exact_oracle", "distcmp", "pairwise_delta"])
     def test_source_out_of_range(self, strategy):
@@ -212,17 +217,17 @@ class TestDijkstraNonneg:
         [
             (
                 "ties",
-                (58, 110, [353, 0, 0], [34, 0, 0], [105, 0, 0], [214, 0, 0], [0, 0, 0], [0, 0, 0], 0,
-                 "0cfafd07ebe7bfa3c03ebe592cb9f84cb60e5899a1e80d6aa0e668c1086f0f3b"),
+                (58, 110, 240, 24, [24, 0, 0], [0, 0, 0], [0, 0, 0], [24, 0, 0], [0, 0, 0], [0, 0, 0],
+                 0, "0cfafd07ebe7bfa3c03ebe592cb9f84cb60e5899a1e80d6aa0e668c1086f0f3b"),
             ),
             (
                 "gadget",
-                (61, 61, [80, 0, 0], [20, 0, 0], [60, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], 0,
-                 "2086e26e2f21f530255e61ffebfef5b3b867ec7cca63cf2cadf266be00d3e6ae"),
+                (61, 61, 64, 0, [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0],
+                 0, "2086e26e2f21f530255e61ffebfef5b3b867ec7cca63cf2cadf266be00d3e6ae"),
             ),
             (
                 "ties-400",
-                (394, 805, [3577, 0, 0, 0], [132, 0, 0, 0], [820, 0, 0, 0], [2625, 0, 0, 0],
+                (394, 805, 64, 191, [2757, 0, 0, 0], [132, 0, 0, 0], [0, 0, 0, 0], [2625, 0, 0, 0],
                  [0, 0, 0, 0], [0, 0, 0, 0], 0,
                  "36c539820d2ececd51dafdfb848c14f64dd82bd6e2b0297998a0ea7160f0682c"),
             ),
@@ -231,11 +236,14 @@ class TestDijkstraNonneg:
     def test_distcmp_instance_pinned(self, family, pinned):
         # Counters and tree bytes of fixed runs, pinned so that a change
         # to how distcmp decides its comparisons keeps them identical:
-        # all-1/3 weights at n=60 and n=400 (exact ties, each proven on
-        # exact values and answered at level 0, so no cover is built and
-        # level 1 is never queried), and a padded window-3 gadget chain
-        # (every comparison easy).  `test_distcmp_gate_closed_pinned`
-        # covers the cover and level 1.
+        # all-1/3 weights at n=60 (2*n*maxb = 240 bits, so top-word ties
+        # are exact ties and only relaxation tests reach `DistCmp.compare`)
+        # and at n=400 (top words of 64 bits, so heap ties reach it too),
+        # where each tie is proven on exact values and answered at level
+        # 0, so no cover is built and level 1 is never queried, and a
+        # padded window-3 gadget chain (64-bit top words decide every
+        # comparison).
+        # `test_distcmp_gate_closed_pinned` covers the cover and level 1.
         if family.startswith("ties"):
             n = 400 if family == "ties-400" else 60
             skeleton = gen_random(n, 4 * n, 3)
@@ -244,9 +252,12 @@ class TestDijkstraNonneg:
             g, _ = gen_small_diff(512, padding=True, chain=20, window=3)
         stats = {}
         r = dijkstra_nonneg(g, 0, strategy="distcmp", seed=1, collect=stats)
-        pushes, relaxations, queries, trivial, easy, ties, difficult, fallbacks, updates, digest = pinned
+        (pushes, relaxations, shift, top_ties, queries, trivial, easy, ties, difficult, fallbacks,
+         updates, digest) = pinned
         assert stats["heap_pushes"] == pushes
         assert stats["relaxations"] == relaxations
+        assert stats["top_shift"] == shift
+        assert stats["top_ties"] == top_ties
         assert stats["distcmp.level_queries"] == queries
         assert stats["distcmp.trivial_answers"] == trivial
         assert stats["distcmp.easy_answers"] == easy
@@ -262,16 +273,19 @@ class TestDijkstraNonneg:
         # Each heap-key comparison of a distcmp run, put to the exact
         # strategy on the same keys over the same settled tree, gets the
         # same sign.  The twin settles, keys and compares both strategies
-        # side by side through the solver's one loop.
+        # side by side through the solver's one loop.  It gives no key
+        # pairs, so the solver takes no top words and every heap
+        # comparison and relaxation test reaches `compare`.
         signs = []
         distcmp_strategy = sssp_module._STRATEGIES["distcmp"]
 
         class Twin:
             name = "distcmp"
+            pair = None
 
-            def __init__(self, g, source, budget, seed, constants=None):
-                self.fast = distcmp_strategy(g, source, budget, seed, constants)
-                self.exact = sssp_module._ExactStrategy(g, source, budget, seed)
+            def __init__(self, *args):
+                self.fast = distcmp_strategy(*args)
+                self.exact = sssp_module._ExactStrategy(*args)
                 self.root = (self.fast.root, self.exact.root)
 
             def key(self, here, w):
@@ -336,9 +350,12 @@ class TestDijkstraNonneg:
         return cases
 
     def test_exact_keys_match_pair_keyed_reference(self, monkeypatch):
-        # Keys summed once per relaxation give the tree bytes and the
-        # collect dict of the strategy that kept (distance, weight) pairs
-        # and summed them on every comparison.
+        # Keys summed once per relaxation, ordered by their top words,
+        # give the tree bytes and the collect dict of the strategy that
+        # kept (distance, weight) pairs and summed them on every
+        # comparison, which gives no key pairs and so takes no top words;
+        # only `top_shift` and `top_ties`, which it leaves at 0, differ.
+        # The cases take top words in both regimes.
         cases = self._exact_cases()
 
         def solve_all():
@@ -350,8 +367,13 @@ class TestDijkstraNonneg:
             return out
 
         got = solve_all()
+        shifts = {stats.pop("top_shift") for _, stats in got}
+        assert 64 in shifts and any(64 < shift <= 512 for shift in shifts)
+        for _, stats in got:
+            del stats["top_ties"]
         monkeypatch.setitem(sssp_module._STRATEGIES, "exact_oracle", PairKeyedExactStrategy)
         want = solve_all()
+        assert all(stats.pop("top_shift") == stats.pop("top_ties") == 0 for _, stats in want)
         assert got == want
         # The shared and the distinct copies of each graph give one tree.
         shared_and_distinct = [text for text, _ in got[80:100]]
@@ -463,7 +485,10 @@ class TestDijkstraNonneg:
         # a node query.  Random graphs with zero weights, parallel edges,
         # unreachable vertices and equal weights as distinct objects keep
         # the gate open; the diamond chains at gate-closing constants
-        # close it mid-tree, so one solve takes both routes.
+        # close it mid-tree, so one solve takes both routes.  The key
+        # pairs are put to every comparison by `entry_ordered_dijkstra`;
+        # the solver, which orders top words and takes none from
+        # `NodePathDistCmp`, gives the same trees, pushes and relaxations.
         pool = [(1, 3), (2, 5), (1, 1), (0, 1), (3, 7), (1, 2)]
         cases = []
         for seed in range(300):
@@ -483,18 +508,25 @@ class TestDijkstraNonneg:
         cases.append((diamond_chain(170), 0, closed))
         cases.append((crossed_diamond_chain(170), 0, closed))
 
-        def solve_all():
+        def solve_all(solver):
             out = []
             for g, s, kwargs in cases:
                 stats = {}
-                r = dijkstra_nonneg(g, s, strategy="distcmp", seed=s, collect=stats, **kwargs)
+                r = solver(g, s, strategy="distcmp", seed=s, collect=stats, **kwargs)
                 out.append((serialize_tree(r), stats))
             return out
 
-        got = solve_all()
+        def relaxed(runs):
+            return [(text, st["heap_pushes"], st["relaxations"]) for text, st in runs]
+
+        got = solve_all(entry_ordered_dijkstra)
+        top = solve_all(dijkstra_nonneg)
+        assert all(st["top_shift"] > 0 or st["relaxations"] == 0 for _, st in top)
         monkeypatch.setitem(sssp_module._STRATEGIES, "distcmp", NodePathDistCmp)
-        want = solve_all()
+        want = solve_all(dijkstra_nonneg)
+        assert all(st.pop("top_shift") == st.pop("top_ties") == 0 for _, st in want)
         assert got == want
+        assert relaxed(top) == relaxed(want)
         # The random graphs exercise what they are meant to: sibling keys
         # (trivial answers), exact ties and vertices s cannot reach.
         stats = [st for _, st in got[:300]]
@@ -508,9 +540,11 @@ class TestDijkstraNonneg:
         # The regime the hierarchy exists for: a chain of 170 tied diamonds
         # whose weight denominators are distinct 15-bit primes, at
         # constants whose level-0 gate (ell_0 = 8000 bits) the deep
-        # nodes' denominators outgrow.  Shallow ties are proven exactly;
-        # deep ones take the fixed-point test, the cover, the cluster
-        # orders and level 1.  The tree equals exact_oracle's.
+        # nodes' denominators outgrow.  n * maxb = 7665 fits the gate, so
+        # every key carries its pair and 64-bit top words order the heap;
+        # only the exact ties reach `DistCmp.compare`.  Shallow ties are
+        # proven exactly; deep ones take the fixed-point test, the cover,
+        # the cluster orders and level 1.  The tree equals exact_oracle's.
         g = diamond_chain(170)
         stats = {}
         r = dijkstra_nonneg(
@@ -518,10 +552,11 @@ class TestDijkstraNonneg:
             constants={"C": 0.5, "lam": 1.0},
         )
         assert (g.n, stats["heap_pushes"], stats["relaxations"]) == (511, 510, 680)
-        assert stats["distcmp.level_queries"] == [510, 30, 0, 0, 0]
+        assert (stats["top_shift"], stats["top_ties"]) == (64, 170)
+        assert stats["distcmp.level_queries"] == [340, 30, 0, 0, 0]
         assert stats["distcmp.trivial_answers"] == [170, 19, 0, 0, 0]
-        assert stats["distcmp.easy_answers"] == [170, 0, 0, 0, 0]
-        assert stats["distcmp.shortcut_answers"] == [134, 0, 0, 0, 0]
+        assert stats["distcmp.easy_answers"] == [0, 0, 0, 0, 0]
+        assert stats["distcmp.shortcut_answers"] == [0, 0, 0, 0, 0]
         assert stats["distcmp.tie_answers"] == [133, 11, 0, 0, 0]
         assert stats["distcmp.difficult_answers"] == [37, 0, 0, 0, 0]
         assert stats["distcmp.cover_fallbacks"] == [7, 0, 0, 0, 0]
@@ -553,6 +588,169 @@ class TestDijkstraNonneg:
         assert stats["pairwise_delta.pairs_computed"] == pairs
         assert stats["pairwise_delta.exact_fallbacks"] == fallbacks
         assert hashlib.sha256(serialize_tree(r).encode()).hexdigest() == digest
+
+
+def _offset_graph(n, base, spread, seed, m_per_n=3):
+    """`gen_random(n, m_per_n * n, seed)`'s skeleton with weights 1/(base + j),
+    j drawn below `spread`: keys at one hop count are near-ties (apart by
+    about spread / base^2 per hop) and exact ties wherever two paths draw
+    the same j's."""
+    rng = np.random.default_rng([seed, 41])
+    edges = [(e.tail, e.head, R(1, base + int(rng.integers(spread))))
+             for e in gen_random(n, min(m_per_n * n, n * (n - 1)), seed).edges]
+    return WeightedDigraph(n, edges, source=0)
+
+
+def _integer_graph(n, seed):
+    """`gen_random`'s skeleton with weights 1 and 2: maxb = 1, and exact
+    ties everywhere."""
+    rng = np.random.default_rng([seed, 42])
+    return WeightedDigraph(n, [(e.tail, e.head, R(1 + int(rng.integers(2))))
+                               for e in gen_random(n, 3 * n, seed).edges], source=0)
+
+
+class TestTopWords:
+    # The non-negative heap orders top words floor(key * 2^S); these
+    # trees must be those of a Fraction Dijkstra (`textbook_dijkstra`)
+    # and, with the same pushes and relaxations, those of the loop that
+    # put every comparison to the strategy (`entry_ordered_dijkstra`).
+
+    @staticmethod
+    def _check(g, s=0, budget=WordBudget()):
+        shifts, ties = set(), 0
+        want = textbook_dijkstra(g, s)
+        for strategy in ("exact_oracle", "distcmp"):
+            stats, ref = {}, {}
+            r = dijkstra_nonneg(g, s, strategy=strategy, seed=1, budget=budget, collect=stats)
+            assert {v: (u, aux) for v, (u, _, aux) in r.parent.items()} == want
+            old = entry_ordered_dijkstra(g, s, strategy=strategy, seed=1, budget=budget,
+                                         collect=ref)
+            assert serialize_tree(r) == serialize_tree(old)
+            assert (stats["heap_pushes"], stats["relaxations"]) == (ref["heap_pushes"],
+                                                                   ref["relaxations"])
+            shifts.add(stats["top_shift"])
+            ties += stats["top_ties"]
+        assert len(shifts) == 1
+        return shifts.pop(), ties
+
+    def test_near_ties_share_a_64_bit_top_word(self):
+        # Weights 1/(2^40 + j): keys one hop count apart differ by less
+        # than 2^-64, so they share a 64-bit top word, and the exact keys
+        # decide both the heap order and the relaxation tests.
+        ties = 0
+        for seed in range(30):
+            n = 7 + seed % 20
+            shift, t = self._check(_offset_graph(n, 1 << 40, 1 + seed % 5, seed))
+            assert shift == 64
+            ties += t
+        assert ties > 100
+
+    def test_near_ties_below_the_cap(self):
+        # The same weights at n <= 6: 2 * n * 41 <= 492 bits, where top
+        # words separate the near-ties and a top-word tie is an exact tie.
+        ties = 0
+        for seed in range(60):
+            n = 3 + seed % 4
+            g = _offset_graph(n, 1 << 40, 1 + seed % 3, seed, m_per_n=4)
+            shift, t = self._check(g)
+            assert shift == 2 * n * 41
+            ties += t
+        assert ties > 10
+
+    @pytest.mark.parametrize("n, base, shift", [
+        (8, 1 << 31, 512),  # 2 * n * maxb = 2 * 8 * 32: at the cap
+        (8, 1 << 32, 64),   # maxb 33: over it
+    ])
+    def test_at_and_over_the_cap(self, n, base, shift):
+        ties = 0
+        for seed in range(40):
+            got, t = self._check(_offset_graph(n, base, 1 + seed % 4, seed, m_per_n=4))
+            assert got == shift
+            ties += t
+        assert ties > 10
+
+    @pytest.mark.parametrize("n, shift", [(256, 512), (257, 64)])
+    def test_integer_weights_at_and_over_the_cap(self, n, shift):
+        # maxb = 1: n * maxb = 256 is at the cap, 257 one bit over it.
+        ties = 0
+        for seed in range(3):
+            got, t = self._check(_integer_graph(n, seed))
+            assert got == shift
+            ties += t
+        assert ties > 50
+
+    def test_exact_ties_reach_compare_only_in_relaxations(self, monkeypatch):
+        # Below the cap the heap never calls `compare`; each call is a
+        # relaxation test on a top-word tie, and it answers a tie.
+        calls = []
+        real = DistCmp.compare
+
+        def spy(self, a, b, *rest):
+            got = real(self, a, b, *rest)
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(DistCmp, "compare", spy)
+        skeleton = gen_random(60, 240, 3)
+        g = WeightedDigraph(60, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges], source=0)
+        stats = {}
+        dijkstra_nonneg(g, 0, collect=stats)
+        assert stats["top_shift"] == 240
+        assert len(calls) == stats["top_ties"] > 0
+        assert all(got is Ordering.EQUAL for got in calls)
+
+    def test_wide_top_word_is_the_floor(self):
+        # Wide pairs read through their leading bits give the floor of the
+        # full division: random pairs, pairs a hair above and below an
+        # integer top word (where the leading bits cannot tell and the
+        # full division decides), exact integers and unreduced pairs.
+        rng = np.random.default_rng(43)
+        cases = []
+        for bits in (129, 300, 2049, 9000):
+            for _ in range(40):
+                den = int.from_bytes(rng.bytes(bits // 8 + 1), "big") >> 8 | 1 << (bits - 1)
+                top = int.from_bytes(rng.bytes(10), "big")
+                for shift in (64, 200):
+                    base = top * den
+                    nearest = -(-base >> shift)  # num / den * 2^shift just above top
+                    cases += [(base >> shift, den, shift), (nearest, den, shift),
+                              (nearest - 1, den, shift), (top << 70, den, shift),
+                              (top * den * 5, den * 5, shift)]
+        ambiguous = 0
+        for num, den, shift in cases:
+            assert sssp_module._wide_top_word(num, den, shift) == (num << shift) // den
+            cut = den.bit_length() - sssp_module._TOP_LEAD
+            n, d = num >> cut, den >> cut
+            ambiguous += (n << shift) // (d + 1) != ((n + 1) << shift) // d
+        assert 0 < ambiguous < len(cases)
+
+    def test_top_shift_separates_keys_at_the_bound(self):
+        # The exactness argument: a key's denominator is below 2^M, M =
+        # n * maxb, so two distinct keys are more than 2^-2M apart and
+        # have distinct top words at S >= 2M.  Checked on the shift the
+        # solver reports below the cap, at the extreme the bound allows:
+        # denominators d1, d2 just below 2^M and keys 1/(d1 * d2) apart.
+        # Some of these pairs share a top word at 2M - 1.
+        for n, base in ((2, 4), (3, 1 << 20), (6, 1 << 40), (8, 1 << 31), (256, 1)):
+            g = _offset_graph(n, base, 1, 0) if base > 1 else _integer_graph(n, 0)
+            stats = {}
+            dijkstra_nonneg(g, 0, strategy="exact_oracle", collect=stats)
+            M = n * base.bit_length()
+            assert stats["top_shift"] <= 512
+            merged = 0
+            for d1 in range((1 << M) - 8, 1 << M):
+                for d2 in range((1 << M) - 8, 1 << M):
+                    if math.gcd(d1, d2) != 1:
+                        continue
+                    x = pow(d2, -1, d1)  # x * d2 - y * d1 = 1
+                    y = (x * d2 - 1) // d1
+                    for shift, same in ((stats["top_shift"], False), (2 * M - 1, None)):
+                        hit = (x << shift) // d1 == (y << shift) // d2
+                        if same is None:
+                            merged += hit
+                        else:
+                            assert hit == same, (n, d1, d2)
+            assert merged > 0
 
 
 def _path_edges(stops, dens, x):
