@@ -384,6 +384,8 @@ class DistCmp:
     # -- insertion ----------------------------------------------------
 
     def insert_leaf(self, parent: int, weight: BigRational) -> int:
+        """Append a leaf of `weight` under `parent`, checked: weight c-short,
+        room left, parent a node.  `_settle` is the solver's, unchecked."""
         short = self._short
         if not (-short < weight.num < short and weight.den < short):
             raise ValueError(f"weight {weight} is not {self.config.c}-short")
@@ -393,6 +395,14 @@ class DistCmp:
         levels = self._slot_level
         # Before the draw a node takes level 0, which `slot_level` replaces.
         return self.tree.insert_leaf(parent, weight, 0 if levels is None else levels[slot])
+
+    def _settle(self, k) -> Tuple[int, Optional[int], Optional[int]]:
+        """`insert_leaf` of the node that a key k of `_key` reaches, unchecked,
+        and its state (node, num, den) for `_key`; k[2] is its `den_bits`."""
+        tree, levels = self.tree, self._slot_level
+        v = len(tree.parent)
+        tree._append(k[0], k[1], 0 if levels is None else levels[v], k[2])
+        return v, k[3], k[4]
 
     @property
     def slot_level(self) -> List[int]:
@@ -465,11 +475,14 @@ class DistCmp:
         and its root pair (None, None once `den_bits` passes ell_0): (node,
         w, bits, num, den) with bits = den_bits(node) + bitlen(w.den) and
         (num, den) its unreduced pair while bits <= ell_0, else (None,
-        None).  w is checked c-short here, once per key."""
-        node, num, den = at
+        None).  w is checked c-short here, and `_key` is the solver's, unchecked."""
         short = self._short
         if not (-short < w.num < short and w.den < short):
             raise ValueError(f"weight {w} is not {self.config.c}-short")
+        return self._key(at, w)
+
+    def _key(self, at: Tuple[int, Optional[int], Optional[int]], w: BigRational) -> tuple:
+        node, num, den = at
         wd = w.den
         bits = self.tree.den_bits[node] + wd.bit_length()
         if bits > self._ell0:

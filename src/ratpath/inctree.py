@@ -83,12 +83,15 @@ class IncTree:
             raise KeyError(f"unknown parent node {parent}")
         if not 0 <= level <= self.max_level:
             raise ValueError(f"level {level} out of range 0..{self.max_level}")
+        self._append(parent, weight, level, self.den_bits[parent] + weight.den.bit_length())
+        return v
+
+    def _append(self, parent: int, weight: BigRational, level: int, den_bits: int) -> None:
         self.parent.append(parent)
         self.weight.append(weight)
         self.depth.append(self.depth[parent] + 1)
         self.level.append(level)
-        self.den_bits.append(self.den_bits[parent] + weight.den.bit_length())
-        return v
+        self.den_bits.append(den_bits)
 
     def _check_node(self, v: int) -> None:
         """ValueError unless v is a node id; -1 is not the last node."""

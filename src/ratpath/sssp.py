@@ -2,29 +2,27 @@
 
 Non-negative case: textbook Dijkstra where every comparison between two
 tentative keys dist(z1) + w1 and dist(z2) + w2 is delegated to a pluggable
-comparison strategy; the default routes through the hierarchical
-structure of `distcmp`, so no reduced exact distance is ever
-materialized.  A distcmp key carries the unreduced exact pair of dist(z)
-+ w, built from the settled parent's while its bit bound fits the level-0
-gate, so a gate-open comparison is one cross-multiplication and no root
-pair is memoized.  Vertices s cannot reach never enter the heap: once it
-drains, each gets an aux parent edge from s of sentinel weight; no
-augmented graph is built.
+comparison strategy; the default, `distcmp`, never materializes a reduced
+exact distance.  Its key carries the unreduced exact pair of dist(z) + w
+while the key's bit bound fits the level-0 gate, so a gate-open
+comparison is one cross-multiplication.  The solver keys and settles
+unchecked (`_DistCmpStrategy` says why).  Vertices s cannot reach never
+enter the heap: once it drains, each gets an aux parent edge from s of
+sentinel weight.
 
 Top words.  When every key carries its exact pair (num, den), the heap
-orders plain tuples led by the key's top word floor(key * 2^S) =
-(num << S) // den, computed once per relaxation (from the pair's leading
-bits when the denominator is wide, `_wide_top_word`), and heapq compares
-them in C.  A key's denominator is below 2^(n * maxb), maxb the widest weight
-denominator's bit length, so two distinct keys differ by more than
-2^-(2 * n * maxb).  While that exponent is at most `_TOP_CAP`, S is it,
-and a top-word tie is an exact tie: the heap orders (top word, vertex
-id) and never calls the strategy's `compare`.  Past it S is
-`_TOP_BITS`, and `compare` (then the vertex id) breaks the heap's
-top-word ties only.  A relaxation test decides on top words and puts a
-top-word tie to `compare` in both regimes, so distcmp's counters still
-see each tie a relaxation meets.  A smaller top word is a smaller key
-either way, so the order is (key, vertex id) as without top words.
+orders plain tuples led by the key's top word floor(key * 2^S) = (num
+<< S) // den, computed once per relaxation (from the leading bits of a
+wide pair, `_wide_top_word`), and heapq compares them in C.  A key's
+denominator is below 2^(n * maxb), maxb the widest weight denominator's
+bit length, so distinct keys differ by more than 2^-(2 * n * maxb).
+While that exponent is at most `_TOP_CAP`, S is it, and a top-word tie
+is an exact tie: the heap orders (top word, vertex id) and never calls
+`compare`.  Past it S is `_TOP_BITS`, and the key, then the vertex id,
+breaks the heap's top-word ties: a reduced `BigRational` by its own
+order, any other key by `compare`.  A relaxation test decides on top
+words and puts a tie to `compare` in both regimes, so distcmp's counters
+see each tie a relaxation meets.  Either way the order is (key, vertex id).
 
 Negative case: an eps-feasible price function from `scaling` makes a "cut"
 Dijkstra sound for every vertex whose shortest path uses at most k hops; a
@@ -163,9 +161,9 @@ def _wide_top_word(num: int, den: int, shift: int) -> int:
 class _ExactStrategy:
     """Naive baseline: textbook Dijkstra on explicit exact distances.  A
     key is the reduced sum dist(u) + w, built once per relaxation; its
-    top word orders the heap, a top-word tie (a relaxation test's, or
-    the heap's past `_TOP_CAP`) cross-multiplies two keys, and a settled
-    vertex is its key."""
+    top word orders the heap, a top-word tie (a relaxation test's, or,
+    by the keys' own order, the heap's past `_TOP_CAP`) cross-multiplies
+    two keys, and a settled vertex is its key."""
 
     name = "exact_oracle"
     root = ZERO
@@ -174,10 +172,7 @@ class _ExactStrategy:
     def __init__(self, g, source, budget, seed, constants, widest, maxb):
         pass
 
-    @staticmethod
-    def key(d, w) -> BigRational:
-        return d + w
-
+    key = staticmethod(BigRational.__add__)
     compare = staticmethod(BigRational._cmp)
 
     @staticmethod
@@ -189,10 +184,11 @@ class _ExactStrategy:
 
 
 class _DistCmpStrategy:
-    """Keys of `DistCmp.key`, compared by `DistCmp.compare`.  A settled
-    vertex is its node and its key's exact pair, the node's root pair.
-    Every key carries its pair, and so has a top word, when n * maxb is
-    at most ell_0: a key's bit bound is at most (n - 1) * maxb."""
+    """Keys of `DistCmp._key`, compared by `DistCmp.compare` and settled
+    by `DistCmp._settle` as the node and the key's exact pair.  Both are
+    unchecked: c covers every weight of g, and capacity n every node a
+    solve settles.  Every key carries its pair, and so has a top word,
+    when n * maxb is at most ell_0: a key's bit bound is at most (n - 1) * maxb."""
 
     name = "distcmp"
 
@@ -204,17 +200,11 @@ class _DistCmpStrategy:
                             lam=constants["lam"])
         self.comparator = dc = DistCmp(cfg, seed=seed)
         self.root = (dc.tree.root, 0, 1)
-        self.key = dc.key
+        self.key, self.settle, self.counters = dc._key, dc._settle, dc.counters
         # Bound once, at solve time, so a wrapper installed on the class
         # attribute beforehand is the one called.
         self.compare = dc.compare
         self.pair = itemgetter(3, 4) if g.n * maxb <= cfg.ell[0] else None
-
-    def settle(self, k):
-        return self.comparator.insert_leaf(k[0], k[1]), k[3], k[4]
-
-    def counters(self) -> Dict[str, object]:
-        return self.comparator.counters()
 
 
 class _PairwiseStrategy:
@@ -259,7 +249,7 @@ _STRATEGIES = {
 class _HeapEntry:
     """A heap entry ordered by (key, vid) through the strategy's key
     comparison, bound once per solve: the whole entry of a solve without
-    top words, the tie-break behind a top word past `_TOP_CAP`."""
+    top words, the tie-break behind a distcmp top word past `_TOP_CAP`."""
 
     __slots__ = ("key", "vid", "token", "compare")
 
@@ -296,19 +286,13 @@ def dijkstra_nonneg(
     of the chosen strategy, each built once per relaxation from the
     settled state of u (`here`); the winning key is the one pushed.
 
-    The order is (key, vertex id).  When the strategy gives each key's
-    exact pair, the heap holds tuples led by the key's top word
-    floor(key * 2^S), and a relaxation test decides on top words first,
-    putting only a top-word tie to the strategy's `compare` (see "Top
-    words" in the module docstring): with S = 2 * n * maxb up to
-    `_TOP_CAP` bits a top-word tie is an exact tie and the heap is
-    ordered in C alone; past it S = `_TOP_BITS` and `compare` breaks the
-    heap's top-word ties.  `exact_oracle` always takes top words,
-    `distcmp` when n * maxb fits its level-0 gate, `pairwise_delta`
-    never; without them every heap comparison is a `_HeapEntry`
-    comparison.  collect gets `top_shift` (S, or 0 without top words)
-    and `top_ties` (relaxation tests that a top-word tie sent to
-    `compare`).
+    The order is (key, vertex id), on top words floor(key * 2^S) when
+    the strategy gives each key's exact pair (see "Top words" in the
+    module docstring): `exact_oracle` always, `distcmp` when n * maxb
+    fits its level-0 gate, `pairwise_delta` never; without them every
+    heap comparison is a `_HeapEntry` comparison.  collect gets
+    `top_shift` (S, or 0 without top words) and `top_ties` (relaxation
+    tests that a top-word tie sent to `compare`).
 
     `exact_oracle` is unconditionally correct, `distcmp` is correct with
     high probability, `pairwise_delta` is the table-driven alternative.
@@ -339,6 +323,7 @@ def dijkstra_nonneg(
         exact_ties = shift <= _TOP_CAP
         if not exact_ties:
             shift = _TOP_BITS
+        ordered = compare is BigRational._cmp  # canonical: == and < order by value
 
     visited = [False] * n
     token = [0] * n
@@ -347,8 +332,7 @@ def dijkstra_nonneg(
     cur_top: List[Optional[int]] = [None] * n
     parent: Dict[int, Tuple[int, BigRational, bool]] = {}
     # Entries: _HeapEntry without top words; with them (top word, tie-break,
-    # vid, token, key), the tie-break the vid when top-word ties are exact
-    # (no two entries share both) and a _HeapEntry otherwise.
+    # vid, token, key), the tie-break of "Top words" in the module docstring.
     heap: List[object] = []
     pushes = 0
     relaxations = 0
@@ -389,7 +373,7 @@ def dijkstra_nonneg(
                         continue
                 cur_top[v] = top
                 t = token[v] = token[v] + 1
-                entry = (top, v if exact_ties else _HeapEntry(k, v, t, compare), v, t, k)
+                entry = (top, v if exact_ties else k if ordered else _HeapEntry(k, v, t, compare), v, t, k)
             cur[v] = (u, e.weight, e.aux)
             cur_key[v] = k
             heappush(heap, entry)

@@ -567,6 +567,88 @@ class TestDijkstraNonneg:
         oracle = dijkstra_nonneg(g, 0, strategy="exact_oracle", budget=B16)
         assert serialize_tree(oracle) == serialize_tree(r)
 
+    @pytest.mark.parametrize("family", ["ties", "gadget", "gate-closed", "mixed-gate"])
+    def test_settled_nodes_match_their_parents(self, monkeypatch, family):
+        # The solver settles through `DistCmp._settle`, which appends the
+        # key's den_bits and the slot level unchecked.  Every node must
+        # hold what `IncTree.insert_leaf` would compute from its parent,
+        # its weight and `slot_level`, and the tree must be exact_oracle's.
+        # The gate-open instances draw no levels; the gate-closed one
+        # (the instance pinned above) and the mixed-gate chain (the CI
+        # instance: the gate closes mid-tree, no top words) draw them in
+        # the middle of the solve.
+        built = []
+
+        class Recording(sssp_module._DistCmpStrategy):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.comparator)
+
+        kwargs = {}
+        if family == "ties":
+            skeleton = gen_random(60, 240, 3)
+            g = WeightedDigraph(60, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges], source=0)
+        elif family == "gadget":
+            g, _ = gen_small_diff(512, padding=True, chain=20, window=3)
+        elif family == "gate-closed":
+            g = diamond_chain(170)
+            kwargs = {"budget": B16, "constants": {"C": 0.5, "lam": 1.0}}
+        else:
+            g, _ = gen_small_diff(40000, padding=True, chain=1300, window=3)
+            kwargs = {"budget": WordBudget(18), "constants": {"C": 0.5, "lam": 1.0}}
+        monkeypatch.setitem(sssp_module._STRATEGIES, "distcmp", Recording)
+        stats = {}
+        r = dijkstra_nonneg(g, 0, strategy="distcmp", seed=1, collect=stats, **kwargs)
+        oracle = dijkstra_nonneg(g, 0, strategy="exact_oracle", **kwargs)
+        assert serialize_tree(r) == serialize_tree(oracle)
+        (dc,) = built
+        tree, levels = dc.tree, dc._slot_level
+        assert (levels is None) == (family in ("ties", "gadget"))
+        assert len(tree) == sum(d is not None for d in r.distances())  # s and what it reaches
+        assert (tree.parent[0], tree.depth[0], tree.den_bits[0], tree.level[0]) == (-1, 0, 0, dc.config.t)
+        for v in range(1, len(tree)):
+            p, w = tree.parent[v], tree.weight[v]
+            assert 0 <= p < v
+            assert tree.depth[v] == tree.depth[p] + 1
+            assert tree.den_bits[v] == tree.den_bits[p] + w.den.bit_length()
+            assert tree.level[v] == (0 if levels is None else levels[v])
+        if levels is not None:
+            assert any(tree.level[1:])
+        if family == "mixed-gate":
+            assert stats["top_shift"] == 0
+            assert stats["distcmp.shortcut_answers"][0] < stats["distcmp.easy_answers"][0]
+
+    def test_solver_weights_fit_the_strategy_class(self):
+        # `_DistCmpStrategy` keys and settles unchecked: what makes that
+        # sound is that its class c makes every weight c-short, and its
+        # capacity holds every node a solve settles.  Weights sit at the
+        # class boundary: a numerator or a denominator of exactly `widest`
+        # bits, with widest = cB - 1 (the widest c-short) or cB (just past).
+        rng = np.random.default_rng(44)
+        boundary = 0  # graphs whose class c/2 is tight: some weight is not (c/2 - 1)-short
+        for trial in range(300):
+            budget = WordBudget(int(rng.integers(2, 40)))
+            n = int(rng.integers(1, 12))
+            widest = budget.B * int(rng.integers(1, 4)) - int(rng.integers(0, 2))
+            edges = []
+            for _ in range(int(rng.integers(0, 3 * n + 1))):
+                u, v = (int(x) for x in rng.integers(0, n, size=2))
+                full = (1 << (widest - 1)) | int(rng.integers(0, 1 << min(widest - 1, 62)))
+                small = int(rng.integers(1, (1 << min(widest - 1, 62)) + 1))
+                if math.gcd(full, small) == 1:  # reduced, so `full` keeps its bits
+                    edges.append((u, v, R(*((full, small) if rng.random() < 0.5 else (small, full)))))
+            g = WeightedDigraph(n, edges, source=0)
+            _, seen, maxb = sssp_module._scan_weights(g)
+            assert seen == (widest if g.edges else 0), trial
+            strat = sssp_module._DistCmpStrategy(g, 0, budget, 0, sssp_module._CONSTANTS, seen, maxb)
+            cfg = strat.comparator.config
+            assert g.n <= cfg.capacity, trial
+            assert all(is_k_short(e.weight, cfg.c // 2, budget) for e in g.edges), trial
+            assert all(is_k_short(e.weight, cfg.c, budget) for e in g.edges), trial
+            boundary += any(not is_k_short(e.weight, cfg.c // 2 - 1, budget) for e in g.edges
+                            if cfg.c > 2)
+        assert boundary > 100
+
     @pytest.mark.parametrize(
         "family, pinned",
         [
