@@ -56,6 +56,8 @@ carries the unreduced exact pair of its value while its bound den_bits(u)
 + bitlen(w2.den) for beta = w2 - w1, two keys whose bounds sum to at most
 ell_0 pass the shortcut's gate: `compare` answers them by one
 cross-multiplication of their pairs, counted as the shortcut counts.
+Such a query reads nothing of the tree, and the tree is built on its
+first read (`DistCmp.tree`).
 
 Root pairs come from the tree's one memo, `IncTree.pair`, which
 `PairwiseDeltaComparator` reads too.  Node queries (key queries past the
@@ -349,6 +351,12 @@ class DistCmp:
     int signs (-1, 0, 1) between them, and compare turns the level-0 sign
     into an `Ordering` once.
 
+    The tree is built when something first reads it (`tree`): the
+    solver's settles (`_settle`) only keep their nodes until then, and a
+    key carries its den_bits, so a solve whose comparisons are all
+    decided on key pairs never builds it.  Node ids, levels and the tree
+    are those of inserting every node at once.
+
     Queries mutate internal state (similarity edges, cluster orders), so
     all access must be serialized by the owning thread.
     """
@@ -366,7 +374,11 @@ class DistCmp:
         self._entropy = seed
         self._slot_level: Optional[List[int]] = None
         t = config.t
-        self.tree = IncTree(max_level=t)
+        self._tree = IncTree(max_level=t)
+        # (parent, weight, den_bits) of every node but the root, in node
+        # order, so node v is _nodes[v - 1]: the tree holds a prefix of
+        # them, and `tree` appends the rest.
+        self._nodes: List[Tuple[int, BigRational, int]] = []
         self._states: List[Optional[_LevelState]] = [None] * t
         # scale_i = 2^(ell_i + 2) * capacity, built on the first fixed-point
         # use of level i: at capacity 2000 and c=2 the level-2 value has
@@ -383,26 +395,49 @@ class DistCmp:
 
     # -- insertion ----------------------------------------------------
 
+    @property
+    def tree(self) -> IncTree:
+        """The tree, first brought up to date: the nodes that `_settle` kept
+        are appended, in node order, each at its slot level once the levels
+        are drawn and at 0 before.  Every reader of the tree, inside the
+        structure or out, goes through here, so a solve whose comparisons
+        all stay on key pairs never builds it."""
+        tree = self._tree
+        nodes = self._nodes
+        v = len(tree.parent)
+        if v <= len(nodes):
+            levels = self._slot_level
+            for parent, weight, bits in nodes[v - 1:]:
+                tree._append(parent, weight, 0 if levels is None else levels[v], bits)
+                v += 1
+        return tree
+
     def insert_leaf(self, parent: int, weight: BigRational) -> int:
         """Append a leaf of `weight` under `parent`, checked: weight c-short,
         room left, parent a node.  `_settle` is the solver's, unchecked."""
         short = self._short
         if not (-short < weight.num < short and weight.den < short):
             raise ValueError(f"weight {weight} is not {self.config.c}-short")
-        slot = len(self.tree.parent)
+        tree = self.tree
+        slot = len(tree.parent)
         if slot >= self.config.capacity:
             raise ValueError(f"tree is full at capacity {self.config.capacity}")
         levels = self._slot_level
         # Before the draw a node takes level 0, which `slot_level` replaces.
-        return self.tree.insert_leaf(parent, weight, 0 if levels is None else levels[slot])
+        tree.insert_leaf(parent, weight, 0 if levels is None else levels[slot])
+        self._nodes.append((parent, weight, tree.den_bits[slot]))
+        return slot
 
-    def _settle(self, k) -> Tuple[int, Optional[int], Optional[int]]:
-        """`insert_leaf` of the node that a key k of `_key` reaches, unchecked,
-        and its state (node, num, den) for `_key`; k[2] is its `den_bits`."""
-        tree, levels = self.tree, self._slot_level
-        v = len(tree.parent)
-        tree._append(k[0], k[1], 0 if levels is None else levels[v], k[2])
-        return v, k[3], k[4]
+    def _settle(self, k) -> Tuple[int, Optional[int], Optional[int], int]:
+        """Add the node that a key k of `_key` reaches, unchecked, and return
+        its state (node, num, den, bits) for `_key`: its id, its root pair
+        and its `den_bits`, k[2].  The node is kept as (parent, weight,
+        den_bits), k[:3], one append, and enters the tree when `tree` is
+        next read; the slice keeps the key's pair, Theta(depth) words, out
+        of the list.  `dijkstra_nonneg` runs this body inline."""
+        nodes = self._nodes
+        nodes.append(k[:3])
+        return len(nodes), k[3], k[4], k[2]
 
     @property
     def slot_level(self) -> List[int]:
@@ -446,18 +481,19 @@ class DistCmp:
         got = memo.get(v)
         if got is not None:
             return got
+        tree = self.tree
         chain = []
         x = v
         while x not in memo:
             chain.append(x)
-            x = self.tree.nearest_strict_marked_ancestor(x, i)
+            x = tree.nearest_strict_marked_ancestor(x, i)
         scale = self._scale_of(i)
         # Each chain node's strict level-i ancestor is the node before it
         # in this loop: first x, the memoized node that ended the walk.
         z = x
         for y in reversed(chain):
-            num, den = self.tree.pair(i, self.tree.parent[y])
-            w = self.tree.weight[y]
+            num, den = tree.pair(i, tree.parent[y])
+            w = tree.weight[y]
             memo[y] = memo[z] + (scale * (num * w.den + w.num * den)) // (den * w.den)
             z = y
         return memo[v]
@@ -465,26 +501,30 @@ class DistCmp:
     def _anchor(self, lvl: int, v: int) -> Tuple[int, BigRational]:
         """(alpha, d): v's level-lvl anchor and the exact distance from it
         to v."""
-        anc = 0 if lvl == self.config.t else self.tree.nearest_marked_ancestor(v, lvl)
-        return anc, BigRational(*self.tree.pair(lvl, v))
+        tree = self.tree
+        anc = 0 if lvl == self.config.t else tree.nearest_marked_ancestor(v, lvl)
+        return anc, BigRational(*tree.pair(lvl, v))
 
     # -- queries --------------------------------------------------------
 
-    def key(self, at: Tuple[int, Optional[int], Optional[int]], w: BigRational) -> tuple:
+    def key(self, at, w: BigRational) -> tuple:
         """The heap key dist(node) + w for at = (node, num, den), a node
-        and its root pair (None, None once `den_bits` passes ell_0): (node,
-        w, bits, num, den) with bits = den_bits(node) + bitlen(w.den) and
-        (num, den) its unreduced pair while bits <= ell_0, else (None,
-        None).  w is checked c-short here, and `_key` is the solver's, unchecked."""
+        and its root pair (None, None once `den_bits` passes ell_0), or a
+        state of `_settle`: (node, w, bits, num, den) with bits =
+        den_bits(node) + bitlen(w.den) and (num, den) its unreduced pair
+        while bits <= ell_0, else (None, None).  w is checked c-short here
+        and den_bits(node) read from the tree; `_key` is the solver's,
+        unchecked, on a state that carries its den_bits."""
         short = self._short
         if not (-short < w.num < short and w.den < short):
             raise ValueError(f"weight {w} is not {self.config.c}-short")
-        return self._key(at, w)
+        node = at[0]
+        return self._key((node, at[1], at[2], self.tree.den_bits[node]), w)
 
-    def _key(self, at: Tuple[int, Optional[int], Optional[int]], w: BigRational) -> tuple:
-        node, num, den = at
+    def _key(self, at: Tuple[int, Optional[int], Optional[int], int], w: BigRational) -> tuple:
+        node, num, den, bits = at
         wd = w.den
-        bits = self.tree.den_bits[node] + wd.bit_length()
+        bits += wd.bit_length()
         if bits > self._ell0:
             return node, w, bits, None, None
         return node, w, bits, num * wd + w.num * den, den * wd
@@ -522,18 +562,20 @@ class DistCmp:
         return _ORDERING_OF_SIGN[self._level_compare(0, a, b, beta)]
 
     def exact_compare(self, u: int, v: int, beta: BigRational) -> Ordering:
-        self.tree._check_node(u)
-        self.tree._check_node(v)
-        return _ORDERING_OF_SIGN[self.tree.exact_sign(u, v, beta)]
+        tree = self.tree
+        tree._check_node(u)
+        tree._check_node(v)
+        return _ORDERING_OF_SIGN[tree.exact_sign(u, v, beta)]
 
     def _exact_sign(self, u: int, v: int, beta: BigRational, max_bits: int) -> Optional[int]:
         """`IncTree.exact_sign`, or None when the common denominator of the
         root pairs and beta may need more than max_bits bits: the cluster
         comparator's window check.  `_level_compare` tests the same gate
         inline."""
-        if self.tree.den_bits[u] + self.tree.den_bits[v] + beta.den.bit_length() > max_bits:
+        tree = self.tree
+        if tree.den_bits[u] + tree.den_bits[v] + beta.den.bit_length() > max_bits:
             return None
-        return self.tree.exact_sign(u, v, beta)
+        return tree.exact_sign(u, v, beta)
 
     def _fixed_offset(self, i: int, u: int, v: int, beta: BigRational):
         """(a_i(u) - a_i(v)) * beta.den - scale_i * beta.num: the level-i
@@ -660,13 +702,14 @@ class DistCmp:
         have an approximation, so any other i raises ValueError."""
         if not 0 <= i < self.config.t:
             raise ValueError(f"level {i} out of range 0..{self.config.t - 1}")
-        self.tree._check_node(v)
+        tree = self.tree
+        tree._check_node(v)
         if self.slot_level[v] < i:
             raise ValueError(f"node {v} is below level {i}")
         if v == 0:
             return None, ZERO, ZERO, 0
-        z = self.tree.nearest_strict_marked_ancestor(v, i)
-        return z, self.tree.path_weight(z, v), self._anchor(i + 1, v)[1], self._a_scaled(i, v)
+        z = tree.nearest_strict_marked_ancestor(v, i)
+        return z, tree.path_weight(z, v), self._anchor(i + 1, v)[1], self._a_scaled(i, v)
 
     def approx_denominator(self, i: int) -> int:
         return self._scale_of(i)

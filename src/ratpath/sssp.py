@@ -6,9 +6,12 @@ comparison strategy; the default, `distcmp`, never materializes a reduced
 exact distance.  Its key carries the unreduced exact pair of dist(z) + w
 while the key's bit bound fits the level-0 gate, so a gate-open
 comparison is one cross-multiplication.  The solver keys and settles
-unchecked (`_DistCmpStrategy` says why).  Vertices s cannot reach never
-enter the heap: once it drains, each gets an aux parent edge from s of
-sentinel weight.
+unchecked (`_DistCmpStrategy` says why).  A settle only keeps the node:
+the structure builds its tree when something first reads it, so a solve
+whose comparisons all stay on key pairs never builds it.  With top words
+the loop runs the bodies of `DistCmp._key` and `DistCmp._settle` itself.
+Vertices s cannot reach never enter the heap: once it drains, each gets
+an aux parent edge from s of sentinel weight.
 
 Top words.  When every key carries its exact pair (num, den), the heap
 orders plain tuples led by the key's top word floor(key * 2^S) = (num
@@ -54,6 +57,7 @@ from __future__ import annotations
 import heapq
 import math
 from operator import attrgetter, itemgetter
+from types import MethodType
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
@@ -185,10 +189,14 @@ class _ExactStrategy:
 
 class _DistCmpStrategy:
     """Keys of `DistCmp._key`, compared by `DistCmp.compare` and settled
-    by `DistCmp._settle` as the node and the key's exact pair.  Both are
-    unchecked: c covers every weight of g, and capacity n every node a
-    solve settles.  Every key carries its pair, and so has a top word,
-    when n * maxb is at most ell_0: a key's bit bound is at most (n - 1) * maxb."""
+    by `DistCmp._settle`, which keeps the node for the tree that
+    `DistCmp.tree` builds on its first read and returns the state (node,
+    num, den, bits): the node, the key's exact pair and its den_bits.
+    Both are unchecked: c covers every weight of g, and capacity n every
+    node a solve settles.  Every key carries its pair, and so has a top
+    word, when n * maxb is at most ell_0: a key's bit bound is at most
+    (n - 1) * maxb.  `dijkstra_nonneg` then runs the bodies of `_key` and
+    `_settle` in its loop, with no call per relaxation or settle."""
 
     name = "distcmp"
 
@@ -199,7 +207,7 @@ class _DistCmpStrategy:
         cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, C=constants["C"],
                             lam=constants["lam"])
         self.comparator = dc = DistCmp(cfg, seed=seed)
-        self.root = (dc.tree.root, 0, 1)
+        self.root = (0, 0, 1, 0)
         self.key, self.settle, self.counters = dc._key, dc._settle, dc.counters
         # Bound once, at solve time, so a wrapper installed on the class
         # attribute beforehand is the one called.
@@ -249,7 +257,11 @@ _STRATEGIES = {
 class _HeapEntry:
     """A heap entry ordered by (key, vid) through the strategy's key
     comparison, bound once per solve: the whole entry of a solve without
-    top words, the tie-break behind a distcmp top word past `_TOP_CAP`."""
+    top words, the tie-break behind a distcmp top word past `_TOP_CAP`.
+    The tie-break is built per push: resolving top-word ties at pop time
+    instead, by scanning the tied group, asks `compare` once per tied
+    pop, and on the all-1/3 n=400 instance of `test_distcmp_instance_pinned`
+    that took distcmp's level-0 queries from 2757 to 22719."""
 
     __slots__ = ("key", "vid", "token", "compare")
 
@@ -294,8 +306,12 @@ def dijkstra_nonneg(
     `top_shift` (S, or 0 without top words) and `top_ties` (relaxation
     tests that a top-word tie sent to `compare`).
 
-    `exact_oracle` is unconditionally correct, `distcmp` is correct with
-    high probability, `pairwise_delta` is the table-driven alternative.
+    `exact_oracle` is unconditionally correct.  `distcmp` answers a
+    comparison exactly when it is trivial or takes the exact shortcut; a
+    comparison past the exact gate runs on the drawn levels and covers
+    and is correct with high probability.  A solve whose comparisons all
+    take the shortcut or are trivial draws nothing and returns an exact
+    answer.  `pairwise_delta` is the table-driven alternative.
     Every strategy takes and checks `constants` C and lam (read by
     `distcmp`) and gamma (read by `pairwise_delta`); a constant not given
     takes its default from `distcmp._CONSTANTS`.
@@ -324,6 +340,16 @@ def dijkstra_nonneg(
         if not exact_ties:
             shift = _TOP_BITS
         ordered = compare is BigRational._cmp  # canonical: == and < order by value
+    # With top words, the bodies of `DistCmp._key` and `DistCmp._settle` run
+    # inline below: every key carries its pair, built from the settled
+    # state (node, num, den, bits) alone, and a settle appends the key's
+    # (parent, weight, den_bits) to the structure's node list.
+    inline = pair is not None and type(key_of) is MethodType and key_of.__func__ is DistCmp._key
+    keyed = pair is not None and not inline  # top words from the strategy's key and pair
+    if inline:
+        nodes = key_of.__self__._nodes
+        keep = nodes.append
+        node, hnum, hden, hbits = strat.root
 
     visited = [False] * n
     token = [0] * n
@@ -338,8 +364,9 @@ def dijkstra_nonneg(
     relaxations = 0
     top_ties = 0
 
-    # Relax out of u, settled as `here`, then settle the next live heap
-    # entry as u; u is None once the heap drains.
+    # Relax out of u, settled as `here` (as node, hnum, hden, hbits when
+    # inline), then settle the next live heap entry as u; u is None once
+    # the heap drains.
     out_edges = g.out_edges
     heappush, heappop = heapq.heappush, heapq.heappop
     visited[s] = True
@@ -351,32 +378,43 @@ def dijkstra_nonneg(
             if visited[v]:
                 continue
             relaxations += 1
-            k = key_of(here, e.weight)
-            if pair is None:
+            w = e.weight
+            if keyed:
+                k = key_of(here, w)
+                num, den = pair(k)
+            elif inline:
+                wd = w.den
+                num = hnum * wd + w.num * hden
+                den = hden * wd
+                k = node, w, hbits + wd.bit_length(), num, den
+            else:  # no top words
+                k = key_of(here, w)
                 old = cur_key[v]
                 if old is not None and compare(k, old) >= 0:
                     continue
                 t = token[v] = token[v] + 1
-                entry = _HeapEntry(k, v, t, compare)
+                cur[v] = (u, w, e.aux)
+                cur_key[v] = k
+                heappush(heap, _HeapEntry(k, v, t, compare))
+                pushes += 1
+                continue
+            if den.bit_length() > _TOP_WIDE:
+                top = _wide_top_word(num, den, shift)
             else:
-                num, den = pair(k)
-                if den.bit_length() > _TOP_WIDE:
-                    top = _wide_top_word(num, den, shift)
-                else:
-                    top = (num << shift) // den
-                old = cur_top[v]
-                if old is not None and top >= old:
-                    if top > old:
-                        continue
-                    top_ties += 1
-                    if compare(k, cur_key[v]) >= 0:
-                        continue
-                cur_top[v] = top
-                t = token[v] = token[v] + 1
-                entry = (top, v if exact_ties else k if ordered else _HeapEntry(k, v, t, compare), v, t, k)
-            cur[v] = (u, e.weight, e.aux)
+                top = (num << shift) // den
+            old = cur_top[v]
+            if old is not None and top >= old:
+                if top > old:
+                    continue
+                top_ties += 1
+                if compare(k, cur_key[v]) >= 0:
+                    continue
+            cur_top[v] = top
+            t = token[v] = token[v] + 1
+            tie = v if exact_ties else k if ordered else _HeapEntry(k, v, t, compare)
+            cur[v] = (u, w, e.aux)
             cur_key[v] = k
-            heappush(heap, entry)
+            heappush(heap, (top, tie, v, t, k))
             pushes += 1
         u = None
         while heap:
@@ -389,7 +427,11 @@ def dijkstra_nonneg(
                 visited[v] = True
                 parent[v] = cur[v]
                 cur_key[v] = None  # v is never relaxed again
-                here = settle(k)
+                if inline:
+                    keep(k[:3])
+                    node, hnum, hden, hbits = len(nodes), k[3], k[4], k[2]
+                else:
+                    here = settle(k)
                 u = v
                 break
     # Every vertex left is unreachable from s.  Over the augmented graph

@@ -18,10 +18,13 @@ with one pass per hit index; `NodePathDistCmp`, the distcmp
 strategy whose every comparison was a node query, before heap keys
 carried their exact pairs; and `PairKeyedExactStrategy`, the exact_oracle
 strategy whose heap keys were (distance, weight) pairs, summed on every
-comparison, before each key became its reduced sum; and
+comparison, before each key became its reduced sum;
 `entry_ordered_dijkstra`, the loop of `ratpath.sssp.dijkstra_nonneg`
 before its heap ordered top words, where every heap comparison and
-relaxation test goes through the strategy's `compare`.
+relaxation test goes through the strategy's `compare`; and
+`TreeKeepingDistCmpStrategy`, the distcmp strategy that appended each
+settled node to the `DistCmp` tree at once and read a key's den_bits
+from the tree, before the tree was built on its first read.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 import pytest
 
 from ratpath.cfrac import Ordering
+from ratpath.distcmp import DistCmp, DistCmpConfig
 from ratpath.graph import (
     NegativeCycle,
     SsspResult,
@@ -48,7 +53,7 @@ from ratpath.graph import (
 )
 from ratpath.rational import DEFAULT_BUDGET, BigRational, ZERO, is_k_short, sum_lt
 from ratpath.sssp import (_CONSTANTS, _STRATEGIES, CutResult, _DistCmpStrategy, _RecombinationError,
-                          _scan_weights, _splice_walk)
+                          _scan_weights, _shortness_class, _splice_walk)
 
 
 class UnreducedPair:
@@ -828,6 +833,43 @@ class PairKeyedExactStrategy:
 
     def counters(self) -> Dict[str, int]:
         return {}
+
+
+class TreeKeepingDistCmpStrategy:
+    """The distcmp strategy of `ratpath.sssp.dijkstra_nonneg` whose every
+    settle appended its node to the `DistCmp` tree at once, at its slot
+    level once drawn and at 0 before, and whose keys read the settled
+    node's den_bits from the tree: the settled state is (node, num, den).
+    Its keys carry their pairs under the same gate, so the solver takes
+    top words with it where it takes them with `_DistCmpStrategy`, through
+    the strategy's `key` and `pair` calls."""
+
+    name = "distcmp"
+
+    def __init__(self, g, source, budget, seed, constants, widest, maxb):
+        c = 2 * _shortness_class(widest, budget)
+        cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, C=constants["C"],
+                            lam=constants["lam"])
+        self.comparator = dc = DistCmp(cfg, seed=seed)
+        self.root = (0, 0, 1)
+        self.compare, self.counters = dc.compare, dc.counters
+        self.pair = itemgetter(3, 4) if g.n * maxb <= cfg.ell[0] else None
+
+    def key(self, at, w):
+        node, num, den = at
+        dc = self.comparator
+        wd = w.den
+        bits = dc.tree.den_bits[node] + wd.bit_length()
+        if bits > dc.config.ell[0]:
+            return node, w, bits, None, None
+        return node, w, bits, num * wd + w.num * den, den * wd
+
+    def settle(self, k):
+        dc = self.comparator
+        tree, levels = dc.tree, dc._slot_level
+        v = len(tree.parent)
+        tree._append(k[0], k[1], 0 if levels is None else levels[v], k[2])
+        return v, k[3], k[4]
 
 
 class _HeapEntry:

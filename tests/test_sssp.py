@@ -21,7 +21,7 @@ from ratpath.graph import (
     verify_sssp,
 )
 from ratpath.cfrac import Ordering
-from ratpath.distcmp import DistCmp, PairwiseDeltaComparator
+from ratpath.distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath import rational as rational_module
 from ratpath import sssp as sssp_module
@@ -45,6 +45,7 @@ from ratpath.sssp import (
 from conftest import (
     NodePathDistCmp,
     PairKeyedExactStrategy,
+    TreeKeepingDistCmpStrategy,
     backbone_graph,
     crossed_diamond_chain,
     diamond_chain,
@@ -617,6 +618,161 @@ class TestDijkstraNonneg:
         if family == "mixed-gate":
             assert stats["top_shift"] == 0
             assert stats["distcmp.shortcut_answers"][0] < stats["distcmp.easy_answers"][0]
+
+    @staticmethod
+    def _lazy_tree_cases():
+        # (label, graph, solve kwargs): random graphs with all-1/3 ties,
+        # zero weights and parts s cannot reach, on both sides of
+        # `_TOP_CAP`; gadget chains on both sides; the gate-closed diamond
+        # chain, whose hierarchy is reached mid-solve after settles were
+        # deferred; and the CI mixed-gate chain (n=3901, no top words).
+        cases = []
+        for seed in range(12):
+            n = 20 + 15 * seed  # n * maxb from 40 to 370: S = 2 * n * maxb, then 64
+            skeleton = gen_random(n, 3 * n, seed)
+            cases.append(("ties", WeightedDigraph(n, [(e.tail, e.head, R(1, 3)) for e in skeleton.edges],
+                                                  source=0), {}))
+        pool = [R(0), R(0), R(1, 3), R(1, 2), R(2, 3), R(1)]
+        for seed in range(12):
+            rng = np.random.default_rng([seed, 43])
+            n = 4 + 3 * seed
+            edges = []
+            for _ in range(int(rng.integers(0, 2 * n + 1))):  # sparse: parts s cannot reach
+                u, v = (int(x) for x in rng.integers(0, n, size=2))
+                if u != v:
+                    edges.append((u, v, pool[int(rng.integers(len(pool)))]))
+            cases.append(("zeros", WeightedDigraph(n, edges, source=0), {}))
+        for bound, chain in ((64, 3), (256, 8), (512, 20), (2048, 60)):
+            cases.append(("gadget", gen_small_diff(bound, padding=True, chain=chain, window=3)[0], {}))
+        closed = {"budget": B16, "constants": {"C": 0.5, "lam": 1.0}}
+        cases.append(("gate-closed", diamond_chain(170), closed))
+        mixed = {"budget": WordBudget(18), "constants": {"C": 0.5, "lam": 1.0}}
+        cases.append(("mixed-gate", gen_small_diff(40000, padding=True, chain=1300, window=3)[0], mixed))
+        return cases
+
+    def test_lazy_tree_matches_tree_keeping_reference(self, monkeypatch):
+        # The tree that `DistCmp` builds on its first read equals, node by
+        # node, the one the strategy that appended every settle at once
+        # kept (`TreeKeepingDistCmpStrategy`), and the solves give the same
+        # tree bytes and collect dicts.  A solve whose comparisons all
+        # stay on key pairs leaves the tree at the root alone until
+        # something reads it; the gate-closed solves read it mid-solve.
+        cases = self._lazy_tree_cases()
+
+        def solve_all(strategy):
+            made = []
+
+            def capture(*args):
+                strat = strategy(*args)
+                made.append(strat.comparator)
+                return strat
+
+            monkeypatch.setitem(sssp_module._STRATEGIES, "distcmp", capture)
+            out = []
+            for label, g, kwargs in cases:
+                stats = {}
+                r = dijkstra_nonneg(g, 0, strategy="distcmp", seed=3, collect=stats, **kwargs)
+                out.append((serialize_tree(r), stats))
+            return out, made
+
+        got, lazy = solve_all(sssp_module._DistCmpStrategy)
+        want, eager = solve_all(TreeKeepingDistCmpStrategy)
+        assert got == want
+        shifts = [stats["top_shift"] for _, stats in got]
+        fields = ("parent", "weight", "depth", "den_bits", "level")
+        for (label, g, _), (text, stats), dc, ref in zip(cases, got, lazy, eager):
+            settled = len(ref.tree) - 1
+            if label in ("gate-closed", "mixed-gate"):
+                assert len(dc._tree) > 1  # read mid-solve
+            else:
+                assert len(dc._tree) == 1 and len(dc._nodes) == settled
+                assert dc._tree.parent == [-1] and dc._slot_level is None
+            tree = dc.tree
+            assert tree is dc._tree and len(tree) == len(dc._nodes) + 1
+            for name in fields:
+                assert getattr(tree, name) == getattr(ref.tree, name), (label, name)
+            assert all(a is b for a, b in zip(tree.weight, ref.tree.weight))
+        assert 64 in shifts and any(64 < s <= 512 for s in shifts) and 0 in shifts
+        assert sum(stats["top_ties"] > 0 for _, stats in got) > 5
+        assert sum(" aux\n" in text for text, _ in got[12:24]) > 3
+
+    @pytest.mark.parametrize("draw", ["before", "between", "after"])
+    def test_deferred_settles_interleave_with_public_calls(self, draw):
+        # Solver-style `_key`/`_settle` pairs mixed with the public
+        # `insert_leaf`, `key` and `compare` give the node ids, levels,
+        # answers and tree of a twin that inserts every node through
+        # `insert_leaf` at once; the slot levels are drawn before the
+        # first insertion, between them or after the last.  Most nodes
+        # extend the deepest path, so the exact gate (ell_0 = 1280 bits)
+        # closes on queries among the deep ones, and a node against its
+        # parent and its own weight is an exact tie: the difficult path.
+        # A gate-closed query draws the levels, so where they are drawn
+        # after the last insertion the queries stay on shallow nodes.
+        cfg = DistCmpConfig(capacity=240, c=2, B=4, C=0.5, lam=1.0)
+        assert cfg.ell[0] == 1280
+        lazy, eager = DistCmp(cfg, seed=7), DistCmp(cfg, seed=7)
+        rng = np.random.default_rng([43, len(draw)])
+        pool = [R(1, 2), R(0), R(3, 7), R(5, 127), R(1, 113), R(7, 109), R(3, 107), R(1, 103)]
+        states = [(0, 0, 1, 0)]
+        edges = [(-1, ZERO)]
+        deferred = 0
+        if draw == "before":
+            assert lazy.slot_level == eager.slot_level
+        for step in range(239):
+            if draw == "between" and step == 120:
+                assert lazy._slot_level is None
+                assert lazy.slot_level == eager.slot_level
+            if rng.random() < 0.85:
+                parent = max(range(len(states)), key=lambda x: states[x][3])
+            else:
+                parent = int(rng.integers(len(states)))
+            w = pool[int(rng.integers(len(pool)))]
+            node, num, den, bits = states[parent]
+            want = (len(states), num * w.den + w.num * den, den * w.den, bits + w.den.bit_length())
+            if bits + w.den.bit_length() > cfg.ell[0]:
+                want = want[:1] + (None, None) + want[3:]
+            assert eager.insert_leaf(node, w) == want[0]
+            if rng.random() < 0.7:
+                got = lazy._settle(lazy._key(states[parent], w))
+                deferred = max(deferred, len(lazy._nodes) + 1 - len(lazy._tree))
+            else:
+                got = (lazy.insert_leaf(node, w),) + want[1:]
+            assert got == want
+            states.append(got)
+            edges.append((node, w))
+            if draw == "after":
+                nodes = [x for x, state in enumerate(states) if state[3] <= 600]
+            else:
+                nodes = range(len(states) // 2, len(states))
+            op = rng.random()
+            if op < 0.1:
+                u, v = (nodes[int(x)] for x in rng.integers(len(nodes), size=2))
+                beta = R(int(rng.integers(-3, 4)), int(rng.integers(1, 5)))
+                if rng.random() < 0.5:
+                    v, beta = edges[u]
+                assert lazy.compare(u, v, beta) is eager.compare(u, v, beta)
+            elif op < 0.2:
+                u, v = (nodes[int(x)] for x in rng.integers(len(nodes), size=2))
+                w1, w2 = (pool[int(j)] for j in rng.integers(len(pool), size=2))
+                a, b = lazy.key(states[u][:3], w1), lazy._key(states[v], w2)
+                assert a == lazy._key(states[u], w1)
+                assert lazy.compare(a, b) is eager.compare(eager.key(states[u], w1),
+                                                           eager.key(states[v][:3], w2))
+        if draw == "after":
+            assert lazy._slot_level is None and eager._slot_level is None
+            assert lazy.slot_level == eager.slot_level
+        assert deferred > 3
+        counters = lazy.counters()
+        assert counters == eager.counters()
+        if draw == "after":
+            assert counters["shortcut_answers"][0] == counters["easy_answers"][0] > 0
+        else:
+            assert counters["easy_answers"][0] > counters["shortcut_answers"][0] > 0
+            assert counters["difficult_answers"][0] > 0
+        for name in ("parent", "weight", "depth", "den_bits", "level"):
+            assert getattr(lazy.tree, name) == getattr(eager.tree, name), name
+        levels = eager.slot_level
+        assert lazy.tree.level[1:] == levels[1:len(lazy.tree)] and any(levels[1:len(lazy.tree)])
 
     def test_solver_weights_fit_the_strategy_class(self):
         # `_DistCmpStrategy` keys and settles unchecked: what makes that
