@@ -215,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                        f"default {_CONSTANTS['C']})")
     solve.add_argument("--lam", type=float, help="cover instance multiplier (non-negative mode; "
                        f"default {_CONSTANTS['lam']})")
-    solve.add_argument("--gamma", type=float,
-                       help="size multiplier of the pairwise_delta sample; nothing else "
-                       f"reads it (default {_CONSTANTS['gamma']})")
     solve.add_argument("--output", "-o")
     solve.set_defaults(func=cmd_solve)
 

@@ -69,10 +69,11 @@ values and anchors read the per-level pairs; their numerators are plain
 Python ints.
 
 `_CONSTANTS` holds the one default of each solver constant: C sizes the
-thinning factor K, lam the cover, gamma the sample of the pairwise
-comparator.  `_check_constant` is the one rule every entry point
-applies to a given value, `_check_hop` the one rule for a hop
-parameter, and `_check_seed` the one rule for a seed.
+thinning factor K, lam the cover.  `_PAIRWISE_GAMMA` is the default
+sample multiplier of the pairwise comparator, which no solver changes.
+`_check_constant` is the one rule every entry point applies to a given
+value, `_check_hop` the one rule for a hop parameter, and `_check_seed`
+the one rule for a seed.
 """
 
 from __future__ import annotations
@@ -93,7 +94,8 @@ __all__ = [
     "PairwiseDeltaComparator",
 ]
 
-_CONSTANTS = {"C": 2.0, "lam": 4.0, "gamma": 2.0}
+_CONSTANTS = {"C": 2.0, "lam": 4.0}
+_PAIRWISE_GAMMA = 2.0
 
 
 def _check_constant(name: str, value) -> None:
@@ -447,12 +449,11 @@ class DistCmp:
         level stream, and sets them on the nodes already in the tree.
         Level 0 holds every node, so the exact gate and the level-0
         ancestors need no draw.  The gate-closed branch of
-        `_level_compare`, `_level_state` and `level_record` read this
-        first.  What they call, `_a_scaled`, `_fixed_sign`,
-        `_fixed_window`, `_anchor` and the tree's ancestors and pairs,
-        does not: at a level above 0 it would build its arrays from the
-        placeholder levels and keep them, so a caller of one of those
-        at i >= 1 reads this first."""
+        `_level_compare` and `_level_state` read this first.  What they
+        call, `_a_scaled`, `_fixed_sign`, `_fixed_window`, `_anchor` and
+        the tree's ancestors and pairs, does not: at a level above 0 it
+        would build its arrays from the placeholder levels and keep them,
+        so a caller of one of those at i >= 1 reads this first."""
         levels = self._slot_level
         if levels is None:
             import numpy as np
@@ -695,25 +696,6 @@ class DistCmp:
 
     # -- observability ----------------------------------------------------
 
-    def level_record(self, i: int, v: int):
-        """Per-level bookkeeping of v: (strict ancestor, exact distance from
-        it, exact distance from the level-(i+1) ancestor, scaled
-        approximation numerator).  Exposed for auditing; levels 0..t-1
-        have an approximation, so any other i raises ValueError."""
-        if not 0 <= i < self.config.t:
-            raise ValueError(f"level {i} out of range 0..{self.config.t - 1}")
-        tree = self.tree
-        tree._check_node(v)
-        if self.slot_level[v] < i:
-            raise ValueError(f"node {v} is below level {i}")
-        if v == 0:
-            return None, ZERO, ZERO, 0
-        z = tree.nearest_strict_marked_ancestor(v, i)
-        return z, tree.path_weight(z, v), self._anchor(i + 1, v)[1], self._a_scaled(i, v)
-
-    def approx_denominator(self, i: int) -> int:
-        return self._scale_of(i)
-
     def counters(self) -> Dict[str, object]:
         out: Dict[str, object] = {name: list(getattr(self, name)) for name in _LEVEL_COUNTERS}
         states = [st for st in self._states if st is not None]
@@ -738,7 +720,7 @@ class PairwiseDeltaComparator:
         capacity: int,
         hop_param: int,
         budget: WordBudget,
-        gamma: float = _CONSTANTS["gamma"],
+        gamma: float = _PAIRWISE_GAMMA,
         seed: int = 0,
     ):
         hop_param = _check_hop(hop_param)

@@ -8,24 +8,27 @@ while the key's bit bound fits the level-0 gate, so a gate-open
 comparison is one cross-multiplication.  The solver keys and settles
 unchecked (`_DistCmpStrategy` says why).  A settle only keeps the node:
 the structure builds its tree when something first reads it, so a solve
-whose comparisons all stay on key pairs never builds it.  With top words
-the loop runs the bodies of `DistCmp._key` and `DistCmp._settle` itself.
+whose comparisons all stay on key pairs never builds it.  When its keys
+carry pairs the loop runs the bodies of `DistCmp._key` and
+`DistCmp._settle` itself.
 Vertices s cannot reach never enter the heap: once it drains, each gets
 an aux parent edge from s of sentinel weight.
 
-Top words.  When every key carries its exact pair (num, den), the heap
-orders plain tuples led by the key's top word floor(key * 2^S) = (num
-<< S) // den, computed once per relaxation (from the leading bits of a
-wide pair, `_wide_top_word`), and heapq compares them in C.  A key's
-denominator is below 2^(n * maxb), maxb the widest weight denominator's
-bit length, so distinct keys differ by more than 2^-(2 * n * maxb).
-While that exponent is at most `_TOP_CAP`, S is it, and a top-word tie
-is an exact tie: the heap orders (top word, vertex id) and never calls
-`compare`.  Past it S is `_TOP_BITS`, and the key, then the vertex id,
-breaks the heap's top-word ties: a reduced `BigRational` by its own
-order, any other key by `compare`.  A relaxation test decides on top
-words and puts a tie to `compare` in both regimes, so distcmp's counters
-see each tie a relaxation meets.  Either way the order is (key, vertex id).
+Top words.  A heap entry is a plain tuple led by its key's top word, an
+int that heapq compares in C.  When every key carries its exact pair
+(num, den), the top word is floor(key * 2^S) = (num << S) // den,
+computed once per relaxation (from the leading bits of a wide pair,
+`_wide_top_word`).  A key's denominator is below 2^(n * maxb), maxb the
+widest weight denominator's bit length, so distinct keys differ by more
+than 2^-(2 * n * maxb).  While that exponent is at most `_TOP_CAP`, S is
+it, and a top-word tie is an exact tie: the heap orders (top word,
+vertex id) and never calls `compare`.  Past it S is `_TOP_BITS`, and the
+key, then the vertex id, breaks the heap's top-word ties: a reduced
+`BigRational` by its own order, any other key by `compare`.  A strategy
+that gives no pairs has top word 0 for every key, so that tie-break is
+its whole order.  A relaxation test decides on top words and puts a tie
+to `compare` in every regime, so distcmp's counters see each tie a
+relaxation meets.  In every regime the order is (key, vertex id).
 
 Negative case: an eps-feasible price function from `scaling` makes a "cut"
 Dijkstra sound for every vertex whose shortest path uses at most k hops; a
@@ -159,7 +162,10 @@ def _wide_top_word(num: int, den: int, shift: int) -> int:
 # from the settled state of u; compare(a, b), the sign of key a against
 # key b; settle(k), the settled state of the vertex that key k reaches;
 # pair, None or a function giving every key's exact (num, den), from
-# which the solver takes top words; and counters().
+# which the solver takes top words (None: every top word is 0); and
+# counters().  The solver tells a live heap entry by its key object, so
+# a key that compares below another must be another object, as a key
+# built per call is.
 
 
 class _ExactStrategy:
@@ -223,8 +229,7 @@ class _PairwiseStrategy:
     pair = None
 
     def __init__(self, g, source, budget, seed, constants, widest, maxb):
-        self.comparator = PairwiseDeltaComparator(g.n, _hop_default(g.n), budget,
-                                                  gamma=constants["gamma"], seed=seed)
+        self.comparator = PairwiseDeltaComparator(g.n, _hop_default(g.n), budget, seed=seed)
         self.root = self.comparator.tree.root
 
     @staticmethod
@@ -255,20 +260,20 @@ _STRATEGIES = {
 
 
 class _HeapEntry:
-    """A heap entry ordered by (key, vid) through the strategy's key
-    comparison, bound once per solve: the whole entry of a solve without
-    top words, the tie-break behind a distcmp top word past `_TOP_CAP`.
-    The tie-break is built per push: resolving top-word ties at pop time
-    instead, by scanning the tied group, asks `compare` once per tied
-    pop, and on the all-1/3 n=400 instance of `test_distcmp_instance_pinned`
-    that took distcmp's level-0 queries from 2757 to 22719."""
+    """The tie-break behind a heap entry's top word, ordered by (key, vid)
+    through the strategy's key comparison, bound once per solve: the
+    whole order of a solve without top words (every top word 0), the
+    order of tied top words past `_TOP_CAP`.  It is built per push:
+    resolving top-word ties at pop time instead, by scanning the tied
+    group, asks `compare` once per tied pop, and on the all-1/3 n=400
+    instance of `test_distcmp_instance_pinned` that took distcmp's
+    level-0 queries from 2757 to 22719."""
 
-    __slots__ = ("key", "vid", "token", "compare")
+    __slots__ = ("key", "vid", "compare")
 
-    def __init__(self, key, vid, token, compare):
+    def __init__(self, key, vid, compare):
         self.key = key
         self.vid = vid
-        self.token = token
         self.compare = compare
 
     def __lt__(self, other):
@@ -276,6 +281,11 @@ class _HeapEntry:
         if c != 0:
             return c < 0
         return self.vid < other.vid
+
+
+def _no_pair(k) -> Tuple[int, int]:
+    """The pair of every key of a strategy that gives none: top word 0."""
+    return 0, 1
 
 
 def dijkstra_nonneg(
@@ -302,9 +312,10 @@ def dijkstra_nonneg(
     the strategy gives each key's exact pair (see "Top words" in the
     module docstring): `exact_oracle` always, `distcmp` when n * maxb
     fits its level-0 gate, `pairwise_delta` never; without them every
-    heap comparison is a `_HeapEntry` comparison.  collect gets
+    top word is 0, so every heap comparison falls to a `_HeapEntry`
+    comparison and every relaxation test to `compare`.  collect gets
     `top_shift` (S, or 0 without top words) and `top_ties` (relaxation
-    tests that a top-word tie sent to `compare`).
+    tests that a top-word tie sent to `compare`, 0 without top words).
 
     `exact_oracle` is unconditionally correct.  `distcmp` answers a
     comparison exactly when it is trivial or takes the exact shortcut; a
@@ -313,8 +324,8 @@ def dijkstra_nonneg(
     take the shortcut or are trivial draws nothing and returns an exact
     answer.  `pairwise_delta` is the table-driven alternative.
     Every strategy takes and checks `constants` C and lam (read by
-    `distcmp`) and gamma (read by `pairwise_delta`); a constant not given
-    takes its default from `distcmp._CONSTANTS`.
+    `distcmp`); a constant not given takes its default from
+    `distcmp._CONSTANTS`.
     """
     negative, widest, maxb = _scan_weights(g)
     if negative:
@@ -327,39 +338,40 @@ def dijkstra_nonneg(
     constants = constants or {}
     for name, value in constants.items():
         if name not in _CONSTANTS:
-            raise ValueError(f"unknown constant {name!r}; expected C, lam or gamma")
+            raise ValueError(f"unknown constant {name!r}; expected C or lam")
         _check_constant(name, value)
     constants = {**_CONSTANTS, **constants}
     n = g.n
     strat = _STRATEGIES[strategy](g, s, budget, seed, constants, widest, maxb)
     key_of, compare, settle, pair = strat.key, strat.compare, strat.settle, strat.pair
-    shift = 0
-    if pair is not None:
+    # With pairs from distcmp, the bodies of `DistCmp._key` and
+    # `DistCmp._settle` run inline below: every key carries its pair, built
+    # from the settled state (node, num, den, bits) alone, and a settle
+    # appends the key's (parent, weight, den_bits) to the structure's node list.
+    inline = pair is not None and type(key_of) is MethodType and key_of.__func__ is DistCmp._key
+    if pair is None:  # every top word is 0: `_HeapEntry` and `compare` decide
+        pair, shift, exact_ties = _no_pair, 0, False
+    else:
         shift = 2 * n * maxb
         exact_ties = shift <= _TOP_CAP
         if not exact_ties:
             shift = _TOP_BITS
-        ordered = compare is BigRational._cmp  # canonical: == and < order by value
-    # With top words, the bodies of `DistCmp._key` and `DistCmp._settle` run
-    # inline below: every key carries its pair, built from the settled
-    # state (node, num, den, bits) alone, and a settle appends the key's
-    # (parent, weight, den_bits) to the structure's node list.
-    inline = pair is not None and type(key_of) is MethodType and key_of.__func__ is DistCmp._key
-    keyed = pair is not None and not inline  # top words from the strategy's key and pair
+    ordered = compare is BigRational._cmp  # canonical: == and < order by value
     if inline:
         nodes = key_of.__self__._nodes
         keep = nodes.append
         node, hnum, hden, hbits = strat.root
 
     visited = [False] * n
-    token = [0] * n
     cur: Dict[int, Tuple[int, BigRational, bool]] = {}
     cur_key: List[object] = [None] * n
     cur_top: List[Optional[int]] = [None] * n
     parent: Dict[int, Tuple[int, BigRational, bool]] = {}
-    # Entries: _HeapEntry without top words; with them (top word, tie-break,
-    # vid, token, key), the tie-break of "Top words" in the module docstring.
-    heap: List[object] = []
+    # Entries (top word, tie-break, vid, key), the tie-break of "Top words"
+    # in the module docstring.  An entry is live while its key is the
+    # vertex's current one: a push is a key strictly below the last, so
+    # never the same object, and a settle clears it.
+    heap: List[Tuple[int, object, int, object]] = []
     pushes = 0
     relaxations = 0
     top_ties = 0
@@ -379,25 +391,14 @@ def dijkstra_nonneg(
                 continue
             relaxations += 1
             w = e.weight
-            if keyed:
-                k = key_of(here, w)
-                num, den = pair(k)
-            elif inline:
+            if inline:
                 wd = w.den
                 num = hnum * wd + w.num * hden
                 den = hden * wd
                 k = node, w, hbits + wd.bit_length(), num, den
-            else:  # no top words
+            else:
                 k = key_of(here, w)
-                old = cur_key[v]
-                if old is not None and compare(k, old) >= 0:
-                    continue
-                t = token[v] = token[v] + 1
-                cur[v] = (u, w, e.aux)
-                cur_key[v] = k
-                heappush(heap, _HeapEntry(k, v, t, compare))
-                pushes += 1
-                continue
+                num, den = pair(k)
             if den.bit_length() > _TOP_WIDE:
                 top = _wide_top_word(num, den, shift)
             else:
@@ -410,20 +411,15 @@ def dijkstra_nonneg(
                 if compare(k, cur_key[v]) >= 0:
                     continue
             cur_top[v] = top
-            t = token[v] = token[v] + 1
-            tie = v if exact_ties else k if ordered else _HeapEntry(k, v, t, compare)
+            tie = v if exact_ties else k if ordered else _HeapEntry(k, v, compare)
             cur[v] = (u, w, e.aux)
             cur_key[v] = k
-            heappush(heap, (top, tie, v, t, k))
+            heappush(heap, (top, tie, v, k))
             pushes += 1
         u = None
         while heap:
-            entry = heappop(heap)
-            if pair is None:
-                v, t, k = entry.vid, entry.token, entry.key
-            else:
-                _, _, v, t, k = entry
-            if not visited[v] and token[v] == t:
+            _, _, v, k = heappop(heap)
+            if cur_key[v] is k:
                 visited[v] = True
                 parent[v] = cur[v]
                 cur_key[v] = None  # v is never relaxed again
@@ -448,7 +444,7 @@ def dijkstra_nonneg(
         collect["heap_pushes"] = pushes
         collect["relaxations"] = relaxations
         collect["top_shift"] = shift
-        collect["top_ties"] = top_ties
+        collect["top_ties"] = top_ties if shift else 0  # all top words 0: no tie counts
         for key, val in strat.counters().items():
             collect[f"{strat.name}.{key}"] = val
     return SsspResult(n, s, parent)

@@ -168,30 +168,15 @@ class TestInsertAndRecords:
         b = dc.insert_leaf(a, R(1, 3))
         assert root_distance(dc.tree, a) == R(1, 2)
         assert root_distance(dc.tree, b) == R(5, 6)
-        z, d_i, d_next, approx = dc.level_record(0, b)
-        assert z == a and d_i == R(1, 3)
+        tree = dc.tree
+        assert tree.nearest_strict_marked_ancestor(b, 0) == a
+        assert tree.path_weight(a, b) == R(1, 3)
         # scaled approximation within the stated error bound
-        scale = dc.approx_denominator(0)
-        exact = root_distance(dc.tree, b)
-        err_num = abs(int(approx) * exact.den - exact.num * scale)
+        approx = dc._a_scaled(0, b)
+        scale = dc._scale_of(0)
+        exact = root_distance(tree, b)
+        err_num = abs(approx * exact.den - exact.num * scale)
         assert err_num <= 2 * exact.den  # two chain hops
-
-    def test_root_record(self):
-        dc = DistCmp(DistCmpConfig(capacity=4, c=2, B=16), seed=0)
-        z, d_i, d_next, approx = dc.level_record(0, 0)
-        assert z is None and d_i == ZERO and d_next == ZERO and int(approx) == 0
-
-    def test_record_level_out_of_range(self):
-        # Levels 0..t-1 carry an approximation.  Level -1 must not index
-        # the per-level lists from the end, and level t has no record even
-        # for a node drawn at level t.
-        dc = DistCmp(DistCmpConfig(capacity=8, c=2, B=16), seed=0)
-        t = dc.config.t
-        dc.slot_level[1] = t
-        a = dc.insert_leaf(0, R(1, 2))
-        for i in (-1, t):
-            with pytest.raises(ValueError, match=rf"level {i} out of range 0\.\.{t - 1}"):
-                dc.level_record(i, a)
 
     @pytest.mark.parametrize("v", [-1, -3, 3])
     def test_node_out_of_range(self, v):
@@ -199,8 +184,7 @@ class TestInsertAndRecords:
         # IndexError.
         dc = DistCmp(DistCmpConfig(capacity=8, c=2, B=16), seed=0)
         dc.insert_leaf(dc.insert_leaf(0, R(1, 2)), R(1, 3))
-        for call in (lambda: dc.level_record(0, v), lambda: dc.exact_compare(v, 0, ZERO),
-                     lambda: dc.exact_compare(0, v, ZERO)):
+        for call in (lambda: dc.exact_compare(v, 0, ZERO), lambda: dc.exact_compare(0, v, ZERO)):
             with pytest.raises(ValueError, match=rf"node {v} out of range 0\.\.2"):
                 call()
 
@@ -335,6 +319,7 @@ class TestInsertAndRecords:
     def test_approx_error_bound_invariant(self, rng):
         cfg = DistCmpConfig(capacity=40, c=2, B=16)
         dc = DistCmp(cfg, seed=3)
+        levels = dc.slot_level  # drawn before _a_scaled reads a level above 0
         nodes = [0]
         for _ in range(39):
             parent = nodes[int(rng.integers(0, len(nodes)))]
@@ -342,9 +327,9 @@ class TestInsertAndRecords:
             v = dc.insert_leaf(parent, w)
             nodes.append(v)
             for i in range(cfg.t):
-                if dc.tree.level[v] < i:
+                if levels[v] < i:
                     continue
-                _, _, _, approx = dc.level_record(i, v)
+                approx = dc._a_scaled(i, v)
                 exact = root_distance(dc.tree, v)
                 # count chain members of level >= i on the root path
                 k = 0
@@ -353,8 +338,8 @@ class TestInsertAndRecords:
                     if dc.tree.level[x] >= i:
                         k += 1
                     x = dc.tree.parent[x]
-                scale = dc.approx_denominator(i)
-                err = abs(int(approx) * exact.den - exact.num * scale)
+                scale = dc._scale_of(i)
+                err = abs(approx * exact.den - exact.num * scale)
                 assert err <= k * exact.den
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -178,17 +179,19 @@ class TestDijkstraNonneg:
 
     @pytest.mark.parametrize("strategy", ["exact_oracle", "distcmp", "pairwise_delta"])
     def test_constants_checked_alike(self, strategy):
-        # Every strategy takes C, lam and gamma, ignores the ones it does
-        # not read, and rejects another name or a value that is not a
+        # Every strategy takes C and lam, ignores the ones it does not
+        # read, and rejects another name (gamma too: it sizes only the
+        # pairwise comparator's own sample) or a value that is not a
         # positive finite number with the CLI's message.
         g = gen_random(20, 60, 3, "small")
         want = dijkstra_nonneg(g, 0, strategy=strategy, seed=4).parent
-        for constants in ({"C": 2.0, "lam": 4.0, "gamma": 2.0}, {"gamma": 3}, {"C": 2}):
+        for constants in ({"C": 2.0, "lam": 4.0}, {"C": 2}):
             got = dijkstra_nonneg(g, 0, strategy=strategy, seed=4, constants=constants)
             assert got.parent == want
-        with pytest.raises(ValueError, match="'foo'"):
-            dijkstra_nonneg(g, 0, strategy=strategy, constants={"foo": 1})
-        for name, value in (("lam", -1), ("C", 0), ("gamma", math.inf), ("C", math.nan),
+        for name in ("foo", "gamma"):
+            with pytest.raises(ValueError, match=f"unknown constant '{name}'"):
+                dijkstra_nonneg(g, 0, strategy=strategy, constants={name: 1})
+        for name, value in (("lam", -1), ("C", 0), ("lam", math.inf), ("C", math.nan),
                             ("lam", "4")):
             with pytest.raises(ValueError) as err:
                 dijkstra_nonneg(g, 0, strategy=strategy, constants={name: value})
@@ -387,6 +390,56 @@ class TestDijkstraNonneg:
         for g, s, budget in self._exact_cases():
             res = dijkstra_nonneg(g, s, strategy="exact_oracle", budget=budget)
             assert {v: (u, aux) for v, (u, _, aux) in res.parent.items()} == textbook_dijkstra(g, s)
+
+    def test_stale_entry_never_settles(self, monkeypatch):
+        # A pair-less strategy whose compare reverses every verdict it gave
+        # before on the same two keys: relaxing a->v finds 2 below v's 5,
+        # and the heap then puts v's stale entry for 5 first.  The solver
+        # must skip it, so the settled states are the distances along the
+        # returned parent edges, here and on random graphs.
+        settled = []
+        serials = itertools.count()
+
+        class Contrary:
+            name = "exact_oracle"
+            root = ZERO
+            pair = None
+
+            def __init__(self, g, source, budget, seed, constants, widest, maxb):
+                self.asked = set()
+
+            @staticmethod
+            def key(d, w):
+                return d + w, next(serials)
+
+            def compare(self, a, b):
+                c = a[0]._cmp(b[0])
+                both = frozenset((a[1], b[1]))
+                if both in self.asked:
+                    return -c
+                self.asked.add(both)
+                return c
+
+            @staticmethod
+            def settle(k):
+                settled.append(k[0])
+                return k[0]
+
+            def counters(self):
+                return {}
+
+        monkeypatch.setitem(sssp_module._STRATEGIES, "exact_oracle", Contrary)
+        hand = WeightedDigraph(3, [(0, 1, R(1)), (0, 2, R(5)), (1, 2, R(1))])
+        graphs = [hand] + [gen_random(30, 120, seed, "small") for seed in range(4)]
+        for g in graphs:
+            settled.clear()
+            stats = {}
+            res = dijkstra_nonneg(g, 0, strategy="exact_oracle", collect=stats)
+            dist = res.distances()
+            assert sorted(settled) == sorted(d for v, d in enumerate(dist) if d is not None and v)
+            assert stats["top_shift"] == stats["top_ties"] == 0
+            if g is hand:
+                assert res.parent[2] == (1, R(1), False) and dist == [ZERO, R(1), R(2)]
 
     def test_exact_oracle_sums_once_per_relaxation(self, monkeypatch):
         # Each relaxation builds its key, the one BigRational sum of the
