@@ -29,7 +29,9 @@ For weights 1-short under a budget of B bits, |T_{k+1}(e)| < 2^(k+B)
 call makes O(n*m) relaxations on integers of that width, so its word
 operations stay within those of the k+2 rounds of O(n*m) small-integer
 relaxations it replaces.  The distances are the price numerators
-themselves: no integer is wider than the price it returns.
+themselves, over 2^(k+1): no integer is wider than the price it
+returns, and `sssp.cut_preprocess` takes them as they are, with no
+rational built.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .graph import NegativeCycle, WeightedDigraph, _parent_cycle, cycle_weight
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make, is_k_short
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
 
 __all__ = [
     "integer_sssp_arrays",
@@ -203,6 +205,17 @@ def eps_feasible_price(
     Internal contract violations raise AssertionError: they indicate a
     bug, not bad input.
     """
+    res = _price_numerators(g, k, budget, collect)
+    if isinstance(res, NegativeCycle):
+        return res
+    den = 1 << (int(k) + 1)
+    return [BigRational(d, den) for d in res]
+
+
+def _price_numerators(g: WeightedDigraph, k: int, budget: WordBudget, collect) -> Union[List[int], NegativeCycle]:
+    """The integers D behind `eps_feasible_price`, one per vertex, the
+    price of v being D(v) / 2^(k+1); or its negative-cycle witness.
+    Checks its arguments, counts and raises as `eps_feasible_price`."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"accuracy exponent must be a non-negative integer, got {k!r}")
     k = int(k)
@@ -233,16 +246,7 @@ def eps_feasible_price(
         return NegativeCycle(cyc, w)
     if not _price_certified(g, dist, floors):
         raise AssertionError("scaled price function fails exact feasibility")
-    # D / 2^shift in lowest terms: the gcd is the power of two dividing
-    # D, its lowest set bit, capped at 2^shift.
-    price = []
-    for d in dist[:n]:
-        if d:
-            t = min((d & -d).bit_length() - 1, shift)
-            price.append(_make(d >> t, 1 << (shift - t)))
-        else:
-            price.append(ZERO)
-    return price
+    return dist[:n]
 
 
 def _price_certified(g: WeightedDigraph, dist: Sequence[int], floors: Sequence[int]) -> bool:

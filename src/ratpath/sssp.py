@@ -76,10 +76,11 @@ from .graph import (
     bf_exact,
     verify_sssp,
 )
-# Unused here: the benchmark's tracer wraps `sssp.augment_source` by name.
+# Unused here: the benchmark's tracer wraps `sssp.augment_source` and
+# `sssp.eps_feasible_price` by name.
 from .graph import augment_source  # noqa: F401
 from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make
-from .scaling import _check_1_short, eps_feasible_price
+from .scaling import _check_1_short, _price_numerators, eps_feasible_price  # noqa: F401
 
 if TYPE_CHECKING:
     import numpy as np
@@ -458,10 +459,12 @@ class CutContext:
 
     Holds the hop bound k, the word budget and the price function, which
     `cut_preprocess` makes eps-feasible for eps = 2^-((2k+1)B + ceil(log2
-    n)).  It also holds the prices at their own resolution: the common
-    denominator `pden` (the lcm of the price denominators, 2^(E+1) for
-    every context that `cut_preprocess` builds), from which the integer
-    numerators p(v) * pden follow.
+    n)).  It holds the prices at their own resolution, as numerators
+    pnum[v] = p(v) * pden over a common denominator `pden`: the scaling
+    numerators D themselves at pden = 2^(E+1) from `cut_preprocess`, and
+    the rationals given to the constructor over the lcm of their
+    denominators.  `price` is built from pnum when first read if the
+    context was not given it.
 
     The context is the runs' only view of its graph: `adj[u]` lists u's
     out-edges as int triples (head, num, den), read once here, one list
@@ -469,12 +472,12 @@ class CutContext:
     least with 2^S >= D^2, where D = 2^(kB-1) * W and W is the graph's
     largest weight denominator.  The key terms that depend on the
     context alone are computed here once, not per run: `scale` = pden
-    << S and base[v] = (p(v) * pden) << S.  An edge added to the graph
+    << S and base[v] = pnum[v] << S.  An edge added to the graph
     afterwards is not seen by runs on this context.  Read-only after
     construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "price", "pden", "adj", "shift", "scale", "base")
+    __slots__ = ("k", "budget", "pnum", "pden", "adj", "shift", "scale", "base", "_price")
 
     def __init__(
         self,
@@ -485,16 +488,33 @@ class CutContext:
     ):
         if len(price) != g.n:
             raise ValueError(f"price has {len(price)} values, graph has {g.n} vertices")
+        pden = math.lcm(*(p.den for p in price))
+        self._build(g, k, budget, price, [p.num * (pden // p.den) for p in price], pden)
+
+    @classmethod
+    def _from_numerators(cls, g: WeightedDigraph, k: int, budget: WordBudget, pnum: List[int], pden: int):
+        ctx = cls.__new__(cls)
+        ctx._build(g, k, budget, None, pnum, pden)
+        return ctx
+
+    def _build(self, g, k, budget, price, pnum, pden):
+        self._price = price
         self.k = k
         self.budget = budget
-        self.price = price
-        self.pden = pden = math.lcm(*(p.den for p in price))
+        self.pnum = pnum
+        self.pden = pden
         self.adj = [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
         widest = max((e.weight.den for e in g.edges), default=1)
         bound = widest << (k * budget.B - 1)
         self.shift = shift = (bound * bound - 1).bit_length()
         self.scale = pden << shift
-        self.base = [(p.num * (pden // p.den)) << shift for p in price]
+        self.base = [a << shift for a in pnum]
+
+    @property
+    def price(self) -> List[BigRational]:
+        if self._price is None:
+            self._price = [BigRational(a, self.pden) for a in self.pnum]
+        return self._price
 
 
 def cut_preprocess(
@@ -507,26 +527,38 @@ def cut_preprocess(
     positive integer (ValueError otherwise)."""
     k = _check_hop(k)
     exponent = (2 * k + 1) * budget.B + max(1, math.ceil(math.log2(max(g.n, 2))))
-    res = eps_feasible_price(g, exponent, budget, collect)
+    res = _price_numerators(g, exponent, budget, collect)
     if isinstance(res, NegativeCycle):
         return res
-    return CutContext(g, k, budget, res)
+    return CutContext._from_numerators(g, k, budget, res, 1 << (exponent + 1))
 
 
 class CutResult:
     """Output of one hop-bounded run: upper bounds d(v) >= dist(s, v) with
     equality whenever some shortest path from s has at most k hops, plus
-    witness parent links, the extraction order and the processed set."""
+    witness parent links, the extraction order and the processed set.
 
-    __slots__ = ("source", "dist", "parent", "order", "processed", "heap_inserts")
+    pairs[v] is d(v) as its reduced int pair (num, den), None at
+    +infinity.  `dist` holds the same values as `BigRational`s: the
+    constructor takes them as `dist` or, with dist None, as `pairs`
+    (`cut_dijkstra` does), and then builds `dist` when first read."""
 
-    def __init__(self, source, dist, parent, order, processed, heap_inserts):
+    __slots__ = ("source", "pairs", "parent", "order", "processed", "heap_inserts", "_dist")
+
+    def __init__(self, source, dist, parent, order, processed, heap_inserts, pairs=None):
         self.source = source
-        self.dist = dist
+        self._dist = dist
+        self.pairs = [None if w is None else (w.num, w.den) for w in dist] if pairs is None else pairs
         self.parent = parent
         self.order = order
         self.processed = processed
         self.heap_inserts = heap_inserts
+
+    @property
+    def dist(self) -> List[Optional[BigRational]]:
+        if self._dist is None:
+            self._dist = [None if p is None else _make(*p) for p in self.pairs]
+        return self._dist
 
     def witness_path(self, v: int) -> List[int]:
         path = [v]
@@ -564,7 +596,8 @@ def cut_dijkstra(
     once par(u) is extracted.  A relaxation is decided by
     cross-multiplying ints and takes no gcd.  The one gcd of a vertex is
     taken when it is extracted: its distance is reduced there, tested for
-    k-shortness as ints and becomes the output `BigRational`.
+    k-shortness as ints and kept as the run's reduced int pair, from
+    which `CutResult.dist` builds `BigRational`s only when it is read.
 
     A key is one exact int.  With P = ctx.pden, a(u) = p(u) * P and S =
     ctx.shift, K(u) = ((num * P - a(u) * den) << S) // den, the floor of
@@ -580,8 +613,9 @@ def cut_dijkstra(
     parent are ranked by (K, vid).  Only a relaxed vertex has a finite
     key and so a heap entry.  The vertices still at +infinity come after
     every entry, least vertex id first.  An entry is current iff K ==
-    key[vid] and vid is neither in countdown nor extracted: a relaxation
-    strictly lowers the key, so each push of a vertex has a smaller K.
+    key[vid] and vid is not in countdown: extraction clears key[vid],
+    and a relaxation strictly lowers the key, so each push of a vertex
+    has a smaller K.
 
     Raises ValueError if s is not a vertex of the context's graph.
     """
@@ -594,7 +628,7 @@ def cut_dijkstra(
     scale = ctx.scale
     base = ctx.base
     bound = 1 << (ctx.k * ctx.budget.B - 1)  # k-short: |num|, den < bound
-    dist: List[Optional[BigRational]] = [None] * n
+    pairs: List[Optional[Tuple[int, int]]] = [None] * n
     par: List[Optional[int]] = [None] * n
     # Tentative distance tnum[v] / tden[v], unreduced; None = +infinity.
     tnum: List[Optional[int]] = [None] * n
@@ -652,13 +686,14 @@ def cut_dijkstra(
 
         while heap:
             kv, v = heappop(heap)
-            if kv == key[v] and expiry[v] is None and not extracted[v]:
+            if kv == key[v] and expiry[v] is None:
                 break
         else:
             while key[least_inf] is not None or extracted[least_inf]:
                 least_inf += 1
             v = least_inf
         extracted[v] = True
+        key[v] = None
         live -= 1
         order.append(v)
         dn = tnum[v]
@@ -669,7 +704,7 @@ def cut_dijkstra(
         if c > 1:
             dn //= c
             dd //= c
-        dist[v] = _make(dn, dd)
+        pairs[v] = (dn, dd)
         if not (-bound < dn < bound and dd < bound):
             continue
         processed[v] = True
@@ -701,7 +736,7 @@ def cut_dijkstra(
         collect["cut_heap_inserts"] = collect.get("cut_heap_inserts", 0) + inserts
         collect["cut_heap_inserts_max"] = max(collect.get("cut_heap_inserts_max", 0), inserts)
         collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
-    return CutResult(s, dist, par, order, processed, inserts)
+    return CutResult(s, None, par, order, processed, inserts, pairs)
 
 
 # -- negative pipeline -------------------------------------------------
@@ -833,7 +868,8 @@ def _tree_hitset(ctx: CutContext, s: int) -> List[int]:
     reach are left out.
 
     An edge u -> v weighs max(0, floor(w * P) + a(u) - a(v)), with P =
-    ctx.pden and a(u) = p(u) * P = ctx.base[u] >> ctx.shift: the reduced
+    ctx.pden and a(u) = p(u) * P = ctx.pnum[u], the scaling numerator
+    D(u) itself for a context from `cut_preprocess`: the reduced
     weight under the context's price, floored at the price's own
     resolution, all ints.  Heap ties break by vertex id, and a vertex
     keeps the first parent that reaches its least distance.  Every tree
@@ -844,8 +880,7 @@ def _tree_hitset(ctx: CutContext, s: int) -> List[int]:
     adj = ctx.adj
     k = ctx.k
     pden = ctx.pden
-    shift = ctx.shift
-    a = [b >> shift for b in ctx.base]
+    a = ctx.pnum
     n = len(adj)
     dist: List[Optional[int]] = [None] * n
     dist[s] = 0
@@ -888,9 +923,9 @@ def _recombine(
     edges = []
     for i, run in enumerate(runs):
         for j, v in enumerate(hitset):
-            w = run.dist[v]
+            w = run.pairs[v]
             if w is not None and i != j:
-                edges.append((i, j, w))
+                edges.append((i, j, _make(*w)))
     hdist, hpar, cycle = _bellman_ford(size, 0, edges)  # hitset[0] == s
     if cycle is not None:
         raise _RecombinationError("the hit-set estimates form a negative cycle")
@@ -906,11 +941,11 @@ def _recombine(
         if hi is None:
             continue
         hn, hd = hi.num, hi.den
-        for v, w in enumerate(runs[i].dist):
+        for v, w in enumerate(runs[i].pairs):
             if w is None:
                 continue
-            wd = w.den
-            num = hn * wd + w.num * hd
+            wn, wd = w
+            num = hn * wd + wn * hd
             den = hd * wd
             if best_via[v] is None or num * bden[v] < bnum[v] * den:
                 bnum[v] = num

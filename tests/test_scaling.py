@@ -22,7 +22,7 @@ from ratpath.scaling import (
     eps_feasible_price,
     integer_sssp_arrays,
 )
-from ratpath.sssp import _hop_default
+from ratpath.sssp import CutContext, _hop_default, cut_dijkstra, cut_preprocess
 from conftest import backbone_graph, bf_oracle_int, reference_eps_feasible_price
 
 
@@ -650,3 +650,46 @@ class TestPriceCertificate:
         with pytest.raises(AssertionError, match="fails exact feasibility"):
             eps_feasible_price(WeightedDigraph(2, [(0, 1, R(-1))]), 1)
 
+
+class TestCutContextFromNumerators:
+    """`cut_preprocess` builds its context from the scaling numerators D
+    at pden = 2^(E+1), with no price rational built; the public
+    constructor puts the rationals of `eps_feasible_price` over the lcm
+    of their denominators.  Both must give the same price, the same
+    numerators and the same runs from every vertex."""
+
+    @staticmethod
+    def check(g, k, budget):
+        got = cut_preprocess(g, k, budget)
+        assert not isinstance(got, NegativeCycle)
+        exponent = (2 * k + 1) * budget.B + max(1, math.ceil(math.log2(max(g.n, 2))))
+        want = CutContext(g, k, budget, eps_feasible_price(g, exponent, budget))
+        assert got.pden == want.pden == 1 << (exponent + 1)
+        assert got.pnum == want.pnum
+        assert [(p.num, p.den) for p in got.price] == [(p.num, p.den) for p in want.price]
+        for s in range(g.n):
+            a, b = cut_dijkstra(got, s), cut_dijkstra(want, s)
+            assert a.dist == b.dist and a.pairs == b.pairs
+            assert a.parent == b.parent
+            assert a.order == b.order
+            assert a.processed == b.processed
+            assert a.heap_inserts == b.heap_inserts
+
+    @pytest.mark.parametrize("bits", [16, 64])
+    def test_priced_graphs(self, bits):
+        rng = np.random.default_rng(4501)
+        for k in range(1, 6):
+            for _ in range(2):
+                n = int(rng.integers(5, 20))
+                g = gen_random(n, 3 * n, int(rng.integers(0, 2**31)), "small", "priced")
+                self.check(g, k, WordBudget(bits))
+
+    def test_backbone_graphs(self):
+        for seed in (6, 7):
+            g = backbone_graph(16, seed)
+            for k in (1, _hop_default(g.n)):
+                self.check(g, k, WordBudget(64))
+
+    def test_wide_denominator_graphs(self):
+        for g in _wide_denominator_graphs():
+            self.check(g, _hop_default(g.n), WordBudget(64))

@@ -23,7 +23,7 @@ from ratpath.graph import (
 )
 from ratpath.cfrac import Ordering
 from ratpath.distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
-from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
+from ratpath.rational import BigRational, WordBudget, ZERO, _make, is_k_short
 from ratpath import rational as rational_module
 from ratpath import sssp as sssp_module
 from ratpath.sssp import (
@@ -1521,6 +1521,58 @@ class TestRecombination:
                         best_via[v] = i
             assert _recombine(n, hitset, runs) == (hpar, best_via), trial
         assert ties >= 100, ties
+
+
+class TestRunPairs:
+    """A run of `cut_dijkstra` keeps each distance as its reduced int pair
+    and builds `CutResult.dist` from the pairs when it is first read;
+    `_recombine` reads the pairs.  Runs that the public constructor
+    builds from the same `BigRational` rows must recombine alike."""
+
+    @staticmethod
+    def _graphs(rng, count):
+        for trial in range(count):
+            n = int(rng.integers(4, 30))
+            if trial % 2:
+                yield TestRecombination._deep_priced(n, rng), 1
+            else:
+                g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
+                yield g, int(rng.choice([1, 2, 3]))
+
+    def test_dist_is_made_from_reduced_pairs(self):
+        rng = np.random.default_rng(4502)
+        finite = 0
+        for g, k in self._graphs(rng, 20):
+            ctx = cut_preprocess(g, k, budget=B16)
+            for s in range(g.n):
+                run = cut_dijkstra(ctx, s)
+                assert len(run.pairs) == len(run.dist) == g.n
+                for pair, d in zip(run.pairs, run.dist):
+                    if pair is None:
+                        assert d is None
+                        continue
+                    num, den = pair
+                    assert (R(num, den).num, R(num, den).den) == pair
+                    assert d == _make(num, den)
+                    finite += 1
+        assert finite > 1000, finite
+
+    def test_recombine_same_on_rebuilt_runs(self):
+        rng = np.random.default_rng(4503)
+        relayed = 0
+        for g, k in self._graphs(rng, 120):
+            ctx = cut_preprocess(g, k, budget=B16)
+            others = rng.permutation(np.arange(1, g.n))[: int(rng.integers(1, g.n))]
+            hitset = [0] + sorted(int(v) for v in others)
+            runs = [cut_dijkstra(ctx, v) for v in hitset]
+            got = _recombine(g.n, hitset, runs)
+            # Recombination reads the pairs, so no run has built its dist.
+            assert all(run._dist is None for run in runs)
+            rebuilt = [CutResult(r.source, r.dist, r.parent, r.order, r.processed, r.heap_inserts) for r in runs]
+            assert [r.pairs for r in rebuilt] == [r.pairs for r in runs]
+            assert _recombine(g.n, hitset, rebuilt) == got
+            relayed += any(p > 0 for p in got[0])
+        assert relayed >= 5, relayed
 
 
 class TestWitnessTree:
