@@ -42,10 +42,12 @@ run holds its exact tentative distances anyway (they decide k-shortness
 and the heap keys), so relaxations, heap keys and reinsertion ranks
 compare exact values directly and no `distcmp` structure is built.  A
 run relaxes over the int edge arrays of its `CutContext`, keeps each
-tentative distance as an unreduced pair of ints and keys its heap by one
-exact int, the floor of d(v) - p(v) scaled far enough that distinct keys
-keep distinct floors; a winning relaxation builds no rational and takes
-no gcd.  The produced tree is
+tentative distance as an unreduced pair of ints and keys its heap by
+d(v) - p(v) exactly: on the grid of the weights' denominators, an int
+head per relaxation and the price's tail fixed per vertex, or, when that
+grid is too fine, a floor scaled far enough that distinct keys keep
+distinct floors; a winning relaxation builds no rational and takes no
+gcd.  The produced tree is
 verified exactly before being returned; a failed verification is
 answered by the exact oracle `bf_exact`, with its negative-cycle witness
 or, when the hit set missed a path, its own tree.
@@ -250,7 +252,7 @@ class _PairwiseStrategy:
 def _hop_default(n: int) -> int:
     """The hop bound k = ceil(sqrt(n)) of the cut runs and the pairwise
     comparator's tails."""
-    return max(1, math.ceil(math.sqrt(n)))
+    return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
 _STRATEGIES = {
@@ -458,26 +460,36 @@ class CutContext:
     """Preprocessing shared by all hop-bounded runs on one graph.
 
     Holds the hop bound k, the word budget and the price function, which
-    `cut_preprocess` makes eps-feasible for eps = 2^-((2k+1)B + ceil(log2
-    n)).  It holds the prices at their own resolution, as numerators
-    pnum[v] = p(v) * pden over a common denominator `pden`: the scaling
-    numerators D themselves at pden = 2^(E+1) from `cut_preprocess`, and
-    the rationals given to the constructor over the lcm of their
-    denominators.  `price` is built from pnum when first read if the
-    context was not given it.
+    `cut_preprocess` makes eps-feasible for eps = 2^-E, E = (2k+1)B +
+    ceil(log2 n).  It holds the prices at their own resolution, as
+    numerators pnum[v] = p(v) * pden over a common denominator `pden`:
+    the scaling numerators D themselves at pden = 2^(E+1) from
+    `cut_preprocess`, and the rationals given to the constructor over the
+    lcm of their denominators.  `price` is built from pnum when first
+    read if the context was not given it.
 
     The context is the runs' only view of its graph: `adj[u]` lists u's
-    out-edges as int triples (head, num, den), read once here, one list
-    per vertex, and `shift` is the key shift S of `cut_dijkstra`, the
-    least with 2^S >= D^2, where D = 2^(kB-1) * W and W is the graph's
-    largest weight denominator.  The key terms that depend on the
-    context alone are computed here once, not per run: `scale` = pden
-    << S and base[v] = pnum[v] << S.  An edge added to the graph
-    afterwards is not seen by runs on this context.  Read-only after
-    construction, so runs may share it.
+    out-edges as int triples (head, num, den), read once here (by the
+    price's own pass over the edges in `cut_preprocess`), one list per
+    vertex.  An edge added to the graph afterwards is not seen by runs on
+    this context.
+
+    The key terms of `cut_dijkstra` that depend on the context alone are
+    computed here once, not per run: the multiplier `mult` = M and, per
+    vertex, the head hi[v] and the negated tail nlo[v] = -lo(v) of the
+    scaled price numerator.  With P = pden and a(v) = pnum[v], `shift` is
+    the floor keys' shift S, the least with 2^S >= D^2 for D = 2^(kB-1) *
+    W and W the graph's largest weight denominator, and L is the lcm of
+    the graph's distinct weight denominators.  If L <= P * 2^S, keys are
+    exact on the weights' own grid: M = L and a(v) * L = hi(v) * P +
+    lo(v) with 0 <= lo(v) < P, one divmod per vertex.  Otherwise keys are
+    floors at 2^-S: M = P * 2^S, hi(v) = a(v) * 2^S and lo(v) = 0.  So
+    no key is wider than the floor keys' scale P * 2^S, and the lcm is
+    built one denominator at a time and given up once it passes that
+    scale.  Read-only after construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "pnum", "pden", "adj", "shift", "scale", "base", "_price")
+    __slots__ = ("k", "budget", "pnum", "pden", "adj", "shift", "mult", "hi", "nlo", "_price")
 
     def __init__(
         self,
@@ -489,32 +501,64 @@ class CutContext:
         if len(price) != g.n:
             raise ValueError(f"price has {len(price)} values, graph has {g.n} vertices")
         pden = math.lcm(*(p.den for p in price))
-        self._build(g, k, budget, price, [p.num * (pden // p.den) for p in price], pden)
+        adj = [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
+        self._build(k, budget, price, [p.num * (pden // p.den) for p in price], pden, adj,
+                    {e.weight.den for e in g.edges})
 
     @classmethod
-    def _from_numerators(cls, g: WeightedDigraph, k: int, budget: WordBudget, pnum: List[int], pden: int):
+    def _from_numerators(cls, k: int, budget: WordBudget, pnum: List[int], pden: int,
+                         adj: List[List[Tuple[int, int, int]]], dens: Set[int]):
         ctx = cls.__new__(cls)
-        ctx._build(g, k, budget, None, pnum, pden)
+        ctx._build(k, budget, None, pnum, pden, adj, dens)
         return ctx
 
-    def _build(self, g, k, budget, price, pnum, pden):
+    def _build(self, k, budget, price, pnum, pden, adj, dens):
         self._price = price
         self.k = k
         self.budget = budget
         self.pnum = pnum
         self.pden = pden
-        self.adj = [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
-        widest = max((e.weight.den for e in g.edges), default=1)
-        bound = widest << (k * budget.B - 1)
+        self.adj = adj
+        bound = max(dens, default=1) << (k * budget.B - 1)
         self.shift = shift = (bound * bound - 1).bit_length()
-        self.scale = pden << shift
-        self.base = [a << shift for a in pnum]
+        scale = pden << shift
+        grid = _weight_grid(dens, scale)
+        if grid is None:
+            self.mult = scale
+            self.hi = [a << shift for a in pnum]
+            self.nlo = [0] * len(pnum)
+        else:
+            self.mult = grid
+            self.hi = hi = []
+            self.nlo = nlo = []
+            for a in pnum:
+                h, lo = divmod(a * grid, pden)
+                hi.append(h)
+                nlo.append(-lo)
 
     @property
     def price(self) -> List[BigRational]:
         if self._price is None:
             self._price = [BigRational(a, self.pden) for a in self.pnum]
         return self._price
+
+
+def _weight_grid(dens, cap: int) -> Optional[int]:
+    """The lcm of `dens`, or None as soon as a partial lcm passes `cap`
+    (the rest of `dens` is then not read)."""
+    grid = 1
+    for d in dens:
+        if grid % d:
+            grid = math.lcm(grid, d)
+            if grid > cap:
+                return None
+    return grid
+
+
+def _cut_accuracy(n: int, k: int, budget: WordBudget) -> int:
+    """The price accuracy exponent E = (2k+1)B + ceil(log2 n) of the cut
+    runs, ceil(log2 n) taken as 1 for n <= 2 and computed on ints."""
+    return (2 * k + 1) * budget.B + (max(n, 2) - 1).bit_length()
 
 
 def cut_preprocess(
@@ -524,13 +568,21 @@ def cut_preprocess(
     collect: Optional[Dict[str, object]] = None,
 ) -> Union[CutContext, NegativeCycle]:
     """Price function and edge arrays for cut runs with hop bound k, a
-    positive integer (ValueError otherwise)."""
+    positive integer (ValueError otherwise).  One pass over g's edges
+    gives the price's Bellman-Ford weights and the context's int
+    adjacency and weight denominators.  `collect["cut_key_bits"]` is the
+    bit length of the context's key multiplier M: the lcm of the weight
+    denominators when the keys are exact on that grid, P * 2^S when they
+    are floors (see `CutContext`)."""
     k = _check_hop(k)
-    exponent = (2 * k + 1) * budget.B + max(1, math.ceil(math.log2(max(g.n, 2))))
-    res = _price_numerators(g, exponent, budget, collect)
+    exponent = _cut_accuracy(g.n, k, budget)
+    res, adj, dens = _price_numerators(g, exponent, budget, collect)
     if isinstance(res, NegativeCycle):
         return res
-    return CutContext._from_numerators(g, k, budget, res, 1 << (exponent + 1))
+    ctx = CutContext._from_numerators(k, budget, res, 1 << (exponent + 1), adj, dens)
+    if collect is not None:
+        collect["cut_key_bits"] = ctx.mult.bit_length()
+    return ctx
 
 
 class CutResult:
@@ -599,23 +651,29 @@ def cut_dijkstra(
     k-shortness as ints and kept as the run's reduced int pair, from
     which `CutResult.dist` builds `BigRational`s only when it is read.
 
-    A key is one exact int.  With P = ctx.pden, a(u) = p(u) * P and S =
-    ctx.shift, K(u) = ((num * P - a(u) * den) << S) // den, the floor of
-    key * P * 2^S.  A processed distance is k-short, so dd < 2^(kB-1), and
-    wd <= W, the graph's largest weight denominator: every den is below
-    D = 2^(kB-1) * W.  Key * P has a denominator dividing den, so two
-    distinct keys times P differ by at least 1/D^2 >= 2^-S and their
-    floors differ; equal keys have equal floors.  Ordering by (K, vid) is
-    therefore exactly the (key, vid) order.  A run computes K(u) as
-    (num * ctx.scale) // den - ctx.base[u], the two context terms P << S
-    and a(u) << S built once per context.  Heap entries are pairs (K,
-    vid), so ties break by vertex id, and the vertices relaxed from one
-    parent are ranked by (K, vid).  Only a relaxed vertex has a finite
-    key and so a heap entry.  The vertices still at +infinity come after
-    every entry, least vertex id first.  An entry is current iff K ==
-    key[vid] and vid is not in countdown: extraction clears key[vid],
-    and a relaxation strictly lowers the key, so each push of a vertex
-    has a smaller K.
+    A key is a pair of exact ints (c, -lo(u)) with c = (num * M) // den -
+    hi(u), for M, hi and lo from the context (`CutContext`); write P =
+    ctx.pden and a(u) = p(u) * P.  When M is L, the lcm of the weight
+    denominators, the keys are exact: a distance is a sum of weights, so
+    its reduced denominator divides L and num * L / den is an exact
+    division.  Then key * P * L = (d * L - hi(u)) * P - lo(u) = c * P -
+    lo(u) with 0 <= lo(u) < P, so the key order is exactly the order of
+    (c, -lo(u)).  c is as wide as the distances on that grid, and the
+    price's E-bit tail lo(u), fixed per vertex, is compared only when c
+    ties.  When M is P * 2^S, S = ctx.shift, lo is 0 and c is the floor
+    K(u) = floor(key * P * 2^S).  A processed distance is k-short, so dd <
+    2^(kB-1), and wd <= W, the graph's largest weight denominator: every
+    den is below D = 2^(kB-1) * W.  Key * P has a denominator dividing
+    den, so two distinct keys times P differ by at least 1/D^2 >= 2^-S
+    and their floors differ; equal keys have equal floors.  In both modes
+    ordering by (c, -lo, vid) is therefore exactly the (key, vid) order.
+    Heap entries are (c, -lo(u), u), and the vertices relaxed from one
+    parent are ranked by them.  Only a relaxed vertex has a finite key
+    and so a heap entry.  The vertices still at +infinity come after
+    every entry, least vertex id first.  An entry is current iff c ==
+    key[vid] and vid is not in countdown: extraction clears key[vid], and
+    a relaxation strictly lowers the key while lo(u) stays fixed, so each
+    push of a vertex has a smaller c.
 
     Raises ValueError if s is not a vertex of the context's graph.
     """
@@ -623,10 +681,11 @@ def cut_dijkstra(
     if not 0 <= s < n:
         raise ValueError(f"source {s} out of range")
     adj = ctx.adj
-    # K(u) = (num * scale) // den - base[u]: a(u) << S is an int, so it
-    # comes out of the floor.
-    scale = ctx.scale
-    base = ctx.base
+    # c = (num * M) // den - hi[u]: hi[u] is an int, so it comes out of
+    # the floor, which is exact on the weights' grid.
+    mult = ctx.mult
+    hi = ctx.hi
+    nlo = ctx.nlo
     bound = 1 << (ctx.k * ctx.budget.B - 1)  # k-short: |num|, den < bound
     pairs: List[Optional[Tuple[int, int]]] = [None] * n
     par: List[Optional[int]] = [None] * n
@@ -635,7 +694,7 @@ def cut_dijkstra(
     tden = [1] * n
     tnum[s] = 0
     key: List[Optional[int]] = [None] * n
-    key[s] = -base[s]
+    key[s] = -hi[s]
     extracted = [False] * n
     processed = [False] * n
     expiry: List[Optional[int]] = [None] * n  # None = no countdown
@@ -647,7 +706,7 @@ def cut_dijkstra(
     # +infinity was never relaxed and leaves that state for good when it
     # is relaxed or extracted, so the least one is found by a pointer
     # that only moves up.
-    heap: List[Tuple[int, int]] = [(key[s], s)]
+    heap: List[Tuple[int, int, int]] = [(key[s], nlo[s], s)]
     least_inf = 0
     live = inserts = n
     relaxations = 0
@@ -675,7 +734,7 @@ def cut_dijkstra(
                 u = heappop(countdowns)[1]
                 if expiry[u] == clock:
                     expiry[u] = None
-                    heappush(heap, (key[u], u))
+                    heappush(heap, (key[u], nlo[u], u))
                     live += 1
                     inserts += 1
             if live > 0:
@@ -685,7 +744,7 @@ def cut_dijkstra(
             clock = countdowns[0][0]
 
         while heap:
-            kv, v = heappop(heap)
+            kv, _, v = heappop(heap)
             if kv == key[v] and expiry[v] is None:
                 break
         else:
@@ -708,7 +767,7 @@ def cut_dijkstra(
         if not (-bound < dn < bound and dd < bound):
             continue
         processed[v] = True
-        touched: List[Tuple[int, int]] = []
+        touched: List[Tuple[int, int, int]] = []
         for u, wn, wd in adj[v]:
             if extracted[u]:
                 continue
@@ -719,10 +778,10 @@ def cut_dijkstra(
                 par[u] = v
                 tnum[u] = num
                 tden[u] = den
-                key[u] = ku = (num * scale) // den - base[u]
-                touched.append((ku, u))
+                key[u] = ku = (num * mult) // den - hi[u]
+                touched.append((ku, nlo[u], u))
         touched.sort()
-        for rank, (_, u) in enumerate(touched, start=1):
+        for rank, (_, _, u) in enumerate(touched, start=1):
             turn = clock + rank
             if expiry[u] is None:
                 live -= 1  # u leaves the heap for a countdown

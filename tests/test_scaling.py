@@ -549,6 +549,45 @@ class TestCheck1Short:
     def test_empty_graph_passes(self):
         _check_1_short(WeightedDigraph(4), WordBudget(2))
 
+    def test_price_scans_again_only_past_the_bound(self, monkeypatch):
+        # The price's edge pass ORs every |num| and den; the scan that
+        # names the failing edge runs only when that OR is too wide, and
+        # raises the same error as before.
+        calls = []
+        real = scaling._check_1_short
+
+        def counted(g, budget):
+            calls.append(g.m)
+            return real(g, budget)
+
+        monkeypatch.setattr(scaling, "_check_1_short", counted)
+        top = (1 << 15) - 1
+        g = WeightedDigraph(3, [(0, 1, R(top)), (1, 2, R(-top, top)), (2, 0, R(1, top))])
+        assert not isinstance(eps_feasible_price(g, 2, WordBudget(16)), NegativeCycle)
+        assert not isinstance(cut_preprocess(g, 1, WordBudget(16)), NegativeCycle)
+        assert calls == []
+        g.add_edge(0, 2, R(-1, top + 1))
+        for build in (lambda: eps_feasible_price(g, 2, WordBudget(16)),
+                      lambda: cut_preprocess(g, 1, WordBudget(16))):
+            with pytest.raises(ValueError, match=r"^edge weight -1/32768 is not 1-short under B=16$"):
+                build()
+        assert calls == [4, 4]
+
+
+class TestPriceEdgePass:
+    def test_emits_the_context_arcs_and_denominators(self):
+        # The price's one pass over the edges also gives the cut runs'
+        # int adjacency, in out-edge order, and the distinct weight
+        # denominators (TestCutContextFromNumerators compares the
+        # contexts built from them and from the public constructor).
+        for seed in range(4):
+            g = backbone_graph(16, seed) if seed % 2 else gen_random(20, 60, seed, "small", "priced")
+            budget = WordBudget(64)
+            res, arcs, dens = scaling._price_numerators(g, 9, budget, None)
+            assert res == [p.num * ((1 << 10) // p.den) for p in eps_feasible_price(g, 9, budget)]
+            assert arcs == [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
+            assert dens == {e.weight.den for e in g.edges}
+
 
 def _scaled(w, shift):
     """T_shift(w) = sgn(w) * floor(2^shift * |w|) + 1, from Fractions."""
@@ -666,6 +705,8 @@ class TestCutContextFromNumerators:
         want = CutContext(g, k, budget, eps_feasible_price(g, exponent, budget))
         assert got.pden == want.pden == 1 << (exponent + 1)
         assert got.pnum == want.pnum
+        assert got.adj == want.adj
+        assert (got.shift, got.mult, got.hi, got.nlo) == (want.shift, want.mult, want.hi, want.nlo)
         assert [(p.num, p.den) for p in got.price] == [(p.num, p.den) for p in want.price]
         for s in range(g.n):
             a, b = cut_dijkstra(got, s), cut_dijkstra(want, s)

@@ -1111,6 +1111,37 @@ def _batch_gadget(B, k, rng):
     return WeightedDigraph(k + 3, edges), price, u, v, R(1, r1 * r2)
 
 
+def _pad_past_the_scale(g, below):
+    """g plus a vertex z = g.n with no in-edges and an edge z -> v of
+    weight 1/q_v to every other vertex v, the q_v the largest distinct
+    primes below `below`.  Their product pushes the lcm of the weight
+    denominators past the floor keys' scale, so a context on the padded
+    graph keys by floors.  z stays at +infinity in every run from
+    another vertex, and, its weights being non-negative, leaves the
+    scaling price of every other vertex as it was."""
+    primes = _primes_below(below)[::-1][:g.n]
+    assert len(primes) == g.n
+    edges = [(e.tail, e.head, e.weight) for e in g.edges]
+    return WeightedDigraph(g.n + 1, edges + [(g.n, v, R(1, q)) for v, q in enumerate(primes)])
+
+
+def _key_mode(ctx, g):
+    """"exact" if `ctx` keys on the lcm L of g's weight denominators, with
+    a(v) * L = hi(v) * P + lo(v), or "floor" if on the floor keys' scale
+    P * 2^S; the rule is L <= P * 2^S."""
+    scale = ctx.pden << ctx.shift
+    grid = math.lcm(*{e.weight.den for e in g.edges})
+    if grid <= scale:
+        assert ctx.mult == grid
+        assert all(0 <= -nl < ctx.pden for nl in ctx.nlo)
+        assert [h * ctx.pden - nl for h, nl in zip(ctx.hi, ctx.nlo)] == [a * grid for a in ctx.pnum]
+        return "exact"
+    assert ctx.mult == scale
+    assert ctx.hi == [a << ctx.shift for a in ctx.pnum]
+    assert ctx.nlo == [0] * len(ctx.pnum)
+    return "floor"
+
+
 class TestCutDijkstra:
     def _context(self, g, k):
         ctx = cut_preprocess(g, k, budget=B16)
@@ -1316,38 +1347,49 @@ class TestCutDijkstra:
         # copied prices and weights add exact key
         # ties, which break by vertex id.  Such pairs share their final
         # parent, so they were ranked in the same batch.
-        rng = np.random.default_rng(1702)
+        # Every context keys exactly on its weights' grid, by (c, -lo)
+        # with c = ceil(key * L).  A second pass with weight denominators
+        # 1 or 2 and price denominators 7, 11 or 13, off that grid, puts
+        # distinct keys of one batch on the same c, ordered by lo alone.
         budget = WordBudget(16)
-        same_part = ties = 0
-        for trial in range(60):
-            n = int(rng.integers(5, 18))
-            den = int(rng.choice([1, 2, 3]))
-            price = [R(int(rng.integers(-2 * den, 2 * den + 1)), den) for _ in range(n)]
-            edges = {}
-            for _ in range(3 * n):
-                u, v = (int(x) for x in rng.choice(n, 2, replace=False))
-                edges[(u, v)] = R(int(rng.integers(-4, 9)), int(rng.integers(1, 7)))
-            for (u, v) in list(edges):
-                twin = int(rng.integers(0, n))
-                if rng.random() < 0.3 and (u, twin) in edges and twin != v:
-                    price[v] = price[twin]
-                    edges[(u, v)] = edges[(u, twin)]
-            g = WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()])
-            ctx = CutContext(g, int(rng.integers(1, 4)), budget, price)
-            for s in range(1, n):
-                run = self._assert_matches_reference(ctx, g, s)
-                keys = {}
-                for u in range(n):
-                    if run.parent[u] is not None and run.dist[u] is not None:
-                        key = run.dist[u] - price[u]
-                        keys.setdefault(run.parent[u], []).append(key)
-                for batch in keys.values():
-                    for a in batch:
-                        for b in batch:
-                            if a is not b and (a.num * ctx.pden) // a.den == (b.num * ctx.pden) // b.den:
-                                same_part += a != b
-                                ties += a == b
-        assert same_part > 300 and ties > 300, (same_part, ties)
+        counts = []
+        for seed, price_dens, weight_dens in ((1702, [1, 2, 3], 7), (1704, [7, 11, 13], 3)):
+            rng = np.random.default_rng(seed)
+            same_part = ties = by_lo = 0
+            for trial in range(60):
+                n = int(rng.integers(5, 18))
+                den = int(rng.choice(price_dens))
+                price = [R(int(rng.integers(-2 * den, 2 * den + 1)), den) for _ in range(n)]
+                edges = {}
+                for _ in range(3 * n):
+                    u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+                    edges[(u, v)] = R(int(rng.integers(-4, 9)), int(rng.integers(1, weight_dens)))
+                for (u, v) in list(edges):
+                    twin = int(rng.integers(0, n))
+                    if rng.random() < 0.3 and (u, twin) in edges and twin != v:
+                        price[v] = price[twin]
+                        edges[(u, v)] = edges[(u, twin)]
+                g = WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()])
+                ctx = CutContext(g, int(rng.integers(1, 4)), budget, price)
+                assert _key_mode(ctx, g) == "exact"
+                for s in range(1, n):
+                    run = self._assert_matches_reference(ctx, g, s)
+                    keys = {}
+                    for u in range(n):
+                        if run.parent[u] is not None and run.dist[u] is not None:
+                            key = run.dist[u] - price[u]
+                            keys.setdefault(run.parent[u], []).append(key)
+                    for batch in keys.values():
+                        for a in batch:
+                            for b in batch:
+                                if a is not b and (a.num * ctx.pden) // a.den == (b.num * ctx.pden) // b.den:
+                                    same_part += a != b
+                                    ties += a == b
+                                if a != b and -(-a.num * ctx.mult // a.den) == -(-b.num * ctx.mult // b.den):
+                                    by_lo += 1
+            counts.append((same_part, ties, by_lo))
+        (same_part, ties, _), (_, _, by_lo) = counts
+        assert same_part > 300 and ties > 300 and by_lo > 200, counts
 
     def test_keys_exact_at_the_separation_bound(self):
         # Keys one gap apart at the finest resolution each comparison can
@@ -1355,6 +1397,10 @@ class TestCutDijkstra:
         # 1/(d1*d2); in one batch, a gap of 1/(r1*r2).  In both the vertex
         # with the smaller key has the larger id, so a key floor too
         # coarse to separate them puts the other first.
+        # Each gadget runs in both key modes: as built, its keys are exact
+        # on the weights' grid; padded by `_pad_past_the_scale` with
+        # primes of B+1 bits, its floors are at most 6 bits finer than
+        # the gadget's own 2^-S.
         rng = np.random.default_rng(1703)
         checked = 0
         for bits in (8, 12, 16):
@@ -1363,19 +1409,61 @@ class TestCutDijkstra:
                 for build in (_heap_gadget, _batch_gadget):
                     for _ in range(3):
                         g, price, first, second, gap = build(bits, k, rng)
-                        ctx = CutContext(g, k, budget, price)
-                        run = self._assert_matches_reference(ctx, g, 0)
-                        key = [d - p for d, p in zip(run.dist, price)]
-                        assert key[second] - key[first] == gap
-                        assert first > second
-                        assert run.order.index(first) < run.order.index(second)
-                        if build is _heap_gadget:
-                            bound = max(e.weight.den for e in g.edges) << (k * bits - 1)
-                            dens = [run.dist[first].den, run.dist[second].den]
-                            assert gap.den == dens[0] * dens[1]
-                            assert all(bound < d << (2 * k) for d in dens)
+                        padded = _pad_past_the_scale(g, 1 << (bits + 1))
+                        for graph, prices, mode in ((g, price, "exact"), (padded, price + [ZERO], "floor")):
+                            ctx = CutContext(graph, k, budget, prices)
+                            assert _key_mode(ctx, graph) == mode
+                            run = self._assert_matches_reference(ctx, graph, 0)
+                            key = [d - p for d, p in zip(run.dist, price)]
+                            assert key[second] - key[first] == gap
+                            assert first > second
+                            assert run.order.index(first) < run.order.index(second)
+                            if build is _heap_gadget:
+                                bound = max(e.weight.den for e in g.edges) << (k * bits - 1)
+                                dens = [run.dist[first].den, run.dist[second].den]
+                                assert gap.den == dens[0] * dens[1]
+                                assert all(bound < d << (2 * k) for d in dens)
                         checked += 1
         assert checked == 54
+
+    def test_both_key_modes_match_reference(self):
+        # Priced graphs key exactly on their weights' grid; one vertex
+        # with no in-edges and 15-bit prime denominators on its out-edges
+        # pushes that grid past the scale, and the runs key by floors.
+        # The padding leaves the price, so every run on the original
+        # vertices, as it was: z is extracted once, at +infinity.
+        rng = np.random.default_rng(4601)
+        runs = 0
+        for trial in range(8):
+            n = int(rng.choice([v for v in range(17, 41) if v & (v - 1)]))
+            g = gen_random(n, 3 * n, int(rng.integers(0, 2**31)), "small", "priced")
+            padded = _pad_past_the_scale(g, 1 << 15)
+            k = 1 + trial % 3
+            ctx, wide = cut_preprocess(g, k, budget=B16), cut_preprocess(padded, k, budget=B16)
+            assert _key_mode(ctx, g) == "exact" and _key_mode(wide, padded) == "floor"
+            assert wide.pden == ctx.pden and wide.pnum[:n] == ctx.pnum
+            for s in rng.choice(n, 3, replace=False):
+                got = self._assert_matches_reference(ctx, g, int(s))
+                pad = self._assert_matches_reference(wide, padded, int(s))
+                assert pad.pairs == got.pairs + [None]
+                assert pad.parent == got.parent + [None]
+                assert [v for v in pad.order if v != n] == got.order and n in pad.order
+                assert pad.processed == got.processed + [False]
+                assert pad.heap_inserts == got.heap_inserts + 1
+                runs += 1
+        assert runs == 24
+
+    def test_weight_grid_stops_past_the_cap(self):
+        # The lcm is built one denominator at a time and given up at the
+        # first partial lcm past the cap: the rest is never read.
+        from ratpath.sssp import _weight_grid
+
+        dens = iter([2, 3, 5, 7, 11, 13])
+        assert _weight_grid(dens, 29) is None
+        assert list(dens) == [7, 11, 13]
+        assert _weight_grid([4, 6, 10], 60) == 60
+        assert _weight_grid([4, 6, 10], 59) is None
+        assert _weight_grid([], 1) == 1
 
     def test_rejects_bad_source_and_short_price(self):
         g = gen_random(8, 20, 3, "small", "priced")
@@ -1458,7 +1546,8 @@ class TestRecombination:
 
     @staticmethod
     def _runs(hitset, rows):
-        # Hand-built runs: only dist is read by _recombine.
+        # Hand-built runs from BigRational rows: _recombine reads the
+        # pairs the constructor derives from them.
         return [CutResult(v, [None if w is None else R(*w) for w in row], None, [], [], 0)
                 for v, row in zip(hitset, rows)]
 
@@ -1727,6 +1816,7 @@ class TestNegativePipeline:
         assert stats["cut_heap_inserts_max"] == 94
         assert stats["cut_relaxations"] == 150
         assert stats["hitset_size"] == 2
+        assert stats["cut_key_bits"] == 20
         digest = hashlib.sha256(serialize_tree(r).encode()).hexdigest()
         assert digest == "7f2337fefec4fd566c936335d0c50e7ec1ea969876dc29c8101a8ac9b3e7e551"
 
@@ -1862,6 +1952,22 @@ class TestNegativePipeline:
             negative_sssp(g, 0, k=k, budget=B16)
         with pytest.raises(ValueError, match="hop parameter must be a positive integer"):
             cut_preprocess(g, k, budget=B16)
+
+    def test_parameters_exact_on_ints(self):
+        # The default hop bound ceil(sqrt(n)) and the ceil(log2 n) of the
+        # price accuracy are computed on ints: at these n the float forms
+        # give one less.
+        from ratpath.sssp import _cut_accuracy, _hop_default
+
+        n = (2**27 + 1) ** 2 + 1
+        assert _hop_default(n) == 2**27 + 2 != math.ceil(math.sqrt(n))
+        assert [_hop_default(v) for v in range(6)] == [1, 1, 2, 2, 2, 3]
+        n = 2**60 + 1
+        assert _cut_accuracy(n, 1, B16) == 3 * 16 + 61 != 3 * 16 + math.ceil(math.log2(n))
+        assert [_cut_accuracy(v, 2, B16) - 80 for v in range(6)] == [1, 1, 1, 2, 2, 3]
+        for v in range(1, 5000):
+            assert _hop_default(v) == max(1, math.ceil(math.sqrt(v)))
+            assert _cut_accuracy(v, 1, B16) == 48 + max(1, math.ceil(math.log2(max(v, 2))))
 
     def test_accepts_numpy_integer_hop_parameter(self):
         g = gen_random(12, 36, 3, "small", "priced")
