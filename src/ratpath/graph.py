@@ -457,22 +457,26 @@ def cycle_weight(g: WeightedDigraph, cycle: Sequence[int]) -> BigRational:
     return sum_balanced(ws)
 
 
-def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, BigRational]]):
+def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, BigRational]], zero=ZERO,
+                  lt: Callable[[object, object, object], bool] = sum_lt):
     """The one exact Bellman-Ford: distances from s over (tail, head,
     weight) triples, as (dist, parent, None), or (None, None, cycle) when
     a negative cycle is reachable from s, its vertices in edge order.
 
-    Each relaxation is decided by `sum_lt`, so only an improvement builds
-    a sum.  The rounds scan the edges in list order and skip an edge
-    whose tail's distance has not changed since that edge was last
-    scanned (a version per vertex, the version last seen per edge): the
-    last scan left d(head) <= d(tail) + w, and d(head) only falls, so the
-    edge could not improve anything.  Every improvement, the parents, the
+    Each relaxation is decided by lt(d(tail), w, d(head)), whether
+    d(tail) + w < d(head): `sum_lt` on `BigRational`s, so only an
+    improvement builds a sum.  Weights of any other exact type that
+    adds and orders, such as ints, take their own `lt` and `zero`, d(s).
+    The rounds scan the edges in list order and skip an edge whose
+    tail's distance has not changed since that edge was last scanned (a
+    version per vertex, the version last seen per edge): the last scan
+    left d(head) <= d(tail) + w, and d(head) only falls, so the edge
+    could not improve anything.  Every improvement, the parents, the
     round count and so the cycle are those of the full scan.
     """
     dist: List[Optional[BigRational]] = [None] * n
     parent = [-1] * n
-    dist[s] = ZERO
+    dist[s] = zero
     version = [0] * n  # bumped on every change of dist[v]
     version[s] = 1
     seen = [0] * len(edges)  # version[tail] when the edge was last scanned
@@ -484,7 +488,7 @@ def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, BigRational]])
                 continue
             seen[i] = version[u]
             du = dist[u]
-            if dist[v] is None or sum_lt(du, w, dist[v]):
+            if dist[v] is None or lt(du, w, dist[v]):
                 dist[v] = du + w
                 parent[v] = u
                 version[v] += 1

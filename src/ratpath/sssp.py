@@ -41,13 +41,16 @@ most k hops; nothing is drawn at random.  Each cut
 run holds its exact tentative distances anyway (they decide k-shortness
 and the heap keys), so relaxations, heap keys and reinsertion ranks
 compare exact values directly and no `distcmp` structure is built.  A
-run relaxes over the int edge arrays of its `CutContext`, keeps each
-tentative distance as an unreduced pair of ints and keys its heap by
-d(v) - p(v) exactly: on the grid of the weights' denominators, an int
-head per relaxation and the price's tail fixed per vertex, or, when that
-grid is too fine, a floor scaled far enough that distinct keys keep
-distinct floors; a winning relaxation builds no rational and takes no
-gcd.  The produced tree is
+run relaxes over the int edge arrays of its `CutContext` and keys its
+heap by d(v) - p(v) exactly.  On the grid L of the weights'
+denominators (exact mode) it holds each distance as the int d * L, so a
+relaxation is one add and one compare and a key is that int less the
+price's head, the price's tail fixed per vertex; recombination runs on
+the same ints.  When that grid is too fine (floor mode) it holds
+unreduced pairs of ints, decides a relaxation by cross-multiplying and
+keys by a floor scaled far enough that distinct keys keep distinct
+floors.  A winning relaxation builds no rational and takes no gcd.  The
+produced tree is
 verified exactly before being returned; a failed verification is
 answered by the exact oracle `bf_exact`, with its negative-cycle witness
 or, when the hit set missed a path, its own tree.
@@ -482,14 +485,18 @@ class CutContext:
     W and W the graph's largest weight denominator, and L is the lcm of
     the graph's distinct weight denominators.  If L <= P * 2^S, keys are
     exact on the weights' own grid: M = L and a(v) * L = hi(v) * P +
-    lo(v) with 0 <= lo(v) < P, one divmod per vertex.  Otherwise keys are
-    floors at 2^-S: M = P * 2^S, hi(v) = a(v) * 2^S and lo(v) = 0.  So
-    no key is wider than the floor keys' scale P * 2^S, and the lcm is
-    built one denominator at a time and given up once it passes that
-    scale.  Read-only after construction, so runs may share it.
+    lo(v) with 0 <= lo(v) < P, one divmod per vertex.  In this exact
+    mode `grid_adj[u]` lists u's out-edges as pairs (head, w * L), the
+    weight on the grid w * L = num * (L // den), built in the same pass
+    over the vertices as hi and lo, so that a run holds its distances as
+    grid ints.  Otherwise keys are floors at 2^-S: M = P * 2^S, hi(v) =
+    a(v) * 2^S, lo(v) = 0 and `grid_adj` is None.  So no key is wider
+    than the floor keys' scale P * 2^S, and the lcm is built one
+    denominator at a time and given up once it passes that scale.
+    Read-only after construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "pnum", "pden", "adj", "shift", "mult", "hi", "nlo", "_price")
+    __slots__ = ("k", "budget", "pnum", "pden", "adj", "grid_adj", "shift", "mult", "hi", "nlo", "_price")
 
     def __init__(
         self,
@@ -527,14 +534,20 @@ class CutContext:
             self.mult = scale
             self.hi = [a << shift for a in pnum]
             self.nlo = [0] * len(pnum)
+            self.grid_adj = None
         else:
             self.mult = grid
             self.hi = hi = []
             self.nlo = nlo = []
-            for a in pnum:
+            self.grid_adj = grid_adj = []
+            for a, arcs in zip(pnum, adj):
                 h, lo = divmod(a * grid, pden)
                 hi.append(h)
                 nlo.append(-lo)
+                row = []
+                for v, wn, wd in arcs:
+                    row.append((v, wn * (grid // wd)))
+                grid_adj.append(row)
 
     @property
     def price(self) -> List[BigRational]:
@@ -591,20 +604,36 @@ class CutResult:
     witness parent links, the extraction order and the processed set.
 
     pairs[v] is d(v) as its reduced int pair (num, den), None at
-    +infinity.  `dist` holds the same values as `BigRational`s: the
-    constructor takes them as `dist` or, with dist None, as `pairs`
-    (`cut_dijkstra` does), and then builds `dist` when first read."""
+    +infinity.  `dist` holds the same values as `BigRational`s.  The
+    constructor takes them as `dist`, as `pairs` (with dist None; a
+    floor-mode run of `cut_dijkstra`), or as `ints` with `grid`, ints[v]
+    = d(v) * grid (with dist and pairs None; an exact-mode run, grid the
+    context's L), and builds `pairs` and `dist` when first read.  `ints`
+    and `grid` are None unless given; `_recombine` reads them when every
+    run has them on one grid."""
 
-    __slots__ = ("source", "pairs", "parent", "order", "processed", "heap_inserts", "_dist")
+    __slots__ = ("source", "parent", "order", "processed", "heap_inserts", "ints", "grid", "_pairs", "_dist")
 
-    def __init__(self, source, dist, parent, order, processed, heap_inserts, pairs=None):
+    def __init__(self, source, dist, parent, order, processed, heap_inserts, pairs=None, ints=None,
+                 grid=None):
         self.source = source
         self._dist = dist
-        self.pairs = [None if w is None else (w.num, w.den) for w in dist] if pairs is None else pairs
+        self._pairs = pairs
+        self.ints = ints
+        self.grid = grid
         self.parent = parent
         self.order = order
         self.processed = processed
         self.heap_inserts = heap_inserts
+
+    @property
+    def pairs(self) -> List[Optional[Tuple[int, int]]]:
+        if self._pairs is None:
+            if self.ints is None:
+                self._pairs = [None if w is None else (w.num, w.den) for w in self._dist]
+            else:
+                self._pairs = [None if x is None else _grid_pair(x, self.grid) for x in self.ints]
+        return self._pairs
 
     @property
     def dist(self) -> List[Optional[BigRational]]:
@@ -620,6 +649,12 @@ class CutResult:
         if path[0] != self.source:
             raise ValueError(f"vertex {v} has no witness path")
         return path
+
+
+def _grid_pair(x: int, grid: int) -> Tuple[int, int]:
+    """The reduced pair (num, den) of x / grid."""
+    c = math.gcd(x, grid)
+    return x // c, grid // c
 
 
 def cut_dijkstra(
@@ -642,23 +677,30 @@ def cut_dijkstra(
     w(v->u) - w(v->u') there; those answer every such comparison exactly,
     since the weight difference is 2-short, so the order is the same.
 
-    Each vertex keeps its tentative distance dist(par(u)) + w(par(u)->u)
-    as an unreduced pair of ints (num, den), den = dd * wd, written only
-    when its parent changes; dist(par(u)) = dn/dd is final and reduced
-    once par(u) is extracted.  A relaxation is decided by
-    cross-multiplying ints and takes no gcd.  The one gcd of a vertex is
-    taken when it is extracted: its distance is reduced there, tested for
-    k-shortness as ints and kept as the run's reduced int pair, from
-    which `CutResult.dist` builds `BigRational`s only when it is read.
+    Each vertex keeps its tentative distance dist(par(u)) + w(par(u)->u),
+    written only when its parent changes, in the context's mode.  In
+    exact mode (`ctx.grid_adj` set) it is the grid int x(u) = d * L:
+    a relaxation is y = x(v) + w * L over the context's grid arcs, kept
+    iff y < x(u).  At extraction x / L is k-short with no gcd when L and
+    |x| are both below the bound 2^(kB-1) (its reduced pair is no wider
+    than (x, L)); otherwise one gcd(x, L) decides.  The run hands back
+    its grid ints, from which `CutResult` builds reduced pairs and
+    `BigRational`s only when they are read.  In floor mode it is an
+    unreduced pair of ints (num, den), den = dd * wd, with dist(par(u))
+    = dn/dd final and reduced once par(u) is extracted; a relaxation is
+    decided by cross-multiplying ints, and the one gcd of a vertex is
+    taken when it is extracted: its distance is reduced there, tested
+    for k-shortness as ints and kept as the run's reduced int pair.
+    Neither mode takes a gcd or builds a rational in a relaxation.
 
     A key is a pair of exact ints (c, -lo(u)) with c = (num * M) // den -
     hi(u), for M, hi and lo from the context (`CutContext`); write P =
     ctx.pden and a(u) = p(u) * P.  When M is L, the lcm of the weight
     denominators, the keys are exact: a distance is a sum of weights, so
     its reduced denominator divides L and num * L / den is an exact
-    division.  Then key * P * L = (d * L - hi(u)) * P - lo(u) = c * P -
-    lo(u) with 0 <= lo(u) < P, so the key order is exactly the order of
-    (c, -lo(u)).  c is as wide as the distances on that grid, and the
+    division, the grid int x(u), so c = x(u) - hi(u).  Then key * P * L
+    = (d * L - hi(u)) * P - lo(u) = c * P - lo(u) with 0 <= lo(u) < P,
+    so the key order is exactly the order of (c, -lo(u)).  c is as wide as the distances on that grid, and the
     price's E-bit tail lo(u), fixed per vertex, is compared only when c
     ties.  When M is P * 2^S, S = ctx.shift, lo is 0 and c is the floor
     K(u) = floor(key * P * 2^S).  A processed distance is k-short, so dd <
@@ -681,15 +723,18 @@ def cut_dijkstra(
     if not 0 <= s < n:
         raise ValueError(f"source {s} out of range")
     adj = ctx.adj
-    # c = (num * M) // den - hi[u]: hi[u] is an int, so it comes out of
-    # the floor, which is exact on the weights' grid.
+    arcs = ctx.grid_adj  # exact mode: (head, w * L); None in floor mode
+    # c = x - hi[u] on the grid, (num * M) // den - hi[u] for floors: hi[u]
+    # is an int, so it comes out of the floor.
     mult = ctx.mult
     hi = ctx.hi
     nlo = ctx.nlo
     bound = 1 << (ctx.k * ctx.budget.B - 1)  # k-short: |num|, den < bound
+    small = mult < bound  # then |x| < bound makes x / L k-short
     pairs: List[Optional[Tuple[int, int]]] = [None] * n
     par: List[Optional[int]] = [None] * n
-    # Tentative distance tnum[v] / tden[v], unreduced; None = +infinity.
+    # Tentative distance: the grid int tnum[v] = d(v) * L in exact mode,
+    # the unreduced pair tnum[v] / tden[v] in floor mode; None = +infinity.
     tnum: List[Optional[int]] = [None] * n
     tden = [1] * n
     tnum[s] = 0
@@ -758,28 +803,45 @@ def cut_dijkstra(
         dn = tnum[v]
         if dn is None:
             continue
-        dd = tden[v]
-        c = math.gcd(dn, dd)
-        if c > 1:
-            dn //= c
-            dd //= c
-        pairs[v] = (dn, dd)
-        if not (-bound < dn < bound and dd < bound):
-            continue
-        processed[v] = True
         touched: List[Tuple[int, int, int]] = []
-        for u, wn, wd in adj[v]:
-            if extracted[u]:
+        if arcs is not None:  # dn is the grid int x(v)
+            if not (small and -bound < dn < bound):
+                c = math.gcd(dn, mult)
+                if not (-bound < dn // c < bound and mult // c < bound):
+                    continue
+            processed[v] = True
+            for u, w in arcs[v]:
+                if extracted[u]:
+                    continue
+                relaxations += 1
+                x = dn + w
+                if par[u] is None or x < tnum[u]:
+                    par[u] = v
+                    tnum[u] = x
+                    key[u] = ku = x - hi[u]
+                    touched.append((ku, nlo[u], u))
+        else:
+            dd = tden[v]
+            c = math.gcd(dn, dd)
+            if c > 1:
+                dn //= c
+                dd //= c
+            pairs[v] = (dn, dd)
+            if not (-bound < dn < bound and dd < bound):
                 continue
-            relaxations += 1
-            num = dn * wd + wn * dd
-            den = dd * wd
-            if par[u] is None or num * tden[u] < tnum[u] * den:
-                par[u] = v
-                tnum[u] = num
-                tden[u] = den
-                key[u] = ku = (num * mult) // den - hi[u]
-                touched.append((ku, nlo[u], u))
+            processed[v] = True
+            for u, wn, wd in adj[v]:
+                if extracted[u]:
+                    continue
+                relaxations += 1
+                num = dn * wd + wn * dd
+                den = dd * wd
+                if par[u] is None or num * tden[u] < tnum[u] * den:
+                    par[u] = v
+                    tnum[u] = num
+                    tden[u] = den
+                    key[u] = ku = (num * mult) // den - hi[u]
+                    touched.append((ku, nlo[u], u))
         touched.sort()
         for rank, (_, _, u) in enumerate(touched, start=1):
             turn = clock + rank
@@ -795,6 +857,8 @@ def cut_dijkstra(
         collect["cut_heap_inserts"] = collect.get("cut_heap_inserts", 0) + inserts
         collect["cut_heap_inserts_max"] = max(collect.get("cut_heap_inserts_max", 0), inserts)
         collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
+    if arcs is not None:
+        return CutResult(s, None, par, order, processed, inserts, ints=tnum, grid=mult)
     return CutResult(s, None, par, order, processed, inserts, pairs)
 
 
@@ -975,24 +1039,45 @@ def _recombine(
 ) -> Tuple[List[int], List[Optional[int]]]:
     """Stitch the runs: (hpar, best_via), the recombination parent of each
     hit-set index and the hit-set index each vertex is best reached
-    through."""
+    through.
+
+    When every run holds grid ints on one grid (exact-mode runs of one
+    context), the hit-set Bellman-Ford and the best-via scan run on those
+    ints, hdist[i] + x_i(v); otherwise on each run's reduced pairs, as
+    `BigRational` edges and unreduced pair sums.  Both keep
+    `graph._bellman_ford`'s list-order rounds and strict tests, and the
+    scan's strict test, so ties resolve alike."""
     size = len(hitset)
+    grid = runs[0].grid
+    on_grid = grid is not None and all(run.grid == grid for run in runs)
+    rows = [run.ints if on_grid else run.pairs for run in runs]
     # Exact Bellman-Ford over the recombination graph on the hit set, its
     # edges i -> j weighted by run i's estimate of hitset[j], in row order.
     edges = []
-    for i, run in enumerate(runs):
+    for i, row in enumerate(rows):
         for j, v in enumerate(hitset):
-            w = run.pairs[v]
+            w = row[v]
             if w is not None and i != j:
-                edges.append((i, j, _make(*w)))
-    hdist, hpar, cycle = _bellman_ford(size, 0, edges)  # hitset[0] == s
+                edges.append((i, j, w if on_grid else _make(*w)))
+    # hitset[0] == s
+    hdist, hpar, cycle = _bellman_ford(size, 0, edges, *((0, _int_sum_lt) if on_grid else ()))
     if cycle is not None:
         raise _RecombinationError("the hit-set estimates form a negative cycle")
 
-    # Best two-stage estimate hdist[i] + run i's d(v) per vertex, kept as
-    # an unreduced pair of ints and compared by cross-multiplication; the
-    # strict test keeps the lowest index on ties.
+    # Best two-stage estimate hdist[i] + run i's d(v) per vertex, a grid
+    # int or an unreduced pair of ints compared by cross-multiplication;
+    # the strict test keeps the lowest index on ties.
     best_via: List[Optional[int]] = [None] * n
+    if on_grid:
+        best = [0] * n
+        for i, h in enumerate(hdist):
+            if h is None:
+                continue
+            for v, x in enumerate(rows[i]):
+                if x is not None and (best_via[v] is None or h + x < best[v]):
+                    best[v] = h + x
+                    best_via[v] = i
+        return hpar, best_via
     bnum = [0] * n
     bden = [1] * n
     for i in range(size):
@@ -1000,7 +1085,7 @@ def _recombine(
         if hi is None:
             continue
         hn, hd = hi.num, hi.den
-        for v, w in enumerate(runs[i].pairs):
+        for v, w in enumerate(rows[i]):
             if w is None:
                 continue
             wn, wd = w
@@ -1011,6 +1096,10 @@ def _recombine(
                 bden[v] = den
                 best_via[v] = i
     return hpar, best_via
+
+
+def _int_sum_lt(a: int, b: int, c: int) -> bool:
+    return a + b < c
 
 
 def _witness_tree(

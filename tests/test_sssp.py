@@ -1453,6 +1453,47 @@ class TestCutDijkstra:
                 runs += 1
         assert runs == 24
 
+    def test_k_shortness_on_grid_ints_at_the_bound(self):
+        # An exact-mode run decides k-shortness on x = d * L: with L and
+        # |x| below the bound the reduced pair is k-short with no gcd, and
+        # otherwise one gcd(x, L) decides.  At B = 16, k = 1 (bound 2^15)
+        # hand-built chains put x past the bound while k-short (20000 * 3)
+        # and on it while not (+-2^15 / 3); random graphs with integer
+        # parts up to 12000 cross it both ways, on L = 12, below the
+        # bound, and on L = 2 * 251 * 257, above it.
+        budget = WordBudget(16)
+        bound = 1 << 15
+        chains = [[R(10000), R(10000), R(1, 3), R(1)], [R(10922), R(2, 3), R(1)], [R(-10922), R(-2, 3), R(1)]]
+        graphs = [WeightedDigraph(len(ws) + 1, [(i, i + 1, w) for i, w in enumerate(ws)]) for ws in chains]
+        rng = np.random.default_rng(4701)
+        for trial in range(30):
+            n = int(rng.integers(6, 16))
+            dens = [1, 2, 3, 4, 6] if trial % 2 else [1, 2, 251, 257]
+            edges = {}
+            for _ in range(3 * n):
+                u, v = (int(x) for x in rng.choice(n, 2, replace=False))
+                edges[(u, v)] = R(int(rng.integers(-12000, 12001)), int(rng.choice(dens)))
+            graphs.append(WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()]))
+        past = on = wide = not_short = 0
+        for g in graphs:
+            ctx = CutContext(g, 1, budget, [ZERO] * g.n)
+            assert _key_mode(ctx, g) == "exact"
+            grid = ctx.mult
+            wide += grid >= bound
+            for s in range(g.n):
+                got, want = cut_dijkstra(ctx, s), reference_cut_dijkstra(ctx, g, s)
+                assert got.processed == want.processed
+                assert got.pairs == want.pairs
+                assert got.order == want.order
+                for p in got.pairs:
+                    if p is not None:
+                        x = p[0] * (grid // p[1])
+                        short = is_k_short(R(*p), 1, budget)
+                        past += short and abs(x) >= bound
+                        on += grid < bound and abs(x) == bound and not short
+                        not_short += not short
+        assert past > 100 and on >= 2 and wide == 15 and not_short > 100, (past, on, wide, not_short)
+
     def test_weight_grid_stops_past_the_cap(self):
         # The lcm is built one denominator at a time and given up at the
         # first partial lcm past the cap: the rest is never read.
@@ -1662,6 +1703,51 @@ class TestRunPairs:
             assert _recombine(g.n, hitset, rebuilt) == got
             relayed += any(p > 0 for p in got[0])
         assert relayed >= 5, relayed
+
+
+class TestGridRecombination:
+    """Exact-mode runs hand `_recombine` their grid ints d(v) * L, and it
+    recombines on those ints; runs rebuilt from their `BigRational` rows
+    recombine on unreduced pairs.  Both must give the same (hpar,
+    best_via), ties included."""
+
+    def test_grid_and_pair_recombination_agree(self):
+        rng = np.random.default_rng(4704)
+        graphs = via_ties = hop_ties = 0
+        for trial in range(160):
+            n = int(rng.integers(4, 30))
+            seed = int(rng.integers(0, 2**31))
+            kind = trial % 4
+            if kind < 2:
+                g, k = gen_random(n, min(3 * n, n * (n - 1)), seed, "small", "priced"), int(rng.choice([1, 2, 3]))
+                budget = WordBudget(16 if kind == 0 else 64)
+            elif kind == 2:
+                g, k, budget = backbone_graph(n, seed), int(rng.choice([1, 2])), WordBudget(64)
+            else:
+                g, k, budget = TestRecombination._deep_priced(n, rng), 1, B16
+            ctx = cut_preprocess(g, k, budget=budget)
+            assert ctx.grid_adj is not None
+            others = rng.permutation(np.arange(1, n))[: int(rng.integers(1, n))]
+            hitset = [0] + sorted(int(v) for v in others)
+            runs = [cut_dijkstra(ctx, v) for v in hitset]
+            assert all(run.grid == ctx.mult for run in runs)
+            rebuilt = [CutResult(r.source, r.dist, r.parent, r.order, r.processed, r.heap_inserts) for r in runs]
+            hpar, best_via = want = _recombine(g.n, hitset, rebuilt)
+            assert _recombine(g.n, hitset, runs) == want, trial
+            graphs += 1
+            # Ties the strict tests must keep: a hit-set edge that meets
+            # its head's distance from another tail, and a vertex reached
+            # at its best estimate through more than one index.
+            edges = [(i, j, run.dist[v]) for i, run in enumerate(runs) for j, v in enumerate(hitset)
+                     if run.dist[v] is not None and i != j]
+            hdist = _bellman_ford(len(hitset), 0, edges)[0]
+            hop_ties += sum(j > 0 and i != hpar[j] and hdist[i] is not None and hdist[i] + w == hdist[j]
+                            for i, j, w in edges)
+            for v in range(n):
+                ests = [hdist[i] + run.dist[v] for i, run in enumerate(runs)
+                        if hdist[i] is not None and run.dist[v] is not None]
+                via_ties += ests.count(min(ests, default=None)) > 1
+        assert graphs == 160 and hop_ties > 100 and via_ties > 100, (hop_ties, via_ties)
 
 
 class TestWitnessTree:
