@@ -191,6 +191,7 @@ class SsspResult:
     def tree_order(self) -> Optional[List[int]]:
         """Tree vertices other than the source, each after its parent; None
         when the parent links do not form a tree rooted at the source.
+        Every vertex and parent id lies in range(n).
 
         One pass over the parent links: the chain above each unplaced
         vertex is walked up to a placed vertex and placed top-down, so
@@ -199,17 +200,18 @@ class SsspResult:
         parent = self.parent
         if self.source in parent:
             return None
-        placed = {self.source}
+        placed = [False] * self.n
+        placed[self.source] = True
         order: List[int] = []
         for v, (u, _, _) in parent.items():
-            if v in placed:
+            if placed[v]:
                 continue
-            if u in placed:  # the usual case: trees built in extraction order
+            if placed[u]:  # the usual case: trees built in extraction order
                 order.append(v)
-                placed.add(v)
+                placed[v] = True
                 continue
             chain = [v]
-            while u not in placed:
+            while not placed[u]:
                 entry = parent.get(u)
                 if entry is None or len(chain) > len(parent):
                     return None
@@ -217,21 +219,25 @@ class SsspResult:
                 u = entry[0]
             chain.reverse()
             order += chain
-            placed.update(chain)
+            for c in chain:
+                placed[c] = True
         return order
 
     def _order(self) -> List[int]:
-        order = self.tree_order()
-        if order is None:
-            raise ValueError("parent links do not form a tree rooted at the source")
-        return order
+        n = self.n
+        if 0 <= self.source < n and all(0 <= v < n and 0 <= u < n for v, (u, _, _) in self.parent.items()):
+            order = self.tree_order()
+            if order is not None:
+                return order
+        raise ValueError("parent links do not form a tree rooted at the source")
 
     def distances(self) -> List[Optional[BigRational]]:
         """Exact tree distance per vertex; None for vertices outside the tree
         or reached only through augmentation edges."""
+        order = self._order()
         dist: List[Optional[BigRational]] = [None] * self.n
         dist[self.source] = ZERO
-        for v in self._order():
+        for v in order:
             u, w, aux = self.parent[v]
             if dist[u] is not None and not aux:
                 dist[v] = dist[u] + w
@@ -739,12 +745,15 @@ class VerifyOutcome:
 # Bits of the reduced denominator of a path weight from an anchor past
 # which `_anchored_paths` starts a new anchor.
 _ANCHOR_BITS = 256
+# Bits of the weights' common denominator up to which `verify_sssp`
+# checks on that grid, one machine word.
+_GRID_BITS = 64
 
 
 def _anchored_paths(n: int, source: int, order: Sequence[int], tree_edge: Sequence[Optional[Edge]]):
-    """The tree pass of `verify_sssp`: each reachable vertex's path weight
-    from its anchor, an ancestor at most a few hundred bits of
-    denominator above it.
+    """The tree pass of `verify_sssp` past its grid cap: each reachable
+    vertex's path weight from its anchor, an ancestor at most a few
+    hundred bits of denominator above it.
 
     Returns (anchor, num, den, up).  `anchor[v]` is -1 for an unreachable
     v, and num[v] / den[v] is P(anchor[v] -> v), reduced.  `up` maps each
@@ -814,17 +823,28 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     missing from g, raises ValueError.  `mode` accepts only "exact"; the
     benchmark harness passes it by keyword.
 
-    The triangle check skips the tree edges, the edges u->v with
-    `parent[v] == (u, w, False)`: it cannot fail on them.  The weight
-    check has already made w the weight of the one graph edge u->v (no
-    parallel edges survive ingest), and d(v) is d(u) + w.  An aux parent
-    entry is no tree edge here, so a real edge under it is still checked.
+    The triangle check cannot fail on a tree edge, an edge u->v with
+    `parent[v] == (u, w, False)`.  The weight check has already made w
+    the weight of the one graph edge u->v (no parallel edges survive
+    ingest), and d(v) is d(u) + w.  An aux parent entry is no tree edge
+    here, so a real edge under it is still checked.
 
-    Every other edge is decided without building d, whose denominators
-    grow to Theta(n) bits down a deep tree.  `_anchored_paths` splits each
-    root path at anchors and keeps P(a -> v), the path weight from v's
-    anchor a, with a denominator of at most a few hundred bits; each
-    anchor b keeps P(c -> b) from its parent anchor c.  Since d(v) = d(a) + P(a -> v):
+    No edge is decided by building d as rationals, whose denominators
+    grow to Theta(n) bits down a deep tree.  One pass over the real edges
+    builds L, the lcm of their weight denominators, and stops at the
+    first partial lcm of more than `_GRID_BITS` bits.  When L fits
+    `_GRID_BITS` (a machine word), every d(v) sits on the grid 1/L: each
+    reachable vertex holds the int x(v) = d(v) * L, built down the tree as
+    x(u) + num * (L // den), and an edge is violated iff
+    x(u) + num * (L // den) < x(v): one multiplication, one add and one
+    compare per edge, no gcd.  A tree edge is compared too; it holds
+    with equality.
+
+    Past that cap, the tree edges are skipped, and `_anchored_paths`
+    splits each root path at anchors and keeps P(a -> v), the path weight
+    from v's anchor a, with a denominator of at most a few hundred bits;
+    each anchor b keeps P(c -> b) from its parent anchor c.  Since
+    d(v) = d(a) + P(a -> v):
     - when u and v share anchor a, d(a) cancels, and d(u) + w < d(v)
       iff P(a -> u) + w < P(a -> v);
     - when one anchor is the other's parent anchor c, or both anchors
@@ -835,7 +855,8 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
       `sum_lt`, each built once per vertex from anchor distances
       memoized up the anchor chain: at most the big-int work of the
       comparison over `result.distances()`.
-    Each comparison is exact, so the outcome is that of comparing d.
+    Each comparison on either path is exact, so the outcome is that of
+    comparing d.
     """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -864,9 +885,44 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     order = result.tree_order()
     if order is None:
         return VerifyOutcome(False, reason="parent links do not form a tree rooted at the source")
-    anchor, num, den, up = _anchored_paths(n, source, order, tree_edge)
-
     real_edges = [e for e in edges if not e.aux]
+    grid = 1
+    for e in real_edges:
+        d = e.weight.den
+        if grid % d:
+            grid = math.lcm(grid, d)
+            if grid >> _GRID_BITS:
+                break
+    if grid >> _GRID_BITS:
+        return _verify_anchored(n, source, order, tree_edge, real_edges)
+    x: List[Optional[int]] = [None] * n  # d(v) * grid
+    x[source] = 0
+    for v in order:
+        e = tree_edge[v]
+        if e is not None:
+            xu = x[e.tail]
+            if xu is not None:
+                w = e.weight
+                x[v] = xu + w.num * (grid // w.den)
+    if None in x:  # some vertex is unreachable
+        for e in real_edges:
+            if x[e.tail] is not None and x[e.head] is None:
+                return VerifyOutcome(False, witness=e, reason="tree misses a reachable vertex")
+    for e in real_edges:
+        xu = x[e.tail]
+        if xu is None:
+            continue
+        w = e.weight
+        if xu + w.num * (grid // w.den) < x[e.head]:
+            return VerifyOutcome(False, witness=e, reason="edge violates the triangle inequality")
+    return VerifyOutcome(True)
+
+
+def _verify_anchored(n: int, source: int, order: Sequence[int], tree_edge: Sequence[Optional[Edge]],
+                     real_edges: Sequence[Edge]) -> VerifyOutcome:
+    """The reachability and triangle checks of `verify_sssp` on anchored
+    path weights, for weights whose lcm denominator is past the grid's."""
+    anchor, num, den, up = _anchored_paths(n, source, order, tree_edge)
     if -1 in anchor:  # some vertex is unreachable
         for e in real_edges:
             if anchor[e.tail] >= 0 and anchor[e.head] < 0:

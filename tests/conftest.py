@@ -9,7 +9,9 @@ implementations kept to check their replacements:
 the k+2-round scaling loop that `ratpath.scaling.eps_feasible_price`
 replaced with its closed form; `reference_verify`, the verifier over
 full root distances that the anchor-relative `ratpath.graph.verify_sssp`
-replaced; and `reference_parse_rational`, `reference_parse` and
+replaced; `reference_tree_order`, the walk over a set of placed vertices
+that `ratpath.graph.SsspResult.tree_order` replaced with a per-vertex
+list; and `reference_parse_rational`, `reference_parse` and
 `reference_parse_tree`, the regex token parser and the instance and tree
 readers built on it that `BigRational.parse`, `ratpath.graph.parse` and
 `ratpath.graph.parse_tree` replaced; `reference_witness_tree`, the
@@ -543,6 +545,33 @@ def reference_verify(g: WeightedDigraph, result: SsspResult, mode: str = "exact"
         if sum_lt(du, e.weight, dist[e.head]):
             return VerifyOutcome(False, witness=e, reason="edge violates the triangle inequality")
     return VerifyOutcome(True)
+
+
+def reference_tree_order(result: SsspResult) -> Optional[List[int]]:
+    """`SsspResult.tree_order` as it was, with the placed vertices in a set."""
+    parent = result.parent
+    if result.source in parent:
+        return None
+    placed = {result.source}
+    order: List[int] = []
+    for v, (u, _, _) in parent.items():
+        if v in placed:
+            continue
+        if u in placed:
+            order.append(v)
+            placed.add(v)
+            continue
+        chain = [v]
+        while u not in placed:
+            entry = parent.get(u)
+            if entry is None or len(chain) > len(parent):
+                return None
+            chain.append(u)
+            u = entry[0]
+        chain.reverse()
+        order += chain
+        placed.update(chain)
+    return order
 
 
 _PARSE_RE = re.compile(r"\A([+-]?\d+)(?:/(\d+))?\Z")

@@ -1,3 +1,4 @@
+import math
 import re
 import time
 from fractions import Fraction
@@ -28,6 +29,7 @@ from ratpath.graph import (
     serialize_tree,
     verify_sssp,
 )
+from ratpath import graph as graph_module
 from ratpath.rational import BigRational, ZERO
 from ratpath.sssp import dijkstra_nonneg, negative_sssp
 
@@ -38,6 +40,7 @@ from conftest import (
     reduced_weight,
     reference_parse,
     reference_parse_tree,
+    reference_tree_order,
     reference_verify,
     textbook_bf,
 )
@@ -159,6 +162,86 @@ class TestParseSerialize:
         assert res.tree_order() is None
         with pytest.raises(ValueError):
             res.distances()
+
+    @pytest.mark.parametrize("source, parent", [
+        (0, {1: (-1, R(1), False)}),
+        (0, {1: (3, R(1), False)}),
+        (0, {-1: (0, R(1), False)}),
+        (0, {3: (0, R(1), False)}),
+        (3, {1: (0, R(1), False)}),
+    ], ids=["parent-negative", "parent-past-n", "vertex-negative", "vertex-past-n", "source-past-n"])
+    def test_distances_rejects_out_of_range_ids(self, source, parent):
+        # tree_order indexes a per-vertex list; distances() checks the ids
+        # first, so a negative id cannot wrap around to vertex n - 1.
+        with pytest.raises(ValueError, match="parent links"):
+            SsspResult(3, source, parent).distances()
+
+    def test_tree_order_matches_reference_on_random_trees(self):
+        # Random trees over part of the vertices, their parent links in
+        # settle order and shuffled: the same order as the set-based walk,
+        # each vertex after its parent.
+        rng = np.random.default_rng(48)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            s = int(rng.integers(n))
+            perm = [s] + [int(v) for v in rng.permutation(n) if v != s]
+            size = int(rng.integers(1, n + 1))
+            links = [(perm[i], (perm[int(rng.integers(i))], R(1), bool(rng.integers(2))))
+                     for i in range(1, size)]
+            shuffled = [links[int(i)] for i in rng.permutation(len(links))]
+            for parent in (dict(links), dict(shuffled)):
+                res = SsspResult(n, s, parent)
+                order = res.tree_order()
+                assert order == reference_tree_order(res)
+                assert sorted(order) == sorted(parent)
+                seen = {s}
+                for v in order:
+                    assert parent[v][0] in seen
+                    seen.add(v)
+
+    @pytest.mark.parametrize("parent", [
+        {0: (1, R(1), False), 1: (0, R(1), False)},
+        {1: (0, R(1), False), 2: (3, R(1), False), 3: (4, R(1), False), 4: (2, R(1), False)},
+        {3: (2, R(1), False), 2: (3, R(1), False), 1: (0, R(1), False)},
+        {1: (0, R(1), False), 3: (2, R(1), False)},
+        {3: (2, R(1), False), 2: (4, R(1), True), 1: (0, R(1), False)},
+    ], ids=["source-has-parent", "cycle-off-source", "cycle-listed-first", "parent-outside",
+            "grandparent-outside"])
+    def test_tree_order_none_cases_match_reference(self, parent):
+        res = SsspResult(5, 0, parent)
+        assert res.tree_order() is None
+        assert reference_tree_order(res) is None
+
+    def test_tree_order_none_on_random_defects(self):
+        # A random tree with one vertex moved under its own descendant (a
+        # cycle off the source) or under a vertex with no parent entry.
+        rng = np.random.default_rng(49)
+        for _ in range(300):
+            n = int(rng.integers(3, 30))
+            perm = [0] + [int(v) for v in rng.permutation(range(1, n))]
+            size = int(rng.integers(2, n))
+            parent = {perm[i]: (perm[int(rng.integers(i))], R(1), False) for i in range(1, size)}
+            v = perm[int(rng.integers(1, size))]
+            below = [x for x in parent if x != v and v in _ancestors(parent, x)]
+            if below and rng.integers(2):
+                parent[v] = (below[int(rng.integers(len(below)))], R(1), False)
+            else:
+                outside = [x for x in range(1, n) if x not in parent]
+                if not outside:
+                    continue
+                parent[v] = (outside[int(rng.integers(len(outside)))], R(1), False)
+            res = SsspResult(n, 0, parent)
+            assert res.tree_order() is None
+            assert reference_tree_order(res) is None
+
+
+def _ancestors(parent, v):
+    """The ancestors of v under `parent`, a tree's links."""
+    out = []
+    while v in parent:
+        v = parent[v][0]
+        out.append(v)
+    return out
 
 
 def _parse_outcome(parse_text, text):
@@ -761,15 +844,49 @@ def _anchor_branch(g, tree, e):
 
 
 def _same_outcome(g, tree):
-    """Assert that `verify_sssp` and `reference_verify` agree on (valid,
-    reason, witness identity); return the branch of a triangle witness."""
+    """Assert that `verify_sssp`, at its default grid cap and with
+    `_GRID_BITS` 0 (anchors on every graph), agrees with `reference_verify`
+    on (valid, reason, witness identity); return the branch of a triangle
+    witness."""
     want = reference_verify(g, tree)
     got = verify_sssp(g, tree, mode="exact")
-    assert (got.valid, got.reason) == (want.valid, want.reason)
-    assert got.witness is want.witness
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_GRID_BITS", 0)
+        anchored, path = _verify_on_path(g, tree)
+    for out in (got, anchored):
+        assert (out.valid, out.reason) == (want.valid, want.reason)
+        assert out.witness is want.witness
+    if want.valid or want.reason in _PATH_REASONS:
+        assert path == "anchors"
     if got.reason == "edge violates the triangle inequality":
         return _anchor_branch(g, tree, got.witness)
     return None
+
+
+# The outcomes decided past the structural checks, on the grid or anchors.
+_PATH_REASONS = ("tree misses a reachable vertex", "edge violates the triangle inequality")
+
+
+def _verify_on_path(g, tree):
+    """`verify_sssp`'s outcome on (g, tree), and "anchors" if it called
+    `_anchored_paths`, else "grid" (also when a structural check decided)."""
+    calls = []
+    anchored_paths = graph_module._anchored_paths
+
+    def spy(*args):
+        calls.append(args)
+        return anchored_paths(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_anchored_paths", spy)
+        out = verify_sssp(g, tree)
+    return out, "anchors" if calls else "grid"
+
+
+def _path_taken(g, tree):
+    """"grid" or "anchors": the path `verify_sssp` takes to check a tree
+    that passes its structural checks."""
+    return _verify_on_path(g, tree)[1]
 
 
 def _mutants(g, tree, rng, count):
@@ -825,7 +942,33 @@ def _two_branches_with_cross_edges(h):
 
 class TestAnchoredVerify:
     """`verify_sssp` against `reference_verify`, the same checks over full
-    root distances, on trees whose anchors fall in every branch."""
+    root distances, on trees whose anchors fall in every branch.  Each
+    comparison runs both paths: the grid path wherever the weights' lcm
+    fits `_GRID_BITS` (the third-weight chain, the priced and the aux
+    graphs), and anchors on every graph with the cap at 0."""
+
+    def test_default_paths(self):
+        third = R(1, 3)
+        chain = WeightedDigraph(4, [(v, v + 1, third) for v in range(3)], source=0)
+        priced = backbone_graph(24, 0)
+        rand = gen_random(14, 16, 0)
+        assert _path_taken(chain, SsspResult(4, 0, {v + 1: (v, third, False) for v in range(3)})) == "grid"
+        assert _path_taken(priced, negative_sssp(priced, 0)) == "grid"
+        assert _path_taken(rand, dijkstra_nonneg(rand, 0)) == "grid"
+        g, tree, _ = _two_branches_with_cross_edges(80)
+        assert _path_taken(g, tree) == "anchors"
+        bound = _primes_below(prime_bound_for(360))[359] + 1
+        g, _ = gen_small_diff(bound, padding=True, chain=120, window=3)
+        assert _path_taken(g, dijkstra_nonneg(g, 0)) == "anchors"
+
+    @pytest.mark.parametrize("shortcut", [R(6), R(5)], ids=["tight", "short"])
+    def test_integer_weights(self, shortcut):
+        # Integer weights sit on the grid L = 1, which even a cap of 0 bits
+        # does not fit: `_same_outcome` requires anchors there.
+        g = WeightedDigraph(4, [(0, 1, R(2)), (1, 2, R(2)), (2, 3, R(2)), (0, 3, shortcut)], source=0)
+        tree = SsspResult(4, 0, {v + 1: (v, R(2), False) for v in range(3)})
+        assert _path_taken(g, tree) == "grid"
+        assert _same_outcome(g, tree) == (None if shortcut == R(6) else "same")
 
     def test_gadget_chains(self):
         rng = np.random.default_rng(34)
@@ -918,3 +1061,78 @@ class TestAnchoredVerify:
         g, tree, _ = _two_branches_with_cross_edges(80)
         branches = {_same_outcome(h, t) for h, t in _mutants(g, tree, rng, 120)}
         assert {"same", "parent", "sibling", "distant"} <= branches
+
+
+# 2^64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417.
+_WORD_FACTORS = (3, 5, 17, 257, 641, 65537, 6700417)
+
+
+def _grid_chain(dens, slack):
+    """A chain 0 -> 1 -> ... of weights 1/d for d in `dens`, a last edge
+    of weight 1, and a shortcut from 0 to the end weighing the chain's
+    length less `slack`; with the tree of the chain."""
+    k = len(dens)
+    weights = [R(1, d) for d in dens] + [R(1)]
+    edges = [(v, v + 1, w) for v, w in enumerate(weights)]
+    total = sum(weights, ZERO)
+    g = WeightedDigraph(k + 2, edges + [(0, k + 1, total - slack)], source=0)
+    return g, SsspResult(g.n, 0, {v + 1: (v, w, False) for v, w in enumerate(weights)})
+
+
+class TestGridVerify:
+    """The word-grid path of `verify_sssp` at its cap: the lcm L of the real
+    edges' weight denominators takes the grid path while L < 2^_GRID_BITS,
+    and anchors from 2^_GRID_BITS on."""
+
+    @pytest.mark.parametrize("dens, lcm, path", [
+        (_WORD_FACTORS, (1 << 64) - 1, "grid"),
+        (((1 << 64) - 59,), (1 << 64) - 59, "grid"),
+        ((1 << 64,), 1 << 64, "anchors"),
+        (((1 << 64) + 1,), (1 << 64) + 1, "anchors"),
+        (_WORD_FACTORS + (2,), (1 << 65) - 2, "anchors"),
+    ], ids=["word-factors", "below-word", "word", "past-word", "word-factors-times-2"])
+    def test_cap_boundary(self, dens, lcm, path):
+        # The shortcut tight, and short by one step of the grid 1/L: the
+        # grid ints differ by exactly 1 there.
+        for slack, valid in ((ZERO, True), (R(1, lcm), False)):
+            g, tree = _grid_chain(dens, slack)
+            assert math.lcm(*(e.weight.den for e in g.edges)) == lcm
+            assert _path_taken(g, tree) == path
+            assert _same_outcome(g, tree) == (None if valid else "same")
+            assert verify_sssp(g, tree).valid is valid
+
+    def test_cap_passed_only_at_the_last_real_edge(self):
+        # The word-factor chain fits the grid, also with an aux edge of
+        # weight 1/2 (aux weights are not on the grid), until a last real
+        # edge of weight 1/2 doubles its lcm past the cap.
+        last = len(_WORD_FACTORS) + 1
+        for slack, valid in ((ZERO, True), (R(1, (1 << 64) - 1), False)):
+            g, tree = _grid_chain(_WORD_FACTORS, slack)
+            g.add_edge(2, 0, R(1, 2), aux=True)
+            assert _path_taken(g, tree) == "grid"
+            g.add_edge(last, 0, R(1, 2))
+            assert [e.aux for e in g.edges[-2:]] == [True, False]
+            assert _path_taken(g, tree) == "anchors"
+            assert verify_sssp(g, tree).valid is valid
+            _same_outcome(g, tree)
+
+    @pytest.mark.parametrize("aux", [False, True], ids=["outside-tree", "aux-parent"])
+    def test_miss_reported_before_an_earlier_violation(self, aux):
+        # Edge 1 -> 3 violates the triangle inequality and is listed before
+        # 0 -> 2, which leaves the tree for an unreachable vertex: the
+        # reachability pass runs first, so the miss is the outcome.
+        edges = [(0, 1, R(1, 3)), (0, 3, R(5, 3)), (1, 3, R(1, 3)), (0, 2, R(1, 3))]
+        g = WeightedDigraph(4, edges, source=0)
+        parent = {1: (0, R(1, 3), False), 3: (0, R(5, 3), False)}
+        if aux:
+            parent[2] = (0, R(7), True)
+        tree = SsspResult(4, 0, parent)
+        assert _path_taken(g, tree) == "grid"
+        out = verify_sssp(g, tree)
+        assert out.reason == "tree misses a reachable vertex"
+        assert out.witness is g.edge_between(0, 2)
+        assert _same_outcome(g, tree) is None
+        # Without the miss, the violation is the outcome.
+        g = WeightedDigraph(4, edges[:-1], source=0)
+        assert verify_sssp(g, tree).witness is g.edge_between(1, 3)
+        assert _same_outcome(g, tree) == "same"
