@@ -879,8 +879,12 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
         e = index.get(u * n + v)
         if e is None:
             raise ValueError(f"tree edge ({u},{v}) not present in the graph")
-        if w is not e.weight and e.weight != w:
-            return VerifyOutcome(False, witness=e, reason="tree weight differs from graph weight")
+        if w is not e.weight:
+            # A parsed tree holds its own BigRationals: compare their
+            # fields, and anything else by value.
+            ew = e.weight
+            if (w.num != ew.num or w.den != ew.den) if w.__class__ is BigRational else ew != w:
+                return VerifyOutcome(False, witness=e, reason="tree weight differs from graph weight")
         tree_edge[v] = e
     order = result.tree_order()
     if order is None:

@@ -31,15 +31,14 @@ operations stay within those of the k+2 rounds of O(n*m) small-integer
 relaxations it replaces.  The distances are the price numerators
 themselves, over 2^(k+1): no integer is wider than the price it
 returns, and `sssp.cut_preprocess` takes them as they are, with no
-rational built, together with the int adjacency and the weight
-denominators that the price's one pass over the edges also collects.
+rational built.
 """
 
 from __future__ import annotations
 
 import numbers
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .graph import NegativeCycle, WeightedDigraph, _parent_cycle, cycle_weight
 from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
@@ -206,7 +205,7 @@ def eps_feasible_price(
     Internal contract violations raise AssertionError: they indicate a
     bug, not bad input.
     """
-    res = _price_numerators(g, k, budget, collect)[0]
+    res = _price_numerators(g, k, budget, collect)
     if isinstance(res, NegativeCycle):
         return res
     den = 1 << (int(k) + 1)
@@ -215,17 +214,14 @@ def eps_feasible_price(
 
 def _price_numerators(
     g: WeightedDigraph, k: int, budget: WordBudget, collect
-) -> Tuple[Union[List[int], NegativeCycle], List[List[Tuple[int, int, int]]], Set[int]]:
+) -> Union[List[int], NegativeCycle]:
     """The integers D behind `eps_feasible_price`, one per vertex, the
     price of v being D(v) / 2^(k+1), or its negative-cycle witness;
     checks its arguments, counts and raises as `eps_feasible_price`.
 
-    The same pass over the edges also returns what the cut runs read:
-    `arcs[u]` lists u's out-edges as int triples (head, num, den) in
-    `g.out_edges(u)` order, and `dens` is the set of distinct weight
-    denominators.  It ORs every |num| and den as it goes and calls
-    `_check_1_short`, which names the first failing edge, only when the
-    OR is 2^(B-1) or more.
+    Its one pass over the edges ORs every |num| and den as it goes and
+    calls `_check_1_short`, which names the first failing edge, only
+    when the OR is 2^(B-1) or more.
     """
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"accuracy exponent must be a non-negative integer, got {k!r}")
@@ -233,8 +229,6 @@ def _price_numerators(
     n, m = g.n, g.m
     shift = k + 1
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    arcs: List[List[Tuple[int, int, int]]] = [[] for _ in range(n)]
-    dens = set()
     wide = 0
     weights = []
     # floors[i] = floor(2^shift * w) of edge i: T_shift - 1, less one for
@@ -248,8 +242,6 @@ def _price_numerators(
         floors.append(floor)
         weights.append(floor + 2 if num < 0 and rem else floor + 1)
         adj[u].append((v, i))
-        arcs[u].append((v, num, den))
-        dens.add(den)
     if wide >> (budget.B - 1):
         _check_1_short(g, budget)
     # The super-source n, its edge to v weighing 1.
@@ -262,10 +254,10 @@ def _price_numerators(
         w = cycle_weight(g, cyc)
         if w >= ZERO:
             raise AssertionError("scaled cycle does not map to a negative cycle")
-        return NegativeCycle(cyc, w), arcs, dens
+        return NegativeCycle(cyc, w)
     if not _price_certified(g, dist, floors):
         raise AssertionError("scaled price function fails exact feasibility")
-    return dist[:n], arcs, dens
+    return dist[:n]
 
 
 def _price_certified(g: WeightedDigraph, dist: Sequence[int], floors: Sequence[int]) -> bool:

@@ -49,8 +49,9 @@ price's head, the price's tail fixed per vertex; recombination runs on
 the same ints.  When that grid is too fine (floor mode) it holds
 unreduced pairs of ints, decides a relaxation by cross-multiplying and
 keys by a floor scaled far enough that distinct keys keep distinct
-floors.  A winning relaxation builds no rational and takes no gcd.  The
-produced tree is
+floors; a distance is reduced once, at extraction, and kept as a
+`BigRational`, on which recombination runs.  A winning relaxation
+builds no rational and takes no gcd.  The produced tree is
 verified exactly before being returned; a failed verification is
 answered by the exact oracle `bf_exact`, with its negative-cycle witness
 or, when the hit set missed a path, its own tree.
@@ -84,7 +85,7 @@ from .graph import (
 # Unused here: the benchmark's tracer wraps `sssp.augment_source` and
 # `sssp.eps_feasible_price` by name.
 from .graph import augment_source  # noqa: F401
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, _make, sum_lt
 from .scaling import _check_1_short, _price_numerators, eps_feasible_price  # noqa: F401
 
 if TYPE_CHECKING:
@@ -472,10 +473,10 @@ class CutContext:
     read if the context was not given it.
 
     The context is the runs' only view of its graph: `adj[u]` lists u's
-    out-edges as int triples (head, num, den), read once here (by the
-    price's own pass over the edges in `cut_preprocess`), one list per
-    vertex.  An edge added to the graph afterwards is not seen by runs on
-    this context.
+    out-edges as int triples (head, num, den) in `g.out_edges(u)` order,
+    read once here, in the one pass over the edges that also collects
+    the distinct weight denominators.  An edge added to the graph
+    afterwards is not seen by runs on this context.
 
     The key terms of `cut_dijkstra` that depend on the context alone are
     computed here once, not per run: the multiplier `mult` = M and, per
@@ -508,24 +509,26 @@ class CutContext:
         if len(price) != g.n:
             raise ValueError(f"price has {len(price)} values, graph has {g.n} vertices")
         pden = math.lcm(*(p.den for p in price))
-        adj = [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
-        self._build(k, budget, price, [p.num * (pden // p.den) for p in price], pden, adj,
-                    {e.weight.den for e in g.edges})
+        self._build(g, k, budget, price, [p.num * (pden // p.den) for p in price], pden)
 
     @classmethod
-    def _from_numerators(cls, k: int, budget: WordBudget, pnum: List[int], pden: int,
-                         adj: List[List[Tuple[int, int, int]]], dens: Set[int]):
+    def _from_numerators(cls, g: WeightedDigraph, k: int, budget: WordBudget, pnum: List[int], pden: int):
         ctx = cls.__new__(cls)
-        ctx._build(k, budget, None, pnum, pden, adj, dens)
+        ctx._build(g, k, budget, None, pnum, pden)
         return ctx
 
-    def _build(self, k, budget, price, pnum, pden, adj, dens):
+    def _build(self, g, k, budget, price, pnum, pden):
         self._price = price
         self.k = k
         self.budget = budget
         self.pnum = pnum
         self.pden = pden
-        self.adj = adj
+        self.adj = adj = [[] for _ in range(g.n)]
+        dens = set()
+        for e in g.edges:
+            w = e.weight
+            adj[e.tail].append((e.head, w.num, w.den))
+            dens.add(w.den)
         bound = max(dens, default=1) << (k * budget.B - 1)
         self.shift = shift = (bound * bound - 1).bit_length()
         scale = pden << shift
@@ -581,18 +584,18 @@ def cut_preprocess(
     collect: Optional[Dict[str, object]] = None,
 ) -> Union[CutContext, NegativeCycle]:
     """Price function and edge arrays for cut runs with hop bound k, a
-    positive integer (ValueError otherwise).  One pass over g's edges
-    gives the price's Bellman-Ford weights and the context's int
-    adjacency and weight denominators.  `collect["cut_key_bits"]` is the
-    bit length of the context's key multiplier M: the lcm of the weight
-    denominators when the keys are exact on that grid, P * 2^S when they
-    are floors (see `CutContext`)."""
+    positive integer (ValueError otherwise).  The context takes the
+    price as the scaling numerators D themselves, with no rational
+    built, and reads its edge arrays from g.  `collect["cut_key_bits"]`
+    is the bit length of the context's key multiplier M: the lcm of the
+    weight denominators when the keys are exact on that grid, P * 2^S
+    when they are floors (see `CutContext`)."""
     k = _check_hop(k)
     exponent = _cut_accuracy(g.n, k, budget)
-    res, adj, dens = _price_numerators(g, exponent, budget, collect)
+    res = _price_numerators(g, exponent, budget, collect)
     if isinstance(res, NegativeCycle):
         return res
-    ctx = CutContext._from_numerators(k, budget, res, 1 << (exponent + 1), adj, dens)
+    ctx = CutContext._from_numerators(g, k, budget, res, 1 << (exponent + 1))
     if collect is not None:
         collect["cut_key_bits"] = ctx.mult.bit_length()
     return ctx
@@ -603,22 +606,19 @@ class CutResult:
     equality whenever some shortest path from s has at most k hops, plus
     witness parent links, the extraction order and the processed set.
 
-    pairs[v] is d(v) as its reduced int pair (num, den), None at
-    +infinity.  `dist` holds the same values as `BigRational`s.  The
-    constructor takes them as `dist`, as `pairs` (with dist None; a
-    floor-mode run of `cut_dijkstra`), or as `ints` with `grid`, ints[v]
-    = d(v) * grid (with dist and pairs None; an exact-mode run, grid the
-    context's L), and builds `pairs` and `dist` when first read.  `ints`
-    and `grid` are None unless given; `_recombine` reads them when every
-    run has them on one grid."""
+    dist[v] is d(v) as a `BigRational`, None at +infinity.  The
+    constructor takes it as `dist` (a floor-mode run of `cut_dijkstra`,
+    or a run built by hand), or as `ints` with `grid`, ints[v] = d(v) *
+    grid, and dist None (an exact-mode run, grid the context's L), from
+    which `dist` is built when first read.  `ints` and `grid` are None
+    unless given; `_recombine` reads them when every run has them on one
+    grid."""
 
-    __slots__ = ("source", "parent", "order", "processed", "heap_inserts", "ints", "grid", "_pairs", "_dist")
+    __slots__ = ("source", "parent", "order", "processed", "heap_inserts", "ints", "grid", "_dist")
 
-    def __init__(self, source, dist, parent, order, processed, heap_inserts, pairs=None, ints=None,
-                 grid=None):
+    def __init__(self, source, dist, parent, order, processed, heap_inserts, ints=None, grid=None):
         self.source = source
         self._dist = dist
-        self._pairs = pairs
         self.ints = ints
         self.grid = grid
         self.parent = parent
@@ -627,18 +627,9 @@ class CutResult:
         self.heap_inserts = heap_inserts
 
     @property
-    def pairs(self) -> List[Optional[Tuple[int, int]]]:
-        if self._pairs is None:
-            if self.ints is None:
-                self._pairs = [None if w is None else (w.num, w.den) for w in self._dist]
-            else:
-                self._pairs = [None if x is None else _grid_pair(x, self.grid) for x in self.ints]
-        return self._pairs
-
-    @property
     def dist(self) -> List[Optional[BigRational]]:
         if self._dist is None:
-            self._dist = [None if p is None else _make(*p) for p in self.pairs]
+            self._dist = [None if x is None else BigRational(x, self.grid) for x in self.ints]
         return self._dist
 
     def witness_path(self, v: int) -> List[int]:
@@ -649,12 +640,6 @@ class CutResult:
         if path[0] != self.source:
             raise ValueError(f"vertex {v} has no witness path")
         return path
-
-
-def _grid_pair(x: int, grid: int) -> Tuple[int, int]:
-    """The reduced pair (num, den) of x / grid."""
-    c = math.gcd(x, grid)
-    return x // c, grid // c
 
 
 def cut_dijkstra(
@@ -684,14 +669,15 @@ def cut_dijkstra(
     iff y < x(u).  At extraction x / L is k-short with no gcd when L and
     |x| are both below the bound 2^(kB-1) (its reduced pair is no wider
     than (x, L)); otherwise one gcd(x, L) decides.  The run hands back
-    its grid ints, from which `CutResult` builds reduced pairs and
-    `BigRational`s only when they are read.  In floor mode it is an
-    unreduced pair of ints (num, den), den = dd * wd, with dist(par(u))
-    = dn/dd final and reduced once par(u) is extracted; a relaxation is
-    decided by cross-multiplying ints, and the one gcd of a vertex is
-    taken when it is extracted: its distance is reduced there, tested
-    for k-shortness as ints and kept as the run's reduced int pair.
-    Neither mode takes a gcd or builds a rational in a relaxation.
+    its grid ints, from which `CutResult` builds `BigRational`s only when
+    they are read.  In floor mode it is an unreduced pair of ints (num,
+    den), den = dd * wd, with dist(par(u)) = dn/dd final and reduced
+    once par(u) is extracted; a relaxation is decided by
+    cross-multiplying ints, and the one gcd of a vertex is taken when it
+    is extracted: its distance is reduced there, tested for k-shortness
+    as ints and kept as the run's `BigRational`, made from that reduced
+    pair with no second gcd.  Neither mode takes a gcd or builds a
+    rational in a relaxation.
 
     A key is a pair of exact ints (c, -lo(u)) with c = (num * M) // den -
     hi(u), for M, hi and lo from the context (`CutContext`); write P =
@@ -731,7 +717,7 @@ def cut_dijkstra(
     nlo = ctx.nlo
     bound = 1 << (ctx.k * ctx.budget.B - 1)  # k-short: |num|, den < bound
     small = mult < bound  # then |x| < bound makes x / L k-short
-    pairs: List[Optional[Tuple[int, int]]] = [None] * n
+    dist: List[Optional[BigRational]] = [None] * n  # floor mode only
     par: List[Optional[int]] = [None] * n
     # Tentative distance: the grid int tnum[v] = d(v) * L in exact mode,
     # the unreduced pair tnum[v] / tden[v] in floor mode; None = +infinity.
@@ -826,7 +812,7 @@ def cut_dijkstra(
             if c > 1:
                 dn //= c
                 dd //= c
-            pairs[v] = (dn, dd)
+            dist[v] = _make(dn, dd)
             if not (-bound < dn < bound and dd < bound):
                 continue
             processed[v] = True
@@ -859,7 +845,7 @@ def cut_dijkstra(
         collect["cut_relaxations"] = collect.get("cut_relaxations", 0) + relaxations
     if arcs is not None:
         return CutResult(s, None, par, order, processed, inserts, ints=tnum, grid=mult)
-    return CutResult(s, None, par, order, processed, inserts, pairs)
+    return CutResult(s, dist, par, order, processed, inserts)
 
 
 # -- negative pipeline -------------------------------------------------
@@ -1041,16 +1027,19 @@ def _recombine(
     hit-set index and the hit-set index each vertex is best reached
     through.
 
-    When every run holds grid ints on one grid (exact-mode runs of one
-    context), the hit-set Bellman-Ford and the best-via scan run on those
-    ints, hdist[i] + x_i(v); otherwise on each run's reduced pairs, as
-    `BigRational` edges and unreduced pair sums.  Both keep
+    The hit-set Bellman-Ford and the best-via scan read each run's grid
+    ints x_i(v) when every run holds them on one grid (exact-mode runs of
+    one context), with zero 0 and `_int_sum_lt`, and its `BigRational`
+    dist otherwise, with ZERO and `sum_lt`.  Both keep
     `graph._bellman_ford`'s list-order rounds and strict tests, and the
     scan's strict test, so ties resolve alike."""
-    size = len(hitset)
     grid = runs[0].grid
-    on_grid = grid is not None and all(run.grid == grid for run in runs)
-    rows = [run.ints if on_grid else run.pairs for run in runs]
+    if grid is not None and all(run.grid == grid for run in runs):
+        rows = [run.ints for run in runs]
+        zero, lt = 0, _int_sum_lt
+    else:
+        rows = [run.dist for run in runs]
+        zero, lt = ZERO, sum_lt
     # Exact Bellman-Ford over the recombination graph on the hit set, its
     # edges i -> j weighted by run i's estimate of hitset[j], in row order.
     edges = []
@@ -1058,42 +1047,22 @@ def _recombine(
         for j, v in enumerate(hitset):
             w = row[v]
             if w is not None and i != j:
-                edges.append((i, j, w if on_grid else _make(*w)))
+                edges.append((i, j, w))
     # hitset[0] == s
-    hdist, hpar, cycle = _bellman_ford(size, 0, edges, *((0, _int_sum_lt) if on_grid else ()))
+    hdist, hpar, cycle = _bellman_ford(len(hitset), 0, edges, zero, lt)
     if cycle is not None:
         raise _RecombinationError("the hit-set estimates form a negative cycle")
 
-    # Best two-stage estimate hdist[i] + run i's d(v) per vertex, a grid
-    # int or an unreduced pair of ints compared by cross-multiplication;
-    # the strict test keeps the lowest index on ties.
+    # Best two-stage estimate hdist[i] + run i's d(v) per vertex, built
+    # only when it wins; the strict test keeps the lowest index on ties.
     best_via: List[Optional[int]] = [None] * n
-    if on_grid:
-        best = [0] * n
-        for i, h in enumerate(hdist):
-            if h is None:
-                continue
-            for v, x in enumerate(rows[i]):
-                if x is not None and (best_via[v] is None or h + x < best[v]):
-                    best[v] = h + x
-                    best_via[v] = i
-        return hpar, best_via
-    bnum = [0] * n
-    bden = [1] * n
-    for i in range(size):
-        hi = hdist[i]
-        if hi is None:
+    best = [zero] * n
+    for i, h in enumerate(hdist):
+        if h is None:
             continue
-        hn, hd = hi.num, hi.den
-        for v, w in enumerate(rows[i]):
-            if w is None:
-                continue
-            wn, wd = w
-            num = hn * wd + wn * hd
-            den = hd * wd
-            if best_via[v] is None or num * bden[v] < bnum[v] * den:
-                bnum[v] = num
-                bden[v] = den
+        for v, x in enumerate(rows[i]):
+            if x is not None and (best_via[v] is None or lt(h, x, best[v])):
+                best[v] = h + x
                 best_via[v] = i
     return hpar, best_via
 

@@ -575,18 +575,21 @@ class TestCheck1Short:
 
 
 class TestPriceEdgePass:
-    def test_emits_the_context_arcs_and_denominators(self):
-        # The price's one pass over the edges also gives the cut runs'
-        # int adjacency, in out-edge order, and the distinct weight
-        # denominators (TestCutContextFromNumerators compares the
-        # contexts built from them and from the public constructor).
+    def test_context_reads_arcs_and_grid_from_the_graph(self):
+        # The price's one pass over the edges gives the numerators D
+        # alone; the context reads its int adjacency, in out-edge order,
+        # and its weight grid from the graph itself
+        # (TestCutContextFromNumerators compares the contexts built from D
+        # and from the public constructor).
         for seed in range(4):
             g = backbone_graph(16, seed) if seed % 2 else gen_random(20, 60, seed, "small", "priced")
             budget = WordBudget(64)
-            res, arcs, dens = scaling._price_numerators(g, 9, budget, None)
+            res = scaling._price_numerators(g, 9, budget, None)
             assert res == [p.num * ((1 << 10) // p.den) for p in eps_feasible_price(g, 9, budget)]
-            assert arcs == [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
-            assert dens == {e.weight.den for e in g.edges}
+            ctx = cut_preprocess(g, 1, budget)
+            assert ctx.adj == [[(e.head, e.weight.num, e.weight.den) for e in g.out_edges(u)] for u in range(g.n)]
+            assert ctx.grid_adj is not None
+            assert ctx.mult == math.lcm(*{e.weight.den for e in g.edges})
 
 
 def _scaled(w, shift):
@@ -710,7 +713,7 @@ class TestCutContextFromNumerators:
         assert [(p.num, p.den) for p in got.price] == [(p.num, p.den) for p in want.price]
         for s in range(g.n):
             a, b = cut_dijkstra(got, s), cut_dijkstra(want, s)
-            assert a.dist == b.dist and a.pairs == b.pairs
+            assert a.dist == b.dist and (a.ints, a.grid) == (b.ints, b.grid)
             assert a.parent == b.parent
             assert a.order == b.order
             assert a.processed == b.processed

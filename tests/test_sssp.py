@@ -23,7 +23,7 @@ from ratpath.graph import (
 )
 from ratpath.cfrac import Ordering
 from ratpath.distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
-from ratpath.rational import BigRational, WordBudget, ZERO, _make, is_k_short
+from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath import rational as rational_module
 from ratpath import sssp as sssp_module
 from ratpath.sssp import (
@@ -1445,7 +1445,7 @@ class TestCutDijkstra:
             for s in rng.choice(n, 3, replace=False):
                 got = self._assert_matches_reference(ctx, g, int(s))
                 pad = self._assert_matches_reference(wide, padded, int(s))
-                assert pad.pairs == got.pairs + [None]
+                assert pad.dist == got.dist + [None]
                 assert pad.parent == got.parent + [None]
                 assert [v for v in pad.order if v != n] == got.order and n in pad.order
                 assert pad.processed == got.processed + [False]
@@ -1483,12 +1483,12 @@ class TestCutDijkstra:
             for s in range(g.n):
                 got, want = cut_dijkstra(ctx, s), reference_cut_dijkstra(ctx, g, s)
                 assert got.processed == want.processed
-                assert got.pairs == want.pairs
+                assert got.dist == want.dist
                 assert got.order == want.order
-                for p in got.pairs:
-                    if p is not None:
-                        x = p[0] * (grid // p[1])
-                        short = is_k_short(R(*p), 1, budget)
+                for d in got.dist:
+                    if d is not None:
+                        x = d.num * (grid // d.den)
+                        short = is_k_short(d, 1, budget)
                         past += short and abs(x) >= bound
                         on += grid < bound and abs(x) == bound and not short
                         not_short += not short
@@ -1587,8 +1587,8 @@ class TestRecombination:
 
     @staticmethod
     def _runs(hitset, rows):
-        # Hand-built runs from BigRational rows: _recombine reads the
-        # pairs the constructor derives from them.
+        # Hand-built runs from BigRational rows: _recombine reads their
+        # dist, as it reads a floor-mode run's.
         return [CutResult(v, [None if w is None else R(*w) for w in row], None, [], [], 0)
                 for v, row in zip(hitset, rows)]
 
@@ -1609,9 +1609,9 @@ class TestRecombination:
         assert _recombine(3, [0, 1, 2], self._runs([0, 1, 2], rows)) == ([-1, 0, 1], [0, 0, 1])
 
     def test_matches_bigrational_sums(self):
-        # The unreduced int pairs of _recombine against the two-stage
-        # estimates summed as `BigRational`s, first strict improvement in
-        # index order.  Row values come from a handful of fractions, some
+        # The `sum_lt` tests of _recombine against the two-stage estimates
+        # summed as `BigRational`s, first strict improvement in index
+        # order.  Row values come from a handful of fractions, some
         # written over several denominators, so equal estimates through
         # different indices are common.
         rng = np.random.default_rng(3701)
@@ -1654,10 +1654,13 @@ class TestRecombination:
 
 
 class TestRunPairs:
-    """A run of `cut_dijkstra` keeps each distance as its reduced int pair
-    and builds `CutResult.dist` from the pairs when it is first read;
-    `_recombine` reads the pairs.  Runs that the public constructor
-    builds from the same `BigRational` rows must recombine alike."""
+    """A run of `cut_dijkstra` keeps its distances in one form: an
+    exact-mode run its grid ints, from which `CutResult.dist` is built
+    when first read, a floor-mode run the `BigRational`s that `_make`
+    builds, with no gcd of its own, from the pairs the run reduces at
+    extraction.  Every finite entry of `dist` must be canonical in both
+    modes.  Runs that the public constructor builds from the same
+    `BigRational` rows must recombine alike."""
 
     @staticmethod
     def _graphs(rng, count):
@@ -1669,38 +1672,51 @@ class TestRunPairs:
                 g = gen_random(n, min(3 * n, n * (n - 1)), int(rng.integers(0, 2**31)), "small", "priced")
                 yield g, int(rng.choice([1, 2, 3]))
 
+    @classmethod
+    def _cases(cls, rng, count, floors):
+        # (graph, k, budget): `_graphs`' exact-mode graphs at B = 16, then
+        # big-weight priced graphs at B = 96, whose weight lcm passes the
+        # floor keys' scale.
+        for g, k in cls._graphs(rng, count):
+            yield g, k, B16
+        for seed in range(floors):
+            yield gen_random(40, 160, seed, "big", "priced"), 2, WordBudget(96)
+
     def test_dist_is_made_from_reduced_pairs(self):
         rng = np.random.default_rng(4502)
-        finite = 0
-        for g, k in self._graphs(rng, 20):
-            ctx = cut_preprocess(g, k, budget=B16)
+        finite = {"exact": 0, "floor": 0}
+        for g, k, budget in self._cases(rng, 20, 3):
+            ctx = cut_preprocess(g, k, budget=budget)
+            mode = _key_mode(ctx, g)
             for s in range(g.n):
                 run = cut_dijkstra(ctx, s)
-                assert len(run.pairs) == len(run.dist) == g.n
-                for pair, d in zip(run.pairs, run.dist):
-                    if pair is None:
-                        assert d is None
+                assert (run.ints is None) == (mode == "floor")
+                assert len(run.dist) == g.n
+                for d in run.dist:
+                    if d is None:
                         continue
-                    num, den = pair
-                    assert (R(num, den).num, R(num, den).den) == pair
-                    assert d == _make(num, den)
-                    finite += 1
-        assert finite > 1000, finite
+                    num, den = d.num, d.den
+                    assert den > 0 and math.gcd(num, den) == 1
+                    want = R(num, den)
+                    assert (want.num, want.den) == (num, den) and d == want
+                    finite[mode] += 1
+        assert finite["exact"] > 1000 and finite["floor"] > 1000, finite
 
     def test_recombine_same_on_rebuilt_runs(self):
         rng = np.random.default_rng(4503)
         relayed = 0
-        for g, k in self._graphs(rng, 120):
-            ctx = cut_preprocess(g, k, budget=B16)
+        for g, k, budget in self._cases(rng, 120, 3):
+            ctx = cut_preprocess(g, k, budget=budget)
             others = rng.permutation(np.arange(1, g.n))[: int(rng.integers(1, g.n))]
             hitset = [0] + sorted(int(v) for v in others)
             runs = [cut_dijkstra(ctx, v) for v in hitset]
             got = _recombine(g.n, hitset, runs)
-            # Recombination reads the pairs, so no run has built its dist.
-            assert all(run._dist is None for run in runs)
+            # Exact-mode recombination reads the grid ints, so no run has
+            # built its dist; a floor-mode run holds it from the start.
+            assert all((run._dist is None) == (ctx.grid_adj is not None) for run in runs)
             rebuilt = [CutResult(r.source, r.dist, r.parent, r.order, r.processed, r.heap_inserts) for r in runs]
-            assert [r.pairs for r in rebuilt] == [r.pairs for r in runs]
             assert _recombine(g.n, hitset, rebuilt) == got
+            assert full_scan_recombination(g.n, hitset, runs) == got
             relayed += any(p > 0 for p in got[0])
         assert relayed >= 5, relayed
 
@@ -1708,8 +1724,8 @@ class TestRunPairs:
 class TestGridRecombination:
     """Exact-mode runs hand `_recombine` their grid ints d(v) * L, and it
     recombines on those ints; runs rebuilt from their `BigRational` rows
-    recombine on unreduced pairs.  Both must give the same (hpar,
-    best_via), ties included."""
+    recombine on those rationals, by `sum_lt`.  Both must give the same
+    (hpar, best_via), ties included."""
 
     def test_grid_and_pair_recombination_agree(self):
         rng = np.random.default_rng(4704)
@@ -1876,6 +1892,19 @@ class TestNegativePipeline:
                 res = negative_sssp(g, 0, k=k, seed=trial, budget=B16)
                 assert not isinstance(res, NegativeCycle)
                 assert res.distances() == bf_exact(g, 0).dist
+
+    def test_floor_mode_matches_oracle(self):
+        # Big-weight priced graphs at B = 96: the weight lcm passes the
+        # floor keys' scale, and the tree hit set holds many vertices, so
+        # recombination runs end to end on floor-mode runs' rationals.
+        budget = WordBudget(96)
+        for seed in range(8):
+            g = gen_random(60, 240, seed, "big", "priced")
+            assert cut_preprocess(g, 2, budget).grid_adj is None
+            stats = {}
+            res = negative_sssp(g, 0, k=2, budget=budget, collect=stats)
+            assert stats["hitset_size"] > 1 and stats["pipeline_attempts"] == 1, (seed, stats)
+            assert res.distances() == bf_exact(g, 0).dist, seed
 
     def test_planted_cycle_detected(self):
         for seed in range(15):
