@@ -25,6 +25,7 @@ the recombination of `sssp.negative_sssp`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -743,17 +744,22 @@ class VerifyOutcome:
 
 
 # Bits of the reduced denominator of a path weight from an anchor past
-# which `_anchored_paths` starts a new anchor.
+# which `_anchored_paths` starts a new anchor; also the bits of either
+# unreduced denominator past which a walk to a common ancestor stops.
 _ANCHOR_BITS = 256
 # Bits of the weights' common denominator up to which `verify_sssp`
 # checks on that grid, one machine word.
 _GRID_BITS = 64
+# Tree edges, both endpoints' together, that `verify_sssp` climbs past its
+# grid cap to compare an edge from the endpoints' common ancestor.
+_WALK_EDGES = 8
 
 
 def _anchored_paths(n: int, source: int, order: Sequence[int], tree_edge: Sequence[Optional[Edge]]):
-    """The tree pass of `verify_sssp` past its grid cap: each reachable
-    vertex's path weight from its anchor, an ancestor at most a few
-    hundred bits of denominator above it.
+    """The tree pass of `verify_sssp`'s anchored comparison, built once,
+    at the first edge whose endpoints' common ancestor is past the walk's
+    cap: each reachable vertex's path weight from its anchor, an ancestor
+    at most a few hundred bits of denominator above it.
 
     Returns (anchor, num, den, up).  `anchor[v]` is -1 for an unreachable
     v, and num[v] / den[v] is P(anchor[v] -> v), reduced.  `up` maps each
@@ -840,11 +846,31 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     compare per edge, no gcd.  A tree edge is compared too; it holds
     with equality.
 
-    Past that cap, the tree edges are skipped, and `_anchored_paths`
-    splits each root path at anchors and keeps P(a -> v), the path weight
-    from v's anchor a, with a denominator of at most a few hundred bits;
-    each anchor b keeps P(c -> b) from its parent anchor c.  Since
-    d(v) = d(a) + P(a -> v):
+    Past that cap, the tree edges are skipped.  One pass down the tree
+    gives each vertex its depth, the tree edges above it, or -1 when no
+    real tree path reaches it; it does no big-int work, and the
+    reachability check reads it.  Then each real edge u->v, in list
+    order, climbs from the deeper endpoint, one tree edge at a time, to
+    the common ancestor c of u and v, summing P(c -> u) + w and
+    P(c -> v) as unreduced int pairs, with no gcd.  Since
+    d(x) = d(c) + P(c -> x), d(c) cancels, and d(u) + w < d(v) iff
+    P(c -> u) + w < P(c -> v): one cross-multiplication.  A walk is
+    bounded: an edge whose endpoints' depths differ by more than
+    `_WALK_EDGES` is not walked, and a walk stops after `_WALK_EDGES`
+    tree edges, or once either pair's denominator passes `_ANCHOR_BITS`
+    bits (one weight more on the step that reaches c).  So no edge costs
+    more than `_WALK_EDGES` steps, and its two pairs sum at most
+    `_WALK_EDGES` + 1 weights.
+
+    At the first edge that does not reach c this way, the triangle check
+    goes on from that edge on anchors: the edges walked before it all
+    held, so the first violated edge stays the witness.
+    `_anchored_paths` runs then, once, and never when every edge reaches
+    its c.  It splits each root path at anchors and keeps P(a -> v), the
+    path weight from v's anchor a, with a denominator of at most a few
+    hundred bits; each anchor b keeps P(c -> b) from its parent anchor c.
+    Once it is built, an anchored comparison costs less than a walk, so
+    no edge walks again.  Since d(v) = d(a) + P(a -> v):
     - when u and v share anchor a, d(a) cancels, and d(u) + w < d(v)
       iff P(a -> u) + w < P(a -> v);
     - when one anchor is the other's parent anchor c, or both anchors
@@ -855,8 +881,8 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
       `sum_lt`, each built once per vertex from anchor distances
       memoized up the anchor chain: at most the big-int work of the
       comparison over `result.distances()`.
-    Each comparison on either path is exact, so the outcome is that of
-    comparing d.
+    Each comparison on every route is exact and the edges are checked in
+    list order, so the outcome and its witness are those of comparing d.
     """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
@@ -898,7 +924,7 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
             if grid >> _GRID_BITS:
                 break
     if grid >> _GRID_BITS:
-        return _verify_anchored(n, source, order, tree_edge, real_edges)
+        return _verify_past_grid(n, source, order, tree_edge, real_edges)
     x: List[Optional[int]] = [None] * n  # d(v) * grid
     x[source] = 0
     for v in order:
@@ -922,15 +948,89 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     return VerifyOutcome(True)
 
 
-def _verify_anchored(n: int, source: int, order: Sequence[int], tree_edge: Sequence[Optional[Edge]],
-                     real_edges: Sequence[Edge]) -> VerifyOutcome:
-    """The reachability and triangle checks of `verify_sssp` on anchored
-    path weights, for weights whose lcm denominator is past the grid's."""
-    anchor, num, den, up = _anchored_paths(n, source, order, tree_edge)
-    if -1 in anchor:  # some vertex is unreachable
+def _verify_past_grid(n: int, source: int, order: Sequence[int], tree_edge: Sequence[Optional[Edge]],
+                      real_edges: Sequence[Edge]) -> VerifyOutcome:
+    """The reachability and triangle checks of `verify_sssp` for weights
+    whose lcm denominator is past the grid's: each non-tree edge compared
+    from its endpoints' common ancestor, until the first edge past the
+    walk's cap hands the check to `_verify_anchored`."""
+    depth = [-1] * n  # tree edges from the source; -1 when unreachable
+    depth[source] = 0
+    for v in order:
+        e = tree_edge[v]
+        if e is not None:
+            d = depth[e.tail]
+            if d >= 0:
+                depth[v] = d + 1
+    if -1 in depth:  # some vertex is unreachable
         for e in real_edges:
-            if anchor[e.tail] >= 0 and anchor[e.head] < 0:
+            if depth[e.tail] >= 0 and depth[e.head] < 0:
                 return VerifyOutcome(False, witness=e, reason="tree misses a reachable vertex")
+    cap = _WALK_EDGES
+    bits = _ANCHOR_BITS
+    edges = iter(real_edges)
+    for e in edges:
+        v = e.head
+        if tree_edge[v] is e:
+            continue
+        u = e.tail
+        du = depth[u]
+        if du < 0:
+            continue
+        dv = depth[v]
+        if -cap <= du - dv <= cap:
+            # Climb from the deeper endpoint to the common ancestor c,
+            # summing un/ud = P(c -> u) + w and vn/vd = P(c -> v).
+            w = e.weight
+            un = w.num
+            ud = w.den
+            vn = 0
+            vd = 1
+            x = u
+            y = v
+            left = cap
+            while x != y and left:
+                left -= 1
+                if du >= dv:
+                    t = tree_edge[x]
+                    x = t.tail
+                    du -= 1
+                    tw = t.weight
+                    td = tw.den
+                    if td == 1:
+                        un += tw.num * ud
+                    else:
+                        un = un * td + tw.num * ud
+                        ud *= td
+                        if ud.bit_length() > bits:
+                            left = 0
+                else:
+                    t = tree_edge[y]
+                    y = t.tail
+                    dv -= 1
+                    tw = t.weight
+                    td = tw.den
+                    if td == 1:
+                        vn += tw.num * vd
+                    else:
+                        vn = vn * td + tw.num * vd
+                        vd *= td
+                        if vd.bit_length() > bits:
+                            left = 0
+            if x == y:
+                if un * vd < vn * ud:
+                    return VerifyOutcome(False, witness=e, reason="edge violates the triangle inequality")
+                continue
+        return _verify_anchored(n, source, order, tree_edge, itertools.chain((e,), edges))
+    return VerifyOutcome(True)
+
+
+def _verify_anchored(n: int, source: int, order: Sequence[int], tree_edge: Sequence[Optional[Edge]],
+                     real_edges: Iterable[Edge]) -> VerifyOutcome:
+    """The triangle check of `verify_sssp` on anchored path weights, over
+    the real edges from the first one that `_verify_past_grid` could not
+    compare from its endpoints' common ancestor."""
+    anchor, num, den, up = _anchored_paths(n, source, order, tree_edge)
     full: Dict[int, BigRational] = {}  # d(v), built on demand
     anchor_dist = {source: ZERO}  # d(a) per anchor, built on demand
     for e in real_edges:

@@ -8,7 +8,7 @@ implementations kept to check their replacements:
 `ratpath.sssp.cut_dijkstra` replaced; `reference_eps_feasible_price`,
 the k+2-round scaling loop that `ratpath.scaling.eps_feasible_price`
 replaced with its closed form; `reference_verify`, the verifier over
-full root distances that the anchor-relative `ratpath.graph.verify_sssp`
+full root distances that the exact routes of `ratpath.graph.verify_sssp`
 replaced; `reference_tree_order`, the walk over a set of placed vertices
 that `ratpath.graph.SsspResult.tree_order` replaced with a per-vertex
 list; and `reference_parse_rational`, `reference_parse` and

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratpath.graph import (
+    Edge,
     NegativeCycle,
     SsspResult,
     WeightedDigraph,
@@ -30,7 +31,7 @@ from ratpath.graph import (
     verify_sssp,
 )
 from ratpath import graph as graph_module
-from ratpath.rational import BigRational, ZERO
+from ratpath.rational import BigRational, WordBudget, ZERO
 from ratpath.sssp import dijkstra_nonneg, negative_sssp
 
 from conftest import (
@@ -825,9 +826,9 @@ class TestVerify:
 
 
 def _anchor_branch(g, tree, e):
-    """The comparison `verify_sssp` makes for the non-tree edge e of a
-    tree that passed its earlier checks: "same" anchor, "parent" (one
-    anchor is the other's parent anchor), "sibling" (the two share a
+    """The comparison `verify_sssp` makes on anchors for the non-tree edge
+    e of a tree that passed its earlier checks: "same" anchor, "parent"
+    (one anchor is the other's parent anchor), "sibling" (the two share a
     parent anchor) or "distant" (full distances)."""
     tree_edge = [None] * g.n
     for v, (u, _, aux) in tree.parent.items():
@@ -844,48 +845,79 @@ def _anchor_branch(g, tree, e):
 
 
 def _same_outcome(g, tree):
-    """Assert that `verify_sssp`, at its default grid cap and with
-    `_GRID_BITS` 0 (anchors on every graph), agrees with `reference_verify`
-    on (valid, reason, witness identity); return the branch of a triangle
-    witness."""
+    """Assert that `verify_sssp` agrees with `reference_verify` on (valid,
+    reason, witness identity) on three routes: at its default caps (the
+    grid wherever the weights' lcm fits it), with `_GRID_BITS` 0 (from
+    common ancestors on every graph, anchors past the walk's cap), and
+    with `_WALK_EDGES` 0 too (anchors for every compared edge); return
+    the anchor branch of a triangle witness."""
     want = reference_verify(g, tree)
     got = verify_sssp(g, tree, mode="exact")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(graph_module, "_GRID_BITS", 0)
-        anchored, path = _verify_on_path(g, tree)
-    for out in (got, anchored):
+        walked, walk_route = _verify_on_path(g, tree)
+        mp.setattr(graph_module, "_WALK_EDGES", 0)
+        anchored, anchor_route = _verify_on_path(g, tree)
+    for out in (got, walked, anchored):
         assert (out.valid, out.reason) == (want.valid, want.reason)
         assert out.witness is want.witness
     if want.valid or want.reason in _PATH_REASONS:
-        assert path == "anchors"
+        assert walk_route != "grid"
+        assert anchor_route == ("anchors" if _compares_a_span(g, tree, want) else "ancestors")
     if got.reason == "edge violates the triangle inequality":
         return _anchor_branch(g, tree, got.witness)
     return None
 
 
-# The outcomes decided past the structural checks, on the grid or anchors.
+# The outcomes decided past the structural checks, on any route.
 _PATH_REASONS = ("tree misses a reachable vertex", "edge violates the triangle inequality")
 
 
+def _compares_a_span(g, tree, want):
+    """Whether the triangle check, up to the witness of `want`, compares
+    an edge that is not a self-loop: with `_WALK_EDGES` 0 the first such
+    edge builds anchors, and a self-loop's common ancestor is its vertex."""
+    if want.reason == "tree misses a reachable vertex":
+        return False
+    dist = tree.distances()
+    for e in g.edges:
+        if e.aux or dist[e.tail] is None:
+            continue
+        p = tree.parent.get(e.head)
+        if p is not None and p[0] == e.tail and not p[2]:
+            continue
+        if e.tail != e.head:
+            return True
+        if e is want.witness:
+            return False
+    return False
+
+
 def _verify_on_path(g, tree):
-    """`verify_sssp`'s outcome on (g, tree), and "anchors" if it called
-    `_anchored_paths`, else "grid" (also when a structural check decided)."""
+    """`verify_sssp`'s outcome on (g, tree), and the route it took: "grid"
+    (also when a structural check decided), "ancestors" past the grid
+    cap with every edge walked to its common ancestor, or "anchors" if
+    some edge built `_anchored_paths`."""
     calls = []
+    past_grid = graph_module._verify_past_grid
     anchored_paths = graph_module._anchored_paths
 
-    def spy(*args):
-        calls.append(args)
-        return anchored_paths(*args)
+    def spy(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+        return call
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(graph_module, "_anchored_paths", spy)
+        mp.setattr(graph_module, "_verify_past_grid", spy("ancestors", past_grid))
+        mp.setattr(graph_module, "_anchored_paths", spy("anchors", anchored_paths))
         out = verify_sssp(g, tree)
-    return out, "anchors" if calls else "grid"
+    return out, calls[-1] if calls else "grid"
 
 
 def _path_taken(g, tree):
-    """"grid" or "anchors": the path `verify_sssp` takes to check a tree
-    that passes its structural checks."""
+    """"grid", "ancestors" or "anchors": the route `verify_sssp` takes to
+    check a tree that passes its structural checks."""
     return _verify_on_path(g, tree)[1]
 
 
@@ -943,9 +975,10 @@ def _two_branches_with_cross_edges(h):
 class TestAnchoredVerify:
     """`verify_sssp` against `reference_verify`, the same checks over full
     root distances, on trees whose anchors fall in every branch.  Each
-    comparison runs both paths: the grid path wherever the weights' lcm
-    fits `_GRID_BITS` (the third-weight chain, the priced and the aux
-    graphs), and anchors on every graph with the cap at 0."""
+    comparison runs three routes: the grid wherever the weights' lcm fits
+    `_GRID_BITS` (the third-weight chain, the priced and the aux graphs),
+    common ancestors on every graph with the grid cap at 0, and anchors
+    on every graph with the walk's cap at 0 too."""
 
     def test_default_paths(self):
         third = R(1, 3)
@@ -955,16 +988,23 @@ class TestAnchoredVerify:
         assert _path_taken(chain, SsspResult(4, 0, {v + 1: (v, third, False) for v in range(3)})) == "grid"
         assert _path_taken(priced, negative_sssp(priced, 0)) == "grid"
         assert _path_taken(rand, dijkstra_nonneg(rand, 0)) == "grid"
-        g, tree, _ = _two_branches_with_cross_edges(80)
-        assert _path_taken(g, tree) == "anchors"
+        # Past the grid: the gadget chain's twin paths span three tree
+        # edges; the two chains' cross edge a[3] -> b[20] spans 23, and
+        # without the cross edges no edge is compared.
         bound = _primes_below(prime_bound_for(360))[359] + 1
         g, _ = gen_small_diff(bound, padding=True, chain=120, window=3)
-        assert _path_taken(g, dijkstra_nonneg(g, 0)) == "anchors"
+        assert _path_taken(g, dijkstra_nonneg(g, 0)) == "ancestors"
+        g, tree, cross = _two_branches_with_cross_edges(80)
+        assert _path_taken(g, tree) == "anchors"
+        bare = WeightedDigraph(g.n, [(e.tail, e.head, e.weight) for e in g.edges if e not in cross], source=0)
+        assert _path_taken(bare, tree) == "ancestors"
+        big = gen_random(60, 240, 0, "big", "priced")
+        assert _path_taken(big, negative_sssp(big, 0, budget=WordBudget(96), k=2)) == "anchors"
 
     @pytest.mark.parametrize("shortcut", [R(6), R(5)], ids=["tight", "short"])
     def test_integer_weights(self, shortcut):
         # Integer weights sit on the grid L = 1, which even a cap of 0 bits
-        # does not fit: `_same_outcome` requires anchors there.
+        # does not fit: `_same_outcome` takes its routes past the grid there.
         g = WeightedDigraph(4, [(0, 1, R(2)), (1, 2, R(2)), (2, 3, R(2)), (0, 3, shortcut)], source=0)
         tree = SsspResult(4, 0, {v + 1: (v, R(2), False) for v in range(3)})
         assert _path_taken(g, tree) == "grid"
@@ -1082,13 +1122,16 @@ def _grid_chain(dens, slack):
 class TestGridVerify:
     """The word-grid path of `verify_sssp` at its cap: the lcm L of the real
     edges' weight denominators takes the grid path while L < 2^_GRID_BITS,
-    and anchors from 2^_GRID_BITS on."""
+    and from 2^_GRID_BITS on compares the shortcut from the root, the
+    common ancestor of its endpoints, while it spans at most `_WALK_EDGES`
+    tree edges, and on anchors past that (the nine edges of the last
+    case)."""
 
     @pytest.mark.parametrize("dens, lcm, path", [
         (_WORD_FACTORS, (1 << 64) - 1, "grid"),
         (((1 << 64) - 59,), (1 << 64) - 59, "grid"),
-        ((1 << 64,), 1 << 64, "anchors"),
-        (((1 << 64) + 1,), (1 << 64) + 1, "anchors"),
+        ((1 << 64,), 1 << 64, "ancestors"),
+        (((1 << 64) + 1,), (1 << 64) + 1, "ancestors"),
         (_WORD_FACTORS + (2,), (1 << 65) - 2, "anchors"),
     ], ids=["word-factors", "below-word", "word", "past-word", "word-factors-times-2"])
     def test_cap_boundary(self, dens, lcm, path):
@@ -1112,7 +1155,7 @@ class TestGridVerify:
             assert _path_taken(g, tree) == "grid"
             g.add_edge(last, 0, R(1, 2))
             assert [e.aux for e in g.edges[-2:]] == [True, False]
-            assert _path_taken(g, tree) == "anchors"
+            assert _path_taken(g, tree) == "ancestors"
             assert verify_sssp(g, tree).valid is valid
             _same_outcome(g, tree)
 
@@ -1136,3 +1179,200 @@ class TestGridVerify:
         g = WeightedDigraph(4, edges[:-1], source=0)
         assert verify_sssp(g, tree).witness is g.edge_between(1, 3)
         assert _same_outcome(g, tree) == "same"
+
+
+class _ReadLog(list):
+    """A list that logs the index of each `[]` read."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append(i)
+        return list.__getitem__(self, i)
+
+
+class _MarkedEdges(list):
+    """A list of edges that logs "pass" when iterated, then each edge as
+    it is handed out."""
+
+    def __init__(self, items, log):
+        super().__init__(items)
+        self.log = log
+
+    def __iter__(self):
+        self.log.append("pass")
+        for e in list.__iter__(self):
+            self.log.append(e)
+            yield e
+
+
+def _walk_log(g, tree):
+    """`verify_sssp`'s outcome on (g, tree) with the grid cap at 0; the
+    edges its walks reached, in order, each with the tree edges it climbed;
+    and the edges its anchored check reached, if it ran."""
+    log = []
+    past_grid = graph_module._verify_past_grid
+    anchored_paths = graph_module._anchored_paths
+
+    def spy_past_grid(n, source, order, tree_edge, real_edges):
+        return past_grid(n, source, order, _ReadLog(tree_edge, log), _MarkedEdges(real_edges, log))
+
+    def spy_anchored_paths(n, source, order, tree_edge):
+        log.append("anchors")
+        return anchored_paths(n, source, order, list(tree_edge))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_GRID_BITS", 0)
+        mp.setattr(graph_module, "_verify_past_grid", spy_past_grid)
+        mp.setattr(graph_module, "_anchored_paths", spy_anchored_paths)
+        out = verify_sssp(g, tree)
+    # The passes over the edges: the reachability check's when a vertex is
+    # unreachable, then the walks', which the anchored check takes over
+    # from the edge it was on.
+    passes = [i for i, item in enumerate(log) if item == "pass"]
+    if not passes:  # a structural check decided
+        return out, {}, []
+    walks = {}
+    anchored = []
+    for item in log[passes[-1] + 1:]:
+        if item == "anchors":
+            anchored = [e]
+        elif isinstance(item, Edge):
+            if anchored:
+                anchored.append(item)
+            else:
+                e = item
+                walks[e] = -1  # an edge's first read is its tree-edge test
+        elif not anchored:
+            walks[e] += 1
+    return out, {e: max(k, 0) for e, k in walks.items()}, anchored
+
+
+def _span(up, depth, u, v):
+    """Tree edges from u and from v up to their common ancestor, in the
+    tree of parent map `up` and vertex depths `depth`."""
+    k = 0
+    while u != v:
+        if depth[u] >= depth[v]:
+            u = up[u]
+        else:
+            v = up[v]
+        k += 1
+    return k
+
+
+def _deep_chain_with_root_edges(n):
+    """A chain 0 -> 1 -> ... -> n-1 whose edge i weighs 1/p for the 15-bit
+    primes p taken in turn, edges v -> v + 3 with 1/7 of slack every 7th
+    vertex, and, listed among them, a tight edge from the root to every
+    500th vertex; with the tree of the chain."""
+    primes = [p for p in _primes_below(1 << 15) if p > 1 << 14]
+    chain = [(v, v + 1, R(1, primes[v % len(primes)])) for v in range(n - 1)]
+    dist = [ZERO]
+    for _, _, w in chain:
+        dist.append(dist[-1] + w)
+    short = [(v, v + 3, dist[v + 3] - dist[v] + R(1, 7)) for v in range(1, n - 3, 7)]
+    root = [(0, v, dist[v]) for v in range(500, n, 500)]
+    mid = len(short) // 3
+    g = WeightedDigraph(n, chain + short[:mid] + root + short[mid:], source=0)
+    return g, SsspResult(n, 0, {v: (u, w, False) for u, v, w in chain})
+
+
+@st.composite
+def _past_grid_case(draw):
+    """A small random non-negative graph, one edge of which weighs
+    j + 1/q for a q past 2^64, so that the weights' lcm is past the grid
+    cap; with its exact_oracle tree and one change to it: none, a moved
+    parent, a tightened non-tree edge, or a tree edge cut off through an
+    aux parent."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(1, n * (n - 1)))
+    g = gen_random(n, m, draw(st.integers(0, 2**16)), draw(st.sampled_from(["unit", "small", "medium"])))
+    big = g.edges[draw(st.integers(0, m - 1))]
+    big.weight = BigRational(draw(st.integers(0, 3))) + R(1, (1 << 64) + draw(st.integers(1, 1 << 20)))
+    tree = dijkstra_nonneg(g, 0, strategy="exact_oracle")
+    dist = tree.distances()
+    kind = draw(st.sampled_from(["tree", "moved", "tightened", "cut"]))
+    t = SsspResult(n, 0, tree.parent)
+    real = sorted(v for v, (_, _, aux) in tree.parent.items() if not aux)
+    if kind == "moved":
+        moves = [e for e in g.edges if e.head != 0 and tree.parent.get(e.head, (None,))[0] != e.tail]
+        if moves:
+            e = draw(st.sampled_from(moves))
+            t.parent[e.head] = (e.tail, e.weight, False)
+    elif kind == "tightened":
+        loose = [e for e in g.edges if dist[e.tail] is not None and dist[e.head] is not None
+                 and tree.parent.get(e.head, (None,))[0] != e.tail and e is not big]
+        if loose:
+            e = draw(st.sampled_from(loose))
+            by = draw(st.sampled_from([ZERO, R(1, (1 << 64) + 1), R(1, 3)]))
+            e.weight = dist[e.head] - dist[e.tail] - by
+    elif kind == "cut" and real:
+        v = draw(st.sampled_from(real))
+        u, w, _ = t.parent[v]
+        t.parent[v] = (u, w, True)
+    return g, t
+
+
+class TestCommonAncestorVerify:
+    """Past the grid cap, `verify_sssp` compares each edge from its
+    endpoints' common ancestor, and on anchors from the first edge past
+    the walk's cap: the same outcomes as `reference_verify`, no walk past
+    `_WALK_EDGES` tree edges, and long spans on anchors."""
+
+    def test_long_spans_take_anchors_without_long_walks(self):
+        g, tree = _deep_chain_with_root_edges(3000)
+        cap = graph_module._WALK_EDGES
+        rng = np.random.default_rng(50)
+        cases = [(g, tree)] + list(_mutants(g, tree, rng, 8))
+        outcomes = set()
+        for h, t in cases:
+            _same_outcome(h, t)
+            out, walks, anchored = _walk_log(h, t)
+            outcomes.add(out.reason)
+            assert max(walks.values(), default=0) <= cap
+            up = {x: p for x, (p, _, _) in t.parent.items()}
+            depth = {t.source: 0}
+            for v in t.tree_order() or ():
+                depth[v] = depth[up[v]] + 1
+            # A chain's spans are its depth differences, so no long span
+            # is walked: the first one reached starts the anchored check.
+            reached = set(walks) | set(anchored)
+            long = [e for e in reached if e.tail != up.get(e.head) and _span(up, depth, e.tail, e.head) > cap]
+            assert all(walks.get(e, 0) == 0 and e in anchored for e in long)
+        assert outcomes == {"", "edge violates the triangle inequality"}
+        # On the tree itself the short edges listed before the first root
+        # edge walk their three tree edges; from that root edge on, the
+        # anchored check checks every edge.
+        out, walks, anchored = _walk_log(g, tree)
+        assert out.valid
+        reached = list(walks)
+        first_root = g.edge_between(0, 500)
+        assert reached[-1] is first_root
+        assert all(walks[e] == 3 for e in reached if e.head == e.tail + 3)
+        assert anchored == g.edges[g.edges.index(first_root):]
+
+    def test_walk_stops_past_the_bits_budget(self):
+        # Tree weights of 100-bit denominators below a last weight 1.  A
+        # shortcut over three of them reaches the root on the step that
+        # takes its pair to 300 bits; one over four stops there, short of
+        # the root, and goes to anchors.
+        for hops in (3, 4):
+            dens = [(1 << 100) + 2 * i + 1 for i in range(hops)]
+            for slack, valid in ((ZERO, True), (R(1, 7), False)):
+                g, tree = _grid_chain(dens, slack)
+                out, walks, anchored = _walk_log(g, tree)
+                assert out.valid is valid
+                shortcut = g.edge_between(0, hops + 1)
+                assert walks[shortcut] == 4
+                assert (shortcut in anchored) is (hops == 4)
+                _same_outcome(g, tree)
+
+    @given(_past_grid_case())
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs_past_the_grid(self, case):
+        g, tree = case
+        assert math.lcm(*(e.weight.den for e in g.edges)) >> 64
+        _same_outcome(g, tree)
