@@ -20,7 +20,10 @@ names its line, apart from a missing header and an edge count that
 differs from the header's.
 
 `_bellman_ford` is the one exact Bellman-Ford, run by `bf_exact` and by
-the recombination of `sssp.negative_sssp`.
+the recombination of `sssp.negative_sssp`.  `_word_grid` is the weights'
+one-word grid: when L, the lcm of the weight denominators, fits
+`_GRID_BITS` bits, `bf_exact` relaxes and `verify_sssp` compares ints
+on the grid 1/L.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .rational import BigRational, ZERO, ONE, _fraction_text, sum_balanced, sum_lt
+from .rational import BigRational, ZERO, ONE, _fraction_text, _make, sum_balanced, sum_lt
 
 if TYPE_CHECKING:
     import numpy as np
@@ -426,6 +429,29 @@ def augment_source(g: WeightedDigraph, s: int) -> WeightedDigraph:
     return out
 
 
+# -- the weights' word grid ----------------------------------------
+
+# Bits of the weights' common denominator up to which `bf_exact` and
+# `verify_sssp` work on that grid, one machine word.
+_GRID_BITS = 64
+
+
+def _word_grid(edges: Sequence[Edge]) -> Optional[int]:
+    """L, the lcm of the edges' weight denominators, when it fits
+    `_GRID_BITS` bits, or None: the loop stops at the first partial lcm
+    past the cap, reading no later edge.  Every weight w is then the int
+    w * L = num * (L // den) on the grid 1/L, and so is every path
+    weight."""
+    grid = 1
+    for e in edges:
+        d = e.weight.den
+        if grid % d:
+            grid = math.lcm(grid, d)
+            if grid >> _GRID_BITS:
+                return None
+    return None if grid >> _GRID_BITS else grid
+
+
 # -- exact Bellman-Ford oracle -------------------------------------
 
 
@@ -464,16 +490,16 @@ def cycle_weight(g: WeightedDigraph, cycle: Sequence[int]) -> BigRational:
     return sum_balanced(ws)
 
 
-def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, BigRational]], zero=ZERO,
-                  lt: Callable[[object, object, object], bool] = sum_lt):
+def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, object]], zero=ZERO,
+                  lt: Optional[Callable[[object, object, object], bool]] = sum_lt):
     """The one exact Bellman-Ford: distances from s over (tail, head,
     weight) triples, as (dist, parent, None), or (None, None, cycle) when
     a negative cycle is reachable from s, its vertices in edge order.
 
-    Each relaxation is decided by lt(d(tail), w, d(head)), whether
-    d(tail) + w < d(head): `sum_lt` on `BigRational`s, so only an
-    improvement builds a sum.  Weights of any other exact type that
-    adds and orders, such as ints, take their own `lt` and `zero`, d(s).
+    Each relaxation is decided by whether d(tail) + w < d(head): by
+    lt(d(tail), w, d(head)), `sum_lt` on `BigRational`s, so only an
+    improvement builds a sum; or, with lt None, inline as d(tail) + w <
+    d(head), for ints on a common grid (zero 0).  `zero` is d(s).
     The rounds scan the edges in list order and skip an edge whose
     tail's distance has not changed since that edge was last scanned (a
     version per vertex, the version last seen per edge): the last scan
@@ -495,7 +521,8 @@ def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, BigRational]],
                 continue
             seen[i] = version[u]
             du = dist[u]
-            if dist[v] is None or lt(du, w, dist[v]):
+            dv = dist[v]
+            if dv is None or (du + w < dv if lt is None else lt(du, w, dv)):
                 dist[v] = du + w
                 parent[v] = u
                 version[v] += 1
@@ -513,10 +540,29 @@ def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, BigRational]],
 
 def bf_exact(g: WeightedDigraph, s: int):
     """Distances from s by `_bellman_ford` over the edge list, or a
-    NegativeCycle witness when a negative cycle is reachable from s."""
+    NegativeCycle witness when a negative cycle is reachable from s.
+
+    When L, the lcm of the weight denominators, fits `_GRID_BITS` bits
+    (`_word_grid`), the rounds run on ints: each weight is num * (L // den)
+    and d(s) is 0.  Scaling by L > 0 keeps every strict test, so every
+    improvement, parent, round count and cycle is that of the rounds on
+    `BigRational`s, the route past the cap.  `dist` holds reduced
+    `BigRational`s either way, built on the grid route from each int x
+    as x / L with one gcd per reachable vertex."""
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
-    dist, parent, cycle = _bellman_ford(g.n, s, [(e.tail, e.head, e.weight) for e in g.edges])
+    edges = g.edges
+    grid = _word_grid(edges)
+    if grid is None:
+        dist, parent, cycle = _bellman_ford(g.n, s, [(e.tail, e.head, e.weight) for e in edges])
+    else:
+        triples = [(e.tail, e.head, e.weight.num * (grid // e.weight.den)) for e in edges]
+        dist, parent, cycle = _bellman_ford(g.n, s, triples, 0, None)
+        if cycle is None:
+            for v, x in enumerate(dist):
+                if x is not None:
+                    c = math.gcd(x, grid)
+                    dist[v] = _make(x // c, grid // c)
     if cycle is None:
         return BfResult(dist, parent)
     w = cycle_weight(g, cycle)
@@ -747,9 +793,6 @@ class VerifyOutcome:
 # which `_anchored_paths` starts a new anchor; also the bits of either
 # unreduced denominator past which a walk to a common ancestor stops.
 _ANCHOR_BITS = 256
-# Bits of the weights' common denominator up to which `verify_sssp`
-# checks on that grid, one machine word.
-_GRID_BITS = 64
 # Tree edges, both endpoints' together, that `verify_sssp` climbs past its
 # grid cap to compare an edge from the endpoints' common ancestor.
 _WALK_EDGES = 8
@@ -836,9 +879,9 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     here, so a real edge under it is still checked.
 
     No edge is decided by building d as rationals, whose denominators
-    grow to Theta(n) bits down a deep tree.  One pass over the real edges
-    builds L, the lcm of their weight denominators, and stops at the
-    first partial lcm of more than `_GRID_BITS` bits.  When L fits
+    grow to Theta(n) bits down a deep tree.  `_word_grid` builds L, the
+    lcm of the real edges' weight denominators, and stops at the first
+    partial lcm of more than `_GRID_BITS` bits.  When L fits
     `_GRID_BITS` (a machine word), every d(v) sits on the grid 1/L: each
     reachable vertex holds the int x(v) = d(v) * L, built down the tree as
     x(u) + num * (L // den), and an edge is violated iff
@@ -916,14 +959,8 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     if order is None:
         return VerifyOutcome(False, reason="parent links do not form a tree rooted at the source")
     real_edges = [e for e in edges if not e.aux]
-    grid = 1
-    for e in real_edges:
-        d = e.weight.den
-        if grid % d:
-            grid = math.lcm(grid, d)
-            if grid >> _GRID_BITS:
-                break
-    if grid >> _GRID_BITS:
+    grid = _word_grid(real_edges)
+    if grid is None:
         return _verify_past_grid(n, source, order, tree_edge, real_edges)
     x: List[Optional[int]] = [None] * n  # d(v) * grid
     x[source] = 0

@@ -1029,14 +1029,14 @@ def _recombine(
 
     The hit-set Bellman-Ford and the best-via scan read each run's grid
     ints x_i(v) when every run holds them on one grid (exact-mode runs of
-    one context), with zero 0 and `_int_sum_lt`, and its `BigRational`
-    dist otherwise, with ZERO and `sum_lt`.  Both keep
+    one context), with zero 0 and sums compared inline (lt None), and
+    its `BigRational` dist otherwise, with ZERO and `sum_lt`.  Both keep
     `graph._bellman_ford`'s list-order rounds and strict tests, and the
     scan's strict test, so ties resolve alike."""
     grid = runs[0].grid
     if grid is not None and all(run.grid == grid for run in runs):
         rows = [run.ints for run in runs]
-        zero, lt = 0, _int_sum_lt
+        zero, lt = 0, None
     else:
         rows = [run.dist for run in runs]
         zero, lt = ZERO, sum_lt
@@ -1061,14 +1061,11 @@ def _recombine(
         if h is None:
             continue
         for v, x in enumerate(rows[i]):
-            if x is not None and (best_via[v] is None or lt(h, x, best[v])):
+            if x is not None and (best_via[v] is None
+                                  or (h + x < best[v] if lt is None else lt(h, x, best[v]))):
                 best[v] = h + x
                 best_via[v] = i
     return hpar, best_via
-
-
-def _int_sum_lt(a: int, b: int, c: int) -> bool:
-    return a + b < c
 
 
 def _witness_tree(

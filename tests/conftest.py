@@ -31,6 +31,7 @@ from the tree, before the tree was built on its first read.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import re
@@ -42,6 +43,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 import pytest
 
+from ratpath import graph as graph_module
 from ratpath.cfrac import Ordering
 from ratpath.distcmp import DistCmp, DistCmpConfig
 from ratpath.graph import (
@@ -1067,6 +1069,58 @@ def diamond_chain(k: int, rng: Optional[np.random.Generator] = None):
         edges += [(top, x, w), (top, y, w), (x, bottom, w), (y, bottom, w)]
         top = bottom
     return WeightedDigraph(top + 1, edges, source=0)
+
+
+def reverse_path(n: int) -> WeightedDigraph:
+    """n vertices, source n - 1, and an edge for every ordered pair i != j,
+    listed by ascending i, then ascending j.  The edge i -> i - 1 weighs
+    -1 + 1/(i mod 7 + 2); i -> j with i < j weighs (j - i) + 1/2; every
+    other i -> j weighs 1/3.
+
+    Shortest paths run down the path n - 1 -> ... -> 0, and no cycle is
+    negative: an up edge outweighs the path back by at least 1/2.  The
+    weights' lcm is 840 once n >= 8.  The price's super-source queues
+    the vertices 0, 1, ..., n - 1, against the path's direction.
+    """
+    half, third = BigRational(1, 2), BigRational(1, 3)
+    down = [BigRational(-1) + BigRational(1, i % 7 + 2) for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            if j == i - 1:
+                edges.append((i, j, down[i]))
+            elif i < j:
+                edges.append((i, j, BigRational(j - i) + half))
+            elif i != j:
+                edges.append((i, j, third))
+    return WeightedDigraph(n, edges, source=n - 1)
+
+
+# `graph._GRID_BITS` for each route of `bf_exact`: 4096 bits hold the lcm
+# of every graph the tests route onto the grid, and at 0 no lcm fits.
+BF_ROUTES = {"grid": 1 << 12, "rational": 0}
+
+
+@contextlib.contextmanager
+def bf_route(route: Optional[str] = None) -> Iterator[List[str]]:
+    """Run `bf_exact` on `route` ("grid" or "rational"), or at the default
+    cap when route is None, and yield the list of routes on which
+    `graph._bellman_ford` ran: "grid" for int weights with inline sums
+    (lt None), "rational" otherwise."""
+    real = graph_module._bellman_ford
+
+    def spy(n, s, edges, zero=ZERO, lt=sum_lt):
+        if lt is None:
+            assert all(x.__class__ is int for x in [zero] + [w for _, _, w in edges])
+        taken.append("grid" if lt is None else "rational")
+        return real(n, s, edges, zero, lt)
+
+    taken: List[str] = []
+    with pytest.MonkeyPatch.context() as mp:
+        if route is not None:
+            mp.setattr(graph_module, "_GRID_BITS", BF_ROUTES[route])
+        mp.setattr(graph_module, "_bellman_ford", spy)
+        yield taken
 
 
 def crossed_diamond_chain(k: int):

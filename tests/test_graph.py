@@ -36,6 +36,7 @@ from ratpath.sssp import dijkstra_nonneg, negative_sssp
 
 from conftest import (
     backbone_graph,
+    bf_route,
     bf_tree,
     prime_bound_for,
     reduced_weight,
@@ -569,23 +570,42 @@ class TestBfExact:
             edges.append((u, v, w))
         return WeightedDigraph(n, edges), int(rng.integers(0, split))
 
+    @staticmethod
+    def _check_against_textbook(g, s, route, at_default_cap=False):
+        """Run `bf_exact` on `route`, or at the default cap, and assert that
+        it takes `route` and returns the textbook Bellman-Ford's distances,
+        as canonical `BigRational`s, parents and cycle; return the
+        textbook's (dist, parent, cycle)."""
+        want = textbook_bf(g, s)
+        dist, parent, cycle = want
+        with bf_route(None if at_default_cap else route) as taken:
+            res = bf_exact(g, s)
+        assert taken == [route]
+        if cycle is not None:
+            assert isinstance(res, NegativeCycle)
+            assert list(res.vertices) == cycle
+            return want
+        assert not isinstance(res, NegativeCycle)
+        assert [None if d is None else Fraction(d.num, d.den) for d in res.dist] == dist
+        # Canonical: positive denominator, no common factor, zero as 0/1.
+        assert all(d.__class__ is BigRational and d.den > 0 and math.gcd(d.num, d.den) == 1
+                   for d in res.dist if d is not None)
+        assert res.parent == parent
+        return want
+
     def test_matches_textbook_bellman_ford(self):
         # The edge skip of bf_exact must leave every improvement in place:
-        # distances, parents and the cycle witness equal the full scan's.
+        # distances, parents and the cycle witness equal the full scan's,
+        # on the weights' grid and in BigRational arithmetic alike.
         rng = np.random.default_rng(1601)
         seen = {"cycle": 0, "unreachable": 0, "zero": 0, "tie": 0}
         for _ in range(300):
             g, s = self._instance(rng)
-            dist, parent, cycle = textbook_bf(g, s)
-            res = bf_exact(g, s)
+            for route in ("grid", "rational"):
+                dist, parent, cycle = self._check_against_textbook(g, s, route)
             if cycle is not None:
-                assert isinstance(res, NegativeCycle)
-                assert list(res.vertices) == cycle
                 seen["cycle"] += 1
                 continue
-            assert not isinstance(res, NegativeCycle)
-            assert [None if d is None else Fraction(d.num, d.den) for d in res.dist] == dist
-            assert res.parent == parent
             seen["unreachable"] += None in dist
             seen["zero"] += any(e.weight == ZERO for e in g.edges)
             seen["tie"] += any(
@@ -594,6 +614,34 @@ class TestBfExact:
                 for e in g.edges
             )
         assert min(seen.values()) >= 20, seen
+
+    @pytest.mark.parametrize("dens, route", [
+        ([(1 << 64) - 1], "grid"),
+        ([(1 << 64) - 1, 2], "rational"),  # L = 2^65 - 2
+    ], ids=["word", "past-word"])
+    def test_grid_cap_boundary(self, dens, route):
+        # A cycle through +1/d and -1/d for each denominator d, closed by
+        # an edge of weight 0 or -1: at the default cap, an lcm of 64 bits
+        # takes the grid and one of 65 the rational route, and each finds
+        # the textbook's distances or cycle.
+        edges = [(i, i + 1, R(1 - 2 * (i % 2), dens[i // 2])) for i in range(2 * len(dens))]
+        m = len(edges)
+        for back in (R(0), R(-1)):
+            g = WeightedDigraph(m + 1, edges + [(m, 0, back)])
+            self._check_against_textbook(g, 0, route, at_default_cap=True)
+
+    def test_priced_graph_runs_on_ints(self):
+        # The benchmark's neg-deep shape: 16-20-bit lcms, on the grid at
+        # the default cap, and the grid's dist is the rational route's.
+        for seed in range(5):
+            g = backbone_graph(16, seed)
+            with bf_route() as taken:
+                res = bf_exact(g, 0)
+            assert taken == ["grid"]
+            with bf_route("rational") as taken:
+                ref = bf_exact(g, 0)
+            assert taken == ["rational"]
+            assert (res.dist, res.parent) == (ref.dist, ref.parent)
 
 
 class TestGenerators:

@@ -11,6 +11,7 @@ from ratpath.graph import (
     WeightedDigraph,
     _bellman_ford,
     _primes_below,
+    _word_grid,
     augment_source,
     bf_exact,
     gen_random,
@@ -44,10 +45,12 @@ from ratpath.sssp import (
 )
 
 from conftest import (
+    BF_ROUTES,
     NodePathDistCmp,
     PairKeyedExactStrategy,
     TreeKeepingDistCmpStrategy,
     backbone_graph,
+    bf_route,
     crossed_diamond_chain,
     diamond_chain,
     entry_ordered_dijkstra,
@@ -56,6 +59,7 @@ from conftest import (
     reference_witness_tree,
     prime_bound_for,
     replay_enhanced_order,
+    reverse_path,
     textbook_bf,
     textbook_dijkstra,
 )
@@ -1990,6 +1994,25 @@ class TestNegativePipeline:
             assert "oracle_cycles" not in stats, trial
             assert res.distances() == bf_exact(g, 0).dist, trial
 
+    def test_reverse_path(self):
+        # Every pair of vertices joined, shortest paths down the path
+        # against its listing order: bf_exact runs on the grid of the
+        # weights' lcm 840 and finds the textbook's answer, and the
+        # pipeline verifies on its first attempt with the same distances.
+        g = reverse_path(30)
+        s = g.source
+        assert _word_grid(g.edges) == 840
+        with bf_route() as taken:
+            oracle = bf_exact(g, s)
+        assert taken == ["grid"]
+        dist, parent, cycle = textbook_bf(g, s)
+        assert cycle is None and oracle.parent == parent
+        assert [Fraction(d.num, d.den) for d in oracle.dist] == dist
+        stats = {}
+        res = negative_sssp(g, s, budget=WordBudget(20), collect=stats)
+        assert stats["pipeline_attempts"] == 1
+        assert res.distances() == oracle.dist
+
     def test_hit_sets_keep_their_draws(self, monkeypatch):
         # A first attempt that verifies draws nothing; a miss draws
         # nothing either (test_miss_returns_the_oracle_tree).
@@ -2024,24 +2047,29 @@ class TestNegativePipeline:
         # With the hit set forced down to [s], the run from s stops where
         # distances stop being k-short: verification fails, the one
         # oracle call finds no cycle, and its own tree is the answer,
-        # whatever the seed.
+        # whatever the seed, and the same bytes on either route of the
+        # oracle.
         graphs = [_prime_chain(40, seed) for seed in range(6)]
         oracle_calls, run_sources = self._force_miss(monkeypatch)
-        for seed, g in enumerate(graphs):
-            want = bf_exact(g, 0).dist
-            for k in (1, 8):
-                trees = set()
-                for solve_seed in range(4):
-                    oracle_calls.clear()
-                    run_sources.clear()
-                    stats = {}
-                    res = negative_sssp(g, 0, k=k, seed=solve_seed, budget=B16, collect=stats)
-                    assert stats["pipeline_attempts"] == 2 and "oracle_cycles" not in stats, (seed, k)
-                    assert oracle_calls == [0] and run_sources == [0] and stats["hitset_size"] == 1
-                    assert verify_sssp(g, res).valid, (seed, k)
-                    assert res.distances() == want, (seed, k)
-                    trees.add(serialize_tree(res))
-                assert len(trees) == 1, (seed, k)
+        trees = {route: {} for route in BF_ROUTES}
+        for route in BF_ROUTES:
+            for seed, g in enumerate(graphs):
+                want = bf_exact(g, 0).dist
+                for k in (1, 8):
+                    for solve_seed in range(4):
+                        oracle_calls.clear()
+                        run_sources.clear()
+                        stats = {}
+                        with bf_route(route) as taken:
+                            res = negative_sssp(g, 0, k=k, seed=solve_seed, budget=B16, collect=stats)
+                        assert taken == [route], (seed, k)
+                        assert stats["pipeline_attempts"] == 2 and "oracle_cycles" not in stats, (seed, k)
+                        assert oracle_calls == [0] and run_sources == [0] and stats["hitset_size"] == 1
+                        assert verify_sssp(g, res).valid, (seed, k)
+                        assert res.distances() == want, (seed, k)
+                        trees[route].setdefault((seed, k), set()).add(serialize_tree(res))
+            assert all(len(got) == 1 for got in trees[route].values()), route
+        assert trees["grid"] == trees["rational"]
 
     def test_miss_tree_covers_the_reached_part(self, monkeypatch):
         # The chain plus vertices s cannot reach: a negative 2-cycle and
@@ -2052,13 +2080,20 @@ class TestNegativePipeline:
         for u, v, w in ((40, 41, R(-1)), (41, 40, ZERO), (42, 5, R(-3)), (43, 42, R(1, 3))):
             full.add_edge(u, v, w)
         oracle_calls, _ = self._force_miss(monkeypatch)
-        stats = {}
-        res = negative_sssp(full, 0, k=8, budget=B16, collect=stats)
-        assert stats["pipeline_attempts"] == 2 and oracle_calls == [0]
-        assert sorted(res.parent) == list(range(1, 40))
-        assert res.distances() == bf_exact(full, 0).dist
-        assert res.distances()[40:] == [None] * 4
-        assert verify_sssp(full, res).valid
+        trees = set()
+        for route in BF_ROUTES:
+            oracle_calls.clear()
+            stats = {}
+            with bf_route(route) as taken:
+                res = negative_sssp(full, 0, k=8, budget=B16, collect=stats)
+            assert taken == [route]
+            assert stats["pipeline_attempts"] == 2 and oracle_calls == [0]
+            assert sorted(res.parent) == list(range(1, 40))
+            assert res.distances() == bf_exact(full, 0).dist
+            assert res.distances()[40:] == [None] * 4
+            assert verify_sssp(full, res).valid
+            trees.add(serialize_tree(res))
+        assert len(trees) == 1
 
     @pytest.mark.parametrize("k", [2.5, "3", 3.0, True, 0, -2])
     def test_rejects_bad_hop_parameter(self, k):
@@ -2161,16 +2196,25 @@ class TestNegativePipeline:
         assert all(is_k_short(w, 1, WordBudget(64)) for w in weights)
         cycle = [(1, 2), (2, 3), (3, 4), (4, 1)]
         g = WeightedDigraph(5, [(0, 1, ZERO)] + [(u, v, w) for (u, v), w in zip(cycle, weights)])
-        stats = {}
-        res = negative_sssp(g, 0, k=k, collect=stats)
-        assert isinstance(res, NegativeCycle) and res.weight == R(-1, big)
-        if k == 1:
-            oracle = bf_exact(g, 0)
-            assert (res.vertices, res.weight) == (oracle.vertices, oracle.weight)
-            assert stats["scaling_rounds"] == 197 and stats["cut_relaxations"] > 0
-            assert stats["pipeline_attempts"] == stats["oracle_cycles"] == 1
-        else:
-            assert "cut_relaxations" not in stats and "oracle_cycles" not in stats
+        witnesses = set()
+        for route in BF_ROUTES:
+            stats = {}
+            with bf_route(route) as taken:
+                res = negative_sssp(g, 0, k=k, collect=stats)
+            assert isinstance(res, NegativeCycle) and res.weight == R(-1, big)
+            witnesses.add((tuple(res.vertices), res.weight))
+            if k == 1:
+                # bf_exact's cycle on either route (at the default cap the
+                # weights' 240-bit lcm takes the rational one).
+                assert taken == [route]
+                oracle = bf_exact(g, 0)
+                assert (res.vertices, res.weight) == (oracle.vertices, oracle.weight)
+                assert stats["scaling_rounds"] == 197 and stats["cut_relaxations"] > 0
+                assert stats["pipeline_attempts"] == stats["oracle_cycles"] == 1
+            else:
+                assert taken == []
+                assert "cut_relaxations" not in stats and "oracle_cycles" not in stats
+        assert len(witnesses) == 1
 
     def test_counters_collected(self):
         stats = {}
