@@ -20,10 +20,11 @@ names its line, apart from a missing header and an edge count that
 differs from the header's.
 
 `_bellman_ford` is the one exact Bellman-Ford, run by `bf_exact` and by
-the recombination of `sssp.negative_sssp`.  `_word_grid` is the weights'
-one-word grid: when L, the lcm of the weight denominators, fits
-`_GRID_BITS` bits, `bf_exact` relaxes and `verify_sssp` compares ints
-on the grid 1/L.
+the recombination of `sssp.negative_sssp`.  `_weight_grid` is the one
+loop that builds L, the lcm of the weight denominators, under a cap.
+When L fits `_GRID_BITS` bits, `bf_exact` relaxes and `verify_sssp`
+compares ints on the grid 1/L; `sssp.CutContext` keys the cut runs on
+it when L is at most their floor keys' scale.
 """
 
 from __future__ import annotations
@@ -436,20 +437,22 @@ def augment_source(g: WeightedDigraph, s: int) -> WeightedDigraph:
 _GRID_BITS = 64
 
 
-def _word_grid(edges: Sequence[Edge]) -> Optional[int]:
-    """L, the lcm of the edges' weight denominators, when it fits
-    `_GRID_BITS` bits, or None: the loop stops at the first partial lcm
-    past the cap, reading no later edge.  Every weight w is then the int
+def _weight_grid(edges: Sequence[Edge], cap: int) -> Optional[int]:
+    """L, the lcm of the edges' weight denominators, when it is at most
+    `cap`, or None: the loop stops at the first partial lcm past the cap,
+    reading no later edge.  Every weight w is then the int
     w * L = num * (L // den) on the grid 1/L, and so is every path
-    weight."""
+    weight.  `bf_exact` and `verify_sssp` cap L at one word,
+    2^_GRID_BITS - 1; `sssp.CutContext` at its floor keys' scale."""
     grid = 1
     for e in edges:
         d = e.weight.den
         if grid % d:
             grid = math.lcm(grid, d)
-            if grid >> _GRID_BITS:
+            if grid > cap:
                 return None
-    return None if grid >> _GRID_BITS else grid
+    # L = 1 (no edge, or every denominator 1) is past a cap of 0.
+    return None if grid > cap else grid
 
 
 # -- exact Bellman-Ford oracle -------------------------------------
@@ -543,16 +546,17 @@ def bf_exact(g: WeightedDigraph, s: int):
     NegativeCycle witness when a negative cycle is reachable from s.
 
     When L, the lcm of the weight denominators, fits `_GRID_BITS` bits
-    (`_word_grid`), the rounds run on ints: each weight is num * (L // den)
-    and d(s) is 0.  Scaling by L > 0 keeps every strict test, so every
-    improvement, parent, round count and cycle is that of the rounds on
-    `BigRational`s, the route past the cap.  `dist` holds reduced
+    (`_weight_grid` under the cap 2^_GRID_BITS - 1), the rounds run on
+    ints: each weight is num * (L // den) and d(s) is 0.  Scaling by
+    L > 0 keeps every strict test, so every improvement, parent, round
+    count and cycle is that of the rounds on `BigRational`s, the route
+    past the cap.  `dist` holds reduced
     `BigRational`s either way, built on the grid route from each int x
     as x / L with one gcd per reachable vertex."""
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
     edges = g.edges
-    grid = _word_grid(edges)
+    grid = _weight_grid(edges, (1 << _GRID_BITS) - 1)
     if grid is None:
         dist, parent, cycle = _bellman_ford(g.n, s, [(e.tail, e.head, e.weight) for e in edges])
     else:
@@ -879,9 +883,11 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     here, so a real edge under it is still checked.
 
     No edge is decided by building d as rationals, whose denominators
-    grow to Theta(n) bits down a deep tree.  `_word_grid` builds L, the
+    grow to Theta(n) bits down a deep tree.  `_weight_grid` builds L, the
     lcm of the real edges' weight denominators, and stops at the first
-    partial lcm of more than `_GRID_BITS` bits.  When L fits
+    partial lcm of more than `_GRID_BITS` bits.  L is built here, not
+    taken from the solver's `CutContext`, since a certificate takes no
+    state of the run it checks on trust.  When L fits
     `_GRID_BITS` (a machine word), every d(v) sits on the grid 1/L: each
     reachable vertex holds the int x(v) = d(v) * L, built down the tree as
     x(u) + num * (L // den), and an edge is violated iff
@@ -959,7 +965,7 @@ def verify_sssp(g: WeightedDigraph, result: SsspResult, mode: str = "exact") -> 
     if order is None:
         return VerifyOutcome(False, reason="parent links do not form a tree rooted at the source")
     real_edges = [e for e in edges if not e.aux]
-    grid = _word_grid(real_edges)
+    grid = _weight_grid(real_edges, (1 << _GRID_BITS) - 1)
     if grid is None:
         return _verify_past_grid(n, source, order, tree_edge, real_edges)
     x: List[Optional[int]] = [None] * n  # d(v) * grid

@@ -66,7 +66,6 @@ from __future__ import annotations
 import heapq
 import math
 from operator import attrgetter, itemgetter
-from types import MethodType
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
@@ -78,6 +77,7 @@ from .graph import (
     SsspResult,
     WeightedDigraph,
     _bellman_ford,
+    _weight_grid,
     aux_weight,
     bf_exact,
     verify_sssp,
@@ -170,9 +170,10 @@ def _wide_top_word(num: int, den: int, shift: int) -> int:
 # key b; settle(k), the settled state of the vertex that key k reaches;
 # pair, None or a function giving every key's exact (num, den), from
 # which the solver takes top words (None: every top word is 0); and
-# counters().  The solver tells a live heap entry by its key object, so
-# a key that compares below another must be another object, as a key
-# built per call is.
+# counters().  A `nodes` list, which only `_DistCmpStrategy` may have,
+# has the solver run its key and settle inline.  The solver tells a live
+# heap entry by its key object, so a key that compares below another
+# must be another object, as a key built per call is.
 
 
 class _ExactStrategy:
@@ -208,7 +209,8 @@ class _DistCmpStrategy:
     Both are unchecked: c covers every weight of g, and capacity n every
     node a solve settles.  Every key carries its pair, and so has a top
     word, when n * maxb is at most ell_0: a key's bit bound is at most
-    (n - 1) * maxb.  `dijkstra_nonneg` then runs the bodies of `_key` and
+    (n - 1) * maxb.  `nodes` is then the structure's node list, else
+    None; given the list, `dijkstra_nonneg` runs the bodies of `_key` and
     `_settle` in its loop, with no call per relaxation or settle."""
 
     name = "distcmp"
@@ -226,6 +228,7 @@ class _DistCmpStrategy:
         # attribute beforehand is the one called.
         self.compare = dc.compare
         self.pair = itemgetter(3, 4) if g.n * maxb <= cfg.ell[0] else None
+        self.nodes = None if self.pair is None else dc._nodes
 
 
 class _PairwiseStrategy:
@@ -355,7 +358,8 @@ def dijkstra_nonneg(
     # `DistCmp._settle` run inline below: every key carries its pair, built
     # from the settled state (node, num, den, bits) alone, and a settle
     # appends the key's (parent, weight, den_bits) to the structure's node list.
-    inline = pair is not None and type(key_of) is MethodType and key_of.__func__ is DistCmp._key
+    nodes = getattr(strat, "nodes", None)
+    inline = nodes is not None
     if pair is None:  # every top word is 0: `_HeapEntry` and `compare` decide
         pair, shift, exact_ties = _no_pair, 0, False
     else:
@@ -365,7 +369,6 @@ def dijkstra_nonneg(
             shift = _TOP_BITS
     ordered = compare is BigRational._cmp  # canonical: == and < order by value
     if inline:
-        nodes = key_of.__self__._nodes
         keep = nodes.append
         node, hnum, hden, hbits = strat.root
 
@@ -465,18 +468,17 @@ class CutContext:
 
     Holds the hop bound k, the word budget and the price function, which
     `cut_preprocess` makes eps-feasible for eps = 2^-E, E = (2k+1)B +
-    ceil(log2 n).  It holds the prices at their own resolution, as
-    numerators pnum[v] = p(v) * pden over a common denominator `pden`:
-    the scaling numerators D themselves at pden = 2^(E+1) from
-    `cut_preprocess`, and the rationals given to the constructor over the
-    lcm of their denominators.  `price` is built from pnum when first
-    read if the context was not given it.
+    ceil(log2 n).  The constructor takes the price as integer numerators
+    over one positive common denominator, pnum[v] = p(v) * pden, one per
+    vertex (ValueError otherwise): `cut_preprocess` gives it the scaling
+    numerators D themselves at pden = 2^(E+1).  No rational price is
+    built.
 
     The context is the runs' only view of its graph: `adj[u]` lists u's
     out-edges as int triples (head, num, den) in `g.out_edges(u)` order,
-    read once here, in the one pass over the edges that also collects
-    the distinct weight denominators.  An edge added to the graph
-    afterwards is not seen by runs on this context.
+    read once here, in the one pass over the edges that also finds the
+    largest weight denominator.  An edge added to the graph afterwards is
+    not seen by runs on this context.
 
     The key terms of `cut_dijkstra` that depend on the context alone are
     computed here once, not per run: the multiplier `mult` = M and, per
@@ -484,55 +486,39 @@ class CutContext:
     scaled price numerator.  With P = pden and a(v) = pnum[v], `shift` is
     the floor keys' shift S, the least with 2^S >= D^2 for D = 2^(kB-1) *
     W and W the graph's largest weight denominator, and L is the lcm of
-    the graph's distinct weight denominators.  If L <= P * 2^S, keys are
-    exact on the weights' own grid: M = L and a(v) * L = hi(v) * P +
-    lo(v) with 0 <= lo(v) < P, one divmod per vertex.  In this exact
-    mode `grid_adj[u]` lists u's out-edges as pairs (head, w * L), the
-    weight on the grid w * L = num * (L // den), built in the same pass
-    over the vertices as hi and lo, so that a run holds its distances as
-    grid ints.  Otherwise keys are floors at 2^-S: M = P * 2^S, hi(v) =
+    the graph's weight denominators.  If L <= P * 2^S, keys are exact on
+    the weights' own grid: M = L and a(v) * L = hi(v) * P + lo(v) with
+    0 <= lo(v) < P, one divmod per vertex.  In this exact mode
+    `grid_adj[u]` lists u's out-edges as pairs (head, w * L), the weight
+    on the grid w * L = num * (L // den), built in the same pass over the
+    vertices as hi and lo, so that a run holds its distances as grid
+    ints.  Otherwise keys are floors at 2^-S: M = P * 2^S, hi(v) =
     a(v) * 2^S, lo(v) = 0 and `grid_adj` is None.  So no key is wider
-    than the floor keys' scale P * 2^S, and the lcm is built one
-    denominator at a time and given up once it passes that scale.
+    than the floor keys' scale P * 2^S: `graph._weight_grid` builds L
+    under that cap and gives it up once a partial lcm passes it.
     Read-only after construction, so runs may share it.
     """
 
-    __slots__ = ("k", "budget", "pnum", "pden", "adj", "grid_adj", "shift", "mult", "hi", "nlo", "_price")
+    __slots__ = ("k", "budget", "pnum", "pden", "adj", "grid_adj", "shift", "mult", "hi", "nlo")
 
-    def __init__(
-        self,
-        g: WeightedDigraph,
-        k: int,
-        budget: WordBudget,
-        price: List[BigRational],
-    ):
-        if len(price) != g.n:
-            raise ValueError(f"price has {len(price)} values, graph has {g.n} vertices")
-        pden = math.lcm(*(p.den for p in price))
-        self._build(g, k, budget, price, [p.num * (pden // p.den) for p in price], pden)
-
-    @classmethod
-    def _from_numerators(cls, g: WeightedDigraph, k: int, budget: WordBudget, pnum: List[int], pden: int):
-        ctx = cls.__new__(cls)
-        ctx._build(g, k, budget, None, pnum, pden)
-        return ctx
-
-    def _build(self, g, k, budget, price, pnum, pden):
-        self._price = price
+    def __init__(self, g: WeightedDigraph, k: int, budget: WordBudget, pnum: List[int], pden: int):
+        if len(pnum) != g.n:
+            raise ValueError(f"price has {len(pnum)} values, graph has {g.n} vertices")
         self.k = k
         self.budget = budget
         self.pnum = pnum
         self.pden = pden
         self.adj = adj = [[] for _ in range(g.n)]
-        dens = set()
+        maxden = 1
         for e in g.edges:
             w = e.weight
             adj[e.tail].append((e.head, w.num, w.den))
-            dens.add(w.den)
-        bound = max(dens, default=1) << (k * budget.B - 1)
+            if w.den > maxden:
+                maxden = w.den
+        bound = maxden << (k * budget.B - 1)
         self.shift = shift = (bound * bound - 1).bit_length()
         scale = pden << shift
-        grid = _weight_grid(dens, scale)
+        grid = _weight_grid(g.edges, scale)
         if grid is None:
             self.mult = scale
             self.hi = [a << shift for a in pnum]
@@ -552,24 +538,6 @@ class CutContext:
                     row.append((v, wn * (grid // wd)))
                 grid_adj.append(row)
 
-    @property
-    def price(self) -> List[BigRational]:
-        if self._price is None:
-            self._price = [BigRational(a, self.pden) for a in self.pnum]
-        return self._price
-
-
-def _weight_grid(dens, cap: int) -> Optional[int]:
-    """The lcm of `dens`, or None as soon as a partial lcm passes `cap`
-    (the rest of `dens` is then not read)."""
-    grid = 1
-    for d in dens:
-        if grid % d:
-            grid = math.lcm(grid, d)
-            if grid > cap:
-                return None
-    return grid
-
 
 def _cut_accuracy(n: int, k: int, budget: WordBudget) -> int:
     """The price accuracy exponent E = (2k+1)B + ceil(log2 n) of the cut
@@ -585,7 +553,7 @@ def cut_preprocess(
 ) -> Union[CutContext, NegativeCycle]:
     """Price function and edge arrays for cut runs with hop bound k, a
     positive integer (ValueError otherwise).  The context takes the
-    price as the scaling numerators D themselves, with no rational
+    price as the scaling numerators D over 2^(E+1), with no rational
     built, and reads its edge arrays from g.  `collect["cut_key_bits"]`
     is the bit length of the context's key multiplier M: the lcm of the
     weight denominators when the keys are exact on that grid, P * 2^S
@@ -595,7 +563,7 @@ def cut_preprocess(
     res = _price_numerators(g, exponent, budget, collect)
     if isinstance(res, NegativeCycle):
         return res
-    ctx = CutContext._from_numerators(g, k, budget, res, 1 << (exponent + 1))
+    ctx = CutContext(g, k, budget, res, 1 << (exponent + 1))
     if collect is not None:
         collect["cut_key_bits"] = ctx.mult.bit_length()
     return ctx

@@ -258,6 +258,13 @@ def bf_tree(g: WeightedDigraph, s: int) -> SsspResult:
     return SsspResult(g.n, s, tree)
 
 
+def over_lcm(price: Sequence[BigRational]) -> Tuple[List[int], int]:
+    """(pnum, pden) of a rational price over the lcm of its denominators:
+    the numerators and common denominator that `CutContext` takes."""
+    pden = math.lcm(*(p.den for p in price))
+    return [p.num * (pden // p.den) for p in price], pden
+
+
 def reduced_weight(g: WeightedDigraph, p: Sequence[BigRational], e) -> BigRational:
     """w(e) + p(tail) - p(head), exactly, for the price p listed per vertex:
     the definition `check_eps_feasible` decides on integers."""
@@ -403,7 +410,7 @@ def reference_cut_dijkstra(ctx, g: WeightedDigraph, s: int, collect=None) -> Cut
     n = g.n
     k = ctx.k
     budget = ctx.budget
-    price = ctx.price
+    price = [BigRational(a, ctx.pden) for a in ctx.pnum]
     dist: List[Optional[BigRational]] = [None] * n
     par: List[Optional[int]] = [None] * n
     tent: List[Optional[BigRational]] = [None] * n

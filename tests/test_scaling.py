@@ -23,7 +23,7 @@ from ratpath.scaling import (
     integer_sssp_arrays,
 )
 from ratpath.sssp import CutContext, _hop_default, cut_dijkstra, cut_preprocess
-from conftest import backbone_graph, bf_oracle_int, reference_eps_feasible_price
+from conftest import backbone_graph, bf_oracle_int, over_lcm, reference_eps_feasible_price
 
 
 def R(n, d=1):
@@ -580,7 +580,7 @@ class TestPriceEdgePass:
         # alone; the context reads its int adjacency, in out-edge order,
         # and its weight grid from the graph itself
         # (TestCutContextFromNumerators compares the contexts built from D
-        # and from the public constructor).
+        # and from the rationals of `eps_feasible_price`).
         for seed in range(4):
             g = backbone_graph(16, seed) if seed % 2 else gen_random(20, 60, seed, "small", "priced")
             budget = WordBudget(64)
@@ -695,9 +695,9 @@ class TestPriceCertificate:
 
 class TestCutContextFromNumerators:
     """`cut_preprocess` builds its context from the scaling numerators D
-    at pden = 2^(E+1), with no price rational built; the public
-    constructor puts the rationals of `eps_feasible_price` over the lcm
-    of their denominators.  Both must give the same price, the same
+    at pden = 2^(E+1), with no price rational built: they are the values
+    of `eps_feasible_price` over 2^(E+1).  A context built from those
+    rationals put over the lcm of their denominators must give the same
     numerators and the same runs from every vertex."""
 
     @staticmethod
@@ -705,12 +705,15 @@ class TestCutContextFromNumerators:
         got = cut_preprocess(g, k, budget)
         assert not isinstance(got, NegativeCycle)
         exponent = (2 * k + 1) * budget.B + max(1, math.ceil(math.log2(max(g.n, 2))))
-        want = CutContext(g, k, budget, eps_feasible_price(g, exponent, budget))
-        assert got.pden == want.pden == 1 << (exponent + 1)
+        price = eps_feasible_price(g, exponent, budget)
+        pden = 1 << (exponent + 1)
+        assert got.pden == pden
+        assert got.pnum == [p.num * (pden // p.den) for p in price]
+        want = CutContext(g, k, budget, *over_lcm(price))
+        assert want.pden == pden
         assert got.pnum == want.pnum
         assert got.adj == want.adj
         assert (got.shift, got.mult, got.hi, got.nlo) == (want.shift, want.mult, want.hi, want.nlo)
-        assert [(p.num, p.den) for p in got.price] == [(p.num, p.den) for p in want.price]
         for s in range(g.n):
             a, b = cut_dijkstra(got, s), cut_dijkstra(want, s)
             assert a.dist == b.dist and (a.ints, a.grid) == (b.ints, b.grid)

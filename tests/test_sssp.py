@@ -11,7 +11,7 @@ from ratpath.graph import (
     WeightedDigraph,
     _bellman_ford,
     _primes_below,
-    _word_grid,
+    _weight_grid,
     augment_source,
     bf_exact,
     gen_random,
@@ -25,6 +25,7 @@ from ratpath.graph import (
 from ratpath.cfrac import Ordering
 from ratpath.distcmp import DistCmp, DistCmpConfig, PairwiseDeltaComparator
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
+from ratpath import graph as graph_module
 from ratpath import rational as rational_module
 from ratpath import sssp as sssp_module
 from ratpath.sssp import (
@@ -51,10 +52,12 @@ from conftest import (
     TreeKeepingDistCmpStrategy,
     backbone_graph,
     bf_route,
+    bf_tree,
     crossed_diamond_chain,
     diamond_chain,
     entry_ordered_dijkstra,
     full_scan_recombination,
+    over_lcm,
     reference_cut_dijkstra,
     reference_witness_tree,
     prime_bound_for,
@@ -1164,7 +1167,7 @@ class TestCutDijkstra:
         g = gen_random(14, 40, 6, "small", "priced")
         ctx = self._context(g, 3)
         eps = R(1, 1 << ((2 * 3 + 1) * B16.B + math.ceil(math.log2(g.n))))
-        assert check_eps_feasible(g, ctx.price, eps)
+        assert check_eps_feasible(g, [R(a, ctx.pden) for a in ctx.pnum], eps)
 
     def test_rank_by_exact_key_matches_pair_approximations(self):
         # The paper ranks the vertices relaxed from one vertex by
@@ -1187,7 +1190,7 @@ class TestCutDijkstra:
                 g = gen_random(12, 36, 20 + trial, "small", "priced")
                 ctx = cut_preprocess(g, 1 + trial % 3, budget=budget)
                 assert not isinstance(ctx, NegativeCycle)
-                price = list(ctx.price)
+                price = [R(a, ctx.pden) for a in ctx.pnum]
                 # Copied prices and weights make exact key ties, which
                 # break by vertex id on both sides.
                 for _ in range(3):
@@ -1374,7 +1377,7 @@ class TestCutDijkstra:
                         price[v] = price[twin]
                         edges[(u, v)] = edges[(u, twin)]
                 g = WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()])
-                ctx = CutContext(g, int(rng.integers(1, 4)), budget, price)
+                ctx = CutContext(g, int(rng.integers(1, 4)), budget, *over_lcm(price))
                 assert _key_mode(ctx, g) == "exact"
                 for s in range(1, n):
                     run = self._assert_matches_reference(ctx, g, s)
@@ -1415,7 +1418,7 @@ class TestCutDijkstra:
                         g, price, first, second, gap = build(bits, k, rng)
                         padded = _pad_past_the_scale(g, 1 << (bits + 1))
                         for graph, prices, mode in ((g, price, "exact"), (padded, price + [ZERO], "floor")):
-                            ctx = CutContext(graph, k, budget, prices)
+                            ctx = CutContext(graph, k, budget, *over_lcm(prices))
                             assert _key_mode(ctx, graph) == mode
                             run = self._assert_matches_reference(ctx, graph, 0)
                             key = [d - p for d, p in zip(run.dist, price)]
@@ -1480,7 +1483,7 @@ class TestCutDijkstra:
             graphs.append(WeightedDigraph(n, [(u, v, w) for (u, v), w in edges.items()]))
         past = on = wide = not_short = 0
         for g in graphs:
-            ctx = CutContext(g, 1, budget, [ZERO] * g.n)
+            ctx = CutContext(g, 1, budget, [0] * g.n, 1)
             assert _key_mode(ctx, g) == "exact"
             grid = ctx.mult
             wide += grid >= bound
@@ -1499,16 +1502,40 @@ class TestCutDijkstra:
         assert past > 100 and on >= 2 and wide == 15 and not_short > 100, (past, on, wide, not_short)
 
     def test_weight_grid_stops_past_the_cap(self):
-        # The lcm is built one denominator at a time and given up at the
-        # first partial lcm past the cap: the rest is never read.
-        from ratpath.sssp import _weight_grid
+        # The lcm is built one edge at a time and given up at the first
+        # partial lcm past the cap: the rest is never read.  L = 1 (no
+        # edge, or every denominator 1) is past a cap of 0.
+        def chain(*dens):
+            return WeightedDigraph(len(dens) + 1, [(i, i + 1, R(1, d)) for i, d in enumerate(dens)]).edges
 
-        dens = iter([2, 3, 5, 7, 11, 13])
-        assert _weight_grid(dens, 29) is None
-        assert list(dens) == [7, 11, 13]
-        assert _weight_grid([4, 6, 10], 60) == 60
-        assert _weight_grid([4, 6, 10], 59) is None
-        assert _weight_grid([], 1) == 1
+        edges = iter(chain(2, 3, 5, 7, 11, 13))
+        assert _weight_grid(edges, 29) is None
+        assert [e.weight.den for e in edges] == [7, 11, 13]
+        assert _weight_grid(chain(4, 6, 10), 60) == 60
+        assert _weight_grid(chain(4, 6, 10), 59) is None
+        assert _weight_grid([], 1) == _weight_grid(chain(1, 1), 1) == 1
+        assert _weight_grid([], 0) is _weight_grid(chain(1, 1), 0) is _weight_grid(chain(2), 0) is None
+
+    def test_context_and_certificates_share_the_grid(self, monkeypatch):
+        # The context, `bf_exact` and `verify_sssp` build L with the one
+        # loop `graph._weight_grid`, each under its own cap.  On these
+        # graphs L fits both caps, and all three take the same L.
+        taken = []
+        real = graph_module._weight_grid
+
+        def spy(edges, cap):
+            taken.append(real(edges, cap))
+            return taken[-1]
+
+        monkeypatch.setattr(graph_module, "_weight_grid", spy)
+        for g in [backbone_graph(16, seed) for seed in range(5)] + [reverse_path(30)]:
+            s = g.source or 0
+            ctx = cut_preprocess(g, 4)
+            assert ctx.grid_adj is not None and ctx.mult < 1 << 64
+            taken.clear()
+            assert not isinstance(bf_exact(g, s), NegativeCycle)
+            assert verify_sssp(g, bf_tree(g, s))
+            assert taken == [ctx.mult, ctx.mult]
 
     def test_rejects_bad_source_and_short_price(self):
         g = gen_random(8, 20, 3, "small", "priced")
@@ -1517,7 +1544,7 @@ class TestCutDijkstra:
             with pytest.raises(ValueError, match="out of range"):
                 cut_dijkstra(ctx, s)
         with pytest.raises(ValueError, match="price has 7 values"):
-            CutContext(g, 2, B16, ctx.price[:-1])
+            CutContext(g, 2, B16, ctx.pnum[:-1], ctx.pden)
 
     def test_runs_read_the_graph_from_the_context(self):
         # The context is a snapshot: an edge added to the graph afterwards
@@ -2001,7 +2028,7 @@ class TestNegativePipeline:
         # pipeline verifies on its first attempt with the same distances.
         g = reverse_path(30)
         s = g.source
-        assert _word_grid(g.edges) == 840
+        assert _weight_grid(g.edges, (1 << 64) - 1) == 840
         with bf_route() as taken:
             oracle = bf_exact(g, s)
         assert taken == ["grid"]
@@ -2256,8 +2283,7 @@ def _approx_tree(ctx, s):
         u = min(live, key=lambda v: (dist[v], v))
         done[u] = True
         for v, wn, wd in ctx.adj[u]:
-            w = max(0, math.floor((Fraction(wn, wd) + Fraction(ctx.price[u].num, ctx.price[u].den)
-                                   - Fraction(ctx.price[v].num, ctx.price[v].den)) * P))
+            w = max(0, math.floor((Fraction(wn, wd) + Fraction(ctx.pnum[u] - ctx.pnum[v], P)) * P))
             if not done[v] and (dist[v] is None or dist[u] + w < dist[v]):
                 dist[v], parent[v], depth[v] = dist[u] + w, u, depth[u] + 1
 
