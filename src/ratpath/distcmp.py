@@ -22,8 +22,8 @@ delegates one comparison to level i+1 with a rewritten, shorter
 right-hand side.  The recursion bottoms out at L_t where every query is
 a sign test.
 
-An exact-arithmetic twin of the query predicate, `exact_compare`, is
-the fallback when a covering failure is detected.
+A detected covering failure falls back to `IncTree.exact_sign`, the
+exact query predicate, whose checked public form is `exact_compare`.
 At small capacities such failures are not rare: with the default lam=4,
 a 6-slot cover (11 instances) leaves its first edge uncovered for about
 9 % of seeds.  The fallback answers exactly, so every answer stays

@@ -19,8 +19,10 @@ tokens parse to one shared (immutable) `BigRational`.  Every parse error
 names its line, apart from a missing header and an edge count that
 differs from the header's.
 
-`_bellman_ford` is the one exact Bellman-Ford, run by `bf_exact` and by
-the recombination of `sssp.negative_sssp`.  `_weight_grid` is the one
+`_bellman_ford` is the list-order exact Bellman-Ford of `bf_exact` and
+recombination, which pin its parents, rounds and witnesses; the price
+keeps its own FIFO one (`scaling.integer_sssp_arrays`), whose queue
+order settles convex graphs in one pass.  `_weight_grid` is the one
 loop that builds L, the lcm of the weight denominators, under a cap.
 When L fits `_GRID_BITS` bits, `bf_exact` relaxes and `verify_sssp`
 compares ints on the grid 1/L; `sssp.CutContext` keys the cut runs on
@@ -493,16 +495,24 @@ def cycle_weight(g: WeightedDigraph, cycle: Sequence[int]) -> BigRational:
     return sum_balanced(ws)
 
 
-def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, object]], zero=ZERO,
+def _cycle_witness(g: WeightedDigraph, cycle: Sequence[int]) -> NegativeCycle:
+    """The `NegativeCycle` of a Bellman-Ford parent-graph cycle of g."""
+    w = cycle_weight(g, cycle)
+    if w >= ZERO:
+        raise AssertionError(f"parent-graph cycle {list(cycle)} is not negative")
+    return NegativeCycle(cycle, w)
+
+
+def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, object]],
                   lt: Optional[Callable[[object, object, object], bool]] = sum_lt):
-    """The one exact Bellman-Ford: distances from s over (tail, head,
-    weight) triples, as (dist, parent, None), or (None, None, cycle) when
-    a negative cycle is reachable from s, its vertices in edge order.
+    """The list-order exact Bellman-Ford: distances from s over (tail,
+    head, weight) triples, as (dist, parent, None), or (None, None, cycle)
+    when a negative cycle is reachable from s, its vertices in edge order.
 
     Each relaxation is decided by whether d(tail) + w < d(head): by
     lt(d(tail), w, d(head)), `sum_lt` on `BigRational`s, so only an
     improvement builds a sum; or, with lt None, inline as d(tail) + w <
-    d(head), for ints on a common grid (zero 0).  `zero` is d(s).
+    d(head), for ints on a common grid.  d(s) is ZERO, or 0 with lt None.
     The rounds scan the edges in list order and skip an edge whose
     tail's distance has not changed since that edge was last scanned (a
     version per vertex, the version last seen per edge): the last scan
@@ -512,7 +522,7 @@ def _bellman_ford(n: int, s: int, edges: Sequence[Tuple[int, int, object]], zero
     """
     dist: List[Optional[BigRational]] = [None] * n
     parent = [-1] * n
-    dist[s] = zero
+    dist[s] = 0 if lt is None else ZERO
     version = [0] * n  # bumped on every change of dist[v]
     version[s] = 1
     seen = [0] * len(edges)  # version[tail] when the edge was last scanned
@@ -547,12 +557,11 @@ def bf_exact(g: WeightedDigraph, s: int):
 
     When L, the lcm of the weight denominators, fits `_GRID_BITS` bits
     (`_weight_grid` under the cap 2^_GRID_BITS - 1), the rounds run on
-    ints: each weight is num * (L // den) and d(s) is 0.  Scaling by
-    L > 0 keeps every strict test, so every improvement, parent, round
-    count and cycle is that of the rounds on `BigRational`s, the route
-    past the cap.  `dist` holds reduced
-    `BigRational`s either way, built on the grid route from each int x
-    as x / L with one gcd per reachable vertex."""
+    ints: each weight is num * (L // den).  Scaling by L > 0 keeps every
+    strict test, so every improvement, parent, round count and cycle is
+    that of the rounds on `BigRational`s, the route past the cap.  `dist`
+    holds reduced `BigRational`s either way, built on the grid route from
+    each int x as x / L with one gcd per reachable vertex."""
     if not 0 <= s < g.n:
         raise ValueError(f"source {s} out of range")
     edges = g.edges
@@ -561,7 +570,7 @@ def bf_exact(g: WeightedDigraph, s: int):
         dist, parent, cycle = _bellman_ford(g.n, s, [(e.tail, e.head, e.weight) for e in edges])
     else:
         triples = [(e.tail, e.head, e.weight.num * (grid // e.weight.den)) for e in edges]
-        dist, parent, cycle = _bellman_ford(g.n, s, triples, 0, None)
+        dist, parent, cycle = _bellman_ford(g.n, s, triples, None)
         if cycle is None:
             for v, x in enumerate(dist):
                 if x is not None:
@@ -569,10 +578,7 @@ def bf_exact(g: WeightedDigraph, s: int):
                     dist[v] = _make(x // c, grid // c)
     if cycle is None:
         return BfResult(dist, parent)
-    w = cycle_weight(g, cycle)
-    if w >= ZERO:
-        raise AssertionError("extracted cycle is not negative")
-    return NegativeCycle(cycle, w)
+    return _cycle_witness(g, cycle)
 
 
 # -- generators -----------------------------------------------------

@@ -40,8 +40,8 @@ import numbers
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .graph import NegativeCycle, WeightedDigraph, _parent_cycle, cycle_weight
-from .rational import BigRational, DEFAULT_BUDGET, WordBudget, ZERO, is_k_short
+from .graph import NegativeCycle, WeightedDigraph, _cycle_witness, _parent_cycle
+from .rational import BigRational, DEFAULT_BUDGET, WordBudget, is_k_short
 
 __all__ = [
     "integer_sssp_arrays",
@@ -53,36 +53,28 @@ __all__ = [
 def integer_sssp_arrays(
     n: int,
     adj: Sequence[Sequence[Tuple[int, int]]],
-    weights: Sequence[int],
     s: int,
 ) -> Tuple[Optional[List[Optional[int]]], Optional[List[int]], Optional[List[int]]]:
     """FIFO label-correcting Bellman-Ford on exact Python ints.
 
-    `adj[u]` lists u's out-edges as (head, edge index) pairs, and edge i
-    has weight `weights[i]`.  Returns (dist, parent, None) or (None,
-    None, cycle); O(n*m) in the worst case.  Each label carries the hop
-    count of the walk that made it.  Labels only decrease strictly, so a
-    walk of n hops repeats a vertex around a negative cycle.  From then
-    on each update walks the parent graph, whose cycles are all negative
-    and one of which forms after finitely many updates; that cycle is
-    the witness.  A source outside [0, n), an adjacency without n lists,
-    a weight array whose length is not the adjacency's edge count, a
-    head outside [0, n) or an edge index outside [0, len(weights)) raise
+    `adj[u]` lists u's out-arcs as (head, weight) pairs.  Returns (dist,
+    parent, None) or (None, None, cycle); O(n*m) in the worst case.
+    Each label carries the hop count of the walk that made it.  Labels
+    only decrease strictly, so a walk of n hops repeats a vertex around
+    a negative cycle.  From then on each update walks the parent graph,
+    whose cycles are all negative and one of which forms after finitely
+    many updates; that cycle is the witness.  A source outside [0, n),
+    an adjacency without n lists or a head outside [0, n) raise
     ValueError.
     """
     if not 0 <= s < n:
         raise ValueError(f"source {s} out of range")
     if len(adj) != n:
         raise ValueError(f"adjacency has {len(adj)} lists for {n} vertices")
-    m = sum(map(len, adj))
-    if len(weights) != m:
-        raise ValueError(f"weight array length {len(weights)} differs from the {m} edges")
     for u, out in enumerate(adj):
-        for v, i in out:
+        for v, _ in out:
             if not 0 <= v < n:
-                raise ValueError(f"edge {i} of vertex {u} has head {v} out of range")
-            if not 0 <= i < m:
-                raise ValueError(f"edge index {i} of vertex {u} out of range")
+                raise ValueError(f"arc of vertex {u} has head {v} out of range")
     dist: List[Optional[int]] = [None] * n
     parent = [-1] * n
     hops = [0] * n
@@ -96,8 +88,8 @@ def integer_sssp_arrays(
         queued[u] = False
         du = dist[u]
         hu = hops[u] + 1
-        for v, i in adj[u]:
-            d = du + weights[i]
+        for v, w in adj[u]:
+            d = du + w
             dv = dist[v]
             if dv is not None and d >= dv:
                 continue
@@ -226,35 +218,28 @@ def _price_numerators(
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
         raise ValueError(f"accuracy exponent must be a non-negative integer, got {k!r}")
     k = int(k)
-    n, m = g.n, g.m
+    n = g.n
     shift = k + 1
     adj: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     wide = 0
-    weights = []
     # floors[i] = floor(2^shift * w) of edge i: T_shift - 1, less one for
     # a negative w whose scaled value is not an integer.
     floors = []
-    for i, e in enumerate(g.edges):
-        u, v, w = e.tail, e.head, e.weight
-        num, den = w.num, w.den
+    for e in g.edges:
+        num, den = e.weight.num, e.weight.den
         wide |= den | (num if num >= 0 else -num)
         floor, rem = divmod(num << shift, den)
         floors.append(floor)
-        weights.append(floor + 2 if num < 0 and rem else floor + 1)
-        adj[u].append((v, i))
+        adj[e.tail].append((e.head, floor + 2 if num < 0 and rem else floor + 1))
     if wide >> (budget.B - 1):
         _check_1_short(g, budget)
     # The super-source n, its edge to v weighing 1.
-    adj.append([(v, m + v) for v in range(n)])
-    weights += [1] * n
+    adj.append([(v, 1) for v in range(n)])
     if collect is not None:
         collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + k + 2
-    dist, _, cyc = integer_sssp_arrays(n + 1, adj, weights, n)
+    dist, _, cyc = integer_sssp_arrays(n + 1, adj, n)
     if cyc is not None:
-        w = cycle_weight(g, cyc)
-        if w >= ZERO:
-            raise AssertionError("scaled cycle does not map to a negative cycle")
-        return NegativeCycle(cyc, w)
+        return _cycle_witness(g, cyc)
     if not _price_certified(g, dist, floors):
         raise AssertionError("scaled price function fails exact feasibility")
     return dist[:n]

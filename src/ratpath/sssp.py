@@ -23,8 +23,8 @@ widest weight denominator's bit length, so distinct keys differ by more
 than 2^-(2 * n * maxb).  While that exponent is at most `_TOP_CAP`, S is
 it, and a top-word tie is an exact tie: the heap orders (top word,
 vertex id) and never calls `compare`.  Past it S is `_TOP_BITS`, and the
-key, then the vertex id, breaks the heap's top-word ties: a reduced
-`BigRational` by its own order, any other key by `compare`.  A strategy
+key, then the vertex id, breaks the heap's top-word ties: an `ordered`
+strategy's key by its own order, any other key by `compare`.  A strategy
 that gives no pairs has top word 0 for every key, so that tie-break is
 its whole order.  A relaxation test decides on top words and puts a tie
 to `compare` in every regime, so distcmp's counters see each tie a
@@ -32,8 +32,8 @@ relaxation meets.  In every regime the order is (key, vertex id).
 
 Negative case: an eps-feasible price function from `scaling` makes a "cut"
 Dijkstra sound for every vertex whose shortest path uses at most k hops; a
-hit set of start vertices plus `graph._bellman_ford`, the one exact
-Bellman-Ford, over the small recombination graph stitches the
+hit set of start vertices plus `graph._bellman_ford`, the list-order
+exact Bellman-Ford, over the small recombination graph stitches the
 hop-bounded runs into full distances.  The hit set is s plus the
 sparsest class of depth mod k in one Dijkstra tree of the floored
 reduced weights, so it cuts every path of that tree into segments of at
@@ -186,6 +186,7 @@ class _ExactStrategy:
     name = "exact_oracle"
     root = ZERO
     pair = attrgetter("num", "den")
+    ordered = True  # keys are canonical: == and < order them by value
 
     def __init__(self, g, source, budget, seed, constants, widest, maxb):
         pass
@@ -367,7 +368,7 @@ def dijkstra_nonneg(
         exact_ties = shift <= _TOP_CAP
         if not exact_ties:
             shift = _TOP_BITS
-    ordered = compare is BigRational._cmp  # canonical: == and < order by value
+    ordered = getattr(strat, "ordered", False)
     if inline:
         keep = nodes.append
         node, hnum, hden, hbits = strat.root
@@ -997,17 +998,15 @@ def _recombine(
 
     The hit-set Bellman-Ford and the best-via scan read each run's grid
     ints x_i(v) when every run holds them on one grid (exact-mode runs of
-    one context), with zero 0 and sums compared inline (lt None), and
-    its `BigRational` dist otherwise, with ZERO and `sum_lt`.  Both keep
+    one context), with sums compared inline (lt None), and its
+    `BigRational` dist otherwise, with `sum_lt`.  Both keep
     `graph._bellman_ford`'s list-order rounds and strict tests, and the
     scan's strict test, so ties resolve alike."""
     grid = runs[0].grid
     if grid is not None and all(run.grid == grid for run in runs):
-        rows = [run.ints for run in runs]
-        zero, lt = 0, None
+        rows, lt = [run.ints for run in runs], None
     else:
-        rows = [run.dist for run in runs]
-        zero, lt = ZERO, sum_lt
+        rows, lt = [run.dist for run in runs], sum_lt
     # Exact Bellman-Ford over the recombination graph on the hit set, its
     # edges i -> j weighted by run i's estimate of hitset[j], in row order.
     edges = []
@@ -1017,14 +1016,14 @@ def _recombine(
             if w is not None and i != j:
                 edges.append((i, j, w))
     # hitset[0] == s
-    hdist, hpar, cycle = _bellman_ford(len(hitset), 0, edges, zero, lt)
+    hdist, hpar, cycle = _bellman_ford(len(hitset), 0, edges, lt)
     if cycle is not None:
         raise _RecombinationError("the hit-set estimates form a negative cycle")
 
     # Best two-stage estimate hdist[i] + run i's d(v) per vertex, built
     # only when it wins; the strict test keeps the lowest index on ties.
     best_via: List[Optional[int]] = [None] * n
-    best = [zero] * n
+    best = [None] * n
     for i, h in enumerate(hdist):
         if h is None:
             continue
