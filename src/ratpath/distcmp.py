@@ -78,6 +78,7 @@ the one rule for a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import Callable, Dict, List, Optional, Tuple
@@ -127,6 +128,12 @@ class DistCmpConfig:
     positive finite numbers, size the thinning factor and the cover.  The
     level count t is the smallest with capacity / K^t <= 1 for the
     thinning factor K = max(2, ceil(C log2 capacity)).
+
+    The parameters depend on these five arguments alone, so the solver
+    builds them once per argument tuple in a process (`_shared_config`)
+    and every structure of that shape shares one config.  A config is
+    read-only after construction: nothing writes its fields or the lists
+    `ell`, `bits_chain` and `ell_chain`.
     """
 
     __slots__ = (
@@ -176,6 +183,14 @@ class DistCmpConfig:
         for i in range(t):
             if self.ell_chain[i] < 4 * self.bits_chain[i] + 5:
                 raise ValueError("precision margins violated; increase B or C")
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_config(capacity: int, c: int, B: int, C: float, lam: float) -> DistCmpConfig:
+    """The one `DistCmpConfig(capacity, c, B, C, lam)` of this argument
+    tuple in the process, built on its first call.  A bad argument
+    raises on every call: `lru_cache` keeps no exception."""
+    return DistCmpConfig(capacity, c, B, C, lam)
 
 
 class ClusterOrder:

@@ -21,7 +21,7 @@ differs from the header's.
 
 `_bellman_ford` is the list-order exact Bellman-Ford of `bf_exact` and
 recombination, which pin its parents, rounds and witnesses; the price
-keeps its own FIFO one (`scaling.integer_sssp_arrays`), whose queue
+keeps its own FIFO one (`scaling._fifo_bellman_ford`), whose queue
 order settles convex graphs in one pass.  `_weight_grid` is the one
 loop that builds L, the lcm of the weight denominators, under a cap.
 When L fits `_GRID_BITS` bits, `bf_exact` relaxes and `verify_sssp`

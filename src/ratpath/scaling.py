@@ -15,9 +15,10 @@ sum_j d_j / 2^j of the k+2 rounds is exactly D_{k+1} / 2^(k+1).  Every
 reduced weight under it is at least -2^-k, verified exactly on the
 integer distances before returning.
 
-So the price is one call of `integer_sssp_arrays` on T_{k+1} over all
-edges and the n super-source edges: FIFO label-correcting Bellman-Ford
-on exact ints, with a parent-graph cycle as negative-cycle witness.
+So the price is one run of `_fifo_bellman_ford`, the unchecked loop of
+`integer_sssp_arrays`, on T_{k+1} over all edges and the n super-source
+edges: FIFO label-correcting Bellman-Ford on exact ints, with a
+parent-graph cycle as negative-cycle witness.
 Negative cycles are the same as the rounds'.  T_{j+1}(e) <= 2*T_j(e),
 so a cycle negative at some round is negative at round k+1; and
 T_{k+1}(e) > 2^(k+1) * w(e), so a cycle negative under T_{k+1} is
@@ -65,7 +66,8 @@ def integer_sssp_arrays(
     whose cycles are all negative and one of which forms after finitely
     many updates; that cycle is the witness.  A source outside [0, n),
     an adjacency without n lists or a head outside [0, n) raise
-    ValueError.
+    ValueError.  The loop itself is `_fifo_bellman_ford`, which checks
+    nothing.
     """
     if not 0 <= s < n:
         raise ValueError(f"source {s} out of range")
@@ -75,6 +77,18 @@ def integer_sssp_arrays(
         for v, _ in out:
             if not 0 <= v < n:
                 raise ValueError(f"arc of vertex {u} has head {v} out of range")
+    return _fifo_bellman_ford(n, adj, s)[:3]
+
+
+def _fifo_bellman_ford(
+    n: int,
+    adj: Sequence[Sequence[Tuple[int, int]]],
+    s: int,
+) -> Tuple[Optional[List[Optional[int]]], Optional[List[int]], Optional[List[int]], int]:
+    """The loop of `integer_sssp_arrays`, unchecked: s in [0, n), n lists,
+    every head in [0, n).  Returns its (dist, parent, cycle) and the
+    number of arcs of the vertices it dequeued, len(adj[u]) added once
+    per dequeue (on a cycle, up to the dequeue that found it)."""
     dist: List[Optional[int]] = [None] * n
     parent = [-1] * n
     hops = [0] * n
@@ -83,12 +97,15 @@ def integer_sssp_arrays(
     queued[s] = True
     queue = deque([s])
     cyclic = False
+    scans = 0
     while queue:
         u = queue.popleft()
         queued[u] = False
         du = dist[u]
         hu = hops[u] + 1
-        for v, w in adj[u]:
+        out = adj[u]
+        scans += len(out)
+        for v, w in out:
             d = du + w
             dv = dist[v]
             if dv is not None and d >= dv:
@@ -100,11 +117,11 @@ def integer_sssp_arrays(
                 cyclic = True
                 cycle = _parent_cycle(parent, v)
                 if cycle is not None:
-                    return None, None, cycle
+                    return None, None, cycle, scans
             if not queued[v]:
                 queued[v] = True
                 queue.append(v)
-    return dist, parent, None
+    return dist, parent, None, scans
 
 
 def _shift_add(acc: List[int], levels: Sequence[Sequence[int]]) -> List[int]:
@@ -192,8 +209,11 @@ def eps_feasible_price(
     It is verified exactly against every edge before returning.  A cycle
     of the Bellman-Ford parent graph is returned as a `NegativeCycle`
     with its exact weight in g.  `collect["scaling_rounds"]` counts the
-    k+2 levels on both outcomes.  A k that is not a non-negative integer
-    or a weight that is not 1-short under `budget` raises ValueError.
+    k+2 levels on both outcomes, and `collect["price_scans"]` the arcs
+    the Bellman-Ford scans: the out-arcs of each vertex it dequeues,
+    counted once per dequeue, super-source included.  A k that is not a
+    non-negative integer or a weight that is not 1-short under `budget`
+    raises ValueError.
     Internal contract violations raise AssertionError: they indicate a
     bug, not bad input.
     """
@@ -233,11 +253,13 @@ def _price_numerators(
         adj[e.tail].append((e.head, floor + 2 if num < 0 and rem else floor + 1))
     if wide >> (budget.B - 1):
         _check_1_short(g, budget)
-    # The super-source n, its edge to v weighing 1.
+    # The super-source n, its edge to v weighing 1.  Every head comes from
+    # g, whose edges are checked as they are added: the loop runs unchecked.
     adj.append([(v, 1) for v in range(n)])
+    dist, _, cyc, scans = _fifo_bellman_ford(n + 1, adj, n)
     if collect is not None:
         collect["scaling_rounds"] = collect.get("scaling_rounds", 0) + k + 2
-    dist, _, cyc = integer_sssp_arrays(n + 1, adj, n)
+        collect["price_scans"] = collect.get("price_scans", 0) + scans
     if cyc is not None:
         return _cycle_witness(g, cyc)
     if not _price_certified(g, dist, floors):

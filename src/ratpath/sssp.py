@@ -70,8 +70,8 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set,
 
 # Unused here: the benchmark's tracer wraps `sssp.compare_via_approx` by name.
 from .cfrac import compare_via_approx  # noqa: F401
-from .distcmp import (_CONSTANTS, DistCmp, DistCmpConfig, PairwiseDeltaComparator, _check_constant,
-                      _check_hop, _check_seed, _gap)
+from .distcmp import (_CONSTANTS, DistCmp, PairwiseDeltaComparator, _check_constant, _check_hop,
+                      _check_seed, _gap, _shared_config)
 from .graph import (
     NegativeCycle,
     SsspResult,
@@ -212,7 +212,11 @@ class _DistCmpStrategy:
     word, when n * maxb is at most ell_0: a key's bit bound is at most
     (n - 1) * maxb.  `nodes` is then the structure's node list, else
     None; given the list, `dijkstra_nonneg` runs the bodies of `_key` and
-    `_settle` in its loop, with no call per relaxation or settle."""
+    `_settle` in its loop, with no call per relaxation or settle.
+
+    The level parameters come from `distcmp._shared_config`, built once
+    per (capacity, c, B, C, lam) in a process and shared read-only; each
+    solve still builds its own `DistCmp` (nodes, counters, slot levels)."""
 
     name = "distcmp"
 
@@ -220,8 +224,7 @@ class _DistCmpStrategy:
         # A heap comparison puts the difference of two weights to the
         # structure, so its class is twice theirs.
         c = 2 * _shortness_class(widest, budget)
-        cfg = DistCmpConfig(capacity=max(2, g.n), c=c, B=budget.B, C=constants["C"],
-                            lam=constants["lam"])
+        cfg = _shared_config(max(2, g.n), c, budget.B, constants["C"], constants["lam"])
         self.comparator = dc = DistCmp(cfg, seed=seed)
         self.root = (0, 0, 1, 0)
         self.key, self.settle, self.counters = dc._key, dc._settle, dc.counters
@@ -389,14 +392,14 @@ def dijkstra_nonneg(
 
     # Relax out of u, settled as `here` (as node, hnum, hden, hbits when
     # inline), then settle the next live heap entry as u; u is None once
-    # the heap drains.
-    out_edges = g.out_edges
+    # the heap drains.  The adjacency is read once here, not per settle.
+    adj = g._adj
     heappush, heappop = heapq.heappush, heapq.heappop
     visited[s] = True
     u = s
     here = strat.root
     while u is not None:
-        for e in out_edges(u):
+        for e in adj[u]:
             v = e.head
             if visited[v]:
                 continue

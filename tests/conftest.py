@@ -45,7 +45,7 @@ import pytest
 
 from ratpath import graph as graph_module
 from ratpath.cfrac import Ordering
-from ratpath.distcmp import DistCmp, DistCmpConfig
+from ratpath.distcmp import DistCmp, DistCmpConfig, _shared_config
 from ratpath.graph import (
     NegativeCycle,
     SsspResult,
@@ -1153,3 +1153,12 @@ def prime_bound_for(count: int) -> int:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def fresh_distcmp_configs():
+    """Every test starts with no shared distcmp config: a test that patches
+    `DistCmpConfig.__init__` builds the configs its solves use, whatever
+    ran before it, and the patched ones it leaves are gone before the
+    next test."""
+    _shared_config.cache_clear()

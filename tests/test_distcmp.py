@@ -12,8 +12,9 @@ from ratpath.distcmp import (
     DistCmp,
     DistCmpConfig,
     PairwiseDeltaComparator,
+    _shared_config,
 )
-from ratpath.graph import _primes_below
+from ratpath.graph import WeightedDigraph, _primes_below, gen_random, serialize_tree
 from ratpath.inctree import IncTree
 from ratpath.rational import BigRational, WordBudget, ZERO, is_k_short
 from ratpath.sssp import dijkstra_nonneg
@@ -159,6 +160,54 @@ class TestConfig:
                 DistCmpConfig(capacity=4, C=bad)
             with pytest.raises(ValueError, match="lam must be a positive finite number"):
                 DistCmpConfig(capacity=4, lam=bad)
+
+
+class TestSharedConfig:
+    """`_shared_config`: one read-only config per (capacity, c, B, C, lam)
+    in a process, which every distcmp solve of that shape shares."""
+
+    def test_equal_arguments_share_one_config(self):
+        a = _shared_config(40, 2, 64, 2.0, 4.0)
+        assert _shared_config(40, 2, 64, 2.0, 4.0) is a
+        fresh = DistCmpConfig(40, 2, 64, 2.0, 4.0)
+        assert all(getattr(a, f) == getattr(fresh, f) for f in DistCmpConfig.__slots__)
+        # Another capacity, C or lam is another config, itself shared.
+        for args in ((41, 2, 64, 2.0, 4.0), (40, 2, 64, 3.0, 4.0), (40, 2, 64, 2.0, 1.0)):
+            b = _shared_config(*args)
+            assert b is not a and _shared_config(*args) is b
+            assert (b.capacity, b.lam) == (args[0], args[4])
+        assert _shared_config(40, 2, 64, 3.0, 4.0).K > a.K
+
+    def test_bad_constant_raises_on_every_call(self):
+        # No exception is cached: each call validates afresh.
+        for _ in range(3):
+            with pytest.raises(ValueError, match="C must be a positive finite number"):
+                _shared_config(40, 2, 64, -1.0, 4.0)
+            with pytest.raises(ValueError, match="lam must be a positive finite number"):
+                _shared_config(40, 2, 64, 2.0, math.inf)
+        assert _shared_config.cache_info().currsize == 0
+
+    def test_repeated_shape_solves_identically(self):
+        # Two solves of one shape, another shape solved between them: the
+        # second reuses the first's config and gives the same counters and
+        # tree bytes as the first.
+        def ties(n, seed):
+            third = R(1, 3)
+            g = gen_random(n, 4 * n, seed)
+            return WeightedDigraph(n, [(e.tail, e.head, third) for e in g.edges], source=0)
+
+        def solve(g):
+            stats = {}
+            tree = dijkstra_nonneg(g, 0, strategy="distcmp", seed=5, collect=stats)
+            return stats, serialize_tree(tree)
+
+        g, other = ties(40, 11), ties(30, 12)
+        first = solve(g)
+        assert first[0]["distcmp.level_queries"][0] > 0
+        solve(other)
+        assert solve(g) == first
+        info = _shared_config.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
 
 
 class TestInsertAndRecords:

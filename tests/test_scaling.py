@@ -209,12 +209,17 @@ class TestMatchesReferenceLoop:
         got_stats, want_stats = {}, {}
         got = eps_feasible_price(g, k, collect=got_stats)
         want = reference_eps_feasible_price(g, k, collect=want_stats)
-        assert got_stats == {"scaling_rounds": k + 2}
+        scans = got_stats["price_scans"]
+        assert got_stats == {"scaling_rounds": k + 2, "price_scans": scans}
         if isinstance(want, NegativeCycle):
             # The witness may be another negative cycle than the loop's.
             assert_witness(g, got)
         else:
             assert isinstance(got, list)
+            # Every vertex, the super-source's n arcs included, is dequeued
+            # at least once, and at most once in each of the at most n + 1
+            # FIFO passes.
+            assert g.m + g.n <= scans <= (g.n + 1) * (g.m + g.n)
             assert [(p.num, p.den) for p in got] == [(p.num, p.den) for p in want]
         return want_stats
 
@@ -456,7 +461,7 @@ class TestEpsFeasiblePrice:
         g = plant_negative_cycle(gen_random(12, 34, 4, "small", "priced"), 4)
         stats = {}
         assert_witness(g, eps_feasible_price(g, 20, collect=stats))
-        assert stats == {"scaling_rounds": 22}
+        assert stats == {"scaling_rounds": 22, "price_scans": 164}
 
     @pytest.mark.parametrize("k", [2.5, "3", 3.0, True, -1])
     def test_rejects_bad_accuracy_exponent(self, k):
@@ -483,9 +488,9 @@ class TestPriceReduction:
         # An edgeless graph certifies any distances, so the Bellman-Ford
         # can be replaced by the D values under test.
         def fixed(n, adj, s):
-            return list(ds) + [0], [-1] * n, None
+            return list(ds) + [0], [-1] * n, None, n - 1
 
-        monkeypatch.setattr(scaling, "integer_sssp_arrays", fixed)
+        monkeypatch.setattr(scaling, "_fifo_bellman_ford", fixed)
         return eps_feasible_price(WeightedDigraph(len(ds)), k)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 40])
@@ -501,13 +506,14 @@ class TestPriceReduction:
         # The real distances, captured from the Bellman-Ford the price is
         # built from, reduce to the same values a gcd gives.
         seen = []
+        real = scaling._fifo_bellman_ford
 
         def capture(*args):
-            out = integer_sssp_arrays(*args)
+            out = real(*args)
             seen.append(out[0])
             return out
 
-        monkeypatch.setattr(scaling, "integer_sssp_arrays", capture)
+        monkeypatch.setattr(scaling, "_fifo_bellman_ford", capture)
         for n, seed, k in ((5, 1, 0), (12, 2, 3), (30, 3, 20), (16, 4, 580)):
             g = gen_random(n, 3 * n, seed, "small", "priced")
             p = eps_feasible_price(g, k)
@@ -587,6 +593,38 @@ class TestPriceEdgePass:
             assert ctx.mult == math.lcm(*{e.weight.den for e in g.edges})
 
 
+class TestPriceScans:
+    """`collect["price_scans"]`: the out-arcs of each vertex the price's
+    Bellman-Ford dequeues, counted once per dequeue."""
+
+    def test_nonnegative_graphs_scan_each_arc_once(self):
+        # With every weight >= 0, every T is at least 1: the super-source's
+        # unit edges are final, and each vertex is dequeued exactly once.
+        for seed in range(4):
+            g = gen_random(20, 60, seed)
+            stats = {}
+            eps_feasible_price(g, 5, collect=stats)
+            assert stats["price_scans"] == g.m + g.n
+
+    def test_backbone_graph_pinned(self):
+        g = backbone_graph(16, 0)
+        stats = {}
+        assert not isinstance(cut_preprocess(g, 4, collect=stats), NegativeCycle)
+        assert (g.m, stats["price_scans"]) == (59, 179)
+
+    def test_price_runs_the_unchecked_loop(self, monkeypatch):
+        # The price's heads come from a validated graph: it never calls the
+        # checked entry, whose head pass walks every arc again.
+        def refuse(*args):
+            raise AssertionError("the price called integer_sssp_arrays")
+
+        monkeypatch.setattr(scaling, "integer_sssp_arrays", refuse)
+        for seed in range(3):
+            g = backbone_graph(16, seed)
+            assert isinstance(eps_feasible_price(g, 9), list)
+            assert not isinstance(cut_preprocess(g, 4), NegativeCycle)
+
+
 def _scaled(w, shift):
     """T_shift(w) = sgn(w) * floor(2^shift * |w|) + 1, from Fractions."""
     mag = math.floor(Fraction(abs(w.num) << shift, w.den))
@@ -660,7 +698,7 @@ class TestPriceCertificate:
         import ratpath.scaling as scaling
 
         seen = {}
-        real_sssp, real_cert = scaling.integer_sssp_arrays, scaling._price_certified
+        real_sssp, real_cert = scaling._fifo_bellman_ford, scaling._price_certified
 
         def sssp(n, adj, s):
             seen["weights"] = [w for out in adj for _, w in out]
@@ -670,7 +708,7 @@ class TestPriceCertificate:
             seen["floors"] = list(floors)
             return real_cert(g, dist, floors)
 
-        monkeypatch.setattr(scaling, "integer_sssp_arrays", sssp)
+        monkeypatch.setattr(scaling, "_fifo_bellman_ford", sssp)
         monkeypatch.setattr(scaling, "_price_certified", cert)
         shift = k + 1
         ws = [R(0), R(1, 3), R(2), R(-1, 1 << shift), R(-3, 1 << (shift + 1)), R(-1, 3), R(-5, 7),

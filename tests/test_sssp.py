@@ -2039,6 +2039,9 @@ class TestNegativePipeline:
         res = negative_sssp(g, s, budget=WordBudget(20), collect=stats)
         assert stats["pipeline_attempts"] == 1
         assert res.distances() == oracle.dist
+        # The price's FIFO queues the vertices against the path: each pass
+        # settles one more hop, about n * m / 2 arc scans in all.
+        assert (g.m, stats["price_scans"]) == (870, 13515)
 
     def test_hit_sets_keep_their_draws(self, monkeypatch):
         # A first attempt that verifies draws nothing; a miss draws
